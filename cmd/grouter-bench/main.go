@@ -6,6 +6,7 @@
 //	grouter-bench -list
 //	grouter-bench -run fig13
 //	grouter-bench -run all
+//	grouter-bench -run ext-scale -requests 100000
 package main
 
 import (
@@ -25,25 +26,31 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	run := flag.String("run", "all", "experiment ID to run, or 'all'")
+	run := flag.String("run", "all", "experiment ID to run, a comma-separated list of IDs, or 'all'")
 	asJSON := flag.Bool("json", false, "emit results as JSON instead of tables")
 	allocStats := flag.Bool("allocstats", false, "print netsim allocator work counters after the runs")
 	faultStats := flag.Bool("faultstats", false, "print fault-injection and recovery counters after the runs")
 	spanStats := flag.Bool("span-stats", false, "print a per-request critical-path latency breakdown and exit")
-	fanout := flag.Bool("fanout", false, "run the fan-out coalescing experiment (shorthand for -run ext-fanout)")
-	routerRun := flag.Bool("router", false, "run the full-size routed-admission comparison (ext-router at -scale-requests) and exit")
-	routerStats := flag.Bool("router-stats", false, "replay the bursty pattern routed at -scale-requests with a 10% QoSHigh mix and print the router's decision counters")
-	elastic := flag.Bool("elastic", false, "run the full-size elastic-pool strategy comparison (ext-elastic at -scale-requests) and exit")
-	slo := flag.Bool("slo", false, "run the full-size SLO-admission comparison (ext-slo at -scale-requests) and exit")
-	pd := flag.Bool("pd", false, "run the full-size prefill/decode disaggregation comparison (ext-pd at -scale-requests) and exit")
-	pdStats := flag.Bool("pd-stats", false, "replay the disaggregation-friendly h800 cell at -scale-requests and print the PD service and policy counters")
-	scale := flag.Bool("scale", false, "run the full-size scale replay (ext-scale at -scale-requests) and exit")
-	scaleRequests := flag.Int("scale-requests", 100_000, "request count for the largest -scale replays")
-	scaleShards := flag.Int("scale-shards", 0, "with -scale: replay the 8-pod scale-out fleet on this many engine shards instead of the single-cluster replay")
-	shardStats := flag.Bool("shard-stats", false, "replay the full-size bursty fleet cell at -scale-shards shards and print wall-clock per-shard utilization (not part of any deterministic table)")
+	routerStats := flag.Bool("router-stats", false, "replay the bursty pattern routed at -requests with a 10% QoSHigh mix and print the router's decision counters")
+	pdStats := flag.Bool("pd-stats", false, "replay the disaggregation-friendly h800 cell at -requests and print the PD service and policy counters")
+	requests := flag.Int("requests", 100_000, "request count of the -router-stats, -pd-stats and -shard-stats replays; given with -run, the size of every experiment it names (only ext-router, ext-scale, ext-scale-shard, ext-elastic, ext-pd and ext-slo take one; without the flag they run at their default sizes)")
+	scaleShards := flag.Int("scale-shards", 0, "with -shard-stats: the engine shard count (default 4)")
+	shardStats := flag.Bool("shard-stats", false, "replay the bursty fleet cell at -requests on -scale-shards shards and print wall-clock per-shard utilization (not part of any deterministic table)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+
+	// Given explicitly, -requests sizes the experiments -run names.
+	sized := false
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "requests" {
+			sized = true
+		}
+	})
+	if *requests < 0 {
+		fmt.Fprintf(os.Stderr, "grouter-bench: -requests must be >= 0, got %d\n", *requests)
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -81,7 +88,7 @@ func main() {
 		if shards <= 0 {
 			shards = 4
 		}
-		st := experiments.ShardedScaleRun(*scaleRequests, shards)
+		st := experiments.ShardedScaleRun(*requests, shards)
 		fmt.Printf("sharded replay: %d requests, %d pods, %d shards, completed %d\n",
 			st.Requests, st.Pods, st.Shards, st.Completed)
 		fmt.Printf("  virtual: dur=%v tput=%.1f req/s p50=%v p99=%v\n",
@@ -103,39 +110,8 @@ func main() {
 		fmt.Println()
 		return
 	}
-	if *scale {
-		// Everything in the table is measured in virtual time, so this
-		// output is byte-identical across runs (no wall-clock footer) —
-		// including across -scale-shards values.
-		if *scaleShards > 0 {
-			fmt.Println(experiments.ShardedScaleTable(*scaleRequests, *scaleShards).Format())
-		} else {
-			fmt.Println(experiments.ScaleTable(*scaleRequests).Format())
-		}
-		return
-	}
-	if *routerRun {
-		// Virtual-time table: byte-identical across runs of the same build.
-		fmt.Println(experiments.RouterTable(*scaleRequests).Format())
-		return
-	}
-	if *elastic {
-		// Virtual-time table: byte-identical across runs of the same build.
-		fmt.Println(experiments.ElasticTable(*scaleRequests).Format())
-		return
-	}
-	if *slo {
-		// Virtual-time table: byte-identical across runs of the same build.
-		fmt.Println(experiments.SLOTable(*scaleRequests).Format())
-		return
-	}
-	if *pd {
-		// Virtual-time table: byte-identical across runs of the same build.
-		fmt.Println(experiments.PDTable(*scaleRequests).Format())
-		return
-	}
 	if *pdStats {
-		st, ps, rs := experiments.PDStatsRun(*scaleRequests)
+		st, ps, rs := experiments.PDStatsRun(*requests)
 		fmt.Printf("pd replay (h800 x1, sporadic): %d requests, completed %d\n", st.Requests, st.Completed)
 		fmt.Printf("  virtual: dur=%v tput=%.1f req/s p50=%v p99=%v\n",
 			st.Duration.Round(time.Millisecond), st.Throughput, st.P50, st.P99)
@@ -148,16 +124,13 @@ func main() {
 		return
 	}
 	if *routerStats {
-		st, rs := experiments.RouterStatsRun(*scaleRequests)
+		st, rs := experiments.RouterStatsRun(*requests)
 		fmt.Printf("routed replay: %d requests (1 in 10 QoSHigh), completed %d\n", st.Requests, st.Completed)
 		fmt.Printf("  virtual: dur=%v tput=%.1f req/s p50=%v p99=%v\n",
 			st.Duration.Round(time.Millisecond), st.Throughput, st.P50, st.P99)
 		fmt.Printf("  router: decisions=%d refreshes=%d failovers=%d retries=%d fallbacks=%d crashes=%d\n",
 			rs.Decisions, rs.Refreshes, rs.Failovers, rs.Retries, rs.Fallbacks, rs.Crashes)
 		return
-	}
-	if *fanout {
-		*run = "ext-fanout"
 	}
 
 	if *list {
@@ -180,10 +153,24 @@ func main() {
 			todo = append(todo, *e)
 		}
 	}
+	if sized {
+		for _, e := range todo {
+			if e.Sized == nil {
+				fmt.Fprintf(os.Stderr, "grouter-bench: experiment %s takes no -requests size\n", e.ID)
+				os.Exit(2)
+			}
+		}
+	}
+	table := func(e experiments.Experiment) *experiments.Table {
+		if sized {
+			return e.Sized(*requests)
+		}
+		return e.Run()
+	}
 	if *asJSON {
 		var results []*experiments.Table
 		for _, e := range todo {
-			results = append(results, e.Run())
+			results = append(results, table(e))
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -195,7 +182,7 @@ func main() {
 	}
 	for _, e := range todo {
 		start := time.Now()
-		tbl := e.Run()
+		tbl := table(e)
 		fmt.Println(tbl.Format())
 		fmt.Printf("  (%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		if *allocStats {

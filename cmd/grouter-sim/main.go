@@ -153,13 +153,9 @@ func runSim(cfg simConfig, w io.Writer) error {
 	}
 	c := cluster.NewSpatial(engine, cfg.spec, cfg.nodes, cfg.slots, mk)
 	app := c.Deploy(cfg.wf, cfg.batch, scheduler.Options{Node: -1, SplitAcrossNodes: cfg.split, Seed: cfg.seed})
-	arrivals := cfg.arrivals
-	traceDesc := fmt.Sprintf("file(%d arrivals)", len(arrivals))
-	if arrivals == nil {
-		arrivals = trace.Generate(trace.Spec{Pattern: cfg.pattern, Duration: cfg.dur, MeanRPS: cfg.rps, Seed: cfg.seed})
-		traceDesc = fmt.Sprintf("%s(%.1f rps, %v)", cfg.pattern, cfg.rps, cfg.dur)
-	}
+	arrivals, traceDesc := arrivalsOf(cfg)
 	var rt *router.Router
+	var reqAt func(int) cluster.Request
 	if cfg.sloHigh > 0 || cfg.sloLow > 0 {
 		// SLO admission needs the scored router: its cached worker snapshot
 		// is what the completion predictor runs over.
@@ -170,18 +166,15 @@ func runSim(cfg simConfig, w io.Writer) error {
 			Low:  router.SLOClass{Budget: cfg.sloLow, MaxDelay: cfg.sloDefer},
 		}
 		rt = router.New(app, rcfg)
-		if _, err := app.Replay(arrivals, cluster.ReplaySpec{
-			RequestAt: func(i int) cluster.Request {
-				if (i+1)%10 == 0 {
-					return cluster.Request{QoS: cluster.QoSHigh}
-				}
-				return cluster.Request{}
-			},
-		}); err != nil {
-			return err
+		reqAt = func(i int) cluster.Request {
+			if (i+1)%10 == 0 {
+				return cluster.Request{QoS: cluster.QoSHigh}
+			}
+			return cluster.Request{}
 		}
-	} else {
-		app.RunTrace(arrivals)
+	}
+	if _, err := app.Replay(arrivals, cluster.ReplaySpec{RequestAt: reqAt}); err != nil {
+		return err
 	}
 	if cfg.traceOut != nil {
 		if err := tracer.Export(cfg.traceOut); err != nil {
@@ -255,15 +248,7 @@ func runPD(cfg simConfig, w io.Writer) error {
 		return err
 	}
 	rt := router.NewPD(svc, router.DefaultPDPolicy())
-	arrivals := cfg.arrivals
-	traceDesc := fmt.Sprintf("file(%d arrivals)", len(arrivals))
-	if arrivals == nil {
-		arrivals = trace.Generate(trace.Spec{Pattern: cfg.pattern, Duration: cfg.dur, MeanRPS: cfg.rps, Seed: cfg.seed})
-		traceDesc = fmt.Sprintf("%s(%.1f rps, %v)", cfg.pattern, cfg.rps, cfg.dur)
-	}
-	if arrivals == nil {
-		arrivals = []time.Duration{}
-	}
+	arrivals, traceDesc := arrivalsOf(cfg)
 	st, err := svc.Replay(arrivals, cluster.ReplaySpec{RequestAt: func(i int) cluster.Request {
 		req := cluster.Request{PromptTokens: shortPrompt, OutTokens: outTokens}
 		if i%longEvery == 0 {
@@ -300,8 +285,23 @@ func runPD(cfg simConfig, w io.Writer) error {
 	return nil
 }
 
+// arrivalsOf returns the run's arrival offsets and their report label: the
+// loaded trace file, or else a generated trace (an empty one is a valid
+// no-op replay).
+func arrivalsOf(cfg simConfig) ([]time.Duration, string) {
+	if cfg.arrivals != nil {
+		return cfg.arrivals, fmt.Sprintf("file(%d arrivals)", len(cfg.arrivals))
+	}
+	arrivals := trace.Generate(trace.Spec{Pattern: cfg.pattern, Duration: cfg.dur, MeanRPS: cfg.rps, Seed: cfg.seed})
+	if arrivals == nil {
+		arrivals = []time.Duration{}
+	}
+	return arrivals, fmt.Sprintf("%s(%.1f rps, %v)", cfg.pattern, cfg.rps, cfg.dur)
+}
+
 // loadTrace reads arrival offsets from a file: one Go duration per line,
-// blank lines and '#' comments skipped.
+// blank lines and '#' comments skipped. A file without arrivals is an error:
+// an empty trace must not fall back to a generated one silently.
 func loadTrace(path string) ([]time.Duration, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -325,6 +325,9 @@ func loadTrace(path string) ([]time.Duration, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%s: no arrivals", path)
 	}
 	return out, nil
 }

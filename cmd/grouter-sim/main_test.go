@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"grouter/internal/topology"
@@ -126,6 +127,21 @@ func TestTraceGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("trace export drifted from %s (%d bytes got, %d want); regenerate with -update-golden and review",
 			path, buf.Len(), len(want))
+	}
+}
+
+// TestLoadTraceRejectsNoArrivals: a trace file without arrival lines must
+// fail naming the file, not load as a nil trace that runSim silently
+// replaces with a generated one.
+func TestLoadTraceRejectsNoArrivals(t *testing.T) {
+	for name, body := range map[string]string{"empty.txt": "", "comments.txt": "# no arrivals\n\n"} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadTrace(path); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: loadTrace error = %v, want one naming the file", name, err)
+		}
 	}
 }
 

@@ -42,9 +42,6 @@ var (
 	// ErrNilTrace: Replay of a nil arrival trace (an empty non-nil trace is
 	// a valid no-op).
 	ErrNilTrace = cluster.ErrNilTrace
-	// ErrNegativeQuantum: a ReplaySpec or ReplayOptions admission quantum
-	// below zero.
+	// ErrNegativeQuantum: a ReplaySpec admission quantum below zero.
 	ErrNegativeQuantum = cluster.ErrNegativeQuantum
-	// ErrNegativeHighEvery: a negative ReplayOptions.HighEvery mix.
-	ErrNegativeHighEvery = cluster.ErrNegativeHighEvery
 )

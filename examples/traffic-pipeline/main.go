@@ -39,7 +39,9 @@ func main() {
 		s := grouter.MustNewSim("dgx-v100")
 		c := s.NewCluster(sys.mk)
 		app := c.Deploy(grouter.TrafficWorkflow(), 0, grouter.PlaceOptions{Node: 0})
-		app.RunTrace(arrivals)
+		if _, err := app.Replay(arrivals, grouter.ReplaySpec{}); err != nil {
+			panic(err)
+		}
 		s.Close()
 		fmt.Printf("%-10s %9.2f %9.2f %10.2f %10.2f %9.2f\n",
 			sys.name,

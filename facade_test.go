@@ -153,7 +153,10 @@ func TestFacadeAutoscale(t *testing.T) {
 		arrivals := GenerateTrace(TraceSpec{
 			Pattern: Periodic, Duration: 2 * time.Second, MeanRPS: 400, Seed: 7,
 		})
-		st := app.ReplayTrace(arrivals, ReplayOptions{Quantum: 10 * time.Millisecond})
+		st, err := app.Replay(arrivals, ReplaySpec{Quantum: 10 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return st, ep.Stats, ep.GPUSeconds()
 	}
 	st1, es1, gs1 := run()

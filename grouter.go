@@ -74,8 +74,6 @@ type (
 	Runtime = cluster.Cluster
 	// App is one deployed workflow application on a Runtime.
 	App = cluster.App
-	// ReplayOptions configures App.ReplayTrace's batched arrival admission.
-	ReplayOptions = cluster.ReplayOptions
 	// ReplayStats summarizes one replayed trace in virtual time.
 	ReplayStats = cluster.ReplayStats
 	// ScaleOutOptions configures ReplayScaleOut's pod fleet and sharded
@@ -486,13 +484,3 @@ func ReplayScaleOut(spec string, arrivals []time.Duration, buildPod func(pod int
 	})
 	return st, nil
 }
-
-// NewSimN builds a simulation of n nodes of the named topology.
-//
-// Deprecated: use NewSim(spec, WithNodes(n)).
-func NewSimN(spec string, n int) (*Sim, error) { return NewSim(spec, WithNodes(n)) }
-
-// MustNewSimN is MustNewSim with a node count.
-//
-// Deprecated: use MustNewSim(spec, WithNodes(n)).
-func MustNewSimN(spec string, n int) *Sim { return MustNewSim(spec, WithNodes(n)) }

@@ -72,15 +72,13 @@ func (f Fixed) Desired(m PoolMetrics) int {
 
 // Reactive is the queue-depth threshold controller: scale out one instance
 // when the mean per-instance queue reaches ScaleOutDepth, scale in one when
-// the pool is completely idle. It reproduces the legacy EnableAutoscale
-// trigger exactly (integer mean, waiters only) so the shim stays
-// byte-compatible.
+// the pool is completely idle. The trigger is the integer mean of waiters
+// only.
 type Reactive struct {
 	// ScaleOutDepth is the per-instance mean waiter count that triggers a
 	// scale-out (< 1 is clamped to 1).
 	ScaleOutDepth int
-	// ScaleIn enables idle scale-in; the legacy shim leaves it false
-	// (scale-out only, the pre-elastic behavior).
+	// ScaleIn enables idle scale-in; false keeps the pool scale-out only.
 	ScaleIn bool
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // SLO-aware admission control. The front-door router installs an AdmitFn on
-// the app; every submission path (Submit, the Invoke shims, trace replays)
-// consults it before launching the request. The hook decides per attempt:
+// the app; every submission (Submit and trace replays) consults it before
+// launching the request. The hook decides per attempt:
 // launch now, park the request in a virtual-time delay queue and re-ask
 // after a bounded wait, or shed it outright. With no hook installed the
 // launch path is untouched — byte-identical to the pre-admission runtime,

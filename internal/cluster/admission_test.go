@@ -116,7 +116,7 @@ func TestDeferredShedFiresCompletion(t *testing.T) {
 	app, _ := scriptedAdmission(e)
 	woke := false
 	e.Go("closed-loop", func(p *sim.Proc) {
-		app.submit(Request{Session: 3}).Wait(p)
+		mustSubmit(app, Request{Session: 3}).Wait(p)
 		woke = true
 	})
 	e.Run(0)
@@ -136,9 +136,9 @@ func TestPerClassLatencyAccounting(t *testing.T) {
 	c := New(e, topology.DGXV100(), 1, grouterPlane)
 	app := c.Deploy(workflow.Traffic(), 0, scheduler.Options{Node: -1})
 	e.Go("driver", func(p *sim.Proc) {
-		app.submit(Request{}).Wait(p)
-		app.submit(Request{QoS: QoSHigh}).Wait(p)
-		app.submit(Request{QoS: QoSHigh}).Wait(p)
+		mustSubmit(app, Request{}).Wait(p)
+		mustSubmit(app, Request{QoS: QoSHigh}).Wait(p)
+		mustSubmit(app, Request{QoS: QoSHigh}).Wait(p)
 	})
 	e.Run(0)
 	if lo, hi := app.E2EClass[QoSLow].Count(), app.E2EClass[QoSHigh].Count(); lo != 1 || hi != 2 {

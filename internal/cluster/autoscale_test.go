@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"grouter/internal/autoscale"
 	"grouter/internal/scheduler"
 	"grouter/internal/sim"
 	"grouter/internal/topology"
@@ -11,29 +12,38 @@ import (
 	"grouter/internal/workflow"
 )
 
+// scaleOutOnly is the reactive scale-out-only pool configuration: a GPU
+// stage's pool grows by one replica whenever its mean per-replica queue
+// reaches 2, up to max replicas, and never shrinks. A zero interval keeps
+// the controller's default.
+func scaleOutOnly(max int, interval time.Duration) ElasticConfig {
+	return ElasticConfig{Scaler: autoscale.Reactive{ScaleOutDepth: 2}, Max: max, Interval: interval}
+}
+
 func TestAutoscaleScalesOutUnderOverload(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	c := New(e, topology.DGXV100(), 1, grouterPlane)
 	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
-	app.EnableAutoscale(AutoscaleConfig{MaxReplicas: 4, QueueThreshold: 2, Interval: 100 * time.Millisecond})
+	ep := app.EnableElastic(scaleOutOnly(4, 100*time.Millisecond))
 	// Overload: far more than one segmentation instance can sustain.
 	for _, at := range trace.Generate(trace.Spec{
 		Pattern: trace.Sporadic, Duration: 5 * time.Second, MeanRPS: 80, Seed: 3,
 	}) {
 		at := at
-		e.Schedule(at, func() { app.submit(Request{}) })
+		e.Schedule(at, func() { mustSubmit(app, Request{}) })
 	}
 	e.Run(0)
-	if app.ScaleEvents() == 0 {
+	if ep.Stats.ScaleOuts == 0 {
 		t.Fatal("controller never scaled out under overload")
 	}
 	// The bottleneck stage (segmentation) should have grown its pool.
-	if got := app.Replicas("segmentation", 0); got < 2 {
-		t.Errorf("segmentation replicas = %d, want >= 2", got)
+	active, _, _ := ep.Replicas("segmentation", 0)
+	if active < 2 {
+		t.Errorf("segmentation replicas = %d, want >= 2", active)
 	}
-	if app.Replicas("segmentation", 0) > 4 {
-		t.Error("pool exceeded MaxReplicas")
+	if active > 4 {
+		t.Error("pool exceeded Max")
 	}
 }
 
@@ -42,19 +52,19 @@ func TestAutoscaleIdleAppStaysAtOne(t *testing.T) {
 	defer e.Close()
 	c := New(e, topology.DGXV100(), 1, grouterPlane)
 	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
-	app.EnableAutoscale(DefaultAutoscale())
+	ep := app.EnableElastic(scaleOutOnly(4, 0))
 	e.Go("driver", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			app.submit(Request{}).Wait(p)
+			mustSubmit(app, Request{}).Wait(p)
 			p.Sleep(200 * time.Millisecond)
 		}
 	})
 	e.Run(0)
-	if app.ScaleEvents() != 0 {
-		t.Errorf("idle app scaled out %d times", app.ScaleEvents())
+	if ep.Stats.ScaleOuts != 0 {
+		t.Errorf("idle app scaled out %d times", ep.Stats.ScaleOuts)
 	}
-	if app.Replicas("denoise", 0) != 1 {
-		t.Errorf("replicas = %d, want 1", app.Replicas("denoise", 0))
+	if active, _, _ := ep.Replicas("denoise", 0); active != 1 {
+		t.Errorf("replicas = %d, want 1", active)
 	}
 }
 
@@ -65,13 +75,13 @@ func TestAutoscaleImprovesThroughput(t *testing.T) {
 		c := New(e, topology.DGXV100(), 1, grouterPlane)
 		app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
 		if auto {
-			app.EnableAutoscale(AutoscaleConfig{MaxReplicas: 4, QueueThreshold: 2, Interval: 100 * time.Millisecond})
+			app.EnableElastic(scaleOutOnly(4, 100*time.Millisecond))
 		}
 		for _, at := range trace.Generate(trace.Spec{
 			Pattern: trace.Sporadic, Duration: 8 * time.Second, MeanRPS: 80, Seed: 3,
 		}) {
 			at := at
-			e.Schedule(at, func() { app.submit(Request{}) })
+			e.Schedule(at, func() { mustSubmit(app, Request{}) })
 		}
 		e.Run(8 * time.Second) // fixed horizon: count completions inside it
 		return app.Completed
@@ -92,15 +102,15 @@ func TestAutoscaledColdInstances(t *testing.T) {
 	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
 	app.SetColdStart(ColdStartPolicy{Enabled: true, ContainerLatency: 200 * time.Millisecond,
 		KeepAlive: time.Minute, Prewarm: true})
-	app.EnableAutoscale(AutoscaleConfig{MaxReplicas: 3, QueueThreshold: 2, Interval: 100 * time.Millisecond})
+	ep := app.EnableElastic(scaleOutOnly(3, 100*time.Millisecond))
 	for _, at := range trace.Generate(trace.Spec{
 		Pattern: trace.Sporadic, Duration: 5 * time.Second, MeanRPS: 80, Seed: 9,
 	}) {
 		at := at
-		e.Schedule(at, func() { app.submit(Request{}) })
+		e.Schedule(at, func() { mustSubmit(app, Request{}) })
 	}
 	e.Run(0)
-	if app.ScaleEvents() == 0 {
+	if ep.Stats.ScaleOuts == 0 {
 		t.Skip("no scale-out under this seed")
 	}
 	// Pre-warmed base instances plus cold autoscaled ones → some cold starts.

@@ -22,7 +22,7 @@ func runWithBreakdown(t *testing.T, wf *workflow.Workflow, n int) *Breakdown {
 	bd := app.EnableBreakdown()
 	e.Go("driver", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			app.submit(Request{}).Wait(p)
+			mustSubmit(app, Request{}).Wait(p)
 		}
 	})
 	e.Run(0)

@@ -197,12 +197,11 @@ type App struct {
 	instances  map[instKey]*instanceState
 	coldStarts int64
 
-	// pools are per-stage instance pools managed by the autoscaler (nil
-	// until first use: one instance per stage from Placement); elastic is
-	// the elastic pool controller when EnableElastic has run.
-	pools       map[scheduler.StageInst][]fabric.Location
-	elastic     *ElasticPools
-	scaleEvents int64
+	// pools holds every stage instance's replica pool in stage declaration
+	// order, replicas ascending (see elastic.go); elastic is the pool
+	// controller once EnableElastic has run.
+	pools   []*poolState
+	elastic *ElasticPools
 
 	// OnPoolChange, when non-nil, observes every routable-pool membership
 	// change (scale-out completion, cordon, crash blacklist, recovery) in
@@ -225,8 +224,9 @@ type App struct {
 	freeStates []*reqState
 }
 
-// Deploy places wf's instances and returns the app. batch <= 0 uses the
-// workflow default.
+// Deploy places wf's instances, seeds each stage instance's replica pool
+// with its placement, and returns the app. batch <= 0 uses the workflow
+// default.
 func (c *Cluster) Deploy(wf *workflow.Workflow, batch int, opt scheduler.Options) *App {
 	if err := wf.Validate(); err != nil {
 		panic(err)
@@ -242,6 +242,13 @@ func (c *Cluster) Deploy(wf *workflow.Workflow, batch int, opt scheduler.Options
 		Placement: c.Placer.Place(wf, opt),
 		seedBase:  opt.Seed,
 	}
+	now := c.Engine.Now()
+	for _, s := range wf.Stages {
+		for r := 0; r < s.ReplicaCount(); r++ {
+			si := scheduler.StageInst{Stage: s.Name, Replica: r}
+			app.pools = append(app.pools, newPool(si, s, app.Placement[si], batch, now))
+		}
+	}
 	scale := wf.SLOScale
 	if scale == 0 {
 		scale = 1.5
@@ -256,39 +263,6 @@ type instIn struct {
 	prod scheduler.StageInst
 	kind EdgeKind
 }
-
-// Invoke starts one request now (at the app's deployed batch size) and
-// returns a signal fired at completion.
-//
-// Deprecated: use Submit(Request{}) — the typed descriptor is the single
-// submission path and carries every per-request attribute. Invoke remains a
-// byte-compatible shim over it.
-func (a *App) Invoke() *sim.Signal { return a.submit(Request{}) }
-
-// submit is the unvalidated internal submission used by the deprecated
-// shims, which predate validation and cannot return an error.
-func (a *App) submit(req Request) *sim.Signal {
-	done := sim.NewSignal(a.C.Engine)
-	a.startReq(req, done)
-	return done
-}
-
-// InvokeBatch starts one request with an explicit batch size (used by the
-// adaptive batcher, which aggregates queued logical requests). The request
-// executes on the plan-based fast path (see plan.go).
-func (a *App) InvokeBatch(batch int) *sim.Signal {
-	done := sim.NewSignal(a.C.Engine)
-	a.start(batch, done)
-	return done
-}
-
-// InvokeQoS starts one request in the given priority class (at the app's
-// deployed batch size) and returns a signal fired at completion. QoSHigh
-// requests skip QoSLow ones in GPU compute-slot queues.
-//
-// Deprecated: use Submit(Request{QoS: q}) — the typed descriptor is the
-// single submission path. InvokeQoS remains a byte-compatible shim over it.
-func (a *App) InvokeQoS(q QoS) *sim.Signal { return a.submit(Request{QoS: q}) }
 
 // inputsOf lists the producer instances feeding replica r of stage s.
 func (a *App) inputsOf(s *workflow.Stage, r int) []instIn {
@@ -352,15 +326,6 @@ func (c *Cluster) SetQueueAging(d time.Duration) {
 	}
 }
 
-// RunTrace submits one request per arrival offset and returns when the
-// engine has drained (call from outside the engine; it runs the engine).
-// No submitter waits per request, so the completion signal is elided. It is
-// ReplayTrace with per-arrival admission and the stats discarded; use
-// ReplayTrace directly for batched admission or the summary.
-func (a *App) RunTrace(arrivals []time.Duration) {
-	a.ReplayTrace(arrivals, ReplayOptions{})
-}
-
 // MeasureThroughput runs `concurrency` closed loops for dur of virtual time
 // and returns completed requests per second.
 func (a *App) MeasureThroughput(concurrency int, dur time.Duration) float64 {
@@ -370,7 +335,9 @@ func (a *App) MeasureThroughput(concurrency int, dur time.Duration) float64 {
 	for i := 0; i < concurrency; i++ {
 		e.Go(fmt.Sprintf("loop-%d", i), func(p *sim.Proc) {
 			for p.Now()-base < dur {
-				a.submit(Request{}).Wait(p)
+				done := sim.NewSignal(e)
+				a.startReq(Request{}, done)
+				done.Wait(p)
 			}
 		})
 	}

@@ -18,6 +18,17 @@ import (
 func grouterPlane(f *fabric.Fabric) dataplane.Plane { return core.New(f, core.FullConfig()) }
 func inflessPlane(f *fabric.Fabric) dataplane.Plane { return baselines.NewINFless(f) }
 
+// mustSubmit submits req and returns its completion signal. Submit fails
+// only on an invalid request or a synchronous admission shed, neither of
+// which the tests that call it expect.
+func mustSubmit(a *App, req Request) *sim.Signal {
+	done, err := a.Submit(req)
+	if err != nil {
+		panic(err)
+	}
+	return done
+}
+
 func runOne(t *testing.T, mk func(*fabric.Fabric) dataplane.Plane, wf *workflow.Workflow) *App {
 	t.Helper()
 	e := sim.NewEngine()
@@ -25,7 +36,7 @@ func runOne(t *testing.T, mk func(*fabric.Fabric) dataplane.Plane, wf *workflow.
 	c := New(e, topology.DGXV100(), 1, mk)
 	app := c.Deploy(wf, 0, scheduler.Options{Node: -1})
 	e.Go("driver", func(p *sim.Proc) {
-		app.submit(Request{}).Wait(p)
+		mustSubmit(app, Request{}).Wait(p)
 	})
 	e.Run(0)
 	return app
@@ -87,7 +98,7 @@ func TestConditionalStagesSometimesSkip(t *testing.T) {
 	app := c.Deploy(workflow.Traffic(), 0, scheduler.Options{Node: -1, Seed: 3})
 	e.Go("driver", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
-			app.submit(Request{}).Wait(p)
+			mustSubmit(app, Request{}).Wait(p)
 		}
 	})
 	e.Run(0)
@@ -116,7 +127,9 @@ func TestTraceDrivenRun(t *testing.T) {
 	arrivals := trace.Generate(trace.Spec{
 		Pattern: trace.Bursty, Duration: 10 * time.Second, MeanRPS: 4, Seed: 9,
 	})
-	app.RunTrace(arrivals)
+	if _, err := app.Replay(arrivals, ReplaySpec{}); err != nil {
+		t.Fatal(err)
+	}
 	if app.Completed != len(arrivals) {
 		t.Errorf("completed %d of %d traced requests", app.Completed, len(arrivals))
 	}
@@ -142,6 +155,34 @@ func TestThroughputMeasurement(t *testing.T) {
 	}
 }
 
+// TestBatchingImprovesThroughputUnderLoad offers more load than the
+// unbatched pipeline can sustain (the segmentation stage caps out under ~200
+// req/s at batch 1) and counts logical requests completed within a fixed
+// horizon: grouping every batch arrivals into one request carrying that
+// batch size (Request.Batch) must raise throughput.
+func TestBatchingImprovesThroughputUnderLoad(t *testing.T) {
+	measure := func(batch int) float64 {
+		e := sim.NewEngine()
+		defer e.Close()
+		c := New(e, topology.DGXV100(), 1, grouterPlane)
+		app := c.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0})
+		dur := 10 * time.Second
+		arrivals := trace.Generate(trace.Spec{
+			Pattern: trace.Sporadic, Duration: dur, MeanRPS: 400, Seed: 17,
+		})
+		for i := batch - 1; i < len(arrivals); i += batch {
+			e.Schedule(arrivals[i], func() { mustSubmit(app, Request{Batch: batch}) })
+		}
+		e.Run(dur)
+		return float64(app.Completed*batch) / dur.Seconds()
+	}
+	t1 := measure(1)
+	t16 := measure(16)
+	if !(t16 > t1*1.2) {
+		t.Errorf("batching throughput %.1f not >1.2x unbatched %.1f", t16, t1)
+	}
+}
+
 func TestSLOComplianceUnderLoad(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
@@ -149,7 +190,7 @@ func TestSLOComplianceUnderLoad(t *testing.T) {
 	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: -1})
 	e.Go("driver", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			app.submit(Request{}).Wait(p)
+			mustSubmit(app, Request{}).Wait(p)
 		}
 	})
 	e.Run(0)
@@ -175,7 +216,7 @@ func TestCrossNodeDeploymentCompletes(t *testing.T) {
 	defer e.Close()
 	c := New(e, topology.DGXV100(), 2, grouterPlane)
 	app := c.Deploy(workflow.Traffic(), 0, scheduler.Options{Node: -1, SplitAcrossNodes: true})
-	e.Go("driver", func(p *sim.Proc) { app.submit(Request{}).Wait(p) })
+	e.Go("driver", func(p *sim.Proc) { mustSubmit(app, Request{}).Wait(p) })
 	e.Run(0)
 	if app.Completed != 1 {
 		t.Fatalf("cross-node request did not complete")

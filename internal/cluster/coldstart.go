@@ -41,26 +41,23 @@ type instanceState struct {
 	lastUsed time.Duration
 }
 
-// instKey identifies one pool replica of one stage instance. idx is the
-// replica's stable member id — under elastic pools ids survive membership
-// churn (a drain compacts the routable slice but never renumbers survivors),
-// so warmth state always follows the same physical instance.
+// instKey identifies one pool replica of one stage instance by the replica's
+// stable member id: ids survive membership churn (a drain compacts the
+// routable slice but never renumbers survivors), so warmth state always
+// follows the same physical instance.
 type instKey struct {
-	si  scheduler.StageInst
-	idx int
+	si scheduler.StageInst
+	id int
 }
 
 // SetColdStart configures the app's provisioning model; call before the
-// first Invoke.
+// first request. With p.Prewarm every routable replica starts warm.
 func (a *App) SetColdStart(p ColdStartPolicy) {
 	a.Cold = p
 	a.instances = make(map[instKey]*instanceState)
-	for _, s := range a.WF.Stages {
-		for r := 0; r < s.ReplicaCount(); r++ {
-			si := scheduler.StageInst{Stage: s.Name, Replica: r}
-			for idx := range a.poolOf(si) {
-				a.instances[instKey{si, idx}] = &instanceState{warm: p.Prewarm}
-			}
+	for _, ps := range a.pools {
+		for _, m := range ps.slots {
+			a.instances[instKey{ps.si, m.id}] = &instanceState{warm: p.Prewarm}
 		}
 	}
 }

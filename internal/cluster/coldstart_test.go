@@ -22,8 +22,8 @@ func TestColdStartPenaltyAndWarmReuse(t *testing.T) {
 		KeepAlive:        10 * time.Second,
 	})
 	e.Go("driver", func(p *sim.Proc) {
-		app.submit(Request{}).Wait(p) // cold
-		app.submit(Request{}).Wait(p) // warm
+		mustSubmit(app, Request{}).Wait(p) // cold
+		mustSubmit(app, Request{}).Wait(p) // warm
 	})
 	e.Run(0)
 	if app.Completed != 2 {
@@ -51,9 +51,9 @@ func TestKeepAliveExpiryRecolds(t *testing.T) {
 		KeepAlive:        time.Second,
 	})
 	e.Go("driver", func(p *sim.Proc) {
-		app.submit(Request{}).Wait(p)
+		mustSubmit(app, Request{}).Wait(p)
 		p.Sleep(5 * time.Second) // idle beyond keep-alive
-		app.submit(Request{}).Wait(p)
+		mustSubmit(app, Request{}).Wait(p)
 	})
 	e.Run(0)
 	if got := app.ColdStarts(); got != 6 {
@@ -72,7 +72,7 @@ func TestPrewarmAvoidsColdStarts(t *testing.T) {
 		KeepAlive:        time.Minute,
 		Prewarm:          true,
 	})
-	e.Go("driver", func(p *sim.Proc) { app.submit(Request{}).Wait(p) })
+	e.Go("driver", func(p *sim.Proc) { mustSubmit(app, Request{}).Wait(p) })
 	e.Run(0)
 	if got := app.ColdStarts(); got != 0 {
 		t.Errorf("cold starts with pre-warming = %d, want 0", got)
@@ -84,7 +84,7 @@ func TestDefaultIsAlwaysWarm(t *testing.T) {
 	defer e.Close()
 	c := New(e, topology.DGXV100(), 1, grouterPlane)
 	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
-	e.Go("driver", func(p *sim.Proc) { app.submit(Request{}).Wait(p) })
+	e.Go("driver", func(p *sim.Proc) { mustSubmit(app, Request{}).Wait(p) })
 	e.Run(0)
 	if got := app.ColdStarts(); got != 0 {
 		t.Errorf("cold starts without policy = %d, want 0", got)
@@ -123,8 +123,8 @@ func TestAutoscaledReplicaChargedColdStart(t *testing.T) {
 	}
 	// Round-robin over a 2-pool: seq 1 → member id 1 (the cold autoscaled
 	// replica, for all 3 GPU stages), seq 2 → member id 0 (pre-warmed base).
-	app.submit(Request{})
-	app.submit(Request{})
+	mustSubmit(app, Request{})
+	mustSubmit(app, Request{})
 	e.Run(0)
 	if got := app.ColdStarts(); got != 3 {
 		t.Fatalf("cold starts = %d, want 3 (one per stage of the cold-replica request)", got)
@@ -160,15 +160,15 @@ func TestElasticPrewarmProvisioning(t *testing.T) {
 	if active, prov, _ := ep.Replicas("segmentation", 0); active != 1 || prov != 1 {
 		t.Fatalf("active/prov = %d/%d during provisioning, want 1/1", active, prov)
 	}
-	if got := len(app.poolOf(si)); got != 1 {
+	if got := len(app.pool(si).locs); got != 1 {
 		t.Fatalf("provisioning member already routable: pool size %d", got)
 	}
 	e.Run(500 * time.Millisecond) // provisioning delay elapsed
 	if active, prov, _ := ep.Replicas("segmentation", 0); active != 2 || prov != 0 {
 		t.Fatalf("active/prov = %d/%d after provisioning, want 2/0", active, prov)
 	}
-	app.submit(Request{})
-	app.submit(Request{})
+	mustSubmit(app, Request{})
+	mustSubmit(app, Request{})
 	e.Run(0)
 	if app.Completed != 2 {
 		t.Fatalf("completed %d", app.Completed)

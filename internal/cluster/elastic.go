@@ -11,12 +11,13 @@ import (
 	"grouter/internal/workflow"
 )
 
-// Elastic instance pools. EnableElastic upgrades the app's per-stage pools
-// from the scale-out-only autoscaler to a full elastic layer: a pluggable
-// Autoscaler strategy (internal/autoscale) evaluated on a virtual-time
-// interval, min/max bounds, per-direction cooldowns, scale-in with
-// cordon/drain (a draining replica takes no new picks and is torn down only
-// once its in-flight requests complete), crash health tracking fed by
+// Instance pools. Every stage instance of an app serves from a pool of
+// replicas: Deploy seeds each pool with the stage instance's placement, and
+// EnableElastic adds the controller that resizes the GPU stages' pools — a
+// pluggable Autoscaler strategy (internal/autoscale) evaluated on a
+// virtual-time interval, min/max bounds, per-direction cooldowns, scale-in
+// with cordon/drain (a draining replica takes no new picks and is torn down
+// only once its in-flight requests complete), crash health tracking fed by
 // faults.Injector, and provisioning that pays the cold-start machinery's
 // latency. Pool members carry stable ids so warmth state (coldstart.go) and
 // in-flight accounting survive membership churn; the routable slice handed to
@@ -51,7 +52,7 @@ type poolMember struct {
 	since time.Duration
 }
 
-// poolState is the elastic state of one stage instance's pool.
+// poolState is one stage instance's pool of replicas.
 type poolState struct {
 	si    scheduler.StageInst
 	stage *workflow.Stage
@@ -60,17 +61,42 @@ type poolState struct {
 	// need is the memory a replica must find free on its GPU: weights plus
 	// the working set at the app's deployed batch.
 	need int64
-	// members is append-only (gone members stay, phase memberGone) so ids
-	// stay stable; slots mirrors the routable slice in a.pools[si].
+	// members is append-only (gone members stay, phase memberGone), so a
+	// member's id is its index. slots is the routable view of members and
+	// locs their locations: the pool instanceFor and the Route hook pick from.
 	members []*poolMember
-	nextID  int
 	slots   []*poolMember
+	locs    []fabric.Location
 	// lastOut/lastIn gate the per-direction cooldowns.
 	lastOut, lastIn time.Duration
 	// hist holds recent load observations for predictive strategies.
 	hist []float64
 	// gpuSeconds accumulates departed members' active time.
 	gpuSeconds time.Duration
+}
+
+// newPool builds the one-member pool of stage instance si placed at loc.
+func newPool(si scheduler.StageInst, s *workflow.Stage, loc fabric.Location, batch int, now time.Duration) *poolState {
+	m := &poolMember{loc: loc, phase: memberActive, healthy: true, since: now}
+	return &poolState{
+		si:      si,
+		stage:   s,
+		home:    loc.Node,
+		need:    s.Model.WeightsBytes + s.Model.InBytes(batch) + s.Model.OutBytes(batch),
+		members: []*poolMember{m},
+		slots:   []*poolMember{m},
+		locs:    []fabric.Location{loc},
+	}
+}
+
+// pool returns one stage instance's pool, or nil for an unknown instance.
+func (a *App) pool(si scheduler.StageInst) *poolState {
+	for _, ps := range a.pools {
+		if ps.si == si {
+			return ps
+		}
+	}
+	return nil
 }
 
 // ElasticConfig tunes the elastic pool layer.
@@ -98,7 +124,7 @@ type ElasticConfig struct {
 	// member becomes routable only after ProvisionDelay, already warm, so no
 	// request is charged its cold start. False (the default) makes the new
 	// member routable immediately and the first routed request pays the
-	// ColdStartPolicy latency — the legacy autoscaler's behavior.
+	// ColdStartPolicy latency.
 	Prewarm bool
 	// ProvisionDelay is the scale-out provisioning latency; zero defaults to
 	// the app's ColdStartPolicy.ContainerLatency when cold starts are
@@ -136,18 +162,17 @@ type ElasticStats struct {
 // ElasticPools is the handle EnableElastic returns: controller statistics,
 // fault wiring, and the GPU-seconds cost axis of the ext-elastic experiment.
 type ElasticPools struct {
-	app   *App
-	cfg   ElasticConfig
-	pools map[scheduler.StageInst]*poolState
-	// order fixes the controller's pool evaluation order (stage declaration
-	// order, replicas ascending) for determinism.
+	app *App
+	cfg ElasticConfig
+	// order holds the GPU stages' pools in the app's stage order, the
+	// controller's deterministic evaluation order.
 	order []*poolState
 
 	Stats ElasticStats
 }
 
-// EnableElastic starts the elastic pool controller. Call at most once per
-// app (EnableAutoscale is a configuration of the same controller), before
+// EnableElastic starts the elastic pool controller over the app's GPU stage
+// pools; GPU-seconds accrue from the call. Call at most once per app, before
 // the first request.
 func (a *App) EnableElastic(cfg ElasticConfig) *ElasticPools {
 	if a.elastic != nil {
@@ -171,26 +196,16 @@ func (a *App) EnableElastic(cfg ElasticConfig) *ElasticPools {
 	if cfg.RecoverAfter <= 0 {
 		cfg.RecoverAfter = 500 * time.Millisecond
 	}
-	a.poolsMap() // materialize before the controller races with Invoke
-	ep := &ElasticPools{app: a, cfg: cfg, pools: map[scheduler.StageInst]*poolState{}}
+	ep := &ElasticPools{app: a, cfg: cfg}
 	now := a.C.Engine.Now()
-	for _, s := range a.WF.Stages {
-		if !s.IsGPU() {
+	for _, ps := range a.pools {
+		if !ps.stage.IsGPU() {
 			continue
 		}
-		need := s.Model.WeightsBytes + s.Model.InBytes(a.Batch) + s.Model.OutBytes(a.Batch)
-		for r := 0; r < s.ReplicaCount(); r++ {
-			si := scheduler.StageInst{Stage: s.Name, Replica: r}
-			ps := &poolState{si: si, stage: s, home: a.Placement[si].Node, need: need}
-			for _, loc := range a.poolOf(si) {
-				m := &poolMember{id: ps.nextID, loc: loc, phase: memberActive, healthy: true, since: now}
-				ps.nextID++
-				ps.members = append(ps.members, m)
-				ps.slots = append(ps.slots, m)
-			}
-			ep.pools[si] = ps
-			ep.order = append(ep.order, ps)
+		for _, m := range ps.members {
+			m.since = now
 		}
+		ep.order = append(ep.order, ps)
 	}
 	a.elastic = ep
 	a.C.Engine.GoDaemon("elastic-"+a.WF.Name, func(p *sim.Proc) {
@@ -300,10 +315,8 @@ func (ep *ElasticPools) scaleOut(ps *poolState, now time.Duration) {
 	loc := a.C.Placer.PlaceSingleFit(ps.home, ps.need, func(l fabric.Location) int64 {
 		return a.C.Fabric.Mem(l).Free()
 	})
-	m := &poolMember{id: ps.nextID, loc: loc, healthy: true, since: now}
-	ps.nextID++
+	m := &poolMember{id: len(ps.members), loc: loc, healthy: true, since: now}
 	ps.members = append(ps.members, m)
-	a.scaleEvents++
 	ep.Stats.ScaleOuts++
 	delay := ep.provisionDelay()
 	if ep.cfg.Prewarm && delay > 0 {
@@ -315,7 +328,7 @@ func (ep *ElasticPools) scaleOut(ps *poolState, now time.Duration) {
 			}
 			m.phase = memberActive
 			ep.markWarm(ps.si, m)
-			ep.rebuild(ps)
+			a.rebuild(ps)
 		})
 		return
 	}
@@ -325,7 +338,7 @@ func (ep *ElasticPools) scaleOut(ps *poolState, now time.Duration) {
 	}
 	// Without Prewarm the member is routable now and its first routed
 	// request pays the cold start (ensureWarm finds no warmth state).
-	ep.rebuild(ps)
+	a.rebuild(ps)
 }
 
 // markWarm records a pre-warmed member's warmth so its first request is not
@@ -363,7 +376,7 @@ func (ep *ElasticPools) scaleIn(ps *poolState, n int, now time.Duration) {
 		}
 		victim.phase = memberDraining
 		ep.Stats.ScaleIns++
-		ep.rebuild(ps)
+		ep.app.rebuild(ps)
 		if victim.inflight <= 0 {
 			ep.finalize(ps, victim, now)
 		}
@@ -381,10 +394,9 @@ func (ep *ElasticPools) finalize(ps *poolState, m *poolMember, now time.Duration
 	ep.Stats.Drained++
 }
 
-// rebuild recomputes the pool's routable slice from member phases and
+// rebuild recomputes the pool's routable view from member phases and
 // health, and announces the change.
-func (ep *ElasticPools) rebuild(ps *poolState) {
-	a := ep.app
+func (a *App) rebuild(ps *poolState) {
 	slots := make([]*poolMember, 0, len(ps.members))
 	for _, m := range ps.members {
 		if m.phase == memberActive && m.healthy {
@@ -402,14 +414,14 @@ func (ep *ElasticPools) rebuild(ps *poolState) {
 		}
 	}
 	if len(slots) == 0 {
-		panic("cluster: elastic pool " + ps.si.String() + " has no active members")
+		panic("cluster: pool " + ps.si.String() + " has no active members")
 	}
 	locs := make([]fabric.Location, len(slots))
 	for i, m := range slots {
 		locs[i] = m.loc
 	}
 	ps.slots = slots
-	a.pools[ps.si] = locs
+	ps.locs = locs
 	if a.OnPoolChange != nil {
 		a.OnPoolChange(ps.si, locs)
 	}
@@ -438,11 +450,11 @@ func (ep *ElasticPools) WatchFaults(in *faults.Injector) {
 					}
 					m.healthy = true
 					ep.Stats.Recoveries++
-					ep.rebuild(ps)
+					ep.app.rebuild(ps)
 				})
 			}
 			if changed {
-				ep.rebuild(ps)
+				ep.app.rebuild(ps)
 			}
 		}
 	})
@@ -469,7 +481,7 @@ func (ep *ElasticPools) GPUSeconds() float64 {
 // Replicas reports one pool's live member count (active + provisioning +
 // draining), for tests and diagnostics.
 func (ep *ElasticPools) Replicas(stage string, replica int) (active, provisioning, draining int) {
-	ps := ep.pools[scheduler.StageInst{Stage: stage, Replica: replica}]
+	ps := ep.app.pool(scheduler.StageInst{Stage: stage, Replica: replica})
 	if ps == nil {
 		return 0, 0, 0
 	}
@@ -486,48 +498,49 @@ func (ep *ElasticPools) Replicas(stage string, replica int) (active, provisionin
 	return active, provisioning, draining
 }
 
-// memberID maps a routable-slice index to the member's stable id (the
-// cold-start state key); without elastic state ids equal indices.
-func (a *App) memberID(si scheduler.StageInst, idx int) int {
-	if a.elastic != nil {
-		if ps := a.elastic.pools[si]; ps != nil && idx < len(ps.slots) {
-			return ps.slots[idx].id
+// ForEachPoolMember calls fn for every member of every routable pool: pools
+// in stage declaration order (replicas ascending), members in routable order.
+func (a *App) ForEachPoolMember(fn func(si scheduler.StageInst, loc fabric.Location)) {
+	for _, ps := range a.pools {
+		for _, loc := range ps.locs {
+			fn(ps.si, loc)
 		}
 	}
-	return idx
 }
 
-// poolPicked records one pick against the member serving it (in-flight
-// accounting for drain).
-func (a *App) poolPicked(si scheduler.StageInst, idx int) int {
-	if a.elastic != nil {
-		if ps := a.elastic.pools[si]; ps != nil && idx < len(ps.slots) {
-			m := ps.slots[idx]
-			m.inflight++
-			return m.id
+// instanceFor picks the pool member serving one request's stage activation:
+// the Route hook when one is installed (falling back on a declined pick),
+// round-robin otherwise. It counts the pick in flight and returns the
+// member's location and stable id (the cold-start state key); the caller
+// must retire the pick with poolDone once the activation ends.
+func (a *App) instanceFor(ps *poolState, ri RouteInfo) (fabric.Location, int) {
+	pool := ps.locs
+	idx, ok := -1, false
+	if a.Route != nil {
+		idx, ok = a.Route(ps.si, ri, pool)
+	}
+	if !ok || idx < 0 || idx >= len(pool) {
+		// Modulo in int64 before narrowing: int(seq) % len(pool) overflows on
+		// 32-bit ints past seq 2^31 and yields a negative index (panic). The
+		// clamp keeps the pick total for negative seq too.
+		idx = int(ri.Seq % int64(len(pool)))
+		if idx < 0 {
+			idx += len(pool)
 		}
 	}
-	return idx
+	m := ps.slots[idx]
+	m.inflight++
+	return m.loc, m.id
 }
 
-// poolDone retires one pick; the last in-flight request of a draining member
-// triggers its teardown.
-func (a *App) poolDone(si scheduler.StageInst, id int) {
-	if a.elastic == nil {
-		return
-	}
-	ps := a.elastic.pools[si]
-	if ps == nil {
-		return
-	}
-	for _, m := range ps.members {
-		if m.id != id {
-			continue
-		}
-		m.inflight--
-		if m.phase == memberDraining && m.inflight <= 0 {
-			a.elastic.finalize(ps, m, a.C.Engine.Now())
-		}
-		return
+// poolDone retires one pick of member id (members are append-only, so the
+// id indexes them); the last in-flight request of a draining member triggers
+// its teardown.
+func (a *App) poolDone(ps *poolState, id int) {
+	m := ps.members[id]
+	m.inflight--
+	if m.phase == memberDraining && m.inflight <= 0 {
+		// Only the elastic controller cordons members.
+		a.elastic.finalize(ps, m, a.C.Engine.Now())
 	}
 }

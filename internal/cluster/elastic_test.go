@@ -37,7 +37,7 @@ func recordCompletions(app *App) *[]completion {
 func burst(e *sim.Engine, app *App, spec trace.Spec) {
 	for _, at := range trace.Generate(spec) {
 		at := at
-		e.Schedule(at, func() { app.submit(Request{}) })
+		e.Schedule(at, func() { mustSubmit(app, Request{}) })
 	}
 }
 
@@ -48,26 +48,29 @@ func TestInstanceForHugeSeq(t *testing.T) {
 	defer e.Close()
 	c := New(e, topology.DGXV100(), 1, grouterPlane)
 	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
-	si := scheduler.StageInst{Stage: "segmentation", Replica: 0}
-	app.poolsMap()
-	app.pools[si] = []fabric.Location{
-		{Node: 0, GPU: 1}, {Node: 0, GPU: 2}, {Node: 0, GPU: 3},
+	// A three-member pool whose ids equal routable indices.
+	ps := app.pool(scheduler.StageInst{Stage: "segmentation", Replica: 0})
+	ps.members = nil
+	for gpu := 1; gpu <= 3; gpu++ {
+		ps.members = append(ps.members, &poolMember{id: gpu - 1,
+			loc: fabric.Location{Node: 0, GPU: gpu}, phase: memberActive, healthy: true})
 	}
-	pool := app.pools[si]
+	app.rebuild(ps)
+	pool := ps.locs
 	for _, seq := range []int64{
 		int64(math.MaxInt32) + 1, // the 32-bit overflow point
 		int64(math.MaxInt32) * 7,
 		math.MaxInt64,
 		1 << 40,
 	} {
-		loc, id := app.instanceFor(si, RouteInfo{Seq: seq})
+		loc, id := app.instanceFor(ps, RouteInfo{Seq: seq})
 		want := int(seq % int64(len(pool)))
 		if id != want || loc != pool[want] {
 			t.Fatalf("seq %d: got (%v, %d), want (%v, %d)", seq, loc, id, pool[want], want)
 		}
 	}
 	// Negative seq (no caller sends one today) must still pick, not panic.
-	loc, id := app.instanceFor(si, RouteInfo{Seq: -5})
+	loc, id := app.instanceFor(ps, RouteInfo{Seq: -5})
 	if id < 0 || id >= len(pool) || loc != pool[id] {
 		t.Fatalf("negative seq: got (%v, %d)", loc, id)
 	}
@@ -97,9 +100,6 @@ func TestElasticScaleOutAndDrain(t *testing.T) {
 	if ep.Stats.Drained != ep.Stats.ScaleIns {
 		t.Fatalf("Drained = %d, ScaleIns = %d — every cordoned member must finish draining",
 			ep.Stats.Drained, ep.Stats.ScaleIns)
-	}
-	if got := app.ScaleEvents(); got != ep.Stats.ScaleOuts {
-		t.Fatalf("ScaleEvents() = %d, Stats.ScaleOuts = %d", got, ep.Stats.ScaleOuts)
 	}
 	// Idle pools are back at Min with nothing in flight or mid-drain.
 	for _, st := range []string{"denoise", "segmentation", "colorize"} {
@@ -176,14 +176,13 @@ func TestElasticDrainCordonSemantics(t *testing.T) {
 		Max:      4,
 		Interval: time.Hour, // controller never steps; the test drives directly
 	})
-	si := scheduler.StageInst{Stage: "segmentation", Replica: 0}
-	ps := ep.pools[si]
+	ps := app.pool(scheduler.StageInst{Stage: "segmentation", Replica: 0})
 	ep.scaleOut(ps, e.Now())
-	if len(app.poolOf(si)) != 2 {
-		t.Fatalf("pool size = %d after scale-out, want 2", len(app.poolOf(si)))
+	if len(ps.locs) != 2 {
+		t.Fatalf("pool size = %d after scale-out, want 2", len(ps.locs))
 	}
 	// Pick member id 1 (seq 1 → index 1) and leave it in flight.
-	_, id := app.instanceFor(si, RouteInfo{Seq: 1})
+	_, id := app.instanceFor(ps, RouteInfo{Seq: 1})
 	if id != 1 {
 		t.Fatalf("pick id = %d, want 1", id)
 	}
@@ -194,23 +193,72 @@ func TestElasticDrainCordonSemantics(t *testing.T) {
 	if ep.Stats.Drained != 0 {
 		t.Fatal("member torn down with a request still in flight")
 	}
-	if len(app.poolOf(si)) != 1 {
-		t.Fatalf("draining member still routable: pool size %d", len(app.poolOf(si)))
+	if len(ps.locs) != 1 {
+		t.Fatalf("draining member still routable: pool size %d", len(ps.locs))
 	}
 	// Every new pick lands on the surviving member.
 	for seq := int64(2); seq < 8; seq++ {
-		if _, id := app.instanceFor(si, RouteInfo{Seq: seq}); id != 0 {
+		if _, id := app.instanceFor(ps, RouteInfo{Seq: seq}); id != 0 {
 			t.Fatalf("seq %d picked drained member %d", seq, id)
 		}
-		app.poolDone(si, 0)
+		app.poolDone(ps, 0)
 	}
 	// The in-flight request completing finalizes the teardown.
-	app.poolDone(si, 1)
+	app.poolDone(ps, 1)
 	if ep.Stats.Drained != 1 {
 		t.Fatalf("Drained = %d after last in-flight completed, want 1", ep.Stats.Drained)
 	}
 	if _, _, draining := ep.Replicas("segmentation", 0); draining != 0 {
 		t.Fatal("drained member still counted")
+	}
+}
+
+// TestScaleInKeepsMemberIDs: a scale-in that cordons a middle member
+// compacts the routable slice, but retirements and cold-start warmth still
+// reach members by their stable ids, never by routable index.
+func TestScaleInKeepsMemberIDs(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	c := New(e, topology.DGXV100(), 1, grouterPlane)
+	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
+	ep := app.EnableElastic(ElasticConfig{
+		Scaler:   autoscale.Fixed{},
+		Min:      1,
+		Max:      4,
+		Interval: time.Hour, // controller never steps; the test drives directly
+	})
+	ps := app.pool(scheduler.StageInst{Stage: "segmentation", Replica: 0})
+	ep.scaleOut(ps, e.Now())
+	ep.scaleOut(ps, e.Now()) // members 0, 1, 2
+	// Leave member 1 in flight, then cordon it: unhealthy, so scale-in picks
+	// it over the newest member.
+	if _, id := app.instanceFor(ps, RouteInfo{Seq: 1}); id != 1 {
+		t.Fatalf("pick id = %d, want 1", id)
+	}
+	ps.members[1].healthy = false
+	ep.scaleIn(ps, 1, e.Now())
+	if len(ps.slots) != 2 || ps.slots[0].id != 0 || ps.slots[1].id != 2 {
+		t.Fatalf("routable slice after scale-in has %d members, want ids 0 and 2", len(ps.slots))
+	}
+
+	// Warmth configured after the compaction: member 2 sits at routable
+	// index 1 and must start warm, like every other routable replica.
+	app.SetColdStart(ColdStartPolicy{Enabled: true, ContainerLatency: 200 * time.Millisecond,
+		KeepAlive: time.Minute, Prewarm: true})
+	mustSubmit(app, Request{}) // seq 1: routable index 1, member 2
+	e.Run(0)
+	if got := app.ColdStarts(); got != 0 {
+		t.Errorf("cold starts = %d, want 0: warmth did not follow member ids", got)
+	}
+	if n := ps.members[2].inflight; n != 0 {
+		t.Errorf("member 2 in flight = %d after its request completed, want 0", n)
+	}
+
+	// Member 1's last pick retires by id and tears the draining member down.
+	app.poolDone(ps, 1)
+	if ep.Stats.Drained != 1 || ps.members[1].phase != memberGone {
+		t.Fatalf("Drained = %d, member 1 phase %d: the retirement missed the draining member",
+			ep.Stats.Drained, ps.members[1].phase)
 	}
 }
 
@@ -233,8 +281,7 @@ func TestElasticCrashRecovery(t *testing.T) {
 	in := faults.NewInjector(e, c.Fabric.Net)
 	ep.WatchFaults(in)
 	e.Run(200 * time.Millisecond)
-	si := scheduler.StageInst{Stage: "segmentation", Replica: 0}
-	ps := ep.pools[si]
+	ps := app.pool(scheduler.StageInst{Stage: "segmentation", Replica: 0})
 	if len(ps.slots) != 2 {
 		t.Fatalf("pool at %d members before crash, want 2", len(ps.slots))
 	}
@@ -377,8 +424,7 @@ func TestElasticScaleOutMemoryPressure(t *testing.T) {
 	}
 	// The segmentation replica cannot fit on node 0: every scaled member of
 	// that pool must have crossed to node 1.
-	si := scheduler.StageInst{Stage: "segmentation", Replica: 0}
-	ps := ep.pools[si]
+	ps := app.pool(scheduler.StageInst{Stage: "segmentation", Replica: 0})
 	if len(ps.members) < 2 {
 		t.Fatal("segmentation pool never grew")
 	}

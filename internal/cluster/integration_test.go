@@ -26,7 +26,7 @@ func TestAllSpecsRunAllWorkflows(t *testing.T) {
 			app := c.Deploy(wf, 0, scheduler.Options{Node: 0})
 			e.Go("driver", func(p *sim.Proc) {
 				for i := 0; i < 3; i++ {
-					app.submit(Request{}).Wait(p)
+					mustSubmit(app, Request{}).Wait(p)
 				}
 			})
 			e.Run(0)
@@ -49,9 +49,11 @@ func TestNoStorageLeakAfterTrace(t *testing.T) {
 		return pl
 	})
 	app := c.Deploy(workflow.Traffic(), 0, scheduler.Options{Node: 0})
-	app.RunTrace(trace.Generate(trace.Spec{
+	if _, err := app.Replay(trace.Generate(trace.Spec{
 		Pattern: trace.Bursty, Duration: 8 * time.Second, MeanRPS: 10, Seed: 12,
-	}))
+	}), ReplaySpec{}); err != nil {
+		t.Fatal(err)
+	}
 	if used := pl.Store(0).TotalUsed(); used != 0 {
 		t.Errorf("storage holds %d bytes after the trace drained", used)
 	}
@@ -70,9 +72,11 @@ func TestClusterDeterminism(t *testing.T) {
 		defer e.Close()
 		c := New(e, topology.DGXV100(), 1, grouterPlane)
 		app := c.Deploy(workflow.Image(), 0, scheduler.Options{Node: 0, Seed: 4})
-		app.RunTrace(trace.Generate(trace.Spec{
+		if _, err := app.Replay(trace.Generate(trace.Spec{
 			Pattern: trace.Periodic, Duration: 5 * time.Second, MeanRPS: 12, Seed: 4,
-		}))
+		}), ReplaySpec{}); err != nil {
+			t.Fatal(err)
+		}
 		return app.E2E.Samples()
 	}
 	a, b := run(), run()
@@ -116,7 +120,7 @@ func TestConcurrentAppsShareCluster(t *testing.T) {
 			Pattern: trace.Sporadic, Duration: 5 * time.Second, MeanRPS: 3, Seed: int64(i),
 		}) {
 			at := at
-			e.Schedule(at, func() { app.submit(Request{}) })
+			e.Schedule(at, func() { mustSubmit(app, Request{}) })
 		}
 	}
 	e.Run(0)
@@ -135,8 +139,8 @@ func TestBatchOverride(t *testing.T) {
 	small := c.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0})
 	big := c.Deploy(workflow.Driving(), 32, scheduler.Options{Node: 0})
 	e.Go("driver", func(p *sim.Proc) {
-		small.submit(Request{}).Wait(p)
-		big.submit(Request{}).Wait(p)
+		mustSubmit(small, Request{}).Wait(p)
+		mustSubmit(big, Request{}).Wait(p)
 	})
 	e.Run(0)
 	if !(big.E2E.Mean() > small.E2E.Mean()) {

@@ -12,7 +12,7 @@ import (
 	"grouter/internal/workflow"
 )
 
-// Request fast path. The original InvokeBatch rebuilt the request's entire
+// Request fast path. The old per-request path rebuilt the request's entire
 // working set per call — future/refcount maps keyed by StageInst, a closure
 // and formatted process name per stage instance, and a seeded RNG even for
 // workflows with no probabilistic stages. At replay scale (10^5..10^6
@@ -51,6 +51,8 @@ type planInst struct {
 	// hasOut marks an instance whose output is published to the data plane.
 	hasOut  bool
 	putKind EdgeKind
+	// pool is the instance's replica pool.
+	pool *poolState
 }
 
 // instCost caches the per-batch model costs of one instance.
@@ -98,6 +100,7 @@ func (a *App) plan() *invokePlan {
 				ingress: len(s.Deps) == 0 && s.IsGPU(),
 				hasOut:  len(a.WF.Consumers(s)) > 0,
 				putKind: a.putKind(s),
+				pool:    a.pool(si),
 			})
 			if s.ProbOrOne() < 1 {
 				pl.hasProb = true
@@ -150,21 +153,22 @@ type outSlot struct {
 // passed to the data plane (valid for the request's duration; the state pool
 // recycles them only after every process of the request has finished).
 type activation struct {
-	st      *reqState
-	idx     int
-	loc     fabric.Location
-	poolIdx int
-	ctx     dataplane.FnCtx
-	ictx    dataplane.FnCtx
+	st  *reqState
+	idx int
+	loc fabric.Location
+	// member is the stable id of the pool member serving the activation.
+	member int
+	ctx    dataplane.FnCtx
+	ictx   dataplane.FnCtx
 }
 
 // reqState is the pooled per-request working state.
 type reqState struct {
-	app       *App
-	seq       int64
-	batch     int
-	qos       QoS
-	start     time.Duration
+	app   *App
+	seq   int64
+	batch int
+	qos   QoS
+	start time.Duration
 	// deferWait is the request's cumulative admission-deferral time; the
 	// breakdown charges it to CatDeferWait so bucket sums still tile E2E.
 	deferWait time.Duration
@@ -227,21 +231,12 @@ func (a *App) releaseReqState(st *reqState) {
 	a.freeStates = append(a.freeStates, st)
 }
 
-// start launches one request at the given batch size. done may be nil when
-// no submitter waits on completion.
-func (a *App) start(batch int, done *sim.Signal) { a.startQoS(batch, done, QoSLow) }
-
-// startQoS is start with an explicit priority class carried into every GPU
-// compute-slot acquisition of the request.
-func (a *App) startQoS(batch int, done *sim.Signal, qos QoS) {
-	a.startReq(Request{Batch: batch, QoS: qos}, done)
-}
-
 // startReq admits one request described by the typed descriptor — the
-// single entry point every submission path (Submit, the Invoke shims, trace
-// replays) funnels into. The descriptor is trusted here; Submit validates,
-// replays assume well-formed requests. done may be nil when no submitter
-// waits on completion. With an Admit hook installed the request passes
+// single entry point every submission (Submit, trace replays, sharded
+// replays, throughput loops) funnels into. The descriptor is trusted here;
+// Submit validates, replays assume well-formed requests. done may be nil
+// when no submitter waits on completion. With an Admit hook installed the
+// request passes
 // through SLO admission control first; the return reports a synchronous
 // shed (Submit surfaces it as ErrSLOShed). Without a hook the request
 // launches immediately — the pre-admission fast path, byte-identical.
@@ -304,13 +299,13 @@ func (a *App) launchReq(req Request, done *sim.Signal, t0, waited time.Duration)
 		pi := &pl.insts[i]
 		st.slots[i].refs = pi.refs
 		ac := &st.acts[i]
-		ac.loc, ac.poolIdx = a.instanceFor(pi.si, ri)
+		ac.loc, ac.member = a.instanceFor(pi.pool, ri)
 		c.Engine.GoRun(pi.name, ac)
 	}
 }
 
-// Run executes one stage instance for one request. It is the body the
-// original InvokeBatch closure ran, operating on plan indices and pooled
+// Run executes one stage instance for one request. It is the body the old
+// per-request closure ran, operating on plan indices and pooled
 // state instead of per-request maps; the sequence of engine interactions is
 // unchanged.
 func (ac *activation) Run(p *sim.Proc) {
@@ -387,7 +382,7 @@ func (ac *activation) Run(p *sim.Proc) {
 		heldAt := p.Now()
 		obs.Account(p, obs.CatQueue, heldAt-qStart)
 		wStart := p.Now()
-		a.ensureWarm(p, pi.si, ac.poolIdx, ac.loc, s.Model.WeightsBytes)
+		a.ensureWarm(p, pi.si, ac.member, ac.loc, s.Model.WeightsBytes)
 		obs.Account(p, obs.CatSetup, p.Now()-wStart)
 		if ingress.Bytes > 0 {
 			t0 := p.Now()
@@ -440,7 +435,7 @@ func (ac *activation) Run(p *sim.Proc) {
 	}
 	// Retire the pool pick (in-flight accounting for cordon/drain) whether
 	// the activation ran or was probabilistically skipped.
-	a.poolDone(pi.si, ac.poolIdx)
+	a.poolDone(pi.pool, ac.member)
 	// Release inputs whether consumed or skipped.
 	for k := range pi.inputs {
 		sl := &st.slots[pi.inputs[k].prod]

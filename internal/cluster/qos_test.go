@@ -38,12 +38,12 @@ func TestQoSHighSkipsLowQueue(t *testing.T) {
 	var high, low time.Duration
 	e.Schedule(0, func() {
 		for i := 0; i < 24; i++ {
-			app.submit(Request{QoS: QoSLow})
+			mustSubmit(app, Request{QoS: QoSLow})
 		}
 	})
 	e.Schedule(5*time.Millisecond, func() {
-		timeDone(e, "low", app.submit(Request{QoS: QoSLow}), &low)
-		timeDone(e, "high", app.submit(Request{QoS: QoSHigh}), &high)
+		timeDone(e, "low", mustSubmit(app, Request{QoS: QoSLow}), &low)
+		timeDone(e, "high", mustSubmit(app, Request{QoS: QoSHigh}), &high)
 	})
 	e.Run(0)
 	if high == 0 || low == 0 {
@@ -71,14 +71,14 @@ func TestQoSAgingPreventsStarvation(t *testing.T) {
 			at := time.Duration(i) * floodEvery
 			last := i == floodN-1
 			e.Schedule(at, func() {
-				s := app.submit(Request{QoS: QoSHigh})
+				s := mustSubmit(app, Request{QoS: QoSHigh})
 				if last {
 					timeDone(e, "last-high", s, &lastHigh)
 				}
 			})
 		}
 		e.Schedule(10*time.Millisecond, func() {
-			timeDone(e, "low", app.submit(Request{QoS: QoSLow}), &low)
+			timeDone(e, "low", mustSubmit(app, Request{QoS: QoSLow}), &low)
 		})
 		e.Run(0)
 		if low == 0 || lastHigh == 0 {

@@ -6,43 +6,16 @@ import (
 	"grouter/internal/sim"
 )
 
-// ReplayOptions configures App.ReplayTrace.
-type ReplayOptions struct {
+// ReplaySpec configures App.Replay, the typed-request trace replay.
+type ReplaySpec struct {
 	// Quantum groups arrivals into fixed admission windows: every request
 	// whose offset falls inside a window is admitted together at the
 	// window's closing edge by a single feeder process. Batched admission
 	// amortizes per-request control work — the engine pays one timer per
 	// window instead of one per arrival, and the autoscaler and placer see
 	// whole batches instead of reacting to each request. Zero replays every
-	// arrival at its exact offset; negative is rejected by Validate.
-	Quantum time.Duration
-	// HighEvery admits every n-th request (1-indexed, in trace order) as
-	// QoSHigh, so a replay carries a deterministic priority mix; zero
-	// admits everything QoSLow, the pre-QoS behavior.
-	//
-	// Deprecated: use App.Replay with a ReplaySpec.RequestAt that returns
-	// Request{QoS: QoSHigh} for the mixed-in requests — the typed descriptor
-	// carries any per-request attribute, not just the priority class.
-	HighEvery int
-}
-
-// Validate reports out-of-range options as typed sentinels. ReplayTrace used
-// to accept them silently: a negative HighEvery quietly disabled the priority
-// mix and a negative Quantum quietly aliased exact admission.
-func (o ReplayOptions) Validate() error {
-	if o.HighEvery < 0 {
-		return ErrNegativeHighEvery
-	}
-	if o.Quantum < 0 {
-		return ErrNegativeQuantum
-	}
-	return nil
-}
-
-// ReplaySpec configures App.Replay, the typed-request trace replay.
-type ReplaySpec struct {
-	// Quantum batches arrivals into fixed admission windows exactly as
-	// ReplayOptions.Quantum does; zero replays each arrival at its offset.
+	// arrival at its exact offset; negative is rejected with
+	// ErrNegativeQuantum.
 	Quantum time.Duration
 	// RequestAt returns the typed descriptor of the i-th admitted request
 	// (0-indexed, trace order). Nil admits the zero-value Request for every
@@ -138,34 +111,4 @@ func (a *App) Replay(arrivals []time.Duration, spec ReplaySpec) (ReplayStats, er
 		st.Throughput = float64(st.Completed) / st.Duration.Seconds()
 	}
 	return st, nil
-}
-
-// ReplayTrace is the untyped replay entry point, kept byte-compatible as a
-// thin shim over Replay. It panics on the option misuse Validate rejects —
-// conditions the old code accepted silently (negative HighEvery quietly
-// disabled the mix; negative Quantum aliased exact admission). A nil trace
-// stays a no-op here for compatibility; the validated Replay rejects it.
-// New code should call Replay, whose ReplaySpec carries any per-request
-// attribute.
-func (a *App) ReplayTrace(arrivals []time.Duration, opt ReplayOptions) ReplayStats {
-	if err := opt.Validate(); err != nil {
-		panic(err)
-	}
-	if arrivals == nil {
-		arrivals = []time.Duration{}
-	}
-	spec := ReplaySpec{Quantum: opt.Quantum}
-	if he := opt.HighEvery; he > 0 {
-		spec.RequestAt = func(i int) Request {
-			if (i+1)%he == 0 {
-				return Request{QoS: QoSHigh}
-			}
-			return Request{}
-		}
-	}
-	st, err := a.Replay(arrivals, spec)
-	if err != nil {
-		panic(err)
-	}
-	return st
 }

@@ -7,12 +7,9 @@ import (
 	"grouter/internal/sim"
 )
 
-// Typed request submission. The request-facing API had accreted ad-hoc
-// knobs — Invoke, InvokeQoS, ReplayOptions.HighEvery — each carrying one
-// attribute through its own entry point. Request folds every per-request
-// attribute into one typed descriptor and Submit/Replay make it the single
-// submission path; the old entry points survive as thin byte-compatible
-// shims over it.
+// Typed request submission. Request folds every per-request attribute into
+// one typed descriptor, and Submit and Replay are the only ways to start
+// work.
 
 // Typed error sentinels for request and replay validation. Callers branch
 // with errors.Is instead of matching message strings.
@@ -20,9 +17,6 @@ var (
 	// ErrBadRequest: a Request field is out of range (negative batch, prompt,
 	// output length or session, or an unknown PD mode).
 	ErrBadRequest = errors.New("cluster: invalid request")
-	// ErrNegativeHighEvery: ReplayOptions.HighEvery < 0 (a mix of "every
-	// minus-n-th request" has no meaning; zero disables the mix).
-	ErrNegativeHighEvery = errors.New("cluster: ReplayOptions.HighEvery must be >= 0")
 	// ErrNegativeQuantum: a replay admission quantum < 0 (zero means exact
 	// per-arrival admission; negative used to silently alias it).
 	ErrNegativeQuantum = errors.New("cluster: replay quantum must be >= 0")
@@ -83,11 +77,10 @@ func (r Request) Validate() error {
 }
 
 // Submit starts one request described by the typed descriptor and returns a
-// signal fired at completion. It is the single submission path; Invoke and
-// InvokeQoS are byte-compatible shims over it. When SLO admission control is
-// installed (see AdmitFn) and sheds the request synchronously, Submit
-// returns ErrSLOShed; a request shed after deferral instead fires its
-// completion signal and counts in App.Shed.
+// signal fired at completion. When SLO admission control is installed (see
+// AdmitFn) and sheds the request synchronously, Submit returns ErrSLOShed; a
+// request shed after deferral instead fires its completion signal and counts
+// in App.Shed.
 func (a *App) Submit(req Request) (*sim.Signal, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err

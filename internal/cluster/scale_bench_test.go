@@ -39,8 +39,10 @@ func BenchmarkScaleReplay(b *testing.B) {
 		e := sim.NewEngine()
 		c := New(e, topology.DGXV100(), 2, grouterPlane)
 		app := c.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
-		app.EnableAutoscale(DefaultAutoscale())
-		app.RunTrace(arrivals)
+		app.EnableElastic(scaleOutOnly(4, 0))
+		if _, err := app.Replay(arrivals, ReplaySpec{}); err != nil {
+			b.Fatal(err)
+		}
 		if app.Completed != len(arrivals) {
 			b.Fatalf("completed %d of %d", app.Completed, len(arrivals))
 		}

@@ -53,7 +53,7 @@ type ShardedOptions struct {
 	Sequential bool
 	// Quantum is the feeder's admission window (default 10ms): arrivals
 	// inside a window are admitted together at its closing edge, mirroring
-	// ReplayOptions.Quantum.
+	// ReplaySpec.Quantum.
 	Quantum time.Duration
 	// RouteLatency is the front-door routing delay between the feeder and a
 	// pod (default 10ms). It is also the cross-shard lookahead bound, so
@@ -126,7 +126,7 @@ type sample struct {
 	e2e time.Duration
 }
 
-// ShardedReplay replays arrivals (sorted offsets, as for ReplayTrace) over a
+// ShardedReplay replays arrivals (sorted offsets, as for App.Replay) over a
 // fleet of opt.Pods independent pods executed on opt.Shards shard event
 // loops. build constructs pod `pod` on the given engine and returns its
 // deployed app; it is called in pod order and must build each pod
@@ -169,7 +169,7 @@ func ShardedReplay(arrivals []time.Duration, opt ShardedOptions, build func(pod 
 	admit := func(app *App) func(payload any) {
 		return func(payload any) {
 			for n := payload.(int); n > 0; n-- {
-				app.start(app.Batch, nil)
+				app.startReq(Request{}, nil)
 			}
 		}
 	}
@@ -211,7 +211,7 @@ func ShardedReplay(arrivals []time.Duration, opt ShardedOptions, build func(pod 
 						app, n := apps[j], n
 						p.Engine().Schedule(lat, func() {
 							for ; n > 0; n-- {
-								app.start(app.Batch, nil)
+								app.startReq(Request{}, nil)
 							}
 						})
 					}

@@ -20,7 +20,7 @@ import (
 func buildScalePod(pod int, e *sim.Engine) *App {
 	c := New(e, topology.DGXV100(), 2, grouterPlane)
 	app := c.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
-	app.EnableAutoscale(DefaultAutoscale())
+	app.EnableElastic(scaleOutOnly(4, 0))
 	return app
 }
 
@@ -132,9 +132,9 @@ func TestShardedReplayStats(t *testing.T) {
 	}
 }
 
-// TestShardedReplayTraceMerge checks that per-shard tracers are returned and
+// TestShardedReplayMergesTraces checks that per-shard tracers are returned and
 // merge into one deterministic Chrome trace.
-func TestShardedReplayTraceMerge(t *testing.T) {
+func TestShardedReplayMergesTraces(t *testing.T) {
 	arrivals := shardArrivals(trace.Bursty, 200)
 	export := func() string {
 		st := ShardedReplay(arrivals, ShardedOptions{Shards: 2, Trace: true}, buildScalePod)

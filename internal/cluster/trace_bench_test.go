@@ -20,7 +20,7 @@ func benchArrivals() []time.Duration {
 	return out
 }
 
-func benchRunTrace(b *testing.B, traced bool) {
+func benchSpanTracing(b *testing.B, traced bool) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := sim.NewEngine()
@@ -29,7 +29,9 @@ func benchRunTrace(b *testing.B, traced bool) {
 		}
 		c := New(e, topology.DGXV100(), 1, grouterPlane)
 		app := c.Deploy(workflow.Traffic(), 0, scheduler.Options{Node: -1})
-		app.RunTrace(benchArrivals())
+		if _, err := app.Replay(benchArrivals(), ReplaySpec{}); err != nil {
+			b.Fatal(err)
+		}
 		if app.Completed != 16 {
 			b.Fatalf("completed %d, want 16", app.Completed)
 		}
@@ -37,8 +39,8 @@ func benchRunTrace(b *testing.B, traced bool) {
 	}
 }
 
-// BenchmarkRunTraceDisabled / BenchmarkRunTraceEnabled measure the span
+// BenchmarkSpanTracingDisabled / BenchmarkSpanTracingEnabled measure the span
 // tracer's overhead on a full 16-request workflow run; the pair backs the
 // tracing-overhead table in EXPERIMENTS.md.
-func BenchmarkRunTraceDisabled(b *testing.B) { benchRunTrace(b, false) }
-func BenchmarkRunTraceEnabled(b *testing.B)  { benchRunTrace(b, true) }
+func BenchmarkSpanTracingDisabled(b *testing.B) { benchSpanTracing(b, false) }
+func BenchmarkSpanTracingEnabled(b *testing.B)  { benchSpanTracing(b, true) }

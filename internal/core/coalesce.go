@@ -9,7 +9,6 @@ package core
 import (
 	"grouter/internal/dataplane"
 	"grouter/internal/fabric"
-	"grouter/internal/metrics"
 	"grouter/internal/obs"
 	"grouter/internal/pathsel"
 	"grouter/internal/sim"
@@ -121,7 +120,6 @@ func (pl *Plane) crashReplicas(node, gpu int) int {
 			delete(pl.caches, key)
 			pl.stores[node].Drop(it)
 		}
-		metrics.Coalesce().ReplicasDropped.Add(1)
 	}
 	return len(ids)
 }
@@ -164,12 +162,10 @@ func (pl *Plane) getCoalesced(p *sim.Proc, ctx *dataplane.FnCtx, ref dataplane.D
 	// join it. True dedup — no extra bytes move.
 	if fl := pl.flightTo(id, dst); fl != nil {
 		pl.stats.Coalesce.Joined++
-		metrics.Coalesce().Joined.Add(1)
 		source("joined")
 		if err := fl.fut.Wait(p); err != nil {
 			return err
 		}
-		metrics.Coalesce().SavedBytes.Add(r.bytes)
 		mapIn()
 		return nil
 	}
@@ -224,7 +220,6 @@ func (pl *Plane) getCoalesced(p *sim.Proc, ctx *dataplane.FnCtx, ref dataplane.D
 		if err := upstream.fut.Wait(p); err == nil {
 			kind = "chained"
 			pl.stats.Coalesce.Chained++
-			metrics.Coalesce().Chained.Add(1)
 		} else {
 			// The copy we meant to chain off never arrived; fall back to the
 			// primary, re-materializing it first if a crash took it too.
@@ -238,7 +233,6 @@ func (pl *Plane) getCoalesced(p *sim.Proc, ctx *dataplane.FnCtx, ref dataplane.D
 	case choice != primaryIdx:
 		kind = "replica"
 		pl.stats.Coalesce.ReplicaHits++
-		metrics.Coalesce().ReplicaHits.Add(1)
 	}
 
 	if kind == "origin" {
@@ -255,7 +249,6 @@ func (pl *Plane) getCoalesced(p *sim.Proc, ctx *dataplane.FnCtx, ref dataplane.D
 		pl.stats.Coalesce.OriginBytes += r.bytes
 	} else {
 		pl.stats.Coalesce.ReplicaBytes += r.bytes
-		metrics.Coalesce().SavedBytes.Add(r.bytes)
 	}
 	pl.addReplica(p, ctx, id, dst, r.bytes)
 	return nil

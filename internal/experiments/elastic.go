@@ -13,10 +13,6 @@ import (
 	"grouter/internal/workflow"
 )
 
-// ExtElastic runs the elastic-pool replay at its smoke size (10k requests);
-// the CLI's -elastic flag runs ElasticTable at -scale-requests.
-func ExtElastic() *Table { return ElasticTable(10_000) }
-
 // elasticStrategy is one fleet-sizing policy of the ext-elastic comparison.
 type elasticStrategy struct {
 	name string
@@ -90,7 +86,7 @@ func elasticReplay(pattern trace.Pattern, requests int, cfg cluster.ElasticConfi
 	})
 	ep := app.EnableElastic(cfg)
 	e.Run(time.Second)
-	st := app.ReplayTrace(arrivals, cluster.ReplayOptions{Quantum: ScaleQuantum})
+	st := replay(app, arrivals, cluster.ReplaySpec{Quantum: ScaleQuantum})
 	return elasticResult{
 		st:         st,
 		es:         ep.Stats,

@@ -63,41 +63,59 @@ func (t *Table) Format() string {
 	return b.String()
 }
 
-// Experiment couples an ID with its runner.
+// Experiment couples an ID with its runner. Sized experiments take a
+// request count: Sized runs them at any size, Run at their registered
+// default.
 type Experiment struct {
 	ID    string
 	Title string
 	Run   func() *Table
+	// Sized is nil for an experiment that takes no size.
+	Sized func(requests int) *Table
+}
+
+// fixed registers an experiment that takes no size.
+func fixed(id, title string, run func() *Table) Experiment {
+	return Experiment{ID: id, Title: title, Run: run}
+}
+
+// sized registers an experiment that takes a request count, run at requests
+// by default.
+func sized(id, title string, requests int, table func(requests int) *Table) Experiment {
+	return Experiment{ID: id, Title: title, Sized: table,
+		Run: func() *Table { return table(requests) }}
 }
 
 // All lists every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"fig3", "Host-centric data-passing latency breakdown", Fig3Breakdown},
-		{"fig5b", "Parallel-PCIe interference without partitioning", Fig5bInterference},
-		{"fig6a", "DGX-V100 point-to-point bandwidth classes", Fig6aPairBandwidth},
-		{"fig7a", "Idle GPU memory under an Azure-like trace", Fig7aMemoryTimeline},
-		{"tab1", "Capability matrix of GPU-side storage systems", Table1Capabilities},
-		{"fig13", "Data-passing latency across systems and sizes", Fig13DataPassing},
-		{"fig14", "End-to-end P99 latency on real workflows", Fig14EndToEnd},
-		{"fig15", "Maximum throughput intra- and inter-node", Fig15Throughput},
-		{"fig16", "Ablation of GROUTER optimizations", Fig16Ablation},
-		{"fig17", "SLO-aware bandwidth partitioning", Fig17Partitioning},
-		{"fig18", "Elastic storage under memory pressure", Fig18ElasticStorage},
-		{"fig19", "LLM KV-cache passing TTFT", Fig19LLMTTFT},
-		{"fig20a", "Data passing on a server without NVLink", Fig20aNoNVLink},
-		{"fig20b", "Control-plane CPU overhead", Fig20bCPUOverhead},
-		{"fig20c", "GPU memory overhead of storage", Fig20cMemoryOverhead},
-		{"ext-coldstart", "Extension: function pre-warming sensitivity", ExtColdStart},
-		{"ext-spatial", "Extension: spatial GPU sharing contention", ExtSpatialSharing},
-		{"ext-faults", "Extension: self-healing transfers under link faults", ExtFaults},
-		{"ext-fanout", "Extension: fan-out transfer coalescing", ExtFanout},
-		{"ext-router", "Extension: gateway-grade routed admission vs placement-only", ExtRouter},
-		{"ext-scale", "Extension: trace replay at scale with batched admission", ExtScale},
-		{"ext-scale-shard", "Extension: scale-out fleet replay on the sharded engine", ExtScaleShard},
-		{"ext-elastic", "Extension: elastic instance pools, GPU-seconds vs p99 per strategy", ExtElastic},
-		{"ext-pd", "Extension: prefill/decode disaggregation over the data plane", ExtPD},
-		{"ext-slo", "Extension: SLO-aware admission control and session affinity", ExtSLO},
+		fixed("fig3", "Host-centric data-passing latency breakdown", Fig3Breakdown),
+		fixed("fig5b", "Parallel-PCIe interference without partitioning", Fig5bInterference),
+		fixed("fig6a", "DGX-V100 point-to-point bandwidth classes", Fig6aPairBandwidth),
+		fixed("fig7a", "Idle GPU memory under an Azure-like trace", Fig7aMemoryTimeline),
+		fixed("tab1", "Capability matrix of GPU-side storage systems", Table1Capabilities),
+		fixed("fig13", "Data-passing latency across systems and sizes", Fig13DataPassing),
+		fixed("fig14", "End-to-end P99 latency on real workflows", Fig14EndToEnd),
+		fixed("fig15", "Maximum throughput intra- and inter-node", Fig15Throughput),
+		fixed("fig16", "Ablation of GROUTER optimizations", Fig16Ablation),
+		fixed("fig17", "SLO-aware bandwidth partitioning", Fig17Partitioning),
+		fixed("fig18", "Elastic storage under memory pressure", Fig18ElasticStorage),
+		fixed("fig19", "LLM KV-cache passing TTFT", Fig19LLMTTFT),
+		fixed("fig20a", "Data passing on a server without NVLink", Fig20aNoNVLink),
+		fixed("fig20b", "Control-plane CPU overhead", Fig20bCPUOverhead),
+		fixed("fig20c", "GPU memory overhead of storage", Fig20cMemoryOverhead),
+		fixed("ext-coldstart", "Extension: function pre-warming sensitivity", ExtColdStart),
+		fixed("ext-spatial", "Extension: spatial GPU sharing contention", ExtSpatialSharing),
+		fixed("ext-faults", "Extension: self-healing transfers under link faults", ExtFaults),
+		fixed("ext-fanout", "Extension: fan-out transfer coalescing", ExtFanout),
+		sized("ext-router", "Extension: gateway-grade routed admission vs placement-only", 10_000, RouterTable),
+		sized("ext-scale", "Extension: trace replay at scale with batched admission", 10_000, ScaleTable),
+		// The table is identical for any shard count; 2 runs the parallel engine.
+		sized("ext-scale-shard", "Extension: scale-out fleet replay on the sharded engine", 10_000,
+			func(n int) *Table { return ShardedScaleTable(n, 2) }),
+		sized("ext-elastic", "Extension: elastic instance pools, GPU-seconds vs p99 per strategy", 10_000, ElasticTable),
+		sized("ext-pd", "Extension: prefill/decode disaggregation over the data plane", 2_000, PDTable),
+		sized("ext-slo", "Extension: SLO-aware admission control and session affinity", 10_000, SLOTable),
 	}
 }
 

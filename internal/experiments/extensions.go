@@ -32,7 +32,7 @@ func ExtColdStart() *Table {
 		c := cluster.New(e, topology.DGXV100(), 1, grouter.mk)
 		app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
 		app.SetColdStart(pol)
-		app.RunTrace(arrivals)
+		replay(app, arrivals, cluster.ReplaySpec{})
 		e.Close()
 		t.Rows = append(t.Rows, []string{name, fmt.Sprint(app.ColdStarts()),
 			ms(app.E2E.P(0.5)), ms(app.E2E.P(0.99))})
@@ -116,7 +116,7 @@ func ExtFaults() *Table {
 		if inject != nil {
 			inject(faults.NewInjector(e, c.Fabric.Net), c)
 		}
-		app.RunTrace(arrivals)
+		replay(app, arrivals, cluster.ReplaySpec{})
 		e.Close()
 		fs := metrics.Faults()
 		t.Rows = append(t.Rows, []string{name, ms(app.E2E.P(0.5)), ms(app.E2E.P(0.99)),

@@ -15,10 +15,6 @@ import (
 	"grouter/internal/trace"
 )
 
-// ExtPD runs the prefill/decode disaggregation comparison at its smoke size;
-// the CLI's -pd flag runs PDTable at -scale-requests.
-func ExtPD() *Table { return PDTable(2_000) }
-
 // pdScenario is one topology cell of the ext-pd comparison: a GPU class, a
 // prompt mix, an offered load, and the PD pool partition the disaggregated
 // systems use. The colocated baseline gets every GPU as a mixed worker.

@@ -13,10 +13,6 @@ import (
 	"grouter/internal/workflow"
 )
 
-// ExtRouter runs the routed-admission replay at its smoke size (10k
-// requests); the CLI's -router flag runs RouterTable at -scale-requests.
-func ExtRouter() *Table { return RouterTable(10_000) }
-
 // routedReplay replays one generated trace through the driving workflow on
 // a 2-node DGX-V100 cluster (autoscaler on, batched admission), optionally
 // with the scored front-door router, and returns the replay stats plus the
@@ -32,7 +28,7 @@ func routedReplay(pattern trace.Pattern, requests int, routed bool, highEvery in
 	defer e.Close()
 	c := cluster.New(e, topology.DGXV100(), 2, systems(42)[3].mk)
 	app := c.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
-	app.EnableAutoscale(cluster.DefaultAutoscale())
+	app.EnableElastic(scaleOut)
 	var rt *router.Router
 	if routed {
 		rt = router.New(app, router.DefaultConfig())
@@ -46,13 +42,7 @@ func routedReplay(pattern trace.Pattern, requests int, routed bool, highEvery in
 			return cluster.Request{}
 		}
 	}
-	if arrivals == nil {
-		arrivals = []time.Duration{}
-	}
-	st, err := app.Replay(arrivals, cluster.ReplaySpec{Quantum: ScaleQuantum, RequestAt: reqAt})
-	if err != nil {
-		panic(err)
-	}
+	st := replay(app, arrivals, cluster.ReplaySpec{Quantum: ScaleQuantum, RequestAt: reqAt})
 	var rs router.Stats
 	if rt != nil {
 		rs = rt.Stats

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"grouter/internal/autoscale"
 	"grouter/internal/cluster"
 	"grouter/internal/obs"
 	"grouter/internal/scheduler"
@@ -13,15 +14,16 @@ import (
 	"grouter/internal/workflow"
 )
 
-// ScaleQuantum is the admission window ReplayTrace batches arrivals into for
-// the scale replays: at the 500 req/s trace mean it folds a handful of
+// ScaleQuantum is the admission window the scale replays batch arrivals into
+// (ReplaySpec.Quantum): at the 500 req/s trace mean it folds a handful of
 // arrivals into each window, which is enough to amortize per-request control
 // work without distorting the arrival process at the latency scales measured.
 const ScaleQuantum = 10 * time.Millisecond
 
-// ExtScale runs the scale replay at its smoke size (10k requests); the CLI's
-// -scale flag runs ScaleTable at full size.
-func ExtScale() *Table { return ScaleTable(10_000) }
+// scaleOut is the pool configuration of the replay experiments: a GPU
+// stage's pool grows by one replica whenever its mean per-replica queue
+// reaches 2, up to 4 replicas, and never shrinks.
+var scaleOut = cluster.ElasticConfig{Scaler: autoscale.Reactive{ScaleOutDepth: 2}, Max: 4}
 
 // ScaleTable replays generated traces through the driving workflow on a
 // 2-node cluster and reports throughput, latency percentiles, and the
@@ -69,9 +71,9 @@ func ScaleTable(requests int) *Table {
 		e := sim.NewEngine()
 		c := cluster.New(e, r.spec, 2, r.sys.mk)
 		app := c.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
-		app.EnableAutoscale(cluster.DefaultAutoscale())
+		app.EnableElastic(scaleOut)
 		bd := app.EnableBreakdown()
-		st := app.ReplayTrace(arrivals, cluster.ReplayOptions{Quantum: ScaleQuantum})
+		st := replay(app, arrivals, cluster.ReplaySpec{Quantum: ScaleQuantum})
 		e.Close()
 		queue, xfer, compute := breakdownShares(bd)
 		t.Rows = append(t.Rows, []string{
@@ -82,7 +84,7 @@ func ScaleTable(requests int) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"extension (not a paper figure): the replay scale experiment behind BenchmarkScaleReplay",
-		fmt.Sprintf("arrivals admitted in %v windows (ReplayTrace batched admission); autoscaler on", ScaleQuantum),
+		fmt.Sprintf("arrivals admitted in %v windows (Replay batched admission); autoscaler on", ScaleQuantum),
 		"queue/xfer/compute are critical-path shares aggregated over all completed requests")
 	return t
 }

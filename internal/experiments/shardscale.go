@@ -12,11 +12,6 @@ import (
 	"grouter/internal/workflow"
 )
 
-// ExtScaleShard runs the sharded scale-out replay at its smoke size (10k
-// requests, 2 shards); the CLI's -scale -scale-shards flags run
-// ShardedScaleTable at full size and any shard count.
-func ExtScaleShard() *Table { return ShardedScaleTable(10_000, 2) }
-
 // ShardedScaleTable replays generated traces over the scale-out fleet — 8
 // independent grouter pods (2-node DGX-V100 each, driving workflow,
 // autoscaler on) behind a round-robin front door — via the sharded parallel
@@ -74,7 +69,7 @@ func ShardedScaleTable(requests, shards int) *Table {
 func scalePod(pod int, e *sim.Engine) *cluster.App {
 	c := cluster.New(e, topology.DGXV100(), 2, systems(42)[3].mk)
 	app := c.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
-	app.EnableAutoscale(cluster.DefaultAutoscale())
+	app.EnableElastic(scaleOut)
 	return app
 }
 

@@ -22,7 +22,7 @@ func TestExtScaleShardSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full smoke table is slow under -short")
 	}
-	tb := ExtScaleShard()
+	tb := ByID("ext-scale-shard").Run()
 	if tb.ID != "ext-scale-shard" {
 		t.Fatalf("table id %q", tb.ID)
 	}

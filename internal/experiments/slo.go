@@ -13,10 +13,6 @@ import (
 	"grouter/internal/workflow"
 )
 
-// ExtSLO runs the SLO-admission replay at its smoke size (10k requests);
-// the CLI's -slo flag runs SLOTable at -scale-requests.
-func ExtSLO() *Table { return SLOTable(10_000) }
-
 // SLO budgets for the driving workflow at the replay's 500 req/s on a
 // 2-node DGX-V100: the high class targets a tight interactive budget just
 // above the uncongested p50 (~9ms), the low class a looser one an order of
@@ -87,16 +83,13 @@ func sloReplay(pattern trace.Pattern, requests int, mode sloMode) sloRun {
 		MeanRPS:  500,
 		Seed:     42,
 	})
-	if arrivals == nil {
-		arrivals = []time.Duration{}
-	}
 	e := sim.NewEngine()
 	defer e.Close()
 	c := cluster.New(e, topology.DGXV100(), 2, systems(42)[3].mk)
 	app := c.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
-	app.EnableAutoscale(cluster.DefaultAutoscale())
+	app.EnableElastic(scaleOut)
 	rt := router.New(app, sloConfig(mode))
-	st, err := app.Replay(arrivals, cluster.ReplaySpec{
+	st := replay(app, arrivals, cluster.ReplaySpec{
 		Quantum: ScaleQuantum,
 		RequestAt: func(i int) cluster.Request {
 			req := cluster.Request{Session: int64(i%64) + 1}
@@ -106,9 +99,6 @@ func sloReplay(pattern trace.Pattern, requests int, mode sloMode) sloRun {
 			return req
 		},
 	})
-	if err != nil {
-		panic(err)
-	}
 	r := sloRun{st: st, rs: rt.Stats}
 	hi := &app.E2EClass[cluster.QoSHigh]
 	lo := &app.E2EClass[cluster.QoSLow]

@@ -28,9 +28,9 @@ func SpanStats() *cluster.Breakdown {
 	c := cluster.New(e, topology.DGXV100(), 1, mk)
 	app := c.Deploy(workflow.Traffic(), 0, scheduler.Options{Node: -1})
 	bd := app.EnableBreakdown()
-	app.RunTrace(trace.Generate(trace.Spec{
+	replay(app, trace.Generate(trace.Spec{
 		Pattern: trace.Bursty, Duration: 4 * time.Second, MeanRPS: 6, Seed: 1,
-	}))
+	}), cluster.ReplaySpec{})
 	return bd
 }
 

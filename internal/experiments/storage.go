@@ -27,7 +27,7 @@ func Fig7aMemoryTimeline() *Table {
 		return plane
 	})
 	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
-	app.RunTrace(burstyTrace(10, 30*time.Second, 77))
+	replay(app, burstyTrace(10, 30*time.Second, 77), cluster.ReplaySpec{})
 	end := e.Now() // run horizon: the last sample holds until here
 	e.Close()
 
@@ -158,7 +158,7 @@ func Fig20cMemoryOverhead() *Table {
 		e := sim.NewEngine()
 		c := cluster.New(e, topology.DGXV100(), 1, pr.mk)
 		app := c.Deploy(workflow.Driving(), 16, scheduler.Options{Node: 0})
-		app.RunTrace(burstyTrace(30, 15*time.Second, 91))
+		replay(app, burstyTrace(30, 15*time.Second, 91), cluster.ReplaySpec{})
 		e.Close()
 		res, used := pr.reserved(), pr.used()
 		over := "-"

@@ -23,8 +23,21 @@ func runWorkload(mk planeMaker, spec *topology.Spec, nodes int, wf *workflow.Wor
 	defer e.Close()
 	c := cluster.New(e, spec, nodes, mk.mk)
 	app := c.Deploy(wf, batch, opt)
-	app.RunTrace(arrivals)
+	replay(app, arrivals, cluster.ReplaySpec{})
 	return app
+}
+
+// replay runs the trace through app's typed-request replay until the engine
+// drains. An empty generated trace is a valid no-op replay.
+func replay(app *cluster.App, arrivals []time.Duration, spec cluster.ReplaySpec) cluster.ReplayStats {
+	if arrivals == nil {
+		arrivals = []time.Duration{}
+	}
+	st, err := app.Replay(arrivals, spec)
+	if err != nil {
+		panic(err)
+	}
+	return st
 }
 
 // burstyTrace is the shared workload driver (Azure-like bursty pattern).

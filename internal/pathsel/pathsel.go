@@ -52,8 +52,11 @@ type Selector struct {
 	node *topology.Node
 	spec *topology.Spec
 	// used[i][j] is reserved bandwidth on the directed edge i→j.
-	used   [][]float64
-	active map[*Assignment]struct{}
+	used [][]float64
+	// active lists live assignments in selection order. The direct-path
+	// reroute walks it, and the walk order decides which borrower gets an
+	// idle alternative path, so a map here would make runs unrepeatable.
+	active []*Assignment
 
 	// Avail, when non-nil, reports whether the directed NVLink edge i→j is
 	// currently usable. Edges reported unavailable contribute zero residual
@@ -70,7 +73,7 @@ func New(node *topology.Node) *Selector {
 	for i := range used {
 		used[i] = make([]float64, n)
 	}
-	return &Selector{node: node, spec: node.Spec, used: used, active: make(map[*Assignment]struct{})}
+	return &Selector{node: node, spec: node.Spec, used: used}
 }
 
 // residual returns free bandwidth on directed edge i→j (0 when the edge is
@@ -187,7 +190,7 @@ func (s *Selector) Select(src, dst, maxHops int) *Assignment {
 		// NVSwitch: the single switch path at port bandwidth.
 		a := &Assignment{src: src, dst: dst,
 			Paths: [][]int{{src, dst}}, BWs: []float64{s.spec.SwitchPortBps}}
-		s.active[a] = struct{}{}
+		s.active = append(s.active, a)
 		return a
 	}
 
@@ -199,7 +202,7 @@ func (s *Selector) Select(src, dst, maxHops int) *Assignment {
 	// Direct-path priority (§4.3.3): if the direct edge exists but is held
 	// by another function's indirect route, try to reroute that function.
 	if s.spec.NVLinkBps(src, dst) > 0 && s.used[src][dst] > 0 {
-		for other := range s.active {
+		for _, other := range s.active {
 			if usesEdgeAsIntermediate(other, src, dst) {
 				s.tryReroute(other, src, dst)
 			}
@@ -283,7 +286,7 @@ func (s *Selector) Select(src, dst, maxHops int) *Assignment {
 			return nil
 		}
 	}
-	s.active[a] = struct{}{}
+	s.active = append(s.active, a)
 	return a
 }
 
@@ -336,7 +339,14 @@ func (s *Selector) Release(a *Assignment) {
 		return
 	}
 	a.released = true
-	delete(s.active, a)
+	for i, x := range s.active {
+		if x == a {
+			copy(s.active[i:], s.active[i+1:])
+			s.active[len(s.active)-1] = nil
+			s.active = s.active[:len(s.active)-1]
+			break
+		}
+	}
 	if s.spec.Switched {
 		return
 	}

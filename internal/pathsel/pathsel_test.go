@@ -1,6 +1,7 @@
 package pathsel
 
 import (
+	"fmt"
 	"testing"
 
 	"grouter/internal/topology"
@@ -164,6 +165,53 @@ func TestLinksConversion(t *testing.T) {
 	for i, set := range links {
 		if len(set) != len(a.Paths[i])-1 {
 			t.Errorf("path %v produced %d links", a.Paths[i], len(set))
+		}
+	}
+}
+
+// rerouteSpec is an 8-GPU mesh where two transfers' indirect routes borrow
+// the double-brick edge 0→1 and only one of them can move to an idle
+// alternative when a 0→1 transfer claims the direct edge: 2→3 runs
+// [2 0 1 3] or [2 6 7 3] and 4→5 runs [4 0 1 5] or [4 6 7 5], and the two
+// alternatives share the edge 6→7.
+func rerouteSpec() *topology.Spec {
+	s := topology.DGXV100()
+	s.Name = "reroute-mesh"
+	s.NVAdj = make([][]float64, s.NumGPUs)
+	for i := range s.NVAdj {
+		s.NVAdj[i] = make([]float64, s.NumGPUs)
+	}
+	link := func(i, j int, gbps float64) {
+		s.NVAdj[i][j], s.NVAdj[j][i] = topology.GBps(gbps), topology.GBps(gbps)
+	}
+	link(0, 1, 48)
+	for _, e := range [][2]int{{2, 0}, {1, 3}, {4, 0}, {1, 5}, {2, 6}, {6, 7}, {7, 3}, {4, 6}, {7, 5}} {
+		link(e[0], e[1], 24)
+	}
+	return s
+}
+
+// TestDirectPathRerouteOrderDeterministic: when a direct-path claim can
+// reroute only one of two borrowing transfers, the earlier-selected one
+// moves, on every fresh selector.
+func TestDirectPathRerouteOrderDeterministic(t *testing.T) {
+	var want string
+	for run := 0; run < 100; run++ {
+		s := New(topology.NewCluster(rerouteSpec(), 1).Node(0))
+		hold := s.Select(6, 7, 0) // keeps 6→7 busy while both transfers select
+		a := s.Select(2, 3, 0)
+		b := s.Select(4, 5, 0)
+		s.Release(hold)
+		mine := s.Select(0, 1, 0)
+		got := fmt.Sprint(a.Paths, b.Paths, mine.Paths)
+		if run == 0 {
+			want = got
+			if len(a.Paths) != 1 || len(a.Paths[0]) != 4 || a.Paths[0][1] != 6 {
+				t.Fatalf("first-selected transfer 2→3 was not the one rerouted: %s", got)
+			}
+		}
+		if got != want {
+			t.Fatalf("run %d: assignments %s, want %s", run, got, want)
 		}
 	}
 }

@@ -30,7 +30,7 @@ func chaosReplay(t *testing.T, mutate func(*router.Config)) replayResult {
 	defer e.Close()
 	c := cluster.New(e, topology.DGXV100(), 2, grouterPlane)
 	app := c.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
-	app.EnableAutoscale(cluster.DefaultAutoscale())
+	app.EnableElastic(scaleOutOnly())
 	cfg := router.DefaultConfig()
 	cfg.RecoverAfter = 200 * time.Millisecond
 	if mutate != nil {

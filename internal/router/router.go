@@ -320,22 +320,25 @@ func (r *Router) admit(req cluster.Request, waited time.Duration) (cluster.Admit
 }
 
 // stageGroups returns (rebuilding lazily after pool changes) the snapshot
-// indices of every current routable stage pool's GPU workers. Group order
-// follows map iteration and is not deterministic, but every consumer folds
-// the groups commutatively (a saturating sum of non-negative per-stage
-// estimates, an all-stages-idle conjunction), so admission decisions are.
+// indices of every current routable stage pool's GPU workers, in the app's
+// stage order.
 func (r *Router) stageGroups() [][]int {
 	if !r.poolStagesValid {
-		groups := make(map[scheduler.StageInst][]int)
-		r.app.ForEachPoolMember(func(si scheduler.StageInst, loc fabric.Location) {
-			if !loc.IsHost() {
-				groups[si] = append(groups[si], r.widx(loc.Node, loc.GPU))
-			}
-		})
 		r.poolStages = r.poolStages[:0]
-		for _, g := range groups {
-			r.poolStages = append(r.poolStages, g)
-		}
+		var cur scheduler.StageInst
+		r.app.ForEachPoolMember(func(si scheduler.StageInst, loc fabric.Location) {
+			if loc.IsHost() {
+				return
+			}
+			// Pools are visited one after another, so a new stage instance
+			// starts a new group.
+			if len(r.poolStages) == 0 || si != cur {
+				r.poolStages = append(r.poolStages, nil)
+				cur = si
+			}
+			g := len(r.poolStages) - 1
+			r.poolStages[g] = append(r.poolStages[g], r.widx(loc.Node, loc.GPU))
+		})
 		r.poolStagesValid = true
 	}
 	return r.poolStages

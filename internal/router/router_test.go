@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"grouter/internal/autoscale"
 	"grouter/internal/cluster"
 	"grouter/internal/core"
 	"grouter/internal/dataplane"
@@ -27,9 +28,15 @@ type replayResult struct {
 	rs      router.Stats
 }
 
+// scaleOutOnly is the pool configuration of the routed replays: a GPU
+// stage's pool grows by one replica whenever its mean per-replica queue
+// reaches 2, up to 4 replicas, and never shrinks.
+func scaleOutOnly() cluster.ElasticConfig {
+	return cluster.ElasticConfig{Scaler: autoscale.Reactive{ScaleOutDepth: 2}, Max: 4}
+}
+
 // highMix returns a ReplaySpec.RequestAt admitting every n-th request (in
-// trace order) QoSHigh — the typed-request replacement for the deprecated
-// ReplayOptions.HighEvery knob. n <= 0 means no mix (all QoSLow).
+// trace order) QoSHigh. n <= 0 means no mix (all QoSLow).
 func highMix(n int) func(int) cluster.Request {
 	if n <= 0 {
 		return nil
@@ -60,7 +67,7 @@ func replayOnce(t *testing.T, pattern trace.Pattern, requests int, cfg *router.C
 	defer e.Close()
 	c := cluster.New(e, topology.DGXV100(), 2, grouterPlane)
 	app := c.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
-	app.EnableAutoscale(cluster.DefaultAutoscale())
+	app.EnableElastic(scaleOutOnly())
 	var rt *router.Router
 	if cfg != nil {
 		rt = router.New(app, *cfg)

@@ -47,7 +47,7 @@ func replaySLO(t *testing.T, pattern trace.Pattern, requests int, cfg router.Con
 	defer e.Close()
 	c := cluster.New(e, topology.DGXV100(), 2, grouterPlane)
 	app := c.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
-	app.EnableAutoscale(cluster.DefaultAutoscale())
+	app.EnableElastic(scaleOutOnly())
 	rt := router.New(app, cfg)
 	st, err := app.Replay(arrivals, cluster.ReplaySpec{
 		Quantum: 10 * time.Millisecond,

@@ -399,7 +399,6 @@ func (m *Manager) dropCache(it *Item) {
 	delete(m.items, it.ID)
 	m.pools[it.GPU].Release(it.Bytes)
 	m.CacheDrops.Inc()
-	metrics.Coalesce().ReplicasDropped.Add(1)
 	if tr := obs.TracerOf(m.eng); tr != nil {
 		ev := tr.InstantOn(m.track(), obs.CatStore, "cache-drop")
 		tr.SetAttrInt(ev, "bytes", it.Bytes)

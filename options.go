@@ -45,10 +45,10 @@ func WithTracer() Option { return func(o *simOptions) { o.trace = true } }
 func WithFaults() Option { return func(o *simOptions) { o.faults = true } }
 
 // WithScaleDefaults configures the Sim the way the scale-replay experiment
-// (grouter-bench -scale) drives it: a 2-node cluster with the canonical
-// replay seed. Combine with the "dgx-v100" spec and App.ReplayTrace's
-// batched admission to reproduce the replay setup; later options override
-// individual fields.
+// (grouter-bench -run ext-scale) drives it: a 2-node cluster with the
+// canonical replay seed. Combine with the "dgx-v100" spec and App.Replay's
+// batched admission (ReplaySpec.Quantum) to reproduce the replay setup;
+// later options override individual fields.
 func WithScaleDefaults() Option {
 	return func(o *simOptions) {
 		o.nodes = 2

@@ -4,9 +4,7 @@ import "grouter/internal/cluster"
 
 // Typed request submission. Request is the single submission path through
 // façade, cluster, and router: build one with NewRequest and hand it to
-// App.Submit or, for LLM serving, LLMService.Submit. The deprecated
-// App.Invoke / App.InvokeQoS entry points remain byte-compatible shims over
-// it.
+// App.Submit or, for LLM serving, LLMService.Submit.
 type (
 	// Request is the typed descriptor of one submitted request (batch, QoS,
 	// prompt/output lengths, session, PD placement mode, model).
