@@ -175,10 +175,11 @@ func BenchmarkNetsimScale1k(b *testing.B) {
 	cl := topology.NewCluster(topology.DGXA100(), 4)
 	links := cl.Links()
 	specs := netsimScaleSpecs(cl, 7) // 4 nodes x 8 GPUs x 7 flows x 7 replicas = 1568
+	var net *netsim.Network
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := sim.NewEngine()
-		net := netsim.New(e, links)
+		net = netsim.New(e, links)
 		for _, s := range specs {
 			s := s
 			e.Schedule(s.delay, func() {
@@ -191,6 +192,20 @@ func BenchmarkNetsimScale1k(b *testing.B) {
 			b.Fatalf("flows left: %d", net.ActiveFlows())
 		}
 	}
+	reportAllocatorWork(b, net)
+}
+
+// reportAllocatorWork reports the allocator work of one iteration's network:
+// recompute passes per run and the mean number of flows each one touched.
+// Every iteration replays the same schedule, so any iteration's counts stand
+// for all of them.
+func reportAllocatorWork(b *testing.B, net *netsim.Network) {
+	st := net.NetStats()
+	rec := st.Recomputes.Load()
+	b.ReportMetric(float64(rec), "recomputes/op")
+	if rec > 0 {
+		b.ReportMetric(float64(st.FlowsTouched.Load())/float64(rec), "flows/recompute")
+	}
 }
 
 // BenchmarkNetsimScaleComponents measures multi-component contention: long
@@ -202,10 +217,11 @@ func BenchmarkNetsimScaleComponents(b *testing.B) {
 	cl := topology.NewCluster(topology.DGXA100(), 4)
 	links := cl.Links()
 	node0 := cl.Node(0)
+	var net *netsim.Network
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := sim.NewEngine()
-		net := netsim.New(e, links)
+		net = netsim.New(e, links)
 		// Long-lived background flows on nodes 1-3 (disjoint NVSwitch islands).
 		for nd := 1; nd < 4; nd++ {
 			node := cl.Node(nd)
@@ -224,6 +240,7 @@ func BenchmarkNetsimScaleComponents(b *testing.B) {
 		e.Run(40 * time.Millisecond)
 		e.Close()
 	}
+	reportAllocatorWork(b, net)
 }
 
 // BenchmarkDataPassing measures one simulated Put/Get exchange per iteration

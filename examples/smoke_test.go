@@ -13,6 +13,7 @@ import (
 var programs = []string{
 	"quickstart",
 	"llm-moa",
+	"llm-pd",
 	"multi-tenant",
 	"traffic-pipeline",
 }

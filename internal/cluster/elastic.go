@@ -217,9 +217,6 @@ func (a *App) EnableElastic(cfg ElasticConfig) *ElasticPools {
 	return ep
 }
 
-// Elastic returns the app's elastic pool handle, or nil before EnableElastic.
-func (a *App) Elastic() *ElasticPools { return a.elastic }
-
 // provisionDelay is the scale-out latency a new member pays before serving.
 func (ep *ElasticPools) provisionDelay() time.Duration {
 	if ep.cfg.ProvisionDelay > 0 {

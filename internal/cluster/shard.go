@@ -92,15 +92,6 @@ type PodReplay struct {
 	P50, P99  time.Duration
 }
 
-// ShardAlloc aggregates the netsim allocator work of every pod hosted on one
-// shard — the shard-local allocator state. All values derive from virtual
-// time, so they are deterministic.
-type ShardAlloc struct {
-	Shard        int
-	Recomputes   int64
-	FlowsTouched int64
-}
-
 // ShardedStats reports a sharded replay. The embedded ReplayStats and PerPod
 // are virtual-time results: byte-identical across runs, shard counts, and
 // scheduling modes. Util and Wall are wall-clock observations of this run
@@ -110,8 +101,6 @@ type ShardedStats struct {
 	Pods   int
 	Shards int
 	PerPod []PodReplay
-	// AllocByShard is the per-shard netsim allocator work (deterministic).
-	AllocByShard []ShardAlloc
 	// Util is per-shard wall-clock busy/barrier-wait utilization; Wall is
 	// the whole run's wall-clock time.
 	Util []sim.ShardUtil
@@ -277,20 +266,14 @@ func ShardedReplay(arrivals []time.Duration, opt ShardedOptions, build func(pod 
 		st.Throughput = float64(st.Completed) / st.Duration.Seconds()
 	}
 
-	st.AllocByShard = make([]ShardAlloc, opt.Shards)
 	for j, app := range apps {
-		sh := podShard(j)
 		st.PerPod = append(st.PerPod, PodReplay{
-			Pod: j, Shard: sh,
+			Pod: j, Shard: podShard(j),
 			Requests:  requests[j],
 			Completed: app.Completed,
 			P50:       app.E2E.P(0.5),
 			P99:       app.E2E.P(0.99),
 		})
-		ns := app.C.Fabric.Net.NetStats()
-		st.AllocByShard[sh].Shard = sh
-		st.AllocByShard[sh].Recomputes += ns.Recomputes.Load()
-		st.AllocByShard[sh].FlowsTouched += ns.FlowsTouched.Load()
 	}
 	if opt.Trace {
 		for i := 0; i < g.Shards(); i++ {

@@ -117,16 +117,6 @@ func TestShardedReplayStats(t *testing.T) {
 	if st.Wall <= 0 {
 		t.Fatal("wall-clock not recorded")
 	}
-	if len(st.AllocByShard) != 4 {
-		t.Fatalf("alloc rows %d, want 4", len(st.AllocByShard))
-	}
-	var recomputes int64
-	for _, a := range st.AllocByShard {
-		recomputes += a.Recomputes
-	}
-	if recomputes == 0 {
-		t.Fatal("no allocator recomputes attributed to shards")
-	}
 	if st.P50 <= 0 || st.P99 < st.P50 {
 		t.Fatalf("implausible percentiles p50=%v p99=%v", st.P50, st.P99)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"grouter/internal/dataplane"
 	"grouter/internal/fabric"
-	"grouter/internal/metrics"
 	"grouter/internal/sim"
 	"grouter/internal/topology"
 )
@@ -252,12 +251,11 @@ func TestCoalesceCrashedPrimaryServedByReplica(t *testing.T) {
 		if err := rig.pl.Get(p, consumerAt(0, 2), ref); err != nil {
 			t.Fatalf("Get: %v", err)
 		}
-		remat := metrics.Faults().Rematerialized.Load()
 		rig.pl.CrashGPU(0, 0) // takes the primary, leaves the GPU-2 replica
 		if err := rig.pl.Get(p, consumerAt(0, 5), ref); err != nil {
 			t.Fatalf("Get after primary crash: %v", err)
 		}
-		if got := metrics.Faults().Rematerialized.Load(); got != remat {
+		if got := rig.f.Net.Faults().Rematerialized; got != 0 {
 			t.Errorf("Get re-materialized despite a live replica")
 		}
 		if rig.pl.Stats().Coalesce.ReplicaHits != 1 {

@@ -20,7 +20,6 @@ import (
 	"grouter/internal/fabric"
 	"grouter/internal/harvest"
 	"grouter/internal/memsim"
-	"grouter/internal/metrics"
 	"grouter/internal/netsim"
 	"grouter/internal/obs"
 	"grouter/internal/pathsel"
@@ -365,7 +364,7 @@ func (pl *Plane) rematerialize(p *sim.Proc, r *rec) error {
 	obs.Account(p, obs.CatMigrate, RematerializeLatency)
 	r.hostBlk = blk
 	r.lost = false
-	metrics.Faults().Rematerialized.Add(1)
+	pl.f.Net.Faults().Rematerialized++
 	return nil
 }
 

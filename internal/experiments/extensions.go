@@ -6,7 +6,6 @@ import (
 
 	"grouter/internal/cluster"
 	"grouter/internal/faults"
-	"grouter/internal/metrics"
 	"grouter/internal/scheduler"
 	"grouter/internal/sim"
 	"grouter/internal/topology"
@@ -109,7 +108,6 @@ func ExtFaults() *Table {
 		Pattern: trace.Sporadic, Duration: 30 * time.Second, MeanRPS: 8, Seed: 37,
 	})
 	run := func(name string, inject func(*faults.Injector, *cluster.Cluster)) {
-		metrics.Faults().Reset()
 		e := sim.NewEngine()
 		c := cluster.New(e, topology.DGXV100(), 1, grouter.mk)
 		app := c.Deploy(workflow.Traffic(), 0, scheduler.Options{Node: 0})
@@ -118,10 +116,10 @@ func ExtFaults() *Table {
 		}
 		replay(app, arrivals, cluster.ReplaySpec{})
 		e.Close()
-		fs := metrics.Faults()
+		fs := c.Fabric.Net.Faults()
 		t.Rows = append(t.Rows, []string{name, ms(app.E2E.P(0.5)), ms(app.E2E.P(0.99)),
-			fmt.Sprint(fs.Retries.Load()), fmt.Sprint(fs.Replans.Load()),
-			mib(fs.DegradedBytes.Load()), pct(app.SLOCompliance())})
+			fmt.Sprint(fs.Retries), fmt.Sprint(fs.Replans),
+			mib(fs.DegradedBytes), pct(app.SLOCompliance())})
 	}
 	run("fault-free", nil)
 	run("10% NVLink flap", func(in *faults.Injector, c *cluster.Cluster) {

@@ -118,7 +118,6 @@ type pdResult struct {
 	st      cluster.ReplayStats
 	ttftP99 time.Duration
 	stats   cluster.PDStats
-	rstats  router.PDRouterStats
 }
 
 // pdReplay replays one generated trace through one serving arrangement on a
@@ -151,22 +150,12 @@ func pdReplay(sc pdScenario, sys pdSystem, pattern trace.Pattern, requests int) 
 	if err != nil {
 		panic(err)
 	}
-	rt := router.NewPD(svc, sc.policy)
+	router.NewPD(svc, sc.policy)
 	st, err := svc.Replay(arrivals, cluster.ReplaySpec{Quantum: ScaleQuantum, RequestAt: pdMix(sc)})
 	if err != nil {
 		panic(err)
 	}
-	return pdResult{st: st, ttftP99: svc.TTFT.P(0.99), stats: svc.Stats, rstats: rt.Stats}
-}
-
-// PDStatsRun replays the disaggregation-friendly h800 cell (sporadic
-// pattern, PD system) at the given request count and returns the replay
-// stats plus the service's and the policy's counters, for grouter-bench
-// -pd-stats.
-func PDStatsRun(requests int) (cluster.ReplayStats, cluster.PDStats, router.PDRouterStats) {
-	sc := pdScenarios()[0]
-	r := pdReplay(sc, pdSystems()[1], trace.Sporadic, requests)
-	return r.st, r.stats, r.rstats
+	return pdResult{st: st, ttftP99: svc.TTFT.P(0.99), stats: svc.Stats}
 }
 
 // PDTable compares colocated vs prefill/decode-disaggregated serving on the

@@ -43,16 +43,6 @@ func TestRouterTableSmoke(t *testing.T) {
 	}
 }
 
-func TestRouterStatsRunSmoke(t *testing.T) {
-	st, rs := RouterStatsRun(400)
-	if st.Completed != st.Requests || st.Requests == 0 {
-		t.Fatalf("stats run completed %d of %d", st.Completed, st.Requests)
-	}
-	if rs.Decisions == 0 || rs.Refreshes == 0 {
-		t.Errorf("router idle during stats run: %+v", rs)
-	}
-}
-
 // Guard: RouterTable patterns must stay in paper order so the ext-router
 // table remains comparable across builds.
 func TestRouterTablePatternOrder(t *testing.T) {

@@ -23,7 +23,7 @@ import (
 // whether the shards ran in parallel or sequentially —
 // TestShardedScaleTableShardInvariant asserts exactly that. Wall-clock
 // observations (per-shard utilization, speedup) intentionally never appear
-// here; the CLI prints them separately under -shard-stats.
+// here; the repository benchmark's shard.* metrics report them.
 func ShardedScaleTable(requests, shards int) *Table {
 	t := &Table{
 		ID:    "ext-scale-shard",
@@ -80,15 +80,4 @@ func scaleArrivals(pattern trace.Pattern, requests int) []time.Duration {
 		MeanRPS:  500,
 		Seed:     42,
 	})
-}
-
-// ShardedScaleRun replays the canonical full-size bursty cell once at the
-// given shard count and returns the complete stats — including the
-// wall-clock per-shard utilization deliberately kept out of the
-// deterministic table. The CLI's -shard-stats mode prints it.
-func ShardedScaleRun(requests, shards int) cluster.ShardedStats {
-	return cluster.ShardedReplay(scaleArrivals(trace.Bursty, requests), cluster.ShardedOptions{
-		Shards:  shards,
-		Quantum: ScaleQuantum,
-	}, scalePod)
 }

@@ -6,11 +6,8 @@ import (
 
 	"grouter/internal/cluster"
 	"grouter/internal/router"
-	"grouter/internal/scheduler"
 	"grouter/internal/sim"
-	"grouter/internal/topology"
 	"grouter/internal/trace"
-	"grouter/internal/workflow"
 )
 
 // SLO budgets for the driving workflow at the replay's 500 req/s on a
@@ -72,24 +69,17 @@ func sloConfig(m sloMode) router.Config {
 }
 
 // sloReplay replays one generated trace through the driving workflow on a
-// 2-node DGX-V100 cluster (autoscaler on, batched admission) behind a scored
-// router in the given admission mode. Every 5th request is QoSHigh and every
-// request carries one of 64 rotating session identities, so both the
-// admission predictor and the affinity term see realistic traffic.
+// scale pod (a 2-node DGX-V100 cluster, autoscaler on, batched admission)
+// behind a scored router in the given admission mode. Every 5th request is
+// QoSHigh and every request carries one of 64 rotating session identities,
+// so both the admission predictor and the affinity term see realistic
+// traffic.
 func sloReplay(pattern trace.Pattern, requests int, mode sloMode) sloRun {
-	arrivals := trace.Generate(trace.Spec{
-		Pattern:  pattern,
-		Duration: time.Duration(float64(requests) / 500 * float64(time.Second)),
-		MeanRPS:  500,
-		Seed:     42,
-	})
 	e := sim.NewEngine()
 	defer e.Close()
-	c := cluster.New(e, topology.DGXV100(), 2, systems(42)[3].mk)
-	app := c.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
-	app.EnableElastic(scaleOut)
+	app := scalePod(0, e)
 	rt := router.New(app, sloConfig(mode))
-	st := replay(app, arrivals, cluster.ReplaySpec{
+	st := replay(app, scaleArrivals(pattern, requests), cluster.ReplaySpec{
 		Quantum: ScaleQuantum,
 		RequestAt: func(i int) cluster.Request {
 			req := cluster.Request{Session: int64(i%64) + 1}

@@ -31,10 +31,9 @@ func (c *chaosEnv) logf(at time.Duration, format string, args ...interface{}) {
 }
 
 // runScenario builds a fresh engine/fabric/plane, executes the scenario, and
-// returns its event log plus the fault counters accumulated during the run.
-func runScenario(t *testing.T, scenario func(*chaosEnv)) (string, string) {
+// returns its event log plus the fault counters of the run's network.
+func runScenario(t *testing.T, scenario func(*chaosEnv)) (string, metrics.FaultStats) {
 	t.Helper()
-	metrics.Faults().Reset()
 	env := &chaosEnv{e: sim.NewEngine(), log: &strings.Builder{}}
 	env.f = fabric.New(env.e, topology.DGXV100(), 1)
 	env.pl = core.New(env.f, core.FullConfig())
@@ -42,13 +41,13 @@ func runScenario(t *testing.T, scenario func(*chaosEnv)) (string, string) {
 	scenario(env)
 	env.e.Run(0)
 	env.e.Close()
-	return env.log.String(), metrics.Faults().String()
+	return env.log.String(), *env.f.Net.Faults()
 }
 
 // requireDeterministic runs the scenario twice on fresh simulations and fails
-// unless both the event logs and the fault counters are byte-identical — the
+// unless both the event logs and the fault counters are identical — the
 // property that makes chaos scenarios usable as regression tests.
-func requireDeterministic(t *testing.T, scenario func(*chaosEnv)) (string, string) {
+func requireDeterministic(t *testing.T, scenario func(*chaosEnv)) (string, metrics.FaultStats) {
 	t.Helper()
 	log1, stats1 := runScenario(t, scenario)
 	log2, stats2 := runScenario(t, scenario)
@@ -56,7 +55,7 @@ func requireDeterministic(t *testing.T, scenario func(*chaosEnv)) (string, strin
 		t.Errorf("two identical runs diverged:\n--- first ---\n%s--- second ---\n%s", log1, log2)
 	}
 	if stats1 != stats2 {
-		t.Errorf("fault counters diverged:\nfirst:  %s\nsecond: %s", stats1, stats2)
+		t.Errorf("fault counters diverged:\nfirst:  %+v\nsecond: %+v", stats1, stats2)
 	}
 	return log1, stats1
 }
@@ -105,23 +104,22 @@ func TestChaosNVLinkDiesMidTransfer(t *testing.T) {
 	}
 	log, stats := requireDeterministic(t, scenario)
 	if !strings.Contains(log, "get done") {
-		t.Fatalf("transfer did not survive the NVLink outage:\n%s\nfaults: %s", log, stats)
+		t.Fatalf("transfer did not survive the NVLink outage:\n%s\nfaults: %+v", log, stats)
 	}
-	fs := metrics.Faults()
-	if fs.FlowsKilled.Load() == 0 {
+	if stats.FlowsKilled == 0 {
 		t.Error("outage killed no flows — the fault was not mid-flight")
 	}
-	if fs.Retries.Load() == 0 {
+	if stats.Retries == 0 {
 		t.Error("no retry recorded")
 	}
-	if fs.Replans.Load() == 0 {
+	if stats.Replans == 0 {
 		t.Error("no re-plan recorded")
 	}
-	if fs.DegradedBytes.Load() == 0 {
+	if stats.DegradedBytes == 0 {
 		t.Error("no degraded bytes recorded for the PCIe fallback delivery")
 	}
-	if fs.TransfersFailed.Load() != 0 {
-		t.Errorf("transfers-failed = %d, want 0", fs.TransfersFailed.Load())
+	if stats.TransfersFailed != 0 {
+		t.Errorf("transfers-failed = %d, want 0", stats.TransfersFailed)
 	}
 }
 
@@ -152,10 +150,10 @@ func TestChaosFlappingLink(t *testing.T) {
 	log, stats := requireDeterministic(t, scenario)
 	for i := 0; i < 8; i++ {
 		if !strings.Contains(log, fmt.Sprintf("round %d delivered", i)) {
-			t.Fatalf("round %d lost under the flap:\n%s\nfaults: %s", i, log, stats)
+			t.Fatalf("round %d lost under the flap:\n%s\nfaults: %+v", i, log, stats)
 		}
 	}
-	if metrics.Faults().LinksFailed.Load() == 0 {
+	if stats.LinksFailed == 0 {
 		t.Error("flap schedule injected no outages")
 	}
 }
@@ -185,14 +183,13 @@ func TestChaosDegradedLink(t *testing.T) {
 	}
 	log, stats := requireDeterministic(t, scenario)
 	if !strings.Contains(log, "get done") {
-		t.Fatalf("transfer lost under degradation:\n%s\nfaults: %s", log, stats)
+		t.Fatalf("transfer lost under degradation:\n%s\nfaults: %+v", log, stats)
 	}
-	fs := metrics.Faults()
-	if fs.LinksDegraded.Load() == 0 {
+	if stats.LinksDegraded == 0 {
 		t.Error("no degradation recorded")
 	}
-	if fs.FlowsKilled.Load() != 0 {
-		t.Errorf("degradation killed %d flows; capacity changes must re-rate, not kill", fs.FlowsKilled.Load())
+	if stats.FlowsKilled != 0 {
+		t.Errorf("degradation killed %d flows; capacity changes must re-rate, not kill", stats.FlowsKilled)
 	}
 }
 
@@ -229,10 +226,10 @@ func TestChaosMemoryPressureDuringStorage(t *testing.T) {
 	log, stats := requireDeterministic(t, scenario)
 	for i := 0; i < 6; i++ {
 		if !strings.Contains(log, fmt.Sprintf("object %d readable", i)) {
-			t.Fatalf("object %d lost under memory pressure:\n%s\nfaults: %s", i, log, stats)
+			t.Fatalf("object %d lost under memory pressure:\n%s\nfaults: %+v", i, log, stats)
 		}
 	}
-	if metrics.Faults().MemPressure.Load() == 0 {
+	if stats.MemPressure == 0 {
 		t.Error("no memory-pressure event recorded")
 	}
 }
@@ -277,12 +274,12 @@ func TestChaosEvictionStorm(t *testing.T) {
 	log, stats := requireDeterministic(t, scenario)
 	for i := 0; i < storms; i++ {
 		if !strings.Contains(log, fmt.Sprintf("put %d done", i)) {
-			t.Fatalf("put %d did not complete:\n%s\nfaults: %s", i, log, stats)
+			t.Fatalf("put %d did not complete:\n%s\nfaults: %+v", i, log, stats)
 		}
 	}
 	for i := 0; i < 4; i++ {
 		if !strings.Contains(log, fmt.Sprintf("object %d survived", i)) {
-			t.Fatalf("object %d lost in the eviction storm:\n%s\nfaults: %s", i, log, stats)
+			t.Fatalf("object %d lost in the eviction storm:\n%s\nfaults: %+v", i, log, stats)
 		}
 	}
 	if !strings.Contains(log, "evictions=") || strings.Contains(log, "evictions=0 ") {
@@ -321,16 +318,15 @@ func TestChaosCrashRematerialize(t *testing.T) {
 	}
 	log, stats := requireDeterministic(t, scenario)
 	if !strings.Contains(log, "get done") || strings.Contains(log, "BUG") {
-		t.Fatalf("crash recovery broken:\n%s\nfaults: %s", log, stats)
+		t.Fatalf("crash recovery broken:\n%s\nfaults: %+v", log, stats)
 	}
-	fs := metrics.Faults()
-	if fs.Crashes.Load() == 0 {
+	if stats.Crashes == 0 {
 		t.Error("no crash recorded")
 	}
-	if fs.ObjectsLost.Load() == 0 {
+	if stats.ObjectsLost == 0 {
 		t.Error("crash lost no objects — the scenario no longer covers recovery")
 	}
-	if fs.Rematerialized.Load() == 0 {
+	if stats.Rematerialized == 0 {
 		t.Error("no re-materialization recorded")
 	}
 }
@@ -396,5 +392,61 @@ func TestInjectorValidation(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// countingCrasher loses a fixed number of objects per crash and records
+// every GPU it was asked to crash.
+type countingCrasher struct {
+	lost    int
+	crashed []fabric.Location
+}
+
+func (c *countingCrasher) CrashGPU(node, gpu int) int {
+	c.crashed = append(c.crashed, fabric.Location{Node: node, GPU: gpu})
+	return c.lost
+}
+
+// TestCrashGPUAtNotifiesSubscribers: one scheduled crash reaches every
+// OnGPUCrash subscriber exactly once, with the crashed (node, gpu), at the
+// crash instant, and the run's network counts the crash and the objects the
+// Crasher reported lost.
+func TestCrashGPUAtNotifiesSubscribers(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	f := fabric.New(e, topology.DGXV100(), 2)
+	in := faults.NewInjector(e, f.Net)
+	type crash struct {
+		at  time.Duration
+		loc fabric.Location
+	}
+	var seen [2][]crash
+	for i := range seen {
+		in.OnGPUCrash(func(node, gpu int) {
+			seen[i] = append(seen[i], crash{e.Now(), fabric.Location{Node: node, GPU: gpu}})
+		})
+	}
+	c := &countingCrasher{lost: 3}
+	const at = 3 * time.Millisecond
+	in.CrashGPUAt(at, c, 1, 5)
+	// Injections are daemon events: a workload must outlive the crash.
+	e.Go("workload", func(p *sim.Proc) { p.Sleep(2 * at) })
+	e.Run(0)
+
+	want := crash{at, fabric.Location{Node: 1, GPU: 5}}
+	for i, got := range seen {
+		if len(got) != 1 || got[0] != want {
+			t.Errorf("subscriber %d saw %+v, want one %+v", i, got, want)
+		}
+	}
+	if len(c.crashed) != 1 || c.crashed[0] != want.loc {
+		t.Errorf("Crasher crashed %+v, want one %+v", c.crashed, want.loc)
+	}
+	fs := f.Net.Faults()
+	if fs.Crashes != 1 {
+		t.Errorf("crashes = %d, want 1", fs.Crashes)
+	}
+	if fs.ObjectsLost != int64(c.lost) {
+		t.Errorf("objects lost = %d, want %d", fs.ObjectsLost, c.lost)
 	}
 }

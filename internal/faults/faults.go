@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"grouter/internal/memsim"
-	"grouter/internal/metrics"
 	"grouter/internal/netsim"
 	"grouter/internal/sim"
 	"grouter/internal/topology"
@@ -51,7 +50,7 @@ func (in *Injector) At(at time.Duration, fn func()) {
 func (in *Injector) FailLinkAt(at time.Duration, id topology.LinkID) {
 	in.At(at, func() {
 		in.net.FailLink(id)
-		metrics.Faults().LinksFailed.Add(1)
+		in.net.Faults().LinksFailed++
 	})
 }
 
@@ -59,7 +58,7 @@ func (in *Injector) FailLinkAt(at time.Duration, id topology.LinkID) {
 func (in *Injector) RestoreLinkAt(at time.Duration, id topology.LinkID) {
 	in.At(at, func() {
 		in.net.RestoreLink(id)
-		metrics.Faults().LinksRestored.Add(1)
+		in.net.Faults().LinksRestored++
 	})
 }
 
@@ -83,11 +82,11 @@ func (in *Injector) DegradeLinkFor(at, dur time.Duration, id topology.LinkID, fr
 	in.At(at, func() {
 		orig := in.net.Capacity(id)
 		in.net.SetLinkBps(id, orig*fraction)
-		metrics.Faults().LinksDegraded.Add(1)
+		in.net.Faults().LinksDegraded++
 		if dur > 0 {
 			in.At(in.eng.Now()+dur, func() {
 				in.net.SetLinkBps(id, orig)
-				metrics.Faults().LinksRestored.Add(1)
+				in.net.Faults().LinksRestored++
 			})
 		}
 	})
@@ -114,7 +113,7 @@ func (in *Injector) MemPressureFor(at, dur time.Duration, dev *memsim.Device, by
 		if free := dev.Free(); grab > free {
 			grab = free
 		}
-		metrics.Faults().MemPressure.Add(1)
+		in.net.Faults().MemPressure++
 		if grab <= 0 {
 			return
 		}
@@ -139,8 +138,8 @@ func (in *Injector) OnGPUCrash(fn func(node, gpu int)) {
 // time, via the data plane's Crasher hook.
 func (in *Injector) CrashGPUAt(at time.Duration, c Crasher, node, gpu int) {
 	in.At(at, func() {
-		metrics.Faults().Crashes.Add(1)
-		metrics.Faults().ObjectsLost.Add(int64(c.CrashGPU(node, gpu)))
+		in.net.Faults().Crashes++
+		in.net.Faults().ObjectsLost += int64(c.CrashGPU(node, gpu))
 		for _, fn := range in.onCrash {
 			fn(node, gpu)
 		}

@@ -79,9 +79,6 @@ type Block struct {
 	freed bool
 }
 
-// Size returns the block's byte count.
-func (b *Block) Size() int64 { return b.size }
-
 // Device returns the owning device.
 func (b *Block) Device() *Device { return b.dev }
 
@@ -101,7 +98,6 @@ type Pool struct {
 	dev      *Device
 	reserved int64
 	used     int64
-	peakRes  int64
 	// Quantum rounds cold grows up to block granularity, so a burst of
 	// allocations pays one native allocation instead of one per item
 	// (PyTorch-style block growth). Zero grows exactly to need.
@@ -123,9 +119,6 @@ func (p *Pool) Used() int64 { return p.used }
 // Idle returns reserved bytes not backing live data.
 func (p *Pool) Idle() int64 { return p.reserved - p.used }
 
-// PeakReserved returns the pool's reservation high-water mark.
-func (p *Pool) PeakReserved() int64 { return p.peakRes }
-
 // Grow reserves size more bytes from the device.
 func (p *Pool) Grow(size int64) error {
 	if size < 0 {
@@ -139,9 +132,6 @@ func (p *Pool) Grow(size int64) error {
 		p.dev.peak = p.dev.used
 	}
 	p.reserved += size
-	if p.reserved > p.peakRes {
-		p.peakRes = p.reserved
-	}
 	return nil
 }
 

@@ -1,76 +1,35 @@
 package metrics
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
 // FaultStats counts fault-injection events and the recovery work the data
-// path performed in response. Injection counters are written by
-// internal/faults, flow kills by internal/netsim, retry/re-plan counters by
-// internal/xfer, and crash-recovery counters by the data planes. All fields
-// are atomic for the same reason AllocatorStats' are: instrumented simulators
-// run from parallel tests.
+// path performed in response, for one simulation: each netsim.Network owns
+// one, and every writer reaches it through that network. Injection counters
+// are written by internal/faults, flow kills by internal/netsim, retry and
+// re-plan counters by internal/xfer, and crash-recovery counters by the data
+// planes.
 type FaultStats struct {
 	// LinksFailed / LinksRestored / LinksDegraded count injected link events.
-	LinksFailed    atomic.Int64
-	LinksRestored  atomic.Int64
-	LinksDegraded  atomic.Int64
+	LinksFailed   int64
+	LinksRestored int64
+	LinksDegraded int64
 	// MemPressure counts injected memory-pressure spikes.
-	MemPressure atomic.Int64
+	MemPressure int64
 	// Crashes counts injected node/GPU crash events.
-	Crashes atomic.Int64
+	Crashes int64
 
 	// FlowsKilled counts in-flight flows terminated by a link failure.
-	FlowsKilled atomic.Int64
+	FlowsKilled int64
 	// Retries counts transfer retry attempts after a flow failure.
-	Retries atomic.Int64
+	Retries int64
 	// Replans counts path re-selections performed for a retry.
-	Replans atomic.Int64
+	Replans int64
 	// DegradedBytes totals payload bytes that completed on a retry attempt
 	// (i.e. moved over a fallback or re-planned path).
-	DegradedBytes atomic.Int64
+	DegradedBytes int64
 	// TransfersFailed counts transfers that exhausted retries or deadlines.
-	TransfersFailed atomic.Int64
+	TransfersFailed int64
 
 	// ObjectsLost counts stored objects invalidated by a crash;
 	// Rematerialized counts the subset recovered on a later access.
-	ObjectsLost    atomic.Int64
-	Rematerialized atomic.Int64
-}
-
-// globalFaults aggregates fault counters across the process, mirroring the
-// netsim allocator's process-wide stats, so harnesses like cmd/grouter-bench
-// can report fault/recovery work without reaching into each simulator.
-var globalFaults FaultStats
-
-// Faults returns the process-wide fault counters.
-func Faults() *FaultStats { return &globalFaults }
-
-// Reset zeroes every counter.
-func (s *FaultStats) Reset() {
-	s.LinksFailed.Store(0)
-	s.LinksRestored.Store(0)
-	s.LinksDegraded.Store(0)
-	s.MemPressure.Store(0)
-	s.Crashes.Store(0)
-	s.FlowsKilled.Store(0)
-	s.Retries.Store(0)
-	s.Replans.Store(0)
-	s.DegradedBytes.Store(0)
-	s.TransfersFailed.Store(0)
-	s.ObjectsLost.Store(0)
-	s.Rematerialized.Store(0)
-}
-
-// String renders a two-line summary suitable for benchmark output.
-func (s *FaultStats) String() string {
-	return fmt.Sprintf(
-		"injected: link-fail=%d link-restore=%d link-degrade=%d mem-pressure=%d crashes=%d\n"+
-			"recovery: flows-killed=%d retries=%d replans=%d degraded-bytes=%d transfers-failed=%d objects-lost=%d rematerialized=%d",
-		s.LinksFailed.Load(), s.LinksRestored.Load(), s.LinksDegraded.Load(),
-		s.MemPressure.Load(), s.Crashes.Load(),
-		s.FlowsKilled.Load(), s.Retries.Load(), s.Replans.Load(),
-		s.DegradedBytes.Load(), s.TransfersFailed.Load(),
-		s.ObjectsLost.Load(), s.Rematerialized.Load())
+	ObjectsLost    int64
+	Rematerialized int64
 }

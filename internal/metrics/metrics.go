@@ -163,17 +163,12 @@ func (t *Timeline) MeanUntil(horizon time.Duration) float64 {
 
 // AllocatorStats counts the work a flow-level bandwidth allocator performs:
 // how often rates are recomputed, how much of the flow population each
-// recompute touches, and how many engine events it schedules. All fields are
-// atomic so instrumented simulators can be exercised from parallel tests and
-// benchmarks; in-simulation code is single-threaded and pays only the
-// uncontended-atomic cost.
+// recompute touches, and how many engine events it schedules. Each
+// netsim.Network owns one; in-simulation code is single-threaded and pays
+// only the uncontended-atomic cost.
 type AllocatorStats struct {
 	// Recomputes counts rate recomputation passes.
 	Recomputes atomic.Int64
-	// Components counts connected components processed across all
-	// recomputes (a recompute may cover several when simultaneous events
-	// touch disjoint parts of the link graph).
-	Components atomic.Int64
 	// FlowsTouched counts flows whose rate was reassigned, summed over all
 	// recomputes; FlowsTouched/Recomputes is the mean recompute scope.
 	FlowsTouched atomic.Int64
@@ -183,61 +178,16 @@ type AllocatorStats struct {
 	// EventsScheduled counts engine events the allocator scheduled
 	// (debounce + completion timers).
 	EventsScheduled atomic.Int64
-	// MaxComponentFlows is a high-watermark of the largest recompute scope.
-	MaxComponentFlows atomic.Int64
 }
 
-// ObserveRecompute records one recompute pass over the given number of
-// components and flows.
-func (s *AllocatorStats) ObserveRecompute(components, flows int) {
+// ObserveRecompute records one recompute pass over the given number of flows.
+func (s *AllocatorStats) ObserveRecompute(flows int) {
 	s.Recomputes.Add(1)
-	s.Components.Add(int64(components))
 	s.FlowsTouched.Add(int64(flows))
-	for {
-		cur := s.MaxComponentFlows.Load()
-		if int64(flows) <= cur || s.MaxComponentFlows.CompareAndSwap(cur, int64(flows)) {
-			return
-		}
-	}
 }
 
-// Reset zeroes every counter.
-func (s *AllocatorStats) Reset() {
-	s.Recomputes.Store(0)
-	s.Components.Store(0)
-	s.FlowsTouched.Store(0)
-	s.WaterFillIters.Store(0)
-	s.EventsScheduled.Store(0)
-	s.MaxComponentFlows.Store(0)
-}
-
-// String renders a one-line summary suitable for benchmark output.
-func (s *AllocatorStats) String() string {
-	rec := s.Recomputes.Load()
-	touched := s.FlowsTouched.Load()
-	avg := 0.0
-	if rec > 0 {
-		avg = float64(touched) / float64(rec)
-	}
-	return fmt.Sprintf(
-		"recomputes=%d components=%d flows-touched=%d (avg %.1f/recompute, max %d) waterfill-iters=%d events-scheduled=%d",
-		rec, s.Components.Load(), touched, avg, s.MaxComponentFlows.Load(),
-		s.WaterFillIters.Load(), s.EventsScheduled.Load())
-}
-
-// Counter is a monotone event counter with a convenience for rates.
+// Counter is a monotone event counter.
 type Counter struct{ N int64 }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.N++ }
-
-// Addn adds n.
-func (c *Counter) Addn(n int64) { c.N += n }
-
-// Rate returns events per second over the window.
-func (c *Counter) Rate(window time.Duration) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(c.N) / window.Seconds()
-}

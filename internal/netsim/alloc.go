@@ -168,7 +168,6 @@ func (n *Network) waterFill(tier []*Flow) {
 		}
 	}
 	n.stats.WaterFillIters.Add(iters)
-	global.WaterFillIters.Add(iters)
 }
 
 // allocateReference recomputes every active flow's rate from scratch using

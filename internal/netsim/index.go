@@ -118,21 +118,18 @@ func (n *Network) removeFromOrder(f *Flow) {
 // collectComponents expands the dirty seeds into their connected components
 // over the flow-link bipartite graph. On return compFlows holds every
 // reachable flow (including flows about to be retired), compLinks every
-// reachable link, both stamped with the new epoch. The returned count is the
-// number of disjoint components spanned.
-func (n *Network) collectComponents() int {
+// reachable link, both stamped with the new epoch.
+func (n *Network) collectComponents() {
 	n.epoch++
 	ep := n.epoch
 	n.compFlows = n.compFlows[:0]
 	n.compLinks = n.compLinks[:0]
-	components := 0
 
 	for _, f := range n.dirtyFlows {
 		f.dirty = false
 		if !f.active || f.visited == ep {
 			continue
 		}
-		components++
 		f.visited = ep
 		n.compFlows = append(n.compFlows, f)
 		n.expandComponent(len(n.compFlows) - 1)
@@ -142,7 +139,6 @@ func (n *Network) collectComponents() int {
 		if l.visited == ep {
 			continue
 		}
-		components++
 		l.visited = ep
 		n.compLinks = append(n.compLinks, li)
 		head := len(n.compFlows)
@@ -156,7 +152,6 @@ func (n *Network) collectComponents() int {
 	}
 	n.dirtyFlows = n.dirtyFlows[:0]
 	n.dirtyLinks = n.dirtyLinks[:0]
-	return components
 }
 
 // expandComponent runs the BFS from compFlows[head:] until closure,

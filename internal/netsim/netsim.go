@@ -40,14 +40,6 @@ const finishEpsilon = 0.5
 // farFuture marks a flow with no projected completion (zero rate).
 const farFuture = time.Duration(math.MaxInt64)
 
-// global aggregates allocator counters across every Network in the process,
-// so harnesses like cmd/grouter-bench can report allocator work without
-// reaching into each experiment's private simulator.
-var global metrics.AllocatorStats
-
-// Stats returns the process-wide allocator counters.
-func Stats() *metrics.AllocatorStats { return &global }
-
 // Network simulates a set of capacity-annotated links shared by flows.
 //
 // Sharded execution: a Network is single-threaded state owned by one engine.
@@ -55,12 +47,11 @@ func Stats() *metrics.AllocatorStats { return &global }
 // it the whole incremental allocator: link graph, flow set, dirty
 // components — lives on exactly one shard, because a pod's fabric is its
 // own connected component and never shares links with another shard's.
-// NetStats is therefore shard-local allocator work by construction; only
-// the process-wide Stats() aggregate crosses shards, which is why its
-// counters are atomic.
+// NetStats and Faults are therefore shard-local counts by construction.
 type Network struct {
 	engine *sim.Engine
 	stats  metrics.AllocatorStats
+	faults metrics.FaultStats
 
 	// shard tags this network's flow spans with the engine shard hosting it
 	// in sharded runs (-1 = unsharded, no tag emitted).
@@ -215,6 +206,10 @@ func (n *Network) PathBps(links []topology.LinkID) float64 {
 // NetStats returns this network's allocator counters.
 func (n *Network) NetStats() *metrics.AllocatorStats { return &n.stats }
 
+// Faults returns the fault-injection and recovery counters of the
+// simulation this network belongs to.
+func (n *Network) Faults() *metrics.FaultStats { return &n.faults }
+
 // Start launches a flow of the given byte size over path. A zero-byte flow
 // completes at the current instant. Start panics on an unknown link, which
 // indicates a path-construction bug.
@@ -253,7 +248,7 @@ func (n *Network) Start(label string, path []topology.LinkID, bytes float64, opt
 			// instant without moving a byte. Callers observe Failed() after
 			// the done signal and retry or re-plan.
 			f.failed = true
-			metrics.Faults().FlowsKilled.Add(1)
+			n.faults.FlowsKilled++
 			if tr := obs.TracerOf(n.engine); tr != nil {
 				id := tr.InstantOn(obs.FlowTrack(f.seq), obs.CatFlow, label)
 				tr.SetAttrStr(id, "outcome", "dead-path")
@@ -480,7 +475,7 @@ func (n *Network) failFlow(f *Flow, now time.Duration) {
 		n.endFlowSpan(f, "completed")
 	} else {
 		f.failed = true
-		metrics.Faults().FlowsKilled.Add(1)
+		n.faults.FlowsKilled++
 		n.endFlowSpan(f, "failed")
 	}
 	f.done.Fire()
@@ -561,7 +556,6 @@ func (n *Network) requestEvent(at time.Duration) {
 	n.eventScheduled = true
 	n.eventAt = at
 	n.stats.EventsScheduled.Add(1)
-	global.EventsScheduled.Add(1)
 	n.engine.Schedule(at-n.engine.Now(), n.timerFn)
 }
 
@@ -603,7 +597,7 @@ func (n *Network) recompute() {
 
 // recomputeComponents performs one component-scoped recompute pass.
 func (n *Network) recomputeComponents(now time.Duration) {
-	components := n.collectComponents()
+	n.collectComponents()
 
 	// Advance component flows to the current instant and find the finished.
 	n.finished = n.finished[:0]
@@ -633,8 +627,7 @@ func (n *Network) recomputeComponents(now time.Duration) {
 		}
 	}
 
-	n.stats.ObserveRecompute(components, len(n.compSorted))
-	global.ObserveRecompute(components, len(n.compSorted))
+	n.stats.ObserveRecompute(len(n.compSorted))
 
 	tr := obs.TracerOf(n.engine)
 	if tr != nil {

@@ -7,7 +7,6 @@ import (
 
 	"grouter/internal/cluster"
 	"grouter/internal/faults"
-	"grouter/internal/metrics"
 	"grouter/internal/router"
 	"grouter/internal/scheduler"
 	"grouter/internal/sim"
@@ -22,7 +21,6 @@ import (
 // weighted-random picks — is derived from fixed seeds in virtual time.
 func chaosReplay(t *testing.T, mutate func(*router.Config)) replayResult {
 	t.Helper()
-	metrics.Faults().Reset()
 	arrivals := trace.Generate(trace.Spec{
 		Pattern: trace.Bursty, Duration: 2 * time.Second, MeanRPS: 500, Seed: 42,
 	})
@@ -72,6 +70,9 @@ func chaosReplay(t *testing.T, mutate func(*router.Config)) replayResult {
 	})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
+	}
+	if fs := c.Fabric.Net.Faults(); fs.Crashes != 2 || fs.LinksFailed == 0 {
+		t.Errorf("fault schedule did not fire: %+v", *fs)
 	}
 	return replayResult{st: st, samples: app.E2E.Samples(), rs: rt.Stats}
 }

@@ -449,7 +449,7 @@ func (r *Router) poolChanged(si scheduler.StageInst, pool []fabric.Location) {
 }
 
 // Snapshot returns the current cached worker states, refreshing if stale
-// (exported for tests and the -router-stats diagnostics).
+// (exported for tests).
 func (r *Router) Snapshot() []WorkerState {
 	now := r.c.Engine.Now()
 	if r.fresh && now-r.snapAt < r.cfg.Refresh {

@@ -417,15 +417,10 @@ func (p *Proc) suspend() {
 	p.block()
 }
 
-// Suspend parks the process until some other event wakes it via Engine.Wake.
-// It is the extension point for synchronization primitives built outside
-// this package.
+// Suspend parks the process until some other event wakes it via
+// Engine.ScheduleWake. It is the extension point for synchronization
+// primitives built outside this package.
 func (p *Proc) Suspend() { p.suspend() }
-
-// Wake resumes a process parked by Suspend (or any blocking primitive). It
-// must be called from event context — i.e. from a function scheduled on the
-// engine — never directly from another process.
-func (e *Engine) Wake(p *Proc) { e.wake(p) }
 
 // Sleep suspends the process for d of virtual time. A daemon process's
 // sleep does not keep Run(0) alive.
@@ -433,7 +428,3 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.engine.scheduleWake(d, p)
 	p.suspend()
 }
-
-// Yield suspends the process until all events already scheduled for the
-// current instant have run.
-func (p *Proc) Yield() { p.Sleep(0) }

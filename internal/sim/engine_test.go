@@ -242,28 +242,6 @@ func TestResourceCapacityTwo(t *testing.T) {
 	}
 }
 
-func TestQueueBlocksAndDelivers(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
-	q := NewQueue[int](e)
-	var got []int
-	e.Go("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, q.Pop(p))
-		}
-	})
-	e.Go("producer", func(p *Proc) {
-		q.Push(1) // consumer already waiting
-		p.Sleep(time.Second)
-		q.Push(2)
-		q.Push(3)
-	})
-	e.Run(0)
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("got %v, want [1 2 3]", got)
-	}
-}
-
 func TestCloseUnblocksStuckProcesses(t *testing.T) {
 	e := NewEngine()
 	s := NewSignal(e)
@@ -274,35 +252,4 @@ func TestCloseUnblocksStuckProcesses(t *testing.T) {
 	e.Run(0)
 	e.Close() // must not hang
 	e.Close() // idempotent
-}
-
-func TestAfterSignal(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
-	s := After(e, 5*time.Second)
-	var at time.Duration
-	e.Go("waiter", func(p *Proc) {
-		s.Wait(p)
-		at = p.Now()
-	})
-	e.Run(0)
-	if at != 5*time.Second {
-		t.Fatalf("After fired at %v, want 5s", at)
-	}
-}
-
-func TestWaitAll(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
-	s1 := After(e, time.Second)
-	s2 := After(e, 3*time.Second)
-	var at time.Duration
-	e.Go("waiter", func(p *Proc) {
-		WaitAll(p, s1, s2)
-		at = p.Now()
-	})
-	e.Run(0)
-	if at != 3*time.Second {
-		t.Fatalf("WaitAll returned at %v, want 3s", at)
-	}
 }

@@ -202,19 +202,6 @@ func (g *ShardGroup) NewMailbox(from, to *Shard, latency time.Duration, handler 
 	return m
 }
 
-// Lookahead returns the group's current conservative lookahead: the minimum
-// latency over open mailboxes, or 0 when every mailbox is closed (shards may
-// then drain freely).
-func (g *ShardGroup) Lookahead() time.Duration {
-	look := time.Duration(0)
-	for _, m := range g.mail {
-		if !m.closed && (look == 0 || m.latency < look) {
-			look = m.latency
-		}
-	}
-	return look
-}
-
 // Run executes the group to completion with one goroutine per shard,
 // synchronized at window barriers. Output is byte-identical to
 // RunSequential.

@@ -81,9 +81,6 @@ func (f *Future[T]) Wait(p *Proc) T {
 	return f.val
 }
 
-// Resolved reports whether the future has a value.
-func (f *Future[T]) Resolved() bool { return f.sig.fired }
-
 // resWaiter is one queued acquirer: the process plus its priority class and
 // enqueue instant (the instant feeds priority aging).
 type resWaiter struct {
@@ -174,69 +171,4 @@ func (r *Resource) Release() {
 		panic("sim: Release without matching Acquire")
 	}
 	r.inUse--
-}
-
-// Queue is an unbounded FIFO channel between processes. Pop suspends the
-// caller while the queue is empty.
-type Queue[T any] struct {
-	engine *Engine
-	items  []T
-	// waiters are processes blocked in Pop, each with a slot to receive into.
-	waiters []*queueWaiter[T]
-}
-
-type queueWaiter[T any] struct {
-	p   *Proc
-	val T
-	ok  bool
-}
-
-// NewQueue returns an empty queue bound to e.
-func NewQueue[T any](e *Engine) *Queue[T] { return &Queue[T]{engine: e} }
-
-// Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
-
-// Push appends v; if a process is blocked in Pop, it is scheduled to resume
-// with v at the current instant.
-func (q *Queue[T]) Push(v T) {
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		w.val, w.ok = v, true
-		q.engine.ScheduleWake(w.p)
-		return
-	}
-	q.items = append(q.items, v)
-}
-
-// Pop removes and returns the oldest item, suspending p while the queue is
-// empty.
-func (q *Queue[T]) Pop(p *Proc) T {
-	if len(q.items) > 0 {
-		v := q.items[0]
-		q.items = q.items[1:]
-		return v
-	}
-	w := &queueWaiter[T]{p: p}
-	q.waiters = append(q.waiters, w)
-	p.suspend()
-	if !w.ok {
-		panic("sim: queue waiter woken without a value")
-	}
-	return w.val
-}
-
-// WaitAll suspends p until every signal in sigs has fired.
-func WaitAll(p *Proc, sigs ...*Signal) {
-	for _, s := range sigs {
-		s.Wait(p)
-	}
-}
-
-// After returns a Signal that fires after d of virtual time.
-func After(e *Engine, d time.Duration) *Signal {
-	s := NewSignal(e)
-	e.Schedule(d, s.Fire)
-	return s
 }

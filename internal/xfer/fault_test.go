@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"grouter/internal/metrics"
 	"grouter/internal/netsim"
 	"grouter/internal/sim"
 	"grouter/internal/topology"
@@ -51,7 +50,6 @@ func TestTransferAsyncPanicsOnInvalidRequest(t *testing.T) {
 // restores it shortly after: the retry loop must back off, re-send only the
 // undelivered bytes, and complete — slower than fault-free, but complete.
 func TestRetryAfterLinkFlap(t *testing.T) {
-	metrics.Faults().Reset()
 	e := sim.NewEngine()
 	defer e.Close()
 	f := v100Fabric(e, 1)
@@ -83,25 +81,24 @@ func TestRetryAfterLinkFlap(t *testing.T) {
 	if elapsed <= faultFree {
 		t.Errorf("flapped transfer took %v, expected more than fault-free %v", elapsed, faultFree)
 	}
-	fs := metrics.Faults()
-	if fs.Retries.Load() == 0 {
+	fs := f.Net.Faults()
+	if fs.Retries == 0 {
 		t.Error("no retry recorded for a mid-flight kill")
 	}
-	if fs.FlowsKilled.Load() == 0 {
+	if fs.FlowsKilled == 0 {
 		t.Error("no flow kill recorded")
 	}
-	if fs.DegradedBytes.Load() == 0 {
+	if fs.DegradedBytes == 0 {
 		t.Error("completion on a retry attempt recorded no degraded bytes")
 	}
-	if fs.TransfersFailed.Load() != 0 {
-		t.Errorf("transfers-failed = %d, want 0", fs.TransfersFailed.Load())
+	if fs.TransfersFailed != 0 {
+		t.Errorf("transfers-failed = %d, want 0", fs.TransfersFailed)
 	}
 }
 
 // TestReplanFallsBackToPCIe fails the NVLink permanently: the retry loop must
 // consult Replan and finish the residue over the PCIe fallback path.
 func TestReplanFallsBackToPCIe(t *testing.T) {
-	metrics.Faults().Reset()
 	e := sim.NewEngine()
 	defer e.Close()
 	f := v100Fabric(e, 1)
@@ -132,11 +129,11 @@ func TestReplanFallsBackToPCIe(t *testing.T) {
 	if replanned == 0 {
 		t.Fatal("Replan was never consulted")
 	}
-	fs := metrics.Faults()
-	if fs.Replans.Load() == 0 {
+	fs := f.Net.Faults()
+	if fs.Replans == 0 {
 		t.Error("no replan recorded")
 	}
-	if fs.Retries.Load() == 0 {
+	if fs.Retries == 0 {
 		t.Error("no retry recorded")
 	}
 }
@@ -144,7 +141,6 @@ func TestReplanFallsBackToPCIe(t *testing.T) {
 // TestAllPathsDownExhaustsRetries keeps the only path dead with no Replan:
 // the transfer must give up with ErrPathsDown after MaxAttempts backoffs.
 func TestAllPathsDownExhaustsRetries(t *testing.T) {
-	metrics.Faults().Reset()
 	e := sim.NewEngine()
 	defer e.Close()
 	f := v100Fabric(e, 1)
@@ -164,12 +160,12 @@ func TestAllPathsDownExhaustsRetries(t *testing.T) {
 	if !errors.Is(err, ErrPathsDown) {
 		t.Fatalf("err = %v, want ErrPathsDown", err)
 	}
-	fs := metrics.Faults()
-	if got := fs.Retries.Load(); got != 2 {
+	fs := f.Net.Faults()
+	if got := fs.Retries; got != 2 {
 		t.Errorf("retries = %d, want 2 (attempts 2 and 3)", got)
 	}
-	if fs.TransfersFailed.Load() != 1 {
-		t.Errorf("transfers-failed = %d, want 1", fs.TransfersFailed.Load())
+	if fs.TransfersFailed != 1 {
+		t.Errorf("transfers-failed = %d, want 1", fs.TransfersFailed)
 	}
 }
 
@@ -177,7 +173,6 @@ func TestAllPathsDownExhaustsRetries(t *testing.T) {
 // its fault-free duration: Transfer must return ErrDeadline at the deadline
 // instant with every in-flight flow canceled.
 func TestDeadlineCancelsFlows(t *testing.T) {
-	metrics.Faults().Reset()
 	e := sim.NewEngine()
 	defer e.Close()
 	f := v100Fabric(e, 1)
@@ -202,8 +197,8 @@ func TestDeadlineCancelsFlows(t *testing.T) {
 	if f.Net.ActiveFlows() != 0 {
 		t.Errorf("%d flows still active after deadline cancel", f.Net.ActiveFlows())
 	}
-	if metrics.Faults().TransfersFailed.Load() != 1 {
-		t.Errorf("transfers-failed = %d, want 1", metrics.Faults().TransfersFailed.Load())
+	if f.Net.Faults().TransfersFailed != 1 {
+		t.Errorf("transfers-failed = %d, want 1", f.Net.Faults().TransfersFailed)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 
 	"grouter/internal/fabric"
 	"grouter/internal/memsim"
-	"grouter/internal/metrics"
 	"grouter/internal/netsim"
 	"grouter/internal/obs"
 	"grouter/internal/sim"
@@ -238,10 +237,11 @@ func (m *Manager) transferAttempts(p *sim.Proc, req Request, start time.Duration
 	paths := req.Paths
 	bytes := req.Bytes
 	tr := obs.TracerOf(m.Fabric.Engine)
+	fs := m.Fabric.Net.Faults()
 	var err error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			metrics.Faults().Retries.Add(1)
+			fs.Retries++
 			if tr != nil {
 				id := tr.InstantOn(req.Track, obs.CatRetry, "retry")
 				tr.SetAttrInt(id, "attempt", int64(attempt))
@@ -252,7 +252,7 @@ func (m *Manager) transferAttempts(p *sim.Proc, req Request, start time.Duration
 			if req.Replan != nil {
 				if np := req.Replan(attempt); len(np) > 0 {
 					paths = np
-					metrics.Faults().Replans.Add(1)
+					fs.Replans++
 					if tr != nil {
 						tr.InstantOn(req.Track, obs.CatRetry, "replan")
 					}
@@ -275,7 +275,7 @@ func (m *Manager) transferAttempts(p *sim.Proc, req Request, start time.Duration
 		timedOut := m.awaitFlows(p, flows, deadline)
 		obs.Account(p, obs.CatTransfer, p.Now()-waitStart)
 		if timedOut {
-			metrics.Faults().TransfersFailed.Add(1)
+			fs.TransfersFailed++
 			return p.Now() - start, ErrDeadline
 		}
 		undelivered := 0.0
@@ -286,14 +286,14 @@ func (m *Manager) transferAttempts(p *sim.Proc, req Request, start time.Duration
 		}
 		if undelivered == 0 {
 			if attempt > 0 {
-				metrics.Faults().DegradedBytes.Add(bytes)
+				fs.DegradedBytes += bytes
 			}
 			return p.Now() - start, nil
 		}
 		bytes = int64(math.Ceil(undelivered))
 		err = fmt.Errorf("xfer: %q lost a path mid-transfer (%d bytes undelivered)", req.Label, bytes)
 	}
-	metrics.Faults().TransfersFailed.Add(1)
+	fs.TransfersFailed++
 	return p.Now() - start, err
 }
 
