@@ -156,14 +156,15 @@ type App struct {
 	// path).
 	SLO time.Duration
 
-	// E2E records request latencies; XferGPU/XferHost/Compute record the
+	// E2E records request latencies, every sample kept for exact
+	// percentiles. XferGPU/XferHost/Compute keep running means of the
 	// per-request sums of gFn-gFn passing, gFn-host passing, and compute.
 	E2E      metrics.Latency
-	XferGPU  metrics.Latency
-	XferHost metrics.Latency
-	Compute  metrics.Latency
+	XferGPU  metrics.Mean
+	XferHost metrics.Mean
+	Compute  metrics.Mean
 	// E2EClass records completion latencies split by QoS class (indexed by
-	// QoS), feeding per-class SLO attainment.
+	// QoS), every sample kept, feeding per-class SLO attainment.
 	E2EClass [2]metrics.Latency
 
 	Completed int
@@ -187,8 +188,8 @@ type App struct {
 
 	// OnComplete, when non-nil, observes every request completion (sequence
 	// number, completion instant, end-to-end latency) in event context.
-	// Sharded replays use it to build the deterministically merged
-	// completion stream; it must not start new simulation activity.
+	// ShardedReplay chains onto it to read each pod's last completion
+	// instant; it must not start new simulation activity.
 	OnComplete func(seq int64, at, e2e time.Duration)
 
 	// Cold configures serverless provisioning (disabled = pre-warmed, the

@@ -96,9 +96,14 @@ func TestConditionalStagesSometimesSkip(t *testing.T) {
 	defer e.Close()
 	c := New(e, topology.DGXV100(), 1, grouterPlane)
 	app := c.Deploy(workflow.Traffic(), 0, scheduler.Options{Node: -1, Seed: 3})
+	// Requests run one at a time, so each one's compute is the growth of
+	// the running sum across its Submit/Wait.
+	var samples []time.Duration
 	e.Go("driver", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
+			before := app.Compute.Sum()
 			mustSubmit(app, Request{}).Wait(p)
+			samples = append(samples, app.Compute.Sum()-before)
 		}
 	})
 	e.Run(0)
@@ -107,7 +112,6 @@ func TestConditionalStagesSometimesSkip(t *testing.T) {
 	}
 	// With prob 0.7/0.8 sinks, some requests skip at least one recognizer,
 	// so per-request compute varies.
-	samples := app.Compute.Samples()
 	allSame := true
 	for _, s := range samples[1:] {
 		if s != samples[0] {

@@ -102,12 +102,13 @@ type LLMService struct {
 	// installs itself here).
 	Route PDRouteFn
 
-	// E2E records request latencies, TTFT time to first output token, and
-	// KVXfer the data-plane KV handoff durations (disaggregated requests
-	// with a successful transfer only).
+	// E2E records request latencies and TTFT time to first output token,
+	// every sample kept for exact percentiles. KVXfer keeps the running mean
+	// of the data-plane KV handoff durations (disaggregated requests with a
+	// successful transfer only).
 	E2E    metrics.Latency
 	TTFT   metrics.Latency
-	KVXfer metrics.Latency
+	KVXfer metrics.Mean
 
 	Completed int
 	Stats     PDStats

@@ -25,11 +25,11 @@ import (
 // component, owned entirely by the shard hosting the pod.
 //
 // Because pods interact only through the feeder's latency-bounded mailboxes,
-// the merged result — the completion stream ordered by (completion time,
-// pod, pod-local order) and every statistic derived from it — is a pure
-// function of the trace and the pod layout. The shard count and the
-// parallel/sequential execution mode change wall-clock time only: a replay
-// at 1, 2, 4, or 8 shards, parallel or sequential, is byte-identical.
+// the fleet result — every pod's completions and every statistic derived
+// from them — is a pure function of the trace and the pod layout. The shard
+// count and the parallel/sequential execution mode change wall-clock time
+// only: a replay at 1, 2, 4, or 8 shards, parallel or sequential, is
+// byte-identical.
 // ShardedReplay with Shards=1 (every pod on one event loop) is the retained
 // single-shard determinism oracle.
 
@@ -109,18 +109,13 @@ type ShardedStats struct {
 	Tracers []*obs.Tracer
 }
 
-// sample is one completion observation of one pod.
-type sample struct {
-	at  time.Duration
-	e2e time.Duration
-}
-
 // ShardedReplay replays arrivals (sorted offsets, as for App.Replay) over a
 // fleet of opt.Pods independent pods executed on opt.Shards shard event
 // loops. build constructs pod `pod` on the given engine and returns its
 // deployed app; it is called in pod order and must build each pod
 // identically given the same index (pods must not share mutable state — each
-// needs its own workflow, spec, and plane).
+// needs its own workflow, spec, and plane). An OnComplete hook that build
+// installs keeps firing.
 func ShardedReplay(arrivals []time.Duration, opt ShardedOptions, build func(pod int, e *sim.Engine) *App) ShardedStats {
 	opt.defaults()
 	g := sim.NewShardGroup(opt.Shards)
@@ -137,13 +132,17 @@ func ShardedReplay(arrivals []time.Duration, opt ShardedOptions, build func(pod 
 	// shard count.
 	podShard := func(pod int) int { return pod % opt.Shards }
 	apps := make([]*App, opt.Pods)
-	samples := make([][]sample, opt.Pods)
+	lastAt := make([]time.Duration, opt.Pods) // each pod's last completion
 	for j := range apps {
 		j := j
 		apps[j] = build(j, g.Shard(podShard(j)).Engine())
 		apps[j].C.Fabric.Net.SetShard(int32(podShard(j)))
-		apps[j].OnComplete = func(_ int64, at, e2e time.Duration) {
-			samples[j] = append(samples[j], sample{at: at, e2e: e2e})
+		next := apps[j].OnComplete
+		apps[j].OnComplete = func(seq int64, at, e2e time.Duration) {
+			lastAt[j] = at
+			if next != nil {
+				next(seq, at, e2e)
+			}
 		}
 	}
 
@@ -232,36 +231,19 @@ func ShardedReplay(arrivals []time.Duration, opt ShardedOptions, build func(pod 
 	}
 	st.Requests = len(arrivals)
 
-	// Deterministic merge of the per-pod completion streams by
-	// (completion time, pod, pod-local order). Pod-local streams are
-	// already time-ordered (each pod's engine clock is monotone), so this
-	// is a k-way merge; the merged order defines the fleet-level
-	// percentile stream and the replay horizon.
-	var merged metrics.Latency
-	idx := make([]int, opt.Pods)
-	var lastAt time.Duration
-	for {
-		best := -1
-		for j := 0; j < opt.Pods; j++ {
-			if idx[j] >= len(samples[j]) {
-				continue
-			}
-			if best < 0 || samples[j][idx[j]].at < samples[best][idx[best]].at {
-				best = j
-			}
+	// The fleet percentiles pool the pods' own latency samples: a
+	// nearest-rank percentile does not depend on the order its samples
+	// arrived in. The replay horizon is the latest pod's last completion.
+	var fleet metrics.Latency
+	for j, app := range apps {
+		for _, d := range app.E2E.Samples() {
+			fleet.Add(d)
 		}
-		if best < 0 {
-			break
-		}
-		s := samples[best][idx[best]]
-		idx[best]++
-		merged.Add(s.e2e)
-		lastAt = s.at
+		st.Duration = max(st.Duration, lastAt[j])
 	}
-	st.Completed = merged.Count()
-	st.Duration = lastAt
-	st.P50 = merged.P(0.5)
-	st.P99 = merged.P(0.99)
+	st.Completed = fleet.Count()
+	st.P50 = fleet.P(0.5)
+	st.P99 = fleet.P(0.99)
 	if st.Duration > 0 {
 		st.Throughput = float64(st.Completed) / st.Duration.Seconds()
 	}

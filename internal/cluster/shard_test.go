@@ -161,3 +161,23 @@ func TestShardedReplayEmptyTrace(t *testing.T) {
 		t.Fatalf("empty trace produced %d/%d", st.Completed, st.Requests)
 	}
 }
+
+// TestShardedReplayKeepsBuildHooks is the regression test for a pod's own
+// completion hook: ShardedReplay chains onto the OnComplete that build
+// installs instead of replacing it, so the hook sees every completion.
+func TestShardedReplayKeepsBuildHooks(t *testing.T) {
+	arrivals := shardArrivals(trace.Sporadic, 400)
+	counts := make([]int, DefaultPods)
+	st := ShardedReplay(arrivals, ShardedOptions{Shards: 2}, func(pod int, e *sim.Engine) *App {
+		app := buildScalePod(pod, e)
+		app.OnComplete = func(int64, time.Duration, time.Duration) { counts[pod]++ }
+		return app
+	})
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	if total != len(arrivals) || st.Completed != len(arrivals) {
+		t.Fatalf("build hooks saw %d completions, replay %d, of %d arrivals", total, st.Completed, len(arrivals))
+	}
+}

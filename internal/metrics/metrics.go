@@ -1,6 +1,6 @@
 // Package metrics provides the measurement primitives the experiment harness
-// uses: exact-percentile latency recorders, time-series samplers, and small
-// statistics helpers.
+// uses: exact-percentile latency recorders, constant-size running means and
+// time-series summaries, and small statistics helpers.
 package metrics
 
 import (
@@ -11,9 +11,10 @@ import (
 	"time"
 )
 
-// Latency records duration samples and answers exact percentile queries
-// (sorting on demand; sample counts in this repo are small enough that a
-// sketch is unnecessary).
+// Latency records duration samples and answers exact percentile queries,
+// sorting on demand. It keeps 8 B per sample, the price of exact
+// percentiles; a recorder read only through Mean() is a Mean instead, which
+// keeps constant-size state.
 type Latency struct {
 	samples []time.Duration
 	sorted  bool
@@ -87,50 +88,90 @@ func (l *Latency) FractionUnder(bound time.Duration) float64 {
 	return float64(n) / float64(len(l.samples))
 }
 
-// Timeline records (time, value) samples of a scalar signal.
-type Timeline struct {
-	Times  []time.Duration
-	Values []float64
+// Mean is a running mean of durations: a sum and a count, constant-size
+// however many samples it sees. Its Mean() is bit-identical to
+// Latency.Mean() over the same samples.
+type Mean struct {
+	sum time.Duration
+	n   int
 }
 
-// Add appends one sample; times must be non-decreasing.
-func (t *Timeline) Add(at time.Duration, v float64) {
-	if n := len(t.Times); n > 0 && at < t.Times[n-1] {
-		panic(fmt.Sprintf("metrics: timeline sample at %v before %v", at, t.Times[n-1]))
+// Add records one sample.
+func (m *Mean) Add(d time.Duration) {
+	m.sum += d
+	m.n++
+}
+
+// Count returns the sample count.
+func (m *Mean) Count() int { return m.n }
+
+// Sum returns the sum of the samples.
+func (m *Mean) Sum() time.Duration { return m.sum }
+
+// Mean returns the arithmetic mean, or 0 with no samples.
+func (m *Mean) Mean() time.Duration {
+	if m.n == 0 {
+		return 0
 	}
-	t.Times = append(t.Times, at)
-	t.Values = append(t.Values, v)
+	return m.sum / time.Duration(m.n)
+}
+
+// Timeline summarizes a scalar signal sampled at non-decreasing instants:
+// its peak, its time-weighted mean and its sample count. It keeps
+// constant-size state instead of the samples: the last sample, the peak of
+// the samples before it, and the area and span of the intervals those
+// samples closed, summed in sample order. Every answer is bit-identical to
+// a scan over the recorded samples. A sample at the instant of the previous
+// one replaces it.
+type Timeline struct {
+	n     int
+	last  time.Duration // instant of the last sample
+	lastV float64       // value of the last sample
+	peak  float64       // peak of the samples before the last
+	area  float64       // Σ value·dt over the closed intervals
+	span  float64       // Σ dt over the closed intervals, in seconds
+}
+
+// Add records value v at instant at. Instants must be non-decreasing; a
+// sample at the previous sample's instant replaces it.
+func (t *Timeline) Add(at time.Duration, v float64) {
+	if t.n > 0 {
+		if at < t.last {
+			panic(fmt.Sprintf("metrics: timeline sample at %v before %v", at, t.last))
+		}
+		if at == t.last {
+			t.lastV = v
+			return
+		}
+		dt := (at - t.last).Seconds()
+		t.area += t.lastV * dt
+		t.span += dt
+		if t.n == 1 || t.lastV > t.peak {
+			t.peak = t.lastV
+		}
+	}
+	t.n++
+	t.last, t.lastV = at, v
 }
 
 // Len returns the sample count.
-func (t *Timeline) Len() int { return len(t.Times) }
+func (t *Timeline) Len() int { return t.n }
 
 // Peak returns the maximum value, or 0 when empty. The max is seeded from
 // the first sample, not from zero, so all-negative signals report their true
 // (negative) peak.
 func (t *Timeline) Peak() float64 {
-	if len(t.Values) == 0 {
-		return 0
+	if t.n == 1 || t.lastV > t.peak {
+		return t.lastV
 	}
-	max := t.Values[0]
-	for _, v := range t.Values[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	return max
+	return t.peak
 }
 
 // Mean returns the time-weighted mean value up to the last sample time; the
 // final sample gets zero weight. For signals sampled on change (where the
 // last value holds until the end of the run), prefer MeanUntil with the run
 // horizon so the tail is weighted.
-func (t *Timeline) Mean() float64 {
-	if len(t.Times) == 0 {
-		return 0
-	}
-	return t.MeanUntil(t.Times[len(t.Times)-1])
-}
+func (t *Timeline) Mean() float64 { return t.MeanUntil(t.last) }
 
 // MeanUntil returns the time-weighted mean value over [first sample time,
 // horizon]: each sample holds until the next, and the final sample holds
@@ -138,25 +179,17 @@ func (t *Timeline) Mean() float64 {
 // to Mean. When the weighted span is zero (single sample, or every sample at
 // one instant) the last value is returned; an empty timeline returns 0.
 func (t *Timeline) MeanUntil(horizon time.Duration) float64 {
-	n := len(t.Times)
-	if n == 0 {
+	if t.n == 0 {
 		return 0
 	}
-	if horizon < t.Times[n-1] {
-		horizon = t.Times[n-1]
+	if horizon < t.last {
+		horizon = t.last
 	}
-	var area, span float64
-	for i := 0; i < n; i++ {
-		end := horizon
-		if i+1 < n {
-			end = t.Times[i+1]
-		}
-		dt := (end - t.Times[i]).Seconds()
-		area += t.Values[i] * dt
-		span += dt
-	}
+	dt := (horizon - t.last).Seconds()
+	area := t.area + t.lastV*dt
+	span := t.span + dt
 	if span == 0 {
-		return t.Values[n-1]
+		return t.lastV
 	}
 	return area / span
 }

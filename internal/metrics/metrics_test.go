@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -193,5 +194,182 @@ func TestCounter(t *testing.T) {
 	c.Inc()
 	if c.N != 2 {
 		t.Errorf("N = %d, want 2", c.N)
+	}
+}
+
+// refTimeline is the slice-based Timeline that kept every sample, with the
+// same-instant replacement its one caller, the store's pool sampler, applied
+// by hand. It is the bit-exact oracle for the streaming Timeline.
+type refTimeline struct {
+	times  []time.Duration
+	values []float64
+}
+
+func (t *refTimeline) add(at time.Duration, v float64) {
+	if n := len(t.times); n > 0 && t.times[n-1] == at {
+		t.values[n-1] = v
+		return
+	}
+	t.times = append(t.times, at)
+	t.values = append(t.values, v)
+}
+
+func (t *refTimeline) peak() float64 {
+	if len(t.values) == 0 {
+		return 0
+	}
+	max := t.values[0]
+	for _, v := range t.values[1:] {
+		if v > max {
+			max = v
+		}
+	}
+	return max
+}
+
+func (t *refTimeline) mean() float64 {
+	if len(t.times) == 0 {
+		return 0
+	}
+	return t.meanUntil(t.times[len(t.times)-1])
+}
+
+func (t *refTimeline) meanUntil(horizon time.Duration) float64 {
+	n := len(t.times)
+	if n == 0 {
+		return 0
+	}
+	if horizon < t.times[n-1] {
+		horizon = t.times[n-1]
+	}
+	var area, span float64
+	for i := 0; i < n; i++ {
+		end := horizon
+		if i+1 < n {
+			end = t.times[i+1]
+		}
+		dt := (end - t.times[i]).Seconds()
+		area += t.values[i] * dt
+		span += dt
+	}
+	if span == 0 {
+		return t.values[n-1]
+	}
+	return area / span
+}
+
+// randomValue draws a sample value that is zero, negative, fractional or
+// large, with repeats, so peaks tie and areas cancel.
+func randomValue(rng *rand.Rand) float64 {
+	switch rng.Intn(6) {
+	case 0:
+		return 0
+	case 1:
+		return -float64(rng.Int63n(1 << 40))
+	case 2:
+		return rng.NormFloat64() * 1e3
+	case 3:
+		return float64(rng.Int63n(1<<62)) * (1 + rng.Float64())
+	case 4:
+		return float64(rng.Intn(4))
+	default:
+		return float64(rng.Int63n(80 << 30))
+	}
+}
+
+// randomStep draws the gap to the next sample instant: often zero (a
+// same-instant replacement), else nanoseconds to hours.
+func randomStep(rng *rand.Rand) time.Duration {
+	switch rng.Intn(4) {
+	case 0:
+		return 0
+	case 1:
+		return time.Duration(rng.Int63n(1000))
+	case 2:
+		return time.Duration(rng.Int63n(int64(time.Second)))
+	default:
+		return time.Duration(rng.Int63n(int64(time.Hour)))
+	}
+}
+
+// TestTimelineMatchesSliceOracle drives the streaming Timeline and the
+// slice-based oracle with the same seeded series and requires every answer
+// to be bit-identical after every sample, at horizons before, at and after
+// the last one.
+func TestTimelineMatchesSliceOracle(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var tl Timeline
+		var ref refTimeline
+		at := time.Duration(rng.Int63n(int64(time.Minute))) - 30*time.Second
+		for i, n := 0, rng.Intn(80); i < n; i++ {
+			at += randomStep(rng)
+			v := randomValue(rng)
+			tl.Add(at, v)
+			ref.add(at, v)
+			if tl.Len() != len(ref.times) {
+				t.Fatalf("seed %d sample %d: Len = %d, oracle %d", seed, i, tl.Len(), len(ref.times))
+			}
+			if got, want := tl.Peak(), ref.peak(); got != want {
+				t.Fatalf("seed %d sample %d: Peak = %v, oracle %v", seed, i, got, want)
+			}
+			if got, want := tl.Mean(), ref.mean(); got != want {
+				t.Fatalf("seed %d sample %d: Mean = %v, oracle %v", seed, i, got, want)
+			}
+			first := ref.times[0]
+			for _, h := range []time.Duration{first - time.Second, first, (first + at) / 2, at, at + 1, at + randomStep(rng), at + time.Hour} {
+				if got, want := tl.MeanUntil(h), ref.meanUntil(h); got != want {
+					t.Fatalf("seed %d sample %d: MeanUntil(%v) = %v, oracle %v", seed, i, h, got, want)
+				}
+			}
+		}
+		if tl.Len() == 0 && (tl.Peak() != 0 || tl.Mean() != 0 || tl.MeanUntil(time.Hour) != 0) {
+			t.Fatalf("seed %d: empty timeline answered non-zero", seed)
+		}
+	}
+}
+
+// TestMeanMatchesLatency requires the running Mean to answer exactly what a
+// Latency holding every sample answers, after every sample.
+func TestMeanMatchesLatency(t *testing.T) {
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var m Mean
+		var l Latency
+		var sum time.Duration
+		if m.Mean() != 0 || m.Count() != 0 || m.Sum() != 0 {
+			t.Fatal("empty Mean should return zeros")
+		}
+		for i, n := 0, rng.Intn(200); i < n; i++ {
+			// Sums past 2^53 ns catch a mean taken through float64.
+			d := time.Duration(rng.Int63n([]int64{1000, int64(time.Minute), 1 << 55}[rng.Intn(3)]))
+			if rng.Intn(5) == 0 {
+				d = -d
+			}
+			m.Add(d)
+			l.Add(d)
+			sum += d
+			if m.Mean() != l.Mean() || m.Count() != l.Count() || m.Sum() != sum {
+				t.Fatalf("seed %d sample %d: Mean, Count, Sum = %v, %d, %v; Latency %v, %d, sum %v",
+					seed, i, m.Mean(), m.Count(), m.Sum(), l.Mean(), l.Count(), sum)
+			}
+		}
+	}
+}
+
+// TestRecorderAddDoesNotAllocate guards the constant-size recorders: adding
+// a sample must never grow the heap.
+func TestRecorderAddDoesNotAllocate(t *testing.T) {
+	var tl Timeline
+	var at time.Duration
+	if n := testing.AllocsPerRun(1000, func() {
+		at += time.Millisecond
+		tl.Add(at, float64(at))
+	}); n != 0 {
+		t.Errorf("Timeline.Add allocates %v times per call", n)
+	}
+	var m Mean
+	if n := testing.AllocsPerRun(1000, func() { m.Add(time.Millisecond) }); n != 0 {
+		t.Errorf("Mean.Add allocates %v times per call", n)
 	}
 }

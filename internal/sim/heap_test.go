@@ -20,8 +20,8 @@ func (h refHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)         { *h = append(*h, x.(event)) }
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(event)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old) - 1

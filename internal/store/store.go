@@ -155,9 +155,10 @@ type Manager struct {
 	// onHost lists host-resident items for the proactive restore sweep.
 	onHost []*Item
 
-	// Evictions and Restores count migrations; UsedTL and ReservedTL sample
-	// pool state for Fig. 7(a)/20(c). CacheDrops counts replica cache entries
-	// discarded under eviction pressure.
+	// Evictions and Restores count migrations; UsedTL and ReservedTL
+	// summarize pool state (peak, time-weighted mean, sample count) for
+	// Fig. 7(a)/20(c) in constant space. CacheDrops counts replica cache
+	// entries discarded under eviction pressure.
 	Evictions  metrics.Counter
 	Restores   metrics.Counter
 	Spills     metrics.Counter
@@ -747,11 +748,6 @@ func (m *Manager) sample(now time.Duration) {
 	if tr := obs.TracerOf(m.eng); tr != nil {
 		tr.Counter("store-used", float64(m.TotalUsed()))
 		tr.Counter("store-reserved", float64(m.TotalReserved()))
-	}
-	if n := m.UsedTL.Len(); n > 0 && m.UsedTL.Times[n-1] == now {
-		m.UsedTL.Values[n-1] = float64(m.TotalUsed())
-		m.ReservedTL.Values[n-1] = float64(m.TotalReserved())
-		return
 	}
 	m.UsedTL.Add(now, float64(m.TotalUsed()))
 	m.ReservedTL.Add(now, float64(m.TotalReserved()))
