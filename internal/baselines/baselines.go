@@ -244,10 +244,7 @@ func (pl *NVShmem) Put(p *sim.Proc, ctx *dataplane.FnCtx, bytes int64) (dataplan
 		}
 	case ctx.Loc.IsHost():
 		// cFn output staged up to the GPU store.
-		var paths [][]topology.LinkID
-		for _, ls := range harvest.HostToGPUPaths(topo, gpu, pl.hostMode(), pl.f.Net) {
-			paths = append(paths, ls)
-		}
+		paths := pl.f.Routes.HostToGPUPaths(nil, node, gpu, pl.hostMode(), pl.f.Net)
 		pl.copyOver(p, "put:"+ctx.Fn, bytes, false, !pl.deepPlan, paths...)
 	case gpu == ctx.Loc.GPU:
 		pl.localCopy(p, bytes) // same device: copy into the symmetric heap
@@ -291,7 +288,6 @@ func (pl *NVShmem) Get(p *sim.Proc, ctx *dataplane.FnCtx, ref dataplane.DataRef)
 // deliverLocal moves the object from a location on the consumer's node to
 // the consumer.
 func (pl *NVShmem) deliverLocal(p *sim.Proc, ctx *dataplane.FnCtx, src fabric.Location, bytes int64) error {
-	topo := pl.f.Topo(ctx.Loc.Node)
 	switch {
 	case src == ctx.Loc:
 		if src.IsHost() {
@@ -300,16 +296,10 @@ func (pl *NVShmem) deliverLocal(p *sim.Proc, ctx *dataplane.FnCtx, src fabric.Lo
 			pl.localCopy(p, bytes)
 		}
 	case src.IsHost() && !ctx.Loc.IsHost():
-		var paths [][]topology.LinkID
-		for _, ls := range harvest.HostToGPUPaths(topo, ctx.Loc.GPU, pl.hostMode(), pl.f.Net) {
-			paths = append(paths, ls)
-		}
+		paths := pl.f.Routes.HostToGPUPaths(nil, ctx.Loc.Node, ctx.Loc.GPU, pl.hostMode(), pl.f.Net)
 		pl.copyOver(p, "get:"+ctx.Fn, bytes, false, !pl.deepPlan, paths...)
 	case !src.IsHost() && ctx.Loc.IsHost():
-		var paths [][]topology.LinkID
-		for _, ls := range harvest.GPUToHostPaths(topo, src.GPU, pl.hostMode(), pl.f.Net) {
-			paths = append(paths, ls)
-		}
+		paths := pl.f.Routes.GPUToHostPaths(nil, ctx.Loc.Node, src.GPU, pl.hostMode(), pl.f.Net)
 		pl.copyOver(p, "get:"+ctx.Fn, bytes, false, !pl.deepPlan, paths...)
 	default:
 		links, hostStack := pl.f.SinglePath(src, ctx.Loc)

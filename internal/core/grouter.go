@@ -130,6 +130,9 @@ type Plane struct {
 	flights  map[dataplane.DataID][]*flight
 	caches   map[cacheKey]*store.Item
 
+	// plans is the free list of move planning state (see movePlan).
+	plans []*movePlan
+
 	stats dataplane.Stats
 }
 
@@ -223,8 +226,10 @@ func (pl *Plane) Store(n int) *store.Manager { return pl.stores[n] }
 // Put stores ctx's output. With the unified framework the data stays where
 // it was produced (zero copy); without it a random GPU store receives a copy.
 // It returns dataplane.ErrEvicted when the store cannot make room even after
-// spilling to host memory, and xfer.ErrDeadline when a placement-agnostic
-// copy misses its SLO budget.
+// spilling to host memory, memsim.ErrOutOfMemory when a host-resident output
+// does not fit in host memory, and the transfer's error when a copy into the
+// store still fails after its retries: xfer.ErrPathsDown when every path
+// stayed down, or an error naming the bytes a lost path left undelivered.
 func (pl *Plane) Put(p *sim.Proc, ctx *dataplane.FnCtx, bytes int64) (dataplane.DataRef, error) {
 	// The label only feeds trace spans; with no tracer attached, skip the
 	// per-call string construction.
@@ -288,7 +293,10 @@ func (pl *Plane) Put(p *sim.Proc, ctx *dataplane.FnCtx, bytes int64) (dataplane.
 // data's current location (§4.2.2). It returns dataplane.ErrNotFound for an
 // unknown (or already-freed) id, ErrAccessDenied for a cross-workflow read,
 // dataplane.ErrGPUDown when a crash-lost object cannot be re-materialized,
-// and xfer.ErrDeadline when the transfer misses its SLO budget.
+// and the transfer's error when the move still fails after its retries:
+// xfer.ErrPathsDown when every path stayed down, or an error naming the
+// bytes a lost path left undelivered. Transfers carry no deadline, so Get
+// never returns xfer.ErrDeadline.
 func (pl *Plane) Get(p *sim.Proc, ctx *dataplane.FnCtx, ref dataplane.DataRef) error {
 	r := pl.recs[ref.ID]
 	if r == nil {
@@ -451,10 +459,10 @@ func (pl *Plane) rateOpts(ctx *dataplane.FnCtx, bytes int64) netsim.Options {
 }
 
 // move executes one logical copy between locations using the configured
-// transfer strategies. Every branch installs a re-plan hook, so a transfer
-// whose paths die mid-flight regenerates routes against the current fault
-// state (the TA branch re-runs path selection and degrades to PCIe when the
-// pair is NVLink-cut). A zero-byte move is a no-op, not an error.
+// transfer strategies. Every route kind installs a re-plan hook, so a
+// transfer whose paths die mid-flight regenerates routes against the current
+// fault state (the TA kind re-runs path selection and degrades to PCIe when
+// the pair is NVLink-cut). A zero-byte move is a no-op, not an error.
 func (pl *Plane) move(p *sim.Proc, ctx *dataplane.FnCtx, src, dst fabric.Location, bytes int64, label string) error {
 	if bytes <= 0 {
 		return nil
@@ -465,89 +473,130 @@ func (pl *Plane) move(p *sim.Proc, ctx *dataplane.FnCtx, src, dst fabric.Locatio
 	if ctx != nil {
 		track = obs.ReqTrack(ctx.ConsumerSeq)
 	}
-	req := xfer.Request{Label: label, Bytes: bytes, Opt: pl.rateOpts(ctx, bytes), Track: track}
-	transfer := func(gen func() []xfer.Path) error {
-		req.Paths = gen()
-		req.Replan = func(int) []xfer.Path { return gen() }
-		_, err := pl.x.Transfer(p, req)
-		return err
-	}
-
+	mp := pl.takePlan()
+	mp.src, mp.dst = src, dst
+	req := xfer.Request{Label: label, Bytes: bytes, Opt: pl.rateOpts(ctx, bytes), Track: track, Replan: mp.replan}
 	switch {
 	case src.Node == dst.Node && !src.IsHost() && !dst.IsHost():
 		// Intra-node gFn-gFn: parallel NVLink paths when topology-aware.
+		mp.kind = routeSingle
 		if pl.cfg.TopoAware {
-			sel := pl.sel[src.Node]
-			var a *pathsel.Assignment
-			plan := func() []xfer.Path {
-				sel.Release(a)
-				if a = sel.Select(src.GPU, dst.GPU, 0); a == nil {
-					// NVLink-cut (or no NVLink connectivity): degrade to the
-					// PCIe peer-to-peer path.
-					links := pl.f.Topo(src.Node).PCIeP2PLinks(src.GPU, dst.GPU)
-					return []xfer.Path{xfer.PathOf(pl.f.Net, links)}
-				}
-				links := sel.Links(a)
-				paths := make([]xfer.Path, 0, len(links))
-				for i, ls := range links {
-					paths = append(paths, xfer.Path{Links: ls, Bps: a.BWs[i]})
-				}
-				return paths
-			}
+			mp.kind = routeNVLink
 			p.Sleep(pathsel.SelectLatency)
 			obs.Account(p, obs.CatSetup, pathsel.SelectLatency)
 			pl.stats.AddControl(1, pathsel.SelectLatency)
-			err := transfer(plan)
-			sel.Release(a)
-			return err
 		}
-		return transfer(func() []xfer.Path {
-			links, _ := pl.f.SinglePath(src, dst)
-			return []xfer.Path{xfer.PathOf(pl.f.Net, links)}
-		})
-
 	case src.Node == dst.Node && src.IsHost():
 		// gFn-host (inbound): parallel PCIe staging through the pinned ring.
+		mp.kind = routeToGPU
 		req.Pinned = pl.f.NodeF(src.Node).Pinned
-		return transfer(func() []xfer.Path {
-			lps := harvest.HostToGPUPaths(pl.f.Topo(src.Node), dst.GPU, pl.harvestMode(), pl.f.Net)
-			paths := make([]xfer.Path, 0, len(lps))
-			for _, ls := range lps {
-				paths = append(paths, xfer.PathOf(pl.f.Net, ls))
-			}
-			return paths
-		})
-
 	case src.Node == dst.Node && dst.IsHost():
+		mp.kind = routeToHost
 		req.Pinned = pl.f.NodeF(src.Node).Pinned
-		return transfer(func() []xfer.Path {
-			lps := harvest.GPUToHostPaths(pl.f.Topo(src.Node), src.GPU, pl.harvestMode(), pl.f.Net)
-			paths := make([]xfer.Path, 0, len(lps))
-			for _, ls := range lps {
-				paths = append(paths, xfer.PathOf(pl.f.Net, ls))
-			}
-			return paths
-		})
-
 	case !src.IsHost() && !dst.IsHost():
 		// Cross-node gFn-gFn: GDR, multiple NICs when harvesting.
-		return transfer(func() []xfer.Path {
-			lps := harvest.CrossNodePaths(pl.f.Topo(src.Node), src.GPU, pl.f.Topo(dst.Node), dst.GPU, pl.harvestMode(), pl.f.Net)
-			paths := make([]xfer.Path, 0, len(lps))
-			for _, ls := range lps {
-				paths = append(paths, xfer.PathOf(pl.f.Net, ls))
-			}
-			return paths
-		})
-
+		mp.kind = routeCross
 	default:
 		// Host-involved cross-node: single host-mediated path.
-		return transfer(func() []xfer.Path {
-			links, hostStack := pl.f.SinglePath(src, dst)
-			req.HostStack = hostStack
-			return []xfer.Path{xfer.PathOf(pl.f.Net, links)}
-		})
+		mp.kind = routeSingle
 	}
+	req.Paths = mp.plan()
+	req.HostStack = mp.hostStack
+	_, err := pl.x.Transfer(p, req)
+	pl.putPlan(mp)
+	return err
+}
+
+// routeKind is the transfer pattern a move plans its paths with.
+type routeKind uint8
+
+const (
+	routeSingle routeKind = iota // fabric.SinglePath
+	routeNVLink                  // Algorithm-1 NVLink selection, PCIe fallback
+	routeToGPU                   // harvested host→GPU PCIe routes
+	routeToHost                  // harvested GPU→host PCIe routes
+	routeCross                   // harvested cross-node GDR routes
+)
+
+// movePlan is one move's planning state, pooled on the plane: the route
+// kind, the endpoints, the NVLink assignment it holds, and the buffers its
+// plans are written into. replan is created once per entry, so installing
+// the re-plan hook allocates nothing.
+type movePlan struct {
+	pl        *Plane
+	kind      routeKind
+	src, dst  fabric.Location
+	a         *pathsel.Assignment
+	routes    [][]topology.LinkID
+	paths     []xfer.Path
+	hostStack bool
+	replan    func(attempt int) []xfer.Path
+}
+
+// takePlan pops a planning entry off the plane's free list.
+func (pl *Plane) takePlan() *movePlan {
+	if n := len(pl.plans); n > 0 {
+		mp := pl.plans[n-1]
+		pl.plans = pl.plans[:n-1]
+		return mp
+	}
+	mp := &movePlan{pl: pl}
+	mp.replan = func(int) []xfer.Path { return mp.plan() }
+	return mp
+}
+
+// putPlan releases the entry's NVLink reservation and returns it to the
+// free list. The transfer has returned, so nothing re-plans it any more.
+func (pl *Plane) putPlan(mp *movePlan) {
+	if mp.a != nil {
+		pl.sel[mp.src.Node].Release(mp.a)
+		mp.a = nil
+	}
+	mp.hostStack = false
+	pl.plans = append(pl.plans, mp)
+}
+
+// plan computes the move's candidate paths against the current load and
+// fault state. The result aliases the entry's buffer: it is valid until the
+// next plan of the same entry, which is when the transfer stops using it.
+func (mp *movePlan) plan() []xfer.Path {
+	pl := mp.pl
+	net := pl.f.Net
+	paths := mp.paths[:0]
+	switch mp.kind {
+	case routeNVLink:
+		sel := pl.sel[mp.src.Node]
+		sel.Release(mp.a)
+		if mp.a = sel.Select(mp.src.GPU, mp.dst.GPU, 0); mp.a == nil {
+			// NVLink-cut (or no NVLink connectivity): degrade to the PCIe
+			// peer-to-peer path.
+			links := pl.f.Topo(mp.src.Node).PCIeP2PLinks(mp.src.GPU, mp.dst.GPU)
+			paths = append(paths, xfer.PathOf(net, links))
+			break
+		}
+		for i, ls := range sel.Links(mp.a) {
+			paths = append(paths, xfer.Path{Links: ls, Bps: mp.a.BWs[i]})
+		}
+	case routeSingle:
+		links, hostStack := pl.f.SinglePath(mp.src, mp.dst)
+		mp.hostStack = hostStack
+		paths = append(paths, xfer.PathOf(net, links))
+	default:
+		rt, mode := pl.f.Routes, pl.harvestMode()
+		switch mp.kind {
+		case routeToGPU:
+			mp.routes = rt.HostToGPUPaths(mp.routes, mp.src.Node, mp.dst.GPU, mode, net)
+		case routeToHost:
+			mp.routes = rt.GPUToHostPaths(mp.routes, mp.src.Node, mp.src.GPU, mode, net)
+		case routeCross:
+			mp.routes = rt.CrossNodePaths(mp.routes, mp.src.Node, mp.src.GPU, mp.dst.Node, mp.dst.GPU, mode, net)
+		}
+		for _, ls := range mp.routes {
+			paths = append(paths, xfer.PathOf(net, ls))
+		}
+	}
+	mp.paths = paths
+	return paths
 }
 
 // migrator adapts the plane's transfer machinery to the store's Migrator

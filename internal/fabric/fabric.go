@@ -9,6 +9,7 @@ package fabric
 import (
 	"fmt"
 
+	"grouter/internal/harvest"
 	"grouter/internal/memsim"
 	"grouter/internal/netsim"
 	"grouter/internal/sim"
@@ -54,6 +55,12 @@ type Fabric struct {
 	Cluster *topology.Cluster
 	Net     *netsim.Network
 	Nodes   []*NodeFabric
+	// Routes holds the cluster's harvested candidate routes, built on first
+	// use and shared by every data plane on the fabric.
+	Routes *harvest.Routes
+
+	// single memoizes SinglePath by source location, then destination.
+	single [][]singlePath
 }
 
 // New builds a fabric of n nodes of the given spec on engine e.
@@ -63,6 +70,7 @@ func New(e *sim.Engine, spec *topology.Spec, n int) *Fabric {
 		Engine:  e,
 		Cluster: cluster,
 		Net:     netsim.New(e, cluster.Links()),
+		Routes:  harvest.NewRoutes(cluster),
 	}
 	for _, nd := range cluster.Nodes {
 		nf := &NodeFabric{

@@ -11,6 +11,7 @@ import (
 	"grouter/internal/fabric"
 	"grouter/internal/faults"
 	"grouter/internal/metrics"
+	"grouter/internal/netsim"
 	"grouter/internal/sim"
 	"grouter/internal/topology"
 )
@@ -448,5 +449,46 @@ func TestCrashGPUAtNotifiesSubscribers(t *testing.T) {
 	}
 	if fs.ObjectsLost != int64(c.lost) {
 		t.Errorf("objects lost = %d, want %d", fs.ObjectsLost, c.lost)
+	}
+}
+
+// TestDegradeWindowsOverlap: degradation windows on one link do not compound
+// and never strand the link degraded. While windows are open the link runs
+// at its undegraded capacity times the smallest open fraction; when the last
+// window closes it is back at the undegraded capacity.
+func TestDegradeWindowsOverlap(t *testing.T) {
+	ms := time.Millisecond
+	cases := []struct {
+		name   string
+		first  float64 // fraction of the window over [0, 10ms)
+		second float64 // fraction of the window over [5ms, 15ms)
+		want   [4]float64
+	}{
+		// Capacity at 2, 7, 12 and 16 ms of a 100 B/s link.
+		{"equal fractions", 0.5, 0.5, [4]float64{50, 50, 50, 100}},
+		{"deeper second", 0.5, 0.25, [4]float64{50, 25, 25, 100}},
+		{"deeper first", 0.25, 0.5, [4]float64{25, 25, 50, 100}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := sim.NewEngine()
+			defer e.Close()
+			net := netsim.New(e, []topology.Link{{ID: "l", Bps: 100}})
+			in := faults.NewInjector(e, net)
+			in.DegradeLinkFor(0, 10*ms, "l", c.first)
+			in.DegradeLinkFor(5*ms, 10*ms, "l", c.second)
+			var got [4]float64
+			for i, at := range []time.Duration{2 * ms, 7 * ms, 12 * ms, 16 * ms} {
+				i := i
+				e.Schedule(at, func() { got[i] = net.Capacity("l") })
+			}
+			e.Run(0)
+			if got != c.want {
+				t.Errorf("capacity at 2/7/12/16 ms = %v, want %v", got, c.want)
+			}
+			if fs := net.Faults(); fs.LinksDegraded != 2 || fs.LinksRestored != 2 {
+				t.Errorf("degraded/restored = %d/%d, want 2/2", fs.LinksDegraded, fs.LinksRestored)
+			}
+		})
 	}
 }

@@ -11,6 +11,7 @@ package faults
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"grouter/internal/memsim"
@@ -33,6 +34,24 @@ type Injector struct {
 	// onCrash subscribers observe every injected GPU crash at fire time
 	// (the request router marks the worker unhealthy from here).
 	onCrash []func(node, gpu int)
+	// degraded holds, per link with an open degradation window, the link's
+	// undegraded capacity and the fractions of its open windows.
+	degraded map[topology.LinkID]*degradation
+}
+
+// degradation is the state of one link while degradation windows are open.
+type degradation struct {
+	base float64   // capacity before the first open window fired
+	open []float64 // fractions of the open windows, in opening order
+}
+
+// bps is the capacity the link runs at: the undegraded capacity times the
+// smallest open fraction, or the undegraded capacity with none open.
+func (d *degradation) bps() float64 {
+	if len(d.open) == 0 {
+		return d.base
+	}
+	return d.base * slices.Min(d.open)
 }
 
 // NewInjector returns an injector over the engine and network.
@@ -72,20 +91,35 @@ func (in *Injector) LinkDownFor(at, dur time.Duration, id topology.LinkID) {
 }
 
 // DegradeLinkFor shrinks the link to fraction of its capacity at `at`,
-// restoring the original capacity dur later (dur <= 0 = permanent). The
-// original capacity is captured at fire time so stacked degradations of the
-// same link do not compound on restore.
+// restoring it dur later (dur <= 0 = permanent). Windows on the same link may
+// overlap without compounding: while any window is open the link runs at its
+// undegraded capacity — captured when the first open window fired — times
+// the smallest open fraction, and it returns to that capacity when the last
+// window closes.
 func (in *Injector) DegradeLinkFor(at, dur time.Duration, id topology.LinkID, fraction float64) {
 	if fraction <= 0 || fraction >= 1 {
 		panic("faults: degrade fraction must be in (0,1)")
 	}
 	in.At(at, func() {
-		orig := in.net.Capacity(id)
-		in.net.SetLinkBps(id, orig*fraction)
+		d := in.degraded[id]
+		if d == nil {
+			if in.degraded == nil {
+				in.degraded = make(map[topology.LinkID]*degradation)
+			}
+			d = &degradation{base: in.net.Capacity(id)}
+			in.degraded[id] = d
+		}
+		d.open = append(d.open, fraction)
+		in.net.SetLinkBps(id, d.bps())
 		in.net.Faults().LinksDegraded++
 		if dur > 0 {
 			in.At(in.eng.Now()+dur, func() {
-				in.net.SetLinkBps(id, orig)
+				i := slices.Index(d.open, fraction)
+				d.open = slices.Delete(d.open, i, i+1)
+				in.net.SetLinkBps(id, d.bps())
+				if len(d.open) == 0 {
+					delete(in.degraded, id)
+				}
 				in.net.Faults().LinksRestored++
 			})
 		}

@@ -67,104 +67,117 @@ func idleIn(net *netsim.Network, id topology.LinkID) bool {
 	return net.AllocatedOn(id) < busyFraction*c
 }
 
-// GPUToHostPaths returns parallel paths for staging data from GPU g to host
-// memory. The first path is always g's own PCIe route; harvested routes
-// follow. net (optional) filters busy route links.
-func GPUToHostPaths(node *topology.Node, g int, mode Mode, net *netsim.Network) [][]topology.LinkID {
+// Routes shares the joined candidate routes of one cluster. A candidate
+// route is a donor GPU's hop, plus its PCIe or NIC route, plus the landing
+// hop. It depends on the topology alone — the endpoints, the donor and the
+// landing GPU — so each one is built on first use and every later call
+// returns the same read-only slice. Which candidates a call chooses still
+// depends on load: the idle filter runs on every call.
+//
+// A Routes belongs to one simulation and is not safe for concurrent use.
+type Routes struct {
+	cluster *topology.Cluster
+	gpus    int
+
+	// up[(node*G+g)*G+r] is g → donor r → host; down the host → r → g
+	// mirror. Both tables are allocated on first use.
+	up, down [][]topology.LinkID
+	// cross[((src*N+dst)*G+sg)*G+dg] holds the GDR routes of one GPU pair,
+	// allocated when the pair first transfers.
+	cross []*crossRoutes
+}
+
+// crossRoutes are the cross-node routes of one (source, destination) GPU
+// pair: the source GPU's own NIC path and every donor/landing route.
+type crossRoutes struct {
+	own []topology.LinkID
+	via [][]topology.LinkID // [r*G+landing]
+}
+
+// NewRoutes returns an empty route table over c; routes fill in lazily.
+func NewRoutes(c *topology.Cluster) *Routes {
+	return &Routes{cluster: c, gpus: c.Spec.NumGPUs}
+}
+
+// GPUToHostPaths returns parallel paths for staging data from GPU g of node
+// n to host memory, written into buf[:0]. The first path is always g's own
+// PCIe route; harvested routes follow. net (optional) filters busy route
+// links. The path slices are shared and must not be modified.
+func (rt *Routes) GPUToHostPaths(buf [][]topology.LinkID, n, g int, mode Mode, net *netsim.Network) [][]topology.LinkID {
+	node := rt.cluster.Node(n)
+	paths := append(buf[:0], node.GPUToHostLinks(g))
 	if mode == ModeOff {
-		return [][]topology.LinkID{node.GPUToHostLinks(g)}
+		return paths
 	}
 	spec := node.Spec
-	paths := make([][]topology.LinkID, 1, spec.NumGPUs)
-	paths[0] = node.GPUToHostLinks(g)
 	var usedSwitch switchSet
 	usedSwitch.add(spec.PCIeGroup[g])
 	for r := 0; r < spec.NumGPUs; r++ {
 		if r == g {
 			continue
 		}
-		linked := spec.NVLinkBps(g, r) > 0
-		switch mode {
-		case ModeTopoAware:
-			if !linked {
+		if mode == ModeTopoAware {
+			if spec.NVLinkBps(g, r) <= 0 {
 				continue // no NVLink: borrowing would double-cross g's PCIe
 			}
 			if usedSwitch.has(spec.PCIeGroup[r]) {
 				continue // switch already contributes one uplink
 			}
-			uplink := node.PCIeSwitchUp(spec.PCIeGroup[r])
-			if !idleIn(net, uplink) || !idleIn(net, node.PCIeGPUUp(r)) {
+			if !idleIn(net, node.PCIeSwitchUp(spec.PCIeGroup[r])) || !idleIn(net, node.PCIeGPUUp(r)) {
 				continue
 			}
 			usedSwitch.add(spec.PCIeGroup[r])
-			paths = append(paths, joinLinks(node.NVLinkPairLinks(g, r), node.GPUToHostLinks(r)))
-		case ModeNaive:
-			// DeepPlan-style: any peer, reached over NVLink when present and
-			// over PCIe peer-to-peer when not (congesting g's own link).
-			var path []topology.LinkID
-			if linked {
-				path = joinLinks(node.NVLinkPairLinks(g, r), node.GPUToHostLinks(r))
-			} else {
-				path = joinLinks(node.PCIeP2PLinks(g, r), node.GPUToHostLinks(r))
-			}
-			paths = append(paths, path)
 		}
+		// ModeNaive (DeepPlan-style) takes any peer, reached over NVLink
+		// when present and over PCIe peer-to-peer when not (congesting g's
+		// own link).
+		paths = append(paths, rt.viaUp(node, g, r))
 	}
 	return paths
 }
 
 // HostToGPUPaths mirrors GPUToHostPaths for host→GPU staging.
-func HostToGPUPaths(node *topology.Node, g int, mode Mode, net *netsim.Network) [][]topology.LinkID {
+func (rt *Routes) HostToGPUPaths(buf [][]topology.LinkID, n, g int, mode Mode, net *netsim.Network) [][]topology.LinkID {
+	node := rt.cluster.Node(n)
+	paths := append(buf[:0], node.HostToGPULinks(g))
 	if mode == ModeOff {
-		return [][]topology.LinkID{node.HostToGPULinks(g)}
+		return paths
 	}
 	spec := node.Spec
-	paths := make([][]topology.LinkID, 1, spec.NumGPUs)
-	paths[0] = node.HostToGPULinks(g)
 	var usedSwitch switchSet
 	usedSwitch.add(spec.PCIeGroup[g])
 	for r := 0; r < spec.NumGPUs; r++ {
 		if r == g {
 			continue
 		}
-		linked := spec.NVLinkBps(r, g) > 0
-		switch mode {
-		case ModeTopoAware:
-			if !linked || usedSwitch.has(spec.PCIeGroup[r]) {
+		if mode == ModeTopoAware {
+			if spec.NVLinkBps(r, g) <= 0 || usedSwitch.has(spec.PCIeGroup[r]) {
 				continue
 			}
-			downlink := node.PCIeSwitchDown(spec.PCIeGroup[r])
-			if !idleIn(net, downlink) || !idleIn(net, node.PCIeGPUDown(r)) {
+			if !idleIn(net, node.PCIeSwitchDown(spec.PCIeGroup[r])) || !idleIn(net, node.PCIeGPUDown(r)) {
 				continue
 			}
 			usedSwitch.add(spec.PCIeGroup[r])
-			paths = append(paths, joinLinks(node.HostToGPULinks(r), node.NVLinkPairLinks(r, g)))
-		case ModeNaive:
-			var path []topology.LinkID
-			if linked {
-				path = joinLinks(node.HostToGPULinks(r), node.NVLinkPairLinks(r, g))
-			} else {
-				path = joinLinks(node.HostToGPULinks(r), node.PCIeP2PLinks(r, g))
-			}
-			paths = append(paths, path)
 		}
+		paths = append(paths, rt.viaDown(node, g, r))
 	}
 	return paths
 }
 
-// CrossNodePaths returns GPUDirect-RDMA paths from (src node, sg) to
-// (dst node, dg). With ModeOff a single path through the source GPU's
-// nearest NIC is returned; harvesting modes add routes through peer GPUs'
-// NICs, landing on the same-indexed remote GPU to minimize NUMA hops and
-// finishing over NVLink (Fig. 9a).
-func CrossNodePaths(src *topology.Node, sg int, dst *topology.Node, dg int, mode Mode, net *netsim.Network) [][]topology.LinkID {
-	spec := src.Spec
-	own := directNICPath(src, sg, dst, dg)
+// CrossNodePaths returns GPUDirect-RDMA paths from (node src, sg) to (node
+// dst, dg), written into buf[:0]. With ModeOff a single path through the
+// source GPU's nearest NIC is returned; harvesting modes add routes through
+// peer GPUs' NICs, landing on the same-indexed remote GPU to minimize NUMA
+// hops and finishing over NVLink (Fig. 9a). The path slices are shared and
+// must not be modified.
+func (rt *Routes) CrossNodePaths(buf [][]topology.LinkID, src, sg, dst, dg int, mode Mode, net *netsim.Network) [][]topology.LinkID {
+	cr := rt.crossPair(src, sg, dst, dg)
+	paths := append(buf[:0], cr.own)
 	if mode == ModeOff {
-		return [][]topology.LinkID{own}
+		return paths
 	}
-	paths := make([][]topology.LinkID, 1, spec.NumGPUs)
-	paths[0] = own
+	sn, dn := rt.cluster.Node(src), rt.cluster.Node(dst)
+	spec, dspec := sn.Spec, dn.Spec
 	var usedNIC switchSet
 	usedNIC.add(spec.GPUNIC[sg])
 	// Landing GPUs receive a chunk stream through their own PCIe x16 and
@@ -181,30 +194,26 @@ func CrossNodePaths(src *topology.Node, sg int, dst *topology.Node, dg int, mode
 		if usedNIC.has(nic) {
 			continue
 		}
-		linked := spec.NVLinkBps(sg, r) > 0
 		if mode == ModeTopoAware {
-			if !linked {
-				continue
-			}
-			if !idleIn(net, src.NICTx(nic)) {
+			if spec.NVLinkBps(sg, r) <= 0 || !idleIn(net, sn.NICTx(nic)) {
 				continue
 			}
 		}
 		// Pick the landing GPU: prefer the same index (NUMA-aligned with
-		// the NIC) when it has NVLink to dg, otherwise any unused NVLink
-		// neighbor of dg.
+		// the NIC) when it has NVLink to dg, otherwise the lowest unused
+		// NVLink neighbor of dg.
 		landing := -1
-		if r < dst.Spec.NumGPUs && !usedLanding.has(r) &&
-			(r == dg || dst.Spec.NVLinkBps(r, dg) > 0) {
+		if r < dspec.NumGPUs && !usedLanding.has(r) &&
+			(r == dg || dspec.NVLinkBps(r, dg) > 0) {
 			landing = r
 		} else if mode == ModeTopoAware {
-			for _, cand := range dst.Spec.NVNeighbors(dg) {
-				if !usedLanding.has(cand) {
+			for cand := 0; cand < dspec.NumGPUs; cand++ {
+				if dspec.NVLinkBps(dg, cand) > 0 && !usedLanding.has(cand) {
 					landing = cand
 					break
 				}
 			}
-		} else if r < dst.Spec.NumGPUs {
+		} else if r < dspec.NumGPUs {
 			landing = r // naive mode lands same-index regardless
 		}
 		if landing < 0 {
@@ -212,11 +221,68 @@ func CrossNodePaths(src *topology.Node, sg int, dst *topology.Node, dg int, mode
 		}
 		usedNIC.add(nic)
 		usedLanding.add(landing)
-		var hop []topology.LinkID
-		if linked {
+		paths = append(paths, rt.viaCross(cr, sn, sg, dn, dg, r, landing))
+	}
+	return paths
+}
+
+// viaUp returns the memoized route g → donor r → host on node.
+func (rt *Routes) viaUp(node *topology.Node, g, r int) []topology.LinkID {
+	if rt.up == nil {
+		rt.up = make([][]topology.LinkID, len(rt.cluster.Nodes)*rt.gpus*rt.gpus)
+	}
+	slot := &rt.up[(node.ID*rt.gpus+g)*rt.gpus+r]
+	if *slot == nil {
+		hop := node.PCIeP2PLinks(g, r)
+		if node.Spec.NVLinkBps(g, r) > 0 {
+			hop = node.NVLinkPairLinks(g, r)
+		}
+		*slot = joinLinks(hop, node.GPUToHostLinks(r))
+	}
+	return *slot
+}
+
+// viaDown returns the memoized route host → donor r → g on node.
+func (rt *Routes) viaDown(node *topology.Node, g, r int) []topology.LinkID {
+	if rt.down == nil {
+		rt.down = make([][]topology.LinkID, len(rt.cluster.Nodes)*rt.gpus*rt.gpus)
+	}
+	slot := &rt.down[(node.ID*rt.gpus+g)*rt.gpus+r]
+	if *slot == nil {
+		hop := node.PCIeP2PLinks(r, g)
+		if node.Spec.NVLinkBps(r, g) > 0 {
+			hop = node.NVLinkPairLinks(r, g)
+		}
+		*slot = joinLinks(node.HostToGPULinks(r), hop)
+	}
+	return *slot
+}
+
+// crossPair returns the route table of one cross-node GPU pair, building
+// its own-NIC path on first use.
+func (rt *Routes) crossPair(src, sg, dst, dg int) *crossRoutes {
+	n, g := len(rt.cluster.Nodes), rt.gpus
+	if rt.cross == nil {
+		rt.cross = make([]*crossRoutes, n*n*g*g)
+	}
+	slot := &rt.cross[((src*n+dst)*g+sg)*g+dg]
+	if *slot == nil {
+		*slot = &crossRoutes{
+			own: directNICPath(rt.cluster.Node(src), sg, rt.cluster.Node(dst), dg),
+			via: make([][]topology.LinkID, g*g),
+		}
+	}
+	return *slot
+}
+
+// viaCross returns the memoized route sg → donor r → r's NIC → landing →
+// dg of one cross-node pair.
+func (rt *Routes) viaCross(cr *crossRoutes, src *topology.Node, sg int, dst *topology.Node, dg, r, landing int) []topology.LinkID {
+	slot := &cr.via[r*rt.gpus+landing]
+	if *slot == nil {
+		hop := src.PCIeP2PLinks(sg, r)
+		if src.Spec.NVLinkBps(sg, r) > 0 {
 			hop = src.NVLinkPairLinks(sg, r)
-		} else {
-			hop = src.PCIeP2PLinks(sg, r)
 		}
 		var final []topology.LinkID
 		if landing != dg {
@@ -226,9 +292,10 @@ func CrossNodePaths(src *topology.Node, sg int, dst *topology.Node, dg int, mode
 				final = dst.PCIeP2PLinks(landing, dg)
 			}
 		}
-		paths = append(paths, joinLinks(hop, src.GPUToNICLinks(r, nic), dst.NICToGPULinks(nic, landing), final))
+		nic := src.Spec.GPUNIC[r]
+		*slot = joinLinks(hop, src.GPUToNICLinks(r, nic), dst.NICToGPULinks(nic, landing), final)
 	}
-	return paths
+	return *slot
 }
 
 // directNICPath is the single-NIC GDR path used by every system's base case.

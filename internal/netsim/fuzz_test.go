@@ -23,7 +23,10 @@ import (
 //   - allocator agreement: at settled instants the incremental allocator's
 //     rates match the from-scratch reference (down links carry no flows, so
 //     the reference needs no fault awareness);
-//   - liveness: once every link is restored, all surviving flows drain.
+//   - liveness: once every link is restored, all surviving flows drain;
+//   - reuse: Release recycles a flow exactly when it is terminal and
+//     detached, and a later Start hands it out again with fresh state.
+//     Released flows are checked for conservation when they are released.
 //
 // `go test` runs the seed corpus below deterministically; `-fuzz` explores.
 func FuzzFaultSchedule(f *testing.F) {
@@ -38,11 +41,71 @@ func FuzzFaultSchedule(f *testing.F) {
 		net := New(e, links)
 
 		type started struct {
-			flow  *Flow
-			bytes float64
+			flow     *Flow
+			bytes    float64
+			released bool
 		}
 		var all []*started
 		var live []*Flow
+		// Releases draw from their own stream, derived from the seed.
+		relRng := rand.New(rand.NewSource(^seed))
+		recycled := map[*Flow]bool{}
+		reused := 0
+		checkFlow := func(i int, s *started) {
+			fl := s.flow
+			if fl.canceled {
+				// Cancellation reports Remaining()==0 by contract; progress is
+				// frozen in Transferred.
+				if tr := fl.Transferred(); tr < 0 || tr > s.bytes+1e-6 {
+					t.Errorf("seed %d: canceled flow %d transferred %f of %f", seed, i, tr, s.bytes)
+				}
+				return
+			}
+			if !fl.Done().Fired() {
+				t.Errorf("seed %d: flow %d never terminated", seed, i)
+				return
+			}
+			got := fl.Transferred() + fl.Remaining()
+			// Completion forgives up to finishEpsilon undelivered bytes.
+			if math.Abs(got-s.bytes) > finishEpsilon+1e-6 {
+				t.Errorf("seed %d: flow %d bytes not conserved: transferred+remaining = %f, want %f (failed=%v)",
+					seed, i, got, s.bytes, fl.Failed())
+			}
+			if fl.Transferred() < 0 || fl.Remaining() < 0 {
+				t.Errorf("seed %d: flow %d negative byte count (t=%f r=%f)",
+					seed, i, fl.Transferred(), fl.Remaining())
+			}
+		}
+		release := func() {
+			if len(all) == 0 {
+				return
+			}
+			i := relRng.Intn(len(all))
+			s := all[i]
+			if s.released {
+				return
+			}
+			fl := s.flow
+			detached := fl.Done().Fired() && !fl.active && !fl.dirty && fl.heapIdx < 0
+			if detached {
+				checkFlow(i, s)
+			}
+			if got := net.Release(fl); got != detached {
+				t.Errorf("seed %d: Release(flow %d) = %v, want %v (fired %v active %v dirty %v heap %d)",
+					seed, i, got, detached, fl.Done().Fired(), fl.active, fl.dirty, fl.heapIdx)
+			}
+			if !detached {
+				return
+			}
+			s.released = true
+			recycled[fl] = true
+			for j, l := range live {
+				if l == fl {
+					live = append(live[:j], live[j+1:]...)
+					break
+				}
+			}
+		}
 		downSet := map[topology.LinkID]bool{}
 		randLink := func() topology.LinkID { return links[rng.Intn(len(links))].ID }
 
@@ -59,9 +122,19 @@ func FuzzFaultSchedule(f *testing.F) {
 				case op < 8 || len(live) == 0:
 					// Paths may legitimately cross down links: such flows must
 					// fail at this instant with zero bytes moved.
-					fl := net.Start("fz", diffPath(rng, links),
-						float64(100+rng.Intn(300000)), diffOptions(rng))
-					all = append(all, &started{fl, fl.total})
+					path := diffPath(rng, links)
+					fl := net.Start("fz", path, float64(100+rng.Intn(300000)), diffOptions(rng))
+					if recycled[fl] {
+						delete(recycled, fl)
+						reused++
+						// Fresh: nothing fired, moved or rated yet, and failed
+						// only when dead on arrival.
+						if fl.Done().Fired() || fl.Transferred() != 0 || fl.Rate() != 0 || fl.failed == net.PathUp(path) {
+							t.Errorf("seed %d: reused flow seq %d not fresh: fired %v failed %v transferred %f rate %f",
+								seed, fl.seq, fl.Done().Fired(), fl.failed, fl.Transferred(), fl.Rate())
+						}
+					}
+					all = append(all, &started{flow: fl, bytes: fl.total})
 					live = append(live, fl)
 				case op < 10:
 					net.Cancel(live[rng.Intn(len(live))])
@@ -77,6 +150,9 @@ func FuzzFaultSchedule(f *testing.F) {
 					delete(downSet, id)
 				default:
 					net.SetLinkBps(randLink(), float64(20+rng.Intn(2000)))
+				}
+				for k := relRng.Intn(3); k > 0; k-- {
+					release()
 				}
 			})
 			e.Schedule(at+time.Nanosecond, func() {
@@ -111,29 +187,10 @@ func FuzzFaultSchedule(f *testing.F) {
 			t.Errorf("seed %d: %d flows still active after drain", seed, net.ActiveFlows())
 		}
 		for i, s := range all {
-			fl := s.flow
-			if fl.canceled {
-				// Cancellation reports Remaining()==0 by contract; progress is
-				// frozen in Transferred.
-				if tr := fl.Transferred(); tr < 0 || tr > s.bytes+1e-6 {
-					t.Errorf("seed %d: canceled flow %d transferred %f of %f", seed, i, tr, s.bytes)
-				}
-				continue
-			}
-			if !fl.Done().Fired() {
-				t.Errorf("seed %d: flow %d never terminated", seed, i)
-				continue
-			}
-			got := fl.Transferred() + fl.Remaining()
-			// Completion forgives up to finishEpsilon undelivered bytes.
-			if math.Abs(got-s.bytes) > finishEpsilon+1e-6 {
-				t.Errorf("seed %d: flow %d bytes not conserved: transferred+remaining = %f, want %f (failed=%v)",
-					seed, i, got, s.bytes, fl.Failed())
-			}
-			if fl.Transferred() < 0 || fl.Remaining() < 0 {
-				t.Errorf("seed %d: flow %d negative byte count (t=%f r=%f)",
-					seed, i, fl.Transferred(), fl.Remaining())
+			if !s.released {
+				checkFlow(i, s)
 			}
 		}
+		t.Logf("seed %d: %d flows started, %d of them reused", seed, len(all), reused)
 	})
 }

@@ -84,6 +84,9 @@ type Network struct {
 	// completions is a min-heap of active flows by projected finish time.
 	completions []*Flow
 
+	// free holds released flows for Start to reuse (see Release).
+	free []*Flow
+
 	// epoch stamps component membership per recompute; stamp marks per-link
 	// counts per water-fill iteration. Both only ever increase, so scratch
 	// state needs no clearing between recomputes.
@@ -103,6 +106,7 @@ type Flow struct {
 	label    string
 	pathIdx  []int32 // dense link indices of the path
 	linkPos  []int32 // position of this flow in each link's flow list
+	slab     []int32 // backing store of pathIdx and linkPos, kept on reuse
 	seq      int64
 	minRate  float64
 	maxRate  float64 // 0 = unlimited
@@ -223,8 +227,10 @@ func (n *Network) Start(label string, path []topology.LinkID, bytes float64, opt
 		panic(fmt.Sprintf("netsim: flow %q has negative size", label))
 	}
 	n.seq++
-	f := &Flow{
+	f := n.newFlow()
+	*f = Flow{
 		label:      label,
+		slab:       f.slab,
 		seq:        n.seq,
 		minRate:    opt.MinRate,
 		maxRate:    opt.MaxRate,
@@ -232,7 +238,7 @@ func (n *Network) Start(label string, path []topology.LinkID, bytes float64, opt
 		total:      bytes,
 		remaining:  bytes,
 		lastUpdate: n.engine.Now(),
-		done:       sim.MakeSignal(n.engine),
+		done:       f.done,
 		net:        n,
 		finishAt:   farFuture,
 		heapIdx:    -1,
@@ -257,7 +263,10 @@ func (n *Network) Start(label string, path []topology.LinkID, bytes float64, opt
 			return f
 		}
 	}
-	slab := make([]int32, 2*len(path))
+	if cap(f.slab) < 2*len(path) {
+		f.slab = make([]int32, 2*len(path))
+	}
+	slab := f.slab[:2*len(path)]
 	f.pathIdx = slab[:len(path):len(path)]
 	f.linkPos = slab[len(path):]
 	for i, id := range path {
@@ -274,6 +283,37 @@ func (n *Network) Start(label string, path []topology.LinkID, bytes float64, opt
 	}
 	n.requestEvent(n.engine.Now())
 	return f
+}
+
+// newFlow returns a released flow to reuse, or a new one. Its done signal
+// is unfired and bound to this network's engine.
+func (n *Network) newFlow() *Flow {
+	if k := len(n.free); k > 0 {
+		f := n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
+		return f
+	}
+	return &Flow{done: sim.MakeSignal(n.engine)}
+}
+
+// Release hands a finished flow back to the network, so a later Start
+// reuses it together with its path storage and its done signal. The caller
+// must hold no other reference to f: after Release, f belongs to whichever
+// flow Start hands it out as next.
+//
+// Release refuses, and reports false, when the flow is still attached to
+// the simulation: active, queued as a recompute seed, in the completion
+// heap, or with a done signal that has not fired. A canceled flow never
+// fires its done signal, so it is never recycled; nor is a flow that is dead
+// on arrival until its done event has run.
+func (n *Network) Release(f *Flow) bool {
+	if f.net != n || f.active || f.dirty || f.heapIdx >= 0 || !f.done.Fired() {
+		return false
+	}
+	f.done.Reset()
+	n.free = append(n.free, f)
+	return true
 }
 
 // Done returns the flow's terminal signal; it fires on completion AND on

@@ -1,0 +1,99 @@
+package netsim
+
+import (
+	"testing"
+	"time"
+
+	"grouter/internal/sim"
+	"grouter/internal/topology"
+)
+
+// TestReleasedFlowReusedFresh: a released flow comes back from the next Start
+// as a new flow — its label, byte counts, rate and failure flag all belong
+// to the new transfer, not to the one it finished.
+func TestReleasedFlowReusedFresh(t *testing.T) {
+	e := sim.NewEngine()
+	n := testNet(e, map[topology.LinkID]float64{"a": 100, "b": 100, "c": 100})
+	e.Go("xfer", func(p *sim.Proc) {
+		// The first incarnation fails mid-flight, leaving Failed set and a
+		// frozen residue behind.
+		old := n.Start("old", []topology.LinkID{"a", "b"}, 1000, Options{})
+		p.Sleep(2 * time.Second)
+		n.FailLink("b")
+		old.Done().Wait(p)
+		if !old.Failed() || old.Remaining() < 700 {
+			t.Fatalf("setup: failed=%v remaining=%v", old.Failed(), old.Remaining())
+		}
+		if !n.Release(old) {
+			t.Fatal("Release refused a failed, finished flow")
+		}
+		n.RestoreLink("b")
+
+		f := n.Start("new", []topology.LinkID{"c", "a", "b"}, 500, Options{})
+		if f != old {
+			t.Fatal("Start did not reuse the released flow")
+		}
+		if f.Label() != "new" || f.Failed() || f.Rate() != 0 || f.Done().Fired() {
+			t.Errorf("reused flow: label %q failed %v rate %v fired %v", f.Label(), f.Failed(), f.Rate(), f.Done().Fired())
+		}
+		if f.Remaining() != 500 || f.Transferred() != 0 {
+			t.Errorf("reused flow: remaining %v transferred %v, want 500 and 0", f.Remaining(), f.Transferred())
+		}
+		p.Sleep(time.Second)
+		if f.Rate() != 100 || f.Transferred() != 100 {
+			t.Errorf("after 1s: rate %v transferred %v, want 100 and 100", f.Rate(), f.Transferred())
+		}
+		f.Done().Wait(p)
+		if f.Failed() || f.Transferred() != 500 || f.Remaining() != 0 {
+			t.Errorf("finished: failed %v transferred %v remaining %v", f.Failed(), f.Transferred(), f.Remaining())
+		}
+		if err := n.checkIntegrity(); err != nil {
+			t.Error(err)
+		}
+	})
+	run(t, e)
+}
+
+// TestReleaseRefusesAttachedFlows: Release recycles only a flow that nothing
+// in the simulation still refers to.
+func TestReleaseRefusesAttachedFlows(t *testing.T) {
+	e := sim.NewEngine()
+	n := testNet(e, map[topology.LinkID]float64{"up": 100, "down": 100})
+	n.FailLink("down")
+	var active, canceled, doa, empty, dirty *Flow
+	e.Schedule(0, func() {
+		active = n.Start("active", []topology.LinkID{"up"}, 1000, Options{})
+		canceled = n.Start("canceled", []topology.LinkID{"up"}, 1000, Options{})
+		n.Cancel(canceled)
+		doa = n.Start("doa", []topology.LinkID{"up", "down"}, 1000, Options{})
+		empty = n.Start("empty", []topology.LinkID{"up"}, 0, Options{})
+		// Killed by a failure at the instant it started: its done signal
+		// fires while it is still queued as a recompute seed.
+		n.RestoreLink("down")
+		dirty = n.Start("dirty", []topology.LinkID{"down"}, 1000, Options{})
+		n.FailLink("down")
+		for name, f := range map[string]*Flow{"active": active, "canceled": canceled, "dead on arrival": doa, "zero-byte": empty, "seed": dirty} {
+			if n.Release(f) {
+				t.Errorf("Release recycled the %s flow before its done signal settled", name)
+			}
+		}
+		if !dirty.Done().Fired() {
+			t.Error("setup: the failed seed flow's done signal has not fired")
+		}
+	})
+	e.Schedule(time.Millisecond, func() {
+		if n.Release(active) || n.Release(canceled) {
+			t.Error("Release recycled an active or canceled flow")
+		}
+		for name, f := range map[string]*Flow{"dead on arrival": doa, "zero-byte": empty, "seed": dirty} {
+			if !n.Release(f) {
+				t.Errorf("Release refused the finished %s flow", name)
+			}
+			if n.Release(f) {
+				t.Errorf("Release recycled the %s flow twice", name)
+			}
+		}
+		n.Cancel(active)
+	})
+	run(t, e)
+}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -134,5 +136,125 @@ func TestAcquirePriUncontendedIsImmediate(t *testing.T) {
 	}
 	if r.InUse() != 0 || r.QueueLen() != 0 {
 		t.Fatalf("resource not drained: inUse=%d queue=%d", r.InUse(), r.QueueLen())
+	}
+}
+
+// TestResourceQueueReusesArray pins the waiter queue's storage reuse: three
+// processes cycle through a single-slot resource, so every Release hands the
+// slot to a queued waiter and the releaser queues again behind the other.
+// In steady state that churn allocates nothing.
+func TestResourceQueueReusesArray(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	r := NewResource(e, 1)
+	grants := 0
+	for i := 0; i < 3; i++ {
+		e.Go("cycler", func(p *Proc) {
+			for {
+				r.Acquire(p)
+				grants++
+				p.Sleep(time.Microsecond)
+				r.Release()
+			}
+		})
+	}
+	step := func() { e.Run(e.Now() + 10*time.Microsecond) }
+	step() // spawn the cyclers and fill the queue
+	if r.QueueLen() != 2 {
+		t.Fatalf("queue length %d, want 2", r.QueueLen())
+	}
+	before := grants
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Errorf("steady Acquire/Release with waiters queued allocates %.1f times per 10 grants, want 0", n)
+	}
+	if got := grants - before; got != 1010 {
+		t.Errorf("%d grants in 101 steps of 10µs, want 1010", got)
+	}
+}
+
+// refResource is the slot queue as it was before Release kept the backing
+// array: Release re-slices the front waiter off. Its grant order is the
+// reference TestResourceGrantOrderMatchesReference compares against.
+type refResource struct {
+	engine  *Engine
+	inUse   int
+	aging   time.Duration
+	waiters []resWaiter
+}
+
+func (r *refResource) AcquirePri(p *Proc, pri int32) {
+	if r.inUse < 1 {
+		r.inUse++
+		return
+	}
+	now := r.engine.Now()
+	eff := func(w *resWaiter) int32 {
+		if r.aging <= 0 {
+			return w.pri
+		}
+		return w.pri + int32((now-w.at)/r.aging)
+	}
+	idx := len(r.waiters)
+	for idx > 0 && eff(&r.waiters[idx-1]) < pri {
+		idx--
+	}
+	r.waiters = append(r.waiters, resWaiter{})
+	copy(r.waiters[idx+1:], r.waiters[idx:])
+	r.waiters[idx] = resWaiter{p: p, pri: pri, at: now}
+	p.suspend()
+}
+
+func (r *refResource) Release() {
+	if len(r.waiters) > 0 {
+		next := r.waiters[0].p
+		r.waiters = r.waiters[1:]
+		r.engine.ScheduleWake(next)
+		return
+	}
+	r.inUse--
+}
+
+// TestResourceGrantOrderMatchesReference replays seeded random bursts of
+// prioritized acquirers, with and without aging, against Resource and the
+// re-slicing reference, and requires the same grant order: priority, then
+// aging, then FIFO within a class. The bursts drain and refill the queue,
+// so it is compacted with waiters of several classes queued.
+func TestResourceGrantOrderMatchesReference(t *testing.T) {
+	type slot interface {
+		AcquirePri(p *Proc, pri int32)
+		Release()
+	}
+	run := func(seed int64, aging time.Duration, mk func(e *Engine) slot) []int {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		defer e.Close()
+		r := mk(e)
+		var order []int
+		for i := 0; i < 300; i++ {
+			i, pri := i, int32(rng.Intn(4))
+			at := time.Duration(rng.Intn(40)) * time.Millisecond
+			hold := time.Duration(1+rng.Intn(300)) * time.Microsecond
+			e.GoAfter(at, "acq", func(p *Proc) {
+				r.AcquirePri(p, pri)
+				order = append(order, i)
+				p.Sleep(hold)
+				r.Release()
+			})
+		}
+		e.Run(0)
+		return order
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, aging := range []time.Duration{0, 500 * time.Microsecond} {
+			got := run(seed, aging, func(e *Engine) slot {
+				r := NewResource(e, 1)
+				r.SetAging(aging)
+				return r
+			})
+			want := run(seed, aging, func(e *Engine) slot { return &refResource{engine: e, aging: aging} })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d aging %v: grant order\n got %v\nwant %v", seed, aging, got, want)
+			}
+		}
 	}
 }

@@ -95,11 +95,16 @@ type resWaiter struct {
 // slots before lower-priority ones, with optional aging (SetAging) so a
 // sustained high-priority stream cannot starve low-priority work.
 type Resource struct {
-	engine  *Engine
-	cap     int
-	inUse   int
-	aging   time.Duration
+	engine *Engine
+	cap    int
+	inUse  int
+	aging  time.Duration
+	// waiters[head:] is the queue, front first. Release advances head
+	// instead of re-slicing, and AcquirePri compacts the queue to the front
+	// of the array before appending would grow it, so a steady queue reuses
+	// one backing array.
 	waiters []resWaiter
+	head    int
 }
 
 // NewResource returns a resource with the given capacity (must be >= 1).
@@ -114,7 +119,7 @@ func NewResource(e *Engine, capacity int) *Resource {
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
 
 // SetAging sets the priority-aging period: a queued waiter's effective
 // priority rises one level per d waited, so low-priority requests overtaken
@@ -146,9 +151,15 @@ func (r *Resource) AcquirePri(p *Proc, pri int32) {
 		r.inUse++
 		return
 	}
+	if r.head > 0 && len(r.waiters) == cap(r.waiters) {
+		n := copy(r.waiters, r.waiters[r.head:])
+		clear(r.waiters[n:])
+		r.waiters = r.waiters[:n]
+		r.head = 0
+	}
 	now := r.engine.Now()
 	idx := len(r.waiters)
-	for idx > 0 && r.effectivePri(&r.waiters[idx-1], now) < pri {
+	for idx > r.head && r.effectivePri(&r.waiters[idx-1], now) < pri {
 		idx--
 	}
 	r.waiters = append(r.waiters, resWaiter{})
@@ -160,10 +171,10 @@ func (r *Resource) AcquirePri(p *Proc, pri int32) {
 // Release returns a slot. If processes are waiting, the slot transfers to
 // the frontmost waiter (oldest within the highest effective priority).
 func (r *Resource) Release() {
-	if len(r.waiters) > 0 {
-		next := r.waiters[0].p
-		r.waiters[0] = resWaiter{}
-		r.waiters = r.waiters[1:]
+	if r.head < len(r.waiters) {
+		next := r.waiters[r.head].p
+		r.waiters[r.head] = resWaiter{}
+		r.head++
 		r.engine.ScheduleWake(next)
 		return
 	}

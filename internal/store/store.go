@@ -17,6 +17,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -755,39 +756,58 @@ func (m *Manager) sample(now time.Duration) {
 
 // --- small helpers ---
 
+// quantile is a sliding window over the last cap samples that answers
+// percentile queries. ring keeps the samples in arrival order, so add knows
+// which one to evict; sorted keeps the same samples ascending, so p only
+// indexes. Samples must not be NaN.
 type quantile struct {
-	buf     []float64
-	scratch []float64
-	cap     int
-	n       int
+	ring   []float64
+	sorted []float64
+	cap    int
+	n      int
 }
 
 func newQuantile(capacity int) *quantile { return &quantile{cap: capacity} }
 
 func (q *quantile) add(v float64) {
-	if len(q.buf) < q.cap {
-		q.buf = append(q.buf, v)
+	if len(q.ring) < q.cap {
+		q.ring = append(q.ring, v)
+		q.sorted = slices.Insert(q.sorted, sort.SearchFloat64s(q.sorted, v), v)
 	} else {
-		q.buf[q.n%q.cap] = v
+		slot := q.n % q.cap
+		q.replace(q.ring[slot], v)
+		q.ring[slot] = v
 	}
 	q.n++
 }
 
+// replace swaps one copy of old in the sorted window for v, shifting only the
+// samples between their two positions.
+func (q *quantile) replace(old, v float64) {
+	s := q.sorted
+	i := sort.SearchFloat64s(s, old) // s[i] == old
+	j := sort.SearchFloat64s(s, v)
+	if j > i {
+		copy(s[i:j-1], s[i+1:j])
+		s[j-1] = v
+	} else {
+		copy(s[j+1:i+1], s[j:i])
+		s[j] = v
+	}
+}
+
 func (q *quantile) p(f float64) float64 {
-	if len(q.buf) == 0 {
+	if len(q.sorted) == 0 {
 		return 0
 	}
-	s := append(q.scratch[:0], q.buf...)
-	q.scratch = s
-	sort.Float64s(s)
-	idx := int(f*float64(len(s))+0.5) - 1
+	idx := int(f*float64(len(q.sorted))+0.5) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(s) {
-		idx = len(s) - 1
+	if idx >= len(q.sorted) {
+		idx = len(q.sorted) - 1
 	}
-	return s[idx]
+	return q.sorted[idx]
 }
 
 func min64(a, b int64) int64 {

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -302,5 +304,60 @@ func TestUsageTimelineSampled(t *testing.T) {
 	}
 	if m.UsedTL.Peak() != float64(10*MB) {
 		t.Errorf("peak usage = %f, want %d", m.UsedTL.Peak(), 10*MB)
+	}
+}
+
+// refQuantileP is the percentile query quantile.p replaced: it copies the
+// window, sorts the copy and indexes it. It is the oracle for the sorted
+// window quantile keeps.
+func refQuantileP(window []float64, f float64) float64 {
+	if len(window) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), window...)
+	sort.Float64s(s)
+	idx := int(f*float64(len(s))+0.5) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(s) {
+		idx = len(s) - 1
+	}
+	return s[idx]
+}
+
+// TestQuantileMatchesSortOracle feeds seeded streams with many duplicates
+// and zeros through windows of 1, 2 and 64 samples, and after every sample
+// — partly filled windows included — compares each percentile with the
+// sort-and-index oracle over the same ring, using ==.
+func TestQuantileMatchesSortOracle(t *testing.T) {
+	fracs := []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 1}
+	for _, size := range []int{1, 2, 64} {
+		for seed := int64(1); seed <= 30; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			q := newQuantile(size)
+			for i := 0; i < 500; i++ {
+				var v float64
+				switch rng.Intn(4) {
+				case 0:
+					v = 0
+				case 1:
+					v = float64(rng.Intn(5)) // small set: heavy duplicates
+				case 2:
+					v = rng.Float64() * 1e-3
+				default:
+					v = rng.ExpFloat64() * 1e9
+				}
+				q.add(v)
+				for _, f := range fracs {
+					if got, want := q.p(f), refQuantileP(q.ring, f); got != want {
+						t.Fatalf("size %d seed %d sample %d: p(%v) = %v, oracle %v", size, seed, i, f, got, want)
+					}
+				}
+			}
+		}
+	}
+	if got := newQuantile(64).p(0.99); got != 0 {
+		t.Errorf("empty window p(0.99) = %v, want 0", got)
 	}
 }

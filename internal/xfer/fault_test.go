@@ -2,9 +2,11 @@ package xfer
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
+	"grouter/internal/fabric"
 	"grouter/internal/netsim"
 	"grouter/internal/sim"
 	"grouter/internal/topology"
@@ -223,7 +225,7 @@ func TestRetryPreservesMinRateScaling(t *testing.T) {
 	defer e.Close()
 	f := v100Fabric(e, 1)
 	m := NewManager(f)
-	flows := m.startFlows("resend", 12*MB, []Path{PathOf(f.Net, f.Topo(0).NVLinkPathLinks([]int{0, 1}))},
+	flows := m.startFlows(nil, "resend", 12*MB, []Path{PathOf(f.Net, f.Topo(0).NVLinkPathLinks([]int{0, 1}))},
 		netsim.Options{MinRate: topology.GBps(24)}, 48*MB)
 	if len(flows) != 1 {
 		t.Fatalf("got %d flows", len(flows))
@@ -234,4 +236,72 @@ func TestRetryPreservesMinRateScaling(t *testing.T) {
 		t.Errorf("residual flow rate %f exceeds link capacity %f", got, want)
 	}
 	e.Run(0)
+}
+
+// startAllocs reports the heap allocations of starting one flow: none when
+// the network reuses a released flow, some when it has none to reuse. Like
+// testing.AllocsPerRun it runs on one P, so no other goroutine allocates
+// inside the count.
+func startAllocs(f *fabric.Fabric, links []topology.LinkID) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f.Engine.Reserve(1024) // keep the event heap from growing inside the count
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f.Net.Start("probe", links, float64(MB), netsim.Options{})
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestDeadlineAttemptReleasesNothing: a finished attempt hands its flows and
+// its flow slice back for reuse, but an attempt that hit its deadline hands
+// back neither, even the flow that finished before the deadline — the
+// deadline's watcher processes still hold them.
+func TestDeadlineAttemptReleasesNothing(t *testing.T) {
+	for _, deadline := range []time.Duration{0, 6 * time.Millisecond} {
+		e := sim.NewEngine()
+		f := v100Fabric(e, 1)
+		m := NewManager(f)
+		n := f.Topo(0)
+		fast, slow := n.NVLinkPairLinks(0, 3), n.PCIeP2PLinks(0, 5)
+		// A hog halves the PCIe path's share, so its flow (~8.4 ms) finishes
+		// well after the NVLink flow (~4.2 ms).
+		f.Net.Start("hog", slow[:1], 1e15, netsim.Options{})
+		var err error
+		e.Schedule(5*time.Millisecond, func() {
+			if got := f.Net.ActiveFlows(); got != 2 {
+				t.Errorf("at 5 ms: %d active flows, want the hog and the PCIe flow", got)
+			}
+		})
+		e.Go("t", func(p *sim.Proc) {
+			_, err = m.Transfer(p, Request{
+				Label:    "split",
+				Bytes:    240 * MB,
+				Paths:    []Path{PathOf(f.Net, fast), PathOf(f.Net, slow)},
+				Deadline: deadline,
+			})
+		})
+		e.Run(20 * time.Millisecond)
+		if deadline == 0 {
+			if err != nil {
+				t.Fatalf("no deadline: %v", err)
+			}
+			if len(m.flowBufs) != 1 {
+				t.Errorf("no deadline: %d flow slices pooled, want 1", len(m.flowBufs))
+			}
+			if got := startAllocs(f, fast); got != 0 {
+				t.Errorf("no deadline: the next Start allocated %d times, want 0 (reused flow)", got)
+			}
+		} else {
+			if !errors.Is(err, ErrDeadline) {
+				t.Fatalf("err = %v, want ErrDeadline", err)
+			}
+			if len(m.flowBufs) != 0 {
+				t.Errorf("deadline hit: %d flow slices pooled, want 0", len(m.flowBufs))
+			}
+			if got := startAllocs(f, fast); got == 0 {
+				t.Error("deadline hit: the next Start reused a flow the attempt released")
+			}
+		}
+		e.Close()
+	}
 }

@@ -177,6 +177,9 @@ type Manager struct {
 	// observe each other's scratch.
 	aliveScratch []Path
 	splitScratch []int64
+	// flowBufs is the free list of per-attempt flow slices (see
+	// transferAttempts).
+	flowBufs [][]*netsim.Flow
 }
 
 // NewManager returns a manager with paper-default chunking.
@@ -270,11 +273,20 @@ func (m *Manager) transferAttempts(p *sim.Proc, req Request, start time.Duration
 			err = fmt.Errorf("%w: %q", ErrPathsDown, req.Label)
 			continue
 		}
-		flows := m.startFlows(req.Label, bytes, alive, req.Opt, req.Bytes)
+		flows := m.startFlows(m.takeFlowBuf(), req.Label, bytes, alive, req.Opt, req.Bytes)
 		waitStart := p.Now()
-		timedOut := m.awaitFlows(p, flows, deadline)
+		timedOut := false
+		if deadline > 0 {
+			timedOut = m.awaitFlowsBy(p, flows, deadline)
+		} else {
+			for _, f := range flows {
+				f.Done().Wait(p)
+			}
+		}
 		obs.Account(p, obs.CatTransfer, p.Now()-waitStart)
 		if timedOut {
+			// The deadline's watcher processes still hold these flows:
+			// neither they nor the slice are recycled.
 			fs.TransfersFailed++
 			return p.Now() - start, ErrDeadline
 		}
@@ -284,6 +296,7 @@ func (m *Manager) transferAttempts(p *sim.Proc, req Request, start time.Duration
 				undelivered += f.Remaining()
 			}
 		}
+		m.releaseFlows(flows)
 		if undelivered == 0 {
 			if attempt > 0 {
 				fs.DegradedBytes += bytes
@@ -310,16 +323,32 @@ func (m *Manager) alivePaths(paths []Path) []Path {
 	return alive
 }
 
-// awaitFlows blocks p until every flow reaches a terminal state (done or
-// failed), or until the absolute deadline (0 = none) expires — in which case
-// the surviving flows are canceled and awaitFlows reports true.
-func (m *Manager) awaitFlows(p *sim.Proc, flows []*netsim.Flow, deadline time.Duration) (timedOut bool) {
-	if deadline <= 0 {
-		for _, f := range flows {
-			f.Done().Wait(p)
-		}
-		return false
+// takeFlowBuf returns an empty flow slice from the manager's free list.
+func (m *Manager) takeFlowBuf() []*netsim.Flow {
+	if n := len(m.flowBufs); n > 0 {
+		buf := m.flowBufs[n-1]
+		m.flowBufs = m.flowBufs[:n-1]
+		return buf
 	}
+	return nil
+}
+
+// releaseFlows hands an attempt's terminal flows back to the network and its
+// slice back to the free list. The caller has read every flow's outcome. A
+// flow the network refuses (one still queued as a recompute seed) is left to
+// the garbage collector.
+func (m *Manager) releaseFlows(flows []*netsim.Flow) {
+	for i, f := range flows {
+		m.Fabric.Net.Release(f)
+		flows[i] = nil
+	}
+	m.flowBufs = append(m.flowBufs, flows[:0])
+}
+
+// awaitFlowsBy blocks p until every flow reaches a terminal state (done or
+// failed), or until the absolute deadline expires — in which case the
+// surviving flows are canceled and awaitFlowsBy reports true.
+func (m *Manager) awaitFlowsBy(p *sim.Proc, flows []*netsim.Flow, deadline time.Duration) (timedOut bool) {
 	e := m.Fabric.Engine
 	agg := sim.NewSignal(e)
 	remaining := len(flows)
@@ -361,7 +390,7 @@ func (m *Manager) TransferAsync(req Request) *sim.Signal {
 		setup += HostStackLatency
 	}
 	m.Fabric.Engine.Schedule(setup, func() {
-		flows := m.startFlows(req.Label, req.Bytes, req.Paths, req.Opt, req.Bytes)
+		flows := m.startFlows(nil, req.Label, req.Bytes, req.Paths, req.Opt, req.Bytes)
 		if len(flows) == 0 {
 			done.Fire()
 			return
@@ -395,15 +424,16 @@ func waitFlow(e *sim.Engine, f *netsim.Flow, fn func()) {
 	})
 }
 
-// startFlows splits bytes over the given paths and launches flows. origBytes
-// is the request's full payload: min-rate reservations are scaled against it
-// so a retry re-sending a residue does not inflate its per-byte rate floor.
-func (m *Manager) startFlows(label string, bytes int64, paths []Path, opt netsim.Options, origBytes int64) []*netsim.Flow {
+// startFlows splits bytes over the given paths and launches flows, appending
+// them to flows[:0]. origBytes is the request's full payload: min-rate
+// reservations are scaled against it so a retry re-sending a residue does
+// not inflate its per-byte rate floor.
+func (m *Manager) startFlows(flows []*netsim.Flow, label string, bytes int64, paths []Path, opt netsim.Options, origBytes int64) []*netsim.Flow {
 	if cap(m.splitScratch) < len(paths) {
 		m.splitScratch = make([]int64, len(paths))
 	}
 	split := splitBytesInto(m.splitScratch[:len(paths)], bytes, paths, m.ChunkBytes)
-	flows := make([]*netsim.Flow, 0, len(paths))
+	flows = flows[:0]
 	for i, b := range split {
 		if b <= 0 {
 			continue
