@@ -156,16 +156,18 @@ type App struct {
 	// path).
 	SLO time.Duration
 
-	// E2E records request latencies, every sample kept for exact
-	// percentiles. XferGPU/XferHost/Compute keep running means of the
-	// per-request sums of gFn-gFn passing, gFn-host passing, and compute.
-	E2E      metrics.Latency
+	// E2E records the latency of every request the app ever completed, in
+	// a bounded distribution: exact up to metrics.DistCap samples, within
+	// 2^-10 after them (see metrics.Dist). XferGPU/XferHost/Compute keep
+	// running means of the per-request sums of gFn-gFn passing, gFn-host
+	// passing, and compute.
+	E2E      metrics.Dist
 	XferGPU  metrics.Mean
 	XferHost metrics.Mean
 	Compute  metrics.Mean
-	// E2EClass records completion latencies split by QoS class (indexed by
-	// QoS), every sample kept, feeding per-class SLO attainment.
-	E2EClass [2]metrics.Latency
+	// E2EClass splits E2E by QoS class (indexed by QoS), feeding per-class
+	// SLO attainment; each class is a bounded distribution of its own.
+	E2EClass [2]metrics.Dist
 
 	Completed int
 	// Shed counts requests dropped by SLO admission control; ShedByClass
@@ -351,7 +353,8 @@ func (a *App) MeasureThroughput(concurrency int, dur time.Duration) float64 {
 }
 
 // SLOCompliance returns the fraction of completed requests within the app's
-// SLO.
+// SLO. It is exact while E2E holds at most metrics.DistCap samples; past
+// them it never overstates compliance (see metrics.Dist.FractionUnder).
 func (a *App) SLOCompliance() float64 { return a.E2E.FractionUnder(a.SLO) }
 
 // Spec returns the cluster's topology spec.

@@ -103,11 +103,13 @@ type LLMService struct {
 	Route PDRouteFn
 
 	// E2E records request latencies and TTFT time to first output token,
-	// every sample kept for exact percentiles. KVXfer keeps the running mean
-	// of the data-plane KV handoff durations (disaggregated requests with a
+	// over every request the service ever completed, in bounded
+	// distributions: exact up to metrics.DistCap samples, within 2^-10
+	// after them (see metrics.Dist). KVXfer keeps the running mean of the
+	// data-plane KV handoff durations (disaggregated requests with a
 	// successful transfer only).
-	E2E    metrics.Latency
-	TTFT   metrics.Latency
+	E2E    metrics.Dist
+	TTFT   metrics.Dist
 	KVXfer metrics.Mean
 
 	Completed int
@@ -418,7 +420,8 @@ func (r *pdReq) runDisaggregated(p *sim.Proc, tr *obs.Tracer) {
 
 // Replay admits one typed request per arrival (offsets relative to now,
 // sorted ascending; spec.RequestAt describes each) and runs the engine until
-// it drains, with the same admission shapes and validation as App.Replay.
+// it drains, with the same admission shapes, validation and per-replay
+// percentiles as App.Replay.
 func (s *LLMService) Replay(arrivals []time.Duration, spec ReplaySpec) (ReplayStats, error) {
 	if arrivals == nil {
 		return ReplayStats{}, ErrNilTrace
@@ -429,6 +432,8 @@ func (s *LLMService) Replay(arrivals []time.Duration, spec ReplaySpec) (ReplaySt
 	e := s.C.Engine
 	base := e.Now()
 	before := s.Completed
+	lat, restore := replayDist(&s.OnComplete)
+	defer restore()
 	reqAt := spec.RequestAt
 	admitTrace(e, base, arrivals, spec.Quantum, func(i int) {
 		var req Request
@@ -442,8 +447,8 @@ func (s *LLMService) Replay(arrivals []time.Duration, spec ReplaySpec) (ReplaySt
 		Requests:  len(arrivals),
 		Completed: s.Completed - before,
 		Duration:  e.Now() - base,
-		P50:       s.E2E.P(0.5),
-		P99:       s.E2E.P(0.99),
+		P50:       lat.P(0.5),
+		P99:       lat.P(0.99),
 	}
 	if st.Duration > 0 {
 		st.Throughput = float64(st.Completed) / st.Duration.Seconds()

@@ -3,6 +3,7 @@ package cluster
 import (
 	"time"
 
+	"grouter/internal/metrics"
 	"grouter/internal/sim"
 )
 
@@ -36,7 +37,24 @@ type ReplayStats struct {
 	Duration time.Duration
 	// Throughput is completed requests per second of virtual time.
 	Throughput float64
-	P50, P99   time.Duration
+	// P50 and P99 are nearest-rank percentiles of this replay's own
+	// completions: exact up to metrics.DistCap of them, never below the
+	// exact value and at most 2^-10 above it past that.
+	P50, P99 time.Duration
+}
+
+// replayDist chains a distribution of one replay's completion latencies
+// onto the completion hook at *hook. restore puts the previous hook back.
+func replayDist(hook *func(seq int64, at, e2e time.Duration)) (d *metrics.Dist, restore func()) {
+	d = new(metrics.Dist)
+	next := *hook
+	*hook = func(seq int64, at, e2e time.Duration) {
+		d.Add(e2e)
+		if next != nil {
+			next(seq, at, e2e)
+		}
+	}
+	return d, func() { *hook = next }
 }
 
 // admitTrace schedules one admission callback per arrival (offsets relative
@@ -76,9 +94,9 @@ func admitTrace(e *sim.Engine, base time.Duration, arrivals []time.Duration, qua
 // drains, returning summary stats. A nil trace and a negative quantum are
 // rejected with ErrNilTrace / ErrNegativeQuantum (an empty non-nil trace is
 // a valid no-op replay). Admission order within a quantum window follows
-// trace order, so the replay stays deterministic. Percentiles cover every
-// sample the app has recorded, so call this on a freshly deployed app for
-// per-replay numbers.
+// trace order, so the replay stays deterministic. The percentiles cover this
+// replay's completions only; OnComplete gains a link for the replay's
+// duration and is restored when it returns.
 func (a *App) Replay(arrivals []time.Duration, spec ReplaySpec) (ReplayStats, error) {
 	if arrivals == nil {
 		return ReplayStats{}, ErrNilTrace
@@ -90,6 +108,8 @@ func (a *App) Replay(arrivals []time.Duration, spec ReplaySpec) (ReplayStats, er
 	base := e.Now()
 	before := a.Completed
 	shedBefore := a.Shed
+	lat, restore := replayDist(&a.OnComplete)
+	defer restore()
 	reqAt := spec.RequestAt
 	admitTrace(e, base, arrivals, spec.Quantum, func(i int) {
 		var req Request
@@ -104,8 +124,8 @@ func (a *App) Replay(arrivals []time.Duration, spec ReplaySpec) (ReplayStats, er
 		Completed: a.Completed - before,
 		Shed:      a.Shed - shedBefore,
 		Duration:  e.Now() - base,
-		P50:       a.E2E.P(0.5),
-		P99:       a.E2E.P(0.99),
+		P50:       lat.P(0.5),
+		P99:       lat.P(0.99),
 	}
 	if st.Duration > 0 {
 		st.Throughput = float64(st.Completed) / st.Duration.Seconds()

@@ -94,8 +94,10 @@ type PodReplay struct {
 
 // ShardedStats reports a sharded replay. The embedded ReplayStats and PerPod
 // are virtual-time results: byte-identical across runs, shard counts, and
-// scheduling modes. Util and Wall are wall-clock observations of this run
-// only and vary run to run.
+// scheduling modes. The fleet P50/P99 merge the pods' E2E distributions, so
+// they are exact up to metrics.DistCap completions fleet-wide and within
+// 2^-10 above the pooled exact value past that, like each pod's own. Util
+// and Wall are wall-clock observations of this run only and vary run to run.
 type ShardedStats struct {
 	ReplayStats
 	Pods   int
@@ -231,14 +233,12 @@ func ShardedReplay(arrivals []time.Duration, opt ShardedOptions, build func(pod 
 	}
 	st.Requests = len(arrivals)
 
-	// The fleet percentiles pool the pods' own latency samples: a
-	// nearest-rank percentile does not depend on the order its samples
-	// arrived in. The replay horizon is the latest pod's last completion.
-	var fleet metrics.Latency
+	// The fleet percentiles merge the pods' distributions: a merged Dist
+	// answers as one fed every pod's samples, in any order. The replay
+	// horizon is the latest pod's last completion.
+	var fleet metrics.Dist
 	for j, app := range apps {
-		for _, d := range app.E2E.Samples() {
-			fleet.Add(d)
-		}
+		fleet.Merge(&app.E2E)
 		st.Duration = max(st.Duration, lastAt[j])
 	}
 	st.Completed = fleet.Count()

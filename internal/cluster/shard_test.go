@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"grouter/internal/metrics"
 	"grouter/internal/obs"
 	"grouter/internal/scheduler"
 	"grouter/internal/sim"
@@ -179,5 +180,51 @@ func TestShardedReplayKeepsBuildHooks(t *testing.T) {
 	}
 	if total != len(arrivals) || st.Completed != len(arrivals) {
 		t.Fatalf("build hooks saw %d completions, replay %d, of %d arrivals", total, st.Completed, len(arrivals))
+	}
+}
+
+// TestShardedReplayPastCapPercentiles replays past metrics.DistCap
+// completions on each of two pods, so every distribution folds, and holds
+// the merged fleet percentiles (and each pod's) to the Dist contract: never
+// below the exact pooled nearest-rank value and at most 2^-10 above it. The
+// exact values come from every completion, collected through OnComplete.
+func TestShardedReplayPastCapPercentiles(t *testing.T) {
+	const pods = 2
+	arrivals := trace.Generate(trace.Spec{
+		Pattern:  trace.Bursty,
+		Duration: time.Duration(2*metrics.DistCap+4_000) * time.Second / 800,
+		MeanRPS:  800,
+		Seed:     42,
+	})
+	exact := make([]metrics.Latency, pods)
+	st := ShardedReplay(arrivals, ShardedOptions{Pods: pods, Shards: 2}, func(pod int, e *sim.Engine) *App {
+		app := New(e, topology.DGXV100(), 2, grouterPlane).
+			Deploy(oneStage(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
+		app.OnComplete = func(_ int64, _, e2e time.Duration) { exact[pod].Add(e2e) }
+		return app
+	})
+	var pooled metrics.Latency
+	for j := range exact {
+		if exact[j].Count() <= metrics.DistCap {
+			t.Fatalf("pod %d completed %d, want more than %d", j, exact[j].Count(), metrics.DistCap)
+		}
+		for _, d := range exact[j].Samples() {
+			pooled.Add(d)
+		}
+	}
+	if st.Completed != len(arrivals) || pooled.Count() != len(arrivals) {
+		t.Fatalf("completed %d, hooks saw %d, of %d", st.Completed, pooled.Count(), len(arrivals))
+	}
+	// within requires got in [want, want + want·2^-10], Dist's resolution.
+	within := func(name string, got, want time.Duration) {
+		if got < want || got-want > want>>10 {
+			t.Errorf("%s = %v, exact %v: want at most 2^-10 above it", name, got, want)
+		}
+	}
+	within("fleet P50", st.P50, pooled.P(0.5))
+	within("fleet P99", st.P99, pooled.P(0.99))
+	for j, p := range st.PerPod {
+		within(fmt.Sprintf("pod %d P50", j), p.P50, exact[j].P(0.5))
+		within(fmt.Sprintf("pod %d P99", j), p.P99, exact[j].P(0.99))
 	}
 }

@@ -1,6 +1,7 @@
 // Package metrics provides the measurement primitives the experiment harness
-// uses: exact-percentile latency recorders, constant-size running means and
-// time-series summaries, and small statistics helpers.
+// uses: exact-percentile latency recorders, bounded latency distributions,
+// constant-size running means and time-series summaries, and small
+// statistics helpers.
 package metrics
 
 import (

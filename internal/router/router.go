@@ -545,7 +545,8 @@ func (r *Router) route(si scheduler.StageInst, ri cluster.RouteInfo, pool []fabr
 		}
 		r.sessions[sessionKey{ri.Session, si}] = sessionPin{w: picked, at: r.c.Engine.Now()}
 	}
-	if ev := r.tr.InstantOn(obs.TrackSched, obs.CatPlace, "route:"+si.Stage); ev != 0 {
+	if r.tr != nil {
+		ev := r.tr.InstantOn(obs.TrackSched, obs.CatPlace, "route:"+si.Stage)
 		r.tr.SetAttrInt(ev, "seq", ri.Seq)
 		r.tr.SetAttrInt(ev, "node", int64(pool[idx].Node))
 		r.tr.SetAttrInt(ev, "gpu", int64(pool[idx].GPU))

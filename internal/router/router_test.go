@@ -1,6 +1,7 @@
 package router_test
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -254,5 +255,45 @@ func TestPoolChangeAllColdLeavesEWMAUnseeded(t *testing.T) {
 	snap := rt.Snapshot()
 	if snap[3].EWMALatency != 0 || snap[4].EWMALatency != 0 {
 		t.Fatal("all-cold pool got a fabricated EWMA")
+	}
+}
+
+// TestUntracedRouteAllocatesOnlyForThePick: with no tracer attached, a
+// routed stage activation allocates exactly what its RouteRequest call
+// does. The pick's trace event, and its name, are built only for a tracer.
+func TestUntracedRouteAllocatesOnlyForThePick(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	c := cluster.New(e, topology.DGXV100(), 2, grouterPlane)
+	app := c.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
+	cfg := router.DefaultConfig()
+	rt := router.New(app, cfg)
+	si := scheduler.StageInst{Stage: "segmentation"}
+	pool := []fabric.Location{{Node: 0, GPU: 0}, {Node: 0, GPU: 1}, {Node: 1, GPU: 0}, {Node: 1, GPU: 1}}
+	snap := rt.Snapshot()
+	states := make([]router.WorkerState, 0, len(pool))
+	for _, ws := range snap {
+		for _, loc := range pool {
+			if ws.Node == loc.Node && ws.GPU == loc.GPU {
+				states = append(states, ws)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	seq := int64(0)
+	route := testing.AllocsPerRun(100, func() {
+		seq++
+		if _, ok := app.Route(si, cluster.RouteInfo{Seq: seq}, pool); !ok {
+			t.Fatal("route declined a healthy GPU pool")
+		}
+	})
+	pick := testing.AllocsPerRun(100, func() {
+		seq++
+		if _, err := router.RouteRequest(states, cfg, seq, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if route != pick {
+		t.Errorf("untraced route allocates %v times per pick, RouteRequest %v", route, pick)
 	}
 }
