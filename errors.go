@@ -21,8 +21,9 @@ var (
 	ErrEvicted = dataplane.ErrEvicted
 	// ErrGPUDown: a crash-lost object could not be re-materialized.
 	ErrGPUDown = dataplane.ErrGPUDown
-	// ErrDeadline: a transfer exhausted its SLO budget (xfer deadline).
-	ErrDeadline = xfer.ErrDeadline
+	// ErrPathsDown: a transfer gave up without delivering every byte — its
+	// retries ran out with every path down or a path lost mid-flight.
+	ErrPathsDown = xfer.ErrPathsDown
 	// ErrAccessDenied: a function read data belonging to another workflow.
 	ErrAccessDenied = core.ErrAccessDenied
 	// ErrNoWorker: routing found no healthy placement (zero workers or

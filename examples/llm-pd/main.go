@@ -28,7 +28,7 @@ const (
 // 1 prefill / 1 decode / 6 mixed partition, colocated makes all 8 GPUs
 // mixed workers. Same policy, same trace, same prompt mix either way.
 func serve(arrivals []time.Duration, disaggregated bool) (grouter.ReplayStats, grouter.PDStats, time.Duration) {
-	s := grouter.MustNewSim("h800x8", grouter.WithPD())
+	s := grouter.MustNewSim("h800x8")
 	defer s.Close()
 	c := s.NewCluster(func(s *grouter.Sim) grouter.Plane { return s.NewGRouter() })
 	cfg := grouter.PDConfig{

@@ -63,7 +63,7 @@ func TestFacadeErrorSentinels(t *testing.T) {
 	s.Run()
 	for name, e := range map[string]error{
 		"ErrNotFound": ErrNotFound, "ErrEvicted": ErrEvicted,
-		"ErrGPUDown": ErrGPUDown, "ErrDeadline": ErrDeadline,
+		"ErrGPUDown": ErrGPUDown, "ErrPathsDown": ErrPathsDown,
 		"ErrAccessDenied": ErrAccessDenied,
 	} {
 		if e == nil {
@@ -133,23 +133,21 @@ func TestFacadeCoalescedFanout(t *testing.T) {
 
 // TestFacadeAutoscale drives a periodic trace through Sim.Autoscale twice and
 // checks the elastic pools scale, account GPU-seconds, and stay byte
-// identical across runs. It also pins the WithAutoscaler precedence: the
-// Sim-level config applies when Autoscale gets no explicit argument.
+// identical across runs.
 func TestFacadeAutoscale(t *testing.T) {
 	run := func() (ReplayStats, ElasticStats, float64) {
-		s := MustNewSim("dgx-v100", WithNodes(2), WithSeed(42),
-			WithAutoscaler(ElasticConfig{
-				Scaler:          ReactiveScaler{ScaleOutDepth: 2, ScaleIn: true},
-				Min:             1,
-				Max:             3,
-				Interval:        100 * time.Millisecond,
-				ScaleInCooldown: 300 * time.Millisecond,
-				Prewarm:         true,
-			}))
+		s := MustNewSim("dgx-v100", WithNodes(2), WithSeed(42))
 		defer s.Close()
 		c := s.NewCluster(func(s *Sim) Plane { return s.NewGRouter() })
 		app := c.Deploy(DrivingWorkflow(), 1, PlaceOptions{Node: 0, SplitAcrossNodes: true})
-		ep := s.Autoscale(app)
+		ep := s.Autoscale(app, ElasticConfig{
+			Scaler:          ReactiveScaler{ScaleOutDepth: 2, ScaleIn: true},
+			Min:             1,
+			Max:             3,
+			Interval:        100 * time.Millisecond,
+			ScaleInCooldown: 300 * time.Millisecond,
+			Prewarm:         true,
+		})
 		arrivals := GenerateTrace(TraceSpec{
 			Pattern: Periodic, Duration: 2 * time.Second, MeanRPS: 400, Seed: 7,
 		})
@@ -211,13 +209,11 @@ func TestFacadeReplayScaleOut(t *testing.T) {
 }
 
 // TestFacadePDServing drives the LLM prefill/decode surface entirely through
-// the façade: DeployLLM on a Runtime, WithPD supplying the policy
-// Sim.NewPDRouter inherits, typed requests built with NewRequest options,
-// and the re-exported ErrBadRequest sentinel.
+// the façade: DeployLLM on a Runtime, Sim.NewPDRouter with an explicit
+// policy, typed requests built with NewRequest options, and the re-exported
+// ErrBadRequest sentinel.
 func TestFacadePDServing(t *testing.T) {
-	// SaturationDepth is high so the burst of simultaneous long submissions
-	// below disaggregates instead of overflowing to the mixed pool.
-	s := MustNewSim("h800x8", WithPD(PDPolicyConfig{LongPromptTokens: 512, SaturationDepth: 64}))
+	s := MustNewSim("h800x8")
 	defer s.Close()
 	c := s.NewCluster(func(s *Sim) Plane { return s.NewGRouter() })
 	svc, err := c.DeployLLM(PDConfig{
@@ -227,7 +223,9 @@ func TestFacadePDServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := s.NewPDRouter(svc)
+	// SaturationDepth is high so the burst of simultaneous long submissions
+	// below disaggregates instead of overflowing to the mixed pool.
+	rt := s.NewPDRouter(svc, PDPolicyConfig{LongPromptTokens: 512, SaturationDepth: 64})
 	var sigs []*Signal
 	submit := func(opts ...RequestOption) {
 		done, err := svc.Submit(NewRequest(opts...))
@@ -249,9 +247,9 @@ func TestFacadePDServing(t *testing.T) {
 	if svc.Completed != 16 {
 		t.Fatalf("completed %d of 16", svc.Completed)
 	}
-	// The WithPD threshold (512) must be in effect: 2048-token prompts split.
+	// The policy's threshold (512) must be in effect: 2048-token prompts split.
 	if svc.Stats.Disaggregated != 8 || svc.Stats.KVTransfers != 8 {
-		t.Errorf("disaggregated=%d kv-transfers=%d, want 8/8 (WithPD threshold not applied?)",
+		t.Errorf("disaggregated=%d kv-transfers=%d, want 8/8 (policy threshold not applied?)",
 			svc.Stats.Disaggregated, svc.Stats.KVTransfers)
 	}
 	if rt.Stats.Long != 8 || rt.Stats.Short != 8 {
@@ -263,8 +261,8 @@ func TestFacadePDServing(t *testing.T) {
 	if _, err := svc.Submit(NewRequest(ReqModel("no-such-model"))); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("wrong-model error = %v, want ErrBadRequest", err)
 	}
-	// An explicit argument overrides WithPD: threshold 4096 keeps the same
-	// 2048-token prompt colocated.
+	// An explicit policy overrides DefaultPDPolicy's 1024-token split:
+	// threshold 4096 keeps the same 2048-token prompt colocated.
 	rt2 := s.NewPDRouter(svc, PDPolicyConfig{LongPromptTokens: 4096})
 	done, err := svc.Submit(NewRequest(ReqPrompt(2048)))
 	if err != nil {

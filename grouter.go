@@ -46,10 +46,11 @@ import (
 // without spelling internal import paths.
 type (
 	// Plane is a serverless data plane (GROUTER or a baseline). Get returns
-	// ErrNotFound for an unknown or freed object, ErrGPUDown when a
-	// crash-lost object cannot be recovered, and ErrDeadline when a transfer
-	// misses its SLO budget; Put returns ErrEvicted when storage cannot make
-	// room even by spilling to host memory.
+	// ErrNotFound for an unknown or freed object and ErrGPUDown when a
+	// crash-lost object cannot be recovered; Put returns ErrEvicted when
+	// storage cannot make room even by spilling to host memory. Either
+	// returns ErrPathsDown when a transfer gives up after its retries
+	// without delivering every byte.
 	Plane = dataplane.Plane
 	// FnCtx identifies the calling function instance to the data plane.
 	FnCtx = dataplane.FnCtx
@@ -112,7 +113,7 @@ type (
 	// admission outcomes, and affinity hits.
 	RouterStats = router.Stats
 	// RouterSLOConfig is the router's per-class SLO admission configuration;
-	// set it on RouterConfig.SLO or Sim-wide with WithSLO.
+	// set it on RouterConfig.SLO.
 	RouterSLOConfig = router.SLOConfig
 	// RouterSLOClass is one QoS class's admission objective (latency budget
 	// plus the deferral bound).
@@ -123,7 +124,7 @@ type (
 	// attach one with Sim.Autoscale.
 	Elastic = cluster.ElasticPools
 	// ElasticConfig tunes elastic pools (strategy, replica bounds, controller
-	// interval, cooldowns, pre-warmed provisioning).
+	// interval, scale-in cooldown, pre-warmed provisioning).
 	ElasticConfig = cluster.ElasticConfig
 	// ElasticStats counts an Elastic's scale-outs, scale-ins, drains,
 	// crashes, and recoveries.
@@ -152,7 +153,7 @@ type (
 	// with Runtime.DeployLLM and route it with Sim.NewPDRouter.
 	LLMService = cluster.LLMService
 	// PDConfig sizes a DeployLLM service: served model, prefill/decode/mixed
-	// worker partition, default request lengths, SLO scale.
+	// worker partition, default output length, SLO scale.
 	PDConfig = cluster.PDConfig
 	// PDStats counts an LLMService's placement and KV-handoff activity.
 	PDStats = cluster.PDStats
@@ -191,11 +192,6 @@ const (
 
 // DefaultRouterConfig returns the scored production router configuration.
 func DefaultRouterConfig() RouterConfig { return router.DefaultConfig() }
-
-// UniformRouterConfig returns the degenerate router configuration whose
-// admission is byte-identical to placement-only round-robin (the
-// differential oracle's configuration).
-func UniformRouterConfig() RouterConfig { return router.Uniform() }
 
 // Arrival-trace patterns (TraceSpec.Pattern).
 const (
@@ -339,12 +335,10 @@ func (s *Sim) NewCluster(mkPlane func(s *Sim) Plane) *Runtime {
 
 // NewRouter attaches a scored front-door router to a deployed app: stage
 // activations route to the best-scored healthy pool instance instead of
-// round-robin. The configuration comes from, in precedence order, the
-// explicit argument, WithRouter's value, or DefaultRouterConfig; a WithSLO
-// admission configuration is folded in unless the resolved config already
-// enables one. When the Sim carries a fault injector (WithFaults), the
-// router subscribes to its GPU crash signals and fails over away from
-// crashed workers:
+// round-robin. It runs the explicit configuration, if one is given, or
+// DefaultRouterConfig; set RouterConfig.SLO for per-class admission. When
+// the Sim carries a fault injector (WithFaults), the router subscribes to
+// its GPU crash signals and fails over away from crashed workers:
 //
 //	app := c.Deploy(grouter.DrivingWorkflow(), 0, grouter.PlaceOptions{Node: 0})
 //	rt := s.NewRouter(app)
@@ -356,14 +350,8 @@ func (s *Sim) NewCluster(mkPlane func(s *Sim) Plane) *Runtime {
 //	}})
 func (s *Sim) NewRouter(app *App, cfg ...RouterConfig) *Router {
 	c := router.DefaultConfig()
-	if s.opts.router {
-		c = s.opts.routerCfg
-	}
 	if len(cfg) > 0 {
 		c = cfg[0]
-	}
-	if s.opts.slo && !c.SLO.Enabled() {
-		c.SLO = s.opts.sloCfg
 	}
 	r := router.New(app, c)
 	if s.injector != nil {
@@ -381,8 +369,8 @@ func DefaultPDPolicy() PDPolicyConfig { return router.DefaultPDPolicy() }
 // service: long-prompt requests split across prefill/decode worker pairs
 // with the KV cache handed off over the data plane, short ones run
 // colocated, and saturated PD capacity overflows back to colocated
-// execution. The configuration comes from, in precedence order, the
-// explicit argument, WithPD's value, or DefaultPDPolicy:
+// execution. It runs the explicit policy, if one is given, or
+// DefaultPDPolicy:
 //
 //	svc, err := c.DeployLLM(grouter.PDConfig{
 //	    LLM:            grouter.MustLookupLLM("llama-7b"),
@@ -393,9 +381,6 @@ func DefaultPDPolicy() PDPolicyConfig { return router.DefaultPDPolicy() }
 //	    grouter.ReqPrompt(8192), grouter.ReqSession(7)))
 func (s *Sim) NewPDRouter(svc *LLMService, cfg ...PDPolicyConfig) *PDRouter {
 	c := router.DefaultPDPolicy()
-	if s.opts.pd {
-		c = s.opts.pdCfg
-	}
 	if len(cfg) > 0 {
 		c = cfg[0]
 	}
@@ -408,11 +393,10 @@ func DefaultElasticConfig() ElasticConfig { return cluster.DefaultElastic() }
 
 // Autoscale enables elastic per-stage instance pools on a deployed app:
 // a virtual-time controller grows and shrinks each GPU stage's pool between
-// the configured bounds, draining instances before teardown. The
-// configuration comes from, in precedence order, the explicit argument,
-// WithAutoscaler's value, or DefaultElasticConfig. When the Sim carries a
-// fault injector (WithFaults), the pools subscribe to its GPU crash signals
-// and route around crashed replicas until they recover:
+// the configured bounds, draining instances before teardown. It runs the
+// explicit configuration, if one is given, or DefaultElasticConfig. When the
+// Sim carries a fault injector (WithFaults), the pools subscribe to its GPU
+// crash signals and route around crashed replicas until they recover:
 //
 //	app := c.Deploy(grouter.DrivingWorkflow(), 0, grouter.PlaceOptions{Node: 0})
 //	ep := s.Autoscale(app, grouter.ElasticConfig{
@@ -423,9 +407,6 @@ func DefaultElasticConfig() ElasticConfig { return cluster.DefaultElastic() }
 //	fmt.Println(ep.GPUSeconds(), ep.Stats)
 func (s *Sim) Autoscale(app *App, cfg ...ElasticConfig) *Elastic {
 	c := cluster.DefaultElastic()
-	if s.opts.elastic {
-		c = s.opts.elasticCfg
-	}
 	if len(cfg) > 0 {
 		c = cfg[0]
 	}

@@ -35,7 +35,7 @@ type PoolMetrics struct {
 	Busy  int
 	Load  float64
 	// History holds the most recent Load samples, oldest first, the current
-	// observation last. The controller bounds its length (HistoryWindow).
+	// observation last. The controller bounds its length (8 observations).
 	History []float64
 	// Attainment is the front-door router's predicted SLO attainment in
 	// [0,1] — the minimum across QoS classes of the fraction of recent

@@ -77,8 +77,9 @@ func newBase(f *fabric.Fabric) base {
 func (b *base) Stats() *dataplane.Stats { return &b.stats }
 
 // copyOver runs one logical copy over explicit paths. pageable caps the
-// transfer at PageableBps (host-mediated copies without pinned staging).
-func (b *base) copyOver(p *sim.Proc, label string, bytes int64, hostStack, pageable bool, paths ...[]topology.LinkID) {
+// transfer at PageableBps (host-mediated copies without pinned staging). It
+// returns the transfer's error when the copy still fails after its retries.
+func (b *base) copyOver(p *sim.Proc, label string, bytes int64, hostStack, pageable bool, paths ...[]topology.LinkID) error {
 	b.stats.Copies++
 	b.stats.BytesMoved += bytes
 	req := xfer.Request{Label: label, Bytes: bytes, HostStack: hostStack}
@@ -88,7 +89,8 @@ func (b *base) copyOver(p *sim.Proc, label string, bytes int64, hostStack, pagea
 	for _, ls := range paths {
 		req.Paths = append(req.Paths, xfer.PathOf(b.f.Net, ls))
 	}
-	b.x.Transfer(p, req)
+	_, err := b.x.Transfer(p, req)
+	return err
 }
 
 // localCopy is an intra-device D2D copy (e.g. into a same-GPU symmetric
@@ -123,7 +125,10 @@ func (pl *INFless) Put(p *sim.Proc, ctx *dataplane.FnCtx, bytes int64) (dataplan
 	}
 	if !ctx.Loc.IsHost() {
 		p.Sleep(PinnedAllocLatency)
-		pl.copyOver(p, "put:"+ctx.Fn, bytes, false, true, pl.f.Topo(node).GPUToHostLinks(ctx.Loc.GPU))
+		if err := pl.copyOver(p, "put:"+ctx.Fn, bytes, false, true, pl.f.Topo(node).GPUToHostLinks(ctx.Loc.GPU)); err != nil {
+			blk.Free()
+			return dataplane.DataRef{}, fmt.Errorf("infless+: put copy: %w", err)
+		}
 		serialize(p, bytes) // object copied into the shm store
 	} else {
 		p.Sleep(memsim.PoolAllocLatency)
@@ -138,7 +143,7 @@ func (pl *INFless) Put(p *sim.Proc, ctx *dataplane.FnCtx, bytes int64) (dataplan
 func (pl *INFless) Get(p *sim.Proc, ctx *dataplane.FnCtx, ref dataplane.DataRef) error {
 	r := pl.recs[ref.ID]
 	if r == nil {
-		return fmt.Errorf("infless+: unknown data id %d", ref.ID)
+		return fmt.Errorf("infless+: %w: data id %d", dataplane.ErrNotFound, ref.ID)
 	}
 	pl.stats.Gets++
 	pl.stats.AddControl(1, 2*time.Microsecond)
@@ -147,8 +152,10 @@ func (pl *INFless) Get(p *sim.Proc, ctx *dataplane.FnCtx, ref dataplane.DataRef)
 		// Remote host store: pull host-to-host over the kernel stack first.
 		src := pl.f.Topo(r.node)
 		dst := pl.f.Topo(node)
-		pl.copyOver(p, "get-net:"+ctx.Fn, r.bytes, true, true,
-			[]topology.LinkID{src.NICTx(0), dst.NICRx(0)})
+		if err := pl.copyOver(p, "get-net:"+ctx.Fn, r.bytes, true, true,
+			[]topology.LinkID{src.NICTx(0), dst.NICRx(0)}); err != nil {
+			return fmt.Errorf("infless+: get: %w", err)
+		}
 	}
 	if ctx.Loc.IsHost() {
 		p.Sleep(MapLatencyHost)
@@ -157,7 +164,9 @@ func (pl *INFless) Get(p *sim.Proc, ctx *dataplane.FnCtx, ref dataplane.DataRef)
 	}
 	p.Sleep(PinnedAllocLatency)
 	serialize(p, r.bytes) // copy out of the shm store into staging
-	pl.copyOver(p, "get:"+ctx.Fn, r.bytes, false, true, pl.f.Topo(node).HostToGPULinks(ctx.Loc.GPU))
+	if err := pl.copyOver(p, "get:"+ctx.Fn, r.bytes, false, true, pl.f.Topo(node).HostToGPULinks(ctx.Loc.GPU)); err != nil {
+		return fmt.Errorf("infless+: get: %w", err)
+	}
 	return nil
 }
 
@@ -240,17 +249,21 @@ func (pl *NVShmem) Put(p *sim.Proc, ctx *dataplane.FnCtx, bytes int64) (dataplan
 	switch {
 	case it.OnHost:
 		if !ctx.Loc.IsHost() {
-			pl.copyOver(p, "put-spill:"+ctx.Fn, bytes, false, !pl.deepPlan, topo.GPUToHostLinks(ctx.Loc.GPU))
+			err = pl.copyOver(p, "put-spill:"+ctx.Fn, bytes, false, !pl.deepPlan, topo.GPUToHostLinks(ctx.Loc.GPU))
 		}
 	case ctx.Loc.IsHost():
 		// cFn output staged up to the GPU store.
 		paths := pl.f.Routes.HostToGPUPaths(nil, node, gpu, pl.hostMode(), pl.f.Net)
-		pl.copyOver(p, "put:"+ctx.Fn, bytes, false, !pl.deepPlan, paths...)
+		err = pl.copyOver(p, "put:"+ctx.Fn, bytes, false, !pl.deepPlan, paths...)
 	case gpu == ctx.Loc.GPU:
 		pl.localCopy(p, bytes) // same device: copy into the symmetric heap
 	default:
 		links, _ := pl.f.SinglePath(ctx.Loc, fabric.Location{Node: node, GPU: gpu})
-		pl.copyOver(p, "put:"+ctx.Fn, bytes, false, false, links)
+		err = pl.copyOver(p, "put:"+ctx.Fn, bytes, false, false, links)
+	}
+	if err != nil {
+		pl.stores[node].Free(it)
+		return dataplane.DataRef{}, fmt.Errorf("%s: put copy: %w", pl.Name(), err)
 	}
 	pl.nextID++
 	pl.recs[pl.nextID] = &rec{node: node, it: it, bytes: bytes}
@@ -262,7 +275,7 @@ func (pl *NVShmem) Put(p *sim.Proc, ctx *dataplane.FnCtx, bytes int64) (dataplan
 func (pl *NVShmem) Get(p *sim.Proc, ctx *dataplane.FnCtx, ref dataplane.DataRef) error {
 	r := pl.recs[ref.ID]
 	if r == nil {
-		return fmt.Errorf("%s: unknown data id %d", pl.Name(), ref.ID)
+		return fmt.Errorf("%s: %w: data id %d", pl.Name(), dataplane.ErrNotFound, ref.ID)
 	}
 	pl.stats.Gets++
 	pl.stats.AddControl(1, 2*time.Microsecond)
@@ -279,14 +292,19 @@ func (pl *NVShmem) Get(p *sim.Proc, ctx *dataplane.FnCtx, ref dataplane.DataRef)
 		relayGPU := pl.rng.Intn(pl.f.Spec().NumGPUs)
 		relay := fabric.Location{Node: ctx.Loc.Node, GPU: relayGPU}
 		links, hostStack := pl.f.SinglePath(srcLoc, relay)
-		pl.copyOver(p, "get-relay:"+ctx.Fn, r.bytes, hostStack, false, links)
+		if err := pl.copyOver(p, "get-relay:"+ctx.Fn, r.bytes, hostStack, false, links); err != nil {
+			return fmt.Errorf("%s: get: %w", pl.Name(), err)
+		}
 		srcLoc = relay
 	}
-	return pl.deliverLocal(p, ctx, srcLoc, r.bytes)
+	if err := pl.deliverLocal(p, ctx, srcLoc, r.bytes); err != nil {
+		return fmt.Errorf("%s: get: %w", pl.Name(), err)
+	}
+	return nil
 }
 
 // deliverLocal moves the object from a location on the consumer's node to
-// the consumer.
+// the consumer, returning the copy's error.
 func (pl *NVShmem) deliverLocal(p *sim.Proc, ctx *dataplane.FnCtx, src fabric.Location, bytes int64) error {
 	switch {
 	case src == ctx.Loc:
@@ -297,13 +315,13 @@ func (pl *NVShmem) deliverLocal(p *sim.Proc, ctx *dataplane.FnCtx, src fabric.Lo
 		}
 	case src.IsHost() && !ctx.Loc.IsHost():
 		paths := pl.f.Routes.HostToGPUPaths(nil, ctx.Loc.Node, ctx.Loc.GPU, pl.hostMode(), pl.f.Net)
-		pl.copyOver(p, "get:"+ctx.Fn, bytes, false, !pl.deepPlan, paths...)
+		return pl.copyOver(p, "get:"+ctx.Fn, bytes, false, !pl.deepPlan, paths...)
 	case !src.IsHost() && ctx.Loc.IsHost():
 		paths := pl.f.Routes.GPUToHostPaths(nil, ctx.Loc.Node, src.GPU, pl.hostMode(), pl.f.Net)
-		pl.copyOver(p, "get:"+ctx.Fn, bytes, false, !pl.deepPlan, paths...)
+		return pl.copyOver(p, "get:"+ctx.Fn, bytes, false, !pl.deepPlan, paths...)
 	default:
 		links, hostStack := pl.f.SinglePath(src, ctx.Loc)
-		pl.copyOver(p, "get:"+ctx.Fn, bytes, hostStack, false, links)
+		return pl.copyOver(p, "get:"+ctx.Fn, bytes, hostStack, false, links)
 	}
 	return nil
 }
@@ -323,13 +341,11 @@ type singleLinkMigrator struct {
 }
 
 func (m *singleLinkMigrator) ToHost(p *sim.Proc, gpu int, bytes int64) error {
-	m.pl.copyOver(p, "migrate-out", bytes, false, !m.pl.deepPlan, m.pl.f.Topo(m.node).GPUToHostLinks(gpu))
-	return nil
+	return m.pl.copyOver(p, "migrate-out", bytes, false, !m.pl.deepPlan, m.pl.f.Topo(m.node).GPUToHostLinks(gpu))
 }
 
 func (m *singleLinkMigrator) ToGPU(p *sim.Proc, gpu int, bytes int64) error {
-	m.pl.copyOver(p, "migrate-in", bytes, false, !m.pl.deepPlan, m.pl.f.Topo(m.node).HostToGPULinks(gpu))
-	return nil
+	return m.pl.copyOver(p, "migrate-in", bytes, false, !m.pl.deepPlan, m.pl.f.Topo(m.node).HostToGPULinks(gpu))
 }
 
 func min64(a, b int64) int64 {

@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -8,6 +10,7 @@ import (
 	"grouter/internal/fabric"
 	"grouter/internal/sim"
 	"grouter/internal/topology"
+	"grouter/internal/xfer"
 )
 
 const MB = int64(1) << 20
@@ -167,12 +170,122 @@ func TestGetUnknownRefErrors(t *testing.T) {
 		pl := pl
 		e.Go("bad-get", func(p *sim.Proc) {
 			ctx := &dataplane.FnCtx{Fn: "f", Loc: fabric.Location{Node: 0, GPU: 0}}
-			if err := pl.Get(p, ctx, dataplane.DataRef{ID: 4242, Bytes: 1}); err == nil {
-				t.Errorf("%s: Get of unknown ref should error", pl.Name())
+			if err := pl.Get(p, ctx, dataplane.DataRef{ID: 4242, Bytes: 1}); !errors.Is(err, dataplane.ErrNotFound) {
+				t.Errorf("%s: Get of unknown ref = %v, want ErrNotFound", pl.Name(), err)
 			}
 		})
 	}
 	e.Run(0)
+}
+
+// TestFailedCopyFailsGet takes GPU 1's host→GPU links down for 50 ms, far
+// longer than a transfer's retries last: an INFless+ Get to GPU 1 must
+// return the transfer's error instead of reporting undelivered bytes as
+// delivered.
+func TestFailedCopyFailsGet(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	f := fabric.New(e, topology.DGXV100(), 1)
+	pl := NewINFless(f)
+	var err error
+	e.Go("t", func(p *sim.Proc) {
+		ref, perr := pl.Put(p, &dataplane.FnCtx{Fn: "up", Loc: fabric.Location{Node: 0, GPU: 0}}, 64*MB)
+		if perr != nil {
+			t.Errorf("Put: %v", perr)
+			return
+		}
+		links := f.Topo(0).HostToGPULinks(1)
+		for _, l := range links {
+			f.Net.FailLink(l)
+		}
+		e.Schedule(50*time.Millisecond, func() {
+			for _, l := range links {
+				f.Net.RestoreLink(l)
+			}
+		})
+		err = pl.Get(p, &dataplane.FnCtx{Fn: "down", Loc: fabric.Location{Node: 0, GPU: 1}}, ref)
+	})
+	e.Run(0)
+	if !errors.Is(err, xfer.ErrPathsDown) {
+		t.Errorf("Get over downed links = %v, want ErrPathsDown", err)
+	}
+	if fs := f.Net.Faults(); fs.Retries != xfer.DefaultMaxAttempts-1 || fs.TransfersFailed != 1 {
+		t.Errorf("retries = %d, transfers failed = %d, want %d and 1",
+			fs.Retries, fs.TransfersFailed, xfer.DefaultMaxAttempts-1)
+	}
+}
+
+// TestFailedDeliveryFailsGet downs every GPU→host link of the node after a
+// Put: a GPU-store plane's Get to a host consumer must return the
+// transfer's error, wrapped with the plane's name.
+func TestFailedDeliveryFailsGet(t *testing.T) {
+	for _, mk := range []func(*fabric.Fabric) *NVShmem{
+		func(f *fabric.Fabric) *NVShmem { return NewNVShmem(f, 1) },
+		func(f *fabric.Fabric) *NVShmem { return NewDeepPlan(f, 1) },
+	} {
+		e := sim.NewEngine()
+		f := fabric.New(e, topology.DGXV100(), 1)
+		pl := mk(f)
+		var err error
+		e.Go("t", func(p *sim.Proc) {
+			ref, perr := pl.Put(p, &dataplane.FnCtx{Fn: "up", Loc: fabric.Location{Node: 0, GPU: 0}}, 64*MB)
+			if perr != nil {
+				t.Errorf("%s: Put: %v", pl.Name(), perr)
+				return
+			}
+			for g := 0; g < f.Spec().NumGPUs; g++ {
+				for _, l := range f.Topo(0).GPUToHostLinks(g) {
+					f.Net.FailLink(l)
+				}
+			}
+			err = pl.Get(p, &dataplane.FnCtx{Fn: "down", Loc: fabric.Location{Node: 0, GPU: fabric.HostGPU}}, ref)
+		})
+		e.Run(0)
+		if !errors.Is(err, xfer.ErrPathsDown) || !strings.HasPrefix(err.Error(), pl.Name()+": ") {
+			t.Errorf("%s: Get over downed links = %v, want ErrPathsDown wrapped with the plane's name", pl.Name(), err)
+		}
+		e.Close()
+	}
+}
+
+// TestFailedCopyFreesStore fails each plane's copy into its store: Put must
+// return the error and leave nothing allocated — the host block for
+// INFless+, the store item for NVSHMEM+.
+func TestFailedCopyFreesStore(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	f := fabric.New(e, topology.DGXV100(), 1)
+	infless, nvshmem := NewINFless(f), NewNVShmem(f, 1)
+	topo := f.Topo(0)
+	var ierr, nerr error
+	e.Go("t", func(p *sim.Proc) {
+		// A GPU producer's copy into INFless+'s host store crosses GPU 0's
+		// GPU→host links; a host producer's copy into NVSHMEM+'s store
+		// crosses the host→GPU links of whichever GPU the store picks.
+		for _, l := range topo.GPUToHostLinks(0) {
+			f.Net.FailLink(l)
+		}
+		for g := 0; g < f.Spec().NumGPUs; g++ {
+			for _, l := range topo.HostToGPULinks(g) {
+				f.Net.FailLink(l)
+			}
+		}
+		_, ierr = infless.Put(p, &dataplane.FnCtx{Fn: "up", Loc: fabric.Location{Node: 0, GPU: 0}}, 64*MB)
+		_, nerr = nvshmem.Put(p, &dataplane.FnCtx{Fn: "up", Loc: fabric.Location{Node: 0, GPU: fabric.HostGPU}}, 64*MB)
+	})
+	e.Run(0)
+	if !errors.Is(ierr, xfer.ErrPathsDown) {
+		t.Errorf("INFless+ Put over downed links = %v, want ErrPathsDown", ierr)
+	}
+	if got := f.NodeF(0).Host.Used(); got != 0 {
+		t.Errorf("failed INFless+ Put left %d host bytes allocated", got)
+	}
+	if !errors.Is(nerr, xfer.ErrPathsDown) {
+		t.Errorf("NVSHMEM+ Put over downed links = %v, want ErrPathsDown", nerr)
+	}
+	if got := nvshmem.Store(0).TotalUsed(); got != 0 {
+		t.Errorf("failed NVSHMEM+ Put left %d store bytes in use", got)
+	}
 }
 
 func TestPlaneNames(t *testing.T) {

@@ -229,7 +229,8 @@ type App struct {
 
 // Deploy places wf's instances, seeds each stage instance's replica pool
 // with its placement, and returns the app. batch <= 0 uses the workflow
-// default.
+// default. opt.Seed seeds the skips of probabilistic stages: request seq
+// draws from seed opt.Seed+seq.
 func (c *Cluster) Deploy(wf *workflow.Workflow, batch int, opt scheduler.Options) *App {
 	if err := wf.Validate(); err != nil {
 		panic(err)

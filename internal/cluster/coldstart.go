@@ -68,7 +68,9 @@ func (a *App) ColdStarts() int64 { return a.coldStarts }
 // ensureWarm pays the cold-start penalty if the instance is cold or its
 // keep-alive expired. It must run while the instance's compute slot is held.
 // Model weights load from host memory over the instance's local PCIe route
-// at full pinned bandwidth. loc is the activation's resolved location: the
+// at full pinned bandwidth; a load that still fails after its retries
+// panics, as a failed input Get does, so the instance never turns warm
+// without its weights. loc is the activation's resolved location: the
 // pool may have been rebuilt (drain, crash, scale) since the pick, so the
 // member id must never be re-indexed into the current routable slice.
 func (a *App) ensureWarm(p *sim.Proc, si scheduler.StageInst, memberID int, loc fabric.Location, weights int64) {
@@ -90,11 +92,13 @@ func (a *App) ensureWarm(p *sim.Proc, si scheduler.StageInst, memberID int, loc 
 		if weights > 0 {
 			if !loc.IsHost() {
 				topo := a.C.Fabric.Topo(loc.Node)
-				a.C.xm.Transfer(p, xfer.Request{
+				if _, err := a.C.xm.Transfer(p, xfer.Request{
 					Label: "model-load:" + si.Stage,
 					Bytes: weights,
 					Paths: []xfer.Path{xfer.PathOf(a.C.Fabric.Net, topo.HostToGPULinks(loc.GPU))},
-				})
+				}); err != nil {
+					panic(err)
+				}
 			}
 		}
 		st.warm = true

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"grouter/internal/sim"
 	"grouter/internal/topology"
 	"grouter/internal/workflow"
+	"grouter/internal/xfer"
 )
 
 func TestColdStartPenaltyAndWarmReuse(t *testing.T) {
@@ -37,6 +39,40 @@ func TestColdStartPenaltyAndWarmReuse(t *testing.T) {
 	cold, warm := samples[len(samples)-1], samples[0]
 	if !(cold > warm+time.Second) {
 		t.Errorf("cold request %v should exceed warm %v by container+load time", cold, warm)
+	}
+}
+
+// TestFailedModelLoadNeverWarms downs the host→GPU links a cold start loads
+// its weights over: the load must panic, as a failed input Get does, and
+// leave the instance cold.
+func TestFailedModelLoadNeverWarms(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	c := New(e, topology.DGXV100(), 1, grouterPlane)
+	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
+	app.SetColdStart(DefaultColdStart())
+	var ps *poolState
+	for _, cand := range app.pools {
+		if cand.stage.IsGPU() {
+			ps = cand
+			break
+		}
+	}
+	m := ps.members[0]
+	for _, l := range c.Fabric.Topo(m.loc.Node).HostToGPULinks(m.loc.GPU) {
+		c.Fabric.Net.FailLink(l)
+	}
+	var recovered any
+	e.Go("load", func(p *sim.Proc) {
+		defer func() { recovered = recover() }()
+		app.ensureWarm(p, ps.si, m.id, m.loc, ps.stage.Model.WeightsBytes)
+	})
+	e.Run(0)
+	if err, _ := recovered.(error); !errors.Is(err, xfer.ErrPathsDown) {
+		t.Fatalf("failed model load recovered %v, want a panic wrapping ErrPathsDown", recovered)
+	}
+	if app.instances[instKey{ps.si, m.id}].warm || app.ColdStarts() != 0 {
+		t.Errorf("a failed model load warmed the instance (cold starts %d)", app.ColdStarts())
 	}
 }
 

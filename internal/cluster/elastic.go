@@ -67,7 +67,8 @@ type poolState struct {
 	members []*poolMember
 	slots   []*poolMember
 	locs    []fabric.Location
-	// lastOut/lastIn gate the per-direction cooldowns.
+	// lastOut/lastIn are the last scale events; they gate the scale-in
+	// cooldown.
 	lastOut, lastIn time.Duration
 	// hist holds recent load observations for predictive strategies.
 	hist []float64
@@ -111,15 +112,10 @@ type ElasticConfig struct {
 	Min, Max int
 	// Interval is the controller's evaluation period (default 250ms).
 	Interval time.Duration
-	// ScaleOutCooldown suppresses a scale-out within the window after the
-	// previous one; ScaleInCooldown suppresses a scale-in within the window
-	// after any scale event (so freshly ordered capacity is not immediately
-	// shed). Both default to zero — every interval may act.
-	ScaleOutCooldown time.Duration
-	ScaleInCooldown  time.Duration
-	// HistoryWindow bounds the per-pool load history handed to predictive
-	// strategies (default 8 observations).
-	HistoryWindow int
+	// ScaleInCooldown suppresses a scale-in within the window after any
+	// scale event (so freshly ordered capacity is not immediately shed).
+	// Zero, the default, lets every interval act.
+	ScaleInCooldown time.Duration
 	// Prewarm provisions scaled-out replicas in the background: the new
 	// member becomes routable only after ProvisionDelay, already warm, so no
 	// request is charged its cold start. False (the default) makes the new
@@ -190,9 +186,6 @@ func (a *App) EnableElastic(cfg ElasticConfig) *ElasticPools {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 250 * time.Millisecond
 	}
-	if cfg.HistoryWindow < 2 {
-		cfg.HistoryWindow = 8
-	}
 	if cfg.RecoverAfter <= 0 {
 		cfg.RecoverAfter = 500 * time.Millisecond
 	}
@@ -228,6 +221,10 @@ func (ep *ElasticPools) provisionDelay() time.Duration {
 	return 0
 }
 
+// historyWindow bounds the per-pool load history handed to predictive
+// strategies.
+const historyWindow = 8
+
 // observe builds one pool's metrics snapshot and pushes the load history.
 func (ep *ElasticPools) observe(ps *poolState) autoscale.PoolMetrics {
 	m := autoscale.PoolMetrics{}
@@ -261,7 +258,7 @@ func (ep *ElasticPools) observe(ps *poolState) autoscale.PoolMetrics {
 		}
 	}
 	ps.hist = append(ps.hist, m.Load)
-	if n := len(ps.hist) - ep.cfg.HistoryWindow; n > 0 {
+	if n := len(ps.hist) - historyWindow; n > 0 {
 		ps.hist = ps.hist[n:]
 	}
 	m.History = ps.hist
@@ -285,9 +282,6 @@ func (ep *ElasticPools) step() {
 		live := m.Active + m.Provisioning
 		switch {
 		case want > live:
-			if ep.cfg.ScaleOutCooldown > 0 && ps.lastOut > 0 && now-ps.lastOut < ep.cfg.ScaleOutCooldown {
-				continue
-			}
 			for i := live; i < want; i++ {
 				ep.scaleOut(ps, now)
 			}

@@ -113,33 +113,6 @@ func TestElasticScaleOutAndDrain(t *testing.T) {
 	}
 }
 
-func TestElasticScaleOutCooldown(t *testing.T) {
-	e := sim.NewEngine()
-	defer e.Close()
-	c := New(e, topology.DGXV100(), 1, grouterPlane)
-	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
-	ep := app.EnableElastic(ElasticConfig{
-		Scaler:           autoscale.Reactive{ScaleOutDepth: 1},
-		Min:              1,
-		Max:              4,
-		Interval:         50 * time.Millisecond,
-		ScaleOutCooldown: time.Hour, // longer than the run: one scale-out per pool
-	})
-	burst(e, app, trace.Spec{Pattern: trace.Sporadic, Duration: 5 * time.Second, MeanRPS: 80, Seed: 3})
-	e.Run(0)
-	if ep.Stats.ScaleOuts == 0 {
-		t.Fatal("no scale-out under overload")
-	}
-	if ep.Stats.ScaleOuts > 3 {
-		t.Fatalf("ScaleOuts = %d with an uncooled window of one per pool (3 GPU pools)", ep.Stats.ScaleOuts)
-	}
-	for _, st := range []string{"denoise", "segmentation", "colorize"} {
-		if active, _, _ := ep.Replicas(st, 0); active > 2 {
-			t.Errorf("%s grew to %d actives inside one cooldown window", st, active)
-		}
-	}
-}
-
 func TestElasticMinFloor(t *testing.T) {
 	// Min above the deployed size provisions up to the floor even when idle.
 	e := sim.NewEngine()

@@ -54,10 +54,9 @@ type PDConfig struct {
 	PrefillWorkers int
 	DecodeWorkers  int
 	MixedWorkers   int
-	// DefaultPromptTokens/DefaultOutTokens replace zero Request lengths
-	// (defaults 512/32).
-	DefaultPromptTokens int
-	DefaultOutTokens    int
+	// DefaultOutTokens replaces a zero Request output length (default 32);
+	// a zero prompt length becomes 512 tokens.
+	DefaultOutTokens int
 	// SLOScale sets a request's latency objective as a multiple of its
 	// unloaded colocated service time (default 2); the KV handoff inherits
 	// the remaining budget as its transfer rate floor.
@@ -67,6 +66,9 @@ type PDConfig struct {
 	// zero-cost-transfer differential oracle.
 	ZeroKV bool
 }
+
+// defaultPromptTokens is the prompt length of a Request that sets none.
+const defaultPromptTokens = 512
 
 // PDStats counts an LLMService's placement and handoff activity.
 type PDStats struct {
@@ -146,9 +148,6 @@ func (c *Cluster) DeployLLM(cfg PDConfig) (*LLMService, error) {
 	capacity := len(c.gpus) * c.Fabric.Spec().NumGPUs
 	if total > capacity {
 		return nil, fmt.Errorf("%w: %d workers exceed %d cluster GPUs", ErrBadRequest, total, capacity)
-	}
-	if cfg.DefaultPromptTokens <= 0 {
-		cfg.DefaultPromptTokens = 512
 	}
 	if cfg.DefaultOutTokens <= 0 {
 		cfg.DefaultOutTokens = 32
@@ -250,7 +249,7 @@ type pdReq struct {
 // Runs in event context; the descriptor is trusted (Submit validates).
 func (s *LLMService) startReq(req Request, done *sim.Signal) {
 	if req.PromptTokens <= 0 {
-		req.PromptTokens = s.Cfg.DefaultPromptTokens
+		req.PromptTokens = defaultPromptTokens
 	}
 	if req.OutTokens <= 0 {
 		req.OutTokens = s.Cfg.DefaultOutTokens

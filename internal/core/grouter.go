@@ -227,9 +227,8 @@ func (pl *Plane) Store(n int) *store.Manager { return pl.stores[n] }
 // it was produced (zero copy); without it a random GPU store receives a copy.
 // It returns dataplane.ErrEvicted when the store cannot make room even after
 // spilling to host memory, memsim.ErrOutOfMemory when a host-resident output
-// does not fit in host memory, and the transfer's error when a copy into the
-// store still fails after its retries: xfer.ErrPathsDown when every path
-// stayed down, or an error naming the bytes a lost path left undelivered.
+// does not fit in host memory, and an error wrapping xfer.ErrPathsDown when a
+// copy into the store still fails after its retries.
 func (pl *Plane) Put(p *sim.Proc, ctx *dataplane.FnCtx, bytes int64) (dataplane.DataRef, error) {
 	// The label only feeds trace spans; with no tracer attached, skip the
 	// per-call string construction.
@@ -293,10 +292,8 @@ func (pl *Plane) Put(p *sim.Proc, ctx *dataplane.FnCtx, bytes int64) (dataplane.
 // data's current location (§4.2.2). It returns dataplane.ErrNotFound for an
 // unknown (or already-freed) id, ErrAccessDenied for a cross-workflow read,
 // dataplane.ErrGPUDown when a crash-lost object cannot be re-materialized,
-// and the transfer's error when the move still fails after its retries:
-// xfer.ErrPathsDown when every path stayed down, or an error naming the
-// bytes a lost path left undelivered. Transfers carry no deadline, so Get
-// never returns xfer.ErrDeadline.
+// and an error wrapping xfer.ErrPathsDown when the move still fails after its
+// retries.
 func (pl *Plane) Get(p *sim.Proc, ctx *dataplane.FnCtx, ref dataplane.DataRef) error {
 	r := pl.recs[ref.ID]
 	if r == nil {

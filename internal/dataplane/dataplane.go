@@ -35,27 +35,13 @@ type FnCtx struct {
 	Loc fabric.Location
 	// SLO is the function's latency objective and InferLatency its expected
 	// compute time; together they define the minimum transfer rate
-	// Rate_least = bytes/(SLO − InferLatency) of §4.3.2.
+	// Rate_least = bytes/(SLO − InferLatency) of §4.3.2 (harvest.Options).
 	SLO          time.Duration
 	InferLatency time.Duration
 	// ConsumerSeq orders the downstream invocation that will consume this
 	// function's output in the global request queue; the queue-aware
 	// eviction policy of §4.4.2 uses it.
 	ConsumerSeq int64
-}
-
-// RateFloor computes Rate_least in bytes/s for moving the given payload
-// within the context's SLO budget, or 0 when no SLO is set.
-func (c *FnCtx) RateFloor(bytes int64) float64 {
-	if c == nil || c.SLO <= 0 {
-		return 0
-	}
-	budget := c.SLO - c.InferLatency
-	if budget <= 0 {
-		// SLO already consumed by compute; ask for the whole link.
-		budget = time.Millisecond
-	}
-	return float64(bytes) / budget.Seconds()
 }
 
 // Plane is a serverless data plane: Put stores a function's output, Get

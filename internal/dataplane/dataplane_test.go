@@ -5,35 +5,6 @@ import (
 	"time"
 )
 
-func TestRateFloor(t *testing.T) {
-	ctx := &FnCtx{SLO: 100 * time.Millisecond, InferLatency: 60 * time.Millisecond}
-	got := ctx.RateFloor(40 << 20)
-	want := float64(40<<20) / 0.04
-	if got < want*0.99 || got > want*1.01 {
-		t.Errorf("RateFloor = %f, want %f", got, want)
-	}
-}
-
-func TestRateFloorNoSLO(t *testing.T) {
-	if (&FnCtx{}).RateFloor(100) != 0 {
-		t.Error("no SLO should mean no floor")
-	}
-	var nilCtx *FnCtx
-	if nilCtx.RateFloor(100) != 0 {
-		t.Error("nil ctx should mean no floor")
-	}
-}
-
-func TestRateFloorExhaustedBudget(t *testing.T) {
-	ctx := &FnCtx{SLO: 10 * time.Millisecond, InferLatency: 20 * time.Millisecond}
-	got := ctx.RateFloor(1 << 20)
-	// Budget clamps to 1ms: ask for the payload within a millisecond.
-	want := float64(1<<20) / 0.001
-	if got < want*0.99 || got > want*1.01 {
-		t.Errorf("RateFloor with exhausted budget = %f, want %f", got, want)
-	}
-}
-
 func TestStatsAddControl(t *testing.T) {
 	var s Stats
 	s.AddControl(3, 10*time.Microsecond)

@@ -4,8 +4,8 @@ import "errors"
 
 // Sentinel errors returned by data-plane operations. They are re-exported
 // through the grouter façade so callers can match with errors.Is instead of
-// parsing internal error strings. (Transfer-level sentinels such as the
-// deadline error live in internal/xfer and are likewise re-exported.)
+// parsing internal error strings. (The transfer-level sentinel ErrPathsDown
+// lives in internal/xfer and is likewise re-exported.)
 var (
 	// ErrNotFound is returned by Get for a DataRef that was never stored or
 	// has already been freed.

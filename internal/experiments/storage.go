@@ -76,7 +76,7 @@ func runSqueezed(mk planeMaker, ratio float64) *cluster.App {
 	e := sim.NewEngine()
 	defer e.Close()
 	c := cluster.New(e, topology.DGXV100(), 1, mk.mk)
-	// Storage limit = FreeFraction (0.5) × free memory, so leave 2×ratio×cap
+	// Storage limit = 0.5 × free memory (the store's free fraction), so leave 2×ratio×cap
 	// free to budget ratio×cap for storage.
 	leave := int64(2 * ratio * float64(c.Spec().GPUMemBytes))
 	c.SqueezeGPUMemory(leave)

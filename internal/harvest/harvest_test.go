@@ -171,6 +171,12 @@ func TestOptionsRateFloor(t *testing.T) {
 	if got := Options(100, 0, 0); got.MinRate != 0 || got.Priority != 0 {
 		t.Errorf("no-SLO options = %+v, want zero", got)
 	}
+	// Compute already spent the SLO: the budget clamps to 1 ms, asking for
+	// the payload within a millisecond.
+	exhausted := Options(1<<20, 10*time.Millisecond, 20*time.Millisecond)
+	if want := float64(1<<20) / 0.001; exhausted.MinRate < want*0.99 || exhausted.MinRate > want*1.01 {
+		t.Errorf("exhausted-budget MinRate = %.0f, want %.0f", exhausted.MinRate, want)
+	}
 }
 
 func TestPriorityMonotone(t *testing.T) {

@@ -73,7 +73,8 @@ func NewCluster(e *sim.Engine, n int) *Cluster {
 // TransferKV moves an LLM's KV cache for `tokens` prompt tokens from the
 // sender stage (node src, GPUs 0..tp-1) to the receiver stage (node dst,
 // GPUs 0..tp-1) under the given system, returning the elapsed time. It must
-// be called from a sim process.
+// be called from a sim process. Link failures are retried like any transfer;
+// a shard that still fails after its retries panics.
 func (c *Cluster) TransferKV(p *sim.Proc, sys System, llm *models.LLM, tokens, tp, src, dst int) time.Duration {
 	if tp < 1 || tp > c.F.Spec().NumGPUs {
 		panic(fmt.Sprintf("kvcache: bad tp %d", tp))
@@ -83,41 +84,33 @@ func (c *Cluster) TransferKV(p *sim.Proc, sys System, llm *models.LLM, tokens, t
 	start := p.Now()
 	srcT, dstT := c.F.Topo(src), c.F.Topo(dst)
 
-	done := make([]*sim.Signal, 0, tp)
-	wait := func() {
-		for _, d := range done {
-			d.Wait(p)
-		}
-	}
-
+	var reqs []xfer.Request
 	switch sys {
 	case SysINFless:
 		// Phase 1: every shard staged to host memory (pageable).
 		for g := 0; g < tp; g++ {
-			done = append(done, c.X.TransferAsync(xfer.Request{
+			reqs = append(reqs, xfer.Request{
 				Label: "kv-d2h", Bytes: shard,
 				Paths: []xfer.Path{xfer.PathOf(c.F.Net, srcT.GPUToHostLinks(g))},
 				Opt:   netsim.Options{MaxRate: pageableBps},
-			}))
+			})
 		}
-		wait()
+		c.transferAll(p, reqs)
 		// Phase 2: one TCP stream over a single NIC.
-		done = done[:0]
-		done = append(done, c.X.TransferAsync(xfer.Request{
+		c.transferAll(p, []xfer.Request{{
 			Label: "kv-net", Bytes: total, HostStack: true,
 			Paths: []xfer.Path{xfer.PathOf(c.F.Net, []topology.LinkID{srcT.NICTx(0), dstT.NICRx(0)})},
-		}))
-		wait()
+		}})
 		// Phase 3: shards staged back up to the receiver GPUs.
-		done = done[:0]
+		reqs = reqs[:0]
 		for g := 0; g < tp; g++ {
-			done = append(done, c.X.TransferAsync(xfer.Request{
+			reqs = append(reqs, xfer.Request{
 				Label: "kv-h2d", Bytes: shard,
 				Paths: []xfer.Path{xfer.PathOf(c.F.Net, dstT.HostToGPULinks(g))},
 				Opt:   netsim.Options{MaxRate: pageableBps},
-			}))
+			})
 		}
-		wait()
+		c.transferAll(p, reqs)
 
 	case SysMooncake:
 		// Each shard rides its own GPU's NIC (multi-NIC emerges with TP),
@@ -129,21 +122,21 @@ func (c *Cluster) TransferKV(p *sim.Proc, sys System, llm *models.LLM, tokens, t
 			var links []topology.LinkID
 			links = append(links, srcT.GPUToNICLinks(g, nic)...)
 			links = append(links, dstT.NICToGPULinks(nic, store)...)
-			done = append(done, c.X.TransferAsync(xfer.Request{
+			reqs = append(reqs, xfer.Request{
 				Label: "kv-gdr", Bytes: shard,
 				Paths: []xfer.Path{xfer.PathOf(c.F.Net, links)},
-			}))
+			})
 		}
-		wait()
+		c.transferAll(p, reqs)
 		// Store-to-receiver copies over NVSwitch.
-		done = done[:0]
+		reqs = reqs[:0]
 		for g := 0; g < tp; g++ {
-			done = append(done, c.X.TransferAsync(xfer.Request{
+			reqs = append(reqs, xfer.Request{
 				Label: "kv-store-copy", Bytes: shard,
 				Paths: []xfer.Path{xfer.PathOf(c.F.Net, dstT.NVLinkPathLinks([]int{relay(g), g}))},
-			}))
+			})
 		}
-		wait()
+		c.transferAll(p, reqs)
 
 	case SysGRouter:
 		// Direct shard-to-shard GDR; each shard additionally harvests the
@@ -170,13 +163,32 @@ func (c *Cluster) TransferKV(p *sim.Proc, sys System, llm *models.LLM, tokens, t
 				}
 				paths = append(paths, xfer.PathOf(c.F.Net, links))
 			}
-			done = append(done, c.X.TransferAsync(xfer.Request{
+			reqs = append(reqs, xfer.Request{
 				Label: "kv-direct", Bytes: shard, Paths: paths,
-			}))
+			})
 		}
-		wait()
+		c.transferAll(p, reqs)
 	}
 	return p.Now() - start
+}
+
+// transferAll runs each request in a process of its own and blocks p until
+// every one has finished. A transfer that still fails after its retries
+// panics, as a cluster activation does on a failed Put or Get.
+func (c *Cluster) transferAll(p *sim.Proc, reqs []xfer.Request) {
+	done := sim.NewSignal(p.Engine())
+	left := len(reqs)
+	for _, req := range reqs {
+		p.Engine().Go("kv-transfer", func(tp *sim.Proc) {
+			if _, err := c.X.Transfer(tp, req); err != nil {
+				panic(err)
+			}
+			if left--; left == 0 {
+				done.Fire()
+			}
+		})
+	}
+	done.Wait(p)
 }
 
 // TTFT returns the receiver's time to first token: KV transfer plus the

@@ -157,3 +157,34 @@ func TestTransferDeterministic(t *testing.T) {
 		t.Errorf("nondeterministic KV transfer: %v vs %v", a, b)
 	}
 }
+
+// TestKVTransferRetriesBriefOutage takes node 0's first NIC down for 100 µs
+// at 400 ms, inside INFless+'s network phase (about 358–402 ms). The killed
+// stream must be retried: the transfer finishes no earlier than the
+// fault-free one, never early as if the lost bytes had arrived.
+func TestKVTransferRetriesBriefOutage(t *testing.T) {
+	llm := models.MustLookupLLM("llama-7b")
+	run := func(outage bool) (time.Duration, int64) {
+		e := sim.NewEngine()
+		defer e.Close()
+		c := NewCluster(e, 2)
+		if outage {
+			nic := c.F.Topo(0).NICTx(0)
+			e.Schedule(400*time.Millisecond, func() { c.F.Net.FailLink(nic) })
+			e.Schedule(400*time.Millisecond+100*time.Microsecond, func() { c.F.Net.RestoreLink(nic) })
+		}
+		var d time.Duration
+		e.Go("kv", func(p *sim.Proc) { d = c.TransferKV(p, SysINFless, llm, 4096, 2, 0, 1) })
+		e.Run(0)
+		return d, c.F.Net.Faults().Retries
+	}
+	faultFree, _ := run(false)
+	faulted, retries := run(true)
+	t.Logf("fault-free %v; under the outage %v with %d retries", faultFree, faulted, retries)
+	if retries == 0 {
+		t.Error("the outage caused no retry")
+	}
+	if faulted < faultFree {
+		t.Errorf("transfer under the outage took %v, less than fault-free %v", faulted, faultFree)
+	}
+}

@@ -25,7 +25,7 @@ type FaultStats struct {
 	// DegradedBytes totals payload bytes that completed on a retry attempt
 	// (i.e. moved over a fallback or re-planned path).
 	DegradedBytes int64
-	// TransfersFailed counts transfers that exhausted retries or deadlines.
+	// TransfersFailed counts transfers that exhausted their retries.
 	TransfersFailed int64
 
 	// ObjectsLost counts stored objects invalidated by a crash;

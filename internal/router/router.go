@@ -31,8 +31,6 @@ type Config struct {
 	AgingAfter time.Duration
 	// RecoverAfter is how long a crashed worker stays blacklisted.
 	RecoverAfter time.Duration
-	// EWMAAlpha smooths the per-worker service-latency EWMA (default 0.2).
-	EWMAAlpha float64
 	// SLO configures per-class admission control; the zero value disables
 	// it (no AdmitFn is installed — the launch path stays byte-identical to
 	// the admission-free router).
@@ -54,7 +52,6 @@ func DefaultConfig() Config {
 		Refresh:      2 * time.Millisecond,
 		AgingAfter:   20 * time.Millisecond,
 		RecoverAfter: 500 * time.Millisecond,
-		EWMAAlpha:    0.2,
 	}
 }
 
@@ -204,9 +201,6 @@ func (r *attainRing) value() float64 {
 // positive AgingAfter it also enables priority aging on the cluster's GPU
 // queues. One router per cluster.
 func New(app *cluster.App, cfg Config) *Router {
-	if cfg.EWMAAlpha <= 0 || cfg.EWMAAlpha > 1 {
-		cfg.EWMAAlpha = 0.2
-	}
 	if cfg.RecoverAfter <= 0 {
 		cfg.RecoverAfter = 500 * time.Millisecond
 	}
@@ -350,6 +344,9 @@ func (r *Router) Config() Config { return r.cfg }
 // widx flattens a worker location.
 func (r *Router) widx(node, gpu int) int { return node*r.numGPUs + gpu }
 
+// ewmaAlpha smooths the per-worker service-latency EWMA.
+const ewmaAlpha = 0.2
+
 // onService folds one compute-slot hold into the worker's EWMA service
 // latency and cumulative busy time.
 func (r *Router) onService(node, gpu int, held time.Duration) {
@@ -357,8 +354,7 @@ func (r *Router) onService(node, gpu int, held time.Duration) {
 	if r.ewma[i] == 0 {
 		r.ewma[i] = held
 	} else {
-		a := r.cfg.EWMAAlpha
-		r.ewma[i] = time.Duration(a*float64(held) + (1-a)*float64(r.ewma[i]))
+		r.ewma[i] = time.Duration(ewmaAlpha*float64(held) + (1-ewmaAlpha)*float64(r.ewma[i]))
 	}
 	r.busy[i] += held
 }

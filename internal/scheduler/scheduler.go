@@ -1,33 +1,18 @@
 // Package scheduler places workflow function instances onto cluster GPUs.
-// The default strategy follows MAPA (§5): communicating GPU-function pairs
-// are assigned, heaviest data edge first, to GPU pairs with the best NVLink
-// connectivity, balancing instance load across devices. Round-robin and
-// random strategies exist for comparison and for placement-agnostic
-// experiments.
+// Placement follows MAPA (§5): communicating GPU-function pairs are
+// assigned, heaviest data edge first, to GPU pairs with the best NVLink
+// connectivity, balancing instance load across devices.
 package scheduler
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"grouter/internal/fabric"
 	"grouter/internal/obs"
 	"grouter/internal/topology"
 	"grouter/internal/workflow"
-)
-
-// Strategy selects a placement algorithm.
-type Strategy int
-
-const (
-	// MAPA places communicating pairs on well-connected GPUs.
-	MAPA Strategy = iota
-	// RoundRobin spreads instances over GPUs in order.
-	RoundRobin
-	// Random places instances uniformly at random (seeded).
-	Random
 )
 
 // StageInst identifies one replica of one stage.
@@ -48,8 +33,9 @@ type Options struct {
 	// SplitAcrossNodes distributes consecutive GPU stages over all nodes
 	// (the "functions distributed across nodes" setting of Fig. 13/15).
 	SplitAcrossNodes bool
-	Strategy         Strategy
-	Seed             int64
+	// Seed does not affect placement, which is deterministic. cluster.Deploy
+	// reads it as the seed of the app's probabilistic-stage skips.
+	Seed int64
 }
 
 // Placer assigns locations and tracks accumulated load for balancing across
@@ -117,7 +103,6 @@ func (p *Placer) Place(wf *workflow.Workflow, opt Options) Placement {
 	if node < 0 {
 		node = p.leastLoadedNode()
 	}
-	rng := rand.New(rand.NewSource(opt.Seed + 11))
 
 	// cFns run on their node's host.
 	var gpuInsts []StageInst
@@ -140,24 +125,7 @@ func (p *Placer) Place(wf *workflow.Workflow, opt Options) Placement {
 		}
 	}
 
-	switch opt.Strategy {
-	case RoundRobin:
-		for _, si := range gpuInsts {
-			n := instNode[si]
-			g := p.leastLoadedGPU(n, nil)
-			out[si] = fabric.Location{Node: n, GPU: g}
-			p.load[n][g]++
-		}
-	case Random:
-		for _, si := range gpuInsts {
-			n := instNode[si]
-			g := rng.Intn(p.cluster.Spec.NumGPUs)
-			out[si] = fabric.Location{Node: n, GPU: g}
-			p.load[n][g]++
-		}
-	default:
-		p.placeMAPA(wf, gpuInsts, instNode, out)
-	}
+	p.placeMAPA(wf, gpuInsts, instNode, out)
 	if p.Trace != nil {
 		// Walk the stage list (not the placement map) so the emitted
 		// decision order is deterministic.

@@ -38,7 +38,7 @@ func TestEveryInstancePlaced(t *testing.T) {
 
 func TestMAPAPrefersConnectedPairs(t *testing.T) {
 	wf := workflow.Driving()
-	pl := place(t, topology.DGXV100(), 1, wf, Options{Node: -1, Strategy: MAPA})
+	pl := place(t, topology.DGXV100(), 1, wf, Options{Node: -1})
 	spec := topology.DGXV100()
 	den := pl[StageInst{"denoise", 0}]
 	seg := pl[StageInst{"segmentation", 0}]
@@ -84,22 +84,6 @@ func TestReplicasSpread(t *testing.T) {
 	}
 }
 
-func TestRoundRobinAndRandomStrategies(t *testing.T) {
-	wf := workflow.Image()
-	rr := place(t, topology.DGXV100(), 1, wf, Options{Node: -1, Strategy: RoundRobin})
-	rd1 := place(t, topology.DGXV100(), 1, wf, Options{Node: -1, Strategy: Random, Seed: 1})
-	rd2 := place(t, topology.DGXV100(), 1, wf, Options{Node: -1, Strategy: Random, Seed: 1})
-	if len(rr) != len(rd1) {
-		t.Errorf("strategies placed different instance counts")
-	}
-	// Random is deterministic per seed.
-	for si, loc := range rd1 {
-		if rd2[si] != loc {
-			t.Errorf("random placement not deterministic at %v", si)
-		}
-	}
-}
-
 // TestPlaceDeterministic re-places the replica-heavy video workflow ten
 // times on fresh placers and requires bit-identical placements. The placer
 // walks Go maps internally (placement state, edge weights); any iteration-
@@ -109,7 +93,6 @@ func TestPlaceDeterministic(t *testing.T) {
 	wf := workflow.Video()
 	opts := []Options{
 		{Node: -1},
-		{Node: -1, Strategy: MAPA},
 		{Node: 0, SplitAcrossNodes: true},
 	}
 	for _, opt := range opts {

@@ -68,27 +68,23 @@ type Config struct {
 	Symmetric bool
 	// MinPool is the idle-period floor (§4.4.1; default 300 MB).
 	MinPool int64
-	// FreeFraction caps storage at this fraction of a GPU's free memory
-	// (§4.4.2; default 0.5).
-	FreeFraction float64
 	// ReclaimInterval is the sweep period for expired reservations.
 	ReclaimInterval time.Duration
-	// HistWindow is the sample window of the percentile trackers.
-	HistWindow int
 }
+
+// A manager stores at most freeFraction of a GPU's free memory (§4.4.2), and
+// its percentile trackers keep the last histWindow samples.
+const (
+	freeFraction = 0.5
+	histWindow   = 64
+)
 
 func (c Config) withDefaults() Config {
 	if c.MinPool == 0 {
 		c.MinPool = 300 << 20
 	}
-	if c.FreeFraction == 0 {
-		c.FreeFraction = 0.5
-	}
 	if c.ReclaimInterval == 0 {
 		c.ReclaimInterval = time.Second
-	}
-	if c.HistWindow == 0 {
-		c.HistWindow = 64
 	}
 	return c
 }
@@ -258,14 +254,14 @@ func (m *Manager) TotalUsed() int64 {
 	return t
 }
 
-// limit returns the storage budget on GPU g: FreeFraction of the memory not
+// limit returns the storage budget on GPU g: freeFraction of the memory not
 // used by anything else (treating the pool's own reservation as available).
 // A static pool is additionally a fixed-size region: it never holds more
 // than its pre-reservation.
 func (m *Manager) limit(g int) int64 {
 	dev := m.node.GPUs[g]
 	avail := dev.Free() + m.pools[g].Reserved()
-	lim := int64(m.cfg.FreeFraction * float64(avail))
+	lim := int64(freeFraction * float64(avail))
 	if !m.cfg.Elastic && m.cfg.StaticReserve > 0 && lim > m.cfg.StaticReserve {
 		lim = m.cfg.StaticReserve
 	}
@@ -644,9 +640,9 @@ func (m *Manager) recordArrival(fn string, now time.Duration, bytes int64) {
 	fs := m.funcs[fn]
 	if fs == nil {
 		fs = &funcStats{
-			intervals:   newQuantile(m.cfg.HistWindow),
-			sizes:       newQuantile(m.cfg.HistWindow),
-			concurrency: newQuantile(m.cfg.HistWindow),
+			intervals:   newQuantile(histWindow),
+			sizes:       newQuantile(histWindow),
+			concurrency: newQuantile(histWindow),
 		}
 		m.funcs[fn] = fs
 	}

@@ -57,14 +57,15 @@ type Spec struct {
 	// MeanRPS is the long-run average request rate.
 	MeanRPS float64
 	Seed    int64
-
-	// Period is the modulation period for Periodic (default 60s).
-	Period time.Duration
-	// BurstFactor is the burst-to-mean rate ratio for Bursty (default 4).
-	BurstFactor float64
-	// BurstLen is the mean burst duration for Bursty (default 5s).
-	BurstLen time.Duration
 }
+
+// Pattern shapes: Periodic modulates its rate over periodicPeriod; Bursty
+// bursts at burstFactor times the mean rate for burstLen on average.
+const (
+	periodicPeriod = time.Minute
+	burstFactor    = 4
+	burstLen       = 5 * time.Second
+)
 
 // Generate returns sorted arrival offsets in [0, Duration).
 func Generate(s Spec) []time.Duration {
@@ -77,33 +78,21 @@ func Generate(s Spec) []time.Duration {
 	case Sporadic:
 		out = poisson(rng, s.MeanRPS, s.Duration)
 	case Periodic:
-		period := s.Period
-		if period == 0 {
-			period = time.Minute
-		}
 		// Thinning: candidate Poisson at peak rate, accept with rate(t)/peak.
 		peak := s.MeanRPS * 1.8
 		for _, t := range poisson(rng, peak, s.Duration) {
-			phase := 2 * math.Pi * t.Seconds() / period.Seconds()
+			phase := 2 * math.Pi * t.Seconds() / periodicPeriod.Seconds()
 			rate := s.MeanRPS * (1 + 0.8*math.Sin(phase))
 			if rng.Float64() < rate/peak {
 				out = append(out, t)
 			}
 		}
 	case Bursty:
-		factor := s.BurstFactor
-		if factor == 0 {
-			factor = 4
-		}
-		burstLen := s.BurstLen
-		if burstLen == 0 {
-			burstLen = 5 * time.Second
-		}
 		baseline := s.MeanRPS * 0.2
 		// Choose the off-period so the long-run mean matches MeanRPS:
 		// mean = (base·off + factor·mean·on) / (off + on).
 		on := burstLen.Seconds()
-		off := on * (factor*s.MeanRPS - s.MeanRPS) / (s.MeanRPS - baseline)
+		off := on * (burstFactor*s.MeanRPS - s.MeanRPS) / (s.MeanRPS - baseline)
 		if off <= 0 {
 			off = on
 		}
@@ -114,7 +103,7 @@ func Generate(s Spec) []time.Duration {
 			var segLen, rate float64
 			if inBurst {
 				segLen = expo(rng, on)
-				rate = factor * s.MeanRPS
+				rate = burstFactor * s.MeanRPS
 			} else {
 				segLen = expo(rng, off)
 				rate = baseline

@@ -3,6 +3,7 @@ package xfer
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,18 +35,6 @@ func TestRequestValidationTypedErrors(t *testing.T) {
 	if f.Net.ActiveFlows() != 0 {
 		t.Errorf("invalid requests left %d flows", f.Net.ActiveFlows())
 	}
-}
-
-func TestTransferAsyncPanicsOnInvalidRequest(t *testing.T) {
-	e := sim.NewEngine()
-	defer e.Close()
-	m := NewManager(v100Fabric(e, 1))
-	defer func() {
-		if recover() == nil {
-			t.Error("TransferAsync accepted a request with no paths")
-		}
-	}()
-	m.TransferAsync(Request{Label: "bad", Bytes: MB})
 }
 
 // TestRetryAfterLinkFlap kills the transfer's only path mid-flight and
@@ -141,7 +130,8 @@ func TestReplanFallsBackToPCIe(t *testing.T) {
 }
 
 // TestAllPathsDownExhaustsRetries keeps the only path dead with no Replan:
-// the transfer must give up with ErrPathsDown after MaxAttempts backoffs.
+// the transfer must give up with ErrPathsDown after DefaultMaxAttempts
+// attempts.
 func TestAllPathsDownExhaustsRetries(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
@@ -155,7 +145,6 @@ func TestAllPathsDownExhaustsRetries(t *testing.T) {
 			Label: "doomed",
 			Bytes: MB,
 			Paths: []Path{PathOf(f.Net, n.NVLinkPathLinks([]int{0, 3}))},
-			Retry: RetryPolicy{MaxAttempts: 3},
 		})
 	})
 	e.Run(0)
@@ -163,55 +152,68 @@ func TestAllPathsDownExhaustsRetries(t *testing.T) {
 		t.Fatalf("err = %v, want ErrPathsDown", err)
 	}
 	fs := f.Net.Faults()
-	if got := fs.Retries; got != 2 {
-		t.Errorf("retries = %d, want 2 (attempts 2 and 3)", got)
+	if got := fs.Retries; got != DefaultMaxAttempts-1 {
+		t.Errorf("retries = %d, want %d (every attempt after the first)", got, DefaultMaxAttempts-1)
 	}
 	if fs.TransfersFailed != 1 {
 		t.Errorf("transfers-failed = %d, want 1", fs.TransfersFailed)
 	}
 }
 
-// TestDeadlineCancelsFlows gives a large transfer a deadline far shorter than
-// its fault-free duration: Transfer must return ErrDeadline at the deadline
-// instant with every in-flight flow canceled.
-func TestDeadlineCancelsFlows(t *testing.T) {
+// TestMidFlightLossOnEveryAttemptIsPathsDown kills the transfer's only path
+// mid-flight on every attempt, restoring it before the next one: once the
+// retries run out, the error must wrap ErrPathsDown and still name the bytes
+// left undelivered.
+func TestMidFlightLossOnEveryAttemptIsPathsDown(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	f := v100Fabric(e, 1)
 	m := NewManager(f)
 	n := f.Topo(0)
-	var elapsed time.Duration
+	link := n.NVLinkTo(0, 3)
+	// Each attempt's flow starts at once (after setup on the first), and
+	// 48 MB at 48 GB/s needs ~1 ms: a kill 100 µs in is mid-flight.
+	killSoon := func() { e.Schedule(100*time.Microsecond, func() { f.Net.FailLink(link) }) }
 	var err error
 	e.Go("t", func(p *sim.Proc) {
-		// ~10 ms fault-free; deadline at 2 ms.
-		elapsed, err = m.Transfer(p, Request{
-			Label:    "late",
-			Bytes:    480 * MB,
-			Paths:    []Path{PathOf(f.Net, n.NVLinkPathLinks([]int{0, 3}))},
-			Deadline: 2 * time.Millisecond,
+		killSoon()
+		_, err = m.Transfer(p, Request{
+			Label: "cursed",
+			Bytes: 48 * MB,
+			Paths: []Path{PathOf(f.Net, n.NVLinkPathLinks([]int{0, 3}))},
+			Replan: func(int) []Path {
+				f.Net.RestoreLink(link)
+				killSoon()
+				return nil
+			},
 		})
 	})
 	e.Run(0)
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("err = %v, want ErrDeadline", err)
+	if !errors.Is(err, ErrPathsDown) {
+		t.Fatalf("err = %v, want one wrapping ErrPathsDown", err)
 	}
-	approxDur(t, elapsed, 2*time.Millisecond, 0.01, "gave up at the deadline")
-	if f.Net.ActiveFlows() != 0 {
-		t.Errorf("%d flows still active after deadline cancel", f.Net.ActiveFlows())
+	if !strings.Contains(err.Error(), "bytes undelivered") {
+		t.Errorf("err = %v, want the undelivered byte count", err)
 	}
-	if f.Net.Faults().TransfersFailed != 1 {
-		t.Errorf("transfers-failed = %d, want 1", f.Net.Faults().TransfersFailed)
+	fs := f.Net.Faults()
+	if fs.FlowsKilled != DefaultMaxAttempts {
+		t.Errorf("flows killed = %d, want one per attempt (%d)", fs.FlowsKilled, DefaultMaxAttempts)
+	}
+	if fs.TransfersFailed != 1 {
+		t.Errorf("transfers-failed = %d, want 1", fs.TransfersFailed)
 	}
 }
 
-// TestBackoffDeterministic pins the exponential schedule: base, 2x, 4x, …,
-// capped — and no jitter, so chaos scenarios replay bit-identically.
+// TestBackoffDeterministic pins the exponential schedule before each retry:
+// 50, 100 and 200 µs, with no jitter, so chaos scenarios replay
+// bit-identically.
 func TestBackoffDeterministic(t *testing.T) {
-	pol := RetryPolicy{BackoffBase: 100 * time.Microsecond, BackoffCap: 500 * time.Microsecond}.withDefaults()
-	want := []time.Duration{100 * time.Microsecond, 200 * time.Microsecond,
-		400 * time.Microsecond, 500 * time.Microsecond, 500 * time.Microsecond}
+	want := []time.Duration{50 * time.Microsecond, 100 * time.Microsecond, 200 * time.Microsecond}
+	if len(want) != DefaultMaxAttempts-1 {
+		t.Fatalf("%d retries pinned, want %d", len(want), DefaultMaxAttempts-1)
+	}
 	for i, w := range want {
-		if got := pol.backoff(i + 1); got != w {
+		if got := backoff(i + 1); got != w {
 			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}
@@ -252,56 +254,40 @@ func startAllocs(f *fabric.Fabric, links []topology.LinkID) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestDeadlineAttemptReleasesNothing: a finished attempt hands its flows and
-// its flow slice back for reuse, but an attempt that hit its deadline hands
-// back neither, even the flow that finished before the deadline — the
-// deadline's watcher processes still hold them.
-func TestDeadlineAttemptReleasesNothing(t *testing.T) {
-	for _, deadline := range []time.Duration{0, 6 * time.Millisecond} {
-		e := sim.NewEngine()
-		f := v100Fabric(e, 1)
-		m := NewManager(f)
-		n := f.Topo(0)
-		fast, slow := n.NVLinkPairLinks(0, 3), n.PCIeP2PLinks(0, 5)
-		// A hog halves the PCIe path's share, so its flow (~8.4 ms) finishes
-		// well after the NVLink flow (~4.2 ms).
-		f.Net.Start("hog", slow[:1], 1e15, netsim.Options{})
-		var err error
-		e.Schedule(5*time.Millisecond, func() {
-			if got := f.Net.ActiveFlows(); got != 2 {
-				t.Errorf("at 5 ms: %d active flows, want the hog and the PCIe flow", got)
-			}
-		})
-		e.Go("t", func(p *sim.Proc) {
-			_, err = m.Transfer(p, Request{
-				Label:    "split",
-				Bytes:    240 * MB,
-				Paths:    []Path{PathOf(f.Net, fast), PathOf(f.Net, slow)},
-				Deadline: deadline,
-			})
-		})
-		e.Run(20 * time.Millisecond)
-		if deadline == 0 {
-			if err != nil {
-				t.Fatalf("no deadline: %v", err)
-			}
-			if len(m.flowBufs) != 1 {
-				t.Errorf("no deadline: %d flow slices pooled, want 1", len(m.flowBufs))
-			}
-			if got := startAllocs(f, fast); got != 0 {
-				t.Errorf("no deadline: the next Start allocated %d times, want 0 (reused flow)", got)
-			}
-		} else {
-			if !errors.Is(err, ErrDeadline) {
-				t.Fatalf("err = %v, want ErrDeadline", err)
-			}
-			if len(m.flowBufs) != 0 {
-				t.Errorf("deadline hit: %d flow slices pooled, want 0", len(m.flowBufs))
-			}
-			if got := startAllocs(f, fast); got == 0 {
-				t.Error("deadline hit: the next Start reused a flow the attempt released")
-			}
+// TestFinishedAttemptReleasesFlows: a finished attempt hands its flows and
+// its flow slice back for reuse, including a flow that finished well before
+// the attempt's last one.
+func TestFinishedAttemptReleasesFlows(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	f := v100Fabric(e, 1)
+	m := NewManager(f)
+	n := f.Topo(0)
+	fast, slow := n.NVLinkPairLinks(0, 3), n.PCIeP2PLinks(0, 5)
+	// A hog halves the PCIe path's share, so its flow (~8.4 ms) finishes
+	// well after the NVLink flow (~4.2 ms).
+	f.Net.Start("hog", slow[:1], 1e15, netsim.Options{})
+	var err error
+	e.Schedule(5*time.Millisecond, func() {
+		if got := f.Net.ActiveFlows(); got != 2 {
+			t.Errorf("at 5 ms: %d active flows, want the hog and the PCIe flow", got)
 		}
-		e.Close()
+	})
+	e.Go("t", func(p *sim.Proc) {
+		_, err = m.Transfer(p, Request{
+			Label: "split",
+			Bytes: 240 * MB,
+			Paths: []Path{PathOf(f.Net, fast), PathOf(f.Net, slow)},
+		})
+	})
+	e.Run(20 * time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.flowBufs) != 1 {
+		t.Errorf("%d flow slices pooled, want 1", len(m.flowBufs))
+	}
+	if got := startAllocs(f, fast); got != 0 {
+		t.Errorf("the next Start allocated %d times, want 0 (reused flow)", got)
 	}
 }

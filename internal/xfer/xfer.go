@@ -30,27 +30,25 @@ import (
 const (
 	// DefaultChunkBytes is the transfer chunk size (§4.3.1: 2 MB).
 	DefaultChunkBytes = int64(2) << 20
-	// DefaultBatchChunks is the number of chunks per batch (§4.3.2: 5).
-	DefaultBatchChunks = 5
 
 	// SetupLatency is the one-time cost of initiating a transfer (IPC handle
 	// mapping, stream selection).
 	SetupLatency = 30 * time.Microsecond
-	// BatchLatency is the scheduling cost of the first batch; later batches
-	// pipeline behind data movement.
+	// BatchLatency is the scheduling cost of the first batch of chunks
+	// (§4.3.2: 5 chunks per batch); later batches pipeline behind data
+	// movement.
 	BatchLatency = 20 * time.Microsecond
 	// HostStackLatency is the extra per-transfer cost of a host-mediated
 	// network transfer (kernel TCP stack vs GPUDirect RDMA).
 	HostStackLatency = 200 * time.Microsecond
 )
 
-// Retry defaults: a failed attempt backs off exponentially from
-// DefaultBackoffBase, doubling per attempt up to DefaultBackoffCap, for at
-// most DefaultMaxAttempts attempts total.
+// Retry schedule: a transfer makes at most DefaultMaxAttempts attempts, and
+// the sleep before retry k is DefaultBackoffBase << (k-1) — 50, 100 and
+// 200 µs.
 const (
 	DefaultMaxAttempts = 4
 	DefaultBackoffBase = 50 * time.Microsecond
-	DefaultBackoffCap  = 5 * time.Millisecond
 )
 
 // Typed request/transfer errors.
@@ -59,55 +57,15 @@ var (
 	ErrNoPaths = errors.New("xfer: request has no paths")
 	// ErrZeroBytes is returned for a request with a non-positive byte count.
 	ErrZeroBytes = errors.New("xfer: request has no bytes")
-	// ErrDeadline is returned when a transfer's deadline expires; in-flight
-	// flows are canceled.
-	ErrDeadline = errors.New("xfer: deadline exceeded")
-	// ErrPathsDown is returned when every candidate path crosses a failed
-	// link and re-planning produced no alternative.
+	// ErrPathsDown is returned when a transfer gives up without delivering
+	// every byte: its last attempt found every candidate path down or lost
+	// a path mid-flight.
 	ErrPathsDown = errors.New("xfer: no viable path")
 )
 
-// RetryPolicy bounds a transfer's recovery from link failures.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries (1 = no retry); 0 uses
-	// DefaultMaxAttempts.
-	MaxAttempts int
-	// BackoffBase is the sleep before the first retry, doubled per attempt;
-	// 0 uses DefaultBackoffBase.
-	BackoffBase time.Duration
-	// BackoffCap bounds the backoff; 0 uses DefaultBackoffCap.
-	BackoffCap time.Duration
-}
-
-func (r RetryPolicy) withDefaults() RetryPolicy {
-	if r.MaxAttempts == 0 {
-		r.MaxAttempts = DefaultMaxAttempts
-	}
-	if r.BackoffBase == 0 {
-		r.BackoffBase = DefaultBackoffBase
-	}
-	if r.BackoffCap == 0 {
-		r.BackoffCap = DefaultBackoffCap
-	}
-	return r
-}
-
-// backoff returns the sleep before the given retry attempt (attempt >= 1):
-// base << (attempt-1), capped. Deterministic — no jitter — so fault scenarios
-// replay identically.
-func (r RetryPolicy) backoff(attempt int) time.Duration {
-	d := r.BackoffBase
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if d >= r.BackoffCap {
-			return r.BackoffCap
-		}
-	}
-	if d > r.BackoffCap {
-		d = r.BackoffCap
-	}
-	return d
-}
+// backoff returns the sleep before the given retry attempt (attempt >= 1).
+// Deterministic — no jitter — so fault scenarios replay identically.
+func backoff(attempt int) time.Duration { return DefaultBackoffBase << (attempt - 1) }
 
 // Path is one candidate route for a transfer.
 type Path struct {
@@ -141,13 +99,6 @@ type Request struct {
 	// the gate for its duration.
 	Pinned *memsim.ByteGate
 
-	// Deadline, when positive, bounds the transfer's total virtual time
-	// (measured from the Transfer call). On expiry in-flight flows are
-	// canceled and Transfer returns ErrDeadline.
-	Deadline time.Duration
-	// Retry bounds recovery from link failures; the zero value uses the
-	// package defaults.
-	Retry RetryPolicy
 	// Replan, when non-nil, is consulted before each retry attempt to
 	// re-select the candidate paths (e.g. falling back from NVLink to PCIe
 	// after a persistent failure). Returning nil keeps the previous paths.
@@ -167,9 +118,7 @@ func (r *Request) validate() error {
 
 // Manager executes transfers on a fabric.
 type Manager struct {
-	Fabric      *fabric.Fabric
-	ChunkBytes  int64
-	BatchChunks int
+	Fabric *fabric.Fabric
 
 	// Scratch reused across the alive-filter → flow-launch window of each
 	// attempt. The window contains no yield point, so concurrent transfers
@@ -182,16 +131,15 @@ type Manager struct {
 	flowBufs [][]*netsim.Flow
 }
 
-// NewManager returns a manager with paper-default chunking.
-func NewManager(f *fabric.Fabric) *Manager {
-	return &Manager{Fabric: f, ChunkBytes: DefaultChunkBytes, BatchChunks: DefaultBatchChunks}
-}
+// NewManager returns a manager over the fabric.
+func NewManager(f *fabric.Fabric) *Manager { return &Manager{Fabric: f} }
 
 // Transfer runs the request to completion from process p and returns the
 // elapsed virtual time. Flows killed by link failures are retried with
 // exponential backoff (only the undelivered bytes are re-sent), consulting
 // req.Replan for fresh paths; paths crossing currently-failed links are
-// skipped. A nil error means every byte arrived.
+// skipped. A nil error means every byte arrived; a transfer that gives up
+// returns an error wrapping ErrPathsDown.
 func (m *Manager) Transfer(p *sim.Proc, req Request) (time.Duration, error) {
 	start := p.Now()
 	if err := req.validate(); err != nil {
@@ -216,7 +164,7 @@ func (m *Manager) Transfer(p *sim.Proc, req Request) (time.Duration, error) {
 		held = req.Pinned.Acquire(p, req.Bytes)
 		obs.Account(p, obs.CatQueue, p.Now()-gateStart)
 	}
-	elapsed, err := m.transferAttempts(p, req, start)
+	err := m.transferAttempts(p, req)
 	if req.Pinned != nil && held > 0 {
 		req.Pinned.Release(held)
 	}
@@ -226,23 +174,18 @@ func (m *Manager) Transfer(p *sim.Proc, req Request) (time.Duration, error) {
 		}
 		tr.End(span)
 	}
-	return elapsed, err
+	return p.Now() - start, err
 }
 
 // transferAttempts drives the retry loop: each attempt re-sends the bytes
 // still undelivered over the currently-alive subset of the candidate paths.
-func (m *Manager) transferAttempts(p *sim.Proc, req Request, start time.Duration) (time.Duration, error) {
-	deadline := time.Duration(0)
-	if req.Deadline > 0 {
-		deadline = start + req.Deadline
-	}
-	pol := req.Retry.withDefaults()
+func (m *Manager) transferAttempts(p *sim.Proc, req Request) error {
 	paths := req.Paths
 	bytes := req.Bytes
 	tr := obs.TracerOf(m.Fabric.Engine)
 	fs := m.Fabric.Net.Faults()
 	var err error
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < DefaultMaxAttempts; attempt++ {
 		if attempt > 0 {
 			fs.Retries++
 			if tr != nil {
@@ -250,8 +193,8 @@ func (m *Manager) transferAttempts(p *sim.Proc, req Request, start time.Duration
 				tr.SetAttrInt(id, "attempt", int64(attempt))
 				tr.SetAttrInt(id, "bytes-left", bytes)
 			}
-			p.Sleep(pol.backoff(attempt))
-			obs.Account(p, obs.CatRetry, pol.backoff(attempt))
+			p.Sleep(backoff(attempt))
+			obs.Account(p, obs.CatRetry, backoff(attempt))
 			if req.Replan != nil {
 				if np := req.Replan(attempt); len(np) > 0 {
 					paths = np
@@ -262,10 +205,6 @@ func (m *Manager) transferAttempts(p *sim.Proc, req Request, start time.Duration
 				}
 			}
 		}
-		if deadline > 0 && p.Now() >= deadline {
-			err = ErrDeadline
-			break
-		}
 		alive := m.alivePaths(paths)
 		if len(alive) == 0 {
 			// Every path is down; back off and hope for a restore or a
@@ -275,21 +214,10 @@ func (m *Manager) transferAttempts(p *sim.Proc, req Request, start time.Duration
 		}
 		flows := m.startFlows(m.takeFlowBuf(), req.Label, bytes, alive, req.Opt, req.Bytes)
 		waitStart := p.Now()
-		timedOut := false
-		if deadline > 0 {
-			timedOut = m.awaitFlowsBy(p, flows, deadline)
-		} else {
-			for _, f := range flows {
-				f.Done().Wait(p)
-			}
+		for _, f := range flows {
+			f.Done().Wait(p)
 		}
 		obs.Account(p, obs.CatTransfer, p.Now()-waitStart)
-		if timedOut {
-			// The deadline's watcher processes still hold these flows:
-			// neither they nor the slice are recycled.
-			fs.TransfersFailed++
-			return p.Now() - start, ErrDeadline
-		}
 		undelivered := 0.0
 		for _, f := range flows {
 			if f.Failed() {
@@ -301,13 +229,13 @@ func (m *Manager) transferAttempts(p *sim.Proc, req Request, start time.Duration
 			if attempt > 0 {
 				fs.DegradedBytes += bytes
 			}
-			return p.Now() - start, nil
+			return nil
 		}
 		bytes = int64(math.Ceil(undelivered))
-		err = fmt.Errorf("xfer: %q lost a path mid-transfer (%d bytes undelivered)", req.Label, bytes)
+		err = fmt.Errorf("%w: %q lost a path mid-transfer (%d bytes undelivered)", ErrPathsDown, req.Label, bytes)
 	}
 	fs.TransfersFailed++
-	return p.Now() - start, err
+	return err
 }
 
 // alivePaths filters out paths crossing a failed link. The result aliases the
@@ -345,85 +273,6 @@ func (m *Manager) releaseFlows(flows []*netsim.Flow) {
 	m.flowBufs = append(m.flowBufs, flows[:0])
 }
 
-// awaitFlowsBy blocks p until every flow reaches a terminal state (done or
-// failed), or until the absolute deadline expires — in which case the
-// surviving flows are canceled and awaitFlowsBy reports true.
-func (m *Manager) awaitFlowsBy(p *sim.Proc, flows []*netsim.Flow, deadline time.Duration) (timedOut bool) {
-	e := m.Fabric.Engine
-	agg := sim.NewSignal(e)
-	remaining := len(flows)
-	for _, f := range flows {
-		waitFlow(e, f, func() {
-			remaining--
-			if remaining == 0 {
-				agg.Fire()
-			}
-		})
-	}
-	// Daemon: an expiry armed past the natural end of the simulation must not
-	// keep Run(0) alive.
-	e.ScheduleDaemon(deadline-e.Now(), func() {
-		if agg.Fired() {
-			return
-		}
-		timedOut = true
-		for _, f := range flows {
-			m.Fabric.Net.Cancel(f)
-		}
-		agg.Fire()
-	})
-	agg.Wait(p)
-	return timedOut
-}
-
-// TransferAsync starts the request from event context and returns a signal
-// fired on completion. It does not model pinned-buffer backpressure (async
-// callers manage their own staging) and does not retry on link failure; an
-// invalid request panics, since event context has no error channel.
-func (m *Manager) TransferAsync(req Request) *sim.Signal {
-	if err := req.validate(); err != nil {
-		panic(err)
-	}
-	done := sim.NewSignal(m.Fabric.Engine)
-	setup := SetupLatency + BatchLatency
-	if req.HostStack {
-		setup += HostStackLatency
-	}
-	m.Fabric.Engine.Schedule(setup, func() {
-		flows := m.startFlows(nil, req.Label, req.Bytes, req.Paths, req.Opt, req.Bytes)
-		if len(flows) == 0 {
-			done.Fire()
-			return
-		}
-		remaining := len(flows)
-		for _, f := range flows {
-			f := f
-			m.Fabric.Engine.Schedule(0, func() {
-				waitFlow(m.Fabric.Engine, f, func() {
-					remaining--
-					if remaining == 0 {
-						done.Fire()
-					}
-				})
-			})
-		}
-	})
-	return done
-}
-
-// waitFlow invokes fn when f completes, using a watcher process only when
-// the flow is not already done.
-func waitFlow(e *sim.Engine, f *netsim.Flow, fn func()) {
-	if f.Done().Fired() {
-		fn()
-		return
-	}
-	e.Go("flow-watch", func(p *sim.Proc) {
-		f.Done().Wait(p)
-		fn()
-	})
-}
-
 // startFlows splits bytes over the given paths and launches flows, appending
 // them to flows[:0]. origBytes is the request's full payload: min-rate
 // reservations are scaled against it so a retry re-sending a residue does
@@ -432,7 +281,7 @@ func (m *Manager) startFlows(flows []*netsim.Flow, label string, bytes int64, pa
 	if cap(m.splitScratch) < len(paths) {
 		m.splitScratch = make([]int64, len(paths))
 	}
-	split := splitBytesInto(m.splitScratch[:len(paths)], bytes, paths, m.ChunkBytes)
+	split := splitBytesInto(m.splitScratch[:len(paths)], bytes, paths, DefaultChunkBytes)
 	flows = flows[:0]
 	for i, b := range split {
 		if b <= 0 {

@@ -143,27 +143,6 @@ func TestPinnedGateSerializesHugeTransfers(t *testing.T) {
 	}
 }
 
-func TestTransferAsyncFiresOnce(t *testing.T) {
-	e := sim.NewEngine()
-	defer e.Close()
-	f := v100Fabric(e, 1)
-	m := NewManager(f)
-	n := f.Topo(0)
-	done := m.TransferAsync(Request{
-		Label: "async",
-		Bytes: 24 * MB,
-		Paths: []Path{PathOf(f.Net, n.NVLinkPathLinks([]int{0, 1}))},
-	})
-	var at time.Duration
-	e.Go("w", func(p *sim.Proc) {
-		done.Wait(p)
-		at = p.Now()
-	})
-	e.Run(0)
-	want := time.Duration(float64(24*MB)/topology.GBps(24)*float64(time.Second)) + SetupLatency + BatchLatency
-	approxDur(t, at, want, 0.05, "async transfer completion")
-}
-
 func TestRateControlledTransferMeetsFloor(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
