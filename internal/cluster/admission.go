@@ -52,9 +52,9 @@ func (a *App) admitReq(req Request, done *sim.Signal, t0, waited time.Duration) 
 	action, delay := a.Admit(req, waited)
 	switch {
 	case action == AdmitDefer && delay > 0:
-		a.C.Engine.Schedule(delay, func() {
-			a.admitReq(req, done, t0, waited+delay)
-		})
+		d := a.takeDeferred()
+		d.req, d.done, d.t0, d.waited = req, done, t0, waited+delay
+		a.C.Engine.Schedule(delay, d.retry)
 		return false
 	case action == AdmitShed:
 		a.shedReq(req, done, t0)
@@ -62,6 +62,39 @@ func (a *App) admitReq(req Request, done *sim.Signal, t0, waited time.Duration) 
 	}
 	a.launchReq(req, done, t0, waited)
 	return false
+}
+
+// deferred is one parked admission attempt, pooled on the app. Its retry
+// callback is bound once per entry, so parking a request allocates nothing.
+type deferred struct {
+	a      *App
+	req    Request
+	done   *sim.Signal
+	t0     time.Duration
+	waited time.Duration
+	retry  func()
+}
+
+// takeDeferred pops a parked-attempt entry off the app's free list.
+func (a *App) takeDeferred() *deferred {
+	if n := len(a.freeDefers); n > 0 {
+		d := a.freeDefers[n-1]
+		a.freeDefers[n-1] = nil
+		a.freeDefers = a.freeDefers[:n-1]
+		return d
+	}
+	d := &deferred{a: a}
+	d.retry = d.readmit
+	return d
+}
+
+// readmit re-asks admission for the parked request. The entry goes back to
+// the free list first, so a request parked again reuses it.
+func (d *deferred) readmit() {
+	a, req, done, t0, waited := d.a, d.req, d.done, d.t0, d.waited
+	d.req, d.done = Request{}, nil
+	a.freeDefers = append(a.freeDefers, d)
+	a.admitReq(req, done, t0, waited)
 }
 
 // shedReq accounts one dropped request: the shed counters, a breakdown entry

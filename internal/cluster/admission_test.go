@@ -148,3 +148,36 @@ func TestPerClassLatencyAccounting(t *testing.T) {
 		t.Fatalf("aggregate count %d, want 3", app.E2E.Count())
 	}
 }
+
+// TestDeferredAdmissionAllocFree: parking a request in the delay queue and
+// re-asking admission later reuses a pooled entry whose callback is bound
+// once, so a deferred attempt allocates nothing once warm. The request is
+// deferred twice (the second park reuses the entry the first retry just
+// returned) and then shed, so no launch runs inside the count.
+func TestDeferredAdmissionAllocFree(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	c := New(e, topology.DGXV100(), 1, grouterPlane)
+	app := c.Deploy(workflow.Traffic(), 0, scheduler.Options{Node: -1})
+	app.Admit = func(req Request, waited time.Duration) (AdmitAction, time.Duration) {
+		if waited < 10*time.Millisecond {
+			return AdmitDefer, 5 * time.Millisecond
+		}
+		return AdmitShed, 0
+	}
+	req := Request{Session: 7, Model: "m"}
+	attempt := func() {
+		app.admitReq(req, nil, e.Now(), 0)
+		e.Run(0)
+	}
+	attempt()
+	if app.Shed != 1 {
+		t.Fatalf("Shed = %d after one deferred-then-shed request, want 1", app.Shed)
+	}
+	if n := testing.AllocsPerRun(100, attempt); n != 0 {
+		t.Errorf("a deferred admission allocates %.1f times, want 0", n)
+	}
+	if app.Shed != 102 {
+		t.Errorf("Shed = %d, want 102 (every attempt deferred twice, then shed)", app.Shed)
+	}
+}

@@ -225,6 +225,8 @@ type App struct {
 	// freeStates the pool of recycled per-request working states.
 	reqPlan    *invokePlan
 	freeStates []*reqState
+	// freeDefers is the pool of parked admission attempts (see deferred).
+	freeDefers []*deferred
 }
 
 // Deploy places wf's instances, seeds each stage instance's replica pool

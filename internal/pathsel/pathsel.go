@@ -26,15 +26,20 @@ const SelectLatency = 8 * time.Microsecond
 // hops already expose all useful parallelism.
 const DefaultMaxHops = 3
 
-// Assignment is a set of reserved parallel paths for one transfer.
+// Assignment is a set of reserved parallel paths for one transfer. Its owner
+// keeps it across transfers: Select fills it in place, reusing its slices,
+// and Release returns its bandwidth, after which it can be selected into
+// again.
 type Assignment struct {
 	// Paths are GPU-hop sequences (e.g. [4 6 7 1]); BWs the bandwidth
-	// reserved on each (its bottleneck at selection time).
+	// reserved on each (its bottleneck at selection time). The hop
+	// sequences are the topology's cached paths: read-only.
 	Paths [][]int
 	BWs   []float64
 
 	src, dst int
-	released bool
+	// held marks a reservation Select made and Release has not returned.
+	held bool
 }
 
 // TotalBW returns the aggregate reserved bandwidth.
@@ -61,7 +66,7 @@ type Selector struct {
 	// Avail, when non-nil, reports whether the directed NVLink edge i→j is
 	// currently usable. Edges reported unavailable contribute zero residual
 	// and are excluded from selection, so re-planning after a link failure
-	// routes around dead NVLink edges (and Select returns nil — PCIe
+	// routes around dead NVLink edges (and Select reports false — PCIe
 	// fallback — when the pair is cut off entirely).
 	Avail func(i, j int) bool
 }
@@ -172,31 +177,36 @@ func usesEdgeAsIntermediate(a *Assignment, i, j int) bool {
 	return false
 }
 
-// Select reserves parallel NVLink paths from src to dst (Algorithm 1) and
-// returns the assignment, or nil when the pair has no NVLink connectivity
-// within maxHops (callers fall back to PCIe). maxHops <= 0 uses
-// DefaultMaxHops.
-func (s *Selector) Select(src, dst, maxHops int) *Assignment {
+// Select reserves parallel NVLink paths from src to dst (Algorithm 1) into a
+// and reports whether it did; it reports false, reserving nothing, when the
+// pair has no NVLink connectivity within maxHops (callers fall back to
+// PCIe). maxHops <= 0 uses DefaultMaxHops. a must not be held: Release it
+// before selecting into it again.
+func (s *Selector) Select(a *Assignment, src, dst, maxHops int) bool {
+	if a.held {
+		panic("pathsel: Select into an assignment that is still held")
+	}
+	a.Paths, a.BWs = a.Paths[:0], a.BWs[:0]
+	a.src, a.dst = src, dst
 	if src == dst {
-		return nil
+		return false
 	}
 	if maxHops <= 0 {
 		maxHops = DefaultMaxHops
 	}
-	if s.spec.Switched {
-		if !s.pathAvail([]int{src, dst}) {
-			return nil
-		}
-		// NVSwitch: the single switch path at port bandwidth.
-		a := &Assignment{src: src, dst: dst,
-			Paths: [][]int{{src, dst}}, BWs: []float64{s.spec.SwitchPortBps}}
-		s.active = append(s.active, a)
-		return a
-	}
-
 	cands := s.node.NVLinkPaths(src, dst, maxHops)
 	if len(cands) == 0 {
-		return nil
+		return false
+	}
+	if s.spec.Switched {
+		if !s.pathAvail(cands[0]) {
+			return false
+		}
+		// NVSwitch: the single switch path at port bandwidth.
+		a.Paths = append(a.Paths, cands[0])
+		a.BWs = append(a.BWs, s.spec.SwitchPortBps)
+		s.hold(a)
+		return true
 	}
 
 	// Direct-path priority (§4.3.3): if the direct edge exists but is held
@@ -209,7 +219,6 @@ func (s *Selector) Select(src, dst, maxHops int) *Assignment {
 		}
 	}
 
-	a := &Assignment{src: src, dst: dst}
 	taken := func(path []int) bool {
 		// Paths within one assignment must be edge-disjoint.
 		for _, q := range a.Paths {
@@ -283,11 +292,17 @@ func (s *Selector) Select(src, dst, maxHops int) *Assignment {
 			}
 		}
 		if len(a.Paths) == 0 {
-			return nil
+			return false
 		}
 	}
+	s.hold(a)
+	return true
+}
+
+// hold records a as a live reservation.
+func (s *Selector) hold(a *Assignment) {
+	a.held = true
 	s.active = append(s.active, a)
-	return a
 }
 
 // tryReroute moves other's path through edge (i,j) to an alternative idle
@@ -332,13 +347,14 @@ func (s *Selector) tryReroute(other *Assignment, i, j int) {
 	}
 }
 
-// Release returns an assignment's bandwidth to the matrix. Releasing twice
-// is a no-op.
+// Release returns an assignment's bandwidth to the matrix. Releasing an
+// assignment that is not held (never selected, already released, or nil) is
+// a no-op.
 func (s *Selector) Release(a *Assignment) {
-	if a == nil || a.released {
+	if a == nil || !a.held {
 		return
 	}
-	a.released = true
+	a.held = false
 	for i, x := range s.active {
 		if x == a {
 			copy(s.active[i:], s.active[i+1:])
@@ -355,11 +371,20 @@ func (s *Selector) Release(a *Assignment) {
 	}
 }
 
-// Links converts an assignment to per-path link IDs for the transfer engine.
-func (s *Selector) Links(a *Assignment) [][]topology.LinkID {
-	out := make([][]topology.LinkID, 0, len(a.Paths))
+// Links writes an assignment's per-path link IDs for the transfer engine
+// into buf and returns it. Each path's list is written into buf's own inner
+// array for that position, so a buffer kept between transfers makes the
+// conversion allocation-free; the lists stay valid until buf's next use.
+func (s *Selector) Links(buf [][]topology.LinkID, a *Assignment) [][]topology.LinkID {
+	buf = buf[:0]
 	for _, p := range a.Paths {
-		out = append(out, s.node.NVLinkPathLinks(p))
+		k := len(buf)
+		if k < cap(buf) {
+			buf = buf[:k+1]
+		} else {
+			buf = append(buf, nil)
+		}
+		buf[k] = s.node.AppendNVLinkPathLinks(buf[k][:0], p)
 	}
-	return out
+	return buf
 }

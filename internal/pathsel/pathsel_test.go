@@ -11,9 +11,19 @@ func v100Selector() *Selector {
 	return New(topology.NewCluster(topology.DGXV100(), 1).Node(0))
 }
 
+// sel selects src→dst into a fresh assignment, or returns nil when Select
+// reports no NVLink connectivity.
+func sel(s *Selector, src, dst int) *Assignment {
+	a := new(Assignment)
+	if !s.Select(a, src, dst, 0) {
+		return nil
+	}
+	return a
+}
+
 func TestDirectPairGetsParallelPaths(t *testing.T) {
 	s := v100Selector()
-	a := s.Select(0, 3, 0)
+	a := sel(s, 0, 3)
 	if a == nil {
 		t.Fatal("no assignment for connected pair")
 	}
@@ -33,7 +43,7 @@ func TestDirectPairGetsParallelPaths(t *testing.T) {
 func TestWeaklyConnectedPairUsesIndirect(t *testing.T) {
 	s := v100Selector()
 	// 0 and 5 have no direct NVLink.
-	a := s.Select(0, 5, 0)
+	a := sel(s, 0, 5)
 	if a == nil {
 		t.Fatal("expected indirect NVLink paths for 0→5")
 	}
@@ -46,21 +56,21 @@ func TestWeaklyConnectedPairUsesIndirect(t *testing.T) {
 
 func TestSamePairNoAssignment(t *testing.T) {
 	s := v100Selector()
-	if a := s.Select(2, 2, 0); a != nil {
+	if a := sel(s, 2, 2); a != nil {
 		t.Errorf("self pair got %v", a.Paths)
 	}
 }
 
 func TestNoNVLinkReturnsNil(t *testing.T) {
 	s := New(topology.NewCluster(topology.QuadA10(), 1).Node(0))
-	if a := s.Select(0, 1, 0); a != nil {
+	if a := sel(s, 0, 1); a != nil {
 		t.Errorf("A10 (no NVLink) got assignment %v", a.Paths)
 	}
 }
 
 func TestSwitchedFabricSinglePath(t *testing.T) {
 	s := New(topology.NewCluster(topology.DGXA100(), 1).Node(0))
-	a := s.Select(1, 6, 0)
+	a := sel(s, 1, 6)
 	if a == nil || len(a.Paths) != 1 {
 		t.Fatalf("switched assignment = %+v, want single path", a)
 	}
@@ -71,8 +81,8 @@ func TestSwitchedFabricSinglePath(t *testing.T) {
 
 func TestContentionAvoidance(t *testing.T) {
 	s := v100Selector()
-	first := s.Select(0, 3, 0)
-	second := s.Select(1, 2, 0)
+	first := sel(s, 0, 3)
+	second := sel(s, 1, 2)
 	if second == nil {
 		t.Fatal("second selection failed")
 	}
@@ -99,7 +109,7 @@ func TestContentionAvoidance(t *testing.T) {
 
 func TestReleaseIdempotent(t *testing.T) {
 	s := v100Selector()
-	a := s.Select(0, 4, 0)
+	a := sel(s, 0, 4)
 	s.Release(a)
 	s.Release(a) // must not double-credit
 	for i := 0; i < 8; i++ {
@@ -115,13 +125,13 @@ func TestReleaseIdempotent(t *testing.T) {
 func TestDirectPathReassignment(t *testing.T) {
 	s := v100Selector()
 	// Occupy paths between 0 and 4; indirect routes may borrow edges.
-	other := s.Select(0, 4, 0)
+	other := sel(s, 0, 4)
 	if other == nil {
 		t.Fatal("setup failed")
 	}
 	borrowed := usesEdgeAsIntermediate(other, 0, 3) || usesEdgeAsIntermediate(other, 3, 7)
 	// Now a transfer that needs the 0→3 direct edge arrives.
-	mine := s.Select(0, 3, 0)
+	mine := sel(s, 0, 3)
 	if mine == nil {
 		t.Fatal("selection failed under contention")
 	}
@@ -144,12 +154,12 @@ func TestBusyPathSharingWhenSaturated(t *testing.T) {
 	s := v100Selector()
 	// Saturate everything around 0→3 with repeated selections.
 	for i := 0; i < 6; i++ {
-		if s.Select(0, 3, 0) == nil {
+		if sel(s, 0, 3) == nil {
 			t.Fatal("selection failed")
 		}
 	}
 	// Another request still gets at least one (shared) path.
-	a := s.Select(0, 3, 0)
+	a := sel(s, 0, 3)
 	if a == nil || len(a.Paths) == 0 {
 		t.Fatal("saturated selection should still return a shared path")
 	}
@@ -157,8 +167,8 @@ func TestBusyPathSharingWhenSaturated(t *testing.T) {
 
 func TestLinksConversion(t *testing.T) {
 	s := v100Selector()
-	a := s.Select(0, 3, 0)
-	links := s.Links(a)
+	a := sel(s, 0, 3)
+	links := s.Links(nil, a)
 	if len(links) != len(a.Paths) {
 		t.Fatalf("links = %d sets, want %d", len(links), len(a.Paths))
 	}
@@ -166,7 +176,50 @@ func TestLinksConversion(t *testing.T) {
 		if len(set) != len(a.Paths[i])-1 {
 			t.Errorf("path %v produced %d links", a.Paths[i], len(set))
 		}
+		if want := s.node.NVLinkPathLinks(a.Paths[i]); fmt.Sprint(set) != fmt.Sprint(want) {
+			t.Errorf("path %v: links %v, want %v", a.Paths[i], set, want)
+		}
 	}
+}
+
+// TestOwnedAssignmentReuseAllocFree: selecting into an assignment its owner
+// keeps, converting it into a kept link buffer and releasing it allocates
+// nothing once warm, on the hybrid cube mesh (multi-hop paths) and on an
+// NVSwitch fabric, and the last cycle reserves what the first did.
+func TestOwnedAssignmentReuseAllocFree(t *testing.T) {
+	for _, spec := range []*topology.Spec{topology.DGXV100(), topology.DGXA100()} {
+		s := New(topology.NewCluster(spec, 1).Node(0))
+		var a Assignment
+		var links [][]topology.LinkID
+		cycle := func() {
+			if !s.Select(&a, 0, 5, 0) {
+				t.Fatalf("%s: no assignment for 0→5", spec.Name)
+			}
+			links = s.Links(links, &a)
+			s.Release(&a)
+		}
+		cycle()
+		want := fmt.Sprint(a.Paths, a.BWs, links)
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("%s: Select+Links+Release into owned buffers allocates %.1f times, want 0", spec.Name, n)
+		}
+		if got := fmt.Sprint(a.Paths, a.BWs, links); got != want {
+			t.Errorf("%s: reused assignment %s, want %s", spec.Name, got, want)
+		}
+	}
+}
+
+// TestSelectIntoHeldAssignmentPanics: a held assignment is still listed as
+// a live reservation, so selecting into it again is a caller bug.
+func TestSelectIntoHeldAssignmentPanics(t *testing.T) {
+	s := v100Selector()
+	a := sel(s, 0, 3)
+	defer func() {
+		if recover() == nil {
+			t.Error("Select into a held assignment did not panic")
+		}
+	}()
+	s.Select(a, 1, 2, 0)
 }
 
 // rerouteSpec is an 8-GPU mesh where two transfers' indirect routes borrow
@@ -198,11 +251,11 @@ func TestDirectPathRerouteOrderDeterministic(t *testing.T) {
 	var want string
 	for run := 0; run < 100; run++ {
 		s := New(topology.NewCluster(rerouteSpec(), 1).Node(0))
-		hold := s.Select(6, 7, 0) // keeps 6→7 busy while both transfers select
-		a := s.Select(2, 3, 0)
-		b := s.Select(4, 5, 0)
+		hold := sel(s, 6, 7) // keeps 6→7 busy while both transfers select
+		a := sel(s, 2, 3)
+		b := sel(s, 4, 5)
 		s.Release(hold)
-		mine := s.Select(0, 1, 0)
+		mine := sel(s, 0, 1)
 		got := fmt.Sprint(a.Paths, b.Paths, mine.Paths)
 		if run == 0 {
 			want = got
@@ -220,11 +273,14 @@ func TestDirectPathRerouteOrderDeterministic(t *testing.T) {
 // after pruning/caching (§4.3.3).
 func BenchmarkSelect(b *testing.B) {
 	s := v100Selector()
-	// Warm the path cache.
-	s.Release(s.Select(0, 5, 0))
+	var a Assignment
+	// Warm the path cache and the assignment's slices.
+	s.Select(&a, 0, 5, 0)
+	s.Release(&a)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := s.Select(0, 5, 0)
-		s.Release(a)
+		s.Select(&a, 0, 5, 0)
+		s.Release(&a)
 	}
 }

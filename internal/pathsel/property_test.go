@@ -23,7 +23,7 @@ func TestPropertyReserveReleaseBalances(t *testing.T) {
 				if src == dst {
 					continue
 				}
-				if a := s.Select(src, dst, 0); a != nil {
+				if a := sel(s, src, dst); a != nil {
 					live = append(live, a)
 				}
 			} else {
@@ -66,7 +66,7 @@ func TestPropertyAssignmentsAreValidPaths(t *testing.T) {
 			return true
 		}
 		s := New(topology.NewCluster(topology.DGXV100(), 1).Node(0))
-		asg := s.Select(src, dst, 0)
+		asg := sel(s, src, dst)
 		if asg == nil {
 			return true
 		}

@@ -94,7 +94,8 @@ type Stats struct {
 	// AffinityHits counts scored picks that landed on the session's pinned
 	// worker; AffinityInvalidations counts pins dropped because their
 	// worker crashed, was cordoned out of the stage's pool, or fully
-	// decayed.
+	// decayed — whether the decayed pin was found by a lookup or by the
+	// expiry sweep at snapshot refresh.
 	AffinityHits          int64
 	AffinityInvalidations int64
 }
@@ -122,14 +123,20 @@ type Router struct {
 	snap   []WorkerState
 	snapAt time.Duration
 	fresh  bool
-	// cstates is the per-pick candidate scratch buffer; astates the
-	// per-admission effective-snapshot scratch buffer.
+	// cstates is the per-pick candidate scratch buffer, pickBuf the scratch
+	// the pick itself is computed in, and astates the per-admission
+	// effective-snapshot scratch buffer.
 	cstates []WorkerState
+	pickBuf pickBuf
 	astates []WorkerState
 
 	// sessions holds per-(session, stage) affinity pins; nil until the
-	// first pinned pick (sessionless traffic allocates nothing).
+	// first pinned pick (sessionless traffic allocates nothing). pinLog
+	// lists every pin write in time order (from pinHead on), so a snapshot
+	// refresh drops expired pins without scanning the map.
 	sessions map[sessionKey]sessionPin
+	pinLog   []pinWrite
+	pinHead  int
 
 	// poolStages holds, per current routable stage pool, the snapshot
 	// indices of its GPU workers — the per-stage worker sets admission
@@ -159,6 +166,12 @@ type sessionKey struct {
 // sessionPin records where a session's state last landed and when.
 type sessionPin struct {
 	w  int
+	at time.Duration
+}
+
+// pinWrite is one pinLog entry: the pin written for k at time at.
+type pinWrite struct {
+	k  sessionKey
 	at time.Duration
 }
 
@@ -479,11 +492,42 @@ func (r *Router) Snapshot() []WorkerState {
 	r.snapAt = now
 	r.fresh = true
 	r.Stats.Refreshes++
+	r.dropExpiredPins(now)
 	return r.snap
 }
 
+// dropExpiredPins deletes every pin that has fully decayed by now, so the
+// map holds only pins that can still bias a pick even when their sessions
+// never return. It drops exactly the pins sessionBias would drop on lookup,
+// so routing decisions do not change; each drop counts as an affinity
+// invalidation. pinLog is in time order, so the sweep stops at the first
+// entry still within the TTL.
+func (r *Router) dropExpiredPins(now time.Duration) {
+	for r.pinHead < len(r.pinLog) {
+		w := r.pinLog[r.pinHead]
+		if now-w.at < r.cfg.AffinityTTL {
+			break
+		}
+		r.pinHead++
+		// A later write for the same key superseded this one, or an
+		// invalidation removed the pin already.
+		if pin, ok := r.sessions[w.k]; ok && pin.at == w.at {
+			delete(r.sessions, w.k)
+			r.Stats.AffinityInvalidations++
+		}
+	}
+	if r.pinHead == len(r.pinLog) {
+		r.pinLog, r.pinHead = r.pinLog[:0], 0
+	} else if r.pinHead > len(r.pinLog)/2 {
+		// Compact in place before append would grow the array.
+		n := copy(r.pinLog, r.pinLog[r.pinHead:])
+		r.pinLog, r.pinHead = r.pinLog[:n], 0
+	}
+}
+
 // route is the App.Route hook: it maps the stage's instance pool onto worker
-// states and delegates the pick to RouteRequest. Host pools (cFns) and
+// states and makes the pick with RouteRequest's code on the router's own
+// scratch, so an untraced pick allocates nothing. Host pools (cFns) and
 // no-healthy-worker picks decline, falling back to round-robin — a
 // simulation must still run every request, so total failure degrades to the
 // placement-only path and is counted in Stats.Fallbacks.
@@ -525,7 +569,7 @@ func (r *Router) route(si scheduler.StageInst, ri cluster.RouteInfo, pool []fabr
 		r.Stats.Failovers++
 		r.Stats.Retries += int64(unhealthy)
 	}
-	idx, err := RouteRequest(r.cstates, r.cfg, ri.Seq, r.rng)
+	idx, err := r.pickBuf.pick(r.cstates, r.cfg, ri.Seq, r.rng)
 	if err != nil {
 		r.Stats.Fallbacks++
 		return 0, false
@@ -539,7 +583,9 @@ func (r *Router) route(si scheduler.StageInst, ri cluster.RouteInfo, pool []fabr
 		if r.sessions == nil {
 			r.sessions = make(map[sessionKey]sessionPin)
 		}
-		r.sessions[sessionKey{ri.Session, si}] = sessionPin{w: picked, at: r.c.Engine.Now()}
+		k, now := sessionKey{ri.Session, si}, r.c.Engine.Now()
+		r.sessions[k] = sessionPin{w: picked, at: now}
+		r.pinLog = append(r.pinLog, pinWrite{k: k, at: now})
 	}
 	if r.tr != nil {
 		ev := r.tr.InstantOn(obs.TrackSched, obs.CatPlace, "route:"+si.Stage)

@@ -259,41 +259,49 @@ func TestPoolChangeAllColdLeavesEWMAUnseeded(t *testing.T) {
 }
 
 // TestUntracedRouteAllocatesOnlyForThePick: with no tracer attached, a
-// routed stage activation allocates exactly what its RouteRequest call
-// does. The pick's trace event, and its name, are built only for a tracer.
+// routed stage activation over a 4-worker pool allocates nothing — the pick
+// is scored, rotated and sorted in the router's own buffers, and the pick's
+// trace event, and its name, are built only for a tracer. RouteRequest, the
+// same pick on fresh buffers, returns the same worker for the same inputs.
 func TestUntracedRouteAllocatesOnlyForThePick(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	c := cluster.New(e, topology.DGXV100(), 2, grouterPlane)
 	app := c.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
 	cfg := router.DefaultConfig()
-	rt := router.New(app, cfg)
+	router.New(app, cfg)
 	si := scheduler.StageInst{Stage: "segmentation"}
 	pool := []fabric.Location{{Node: 0, GPU: 0}, {Node: 0, GPU: 1}, {Node: 1, GPU: 0}, {Node: 1, GPU: 1}}
-	snap := rt.Snapshot()
-	states := make([]router.WorkerState, 0, len(pool))
-	for _, ws := range snap {
-		for _, loc := range pool {
-			if ws.Node == loc.Node && ws.GPU == loc.GPU {
-				states = append(states, ws)
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
 	seq := int64(0)
-	route := testing.AllocsPerRun(100, func() {
+	route := func() {
 		seq++
 		if _, ok := app.Route(si, cluster.RouteInfo{Seq: seq}, pool); !ok {
 			t.Fatal("route declined a healthy GPU pool")
 		}
-	})
-	pick := testing.AllocsPerRun(100, func() {
-		seq++
-		if _, err := router.RouteRequest(states, cfg, seq, rng); err != nil {
-			t.Fatal(err)
+	}
+	route() // grow the router's buffers
+	if n := testing.AllocsPerRun(100, route); n != 0 {
+		t.Errorf("untraced route allocates %v times per pick, want 0", n)
+	}
+
+	// The router's pick and RouteRequest are one code path: on a fresh
+	// router with the same seed both pick the same workers.
+	e2 := sim.NewEngine()
+	defer e2.Close()
+	c2 := cluster.New(e2, topology.DGXV100(), 2, grouterPlane)
+	app2 := c2.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
+	rt2 := router.New(app2, cfg)
+	states := make([]router.WorkerState, 0, len(pool))
+	for _, loc := range pool {
+		states = append(states, rt2.Snapshot()[loc.Node*topology.DGXV100().NumGPUs+loc.GPU])
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed + 101))
+	for s := int64(1); s <= 20; s++ {
+		got, ok := app2.Route(si, cluster.RouteInfo{Seq: s}, pool)
+		want, err := router.RouteRequest(states, cfg, s, rng)
+		if !ok || err != nil || got != want {
+			t.Fatalf("seq %d: route picked %d (ok %v), RouteRequest %d (%v)", s, got, ok, want, err)
 		}
-	})
-	if route != pick {
-		t.Errorf("untraced route allocates %v times per pick, RouteRequest %v", route, pick)
+		states[want].QueueDepth++ // the router's pending discount
 	}
 }

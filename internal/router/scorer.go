@@ -13,7 +13,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -88,9 +88,13 @@ func saneUtil(u float64) float64 {
 // no spread across candidates contributes a neutral 0.5, and an all-zero
 // weight vector scores every worker 0.5 — uniform.
 func Score(states []WorkerState, w Weights) []float64 {
-	n := len(states)
-	scores := make([]float64, n)
-	if n == 0 {
+	return scoreInto(make([]float64, len(states)), states, w)
+}
+
+// scoreInto is Score writing into scores, which must hold len(states)
+// entries.
+func scoreInto(scores []float64, states []WorkerState, w Weights) []float64 {
+	if len(states) == 0 {
 		return scores
 	}
 	wf, wq, wl, wu := saneWeight(w.FreeMem), saneWeight(w.Queue), saneWeight(w.Latency), saneWeight(w.Util)
@@ -166,31 +170,58 @@ func maxInt(a, b int) int {
 //
 // rng is consulted only when more than one candidate survives to step 4; a
 // nil rng degrades to the top-scored candidate. The function never panics on
-// adversarial snapshots — that is FuzzRouteRequest's contract.
+// adversarial snapshots — that is FuzzRouteRequest's contract. It runs the
+// router's own pick code on fresh scratch; a Router reuses its scratch.
 func RouteRequest(states []WorkerState, cfg Config, seq int64, rng *rand.Rand) (int, error) {
-	healthy := make([]int, 0, len(states))
+	var b pickBuf
+	return b.pick(states, cfg, seq, rng)
+}
+
+// pickBuf is the scratch one pick filters, scores, rotates and sorts in.
+// A Router keeps one, so its picks allocate nothing once the buffers have
+// grown to the largest pool.
+type pickBuf struct {
+	healthy []int
+	sub     []WorkerState
+	scores  []float64
+	order   []int
+}
+
+// pick is RouteRequest on b's buffers.
+func (b *pickBuf) pick(states []WorkerState, cfg Config, seq int64, rng *rand.Rand) (int, error) {
+	healthy := b.healthy[:0]
+	sub := b.sub[:0]
 	for i := range states {
 		if states[i].Healthy {
 			healthy = append(healthy, i)
+			sub = append(sub, states[i])
 		}
 	}
+	b.healthy, b.sub = healthy, sub
 	n := len(healthy)
 	if n == 0 {
 		return 0, ErrNoWorker
 	}
-	sub := make([]WorkerState, n)
-	for j, i := range healthy {
-		sub[j] = states[i]
-	}
-	scores := Score(sub, cfg.Weights)
+	b.scores = scoreInto(slices.Grow(b.scores[:0], n)[:n], sub, cfg.Weights)
+	scores := b.scores
 
 	// Rotate the candidate order by seq: ties resolve round-robin.
 	start := int(((seq % int64(n)) + int64(n)) % int64(n))
-	order := make([]int, n)
-	for j := range order {
-		order[j] = (start + j) % n
+	order := b.order[:0]
+	for j := 0; j < n; j++ {
+		order = append(order, (start+j)%n)
 	}
-	sort.SliceStable(order, func(a, b int) bool { return scores[order[a]] > scores[order[b]] })
+	b.order = order
+	slices.SortStableFunc(order, func(x, y int) int {
+		// Descending by score; the stable sort keeps the rotation among ties.
+		switch {
+		case scores[x] > scores[y]:
+			return -1
+		case scores[x] < scores[y]:
+			return 1
+		}
+		return 0
+	})
 
 	k := cfg.TopK
 	if k <= 0 {

@@ -21,7 +21,7 @@
 package store
 
 import (
-	"sort"
+	"slices"
 
 	"grouter/internal/dataplane"
 	"grouter/internal/fabric"
@@ -30,6 +30,10 @@ import (
 // Registry records the live GPU-resident copies of data objects.
 type Registry struct {
 	locs map[dataplane.DataID][]fabric.Location
+	// free holds the emptied location lists of objects with no copy left;
+	// an object's first Add reuses one, so registering copies allocates
+	// nothing once the registry has warmed up.
+	free [][]fabric.Location
 }
 
 // NewRegistry returns an empty replica registry.
@@ -44,15 +48,31 @@ func locLess(a, b fabric.Location) bool {
 	return a.GPU < b.GPU
 }
 
-// Add registers a live copy of id at loc. Host locations and duplicates are
-// ignored.
+// Add registers a live copy of id at loc, in sorted position. Host
+// locations and duplicates are ignored.
 func (r *Registry) Add(id dataplane.DataID, loc fabric.Location) {
 	if loc.IsHost() || r.Has(id, loc) {
 		return
 	}
-	ls := append(r.locs[id], loc)
-	sort.Slice(ls, func(i, j int) bool { return locLess(ls[i], ls[j]) })
-	r.locs[id] = ls
+	ls, ok := r.locs[id]
+	if !ok {
+		if n := len(r.free); n > 0 {
+			ls = r.free[n-1]
+			r.free[n-1] = nil
+			r.free = r.free[:n-1]
+		}
+	}
+	i := 0
+	for i < len(ls) && locLess(ls[i], loc) {
+		i++
+	}
+	r.locs[id] = slices.Insert(ls, i, loc)
+}
+
+// drop forgets id and keeps its emptied list for reuse.
+func (r *Registry) drop(id dataplane.DataID, ls []fabric.Location) {
+	delete(r.locs, id)
+	r.free = append(r.free, ls[:0])
 }
 
 // Has reports whether a copy of id is registered at loc.
@@ -70,9 +90,9 @@ func (r *Registry) Remove(id dataplane.DataID, loc fabric.Location) {
 	ls := r.locs[id]
 	for i, l := range ls {
 		if l == loc {
-			ls = append(ls[:i], ls[i+1:]...)
+			ls = slices.Delete(ls, i, i+1)
 			if len(ls) == 0 {
-				delete(r.locs, id)
+				r.drop(id, ls)
 			} else {
 				r.locs[id] = ls
 			}
@@ -82,7 +102,11 @@ func (r *Registry) Remove(id dataplane.DataID, loc fabric.Location) {
 }
 
 // DropID removes every copy of id (object freed).
-func (r *Registry) DropID(id dataplane.DataID) { delete(r.locs, id) }
+func (r *Registry) DropID(id dataplane.DataID) {
+	if ls, ok := r.locs[id]; ok {
+		r.drop(id, ls)
+	}
+}
 
 // DropGPU removes every copy resident on the given GPU (crash invalidation)
 // and returns the affected object IDs in ascending order.
@@ -94,7 +118,7 @@ func (r *Registry) DropGPU(node, gpu int) []dataplane.DataID {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		r.Remove(id, loc)
 	}
@@ -102,7 +126,8 @@ func (r *Registry) DropGPU(node, gpu int) []dataplane.DataID {
 }
 
 // Locations returns id's registered copies in deterministic (node, GPU)
-// order. The returned slice is shared; callers must not mutate it.
+// order. The returned slice is shared and valid until the next Add, Remove
+// or Drop; callers must not mutate it.
 func (r *Registry) Locations(id dataplane.DataID) []fabric.Location {
 	return r.locs[id]
 }

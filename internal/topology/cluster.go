@@ -146,25 +146,31 @@ func (n *Node) HostToGPULinks(g int) []LinkID { return n.names().hostToGPU[g] }
 func (n *Node) PCIeP2PLinks(i, j int) []LinkID { return n.names().p2p[i][j] }
 
 // NVLinkPathLinks converts a GPU-hop sequence (e.g. [4 6 7 1]) into link IDs.
-// On switched fabrics only direct two-GPU sequences are valid.
+// On switched fabrics only direct two-GPU sequences are valid. A two-GPU
+// sequence returns the node's cached list, which callers must not modify.
 func (n *Node) NVLinkPathLinks(gpus []int) []LinkID {
+	if len(gpus) == 2 {
+		return n.names().nvPair[gpus[0]][gpus[1]]
+	}
+	return n.AppendNVLinkPathLinks(nil, gpus)
+}
+
+// AppendNVLinkPathLinks appends the link IDs of a GPU-hop sequence to dst and
+// returns the extended slice; it allocates only when dst lacks room.
+func (n *Node) AppendNVLinkPathLinks(dst []LinkID, gpus []int) []LinkID {
 	if len(gpus) < 2 {
-		return nil
+		return dst
 	}
 	if n.Spec.Switched {
 		if len(gpus) != 2 {
 			panic("topology: multi-hop NVLink path on a switched fabric")
 		}
-		return n.names().nvPair[gpus[0]][gpus[1]]
+		return append(dst, n.names().nvPair[gpus[0]][gpus[1]]...)
 	}
-	if len(gpus) == 2 {
-		return n.names().nvPair[gpus[0]][gpus[1]]
-	}
-	out := make([]LinkID, 0, len(gpus)-1)
 	for i := 0; i+1 < len(gpus); i++ {
-		out = append(out, n.NVLinkTo(gpus[i], gpus[i+1]))
+		dst = append(dst, n.NVLinkTo(gpus[i], gpus[i+1]))
 	}
-	return out
+	return dst
 }
 
 // NVLinkPairLinks is the single-hop NVLink path a → b, served from the
@@ -182,18 +188,24 @@ func (n *Node) NICToGPULinks(k, g int) []LinkID { return n.names().nicToGPU[k][g
 // NVLinkPaths enumerates simple NVLink paths from src to dst with at most
 // maxHops hops (maxHops=1 yields only the direct path). Paths are returned
 // as GPU sequences sorted by (length, lexicographic order) for determinism.
-// On switched fabrics the single switch path is returned.
+// On switched fabrics the single switch path is returned. Results are cached
+// per (src, dst, maxHops): callers must not modify them.
 func (n *Node) NVLinkPaths(src, dst, maxHops int) [][]int {
 	s := n.Spec
 	if src == dst {
 		return nil
 	}
-	if s.Switched {
-		return [][]int{{src, dst}}
-	}
 	key := pathKey{src, dst, maxHops}
 	if cached, ok := n.pathCache[key]; ok {
 		return cached
+	}
+	if n.pathCache == nil {
+		n.pathCache = make(map[pathKey][][]int)
+	}
+	if s.Switched {
+		paths := [][]int{{src, dst}}
+		n.pathCache[key] = paths
+		return paths
 	}
 	var paths [][]int
 	visited := make([]bool, s.NumGPUs)
@@ -233,9 +245,6 @@ func (n *Node) NVLinkPaths(src, dst, maxHops int) [][]int {
 		}
 		return false
 	})
-	if n.pathCache == nil {
-		n.pathCache = make(map[pathKey][][]int)
-	}
 	n.pathCache[key] = paths
 	return paths
 }
