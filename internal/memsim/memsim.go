@@ -59,25 +59,45 @@ func (d *Device) Peak() int64 { return d.peak }
 
 // Alloc reserves size bytes, or returns ErrOutOfMemory.
 func (d *Device) Alloc(size int64) (*Block, error) {
+	var b Block
+	if err := d.AllocInto(&b, size); err != nil {
+		return nil, err
+	}
+	return &b, nil
+}
+
+// AllocInto reserves size bytes into b, a Block its caller owns, or returns
+// ErrOutOfMemory and leaves b unchanged. A Block embedded in a pooled object
+// makes the reservation allocation-free. b must not hold a reservation.
+func (d *Device) AllocInto(b *Block, size int64) error {
 	if size < 0 {
 		panic(fmt.Sprintf("memsim: negative allocation %d on %s", size, d.Name))
 	}
+	if b.Held() {
+		panic("memsim: allocation into a block that holds a reservation")
+	}
 	if d.used+size > d.Capacity {
-		return nil, fmt.Errorf("%w: %s needs %d, free %d", ErrOutOfMemory, d.Name, size, d.Free())
+		return fmt.Errorf("%w: %s needs %d, free %d", ErrOutOfMemory, d.Name, size, d.Free())
 	}
 	d.used += size
 	if d.used > d.peak {
 		d.peak = d.used
 	}
-	return &Block{dev: d, size: size}, nil
+	*b = Block{dev: d, size: size}
+	return nil
 }
 
-// Block is one reservation on a device.
+// Block is one reservation on a device. A Block is a value: assigning it
+// hands the reservation to the new variable, and only one of the two may
+// free it.
 type Block struct {
 	dev   *Device
 	size  int64
 	freed bool
 }
+
+// Held reports whether b holds a reservation it has not freed.
+func (b *Block) Held() bool { return b.dev != nil && !b.freed }
 
 // Device returns the owning device.
 func (b *Block) Device() *Device { return b.dev }

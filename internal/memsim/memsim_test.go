@@ -42,6 +42,47 @@ func TestDoubleFreePanics(t *testing.T) {
 	b.Free()
 }
 
+// TestAllocIntoOwnedBlock: a Block its owner keeps is reserved into, freed
+// and reserved into again without allocating; a failed reservation leaves
+// it empty, a double free still panics, and reserving into a block that
+// still holds a reservation panics.
+func TestAllocIntoOwnedBlock(t *testing.T) {
+	d := NewDevice("host", 100)
+	var b Block
+	if err := d.AllocInto(&b, 200); !errors.Is(err, ErrOutOfMemory) || b.Held() {
+		t.Fatalf("over-allocation: err %v, held %v; want ErrOutOfMemory and an empty block", err, b.Held())
+	}
+	cycle := func() {
+		if err := d.AllocInto(&b, 60); err != nil {
+			t.Fatal(err)
+		}
+		if !b.Held() || d.Used() != 60 {
+			t.Fatalf("held %v, used %d after AllocInto; want true, 60", b.Held(), d.Used())
+		}
+		b.Free()
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("AllocInto+Free of an owned block allocates %.1f times, want 0", n)
+	}
+	if b.Held() || d.Used() != 0 {
+		t.Fatalf("held %v, used %d after Free; want false, 0", b.Held(), d.Used())
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("double free of an owned block", b.Free)
+	if err := d.AllocInto(&b, 10); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("AllocInto a held block", func() { _ = d.AllocInto(&b, 10) })
+}
+
 func TestPoolGrowAllocReleaseShrink(t *testing.T) {
 	d := NewDevice("gpu0", 1000)
 	p := NewPool(d)
