@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -80,6 +81,9 @@ func main() {
 	dot := flag.Bool("dot", false, "print the workflow DAG as Graphviz and exit")
 	flag.Parse()
 
+	if *rps < 0 || math.IsNaN(*rps) || math.IsInf(*rps, 0) {
+		fail("-rps must be a finite, non-negative rate, got %v", *rps)
+	}
 	var wf *workflow.Workflow
 	if *wfFile != "" {
 		loaded, err := workflow.LoadFile(*wfFile)

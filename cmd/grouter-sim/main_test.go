@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -159,5 +161,44 @@ func TestReportDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Errorf("two identical runs diverged:\n--- first ---\n%s--- second ---\n%s", a.Bytes(), b.Bytes())
+	}
+}
+
+// runMainEnv, when set, makes the test binary run main instead of the tests,
+// so a test can drive the command end to end and read its exit code.
+const runMainEnv = "GROUTER_SIM_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectsBadRate: flag.Float64 parses NaN and Inf, and generating a
+// trace at either never ends, so the command must refuse a non-finite or
+// negative -rps with exit status 2, naming the flag. -dot makes an accepted
+// rate exit at once.
+func TestRejectsBadRate(t *testing.T) {
+	for _, tc := range []struct {
+		rps  string
+		code int
+	}{{"NaN", 2}, {"Inf", 2}, {"-Inf", 2}, {"-1", 2}, {"0", 0}, {"8", 0}} {
+		cmd := exec.Command(os.Args[0], "-rps", tc.rps, "-dot")
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		var stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &bytes.Buffer{}, &stderr
+		code := 0
+		if err := cmd.Run(); err != nil {
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) {
+				t.Fatalf("-rps %s: %v", tc.rps, err)
+			}
+			code = exit.ExitCode()
+		}
+		if code != tc.code || (code == 2 && !strings.Contains(stderr.String(), "-rps")) {
+			t.Errorf("-rps %s: exit %d, stderr %q; want exit %d", tc.rps, code, stderr.String(), tc.code)
+		}
 	}
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -25,6 +26,10 @@ func main() {
 	emit := flag.Bool("emit", false, "print every arrival offset (seconds), one per line")
 	flag.Parse()
 
+	if *rps < 0 || math.IsNaN(*rps) || math.IsInf(*rps, 0) {
+		fmt.Fprintf(os.Stderr, "grouter-trace: -rps must be a finite, non-negative rate, got %v\n", *rps)
+		os.Exit(2)
+	}
 	p, err := trace.ParsePattern(*pattern)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "grouter-trace: %v\n", err)

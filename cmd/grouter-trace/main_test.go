@@ -1,0 +1,56 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// runMainEnv, when set, makes the test binary run main instead of the tests,
+// so a test can drive the command end to end and read its exit code.
+const runMainEnv = "GROUTER_TRACE_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// run executes the command with args and returns its exit code and stderr.
+func run(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &bytes.Buffer{}, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode(), stderr.String()
+	}
+	if err != nil {
+		t.Fatalf("running %v: %v", args, err)
+	}
+	return 0, stderr.String()
+}
+
+// TestRejectsBadRate: flag.Float64 parses NaN and Inf, and generating at
+// either never ends, so the command must refuse a non-finite or negative
+// -rps with exit status 2, naming the flag.
+func TestRejectsBadRate(t *testing.T) {
+	for _, rps := range []string{"NaN", "Inf", "-Inf", "-1"} {
+		if code, stderr := run(t, "-rps", rps, "-dur", "1s"); code != 2 || !strings.Contains(stderr, "-rps") {
+			t.Errorf("-rps %s: exit %d, stderr %q; want exit 2 naming -rps", rps, code, stderr)
+		}
+	}
+	for _, rps := range []string{"0", "5"} {
+		if code, stderr := run(t, "-rps", rps, "-dur", "1s"); code != 0 {
+			t.Errorf("-rps %s: exit %d, stderr %q; want success", rps, code, stderr)
+		}
+	}
+}

@@ -197,7 +197,6 @@ type App struct {
 	// Cold configures serverless provisioning (disabled = pre-warmed, the
 	// paper's default per §5).
 	Cold       ColdStartPolicy
-	instances  map[instKey]*instanceState
 	coldStarts int64
 
 	// pools holds every stage instance's replica pool in stage declaration

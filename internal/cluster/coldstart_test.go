@@ -65,13 +65,13 @@ func TestFailedModelLoadNeverWarms(t *testing.T) {
 	var recovered any
 	e.Go("load", func(p *sim.Proc) {
 		defer func() { recovered = recover() }()
-		app.ensureWarm(p, ps.si, m.id, m.loc, ps.stage.Model.WeightsBytes)
+		app.ensureWarm(p, ps.si, m, ps.stage.Model.WeightsBytes)
 	})
 	e.Run(0)
 	if err, _ := recovered.(error); !errors.Is(err, xfer.ErrPathsDown) {
 		t.Fatalf("failed model load recovered %v, want a panic wrapping ErrPathsDown", recovered)
 	}
-	if app.instances[instKey{ps.si, m.id}].warm || app.ColdStarts() != 0 {
+	if m.warm || app.ColdStarts() != 0 {
 		t.Errorf("a failed model load warmed the instance (cold starts %d)", app.ColdStarts())
 	}
 }

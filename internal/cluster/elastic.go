@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"time"
 
 	"grouter/internal/autoscale"
@@ -19,10 +20,12 @@ import (
 // with cordon/drain (a draining replica takes no new picks and is torn down
 // only once its in-flight requests complete), crash health tracking fed by
 // faults.Injector, and provisioning that pays the cold-start machinery's
-// latency. Pool members carry stable ids so warmth state (coldstart.go) and
-// in-flight accounting survive membership churn; the routable slice handed to
-// instanceFor and the Route hook is rebuilt on every membership change and
-// announced through App.OnPoolChange so the front-door router can refresh.
+// latency. A pool holds only its live members, so the controller's cost per
+// tick follows the live replica count, not the pool's history; each member
+// carries its own warmth (coldstart.go) and in-flight count, and a pick hands
+// the activation the member itself. The routable slice handed to instanceFor
+// and the Route hook is rebuilt on every membership change and announced
+// through App.OnPoolChange so the front-door router can refresh.
 
 // memberPhase is one pool replica's lifecycle state.
 type memberPhase int8
@@ -36,7 +39,8 @@ const (
 	// memberDraining replicas are cordoned: no new picks, in-flight requests
 	// complete, then teardown.
 	memberDraining
-	// memberGone replicas are torn down; the id is never reused.
+	// memberGone replicas are torn down and out of the pool; callbacks that
+	// still hold one test for it.
 	memberGone
 )
 
@@ -50,6 +54,9 @@ type poolMember struct {
 	// since is the provisioning instant; GPU-seconds accrue from here until
 	// teardown (capacity is paid for while it provisions).
 	since time.Duration
+	// warm and lastUsed are the replica's cold-start state (coldstart.go).
+	warm     bool
+	lastUsed time.Duration
 }
 
 // poolState is one stage instance's pool of replicas.
@@ -61,16 +68,20 @@ type poolState struct {
 	// need is the memory a replica must find free on its GPU: weights plus
 	// the working set at the app's deployed batch.
 	need int64
-	// members is append-only (gone members stay, phase memberGone), so a
-	// member's id is its index. slots is the routable view of members and
-	// locs their locations: the pool instanceFor and the Route hook pick from.
+	// members holds the live (active, provisioning, draining) members in
+	// provisioning order; finalize removes a torn-down one in place. nextID
+	// numbers them, and an id is never reused. slots is the routable view of
+	// members and locs their locations: the pool instanceFor and the Route
+	// hook pick from.
 	members []*poolMember
+	nextID  int
 	slots   []*poolMember
 	locs    []fabric.Location
 	// lastOut/lastIn are the last scale events; they gate the scale-in
 	// cooldown.
 	lastOut, lastIn time.Duration
-	// hist holds recent load observations for predictive strategies.
+	// hist holds the last historyWindow load observations, oldest first,
+	// for predictive strategies; observe shifts it in place.
 	hist []float64
 	// gpuSeconds accumulates departed members' active time.
 	gpuSeconds time.Duration
@@ -85,6 +96,7 @@ func newPool(si scheduler.StageInst, s *workflow.Stage, loc fabric.Location, bat
 		home:    loc.Node,
 		need:    s.Model.WeightsBytes + s.Model.InBytes(batch) + s.Model.OutBytes(batch),
 		members: []*poolMember{m},
+		nextID:  1,
 		slots:   []*poolMember{m},
 		locs:    []fabric.Location{loc},
 	}
@@ -257,10 +269,10 @@ func (ep *ElasticPools) observe(ps *poolState) autoscale.PoolMetrics {
 			m.Attainment = high
 		}
 	}
-	ps.hist = append(ps.hist, m.Load)
-	if n := len(ps.hist) - historyWindow; n > 0 {
-		ps.hist = ps.hist[n:]
+	if len(ps.hist) == historyWindow {
+		ps.hist = ps.hist[:copy(ps.hist, ps.hist[1:])]
 	}
+	ps.hist = append(ps.hist, m.Load)
 	m.History = ps.hist
 	return m
 }
@@ -306,7 +318,8 @@ func (ep *ElasticPools) scaleOut(ps *poolState, now time.Duration) {
 	loc := a.C.Placer.PlaceSingleFit(ps.home, ps.need, func(l fabric.Location) int64 {
 		return a.C.Fabric.Mem(l).Free()
 	})
-	m := &poolMember{id: len(ps.members), loc: loc, healthy: true, since: now}
+	m := &poolMember{id: ps.nextID, loc: loc, healthy: true, since: now}
+	ps.nextID++
 	ps.members = append(ps.members, m)
 	ep.Stats.ScaleOuts++
 	delay := ep.provisionDelay()
@@ -318,28 +331,24 @@ func (ep *ElasticPools) scaleOut(ps *poolState, now time.Duration) {
 				return
 			}
 			m.phase = memberActive
-			ep.markWarm(ps.si, m)
+			ep.markWarm(m)
 			a.rebuild(ps)
 		})
 		return
 	}
 	m.phase = memberActive
 	if ep.cfg.Prewarm {
-		ep.markWarm(ps.si, m)
+		ep.markWarm(m)
 	}
 	// Without Prewarm the member is routable now and its first routed
-	// request pays the cold start (ensureWarm finds no warmth state).
+	// request pays the cold start (a new member starts cold).
 	a.rebuild(ps)
 }
 
 // markWarm records a pre-warmed member's warmth so its first request is not
 // charged a cold start.
-func (ep *ElasticPools) markWarm(si scheduler.StageInst, m *poolMember) {
-	a := ep.app
-	if !a.Cold.Enabled || a.instances == nil {
-		return
-	}
-	a.instances[instKey{si, m.id}] = &instanceState{warm: true, lastUsed: a.C.Engine.Now()}
+func (ep *ElasticPools) markWarm(m *poolMember) {
+	m.warm, m.lastUsed = true, ep.app.C.Engine.Now()
 }
 
 // scaleIn cordons n members: unhealthy ones first, then newest (highest id),
@@ -374,14 +383,14 @@ func (ep *ElasticPools) scaleIn(ps *poolState, n int, now time.Duration) {
 	}
 }
 
-// finalize tears down a fully drained member.
+// finalize tears down a fully drained member and removes it from the pool,
+// keeping the survivors' order.
 func (ep *ElasticPools) finalize(ps *poolState, m *poolMember, now time.Duration) {
 	m.phase = memberGone
 	ps.gpuSeconds += now - m.since
 	ep.app.C.Placer.Unplace(m.loc)
-	if ep.app.instances != nil {
-		delete(ep.app.instances, instKey{ps.si, m.id})
-	}
+	i := slices.Index(ps.members, m)
+	ps.members = slices.Delete(ps.members, i, i+1)
 	ep.Stats.Drained++
 }
 
@@ -427,7 +436,7 @@ func (ep *ElasticPools) WatchFaults(in *faults.Injector) {
 		for _, ps := range ep.order {
 			changed := false
 			for _, m := range ps.members {
-				if m.loc.Node != node || m.loc.GPU != gpu || !m.healthy || m.phase == memberGone {
+				if m.loc.Node != node || m.loc.GPU != gpu || !m.healthy {
 					continue
 				}
 				m.healthy = false
@@ -461,9 +470,7 @@ func (ep *ElasticPools) GPUSeconds() float64 {
 	for _, ps := range ep.order {
 		total += ps.gpuSeconds
 		for _, m := range ps.members {
-			if m.phase != memberGone {
-				total += now - m.since
-			}
+			total += now - m.since
 		}
 	}
 	return total.Seconds()
@@ -502,9 +509,9 @@ func (a *App) ForEachPoolMember(fn func(si scheduler.StageInst, loc fabric.Locat
 // instanceFor picks the pool member serving one request's stage activation:
 // the Route hook when one is installed (falling back on a declined pick),
 // round-robin otherwise. It counts the pick in flight and returns the
-// member's location and stable id (the cold-start state key); the caller
-// must retire the pick with poolDone once the activation ends.
-func (a *App) instanceFor(ps *poolState, ri RouteInfo) (fabric.Location, int) {
+// member; the caller must retire the pick with poolDone once the activation
+// ends.
+func (a *App) instanceFor(ps *poolState, ri RouteInfo) *poolMember {
 	pool := ps.locs
 	idx, ok := -1, false
 	if a.Route != nil {
@@ -521,14 +528,12 @@ func (a *App) instanceFor(ps *poolState, ri RouteInfo) (fabric.Location, int) {
 	}
 	m := ps.slots[idx]
 	m.inflight++
-	return m.loc, m.id
+	return m
 }
 
-// poolDone retires one pick of member id (members are append-only, so the
-// id indexes them); the last in-flight request of a draining member triggers
-// its teardown.
-func (a *App) poolDone(ps *poolState, id int) {
-	m := ps.members[id]
+// poolDone retires one pick of member m; the last in-flight request of a
+// draining member triggers its teardown.
+func (a *App) poolDone(ps *poolState, m *poolMember) {
 	m.inflight--
 	if m.phase == memberDraining && m.inflight <= 0 {
 		// Only the elastic controller cordons members.

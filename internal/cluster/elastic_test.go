@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -63,16 +64,16 @@ func TestInstanceForHugeSeq(t *testing.T) {
 		math.MaxInt64,
 		1 << 40,
 	} {
-		loc, id := app.instanceFor(ps, RouteInfo{Seq: seq})
+		m := app.instanceFor(ps, RouteInfo{Seq: seq})
 		want := int(seq % int64(len(pool)))
-		if id != want || loc != pool[want] {
-			t.Fatalf("seq %d: got (%v, %d), want (%v, %d)", seq, loc, id, pool[want], want)
+		if m.id != want || m.loc != pool[want] {
+			t.Fatalf("seq %d: got (%v, %d), want (%v, %d)", seq, m.loc, m.id, pool[want], want)
 		}
 	}
 	// Negative seq (no caller sends one today) must still pick, not panic.
-	loc, id := app.instanceFor(ps, RouteInfo{Seq: -5})
-	if id < 0 || id >= len(pool) || loc != pool[id] {
-		t.Fatalf("negative seq: got (%v, %d)", loc, id)
+	m := app.instanceFor(ps, RouteInfo{Seq: -5})
+	if m.id < 0 || m.id >= len(pool) || m.loc != pool[m.id] {
+		t.Fatalf("negative seq: got (%v, %d)", m.loc, m.id)
 	}
 }
 
@@ -155,9 +156,9 @@ func TestElasticDrainCordonSemantics(t *testing.T) {
 		t.Fatalf("pool size = %d after scale-out, want 2", len(ps.locs))
 	}
 	// Pick member id 1 (seq 1 → index 1) and leave it in flight.
-	_, id := app.instanceFor(ps, RouteInfo{Seq: 1})
-	if id != 1 {
-		t.Fatalf("pick id = %d, want 1", id)
+	picked := app.instanceFor(ps, RouteInfo{Seq: 1})
+	if picked.id != 1 {
+		t.Fatalf("pick id = %d, want 1", picked.id)
 	}
 	ep.scaleIn(ps, 1, e.Now())
 	if ep.Stats.ScaleIns != 1 {
@@ -171,24 +172,30 @@ func TestElasticDrainCordonSemantics(t *testing.T) {
 	}
 	// Every new pick lands on the surviving member.
 	for seq := int64(2); seq < 8; seq++ {
-		if _, id := app.instanceFor(ps, RouteInfo{Seq: seq}); id != 0 {
-			t.Fatalf("seq %d picked drained member %d", seq, id)
+		m := app.instanceFor(ps, RouteInfo{Seq: seq})
+		if m.id != 0 {
+			t.Fatalf("seq %d picked drained member %d", seq, m.id)
 		}
-		app.poolDone(ps, 0)
+		app.poolDone(ps, m)
 	}
 	// The in-flight request completing finalizes the teardown.
-	app.poolDone(ps, 1)
+	app.poolDone(ps, picked)
 	if ep.Stats.Drained != 1 {
 		t.Fatalf("Drained = %d after last in-flight completed, want 1", ep.Stats.Drained)
 	}
 	if _, _, draining := ep.Replicas("segmentation", 0); draining != 0 {
 		t.Fatal("drained member still counted")
 	}
+	if len(ps.members) != 1 || picked.phase != memberGone {
+		t.Fatalf("pool holds %d members, drained phase %d: the torn-down member stayed",
+			len(ps.members), picked.phase)
+	}
 }
 
 // TestScaleInKeepsMemberIDs: a scale-in that cordons a middle member
 // compacts the routable slice, but retirements and cold-start warmth still
-// reach members by their stable ids, never by routable index.
+// reach the member picked, never the one at its former routable index, and
+// teardown removes only that member.
 func TestScaleInKeepsMemberIDs(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
@@ -205,10 +212,11 @@ func TestScaleInKeepsMemberIDs(t *testing.T) {
 	ep.scaleOut(ps, e.Now()) // members 0, 1, 2
 	// Leave member 1 in flight, then cordon it: unhealthy, so scale-in picks
 	// it over the newest member.
-	if _, id := app.instanceFor(ps, RouteInfo{Seq: 1}); id != 1 {
-		t.Fatalf("pick id = %d, want 1", id)
+	m1 := app.instanceFor(ps, RouteInfo{Seq: 1})
+	if m1.id != 1 {
+		t.Fatalf("pick id = %d, want 1", m1.id)
 	}
-	ps.members[1].healthy = false
+	m1.healthy = false
 	ep.scaleIn(ps, 1, e.Now())
 	if len(ps.slots) != 2 || ps.slots[0].id != 0 || ps.slots[1].id != 2 {
 		t.Fatalf("routable slice after scale-in has %d members, want ids 0 and 2", len(ps.slots))
@@ -227,11 +235,15 @@ func TestScaleInKeepsMemberIDs(t *testing.T) {
 		t.Errorf("member 2 in flight = %d after its request completed, want 0", n)
 	}
 
-	// Member 1's last pick retires by id and tears the draining member down.
-	app.poolDone(ps, 1)
-	if ep.Stats.Drained != 1 || ps.members[1].phase != memberGone {
+	// Member 1's last pick retires and tears the draining member down,
+	// leaving members 0 and 2 in order.
+	app.poolDone(ps, m1)
+	if ep.Stats.Drained != 1 || m1.phase != memberGone {
 		t.Fatalf("Drained = %d, member 1 phase %d: the retirement missed the draining member",
-			ep.Stats.Drained, ps.members[1].phase)
+			ep.Stats.Drained, m1.phase)
+	}
+	if len(ps.members) != 2 || ps.members[0].id != 0 || ps.members[1].id != 2 {
+		t.Fatalf("pool after teardown has %d members, want ids 0 and 2", len(ps.members))
 	}
 }
 
@@ -414,5 +426,94 @@ func TestElasticScaleOutMemoryPressure(t *testing.T) {
 	}
 	if app.Completed == 0 {
 		t.Fatal("no completions under memory pressure")
+	}
+}
+
+// livePoolsErr reports, if any, how an elastic pool breaks the live-only
+// rule: each pool holds exactly its live (active, provisioning, draining)
+// members, with ids strictly increasing in pool order and below the pool's
+// next id, so no id is ever reused.
+func livePoolsErr(ep *ElasticPools) error {
+	for _, ps := range ep.order {
+		active, prov, drain := ep.Replicas(ps.si.Stage, ps.si.Replica)
+		if live := active + prov + drain; len(ps.members) != live {
+			return fmt.Errorf("%v holds %d members, %d live", ps.si, len(ps.members), live)
+		}
+		for i, m := range ps.members {
+			if m.id >= ps.nextID || (i > 0 && m.id <= ps.members[i-1].id) {
+				return fmt.Errorf("%v member %d has id %d after %d (next id %d)",
+					ps.si, i, m.id, ps.members[max(i-1, 0)].id, ps.nextID)
+			}
+		}
+	}
+	return nil
+}
+
+// TestElasticChurnKeepsPoolsLive replays a sporadic load under
+// DefaultElastic that scales the pools out and in over a hundred times:
+// after every controller tick and at drain, each pool holds only its live
+// members.
+func TestElasticChurnKeepsPoolsLive(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	c := New(e, topology.DGXV100(), 1, grouterPlane)
+	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
+	cfg := DefaultElastic()
+	ep := app.EnableElastic(cfg)
+	// Started after the controller with the same period, the checker wakes
+	// right after each controller step. It runs on a process goroutine, so
+	// it records the first violation instead of failing the test there.
+	var bad error
+	e.GoDaemon("check", func(p *sim.Proc) {
+		for bad == nil {
+			p.Sleep(cfg.Interval)
+			if err := livePoolsErr(ep); err != nil {
+				bad = fmt.Errorf("tick at %v: %w", p.Now(), err)
+			}
+		}
+	})
+	burst(e, app, trace.Spec{Pattern: trace.Sporadic, Duration: 3 * time.Minute, MeanRPS: 40, Seed: 5})
+	e.Run(0)
+	if bad != nil {
+		t.Fatal(bad)
+	}
+	if err := livePoolsErr(ep); err != nil {
+		t.Fatalf("at drain: %v", err)
+	}
+	if ep.Stats.ScaleOuts < 100 || ep.Stats.ScaleIns < 100 {
+		t.Fatalf("scale-outs %d, scale-ins %d: want at least 100 cycles", ep.Stats.ScaleOuts, ep.Stats.ScaleIns)
+	}
+}
+
+// TestElasticStepAllocFreeAfterChurn: a controller step over pools that have
+// churned a thousand members costs what it costs over a fresh pool, and
+// allocates nothing. Each run covers two full turns of the load history.
+func TestElasticStepAllocFreeAfterChurn(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	c := New(e, topology.DGXV100(), 1, grouterPlane)
+	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
+	cfg := DefaultElastic()
+	cfg.Interval = time.Hour // the test steps the controller itself
+	ep := app.EnableElastic(cfg)
+	ps := app.pool(scheduler.StageInst{Stage: "segmentation", Replica: 0})
+	for i := 0; i < 1000; i++ {
+		ep.scaleOut(ps, e.Now())
+		ep.scaleIn(ps, 1, e.Now())
+	}
+	if ep.Stats.Drained != 1000 || len(ps.members) != 1 || ps.nextID != 1001 {
+		t.Fatalf("after 1000 cycles: drained %d, %d members, next id %d; want 1000, 1, 1001",
+			ep.Stats.Drained, len(ps.members), ps.nextID)
+	}
+	steps := func() {
+		for i := 0; i < 2*historyWindow; i++ {
+			ep.step()
+		}
+	}
+	if n := testing.AllocsPerRun(20, steps); n != 0 {
+		t.Errorf("%d allocations per %d idle controller steps, want 0", int(n), 2*historyWindow)
+	}
+	if ep.Stats.ScaleOuts != 1000 || ep.Stats.ScaleIns != 1000 {
+		t.Errorf("idle steps scaled: %+v", ep.Stats)
 	}
 }

@@ -155,9 +155,8 @@ type outSlot struct {
 type activation struct {
 	st  *reqState
 	idx int
-	loc fabric.Location
-	// member is the stable id of the pool member serving the activation.
-	member int
+	// member is the pool member serving the activation.
+	member *poolMember
 	ctx    dataplane.FnCtx
 	ictx   dataplane.FnCtx
 }
@@ -299,7 +298,7 @@ func (a *App) launchReq(req Request, done *sim.Signal, t0, waited time.Duration)
 		pi := &pl.insts[i]
 		st.slots[i].refs = pi.refs
 		ac := &st.acts[i]
-		ac.loc, ac.member = a.instanceFor(pi.pool, ri)
+		ac.member = a.instanceFor(pi.pool, ri)
 		c.Engine.GoRun(pi.name, ac)
 	}
 }
@@ -351,7 +350,7 @@ func (ac *activation) Run(p *sim.Proc) {
 	if pi.ingress && !skipped {
 		ac.ictx = dataplane.FnCtx{
 			Fn: pl.ingressFn, Workflow: a.WF.Name,
-			Loc:         fabric.Location{Node: ac.loc.Node, GPU: fabric.HostGPU},
+			Loc:         fabric.Location{Node: ac.member.loc.Node, GPU: fabric.HostGPU},
 			ConsumerSeq: st.seq,
 		}
 		ref, err := c.Plane.Put(p, &ac.ictx, cost.inBytes)
@@ -363,7 +362,7 @@ func (ac *activation) Run(p *sim.Proc) {
 	ac.ctx = dataplane.FnCtx{
 		Fn:           pi.fn,
 		Workflow:     a.WF.Name,
-		Loc:          ac.loc,
+		Loc:          ac.member.loc,
 		SLO:          cost.slo,
 		InferLatency: cost.lat,
 		ConsumerSeq:  st.seq,
@@ -376,13 +375,13 @@ func (ac *activation) Run(p *sim.Proc) {
 	// *before* acquisition, so there is no hold-and-wait cycle.
 	out := dataplane.DataRef{}
 	if !skipped {
-		res := c.resourceAt(ac.loc)
+		res := c.resourceAt(ac.member.loc)
 		qStart := p.Now()
 		res.AcquirePri(p, int32(st.qos))
 		heldAt := p.Now()
 		obs.Account(p, obs.CatQueue, heldAt-qStart)
 		wStart := p.Now()
-		a.ensureWarm(p, pi.si, ac.member, ac.loc, s.Model.WeightsBytes)
+		a.ensureWarm(p, pi.si, ac.member, s.Model.WeightsBytes)
 		obs.Account(p, obs.CatSetup, p.Now()-wStart)
 		if ingress.Bytes > 0 {
 			t0 := p.Now()
@@ -429,8 +428,8 @@ func (ac *activation) Run(p *sim.Proc) {
 			out = ref
 		}
 		res.Release()
-		if c.OnGPUService != nil && !ac.loc.IsHost() {
-			c.OnGPUService(ac.loc.Node, ac.loc.GPU, p.Now()-heldAt)
+		if loc := ac.member.loc; c.OnGPUService != nil && !loc.IsHost() {
+			c.OnGPUService(loc.Node, loc.GPU, p.Now()-heldAt)
 		}
 	}
 	// Retire the pool pick (in-flight accounting for cordon/drain) whether

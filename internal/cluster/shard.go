@@ -153,19 +153,27 @@ func ShardedReplay(arrivals []time.Duration, opt ShardedOptions, build func(pod 
 	// same-shard edge, which the group rejects; those pods are admitted by
 	// scheduling directly on the shared engine with the same latency, which
 	// is delivery-order-equivalent because the feeder fires before any
-	// admission at the same instant.
+	// admission at the same instant. Each such pod's window counts wait in
+	// a FIFO popped by a callback bound once: every window schedules its
+	// admission the same latency ahead, so they fire in FIFO order.
 	driver := g.Shard(0)
 	boxes := make([]*sim.Mailbox, opt.Pods)
-	admit := func(app *App) func(payload any) {
-		return func(payload any) {
-			for n := payload.(int); n > 0; n-- {
-				app.startReq(Request{}, nil)
-			}
+	local := make([]func(), opt.Pods)
+	pending := make([][]int, opt.Pods)
+	start := func(app *App, n int) {
+		for ; n > 0; n-- {
+			app.startReq(Request{}, nil)
 		}
 	}
-	for j := range apps {
+	for j, app := range apps {
 		if sh := g.Shard(podShard(j)); sh != driver {
-			boxes[j] = g.NewMailbox(driver, sh, opt.RouteLatency, admit(apps[j]))
+			boxes[j] = g.NewMailbox(driver, sh, opt.RouteLatency, func(payload any) { start(app, payload.(int)) })
+		} else {
+			local[j] = func() {
+				n := pending[j][0]
+				pending[j] = pending[j][:copy(pending[j], pending[j][1:])]
+				start(app, n)
+			}
 		}
 	}
 
@@ -198,12 +206,8 @@ func ShardedReplay(arrivals []time.Duration, opt ShardedOptions, build func(pod 
 					if boxes[j] != nil {
 						boxes[j].Send(n)
 					} else {
-						app, n := apps[j], n
-						p.Engine().Schedule(lat, func() {
-							for ; n > 0; n-- {
-								app.startReq(Request{}, nil)
-							}
-						})
+						pending[j] = append(pending[j], n)
+						p.Engine().Schedule(lat, local[j])
 					}
 				}
 			}

@@ -15,10 +15,16 @@
 //  1. finds t, the earliest pending event or undelivered message across the
 //     group, and sets the window end E = t + lookahead;
 //  2. delivers every queued message with delivery time <= E, in
-//     (time, destination shard, mailbox, send sequence) order, by scheduling
-//     it on the destination engine;
+//     (time, destination shard, mailbox, send sequence) order, by moving it
+//     to its mailbox's inbox and scheduling the mailbox's pop on the
+//     destination engine;
 //  3. steps every shard's engine to exactly E — concurrently in parallel
 //     mode, in shard-ID order in sequential mode — and barriers.
+//
+// A window includes its end E, so a message sent as a window opens, over a
+// mailbox whose latency is the lookahead, is due exactly at E but is only
+// injected at the next barrier: each destination sees (time, injecting
+// barrier, mailbox, send sequence) order.
 //
 // Once every mailbox is closed and drained no message can ever arrive, so
 // the lookahead becomes unbounded and each shard drains to completion in a
@@ -34,9 +40,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -112,8 +119,13 @@ type Mailbox struct {
 	latency  time.Duration
 	handler  func(payload any)
 	queue    []envelope
-	seq      int64
-	closed   bool
+	// inbox holds delivered payloads, oldest at head, each awaiting the pop
+	// event deliver scheduled for it; pop is bound once at construction.
+	inbox  []any
+	head   int
+	pop    func()
+	seq    int64
+	closed bool
 }
 
 // Close marks the mailbox as finished: no further Send is allowed, and once
@@ -198,8 +210,23 @@ func (g *ShardGroup) NewMailbox(from, to *Shard, latency time.Duration, handler 
 		panic("sim: mailbox needs a delivery handler")
 	}
 	m := &Mailbox{id: len(g.mail), from: from, to: to, latency: latency, handler: handler}
+	m.pop = m.popInbox
 	g.mail = append(g.mail, m)
 	return m
+}
+
+// popInbox hands the oldest delivered payload to the handler. A mailbox's
+// deliveries have non-decreasing times and are scheduled in send order, so
+// they fire in inbox order; every window fires all it delivered, so the
+// inbox empties and is reused from the front.
+func (m *Mailbox) popInbox() {
+	payload := m.inbox[m.head]
+	m.inbox[m.head] = nil
+	m.head++
+	if m.head == len(m.inbox) {
+		m.inbox, m.head = m.inbox[:0], 0
+	}
+	m.handler(payload)
 }
 
 // Run executes the group to completion with one goroutine per shard,
@@ -270,7 +297,8 @@ func (g *ShardGroup) run(parallel bool) {
 // in (time, destination shard, mailbox, send sequence) order. Injection
 // happens at the barrier, before any shard enters the window, so a
 // destination engine always receives the event before its clock can pass
-// the delivery time.
+// the delivery time. A steady-state window allocates nothing: the queues
+// compact in place and each delivery schedules its mailbox's bound pop.
 func (g *ShardGroup) deliver(until time.Duration) {
 	due := g.scratch[:0]
 	for _, m := range g.mail {
@@ -280,32 +308,26 @@ func (g *ShardGroup) deliver(until time.Duration) {
 			n++
 		}
 		if n > 0 {
-			m.queue = m.queue[n:]
+			left := copy(m.queue, m.queue[n:])
+			clear(m.queue[left:])
+			m.queue = m.queue[:left]
 		}
 	}
-	sort.Slice(due, func(i, j int) bool {
-		a, b := &due[i], &due[j]
-		if a.env.at != b.env.at {
-			return a.env.at < b.env.at
-		}
-		if a.box.to.id != b.box.to.id {
-			return a.box.to.id < b.box.to.id
-		}
-		if a.box.id != b.box.id {
-			return a.box.id < b.box.id
-		}
-		return a.env.seq < b.env.seq
+	slices.SortFunc(due, func(a, b delivery) int {
+		return cmp.Or(cmp.Compare(a.env.at, b.env.at), cmp.Compare(a.box.to.id, b.box.to.id),
+			cmp.Compare(a.box.id, b.box.id), cmp.Compare(a.env.seq, b.env.seq))
 	})
 	for i := range due {
-		d := due[i]
+		d := &due[i]
 		eng := d.box.to.engine
 		if d.env.at < eng.now {
 			panic(fmt.Sprintf("sim: lookahead violated: delivery at %v behind shard %d clock %v",
 				d.env.at, d.box.to.id, eng.now))
 		}
-		handler, payload := d.box.handler, d.env.payload
-		eng.Schedule(d.env.at-eng.now, func() { handler(payload) })
+		d.box.inbox = append(d.box.inbox, d.env.payload)
+		eng.Schedule(d.env.at-eng.now, d.box.pop)
 	}
+	clear(due)
 	g.scratch = due[:0]
 }
 

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -306,4 +308,155 @@ func TestMailboxPanics(t *testing.T) {
 	expectPanic("wire after run", func() {
 		g.NewMailbox(g.Shard(0), g.Shard(1), time.Millisecond, func(any) {})
 	})
+}
+
+// sent is one message as the delivery order sees it: delivery time,
+// destination shard, mailbox, and per-mailbox send sequence; win is the
+// destination's window that handled it (zero on the sending side).
+type sent struct {
+	at       time.Duration
+	win      int64
+	dst, box int
+	seq      int64
+}
+
+// TestDeliveryOrderRandomized sends random traffic between four shards over
+// up to three mailboxes per shard pair, with latencies and send instants on
+// a millisecond grid so deliveries collide at equal times. Every message
+// must be handled once, at its send time plus its mailbox's latency, and
+// each destination must see the documented order: time, then the barrier
+// that injected it, then mailbox, then send sequence. Messages at one
+// instant split across barriers only at a window's end, for a message sent
+// over a minimum-latency mailbox as the window opened.
+func TestDeliveryOrderRandomized(t *testing.T) {
+	const shards = 4
+	splits := 0
+	for seed := int64(0); seed < 6; seed++ {
+		for _, parallel := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(seed))
+			g := NewShardGroup(shards)
+			outs := make([][]*Mailbox, shards)
+			sends := make([][]sent, shards) // by sending shard
+			recvs := make([][]sent, shards) // by destination shard
+			look := time.Duration(math.MaxInt64)
+			for from := 0; from < shards; from++ {
+				for to := 0; to < shards; to++ {
+					for k := rng.Intn(3); from != to && k >= 0; k-- {
+						var box *Mailbox
+						lat := time.Duration(1+rng.Intn(3)) * time.Millisecond
+						look = min(look, lat)
+						dst := g.Shard(to)
+						box = g.NewMailbox(g.Shard(from), dst, lat, func(payload any) {
+							recvs[to] = append(recvs[to], sent{dst.Engine().Now(), dst.windows, to, box.id, payload.(int64)})
+						})
+						outs[from] = append(outs[from], box)
+					}
+				}
+			}
+			// Send sequences by mailbox ID; only the sending shard touches one.
+			seqs := make([]int64, len(g.mail))
+			for from := 0; from < shards; from++ {
+				n, gaps := 100+rng.Intn(100), rng.Int63()
+				g.Shard(from).Engine().Go("sender", func(p *Proc) {
+					r := rand.New(rand.NewSource(gaps))
+					for i := 0; i < n; i++ {
+						p.Sleep(time.Duration(r.Intn(3)) * time.Millisecond)
+						box := outs[from][r.Intn(len(outs[from]))]
+						seqs[box.id]++
+						sends[from] = append(sends[from], sent{p.Now() + box.latency, 0, box.to.id, box.id, seqs[box.id]})
+						box.Send(seqs[box.id])
+					}
+					for _, b := range outs[from] {
+						b.Close()
+					}
+				})
+			}
+			if parallel {
+				g.Run()
+			} else {
+				g.RunSequential()
+			}
+			g.Close()
+			type id struct {
+				box int
+				seq int64
+			}
+			due := make(map[id]time.Duration)
+			for _, s := range sends {
+				for _, m := range s {
+					due[id{m.box, m.seq}] = m.at
+				}
+			}
+			got, collisions := 0, 0
+			for dst, r := range recvs {
+				for i, m := range r {
+					if at, ok := due[id{m.box, m.seq}]; !ok || at != m.at || m.dst != dst {
+						t.Fatalf("seed %d parallel=%v: shard %d handled %+v, sent for %v (known %v)",
+							seed, parallel, dst, m, at, ok)
+					}
+					delete(due, id{m.box, m.seq})
+					got++
+					if i == 0 {
+						continue
+					}
+					prev := r[i-1]
+					if cmp.Or(cmp.Compare(prev.at, m.at), cmp.Compare(prev.win, m.win),
+						cmp.Compare(prev.box, m.box), cmp.Compare(prev.seq, m.seq)) >= 0 {
+						t.Fatalf("seed %d parallel=%v: shard %d handled %+v after %+v",
+							seed, parallel, dst, m, prev)
+					}
+					switch {
+					case prev.at != m.at:
+					case prev.win == m.win:
+						collisions++
+					case g.mail[m.box].latency != look:
+						t.Fatalf("seed %d parallel=%v: shard %d handled %+v a window after %+v over a %v mailbox (lookahead %v)",
+							seed, parallel, dst, m, prev, g.mail[m.box].latency, look)
+					default:
+						splits++
+					}
+				}
+			}
+			if len(due) != 0 {
+				t.Fatalf("seed %d parallel=%v: %d of %d messages never handled", seed, parallel, len(due), got+len(due))
+			}
+			if collisions == 0 {
+				t.Fatalf("seed %d: no equal-time deliveries to one shard; nothing was ordered", seed)
+			}
+		}
+	}
+	if splits == 0 {
+		t.Fatal("no equal-time deliveries split across a window's end; the boundary rule went untested")
+	}
+}
+
+// TestShardWindowAllocFree: once warm, a two-shard group runs windows that
+// deliver messages without allocating, sequential or parallel.
+func TestShardWindowAllocFree(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		g := NewShardGroup(2)
+		got := 0
+		box := g.NewMailbox(g.Shard(0), g.Shard(1), time.Millisecond, func(any) { got++ })
+		send := func() {
+			for i := 0; i < 8; i++ {
+				box.Send(i)
+			}
+		}
+		// Each run is two windows: the send, then the delivery.
+		window := func() {
+			g.Shard(0).Engine().Schedule(0, send)
+			if parallel {
+				g.Run()
+			} else {
+				g.RunSequential()
+			}
+		}
+		if n := testing.AllocsPerRun(50, window); n != 0 {
+			t.Errorf("parallel=%v: %d allocations per delivering run, want 0", parallel, int(n))
+		}
+		if got != 51*8 {
+			t.Errorf("parallel=%v: %d messages handled, want %d", parallel, got, 51*8)
+		}
+		g.Close()
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -67,20 +66,38 @@ const (
 	burstLen       = 5 * time.Second
 )
 
-// Generate returns sorted arrival offsets in [0, Duration).
+// maxPresize caps an output's pre-size, so a huge rate allocates no more up
+// front and grows by append past it.
+const maxPresize = 1 << 24
+
+// presize returns the capacity to pre-size for a Poisson count of mean mu:
+// two standard deviations (and a little) above it, clamped.
+func presize(mu float64) int {
+	return int(min(mu+2*math.Sqrt(mu)+32, maxPresize))
+}
+
+// Generate returns sorted arrival offsets in [0, Duration), or nil for a
+// non-positive duration or a rate that is not finite and positive. Every
+// pattern draws its arrivals in order, so no sort is needed, and the
+// result's spare capacity is at most 4√len+64, since callers keep it for a
+// whole replay.
 func Generate(s Spec) []time.Duration {
-	if s.Duration <= 0 || s.MeanRPS <= 0 {
+	if s.Duration <= 0 || s.MeanRPS <= 0 || math.IsNaN(s.MeanRPS) || math.IsInf(s.MeanRPS, 1) {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
+	secs := s.Duration.Seconds()
 	var out []time.Duration
 	switch s.Pattern {
 	case Sporadic:
-		out = poisson(rng, s.MeanRPS, s.Duration)
+		out = poissonWindow(rng, s.MeanRPS, 0, secs, make([]time.Duration, 0, presize(s.MeanRPS*secs)))
 	case Periodic:
-		// Thinning: candidate Poisson at peak rate, accept with rate(t)/peak.
+		// Thinning: candidate Poisson at peak rate, accept with rate(t)/peak,
+		// compacting the candidates in place.
 		peak := s.MeanRPS * 1.8
-		for _, t := range poisson(rng, peak, s.Duration) {
+		cand := poissonWindow(rng, peak, 0, secs, make([]time.Duration, 0, presize(peak*secs)))
+		out = cand[:0]
+		for _, t := range cand {
 			phase := 2 * math.Pi * t.Seconds() / periodicPeriod.Seconds()
 			rate := s.MeanRPS * (1 + 0.8*math.Sin(phase))
 			if rng.Float64() < rate/peak {
@@ -96,10 +113,10 @@ func Generate(s Spec) []time.Duration {
 		if off <= 0 {
 			off = on
 		}
+		out = make([]time.Duration, 0, presize(s.MeanRPS*secs))
 		t := 0.0
-		end := s.Duration.Seconds()
 		inBurst := false
-		for t < end {
+		for t < secs {
 			var segLen, rate float64
 			if inBurst {
 				segLen = expo(rng, on)
@@ -108,28 +125,24 @@ func Generate(s Spec) []time.Duration {
 				segLen = expo(rng, off)
 				rate = baseline
 			}
-			segEnd := math.Min(t+segLen, end)
-			for _, a := range poissonWindow(rng, rate, t, segEnd) {
-				out = append(out, a)
-			}
+			segEnd := math.Min(t+segLen, secs)
+			out = poissonWindow(rng, rate, t, segEnd, out)
 			t = segEnd
 			inBurst = !inBurst
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// poisson draws a homogeneous Poisson process over [0, dur).
-func poisson(rng *rand.Rand, rate float64, dur time.Duration) []time.Duration {
-	return poissonWindow(rng, rate, 0, dur.Seconds())
-}
-
-func poissonWindow(rng *rand.Rand, rate, from, to float64) []time.Duration {
-	var out []time.Duration
-	if rate <= 0 {
+	switch {
+	case len(out) == 0:
+		return nil
+	case float64(cap(out)-len(out)) <= 4*math.Sqrt(float64(len(out)))+64:
 		return out
 	}
+	return append(make([]time.Duration, 0, len(out)), out...)
+}
+
+// poissonWindow appends a homogeneous Poisson process over [from, to) to out.
+// A zero rate (a baseline that underflowed) draws an infinite gap: nothing.
+func poissonWindow(rng *rand.Rand, rate, from, to float64, out []time.Duration) []time.Duration {
 	t := from
 	for {
 		t += expo(rng, 1/rate)

@@ -1,6 +1,10 @@
 package trace
 
 import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
@@ -159,5 +163,119 @@ func TestParsePattern(t *testing.T) {
 	}
 	if _, err := ParsePattern("wavy"); err == nil {
 		t.Error("unknown pattern should error")
+	}
+}
+
+// referenceGenerate is the generator as it was before arrivals were drawn
+// into pre-sized buffers: per-window slices appended one by one, then a
+// final sort. It is the oracle Generate must match arrival for arrival.
+func referenceGenerate(s Spec) []time.Duration {
+	if s.Duration <= 0 || s.MeanRPS <= 0 {
+		return nil
+	}
+	window := func(rng *rand.Rand, rate, from, to float64) []time.Duration {
+		var out []time.Duration
+		if rate <= 0 {
+			return out
+		}
+		t := from
+		for {
+			t += expo(rng, 1/rate)
+			if t >= to {
+				return out
+			}
+			out = append(out, time.Duration(t*float64(time.Second)))
+		}
+	}
+	rng := rand.New(rand.NewSource(s.Seed))
+	var out []time.Duration
+	switch s.Pattern {
+	case Sporadic:
+		out = window(rng, s.MeanRPS, 0, s.Duration.Seconds())
+	case Periodic:
+		peak := s.MeanRPS * 1.8
+		for _, t := range window(rng, peak, 0, s.Duration.Seconds()) {
+			phase := 2 * math.Pi * t.Seconds() / periodicPeriod.Seconds()
+			rate := s.MeanRPS * (1 + 0.8*math.Sin(phase))
+			if rng.Float64() < rate/peak {
+				out = append(out, t)
+			}
+		}
+	case Bursty:
+		baseline := s.MeanRPS * 0.2
+		on := burstLen.Seconds()
+		off := on * (burstFactor*s.MeanRPS - s.MeanRPS) / (s.MeanRPS - baseline)
+		if off <= 0 {
+			off = on
+		}
+		t := 0.0
+		end := s.Duration.Seconds()
+		inBurst := false
+		for t < end {
+			var segLen, rate float64
+			if inBurst {
+				segLen = expo(rng, on)
+				rate = burstFactor * s.MeanRPS
+			} else {
+				segLen = expo(rng, off)
+				rate = baseline
+			}
+			segEnd := math.Min(t+segLen, end)
+			out = append(out, window(rng, rate, t, segEnd)...)
+			t = segEnd
+			inBurst = !inBurst
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// TestGenerateMatchesReference: the sort-free, pre-sized generator returns
+// exactly the reference generator's arrivals (nil where it returned nil) for
+// every pattern across seeds, durations and rates, with at most 4√len+64
+// spare capacity, since replays keep the backing array for a whole run.
+func TestGenerateMatchesReference(t *testing.T) {
+	for _, p := range []Pattern{Sporadic, Periodic, Bursty} {
+		for _, seed := range []int64{1, 7, 42, 815405033} {
+			for _, dur := range []time.Duration{time.Millisecond, 3 * time.Second, time.Minute, 10 * time.Minute} {
+				for _, rps := range []float64{0.5, 7, 80, 500} {
+					s := Spec{Pattern: p, Duration: dur, MeanRPS: rps, Seed: seed}
+					got, want := Generate(s), referenceGenerate(s)
+					if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+						t.Fatalf("%+v: %d arrivals, reference has %d", s, len(got), len(want))
+					}
+					if slack := 4*math.Sqrt(float64(len(got))) + 64; float64(cap(got)-len(got)) > slack {
+						t.Fatalf("%+v: cap %d for %d arrivals exceeds len+%.0f", s, cap(got), len(got), slack)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateRejectsNonFiniteRates: a NaN or infinite rate passes a plain
+// "<= 0" check, and drawing arrivals at it never reaches the end of the
+// window; Generate must treat it as invalid.
+func TestGenerateRejectsNonFiniteRates(t *testing.T) {
+	for _, p := range []Pattern{Sporadic, Periodic, Bursty} {
+		for _, rps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3} {
+			if got := Generate(Spec{Pattern: p, Duration: time.Second, MeanRPS: rps, Seed: 1}); got != nil {
+				t.Errorf("%v at %v rps: %d arrivals, want nil", p, rps, len(got))
+			}
+		}
+	}
+}
+
+// TestPresizeClamped: the pre-size of a huge finite rate (or one whose
+// expected count overflows to +Inf) is clamped, so make never panics and the
+// output grows by append past the clamp.
+func TestPresizeClamped(t *testing.T) {
+	for _, mu := range []float64{1e9, math.MaxFloat64, math.Inf(1)} {
+		if got := presize(mu); got != maxPresize {
+			t.Errorf("presize(%g) = %d, want the clamp %d", mu, got, maxPresize)
+		}
+	}
+	if got := presize(0); got != 32 {
+		t.Errorf("presize(0) = %d, want 32", got)
 	}
 }
