@@ -81,8 +81,17 @@ func main() {
 	dot := flag.Bool("dot", false, "print the workflow DAG as Graphviz and exit")
 	flag.Parse()
 
-	if *rps < 0 || math.IsNaN(*rps) || math.IsInf(*rps, 0) {
+	switch {
+	case *rps < 0 || math.IsNaN(*rps) || math.IsInf(*rps, 0):
 		fail("-rps must be a finite, non-negative rate, got %v", *rps)
+	case *nodes < 1:
+		fail("-nodes must be at least 1, got %d", *nodes)
+	case *slots < 1:
+		fail("-gpu-slots must be at least 1, got %d", *slots)
+	case *batch < 0:
+		fail("-batch must be non-negative (0 = workflow default), got %d", *batch)
+	case *dur < 0:
+		fail("-dur must be non-negative, got %v", *dur)
 	}
 	var wf *workflow.Workflow
 	if *wfFile != "" {

@@ -176,6 +176,24 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// run executes the command with args and returns its exit code and stderr.
+func run(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &bytes.Buffer{}, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode(), stderr.String()
+	}
+	if err != nil {
+		t.Fatalf("running %v: %v", args, err)
+	}
+	return 0, stderr.String()
+}
+
 // TestRejectsBadRate: flag.Float64 parses NaN and Inf, and generating a
 // trace at either never ends, so the command must refuse a non-finite or
 // negative -rps with exit status 2, naming the flag. -dot makes an accepted
@@ -185,20 +203,35 @@ func TestRejectsBadRate(t *testing.T) {
 		rps  string
 		code int
 	}{{"NaN", 2}, {"Inf", 2}, {"-Inf", 2}, {"-1", 2}, {"0", 0}, {"8", 0}} {
-		cmd := exec.Command(os.Args[0], "-rps", tc.rps, "-dot")
-		cmd.Env = append(os.Environ(), runMainEnv+"=1")
-		var stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &bytes.Buffer{}, &stderr
-		code := 0
-		if err := cmd.Run(); err != nil {
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) {
-				t.Fatalf("-rps %s: %v", tc.rps, err)
-			}
-			code = exit.ExitCode()
+		code, stderr := run(t, "-rps", tc.rps, "-dot")
+		if code != tc.code || (code == 2 && !strings.Contains(stderr, "-rps")) {
+			t.Errorf("-rps %s: exit %d, stderr %q; want exit %d", tc.rps, code, stderr, tc.code)
 		}
-		if code != tc.code || (code == 2 && !strings.Contains(stderr.String(), "-rps")) {
-			t.Errorf("-rps %s: exit %d, stderr %q; want exit %d", tc.rps, code, stderr.String(), tc.code)
+	}
+}
+
+// TestRejectsBadFlags: a node or GPU slot count below 1 used to panic in
+// the scheduler or the cluster, a negative -batch ran at the workflow's
+// default and a negative -dur ran nothing. Each must fail with exit status
+// 2 and a message naming the flag. A panic exits 2 as well, so the test
+// also requires that stderr holds no goroutine dump. A rejected value runs
+// a short trace, which would reach the engine; an accepted one exits at
+// once through -dot.
+func TestRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flag, value string
+		code        int
+	}{
+		{"-nodes", "0", 2}, {"-nodes", "-1", 2}, {"-gpu-slots", "0", 2}, {"-batch", "-3", 2}, {"-dur", "-1s", 2},
+		{"-nodes", "1", 0}, {"-gpu-slots", "1", 0}, {"-batch", "0", 0}, {"-dur", "0s", 0},
+	} {
+		args := []string{"-workflow", "traffic", "-rps", "4", "-dur", "2s", tc.flag, tc.value}
+		if tc.code == 0 {
+			args = append(args, "-dot")
+		}
+		code, stderr := run(t, args...)
+		if code != tc.code || (code == 2 && (!strings.Contains(stderr, tc.flag+" must") || strings.Contains(stderr, "goroutine "))) {
+			t.Errorf("%s %s: exit %d, stderr %q; want exit %d naming %s", tc.flag, tc.value, code, stderr, tc.code, tc.flag)
 		}
 	}
 }

@@ -27,13 +27,14 @@ func main() {
 	flag.Parse()
 
 	if *rps < 0 || math.IsNaN(*rps) || math.IsInf(*rps, 0) {
-		fmt.Fprintf(os.Stderr, "grouter-trace: -rps must be a finite, non-negative rate, got %v\n", *rps)
-		os.Exit(2)
+		fail("-rps must be a finite, non-negative rate, got %v", *rps)
+	}
+	if *dur < 0 {
+		fail("-dur must be non-negative, got %v", *dur)
 	}
 	p, err := trace.ParsePattern(*pattern)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "grouter-trace: %v\n", err)
-		os.Exit(2)
+		fail("%v", err)
 	}
 	arrivals := trace.Generate(trace.Spec{Pattern: p, Duration: *dur, MeanRPS: *rps, Seed: *seed})
 	st := trace.Summarize(arrivals, *dur)
@@ -45,4 +46,9 @@ func main() {
 			fmt.Printf("%.6f\n", a.Seconds())
 		}
 	}
+}
+
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "grouter-trace: "+format+"\n", args...)
+	os.Exit(2)
 }

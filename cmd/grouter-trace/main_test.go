@@ -54,3 +54,15 @@ func TestRejectsBadRate(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsBadDuration: a negative -dur used to print a negative trace
+// duration and generate nothing. It must fail with exit status 2 and a
+// message naming the flag, not a goroutine dump; -dur 0 stays accepted.
+func TestRejectsBadDuration(t *testing.T) {
+	if code, stderr := run(t, "-dur", "-1s"); code != 2 || !strings.Contains(stderr, "-dur must") || strings.Contains(stderr, "goroutine ") {
+		t.Errorf("-dur -1s: exit %d, stderr %q; want exit 2 naming -dur", code, stderr)
+	}
+	if code, stderr := run(t, "-dur", "0s"); code != 0 {
+		t.Errorf("-dur 0s: exit %d, stderr %q; want success", code, stderr)
+	}
+}

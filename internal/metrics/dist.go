@@ -27,10 +27,11 @@ const distBits = 10
 // never exceeds the exact fraction and falls short of it by at most the
 // share of the one bucket that holds the bound. A Dist allocates nothing
 // until its first Add, and an Add after the fold allocates only when its
-// sample lands outside the buckets seen so far. Its exact buffer holds at
-// most 256 KiB; a folded Dist over samples between 1 µs and 10 s holds
-// about 100 KiB, and over any samples at most 216 KiB. A bucket counts at
-// most 2^32-1 samples; one more panics.
+// sample lands outside the buckets seen so far. Its exact phase keeps
+// Latency's chunks, which stop at exactly DistCap samples (256 KiB) with no
+// regrowth; a folded Dist over samples between 1 µs and 10 s holds about
+// 100 KiB, and over any samples at most 216 KiB. A bucket counts at most
+// 2^32-1 samples; one more panics.
 type Dist struct {
 	exact Latency // every sample, until the fold
 
@@ -72,13 +73,7 @@ func (d *Dist) Add(v time.Duration) {
 		panic(fmt.Sprintf("metrics: negative latency sample %v", v))
 	}
 	if d.counts == nil {
-		s := d.exact.samples
-		if len(s) < DistCap {
-			if len(s) == cap(s) {
-				// Double up to the cap, so the buffer never outgrows
-				// DistCap samples (256 KiB).
-				d.exact.samples = append(make([]time.Duration, 0, min(max(2*cap(s), 64), DistCap)), s...)
-			}
+		if d.exact.Count() < DistCap {
 			d.exact.Add(v)
 			return
 		}
@@ -93,17 +88,14 @@ func (d *Dist) Add(v time.Duration) {
 
 // fold moves the exact samples into the histogram and drops them.
 func (d *Dist) fold() {
-	s := d.exact.samples
-	d.n, d.min, d.max = len(s), s[0], s[0]
-	for _, v := range s {
+	d.n, d.min, d.max = d.exact.Count(), math.MaxInt64, 0
+	d.exact.each(func(v time.Duration) {
 		d.sum += v
 		d.min = min(d.min, v)
 		d.max = max(d.max, v)
-	}
+	})
 	d.cover(bucketOf(d.min), bucketOf(d.max))
-	for _, v := range s {
-		d.counts[bucketOf(v)-d.lo]++
-	}
+	d.exact.each(func(v time.Duration) { d.counts[bucketOf(v)-d.lo]++ })
 	d.exact = Latency{}
 }
 
@@ -142,17 +134,13 @@ func (d *Dist) bump(i int, k uint32) {
 // answers exactly as one Dist fed both sample sets would, in any order.
 func (d *Dist) Merge(o *Dist) {
 	if o.counts == nil {
-		for _, v := range o.exact.samples {
-			d.Add(v)
-		}
+		o.exact.each(d.Add)
 		return
 	}
 	if d.counts == nil {
-		s := d.exact.samples
+		exact := d.exact
 		*d = Dist{n: o.n, sum: o.sum, min: o.min, max: o.max, lo: o.lo, counts: slices.Clone(o.counts)}
-		for _, v := range s {
-			d.Add(v)
-		}
+		exact.each(d.Add)
 		return
 	}
 	d.n += o.n

@@ -28,10 +28,10 @@ var distStreams = []struct {
 
 var distQuantiles = []float64{0, 0.5, 0.9, 0.99, 0.999, 1}
 
-// feed draws n samples of a stream into a Dist and a Latency.
-func feed(gen func(*rand.Rand) time.Duration, seed int64, n int) (*Dist, *Latency) {
+// feed draws n samples of a stream into a Dist and the reference recorder.
+func feed(gen func(*rand.Rand) time.Duration, seed int64, n int) (*Dist, *sliceLatency) {
 	rng := rand.New(rand.NewSource(seed))
-	d, l := &Dist{}, &Latency{}
+	d, l := &Dist{}, &sliceLatency{}
 	for i := 0; i < n; i++ {
 		v := gen(rng)
 		d.Add(v)
@@ -60,7 +60,8 @@ func probes(sorted []time.Duration) []time.Duration {
 }
 
 // TestDistExactMatchesLatency requires every answer of a Dist holding at
-// most DistCap samples to equal Latency's for the same samples.
+// most DistCap samples to equal the contiguous reference Latency's for the
+// same samples.
 func TestDistExactMatchesLatency(t *testing.T) {
 	for _, s := range distStreams {
 		for _, n := range []int{0, 1, 2, DistCap - 1, DistCap} {
@@ -92,7 +93,7 @@ func TestDistExactMatchesLatency(t *testing.T) {
 // most 2^-10 above it and inside [min, max]; FractionUnder never above the
 // exact fraction and below it by at most the share of the bucket holding
 // the bound.
-func checkFolded(t *testing.T, name string, d *Dist, l *Latency) {
+func checkFolded(t *testing.T, name string, d *Dist, l *sliceLatency) {
 	t.Helper()
 	if d.counts == nil {
 		t.Fatalf("%s: %d samples did not fold", name, d.Count())
@@ -162,7 +163,10 @@ func TestBucketEdges(t *testing.T) {
 // clone deep-copies a Dist, so a test can tell whether Merge touched it.
 func clone(d *Dist) *Dist {
 	c := *d
-	c.exact.samples = slices.Clone(d.exact.samples)
+	c.exact.chunks = slices.Clone(d.exact.chunks)
+	for i, ch := range c.exact.chunks {
+		c.exact.chunks[i] = slices.Clone(ch)
+	}
 	c.counts = slices.Clone(d.counts)
 	return &c
 }
@@ -210,7 +214,7 @@ func TestDistMerge(t *testing.T) {
 			for i := range all {
 				all[i] = s.gen(rng)
 			}
-			whole, l := &Dist{}, &Latency{}
+			whole, l := &Dist{}, &sliceLatency{}
 			for _, v := range all {
 				whole.Add(v)
 				l.Add(v)
@@ -263,6 +267,24 @@ func TestDistFoldedFootprint(t *testing.T) {
 	runtime.KeepAlive(d)
 }
 
+// TestDistExactPhaseAllocation: a Dist fed DistCap samples allocates at
+// most 320 KiB: its 256 KiB of chunks, the first chunk's doubling (31.5
+// KiB) and the chunk list. A buffer doubled up to DistCap allocated about
+// 512 KiB.
+func TestDistExactPhaseAllocation(t *testing.T) {
+	var d Dist
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < DistCap; i++ {
+		d.Add(time.Duration(i))
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 320<<10 {
+		t.Errorf("a Dist fed %d samples allocated %d B, want at most %d", DistCap, got, 320<<10)
+	}
+	runtime.KeepAlive(&d)
+}
+
 // TestDistSamplesPanicsAfterFold: a folded Dist has no samples to return.
 func TestDistSamplesPanicsAfterFold(t *testing.T) {
 	d, _ := feed(distStreams[0].gen, 1, DistCap+1)
@@ -285,11 +307,11 @@ func TestDistAddNegativePanics(t *testing.T) {
 	d.Add(-1)
 }
 
-// FuzzDist drives a Dist and a Latency with the same fuzzer-shaped stream
-// (raw 8-byte words, shifted right by shift, cycled to n samples) and holds
-// the Dist to its contract: equal answers up to DistCap samples, the folded
-// bounds past it, and a merge of the stream's two halves that answers as
-// the whole.
+// FuzzDist drives a Dist and the contiguous reference Latency with the same
+// fuzzer-shaped stream (fuzzWord's samples shifted right by 1+shift, n of
+// them) and holds the Dist to its contract: equal answers up to DistCap
+// samples, the folded bounds past it, and a merge of the stream's two
+// halves that answers as the whole.
 func FuzzDist(f *testing.F) {
 	f.Add(uint32(10), uint8(40), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint32(DistCap), uint8(20), []byte{0xff, 0, 0x10, 0x20, 0, 0, 0, 9, 1, 1, 1, 1, 1, 1, 1, 1})
@@ -299,17 +321,11 @@ func FuzzDist(f *testing.F) {
 		if len(raw) < 8 {
 			return
 		}
-		words := len(raw) / 8
 		n %= 3*DistCap + 1
 		var d, half, rest Dist
-		var l Latency
+		var l sliceLatency
 		for i := 0; i < int(n); i++ {
-			w := raw[8*(i%words) : 8*(i%words)+8]
-			u := uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
-				uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56
-			// Mix the cycle count in, so long streams are not one repeated word.
-			u = (u + uint64(i/words)*0x9e3779b97f4a7c15) >> 1 >> (shift % 64)
-			v := time.Duration(u)
+			v := time.Duration(fuzzWord(raw, i) >> 1 >> (shift % 64))
 			d.Add(v)
 			l.Add(v)
 			if i < int(n)/2 {
