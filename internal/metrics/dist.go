@@ -28,10 +28,11 @@ const distBits = 10
 // share of the one bucket that holds the bound. A Dist allocates nothing
 // until its first Add, and an Add after the fold allocates only when its
 // sample lands outside the buckets seen so far. Its exact phase keeps
-// Latency's chunks, which stop at exactly DistCap samples (256 KiB) with no
-// regrowth; a folded Dist over samples between 1 µs and 10 s holds about
-// 100 KiB, and over any samples at most 216 KiB. A bucket counts at most
-// 2^32-1 samples; one more panics.
+// Latency's chunks, which stop at exactly DistCap samples with no
+// regrowth: 128 KiB when every sample is below 2^32 ns (about 4.29 s), and
+// at most 272 KiB; a folded Dist over samples between 1 µs and 10 s holds
+// about 100 KiB, and over any samples at most 216 KiB. A bucket counts at
+// most 2^32-1 samples; one more panics.
 type Dist struct {
 	exact Latency // every sample, until the fold
 

@@ -163,12 +163,19 @@ func TestBucketEdges(t *testing.T) {
 // clone deep-copies a Dist, so a test can tell whether Merge touched it.
 func clone(d *Dist) *Dist {
 	c := *d
-	c.exact.chunks = slices.Clone(d.exact.chunks)
-	for i, ch := range c.exact.chunks {
-		c.exact.chunks[i] = slices.Clone(ch)
-	}
+	c.exact.narrow.cs = cloneChunks(d.exact.narrow.cs)
+	c.exact.wide.cs = cloneChunks(d.exact.wide.cs)
 	c.counts = slices.Clone(d.counts)
 	return &c
+}
+
+// cloneChunks deep-copies one list of a Latency's chunks.
+func cloneChunks[E uint32 | time.Duration](cs [][]E) [][]E {
+	cs = slices.Clone(cs)
+	for i, ch := range cs {
+		cs[i] = slices.Clone(ch)
+	}
+	return cs
 }
 
 // sameAnswers requires two Dists to answer every query identically.
@@ -267,10 +274,10 @@ func TestDistFoldedFootprint(t *testing.T) {
 	runtime.KeepAlive(d)
 }
 
-// TestDistExactPhaseAllocation: a Dist fed DistCap samples allocates at
-// most 320 KiB: its 256 KiB of chunks, the first chunk's doubling (31.5
-// KiB) and the chunk list. A buffer doubled up to DistCap allocated about
-// 512 KiB.
+// TestDistExactPhaseAllocation: a Dist fed DistCap samples below 2^32 ns
+// allocates at most 160 KiB: its 128 KiB of chunks, the first chunk's
+// doubling (15.75 KiB) and the chunk list. 8-byte chunks allocated about
+// 288 KiB, and a buffer doubled up to DistCap about 512 KiB.
 func TestDistExactPhaseAllocation(t *testing.T) {
 	var d Dist
 	var before, after runtime.MemStats
@@ -279,8 +286,8 @@ func TestDistExactPhaseAllocation(t *testing.T) {
 		d.Add(time.Duration(i))
 	}
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 320<<10 {
-		t.Errorf("a Dist fed %d samples allocated %d B, want at most %d", DistCap, got, 320<<10)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 160<<10 {
+		t.Errorf("a Dist fed %d samples allocated %d B, want at most %d", DistCap, got, 160<<10)
 	}
 	runtime.KeepAlive(&d)
 }

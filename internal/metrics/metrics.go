@@ -13,91 +13,136 @@ import (
 	"time"
 )
 
-// chunkLen is the number of samples a full Latency chunk holds: 32 KiB.
+// chunkLen is the number of samples a full chunk holds: 16 KiB of uint32
+// samples, 32 KiB of time.Duration ones.
 const chunkLen = 1 << 12
 
 // Latency records duration samples and answers exact percentile queries.
-// It keeps 8 B per sample, the price of exact percentiles; a recorder read
-// only through Mean() is a Mean instead, which keeps constant-size state.
+// It keeps 4 B per sample in [0, 2^32) ns (under about 4.29 s) and 8 B per
+// any other sample, the price of exact percentiles; a recorder read only
+// through Mean() is a Mean instead, which keeps constant-size state.
 //
-// The samples live in chunks of chunkLen. The first chunk doubles from 64
-// samples up to chunkLen and every later one is allocated full, so only the
-// first chunk's samples are ever copied, at most one chunk is partly
-// filled, and recording allocates about the bytes it keeps. A query sorts
-// in place only the chunks an Add touched since the last query, and
-// allocates nothing.
+// Samples in [0, 2^32) go into a list of uint32 chunks and every other
+// sample into a list of time.Duration chunks; neither list is ever widened
+// or copied into the other, and every query counts both. In each list the
+// first chunk doubles from 64 samples up to chunkLen and every later one
+// is allocated full, so only the first chunk's samples are ever copied, at
+// most one chunk per list is partly filled, and recording allocates about
+// the bytes it keeps. A query sorts in place only the chunks an Add
+// touched since the last query, and allocates nothing.
 type Latency struct {
-	chunks [][]time.Duration // all but the last hold chunkLen samples
-	n      int
-	sorted int // leading chunks sorted since their last Add
+	narrow chunks[uint32]        // samples in [0, 2^32)
+	wide   chunks[time.Duration] // every other sample
 }
 
-// Add records one sample.
-func (l *Latency) Add(d time.Duration) {
-	k := len(l.chunks) - 1
+// chunks is one list of a Latency's samples.
+type chunks[E uint32 | time.Duration] struct {
+	cs     [][]E // all but the last hold chunkLen samples
+	n      int
+	sorted int // leading chunks sorted since their last add
+}
+
+// add records one sample.
+func (c *chunks[E]) add(v E) {
+	k := len(c.cs) - 1
 	switch {
 	case k < 0:
-		l.chunks, k = append(l.chunks, make([]time.Duration, 0, 64)), 0
-	case len(l.chunks[k]) < cap(l.chunks[k]): // room in the last chunk
-	case k == 0 && cap(l.chunks[0]) < chunkLen:
-		l.chunks[0] = append(make([]time.Duration, 0, 2*cap(l.chunks[0])), l.chunks[0]...)
+		c.cs, k = append(c.cs, make([]E, 0, 64)), 0
+	case len(c.cs[k]) < cap(c.cs[k]): // room in the last chunk
+	case k == 0 && cap(c.cs[0]) < chunkLen:
+		c.cs[0] = append(make([]E, 0, 2*cap(c.cs[0])), c.cs[0]...)
 	default:
-		l.chunks, k = append(l.chunks, make([]time.Duration, 0, chunkLen)), k+1
+		c.cs, k = append(c.cs, make([]E, 0, chunkLen)), k+1
 	}
-	l.chunks[k] = append(l.chunks[k], d)
-	l.n++
-	l.sorted = min(l.sorted, k)
+	c.cs[k] = append(c.cs[k], v)
+	c.n++
+	c.sorted = min(c.sorted, k)
 }
 
-// sort sorts, in place, every chunk an Add touched since the last query.
-func (l *Latency) sort() {
-	for ; l.sorted < len(l.chunks); l.sorted++ {
-		slices.Sort(l.chunks[l.sorted])
+// sort sorts, in place, every chunk an add touched since the last query.
+func (c *chunks[E]) sort() {
+	for ; c.sorted < len(c.cs); c.sorted++ {
+		slices.Sort(c.cs[c.sorted])
 	}
 }
 
 // atOrBelow counts the samples at or below v, a binary search per chunk.
 // Every chunk must be sorted.
-func (l *Latency) atOrBelow(v time.Duration) int {
+func (c *chunks[E]) atOrBelow(v E) int {
 	n := 0
-	for _, c := range l.chunks {
-		n += sort.Search(len(c), func(i int) bool { return c[i] > v })
+	for _, ch := range c.cs {
+		n += sort.Search(len(ch), func(i int) bool { return ch[i] > v })
+	}
+	return n
+}
+
+// each calls f on every sample, in no particular order.
+func (c *chunks[E]) each(f func(time.Duration)) {
+	for _, ch := range c.cs {
+		for _, v := range ch {
+			f(time.Duration(v))
+		}
+	}
+}
+
+// Add records one sample.
+func (l *Latency) Add(d time.Duration) {
+	if uint64(d) < 1<<32 { // a negative d converts to at least 2^63
+		l.narrow.add(uint32(d))
+	} else {
+		l.wide.add(d)
+	}
+}
+
+// sort sorts, in place, every chunk an Add touched since the last query.
+func (l *Latency) sort() {
+	l.narrow.sort()
+	l.wide.sort()
+}
+
+// atOrBelow counts the samples at or below v. Every chunk must be sorted.
+func (l *Latency) atOrBelow(v time.Duration) int {
+	n := l.wide.atOrBelow(v)
+	switch {
+	case v >= 1<<32:
+		n += l.narrow.n
+	case v >= 0:
+		n += l.narrow.atOrBelow(uint32(v))
 	}
 	return n
 }
 
 // each calls f on every sample, in no particular order.
 func (l *Latency) each(f func(time.Duration)) {
-	for _, c := range l.chunks {
-		for _, v := range c {
-			f(v)
-		}
-	}
+	l.narrow.each(f)
+	l.wide.each(f)
 }
 
 // Count returns the sample count.
-func (l *Latency) Count() int { return l.n }
+func (l *Latency) Count() int { return l.narrow.n + l.wide.n }
 
 // Mean returns the arithmetic mean, or 0 with no samples.
 func (l *Latency) Mean() time.Duration {
-	if l.n == 0 {
+	n := l.Count()
+	if n == 0 {
 		return 0
 	}
 	var sum time.Duration
 	l.each(func(v time.Duration) { sum += v })
-	return sum / time.Duration(l.n)
+	return sum / time.Duration(n)
 }
 
 // P returns the q-quantile (q in [0,1]) using nearest-rank, or 0 with no
 // samples: the smallest sample v with at least rank = ⌈q·n⌉ samples at or
 // below it, rank clamped to [1, n]. It binary-searches the value range:
-// 64 probes, each one binary search per chunk.
+// 64 probes, each at most one binary search per chunk.
 func (l *Latency) P(q float64) time.Duration {
-	if l.n == 0 {
+	n := l.Count()
+	if n == 0 {
 		return 0
 	}
 	l.sort()
-	rank := min(max(int(math.Ceil(q*float64(l.n))), 1), l.n)
+	rank := min(max(int(math.Ceil(q*float64(n))), 1), n)
 	// Every sample is at or below MaxInt64, so hi always qualifies. The
 	// midpoint goes through the unsigned difference, which cannot overflow.
 	lo, hi := time.Duration(math.MinInt64), time.Duration(math.MaxInt64)
@@ -117,10 +162,8 @@ func (l *Latency) Max() time.Duration { return l.P(1) }
 
 // Samples returns a copy of the recorded samples (sorted ascending).
 func (l *Latency) Samples() []time.Duration {
-	out := make([]time.Duration, 0, l.n)
-	for _, c := range l.chunks {
-		out = append(out, c...)
-	}
+	out := make([]time.Duration, 0, l.Count())
+	l.each(func(v time.Duration) { out = append(out, v) })
 	slices.Sort(out)
 	return out
 }
@@ -129,11 +172,12 @@ func (l *Latency) Samples() []time.Duration {
 // (SLO-compliance rate). An empty recorder is vacuously compliant: with no
 // requests recorded, none violated the bound, so the fraction is 1.
 func (l *Latency) FractionUnder(bound time.Duration) float64 {
-	if l.n == 0 {
+	n := l.Count()
+	if n == 0 {
 		return 1
 	}
 	l.sort()
-	return float64(l.atOrBelow(bound)) / float64(l.n)
+	return float64(l.atOrBelow(bound)) / float64(n)
 }
 
 // Mean is a running mean of durations: a sum and a count, constant-size
