@@ -33,10 +33,10 @@ func runPair(label string, cfg grouter.Config) (p99 time.Duration, hostXfer time
 	s.Run()
 	fmt.Printf("%-22s driving: %3d reqs  p99 %6.2f ms  gFn-host %5.2f ms  SLO met %3.0f%%   (video: %d reqs)\n",
 		label, driving.Completed,
-		float64(driving.E2E.P(0.99))/float64(time.Millisecond),
+		float64(driving.E2E().P(0.99))/float64(time.Millisecond),
 		float64(driving.XferHost.Mean())/float64(time.Millisecond),
 		driving.SLOCompliance()*100, video.Completed)
-	return driving.E2E.P(0.99), driving.XferHost.Mean(), driving.SLOCompliance()
+	return driving.E2E().P(0.99), driving.XferHost.Mean(), driving.SLOCompliance()
 }
 
 func main() {

@@ -45,7 +45,7 @@ func main() {
 		s.Close()
 		fmt.Printf("%-10s %9.2f %9.2f %10.2f %10.2f %9.2f\n",
 			sys.name,
-			msf(app.E2E.P(0.5)), msf(app.E2E.P(0.99)),
+			msf(app.E2E().P(0.5)), msf(app.E2E().P(0.99)),
 			msf(app.XferGPU.Mean()), msf(app.XferHost.Mean()), msf(app.Compute.Mean()))
 	}
 	fmt.Println("\nOn the host-centric plane, data passing dominates end-to-end latency;")

@@ -144,8 +144,8 @@ func TestPerClassLatencyAccounting(t *testing.T) {
 	if lo, hi := app.E2EClass[QoSLow].Count(), app.E2EClass[QoSHigh].Count(); lo != 1 || hi != 2 {
 		t.Fatalf("per-class counts low=%d high=%d, want 1/2", lo, hi)
 	}
-	if app.E2E.Count() != 3 {
-		t.Fatalf("aggregate count %d, want 3", app.E2E.Count())
+	if app.E2E().Count() != 3 {
+		t.Fatalf("aggregate count %d, want 3", app.E2E().Count())
 	}
 }
 

@@ -156,17 +156,19 @@ type App struct {
 	// path).
 	SLO time.Duration
 
-	// E2E records the latency of every request the app ever completed, in
-	// a bounded distribution: exact up to metrics.DistCap samples, within
-	// 2^-10 after them (see metrics.Dist). XferGPU/XferHost/Compute keep
-	// running means of the per-request sums of gFn-gFn passing, gFn-host
-	// passing, and compute.
-	E2E      metrics.Dist
+	// XferGPU/XferHost/Compute keep running means of the per-request sums
+	// of gFn-gFn passing, gFn-host passing, and compute.
 	XferGPU  metrics.Mean
 	XferHost metrics.Mean
 	Compute  metrics.Mean
-	// E2EClass splits E2E by QoS class (indexed by QoS), feeding per-class
-	// SLO attainment; each class is a bounded distribution of its own.
+	// E2EClass records the latency of every request the app ever
+	// completed, once, in the distribution of its QoS class (indexed by
+	// QoS): bounded, exact up to metrics.DistCap samples and within 2^-10
+	// after them (see metrics.Dist). E2E views both classes as one. Replay
+	// swaps in empty distributions while it runs, so its percentiles cover
+	// its own completions, and merges the earlier samples back in before it
+	// returns; read E2EClass and E2E between replays, not from a hook
+	// during one.
 	E2EClass [2]metrics.Dist
 
 	Completed int
@@ -354,10 +356,28 @@ func (a *App) MeasureThroughput(concurrency int, dur time.Duration) float64 {
 	return float64(a.Completed-before) / elapsed.Seconds()
 }
 
+// E2E returns the latency distribution of every request the app ever
+// completed. When one QoS class holds every completion it is that class's
+// distribution; otherwise it is a new merge of the two, which answers as
+// one distribution fed both classes' samples (see metrics.Dist.Merge).
+func (a *App) E2E() *metrics.Dist {
+	lo, hi := &a.E2EClass[QoSLow], &a.E2EClass[QoSHigh]
+	switch {
+	case hi.Count() == 0:
+		return lo
+	case lo.Count() == 0:
+		return hi
+	}
+	d := new(metrics.Dist)
+	d.Merge(lo)
+	d.Merge(hi)
+	return d
+}
+
 // SLOCompliance returns the fraction of completed requests within the app's
 // SLO. It is exact while E2E holds at most metrics.DistCap samples; past
 // them it never overstates compliance (see metrics.Dist.FractionUnder).
-func (a *App) SLOCompliance() float64 { return a.E2E.FractionUnder(a.SLO) }
+func (a *App) SLOCompliance() float64 { return a.E2E().FractionUnder(a.SLO) }
 
 // Spec returns the cluster's topology spec.
 func (c *Cluster) Spec() *topology.Spec { return c.Fabric.Spec() }

@@ -55,7 +55,7 @@ func TestAllWorkflowsCompleteOnAllPlanes(t *testing.T) {
 			if app.Completed != 1 {
 				t.Errorf("%s/%s: completed %d requests, want 1", name, wf.Name, app.Completed)
 			}
-			if app.E2E.Count() != 1 || app.E2E.Mean() <= 0 {
+			if app.E2E().Count() != 1 || app.E2E().Mean() <= 0 {
 				t.Errorf("%s/%s: bad E2E metrics", name, wf.Name)
 			}
 		}
@@ -66,8 +66,8 @@ func TestGrouterBeatsINFlessEndToEnd(t *testing.T) {
 	for _, wf := range workflow.Suite() {
 		g := runOne(t, grouterPlane, wf)
 		inf := runOne(t, inflessPlane, wf)
-		if !(g.E2E.Mean() < inf.E2E.Mean()) {
-			t.Errorf("%s: grouter %v not faster than infless+ %v", wf.Name, g.E2E.Mean(), inf.E2E.Mean())
+		if !(g.E2E().Mean() < inf.E2E().Mean()) {
+			t.Errorf("%s: grouter %v not faster than infless+ %v", wf.Name, g.E2E().Mean(), inf.E2E().Mean())
 		}
 	}
 }
@@ -137,7 +137,7 @@ func TestTraceDrivenRun(t *testing.T) {
 	if app.Completed != len(arrivals) {
 		t.Errorf("completed %d of %d traced requests", app.Completed, len(arrivals))
 	}
-	if app.E2E.P(0.99) <= 0 {
+	if app.E2E().P(0.99) <= 0 {
 		t.Error("no P99 recorded")
 	}
 }

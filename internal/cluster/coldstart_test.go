@@ -35,7 +35,7 @@ func TestColdStartPenaltyAndWarmReuse(t *testing.T) {
 	if got := app.ColdStarts(); got != 3 {
 		t.Errorf("cold starts = %d, want 3", got)
 	}
-	samples := app.E2E.Samples()
+	samples := app.E2E().Samples()
 	cold, warm := samples[len(samples)-1], samples[0]
 	if !(cold > warm+time.Second) {
 		t.Errorf("cold request %v should exceed warm %v by container+load time", cold, warm)

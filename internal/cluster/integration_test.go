@@ -77,7 +77,7 @@ func TestClusterDeterminism(t *testing.T) {
 		}), ReplaySpec{}); err != nil {
 			t.Fatal(err)
 		}
-		return app.E2E.Samples()
+		return app.E2E().Samples()
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -143,7 +143,7 @@ func TestBatchOverride(t *testing.T) {
 		mustSubmit(big, Request{}).Wait(p)
 	})
 	e.Run(0)
-	if !(big.E2E.Mean() > small.E2E.Mean()) {
-		t.Errorf("batch 32 (%v) should be slower than batch 1 (%v)", big.E2E.Mean(), small.E2E.Mean())
+	if !(big.E2E().Mean() > small.E2E().Mean()) {
+		t.Errorf("batch 32 (%v) should be slower than batch 1 (%v)", big.E2E().Mean(), small.E2E().Mean())
 	}
 }

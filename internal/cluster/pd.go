@@ -107,9 +107,10 @@ type LLMService struct {
 	// E2E records request latencies and TTFT time to first output token,
 	// over every request the service ever completed, in bounded
 	// distributions: exact up to metrics.DistCap samples, within 2^-10
-	// after them (see metrics.Dist). KVXfer keeps the running mean of the
-	// data-plane KV handoff durations (disaggregated requests with a
-	// successful transfer only).
+	// after them (see metrics.Dist). Replay swaps in an empty E2E while it
+	// runs, as App.Replay does with App.E2EClass. KVXfer keeps the running
+	// mean of the data-plane KV handoff durations (disaggregated requests
+	// with a successful transfer only).
 	E2E    metrics.Dist
 	TTFT   metrics.Dist
 	KVXfer metrics.Mean
@@ -420,7 +421,8 @@ func (r *pdReq) runDisaggregated(p *sim.Proc, tr *obs.Tracer) {
 // Replay admits one typed request per arrival (offsets relative to now,
 // sorted ascending; spec.RequestAt describes each) and runs the engine until
 // it drains, with the same admission shapes, validation and per-replay
-// percentiles as App.Replay.
+// percentiles as App.Replay: it records into an empty E2E and merges the
+// earlier samples back in when it is done.
 func (s *LLMService) Replay(arrivals []time.Duration, spec ReplaySpec) (ReplayStats, error) {
 	if arrivals == nil {
 		return ReplayStats{}, ErrNilTrace
@@ -431,8 +433,8 @@ func (s *LLMService) Replay(arrivals []time.Duration, spec ReplaySpec) (ReplaySt
 	e := s.C.Engine
 	base := e.Now()
 	before := s.Completed
-	lat, restore := replayDist(&s.OnComplete)
-	defer restore()
+	earlier := s.E2E
+	s.E2E = metrics.Dist{}
 	reqAt := spec.RequestAt
 	admitTrace(e, base, arrivals, spec.Quantum, func(i int) {
 		var req Request
@@ -446,9 +448,10 @@ func (s *LLMService) Replay(arrivals []time.Duration, spec ReplaySpec) (ReplaySt
 		Requests:  len(arrivals),
 		Completed: s.Completed - before,
 		Duration:  e.Now() - base,
-		P50:       lat.P(0.5),
-		P99:       lat.P(0.99),
+		P50:       s.E2E.P(0.5),
+		P99:       s.E2E.P(0.99),
 	}
+	s.E2E.Merge(&earlier)
 	if st.Duration > 0 {
 		st.Throughput = float64(st.Completed) / st.Duration.Seconds()
 	}

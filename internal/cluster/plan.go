@@ -455,7 +455,6 @@ func (ac *activation) Run(p *sim.Proc) {
 	st.remaining--
 	if st.remaining == 0 {
 		end := p.Now()
-		a.E2E.Add(end - st.start)
 		a.E2EClass[qosIndex(st.qos)].Add(end - st.start)
 		a.XferGPU.Add(st.xferGPU)
 		a.XferHost.Add(st.xferHost)

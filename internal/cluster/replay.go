@@ -43,20 +43,6 @@ type ReplayStats struct {
 	P50, P99 time.Duration
 }
 
-// replayDist chains a distribution of one replay's completion latencies
-// onto the completion hook at *hook. restore puts the previous hook back.
-func replayDist(hook *func(seq int64, at, e2e time.Duration)) (d *metrics.Dist, restore func()) {
-	d = new(metrics.Dist)
-	next := *hook
-	*hook = func(seq int64, at, e2e time.Duration) {
-		d.Add(e2e)
-		if next != nil {
-			next(seq, at, e2e)
-		}
-	}
-	return d, func() { *hook = next }
-}
-
 // admitTrace schedules one admission callback per arrival (offsets relative
 // to base, sorted ascending). With quantum <= 0 every arrival is scheduled at
 // its exact offset; otherwise a single feeder process admits each fixed
@@ -95,8 +81,8 @@ func admitTrace(e *sim.Engine, base time.Duration, arrivals []time.Duration, qua
 // rejected with ErrNilTrace / ErrNegativeQuantum (an empty non-nil trace is
 // a valid no-op replay). Admission order within a quantum window follows
 // trace order, so the replay stays deterministic. The percentiles cover this
-// replay's completions only; OnComplete gains a link for the replay's
-// duration and is restored when it returns.
+// replay's completions only: it records them into empty E2EClass
+// distributions and merges the earlier samples back in when it is done.
 func (a *App) Replay(arrivals []time.Duration, spec ReplaySpec) (ReplayStats, error) {
 	if arrivals == nil {
 		return ReplayStats{}, ErrNilTrace
@@ -108,8 +94,8 @@ func (a *App) Replay(arrivals []time.Duration, spec ReplaySpec) (ReplayStats, er
 	base := e.Now()
 	before := a.Completed
 	shedBefore := a.Shed
-	lat, restore := replayDist(&a.OnComplete)
-	defer restore()
+	earlier := a.E2EClass
+	a.E2EClass = [2]metrics.Dist{}
 	reqAt := spec.RequestAt
 	admitTrace(e, base, arrivals, spec.Quantum, func(i int) {
 		var req Request
@@ -119,13 +105,17 @@ func (a *App) Replay(arrivals []time.Duration, spec ReplaySpec) (ReplayStats, er
 		a.startReq(req, nil)
 	})
 	e.Run(0)
+	own := a.E2E()
 	st := ReplayStats{
 		Requests:  len(arrivals),
 		Completed: a.Completed - before,
 		Shed:      a.Shed - shedBefore,
 		Duration:  e.Now() - base,
-		P50:       lat.P(0.5),
-		P99:       lat.P(0.99),
+		P50:       own.P(0.5),
+		P99:       own.P(0.99),
+	}
+	for i := range earlier {
+		a.E2EClass[i].Merge(&earlier[i])
 	}
 	if st.Duration > 0 {
 		st.Throughput = float64(st.Completed) / st.Duration.Seconds()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -69,8 +70,8 @@ func retainedPerRequest(t *testing.T, wf func() *workflow.Workflow, elastic bool
 
 // TestReplayRetainedHeapPerRequest pins flat-memory replay: what a drained
 // replay leaves reachable grows by at most 48 B per request. Below
-// metrics.DistCap completions only the exact recorders (E2E, E2EClass: 8 B
-// per sample each, in buffers that double) may grow with the request count.
+// metrics.DistCap completions only the exact recorders (E2EClass: 4 B per
+// sample below 2^32 ns, in chunks) may grow with the request count.
 // It replays the split driving workflow with the default elastic pools.
 func TestReplayRetainedHeapPerRequest(t *testing.T) {
 	if slope := retainedPerRequest(t, workflow.Driving, true, 2_000, 12_000); slope > 48 {
@@ -79,7 +80,7 @@ func TestReplayRetainedHeapPerRequest(t *testing.T) {
 }
 
 // TestReplayPastCapRetainsNoPerRequestState pins the bounded recorders: past
-// metrics.DistCap completions E2E and E2EClass have folded into fixed-size
+// metrics.DistCap completions E2EClass has folded into fixed-size
 // histograms, so a drained replay leaves at most 2 B per request reachable.
 // The one-stage workflow keeps the 34k and 68k request replays cheap.
 func TestReplayPastCapRetainsNoPerRequestState(t *testing.T) {
@@ -139,5 +140,67 @@ func TestReplayPercentilesCoverOwnCompletions(t *testing.T) {
 			t.Errorf("%s: second replay P50/P99 = %v/%v, its own completions read %v/%v",
 				r.name, st.P50, st.P99, own.P(0.5), own.P(0.99))
 		}
+	}
+}
+
+// TestAppE2EMatchesEveryCompletion replays traces back to back on one app,
+// with every request in the low QoS class, every one in the high class, or
+// every third one high, and requires App.E2E to answer Count, Mean, Max, P
+// and FractionUnder as a distribution fed every completion the app has
+// had, and each replay's P50/P99 as one fed that replay's own. The sizes
+// put each class, their merge and the merge of a replay's samples with the
+// earlier ones on both sides of metrics.DistCap.
+func TestAppE2EMatchesEveryCompletion(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		high  func(i int) bool
+		sizes []int // requests per replay
+	}{
+		{"low-only", func(int) bool { return false }, []int{3_000, 40_000}},
+		{"high-only", func(int) bool { return true }, []int{3_000, 40_000}},
+		{"mixed", func(i int) bool { return i%3 == 0 }, []int{30_000, 30_000}},
+	} {
+		e := sim.NewEngine()
+		app := New(e, topology.DGXV100(), 2, grouterPlane).
+			Deploy(oneStage(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
+		var all, own metrics.Dist
+		app.OnComplete = func(_ int64, _, e2e time.Duration) {
+			all.Add(e2e)
+			own.Add(e2e)
+		}
+		spec := ReplaySpec{Quantum: 10 * time.Millisecond, RequestAt: func(i int) Request {
+			if c.high(i) {
+				return Request{QoS: QoSHigh}
+			}
+			return Request{}
+		}}
+		for k, n := range c.sizes {
+			own = metrics.Dist{}
+			arrivals := trace.Generate(trace.Spec{Pattern: trace.Sporadic, Duration: time.Duration(n) * time.Second / 400, MeanRPS: 400, Seed: int64(k + 1)})
+			st, err := app.Replay(arrivals, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s replay %d", c.name, k)
+			if st.P50 != own.P(0.5) || st.P99 != own.P(0.99) {
+				t.Errorf("%s: P50/P99 = %v/%v, its own completions read %v/%v", name, st.P50, st.P99, own.P(0.5), own.P(0.99))
+			}
+			got := app.E2E()
+			if got.Count() != app.Completed || got.Count() != all.Count() || got.Mean() != all.Mean() || got.Max() != all.Max() {
+				t.Fatalf("%s: Count, Mean, Max = %d, %v, %v; every completion %d, %v, %v (completed %d)",
+					name, got.Count(), got.Mean(), got.Max(), all.Count(), all.Mean(), all.Max(), app.Completed)
+			}
+			for _, q := range []float64{0, 0.5, 0.9, 0.99, 0.999, 1} {
+				if got.P(q) != all.P(q) {
+					t.Fatalf("%s: P(%v) = %v, every completion %v", name, q, got.P(q), all.P(q))
+				}
+				for _, b := range []time.Duration{all.P(q) - 1, all.P(q), all.P(q) + 1, app.SLO} {
+					if got.FractionUnder(b) != all.FractionUnder(b) {
+						t.Fatalf("%s: FractionUnder(%v) = %v, every completion %v", name, b, got.FractionUnder(b), all.FractionUnder(b))
+					}
+				}
+			}
+		}
+		e.Close()
 	}
 }

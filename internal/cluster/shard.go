@@ -242,24 +242,22 @@ func ShardedReplay(arrivals []time.Duration, opt ShardedOptions, build func(pod 
 	// horizon is the latest pod's last completion.
 	var fleet metrics.Dist
 	for j, app := range apps {
-		fleet.Merge(&app.E2E)
+		e2e := app.E2E()
+		fleet.Merge(e2e)
 		st.Duration = max(st.Duration, lastAt[j])
+		st.PerPod = append(st.PerPod, PodReplay{
+			Pod: j, Shard: podShard(j),
+			Requests:  requests[j],
+			Completed: app.Completed,
+			P50:       e2e.P(0.5),
+			P99:       e2e.P(0.99),
+		})
 	}
 	st.Completed = fleet.Count()
 	st.P50 = fleet.P(0.5)
 	st.P99 = fleet.P(0.99)
 	if st.Duration > 0 {
 		st.Throughput = float64(st.Completed) / st.Duration.Seconds()
-	}
-
-	for j, app := range apps {
-		st.PerPod = append(st.PerPod, PodReplay{
-			Pod: j, Shard: podShard(j),
-			Requests:  requests[j],
-			Completed: app.Completed,
-			P50:       app.E2E.P(0.5),
-			P99:       app.E2E.P(0.99),
-		})
 	}
 	if opt.Trace {
 		for i := 0; i < g.Shards(); i++ {

@@ -91,7 +91,7 @@ func Fig17Partitioning() *Table {
 		for _, sys := range []planeMaker{full, noPart} {
 			drv, _ := runPair(sys, workflow.Driving(), pair.other, 6, pair.rps, dur)
 			t.Rows = append(t.Rows, []string{
-				pair.label, sys.name, ms(drv.E2E.P(0.99)), ms(drv.XferHost.Mean()), pct(drv.SLOCompliance()),
+				pair.label, sys.name, ms(drv.E2E().P(0.99)), ms(drv.XferHost.Mean()), pct(drv.SLOCompliance()),
 			})
 		}
 	}

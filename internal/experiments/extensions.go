@@ -34,7 +34,7 @@ func ExtColdStart() *Table {
 		replay(app, arrivals, cluster.ReplaySpec{})
 		e.Close()
 		t.Rows = append(t.Rows, []string{name, fmt.Sprint(app.ColdStarts()),
-			ms(app.E2E.P(0.5)), ms(app.E2E.P(0.99))})
+			ms(app.E2E().P(0.5)), ms(app.E2E().P(0.99))})
 	}
 	runPolicy("pre-warmed (paper §5)", cluster.ColdStartPolicy{
 		Enabled: true, ContainerLatency: 800 * time.Millisecond,
@@ -117,7 +117,7 @@ func ExtFaults() *Table {
 		replay(app, arrivals, cluster.ReplaySpec{})
 		e.Close()
 		fs := c.Fabric.Net.Faults()
-		t.Rows = append(t.Rows, []string{name, ms(app.E2E.P(0.5)), ms(app.E2E.P(0.99)),
+		t.Rows = append(t.Rows, []string{name, ms(app.E2E().P(0.5)), ms(app.E2E().P(0.99)),
 			fmt.Sprint(fs.Retries), fmt.Sprint(fs.Replans),
 			mib(fs.DegradedBytes), pct(app.SLOCompliance())})
 	}

@@ -98,7 +98,7 @@ func Fig18ElasticStorage() *Table {
 	for _, sys := range fig18Systems() {
 		app := runSqueezed(sys, 0.10)
 		t.Rows = append(t.Rows, []string{"10%", sys.name,
-			ms(app.E2E.P(0.5)), ms(app.E2E.P(0.99)), ms(app.XferGPU.Mean())})
+			ms(app.E2E().P(0.5)), ms(app.E2E().P(0.99)), ms(app.XferGPU.Mean())})
 	}
 	// (b): GROUTER-policy P99 across availability ratios.
 	for _, ratio := range []float64{0.01, 0.05, 0.25, 0.50} {
@@ -108,7 +108,7 @@ func Fig18ElasticStorage() *Table {
 			}
 			app := runSqueezed(sys, ratio)
 			t.Rows = append(t.Rows, []string{pct(ratio), sys.name,
-				ms(app.E2E.P(0.5)), ms(app.E2E.P(0.99)), ms(app.XferGPU.Mean())})
+				ms(app.E2E().P(0.5)), ms(app.E2E().P(0.99)), ms(app.XferGPU.Mean())})
 		}
 	}
 	t.Notes = append(t.Notes,

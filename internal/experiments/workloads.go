@@ -99,7 +99,7 @@ func Fig14EndToEnd() *Table {
 			for _, sys := range systems(7) {
 				app := runWorkload(sys, spec, 1, wf, 0,
 					scheduler.Options{Node: -1}, burstyTrace(6, 15*time.Second, 33))
-				p99 := app.E2E.P(0.99)
+				p99 := app.E2E().P(0.99)
 				row = append(row, ms(p99))
 				if sys.name == "grouter" {
 					grt = p99

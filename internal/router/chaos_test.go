@@ -74,7 +74,7 @@ func chaosReplay(t *testing.T, mutate func(*router.Config)) replayResult {
 	if fs := c.Fabric.Net.Faults(); fs.Crashes != 2 || fs.LinksFailed == 0 {
 		t.Errorf("fault schedule did not fire: %+v", *fs)
 	}
-	return replayResult{st: st, samples: app.E2E.Samples(), rs: rt.Stats}
+	return replayResult{st: st, samples: app.E2E().Samples(), rs: rt.Stats}
 }
 
 // TestChaosRoutingDeterministic: the full chaos stack — seeded fault

@@ -80,7 +80,7 @@ func replayOnce(t *testing.T, pattern trace.Pattern, requests int, cfg *router.C
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	res := replayResult{st: st, samples: app.E2E.Samples()}
+	res := replayResult{st: st, samples: app.E2E().Samples()}
 	if rt != nil {
 		res.rs = rt.Stats
 	}

@@ -63,7 +63,7 @@ func replaySLO(t *testing.T, pattern trace.Pattern, requests int, cfg router.Con
 		t.Fatalf("Replay: %v", err)
 	}
 	return sloReplayResult{
-		replayResult: replayResult{st: st, samples: app.E2E.Samples(), rs: rt.Stats},
+		replayResult: replayResult{st: st, samples: app.E2E().Samples(), rs: rt.Stats},
 		loCompleted:  app.E2EClass[cluster.QoSLow].Count(),
 		hiCompleted:  app.E2EClass[cluster.QoSHigh].Count(),
 	}
