@@ -212,18 +212,21 @@ func TestRejectsBadRate(t *testing.T) {
 
 // TestRejectsBadFlags: a node or GPU slot count below 1 used to panic in
 // the scheduler or the cluster, a negative -batch ran at the workflow's
-// default and a negative -dur ran nothing. Each must fail with exit status
-// 2 and a message naming the flag. A panic exits 2 as well, so the test
-// also requires that stderr holds no goroutine dump. A rejected value runs
-// a short trace, which would reach the engine; an accepted one exits at
-// once through -dot.
+// default, a negative -dur ran nothing, a negative -slo-high or -slo-low
+// ran as if 0, with that budget off, and a negative -slo-defer ran with a
+// zero defer bound. Each must fail with exit status 2 and a message naming
+// the flag. A panic exits 2 as well, so the test also requires that stderr
+// holds no goroutine dump. A rejected value runs a short trace, which would
+// reach the engine; an accepted one exits at once through -dot.
 func TestRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		flag, value string
 		code        int
 	}{
 		{"-nodes", "0", 2}, {"-nodes", "-1", 2}, {"-gpu-slots", "0", 2}, {"-batch", "-3", 2}, {"-dur", "-1s", 2},
+		{"-slo-high", "-5ms", 2}, {"-slo-low", "-5ms", 2}, {"-slo-defer", "-1s", 2},
 		{"-nodes", "1", 0}, {"-gpu-slots", "1", 0}, {"-batch", "0", 0}, {"-dur", "0s", 0},
+		{"-slo-high", "0s", 0}, {"-slo-low", "0s", 0}, {"-slo-defer", "0s", 0},
 	} {
 		args := []string{"-workflow", "traffic", "-rps", "4", "-dur", "2s", tc.flag, tc.value}
 		if tc.code == 0 {
