@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"math"
@@ -38,13 +39,18 @@ func main() {
 	}
 	arrivals := trace.Generate(trace.Spec{Pattern: p, Duration: *dur, MeanRPS: *rps, Seed: *seed})
 	st := trace.Summarize(arrivals, *dur)
-	fmt.Printf("pattern=%s dur=%v seed=%d\n", p, *dur, *seed)
-	fmt.Printf("arrivals=%d mean=%.2f req/s peak(1s)=%.0f req/s cv=%.2f\n",
+	// One write call per buffer, not per line: -emit prints every arrival.
+	out := bufio.NewWriter(os.Stdout)
+	fmt.Fprintf(out, "pattern=%s dur=%v seed=%d\n", p, *dur, *seed)
+	fmt.Fprintf(out, "arrivals=%d mean=%.2f req/s peak(1s)=%.0f req/s cv=%.2f\n",
 		st.Count, st.Mean, st.PeakRPS, st.CV)
 	if *emit {
 		for _, a := range arrivals {
-			fmt.Printf("%.6f\n", a.Seconds())
+			fmt.Fprintf(out, "%.6f\n", a.Seconds())
 		}
+	}
+	if err := out.Flush(); err != nil {
+		fail("writing output: %v", err)
 	}
 }
 

@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+	"time"
+
+	"grouter/internal/trace"
 )
 
 // runMainEnv, when set, makes the test binary run main instead of the tests,
@@ -24,19 +28,50 @@ func TestMain(m *testing.M) {
 // run executes the command with args and returns its exit code and stderr.
 func run(t *testing.T, args ...string) (int, string) {
 	t.Helper()
+	code, _, stderr := runOutput(t, args...)
+	return code, stderr
+}
+
+// runOutput executes the command with args and returns its exit code,
+// stdout and stderr.
+func runOutput(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &bytes.Buffer{}, &stderr
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
 	if errors.As(err, &exit) {
-		return exit.ExitCode(), stderr.String()
+		return exit.ExitCode(), stdout.String(), stderr.String()
 	}
 	if err != nil {
 		t.Fatalf("running %v: %v", args, err)
 	}
-	return 0, stderr.String()
+	return 0, stdout.String(), stderr.String()
+}
+
+// TestEmitPrintsEveryArrival: -emit prints, after the two summary lines,
+// exactly Generate's arrivals, one %.6f line of seconds each, and nothing
+// is left unflushed.
+func TestEmitPrintsEveryArrival(t *testing.T) {
+	code, stdout, stderr := runOutput(t, "-pattern", "periodic", "-rps", "500", "-dur", "30s", "-seed", "42", "-emit")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	arrivals := trace.Generate(trace.Spec{Pattern: trace.Periodic, Duration: 30 * time.Second, MeanRPS: 500, Seed: 42})
+	var want strings.Builder
+	for _, a := range arrivals {
+		fmt.Fprintf(&want, "%.6f\n", a.Seconds())
+	}
+	lines := strings.SplitAfterN(stdout, "\n", 3)
+	if len(lines) != 3 || !strings.HasPrefix(lines[1], fmt.Sprintf("arrivals=%d ", len(arrivals))) {
+		t.Fatalf("summary lines %q, want a count of %d arrivals", lines[:min(2, len(lines))], len(arrivals))
+	}
+	if got := lines[2]; got != want.String() {
+		t.Errorf("-emit printed %d bytes (%d lines), want %d bytes for %d arrivals",
+			len(got), strings.Count(got, "\n"), want.Len(), len(arrivals))
+	}
 }
 
 // TestRejectsBadRate: flag.Float64 parses NaN and Inf, and generating at
