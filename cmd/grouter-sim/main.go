@@ -321,7 +321,9 @@ func arrivalsOf(cfg simConfig) ([]time.Duration, string) {
 
 // loadTrace reads arrival offsets from a file: one Go duration per line,
 // blank lines and '#' comments skipped. A file without arrivals is an error:
-// an empty trace must not fall back to a generated one silently.
+// an empty trace must not fall back to a generated one silently. So is a
+// negative offset, which the replay would otherwise admit at time 0. Offsets
+// may come in any order: each request is scheduled at its own offset.
 func loadTrace(path string) ([]time.Duration, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -340,6 +342,9 @@ func loadTrace(path string) ([]time.Duration, error) {
 		d, err := time.ParseDuration(s)
 		if err != nil {
 			return nil, fmt.Errorf("%s:%d: %v", path, line, err)
+		}
+		if d < 0 {
+			return nil, fmt.Errorf("%s:%d: negative arrival offset %v", path, line, d)
 		}
 		out = append(out, d)
 	}

@@ -9,8 +9,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"grouter/internal/topology"
 	"grouter/internal/trace"
@@ -144,6 +146,31 @@ func TestLoadTraceRejectsNoArrivals(t *testing.T) {
 		if _, err := loadTrace(path); err == nil || !strings.Contains(err.Error(), path) {
 			t.Errorf("%s: loadTrace error = %v, want one naming the file", name, err)
 		}
+	}
+}
+
+// TestLoadTraceRejectsNegativeOffset: a negative offset used to load and
+// replay as an arrival at time 0. It must fail naming the file and line,
+// and grouter-sim must exit with status 2; offsets out of order still load
+// in file order.
+func TestLoadTraceRejectsNegativeOffset(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "negative.txt")
+	ok := filepath.Join(dir, "unordered.txt")
+	for path, body := range map[string]string{bad: "-5ms\n10ms\n", ok: "10ms\n# comment\n5ms\n"} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := loadTrace(bad); err == nil || !strings.Contains(err.Error(), bad+":1:") {
+		t.Errorf("loadTrace error = %v, want one naming %s:1", err, bad)
+	}
+	if code, stderr := run(t, "-trace-file", bad); code != 2 || !strings.Contains(stderr, bad+":1:") {
+		t.Errorf("-trace-file %s: exit %d, stderr %q; want exit 2 naming the file and line", bad, code, stderr)
+	}
+	got, err := loadTrace(ok)
+	if want := []time.Duration{10 * time.Millisecond, 5 * time.Millisecond}; err != nil || !slices.Equal(got, want) {
+		t.Errorf("loadTrace(%s) = %v, %v; want %v", ok, got, err, want)
 	}
 }
 
