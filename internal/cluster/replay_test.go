@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -90,9 +91,11 @@ func TestReplayPastCapRetainsNoPerRequestState(t *testing.T) {
 }
 
 // TestReplayPercentilesCoverOwnCompletions replays two different traces back
-// to back on one app and one LLM service: each replay's P50/P99 must be the
+// to back on one app and one LLM service, with a counting completion hook of
+// the caller's installed before each: each replay's P50/P99 must be the
 // nearest-rank percentiles of its own completions, not of everything the
-// app has completed, and the completion hook must be restored after it.
+// app has completed, and after each replay the caller's hook must still be
+// the one installed and have seen exactly that replay's completions.
 func TestReplayPercentilesCoverOwnCompletions(t *testing.T) {
 	type replayer struct {
 		name   string
@@ -118,27 +121,29 @@ func TestReplayPercentilesCoverOwnCompletions(t *testing.T) {
 			return svc.Replay(a, ReplaySpec{})
 		}, &svc.OnComplete, pdArrivals(50, 200*time.Millisecond), pdArrivals(300, time.Millisecond)},
 	} {
-		if _, err := r.replay(r.first); err != nil {
-			t.Fatal(err)
-		}
-		if *r.hook != nil {
-			t.Fatalf("%s: Replay left its completion hook installed", r.name)
-		}
-		var own metrics.Latency
-		*r.hook = func(_ int64, _, e2e time.Duration) { own.Add(e2e) }
-		st, err := r.replay(r.second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *r.hook == nil {
-			t.Fatalf("%s: Replay dropped the caller's completion hook", r.name)
-		}
-		if own.Count() != len(r.second) || st.Completed != own.Count() {
-			t.Fatalf("%s: second replay completed %d, hook saw %d of %d", r.name, st.Completed, own.Count(), len(r.second))
-		}
-		if st.P50 != own.P(0.5) || st.P99 != own.P(0.99) {
-			t.Errorf("%s: second replay P50/P99 = %v/%v, its own completions read %v/%v",
-				r.name, st.P50, st.P99, own.P(0.5), own.P(0.99))
+		for i, arrivals := range [][]time.Duration{r.first, r.second} {
+			var own metrics.Latency
+			hook := func(_ int64, _, e2e time.Duration) { own.Add(e2e) }
+			*r.hook = hook
+			st, err := r.replay(arrivals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Func values compare only with nil; every hook from the literal
+			// above shares its code pointer, and no hook of Replay's does.
+			if *r.hook == nil {
+				t.Fatalf("%s: replay %d dropped the caller's completion hook", r.name, i+1)
+			}
+			if reflect.ValueOf(*r.hook).Pointer() != reflect.ValueOf(hook).Pointer() {
+				t.Fatalf("%s: replay %d left its completion hook installed", r.name, i+1)
+			}
+			if own.Count() != len(arrivals) || st.Completed != own.Count() {
+				t.Fatalf("%s: replay %d completed %d, hook saw %d of %d", r.name, i+1, st.Completed, own.Count(), len(arrivals))
+			}
+			if st.P50 != own.P(0.5) || st.P99 != own.P(0.99) {
+				t.Errorf("%s: replay %d P50/P99 = %v/%v, its own completions read %v/%v",
+					r.name, i+1, st.P50, st.P99, own.P(0.5), own.P(0.99))
+			}
 		}
 	}
 }
