@@ -103,12 +103,12 @@ func BenchmarkNetsimFlowChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := sim.NewEngine()
 		cl := topology.NewCluster(topology.DGXV100(), 1)
-		net := netsim.New(e, cl.Links())
+		net := netsim.New(e, cl)
 		node := cl.Node(0)
 		for g := 0; g < 8; g++ {
 			for peer := 0; peer < 8; peer++ {
 				if node.Spec.NVAdj[g][peer] > 0 {
-					net.Start("churn", node.NVLinkPathLinks([]int{g, peer}), 1<<24, netsim.Options{})
+					net.Start("churn", node.AppendNVLinkPathLinks(nil, []int{g, peer}), 1<<24, netsim.Options{})
 				}
 			}
 		}
@@ -139,23 +139,23 @@ func netsimScaleSpecs(cl *topology.Cluster, replicas int) []netsimFlowSpec {
 				for r := 1; r <= 4; r++ {
 					peer := (g + r) % node.Spec.NumGPUs
 					specs = append(specs, netsimFlowSpec{
-						path:  node.NVLinkPathLinks([]int{g, peer}),
+						path:  node.AppendNVLinkPathLinks(nil, []int{g, peer}),
 						bytes: float64(int64(32+(g*7+r*3+rep)%32) << 20),
 						delay: base + time.Duration(r)*17*time.Microsecond,
 					})
 				}
 				specs = append(specs, netsimFlowSpec{
-					path:  node.GPUToHostLinks(g),
+					path:  node.AppendGPUToHostLinks(nil, g),
 					bytes: float64(int64(24+(g+rep)%16) << 20),
 					delay: base + 97*time.Microsecond,
 				})
 				specs = append(specs, netsimFlowSpec{
-					path:  node.HostToGPULinks(g),
+					path:  node.AppendHostToGPULinks(nil, g),
 					bytes: float64(int64(24+(g+rep)%16) << 20),
 					delay: base + 131*time.Microsecond,
 				})
 				k := node.Spec.GPUNIC[g]
-				xpath := append(append([]topology.LinkID{}, node.GPUToNICLinks(g, k)...), dst.NICToGPULinks(k, g)...)
+				xpath := dst.AppendNICToGPULinks(node.AppendGPUToNICLinks(nil, g, k), k, g)
 				specs = append(specs, netsimFlowSpec{
 					path:  xpath,
 					bytes: float64(int64(16+(g*5+rep)%16) << 20),
@@ -173,13 +173,12 @@ func netsimScaleSpecs(cl *topology.Cluster, replicas int) []netsimFlowSpec {
 func BenchmarkNetsimScale1k(b *testing.B) {
 	b.ReportAllocs()
 	cl := topology.NewCluster(topology.DGXA100(), 4)
-	links := cl.Links()
 	specs := netsimScaleSpecs(cl, 7) // 4 nodes x 8 GPUs x 7 flows x 7 replicas = 1568
 	var net *netsim.Network
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := sim.NewEngine()
-		net = netsim.New(e, links)
+		net = netsim.New(e, cl)
 		for _, s := range specs {
 			s := s
 			e.Schedule(s.delay, func() {
@@ -215,18 +214,17 @@ func reportAllocatorWork(b *testing.B, net *netsim.Network) {
 func BenchmarkNetsimScaleComponents(b *testing.B) {
 	b.ReportAllocs()
 	cl := topology.NewCluster(topology.DGXA100(), 4)
-	links := cl.Links()
 	node0 := cl.Node(0)
 	var net *netsim.Network
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := sim.NewEngine()
-		net = netsim.New(e, links)
+		net = netsim.New(e, cl)
 		// Long-lived background flows on nodes 1-3 (disjoint NVSwitch islands).
 		for nd := 1; nd < 4; nd++ {
 			node := cl.Node(nd)
 			for g := 0; g < 8; g++ {
-				net.Start("bg", node.NVLinkPathLinks([]int{g, (g + 1) % 8}), 64<<30, netsim.Options{})
+				net.Start("bg", node.AppendNVLinkPathLinks(nil, []int{g, (g + 1) % 8}), 64<<30, netsim.Options{})
 			}
 		}
 		// Churn: 600 short flows arriving on node 0 over time.
@@ -234,7 +232,7 @@ func BenchmarkNetsimScaleComponents(b *testing.B) {
 			j := j
 			e.Schedule(time.Duration(j)*50*time.Microsecond, func() {
 				g := j % 8
-				net.Start("churn", node0.NVLinkPathLinks([]int{g, (g + 1 + j%7) % 8}), float64(int64(4+j%8)<<20), netsim.Options{})
+				net.Start("churn", node0.AppendNVLinkPathLinks(nil, []int{g, (g + 1 + j%7) % 8}), float64(int64(4+j%8)<<20), netsim.Options{})
 			})
 		}
 		e.Run(40 * time.Millisecond)

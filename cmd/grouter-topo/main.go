@@ -29,6 +29,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "grouter-topo: unknown spec %q\n", *specName)
 		os.Exit(2)
 	}
+	if *hops < 1 {
+		fmt.Fprintf(os.Stderr, "grouter-topo: -hops must be at least 1, got %d\n", *hops)
+		os.Exit(2)
+	}
+	src, dst := -1, -1
+	if *pair != "" {
+		a, b, _ := strings.Cut(*pair, ",")
+		var err1, err2 error
+		src, err1 = strconv.Atoi(strings.TrimSpace(a))
+		dst, err2 = strconv.Atoi(strings.TrimSpace(b))
+		if err1 != nil || err2 != nil || src < 0 || dst < 0 || src >= spec.NumGPUs || dst >= spec.NumGPUs || src == dst {
+			fmt.Fprintf(os.Stderr, "grouter-topo: -paths must be 'src,dst', two distinct GPUs of %s (0..%d), got %q\n", spec.Name, spec.NumGPUs-1, *pair)
+			os.Exit(2)
+		}
+	}
 
 	fmt.Printf("topology %s: %d GPUs, %s HBM each, %s host memory\n",
 		spec.Name, spec.NumGPUs, gib(spec.GPUMemBytes), gib(spec.HostMemBytes))
@@ -61,17 +76,6 @@ func main() {
 	}
 
 	if *pair != "" {
-		parts := strings.Split(*pair, ",")
-		if len(parts) != 2 {
-			fmt.Fprintln(os.Stderr, "grouter-topo: -paths wants 'src,dst'")
-			os.Exit(2)
-		}
-		src, err1 := strconv.Atoi(strings.TrimSpace(parts[0]))
-		dst, err2 := strconv.Atoi(strings.TrimSpace(parts[1]))
-		if err1 != nil || err2 != nil || src < 0 || dst < 0 || src >= spec.NumGPUs || dst >= spec.NumGPUs {
-			fmt.Fprintln(os.Stderr, "grouter-topo: bad GPU pair")
-			os.Exit(2)
-		}
 		node := topology.NewCluster(spec, 1).Node(0)
 		paths := node.NVLinkPaths(src, dst, *hops)
 		fmt.Printf("NVLink paths %d→%d (≤%d hops): %d\n", src, dst, *hops, len(paths))

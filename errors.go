@@ -4,6 +4,7 @@ import (
 	"grouter/internal/cluster"
 	"grouter/internal/core"
 	"grouter/internal/dataplane"
+	"grouter/internal/faults"
 	"grouter/internal/router"
 	"grouter/internal/xfer"
 )
@@ -45,4 +46,9 @@ var (
 	ErrNilTrace = cluster.ErrNilTrace
 	// ErrNegativeQuantum: a ReplaySpec admission quantum below zero.
 	ErrNegativeQuantum = cluster.ErrNegativeQuantum
+	// ErrUnknownLink: a FaultInjector call named a link the fabric lacks.
+	ErrUnknownLink = faults.ErrUnknownLink
+	// ErrBadWindow: a degrade fraction outside (0,1), or a flap without
+	// 0 < downFor < period.
+	ErrBadWindow = faults.ErrBadWindow
 )

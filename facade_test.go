@@ -16,7 +16,17 @@ func TestFacadeOptions(t *testing.T) {
 		t.Error("WithTracer: Tracer() is nil")
 	}
 	if s.Faults() == nil {
-		t.Error("WithFaults: Faults() is nil")
+		t.Fatal("WithFaults: Faults() is nil")
+	}
+	// Fault calls name links; bad input fails with a façade sentinel.
+	if err := s.Faults().FailLinkAt(time.Millisecond, "n1.nic0.tx"); err != nil {
+		t.Errorf("FailLinkAt(n1.nic0.tx) = %v", err)
+	}
+	if err := s.Faults().FailLinkAt(time.Millisecond, "n2.nic0.tx"); !errors.Is(err, ErrUnknownLink) {
+		t.Errorf("FailLinkAt on a third node = %v, want ErrUnknownLink", err)
+	}
+	if err := s.Faults().FlapLink("n0.nv.0>3", 0, time.Millisecond, time.Millisecond, time.Second); !errors.Is(err, ErrBadWindow) {
+		t.Errorf("FlapLink with period == downFor = %v, want ErrBadWindow", err)
 	}
 	if name := s.NewGRouter().Name(); name != "grouter+co" {
 		t.Errorf("WithCoalescing: plane name = %q, want grouter+co", name)

@@ -95,7 +95,9 @@ type (
 	// writers. Attached to a Sim via WithTracer.
 	Tracer = obs.Tracer
 	// FaultInjector schedules link failures, GPU crashes, and memory
-	// pressure in virtual time. Attached to a Sim via WithFaults.
+	// pressure in virtual time. Attached to a Sim via WithFaults. Links go
+	// by name ("n0.nic1.tx", "n1.nv.0>3"); a call with an unknown name or
+	// a bad window returns ErrUnknownLink or ErrBadWindow, scheduling nothing.
 	FaultInjector = faults.Injector
 	// Crasher is anything whose GPUs a FaultInjector can crash; both the
 	// GROUTER plane and the runtime's planes implement it.
@@ -263,7 +265,7 @@ func NewSim(spec string, opts ...Option) (*Sim, error) {
 	}
 	sm.Fabric = fabric.New(e, s, o.nodes)
 	if o.faults {
-		sm.injector = faults.NewInjector(e, sm.Fabric.Net)
+		sm.injector = faults.NewInjector(sm.Fabric)
 	}
 	return sm, nil
 }
@@ -459,7 +461,7 @@ func ReplayScaleOut(spec string, arrivals []time.Duration, buildPod func(pod int
 		sm := &Sim{Engine: e, opts: o, tracer: obs.TracerOf(e)}
 		sm.Fabric = fabric.New(e, ts, o.nodes)
 		if o.faults {
-			sm.injector = faults.NewInjector(e, sm.Fabric.Net)
+			sm.injector = faults.NewInjector(sm.Fabric)
 		}
 		return buildPod(pod, sm)
 	})

@@ -93,6 +93,18 @@ func (b *base) copyOver(p *sim.Proc, label string, bytes int64, hostStack, pagea
 	return err
 }
 
+// toHost is GPU gpu's PCIe route to its node's host memory, and fromHost
+// the reverse: the fabric's shared single paths.
+func (b *base) toHost(node, gpu int) []topology.LinkID {
+	links, _ := b.f.SinglePath(fabric.Location{Node: node, GPU: gpu}, fabric.Location{Node: node, GPU: fabric.HostGPU})
+	return links
+}
+
+func (b *base) fromHost(node, gpu int) []topology.LinkID {
+	links, _ := b.f.SinglePath(fabric.Location{Node: node, GPU: fabric.HostGPU}, fabric.Location{Node: node, GPU: gpu})
+	return links
+}
+
 // localCopy is an intra-device D2D copy (e.g. into a same-GPU symmetric
 // heap): no link crossing, HBM bandwidth only.
 func (b *base) localCopy(p *sim.Proc, bytes int64) {
@@ -125,7 +137,7 @@ func (pl *INFless) Put(p *sim.Proc, ctx *dataplane.FnCtx, bytes int64) (dataplan
 	}
 	if !ctx.Loc.IsHost() {
 		p.Sleep(PinnedAllocLatency)
-		if err := pl.copyOver(p, "put:"+ctx.Fn, bytes, false, true, pl.f.Topo(node).GPUToHostLinks(ctx.Loc.GPU)); err != nil {
+		if err := pl.copyOver(p, "put:"+ctx.Fn, bytes, false, true, pl.toHost(node, ctx.Loc.GPU)); err != nil {
 			blk.Free()
 			return dataplane.DataRef{}, fmt.Errorf("infless+: put copy: %w", err)
 		}
@@ -164,7 +176,7 @@ func (pl *INFless) Get(p *sim.Proc, ctx *dataplane.FnCtx, ref dataplane.DataRef)
 	}
 	p.Sleep(PinnedAllocLatency)
 	serialize(p, r.bytes) // copy out of the shm store into staging
-	if err := pl.copyOver(p, "get:"+ctx.Fn, r.bytes, false, true, pl.f.Topo(node).HostToGPULinks(ctx.Loc.GPU)); err != nil {
+	if err := pl.copyOver(p, "get:"+ctx.Fn, r.bytes, false, true, pl.fromHost(node, ctx.Loc.GPU)); err != nil {
 		return fmt.Errorf("infless+: get: %w", err)
 	}
 	return nil
@@ -245,11 +257,10 @@ func (pl *NVShmem) Put(p *sim.Proc, ctx *dataplane.FnCtx, bytes int64) (dataplan
 	if err != nil {
 		return dataplane.DataRef{}, err
 	}
-	topo := pl.f.Topo(node)
 	switch {
 	case it.OnHost:
 		if !ctx.Loc.IsHost() {
-			err = pl.copyOver(p, "put-spill:"+ctx.Fn, bytes, false, !pl.deepPlan, topo.GPUToHostLinks(ctx.Loc.GPU))
+			err = pl.copyOver(p, "put-spill:"+ctx.Fn, bytes, false, !pl.deepPlan, pl.toHost(node, ctx.Loc.GPU))
 		}
 	case ctx.Loc.IsHost():
 		// cFn output staged up to the GPU store.
@@ -341,11 +352,11 @@ type singleLinkMigrator struct {
 }
 
 func (m *singleLinkMigrator) ToHost(p *sim.Proc, gpu int, bytes int64) error {
-	return m.pl.copyOver(p, "migrate-out", bytes, false, !m.pl.deepPlan, m.pl.f.Topo(m.node).GPUToHostLinks(gpu))
+	return m.pl.copyOver(p, "migrate-out", bytes, false, !m.pl.deepPlan, m.pl.toHost(m.node, gpu))
 }
 
 func (m *singleLinkMigrator) ToGPU(p *sim.Proc, gpu int, bytes int64) error {
-	return m.pl.copyOver(p, "migrate-in", bytes, false, !m.pl.deepPlan, m.pl.f.Topo(m.node).HostToGPULinks(gpu))
+	return m.pl.copyOver(p, "migrate-in", bytes, false, !m.pl.deepPlan, m.pl.fromHost(m.node, gpu))
 }
 
 func min64(a, b int64) int64 {

@@ -194,7 +194,7 @@ func TestFailedCopyFailsGet(t *testing.T) {
 			t.Errorf("Put: %v", perr)
 			return
 		}
-		links := f.Topo(0).HostToGPULinks(1)
+		links := f.Topo(0).AppendHostToGPULinks(nil, 1)
 		for _, l := range links {
 			f.Net.FailLink(l)
 		}
@@ -234,7 +234,7 @@ func TestFailedDeliveryFailsGet(t *testing.T) {
 				return
 			}
 			for g := 0; g < f.Spec().NumGPUs; g++ {
-				for _, l := range f.Topo(0).GPUToHostLinks(g) {
+				for _, l := range f.Topo(0).AppendGPUToHostLinks(nil, g) {
 					f.Net.FailLink(l)
 				}
 			}
@@ -262,11 +262,11 @@ func TestFailedCopyFreesStore(t *testing.T) {
 		// A GPU producer's copy into INFless+'s host store crosses GPU 0's
 		// GPU→host links; a host producer's copy into NVSHMEM+'s store
 		// crosses the host→GPU links of whichever GPU the store picks.
-		for _, l := range topo.GPUToHostLinks(0) {
+		for _, l := range topo.AppendGPUToHostLinks(nil, 0) {
 			f.Net.FailLink(l)
 		}
 		for g := 0; g < f.Spec().NumGPUs; g++ {
-			for _, l := range topo.HostToGPULinks(g) {
+			for _, l := range topo.AppendHostToGPULinks(nil, g) {
 				f.Net.FailLink(l)
 			}
 		}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"time"
 
+	"grouter/internal/fabric"
 	"grouter/internal/scheduler"
 	"grouter/internal/sim"
 	"grouter/internal/xfer"
@@ -70,11 +71,12 @@ func (a *App) ensureWarm(p *sim.Proc, si scheduler.StageInst, m *poolMember, wei
 		p.Sleep(a.Cold.ContainerLatency)
 		if weights > 0 {
 			if !m.loc.IsHost() {
-				topo := a.C.Fabric.Topo(m.loc.Node)
+				host := fabric.Location{Node: m.loc.Node, GPU: fabric.HostGPU}
+				links, _ := a.C.Fabric.SinglePath(host, m.loc)
 				if _, err := a.C.xm.Transfer(p, xfer.Request{
 					Label: "model-load:" + si.Stage,
 					Bytes: weights,
-					Paths: []xfer.Path{xfer.PathOf(a.C.Fabric.Net, topo.HostToGPULinks(m.loc.GPU))},
+					Paths: []xfer.Path{xfer.PathOf(a.C.Fabric.Net, links)},
 				}); err != nil {
 					panic(err)
 				}

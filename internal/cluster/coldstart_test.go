@@ -59,7 +59,7 @@ func TestFailedModelLoadNeverWarms(t *testing.T) {
 		}
 	}
 	m := ps.members[0]
-	for _, l := range c.Fabric.Topo(m.loc.Node).HostToGPULinks(m.loc.GPU) {
+	for _, l := range c.Fabric.Topo(m.loc.Node).AppendHostToGPULinks(nil, m.loc.GPU) {
 		c.Fabric.Net.FailLink(l)
 	}
 	var recovered any

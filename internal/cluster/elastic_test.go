@@ -263,7 +263,7 @@ func TestElasticCrashRecovery(t *testing.T) {
 		Interval:     50 * time.Millisecond,
 		RecoverAfter: 300 * time.Millisecond,
 	})
-	in := faults.NewInjector(e, c.Fabric.Net)
+	in := faults.NewInjector(c.Fabric)
 	ep.WatchFaults(in)
 	e.Run(200 * time.Millisecond)
 	ps := app.pool(scheduler.StageInst{Stage: "segmentation", Replica: 0})

@@ -201,7 +201,7 @@ func pdChaosReplay(t *testing.T) (ReplayStats, pdOutcome) {
 	t.Helper()
 	e, c, svc := newLLMService(t, PDConfig{PrefillWorkers: 2, DecodeWorkers: 3, MixedWorkers: 3})
 	defer e.Close()
-	in := faults.NewInjector(e, c.Fabric.Net)
+	in := faults.NewInjector(c.Fabric)
 	crasher, ok := c.Plane.(faults.Crasher)
 	if !ok {
 		t.Fatal("core plane does not implement faults.Crasher")
@@ -209,11 +209,13 @@ func pdChaosReplay(t *testing.T) (ReplayStats, pdOutcome) {
 	in.CrashGPUAt(40*time.Millisecond, crasher, 0, 0)
 	// H800x8 is an NVSwitch fabric: flap GPU injection/ejection ports.
 	topo := c.Fabric.Topo(0)
-	var links []topology.LinkID
+	var links []string
 	for g := 0; g < topo.Spec.NumGPUs; g++ {
-		links = append(links, topo.NVPortOut(g), topo.NVPortIn(g))
+		links = append(links, c.Fabric.Cluster.LinkName(topo.NVPortOut(g)), c.Fabric.Cluster.LinkName(topo.NVPortIn(g)))
 	}
-	in.RandomLinkFaults(7, links, time.Second, 100*time.Millisecond, 5*time.Millisecond)
+	if err := in.RandomLinkFaults(7, links, time.Second, 100*time.Millisecond, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 
 	st, err := svc.Replay(pdArrivals(300, time.Millisecond), ReplaySpec{
 		Quantum: 5 * time.Millisecond,

@@ -166,7 +166,7 @@ func New(f *fabric.Fabric, cfg Config) *Plane {
 			if topo.Spec.Switched {
 				return pl.f.Net.LinkUp(topo.NVPortOut(i)) && pl.f.Net.LinkUp(topo.NVPortIn(j))
 			}
-			return pl.f.Net.LinkUp(topo.NVLinkTo(i, j))
+			return topo.Spec.NVLinkBps(i, j) > 0 && pl.f.Net.LinkUp(topo.NVLinkTo(i, j))
 		}
 		pl.sel = append(pl.sel, sel)
 		pl.localTables = append(pl.localTables, make(map[dataplane.DataID]bool))
@@ -572,7 +572,8 @@ type movePlan struct {
 	kind     routeKind
 	src, dst fabric.Location
 	// asg is the NVLink reservation of a routeNVLink move (held from plan
-	// until putPlan); links holds its per-path link lists. routes holds the
+	// until putPlan); links holds its per-path link lists, or the PCIe
+	// fallback path when the selector finds no NVLink path. routes holds the
 	// harvested routes of the other kinds, which alias the fabric's route
 	// table and so must never be written through.
 	asg       pathsel.Assignment
@@ -616,9 +617,12 @@ func (mp *movePlan) plan() []xfer.Path {
 		sel.Release(&mp.asg)
 		if !sel.Select(&mp.asg, mp.src.GPU, mp.dst.GPU, 0) {
 			// NVLink-cut (or no NVLink connectivity): degrade to the PCIe
-			// peer-to-peer path.
-			links := pl.f.Topo(mp.src.Node).PCIeP2PLinks(mp.src.GPU, mp.dst.GPU)
-			paths = append(paths, xfer.PathOf(net, links))
+			// peer-to-peer path, written into the entry's first link list.
+			if len(mp.links) == 0 {
+				mp.links = append(mp.links, nil)
+			}
+			mp.links[0] = pl.f.Topo(mp.src.Node).AppendPCIeP2PLinks(mp.links[0][:0], mp.src.GPU, mp.dst.GPU)
+			paths = append(paths, xfer.PathOf(net, mp.links[0]))
 			break
 		}
 		mp.links = sel.Links(mp.links, &mp.asg)

@@ -27,7 +27,7 @@ func TestPlansTrackDegradedCapacity(t *testing.T) {
 	defer e.Close()
 	f := fabric.New(e, topology.DGXV100(), 2)
 	pl := New(f, FullConfig())
-	in := faults.NewInjector(e, f.Net)
+	in := faults.NewInjector(f)
 	src, dst := fabric.Location{Node: 0, GPU: 0}, fabric.Location{Node: 1, GPU: 0}
 
 	// Candidates from GPU 0: its own NIC 0, then donors 2 (NIC 1) and 4
@@ -42,8 +42,11 @@ func TestPlansTrackDegradedCapacity(t *testing.T) {
 	// The hog runs NIC B at 60% of capacity: idle at full capacity, busy
 	// (over 80%) once the NIC is halved.
 	f.Net.Start("hog", []topology.LinkID{nicB}, 1e15, netsim.Options{MaxRate: 0.6 * nic})
-	in.DegradeLinkFor(time.Millisecond, 2*time.Millisecond, nicA, 0.5)
-	in.DegradeLinkFor(time.Millisecond, 2*time.Millisecond, nicB, 0.5)
+	for _, nic := range []topology.LinkID{nicA, nicB} {
+		if err := in.DegradeLinkFor(time.Millisecond, 2*time.Millisecond, f.Cluster.LinkName(nic), 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	plan := func() []xfer.Path {
 		mp := pl.takePlan()

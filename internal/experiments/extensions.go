@@ -112,7 +112,7 @@ func ExtFaults() *Table {
 		c := cluster.New(e, topology.DGXV100(), 1, grouter.mk)
 		app := c.Deploy(workflow.Traffic(), 0, scheduler.Options{Node: 0})
 		if inject != nil {
-			inject(faults.NewInjector(e, c.Fabric.Net), c)
+			inject(faults.NewInjector(c.Fabric), c)
 		}
 		replay(app, arrivals, cluster.ReplaySpec{})
 		e.Close()
@@ -127,8 +127,10 @@ func ExtFaults() *Table {
 		for i := 0; i < topo.Spec.NumGPUs; i++ {
 			for j := 0; j < topo.Spec.NumGPUs; j++ {
 				if topo.Spec.NVLinkBps(i, j) > 0 {
-					in.FlapLink(topo.NVLinkTo(i, j),
-						75*time.Millisecond, 15*time.Millisecond, 150*time.Millisecond, 30*time.Second)
+					link := c.Fabric.Cluster.LinkName(topo.NVLinkTo(i, j))
+					if err := in.FlapLink(link, 75*time.Millisecond, 15*time.Millisecond, 150*time.Millisecond, 30*time.Second); err != nil {
+						panic(err)
+					}
 				}
 			}
 		}

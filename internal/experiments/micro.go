@@ -67,13 +67,13 @@ func Fig6aPairBandwidth() *Table {
 		e := sim.NewEngine()
 		defer e.Close()
 		cl := topology.NewCluster(spec, 1)
-		net := netsim.New(e, cl.Links())
+		net := netsim.New(e, cl)
 		n := cl.Node(0)
 		var links []topology.LinkID
 		if spec.NVLinkBps(src, dst) > 0 {
-			links = n.NVLinkPathLinks([]int{src, dst})
+			links = n.AppendNVLinkPathLinks(nil, []int{src, dst})
 		} else {
-			links = n.PCIeP2PLinks(src, dst)
+			links = n.AppendPCIeP2PLinks(nil, src, dst)
 		}
 		bytes := int64(1) << 30
 		var elapsed time.Duration

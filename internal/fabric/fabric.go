@@ -69,7 +69,7 @@ func New(e *sim.Engine, spec *topology.Spec, n int) *Fabric {
 	f := &Fabric{
 		Engine:  e,
 		Cluster: cluster,
-		Net:     netsim.New(e, cluster.Links()),
+		Net:     netsim.New(e, cluster),
 		Routes:  harvest.NewRoutes(cluster),
 	}
 	for _, nd := range cluster.Nodes {

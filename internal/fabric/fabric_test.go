@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"grouter/internal/sim"
@@ -18,10 +20,10 @@ func TestNewFabricWiring(t *testing.T) {
 	if len(f.NodeF(0).GPUs) != 8 {
 		t.Fatalf("gpus = %d", len(f.NodeF(0).GPUs))
 	}
-	// Every topology link must be registered in the network.
-	for _, l := range f.Cluster.Links() {
-		if !f.Net.HasLink(l.ID) {
-			t.Errorf("link %s missing from netsim", l.ID)
+	// Every topology link must be in the network, at its capacity.
+	for id := topology.LinkID(0); int(id) < f.Cluster.NumLinks(); id++ {
+		if got, want := f.Net.Capacity(id), f.Cluster.LinkBps(id); got != want {
+			t.Errorf("link %s capacity %f in netsim, want %f", f.Cluster.LinkName(id), got, want)
 		}
 	}
 	// Memory devices sized per spec.
@@ -86,8 +88,8 @@ func TestSinglePathShapes(t *testing.T) {
 		}
 		// All links must exist in the network.
 		for _, id := range links {
-			if !f.Net.HasLink(id) {
-				t.Errorf("%s: unknown link %s", c.name, id)
+			if id < 0 || int(id) >= f.Cluster.NumLinks() {
+				t.Errorf("%s: unknown link %d", c.name, id)
 			}
 		}
 	}
@@ -96,7 +98,7 @@ func TestSinglePathShapes(t *testing.T) {
 // TestSinglePathMatchesReference is the SinglePath oracle: on every builtin
 // topology, for every ordered pair of locations — GPUs and hosts, on one
 // node and across both node orders — the shared answer equals the uncached
-// reference, asked twice so the second answer comes from the memo.
+// reference by name, asked twice so the second answer comes from the memo.
 func TestSinglePathMatchesReference(t *testing.T) {
 	for _, name := range []string{"dgx-v100", "dgx-a100", "h800x8", "quad-a10"} {
 		e := sim.NewEngine()
@@ -111,9 +113,10 @@ func TestSinglePathMatchesReference(t *testing.T) {
 			for _, from := range locs {
 				for _, to := range locs {
 					links, hostStack := f.SinglePath(from, to)
-					wantLinks, wantStack := refSinglePath(f, from, to)
-					if !reflect.DeepEqual(links, wantLinks) || hostStack != wantStack {
-						t.Fatalf("%s %v→%v: got %v (host stack %v), want %v (%v)", name, from, to, links, hostStack, wantLinks, wantStack)
+					got := names(f.Cluster, links)
+					want, wantStack := refSinglePath(f, from, to)
+					if !reflect.DeepEqual(got, want) || hostStack != wantStack {
+						t.Fatalf("%s %v→%v: got %v (host stack %v), want %v (%v)", name, from, to, got, hostStack, want, wantStack)
 					}
 					if len(links) != cap(links) {
 						t.Fatalf("%s %v→%v: shared path has spare capacity %d > %d", name, from, to, cap(links), len(links))
@@ -128,57 +131,125 @@ func TestSinglePathMatchesReference(t *testing.T) {
 	}
 }
 
-// refSinglePath is SinglePath as it was before its answers were shared: it
-// builds the path again on every call. It is the reference the SinglePath
-// oracle compares against.
-func refSinglePath(f *Fabric, from, to Location) (links []topology.LinkID, hostStack bool) {
+// names formats a path's handles; a path with no links has no names.
+func names(c *topology.Cluster, links []topology.LinkID) []string {
+	var out []string
+	for _, id := range links {
+		out = append(out, c.LinkName(id))
+	}
+	return out
+}
+
+// refNode names one node's links as strings, the way the topology named
+// them before links had handles.
+type refNode struct {
+	id   int
+	spec *topology.Spec
+}
+
+func (r refNode) name(format string, a ...any) string {
+	return fmt.Sprintf("n%d.", r.id) + fmt.Sprintf(format, a...)
+}
+
+func (r refNode) p2p(i, j int) []string {
+	si, sj := r.spec.PCIeGroup[i], r.spec.PCIeGroup[j]
+	if si == sj {
+		return []string{r.name("pcie.g%d.up", i), r.name("pcie.g%d.down", j)}
+	}
+	return []string{r.name("pcie.g%d.up", i), r.name("pcie.sw%d.up", si), r.name("pcie.sw%d.down", sj), r.name("pcie.g%d.down", j)}
+}
+
+func (r refNode) gpuToNIC(g, k int) []string {
+	sg, sk := r.spec.PCIeGroup[g], r.spec.NICGroup[k]
+	if sg == sk {
+		return []string{r.name("pcie.g%d.up", g), r.name("nic%d.tx", k)}
+	}
+	return []string{r.name("pcie.g%d.up", g), r.name("pcie.sw%d.up", sg), r.name("pcie.sw%d.down", sk), r.name("nic%d.tx", k)}
+}
+
+func (r refNode) nicToGPU(k, g int) []string {
+	sk, sg := r.spec.NICGroup[k], r.spec.PCIeGroup[g]
+	if sk == sg {
+		return []string{r.name("nic%d.rx", k), r.name("pcie.g%d.down", g)}
+	}
+	return []string{r.name("nic%d.rx", k), r.name("pcie.sw%d.up", sk), r.name("pcie.sw%d.down", sg), r.name("pcie.g%d.down", g)}
+}
+
+// refSinglePath is SinglePath as it was before its answers were shared and
+// links had handles: it builds the path's link names again on every call.
+// It is the reference the SinglePath oracle compares against.
+func refSinglePath(f *Fabric, from, to Location) (links []string, hostStack bool) {
 	if from == to {
 		return nil, false
 	}
-	src, dst := f.Topo(from.Node), f.Topo(to.Node)
+	spec := f.Spec()
+	src, dst := refNode{from.Node, spec}, refNode{to.Node, spec}
 	switch {
 	case from.Node == to.Node && !from.IsHost() && !to.IsHost():
-		if src.Spec.NVLinkBps(from.GPU, to.GPU) > 0 {
-			return src.NVLinkPathLinks([]int{from.GPU, to.GPU}), false
+		if spec.NVLinkBps(from.GPU, to.GPU) > 0 {
+			if spec.Switched {
+				return []string{src.name("nvsw.g%d.out", from.GPU), src.name("nvsw.g%d.in", to.GPU)}, false
+			}
+			return []string{src.name("nv.%d>%d", from.GPU, to.GPU)}, false
 		}
-		return src.PCIeP2PLinks(from.GPU, to.GPU), false
+		return src.p2p(from.GPU, to.GPU), false
 	case from.Node == to.Node && from.IsHost():
-		return src.HostToGPULinks(to.GPU), false
+		return []string{src.name("pcie.sw%d.down", spec.PCIeGroup[to.GPU]), src.name("pcie.g%d.down", to.GPU)}, false
 	case from.Node == to.Node && to.IsHost():
-		return src.GPUToHostLinks(from.GPU), false
+		return []string{src.name("pcie.g%d.up", from.GPU), src.name("pcie.sw%d.up", spec.PCIeGroup[from.GPU])}, false
 	case !from.IsHost() && !to.IsHost():
 		// Cross-node gFn-gFn: GDR through the source GPU's nearest NIC.
-		nic := src.Spec.GPUNIC[from.GPU]
+		nic := spec.GPUNIC[from.GPU]
 		rnic := nic
-		if rnic >= dst.Spec.NICCount {
-			rnic = dst.Spec.NICCount - 1
+		if rnic >= spec.NICCount {
+			rnic = spec.NICCount - 1
 		}
-		links = append(links, src.GPUToNICLinks(from.GPU, nic)...)
-		links = append(links, dst.NICToGPULinks(rnic, to.GPU)...)
+		links = append(links, src.gpuToNIC(from.GPU, nic)...)
+		links = append(links, dst.nicToGPU(rnic, to.GPU)...)
 		return links, false
 	case from.IsHost() && to.IsHost():
-		links = append(links, src.NICTx(0), dst.NICRx(0))
+		links = append(links, src.name("nic0.tx"), dst.name("nic0.rx"))
 		return links, true
 	case from.IsHost():
 		// Host on one node to a GPU on another: NIC pair plus the remote
 		// PCIe descent.
-		nic := dst.Spec.GPUNIC[to.GPU]
+		nic := spec.GPUNIC[to.GPU]
 		snic := nic
-		if snic >= src.Spec.NICCount {
-			snic = src.Spec.NICCount - 1
+		if snic >= spec.NICCount {
+			snic = spec.NICCount - 1
 		}
-		links = append(links, src.NICTx(snic))
-		links = append(links, dst.NICToGPULinks(nic, to.GPU)...)
+		links = append(links, src.name("nic%d.tx", snic))
+		links = append(links, dst.nicToGPU(nic, to.GPU)...)
 		return links, true
 	default:
 		// GPU to a remote host.
-		nic := src.Spec.GPUNIC[from.GPU]
+		nic := spec.GPUNIC[from.GPU]
 		rnic := nic
-		if rnic >= dst.Spec.NICCount {
-			rnic = dst.Spec.NICCount - 1
+		if rnic >= spec.NICCount {
+			rnic = spec.NICCount - 1
 		}
-		links = append(links, src.GPUToNICLinks(from.GPU, nic)...)
-		links = append(links, dst.NICRx(rnic))
+		links = append(links, src.gpuToNIC(from.GPU, nic)...)
+		links = append(links, dst.name("nic%d.rx", rnic))
 		return links, true
+	}
+}
+
+// TestNewAllocationBudget pins what building a fabric costs now that links
+// are numbered, not named: a 2-node DGX-V100 fabric builds no per-node
+// name tables, no name-sorted link list and no name index, and allocates
+// at most a quarter of the 95.5 KB it took with string link IDs.
+func TestNewAllocationBudget(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	const builds = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		New(e, topology.DGXV100(), 2)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / builds; per > 95500/4 {
+		t.Errorf("fabric.New allocates %d B per 2-node DGX-V100 build, want at most %d", per, 95500/4)
 	}
 }

@@ -41,44 +41,37 @@ func (f *Fabric) SinglePath(from, to Location) (links []topology.LinkID, hostSta
 // Every returned slice is exactly sized, so an append by a caller copies.
 func (f *Fabric) buildSinglePath(from, to Location) ([]topology.LinkID, bool) {
 	src, dst := f.Topo(from.Node), f.Topo(to.Node)
+	var buf [8]topology.LinkID
+	links, hostStack := buf[:0], false
 	switch {
 	case from.Node == to.Node && !from.IsHost() && !to.IsHost():
 		if src.Spec.NVLinkBps(from.GPU, to.GPU) > 0 {
-			return src.NVLinkPathLinks([]int{from.GPU, to.GPU}), false
+			links = src.AppendNVLinkPathLinks(links, []int{from.GPU, to.GPU})
+		} else {
+			links = src.AppendPCIeP2PLinks(links, from.GPU, to.GPU)
 		}
-		return src.PCIeP2PLinks(from.GPU, to.GPU), false
 	case from.Node == to.Node && from.IsHost():
-		return src.HostToGPULinks(to.GPU), false
+		links = src.AppendHostToGPULinks(links, to.GPU)
 	case from.Node == to.Node && to.IsHost():
-		return src.GPUToHostLinks(from.GPU), false
+		links = src.AppendGPUToHostLinks(links, from.GPU)
 	case !from.IsHost() && !to.IsHost():
 		// Cross-node gFn-gFn: GDR through the source GPU's nearest NIC.
 		nic := src.Spec.GPUNIC[from.GPU]
-		return join(src.GPUToNICLinks(from.GPU, nic), dst.NICToGPULinks(clampNIC(dst, nic), to.GPU)), false
+		links = src.AppendGPUToNICLinks(links, from.GPU, nic)
+		links = dst.AppendNICToGPULinks(links, nic, to.GPU)
 	case from.IsHost() && to.IsHost():
-		return []topology.LinkID{src.NICTx(0), dst.NICRx(0)}, true
+		links, hostStack = append(links, src.NICTx(0), dst.NICRx(0)), true
 	case from.IsHost():
 		// Host on one node to a GPU on another: NIC pair plus the remote
 		// PCIe descent.
 		nic := dst.Spec.GPUNIC[to.GPU]
-		return join([]topology.LinkID{src.NICTx(clampNIC(src, nic))}, dst.NICToGPULinks(nic, to.GPU)), true
+		links = append(links, src.NICTx(nic))
+		links, hostStack = dst.AppendNICToGPULinks(links, nic, to.GPU), true
 	default:
 		// GPU to a remote host.
 		nic := src.Spec.GPUNIC[from.GPU]
-		return join(src.GPUToNICLinks(from.GPU, nic), []topology.LinkID{dst.NICRx(clampNIC(dst, nic))}), true
+		links = src.AppendGPUToNICLinks(links, from.GPU, nic)
+		links, hostStack = append(links, dst.NICRx(nic)), true
 	}
-}
-
-// clampNIC maps a NIC index onto a node that may have fewer NICs.
-func clampNIC(n *topology.Node, nic int) int {
-	if nic >= n.Spec.NICCount {
-		return n.Spec.NICCount - 1
-	}
-	return nic
-}
-
-// join concatenates two link paths into one exactly-sized slice.
-func join(a, b []topology.LinkID) []topology.LinkID {
-	out := make([]topology.LinkID, 0, len(a)+len(b))
-	return append(append(out, a...), b...)
+	return append(make([]topology.LinkID, 0, len(links)), links...), hostStack
 }

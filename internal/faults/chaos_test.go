@@ -1,7 +1,10 @@
 package faults_test
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +14,6 @@ import (
 	"grouter/internal/fabric"
 	"grouter/internal/faults"
 	"grouter/internal/metrics"
-	"grouter/internal/netsim"
 	"grouter/internal/sim"
 	"grouter/internal/topology"
 )
@@ -20,6 +22,7 @@ const mb = int64(1) << 20
 
 // chaosEnv is one freshly-built simulated cluster a scenario runs against.
 type chaosEnv struct {
+	t   *testing.T
 	e   *sim.Engine
 	f   *fabric.Fabric
 	pl  *core.Plane
@@ -31,14 +34,22 @@ func (c *chaosEnv) logf(at time.Duration, format string, args ...interface{}) {
 	fmt.Fprintf(c.log, "[%v] %s\n", at, fmt.Sprintf(format, args...))
 }
 
+// must fails the test when a fault could not be scheduled.
+func (c *chaosEnv) must(err error) {
+	c.t.Helper()
+	if err != nil {
+		c.t.Fatal(err)
+	}
+}
+
 // runScenario builds a fresh engine/fabric/plane, executes the scenario, and
 // returns its event log plus the fault counters of the run's network.
 func runScenario(t *testing.T, scenario func(*chaosEnv)) (string, metrics.FaultStats) {
 	t.Helper()
-	env := &chaosEnv{e: sim.NewEngine(), log: &strings.Builder{}}
+	env := &chaosEnv{t: t, e: sim.NewEngine(), log: &strings.Builder{}}
 	env.f = fabric.New(env.e, topology.DGXV100(), 1)
 	env.pl = core.New(env.f, core.FullConfig())
-	env.in = faults.NewInjector(env.e, env.f.Net)
+	env.in = faults.NewInjector(env.f)
 	scenario(env)
 	env.e.Run(0)
 	env.e.Close()
@@ -72,7 +83,7 @@ func failAllNVLinksFrom(env *chaosEnv, at time.Duration, gpu int) {
 	topo := env.f.Topo(gpu / env.f.Spec().NumGPUs)
 	for j := 0; j < env.f.Spec().NumGPUs; j++ {
 		if env.f.Spec().NVLinkBps(gpu, j) > 0 {
-			env.in.FailLinkAt(at, topo.NVLinkTo(gpu, j))
+			env.must(env.in.FailLinkAt(at, env.f.Cluster.LinkName(topo.NVLinkTo(gpu, j))))
 		}
 	}
 }
@@ -129,9 +140,8 @@ func TestChaosNVLinkDiesMidTransfer(t *testing.T) {
 // the outage, retrying, or degrading) and the run must be deterministic.
 func TestChaosFlappingLink(t *testing.T) {
 	scenario := func(env *chaosEnv) {
-		topo := env.f.Topo(0)
-		env.in.FlapLink(topo.NVLinkTo(0, 3), 200*time.Microsecond, 250*time.Microsecond,
-			time.Millisecond, 20*time.Millisecond)
+		env.must(env.in.FlapLink("n0.nv.0>3", 200*time.Microsecond, 250*time.Microsecond,
+			time.Millisecond, 20*time.Millisecond))
 		env.e.Go("consumer", func(p *sim.Proc) {
 			for i := 0; i < 8; i++ {
 				ref, err := env.pl.Put(p, gpuFn("producer", 0), 24*mb)
@@ -164,8 +174,7 @@ func TestChaosFlappingLink(t *testing.T) {
 // changes re-rate flows instead of killing them.
 func TestChaosDegradedLink(t *testing.T) {
 	scenario := func(env *chaosEnv) {
-		topo := env.f.Topo(0)
-		env.in.DegradeLinkFor(1200*time.Microsecond, 10*time.Millisecond, topo.NVLinkTo(0, 3), 0.05)
+		env.must(env.in.DegradeLinkFor(1200*time.Microsecond, 10*time.Millisecond, "n0.nv.0>3", 0.05))
 		env.e.Go("consumer", func(p *sim.Proc) {
 			ref, err := env.pl.Put(p, gpuFn("producer", 0), 48*mb)
 			if err != nil {
@@ -339,15 +348,15 @@ func TestChaosCrashRematerialize(t *testing.T) {
 func TestChaosRandomScheduleDeterministic(t *testing.T) {
 	scenario := func(env *chaosEnv) {
 		topo := env.f.Topo(0)
-		var links []topology.LinkID
+		var links []string
 		for i := 0; i < env.f.Spec().NumGPUs; i++ {
 			for j := 0; j < env.f.Spec().NumGPUs; j++ {
 				if env.f.Spec().NVLinkBps(i, j) > 0 {
-					links = append(links, topo.NVLinkTo(i, j))
+					links = append(links, env.f.Cluster.LinkName(topo.NVLinkTo(i, j)))
 				}
 			}
 		}
-		env.in.RandomLinkFaults(99, links, 30*time.Millisecond, 2*time.Millisecond, time.Millisecond)
+		env.must(env.in.RandomLinkFaults(99, links, 30*time.Millisecond, 2*time.Millisecond, time.Millisecond))
 		env.e.Go("workload", func(p *sim.Proc) {
 			for i := 0; i < 10; i++ {
 				src, dst := i%4, (i+3)%4
@@ -372,27 +381,85 @@ func TestChaosRandomScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// TestInjectorValidation pins the injector's argument checking.
+// TestInjectorValidation pins the injector's argument checking: a call
+// naming an unknown link, a degradation fraction outside (0,1), or a flap
+// without 0 < downFor < period returns an error wrapping its sentinel and
+// schedules nothing. The run then completes under a workload that outlives
+// every fault time, with no fault fired or counted.
 func TestInjectorValidation(t *testing.T) {
+	const ms = time.Millisecond
+	type call func(in *faults.Injector) error
+	for name, tc := range map[string]struct {
+		call call
+		want error
+	}{
+		"fail unknown link":    {func(in *faults.Injector) error { return in.FailLinkAt(ms, "n0.nope") }, faults.ErrUnknownLink},
+		"restore unknown link": {func(in *faults.Injector) error { return in.RestoreLinkAt(ms, "n1.nic0.tx") }, faults.ErrUnknownLink},
+		"down-for absent link": {func(in *faults.Injector) error { return in.LinkDownFor(ms, ms, "n0.nv.0>5") }, faults.ErrUnknownLink},
+		"degrade unknown link": {func(in *faults.Injector) error { return in.DegradeLinkFor(ms, ms, "n9.nic0.tx", 0.5) }, faults.ErrUnknownLink},
+		"degrade fraction 0":   {func(in *faults.Injector) error { return in.DegradeLinkFor(ms, ms, "n0.nv.0>1", 0) }, faults.ErrBadWindow},
+		"degrade fraction 1":   {func(in *faults.Injector) error { return in.DegradeLinkFor(ms, ms, "n0.nv.0>1", 1) }, faults.ErrBadWindow},
+		"degrade fraction NaN": {func(in *faults.Injector) error { return in.DegradeLinkFor(ms, ms, "n0.nv.0>1", math.NaN()) }, faults.ErrBadWindow},
+		"flap unknown link":    {func(in *faults.Injector) error { return in.FlapLink("n0.nope", 0, ms, 4*ms, 10*ms) }, faults.ErrUnknownLink},
+		"flap zero downtime":   {func(in *faults.Injector) error { return in.FlapLink("n0.nv.0>1", 0, 0, ms, 10*ms) }, faults.ErrBadWindow},
+		"flap period too low":  {func(in *faults.Injector) error { return in.FlapLink("n0.nv.0>1", 0, ms, ms, 10*ms) }, faults.ErrBadWindow},
+		"random unknown link": {func(in *faults.Injector) error {
+			return in.RandomLinkFaults(1, []string{"n0.nv.0>1", "n0.nope"}, 10*ms, ms, ms)
+		}, faults.ErrUnknownLink},
+		"random absent link": {func(in *faults.Injector) error {
+			return in.RandomLinkFaults(1, []string{"n0.nvsw.g0.out"}, 10*ms, ms, ms)
+		}, faults.ErrUnknownLink},
+	} {
+		e := sim.NewEngine()
+		f := fabric.New(e, topology.DGXV100(), 1)
+		in := faults.NewInjector(f)
+		if err := tc.call(in); !errors.Is(err, tc.want) {
+			t.Errorf("%s: error %v, want %v", name, err, tc.want)
+		}
+		if at, ok := e.NextEventAt(); ok {
+			t.Errorf("%s: an event is scheduled at %v", name, at)
+		}
+		e.Go("workload", func(p *sim.Proc) { p.Sleep(20 * ms) })
+		e.Run(0)
+		if fs := *f.Net.Faults(); fs != (metrics.FaultStats{}) {
+			t.Errorf("%s: fault counters moved: %+v", name, fs)
+		}
+		e.Close()
+	}
+}
+
+// TestNamedLinkOutages: an outage window and a fail/restore pair, each
+// scheduled by link name, take exactly the named link down for its window
+// and count one failure and one restore each; an empty random schedule
+// schedules nothing.
+func TestNamedLinkOutages(t *testing.T) {
+	const ms = time.Millisecond
 	e := sim.NewEngine()
 	defer e.Close()
-	f := fabric.New(e, topology.DGXV100(), 1)
-	in := faults.NewInjector(e, f.Net)
-	id := f.Topo(0).NVLinkTo(0, 1)
-	for name, fn := range map[string]func(){
-		"degrade fraction 0":  func() { in.DegradeLinkFor(0, 0, id, 0) },
-		"degrade fraction 1":  func() { in.DegradeLinkFor(0, 0, id, 1) },
-		"flap zero downtime":  func() { in.FlapLink(id, 0, 0, time.Millisecond, time.Second) },
-		"flap period too low": func() { in.FlapLink(id, 0, time.Millisecond, time.Millisecond, time.Second) },
+	f := fabric.New(e, topology.DGXV100(), 2)
+	in := faults.NewInjector(f)
+	for _, err := range []error{
+		in.LinkDownFor(ms, 2*ms, "n1.nic2.rx"),
+		in.FailLinkAt(2*ms, "n0.nv.0>3"),
+		in.RestoreLinkAt(5*ms, "n0.nv.0>3"),
+		in.RandomLinkFaults(1, nil, time.Second, ms, ms),
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	rx, nv := f.Topo(1).NICRx(2), f.Topo(0).NVLinkTo(0, 3)
+	var up [][2]bool
+	for _, at := range []time.Duration{ms / 2, 3 * ms / 2, 5 * ms / 2, 7 * ms / 2, 11 * ms / 2} {
+		e.Schedule(at, func() { up = append(up, [2]bool{f.Net.LinkUp(rx), f.Net.LinkUp(nv)}) })
+	}
+	e.Run(0)
+	want := [][2]bool{{true, true}, {false, true}, {false, false}, {true, false}, {true, true}}
+	if !reflect.DeepEqual(up, want) {
+		t.Errorf("(rx, nv) up at 0.5/1.5/2.5/3.5/5.5 ms = %v, want %v", up, want)
+	}
+	if fs := f.Net.Faults(); fs.LinksFailed != 2 || fs.LinksRestored != 2 {
+		t.Errorf("failed/restored = %d/%d, want 2/2", fs.LinksFailed, fs.LinksRestored)
 	}
 }
 
@@ -416,7 +483,7 @@ func TestCrashGPUAtNotifiesSubscribers(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	f := fabric.New(e, topology.DGXV100(), 2)
-	in := faults.NewInjector(e, f.Net)
+	in := faults.NewInjector(f)
 	type crash struct {
 		at  time.Duration
 		loc fabric.Location
@@ -464,23 +531,29 @@ func TestDegradeWindowsOverlap(t *testing.T) {
 		second float64 // fraction of the window over [5ms, 15ms)
 		want   [4]float64
 	}{
-		// Capacity at 2, 7, 12 and 16 ms of a 100 B/s link.
-		{"equal fractions", 0.5, 0.5, [4]float64{50, 50, 50, 100}},
-		{"deeper second", 0.5, 0.25, [4]float64{50, 25, 25, 100}},
-		{"deeper first", 0.25, 0.5, [4]float64{25, 25, 50, 100}},
+		// Capacity at 2, 7, 12 and 16 ms, as a share of the link's own.
+		{"equal fractions", 0.5, 0.5, [4]float64{0.5, 0.5, 0.5, 1}},
+		{"deeper second", 0.5, 0.25, [4]float64{0.5, 0.25, 0.25, 1}},
+		{"deeper first", 0.25, 0.5, [4]float64{0.25, 0.25, 0.5, 1}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			e := sim.NewEngine()
 			defer e.Close()
-			net := netsim.New(e, []topology.Link{{ID: "l", Bps: 100}})
-			in := faults.NewInjector(e, net)
-			in.DegradeLinkFor(0, 10*ms, "l", c.first)
-			in.DegradeLinkFor(5*ms, 10*ms, "l", c.second)
+			f := fabric.New(e, topology.DGXV100(), 1)
+			net, in, nic := f.Net, faults.NewInjector(f), f.Topo(0).NICTx(0)
+			for _, w := range []struct {
+				at       time.Duration
+				fraction float64
+			}{{0, c.first}, {5 * ms, c.second}} {
+				if err := in.DegradeLinkFor(w.at, 10*ms, "n0.nic0.tx", w.fraction); err != nil {
+					t.Fatal(err)
+				}
+			}
 			var got [4]float64
 			for i, at := range []time.Duration{2 * ms, 7 * ms, 12 * ms, 16 * ms} {
 				i := i
-				e.Schedule(at, func() { got[i] = net.Capacity("l") })
+				e.Schedule(at, func() { got[i] = net.Capacity(nic) / f.Spec().NICBps })
 			}
 			e.Run(0)
 			if got != c.want {

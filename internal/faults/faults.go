@@ -7,17 +7,33 @@
 //
 // Injection events are scheduled as daemon events: a fault armed past the
 // natural end of the workload never fires and never keeps Run(0) alive.
+//
+// Links are named as the topology names them ("n0.nic1.tx", "n1.nv.0>3").
+// A scheduling call resolves the name once and checks its arguments; on bad
+// input it returns an error wrapping ErrUnknownLink or ErrBadWindow and
+// schedules nothing.
 package faults
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"time"
 
+	"grouter/internal/fabric"
 	"grouter/internal/memsim"
 	"grouter/internal/netsim"
 	"grouter/internal/sim"
 	"grouter/internal/topology"
+)
+
+var (
+	// ErrUnknownLink reports a link name that no link of the cluster has.
+	ErrUnknownLink = errors.New("faults: unknown link")
+	// ErrBadWindow reports a fault window that cannot happen: a degradation
+	// fraction outside (0,1), or a flap without 0 < downFor < period.
+	ErrBadWindow = errors.New("faults: bad fault window")
 )
 
 // Crasher is the data-plane hook for crash injection: invalidate every
@@ -29,8 +45,9 @@ type Crasher interface {
 
 // Injector schedules faults on one simulated cluster.
 type Injector struct {
-	eng *sim.Engine
-	net *netsim.Network
+	eng     *sim.Engine
+	net     *netsim.Network
+	cluster *topology.Cluster
 	// onCrash subscribers observe every injected GPU crash at fire time
 	// (the request router marks the worker unhealthy from here).
 	onCrash []func(node, gpu int)
@@ -54,9 +71,18 @@ func (d *degradation) bps() float64 {
 	return d.base * slices.Min(d.open)
 }
 
-// NewInjector returns an injector over the engine and network.
-func NewInjector(e *sim.Engine, net *netsim.Network) *Injector {
-	return &Injector{eng: e, net: net}
+// NewInjector returns an injector over a fabric's engine and network.
+func NewInjector(f *fabric.Fabric) *Injector {
+	return &Injector{eng: f.Engine, net: f.Net, cluster: f.Cluster}
+}
+
+// link resolves a link name to its handle.
+func (in *Injector) link(name string) (topology.LinkID, error) {
+	id, ok := in.cluster.LinkByName(name)
+	if !ok {
+		return 0, fmt.Errorf("%w %q", ErrUnknownLink, name)
+	}
+	return id, nil
 }
 
 // At schedules an arbitrary fault action at the given virtual time (from the
@@ -65,40 +91,61 @@ func (in *Injector) At(at time.Duration, fn func()) {
 	in.eng.ScheduleDaemon(at-in.eng.Now(), fn)
 }
 
-// FailLinkAt takes the link down at the given virtual time.
-func (in *Injector) FailLinkAt(at time.Duration, id topology.LinkID) {
+// FailLinkAt takes the named link down at the given virtual time.
+func (in *Injector) FailLinkAt(at time.Duration, link string) error {
+	return in.LinkDownFor(at, 0, link)
+}
+
+// RestoreLinkAt brings the named link back at the given virtual time.
+func (in *Injector) RestoreLinkAt(at time.Duration, link string) error {
+	id, err := in.link(link)
+	if err == nil {
+		in.restoreAt(at, id)
+	}
+	return err
+}
+
+// LinkDownFor schedules an outage window: the named link fails at `at` and
+// is restored dur later (dur <= 0 means the outage is permanent).
+func (in *Injector) LinkDownFor(at, dur time.Duration, link string) error {
+	id, err := in.link(link)
+	if err == nil {
+		in.downFor(at, dur, id)
+	}
+	return err
+}
+
+// downFor schedules the outage window of a resolved link.
+func (in *Injector) downFor(at, dur time.Duration, id topology.LinkID) {
 	in.At(at, func() {
 		in.net.FailLink(id)
 		in.net.Faults().LinksFailed++
 	})
+	if dur > 0 {
+		in.restoreAt(at+dur, id)
+	}
 }
 
-// RestoreLinkAt brings the link back at the given virtual time.
-func (in *Injector) RestoreLinkAt(at time.Duration, id topology.LinkID) {
+func (in *Injector) restoreAt(at time.Duration, id topology.LinkID) {
 	in.At(at, func() {
 		in.net.RestoreLink(id)
 		in.net.Faults().LinksRestored++
 	})
 }
 
-// LinkDownFor schedules an outage window: the link fails at `at` and is
-// restored dur later (dur <= 0 means the outage is permanent).
-func (in *Injector) LinkDownFor(at, dur time.Duration, id topology.LinkID) {
-	in.FailLinkAt(at, id)
-	if dur > 0 {
-		in.RestoreLinkAt(at+dur, id)
-	}
-}
-
-// DegradeLinkFor shrinks the link to fraction of its capacity at `at`,
+// DegradeLinkFor shrinks the named link to fraction of its capacity at `at`,
 // restoring it dur later (dur <= 0 = permanent). Windows on the same link may
 // overlap without compounding: while any window is open the link runs at its
 // undegraded capacity — captured when the first open window fired — times
 // the smallest open fraction, and it returns to that capacity when the last
 // window closes.
-func (in *Injector) DegradeLinkFor(at, dur time.Duration, id topology.LinkID, fraction float64) {
-	if fraction <= 0 || fraction >= 1 {
-		panic("faults: degrade fraction must be in (0,1)")
+func (in *Injector) DegradeLinkFor(at, dur time.Duration, link string, fraction float64) error {
+	if !(fraction > 0 && fraction < 1) {
+		return fmt.Errorf("%w: degrade fraction %v is outside (0,1)", ErrBadWindow, fraction)
+	}
+	id, err := in.link(link)
+	if err != nil {
+		return err
 	}
 	in.At(at, func() {
 		d := in.degraded[id]
@@ -124,17 +171,23 @@ func (in *Injector) DegradeLinkFor(at, dur time.Duration, id topology.LinkID, fr
 			})
 		}
 	})
+	return nil
 }
 
-// FlapLink schedules a periodic outage: starting at `first`, the link goes
-// down for downFor at the start of every period, until the horizon.
-func (in *Injector) FlapLink(id topology.LinkID, first, downFor, period, until time.Duration) {
+// FlapLink schedules a periodic outage: starting at `first`, the named link
+// goes down for downFor at the start of every period, until the horizon.
+func (in *Injector) FlapLink(link string, first, downFor, period, until time.Duration) error {
 	if downFor <= 0 || period <= downFor {
-		panic("faults: flap needs 0 < downFor < period")
+		return fmt.Errorf("%w: flap needs 0 < downFor (%v) < period (%v)", ErrBadWindow, downFor, period)
+	}
+	id, err := in.link(link)
+	if err != nil {
+		return err
 	}
 	for at := first; at < until; at += period {
-		in.LinkDownFor(at, downFor, id)
+		in.downFor(at, downFor, id)
 	}
+	return nil
 }
 
 // MemPressureFor squeezes the device by up to bytes for dur (dur <= 0 =
@@ -181,26 +234,34 @@ func (in *Injector) CrashGPUAt(at time.Duration, c Crasher, node, gpu int) {
 }
 
 // RandomLinkFaults seeds a reproducible random outage schedule over the
-// given links: each fault picks a link uniformly, fails it after an
+// named links: each fault picks a link uniformly, fails it after an
 // exponential gap with mean meanUp, and restores it after an exponential
 // outage with mean meanDown, until the horizon. The same seed produces the
 // same schedule.
-func (in *Injector) RandomLinkFaults(seed int64, links []topology.LinkID, horizon, meanUp, meanDown time.Duration) {
-	if len(links) == 0 {
-		return
+func (in *Injector) RandomLinkFaults(seed int64, links []string, horizon, meanUp, meanDown time.Duration) error {
+	ids := make([]topology.LinkID, len(links))
+	for i, name := range links {
+		id, err := in.link(name)
+		if err != nil {
+			return err
+		}
+		ids[i] = id
+	}
+	if len(ids) == 0 {
+		return nil
 	}
 	rng := rand.New(rand.NewSource(seed))
 	at := time.Duration(0)
 	for {
 		at += time.Duration(rng.ExpFloat64() * float64(meanUp))
 		if at >= horizon {
-			return
+			return nil
 		}
-		id := links[rng.Intn(len(links))]
+		id := ids[rng.Intn(len(ids))]
 		down := time.Duration(rng.ExpFloat64() * float64(meanDown))
 		if down < time.Microsecond {
 			down = time.Microsecond
 		}
-		in.LinkDownFor(at, down, id)
+		in.downFor(at, down, id)
 	}
 }

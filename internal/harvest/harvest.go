@@ -42,29 +42,24 @@ type switchSet uint64
 func (s *switchSet) add(i int)     { *s |= 1 << uint(i) }
 func (s switchSet) has(i int) bool { return s&(1<<uint(i)) != 0 }
 
-// joinLinks concatenates link paths into one exactly-sized slice.
-func joinLinks(segs ...[]topology.LinkID) []topology.LinkID {
-	n := 0
-	for _, s := range segs {
-		n += len(s)
+// exact copies a route built in a scratch buffer into an exactly-sized
+// slice, so an append by a caller copies instead of writing into the table.
+func exact(links []topology.LinkID) []topology.LinkID {
+	return append(make([]topology.LinkID, 0, len(links)), links...)
+}
+
+// appendHop appends the GPU a → GPU b hop: NVLink when the pair has it,
+// PCIe peer-to-peer when not.
+func appendHop(dst []topology.LinkID, node *topology.Node, a, b int) []topology.LinkID {
+	if node.Spec.NVLinkBps(a, b) > 0 {
+		return node.AppendNVLinkPathLinks(dst, []int{a, b})
 	}
-	out := make([]topology.LinkID, 0, n)
-	for _, s := range segs {
-		out = append(out, s...)
-	}
-	return out
+	return node.AppendPCIeP2PLinks(dst, a, b)
 }
 
 // idleIn reports whether a link has meaningful spare capacity.
 func idleIn(net *netsim.Network, id topology.LinkID) bool {
-	if net == nil {
-		return true
-	}
-	c := net.Capacity(id)
-	if c <= 0 {
-		return false
-	}
-	return net.AllocatedOn(id) < busyFraction*c
+	return net == nil || net.AllocatedOn(id) < busyFraction*net.Capacity(id)
 }
 
 // Routes shares the joined candidate routes of one cluster. A candidate
@@ -79,19 +74,15 @@ type Routes struct {
 	cluster *topology.Cluster
 	gpus    int
 
-	// up[(node*G+g)*G+r] is g → donor r → host; down the host → r → g
-	// mirror. Both tables are allocated on first use.
+	// up[(node*G+g)*G+r] is g → donor r → host, and g's own PCIe route
+	// when r == g; down the host → r → g mirror. Both tables are allocated
+	// on first use.
 	up, down [][]topology.LinkID
 	// cross[((src*N+dst)*G+sg)*G+dg] holds the GDR routes of one GPU pair,
-	// allocated when the pair first transfers.
-	cross []*crossRoutes
-}
-
-// crossRoutes are the cross-node routes of one (source, destination) GPU
-// pair: the source GPU's own NIC path and every donor/landing route.
-type crossRoutes struct {
-	own []topology.LinkID
-	via [][]topology.LinkID // [r*G+landing]
+	// allocated when the pair first transfers: [r*G+landing] is the route
+	// through donor r landing on landing, and [sg*G+dg] the source GPU's
+	// own NIC path.
+	cross [][][]topology.LinkID
 }
 
 // NewRoutes returns an empty route table over c; routes fill in lazily.
@@ -105,7 +96,7 @@ func NewRoutes(c *topology.Cluster) *Routes {
 // links. The path slices are shared and must not be modified.
 func (rt *Routes) GPUToHostPaths(buf [][]topology.LinkID, n, g int, mode Mode, net *netsim.Network) [][]topology.LinkID {
 	node := rt.cluster.Node(n)
-	paths := append(buf[:0], node.GPUToHostLinks(g))
+	paths := append(buf[:0], rt.viaUp(node, g, g))
 	if mode == ModeOff {
 		return paths
 	}
@@ -139,7 +130,7 @@ func (rt *Routes) GPUToHostPaths(buf [][]topology.LinkID, n, g int, mode Mode, n
 // HostToGPUPaths mirrors GPUToHostPaths for host→GPU staging.
 func (rt *Routes) HostToGPUPaths(buf [][]topology.LinkID, n, g int, mode Mode, net *netsim.Network) [][]topology.LinkID {
 	node := rt.cluster.Node(n)
-	paths := append(buf[:0], node.HostToGPULinks(g))
+	paths := append(buf[:0], rt.viaDown(node, g, g))
 	if mode == ModeOff {
 		return paths
 	}
@@ -171,12 +162,12 @@ func (rt *Routes) HostToGPUPaths(buf [][]topology.LinkID, n, g int, mode Mode, n
 // hops and finishing over NVLink (Fig. 9a). The path slices are shared and
 // must not be modified.
 func (rt *Routes) CrossNodePaths(buf [][]topology.LinkID, src, sg, dst, dg int, mode Mode, net *netsim.Network) [][]topology.LinkID {
+	sn, dn := rt.cluster.Node(src), rt.cluster.Node(dst)
 	cr := rt.crossPair(src, sg, dst, dg)
-	paths := append(buf[:0], cr.own)
+	paths := append(buf[:0], rt.viaCross(cr, sn, sg, dn, dg, sg, dg))
 	if mode == ModeOff {
 		return paths
 	}
-	sn, dn := rt.cluster.Node(src), rt.cluster.Node(dst)
 	spec, dspec := sn.Spec, dn.Spec
 	var usedNIC switchSet
 	usedNIC.add(spec.GPUNIC[sg])
@@ -226,86 +217,74 @@ func (rt *Routes) CrossNodePaths(buf [][]topology.LinkID, src, sg, dst, dg int, 
 	return paths
 }
 
-// viaUp returns the memoized route g → donor r → host on node.
+// viaUp returns the memoized route g → donor r → host on node, or g's own
+// route when r == g.
 func (rt *Routes) viaUp(node *topology.Node, g, r int) []topology.LinkID {
 	if rt.up == nil {
 		rt.up = make([][]topology.LinkID, len(rt.cluster.Nodes)*rt.gpus*rt.gpus)
 	}
 	slot := &rt.up[(node.ID*rt.gpus+g)*rt.gpus+r]
 	if *slot == nil {
-		hop := node.PCIeP2PLinks(g, r)
-		if node.Spec.NVLinkBps(g, r) > 0 {
-			hop = node.NVLinkPairLinks(g, r)
+		var buf [8]topology.LinkID
+		links := buf[:0]
+		if r != g {
+			links = appendHop(links, node, g, r)
 		}
-		*slot = joinLinks(hop, node.GPUToHostLinks(r))
+		*slot = exact(node.AppendGPUToHostLinks(links, r))
 	}
 	return *slot
 }
 
-// viaDown returns the memoized route host → donor r → g on node.
+// viaDown returns the memoized route host → donor r → g on node, or g's own
+// route when r == g.
 func (rt *Routes) viaDown(node *topology.Node, g, r int) []topology.LinkID {
 	if rt.down == nil {
 		rt.down = make([][]topology.LinkID, len(rt.cluster.Nodes)*rt.gpus*rt.gpus)
 	}
 	slot := &rt.down[(node.ID*rt.gpus+g)*rt.gpus+r]
 	if *slot == nil {
-		hop := node.PCIeP2PLinks(r, g)
-		if node.Spec.NVLinkBps(r, g) > 0 {
-			hop = node.NVLinkPairLinks(r, g)
+		var buf [8]topology.LinkID
+		links := node.AppendHostToGPULinks(buf[:0], r)
+		if r != g {
+			links = appendHop(links, node, r, g)
 		}
-		*slot = joinLinks(node.HostToGPULinks(r), hop)
+		*slot = exact(links)
 	}
 	return *slot
 }
 
-// crossPair returns the route table of one cross-node GPU pair, building
-// its own-NIC path on first use.
-func (rt *Routes) crossPair(src, sg, dst, dg int) *crossRoutes {
+// crossPair returns the route table of one cross-node GPU pair.
+func (rt *Routes) crossPair(src, sg, dst, dg int) [][]topology.LinkID {
 	n, g := len(rt.cluster.Nodes), rt.gpus
 	if rt.cross == nil {
-		rt.cross = make([]*crossRoutes, n*n*g*g)
+		rt.cross = make([][][]topology.LinkID, n*n*g*g)
 	}
 	slot := &rt.cross[((src*n+dst)*g+sg)*g+dg]
 	if *slot == nil {
-		*slot = &crossRoutes{
-			own: directNICPath(rt.cluster.Node(src), sg, rt.cluster.Node(dst), dg),
-			via: make([][]topology.LinkID, g*g),
-		}
+		*slot = make([][]topology.LinkID, g*g)
 	}
 	return *slot
 }
 
 // viaCross returns the memoized route sg → donor r → r's NIC → landing →
-// dg of one cross-node pair.
-func (rt *Routes) viaCross(cr *crossRoutes, src *topology.Node, sg int, dst *topology.Node, dg, r, landing int) []topology.LinkID {
-	slot := &cr.via[r*rt.gpus+landing]
+// dg of one cross-node pair, or sg's own NIC path to dg when r == sg.
+func (rt *Routes) viaCross(cr [][]topology.LinkID, src *topology.Node, sg int, dst *topology.Node, dg, r, landing int) []topology.LinkID {
+	slot := &cr[r*rt.gpus+landing]
 	if *slot == nil {
-		hop := src.PCIeP2PLinks(sg, r)
-		if src.Spec.NVLinkBps(sg, r) > 0 {
-			hop = src.NVLinkPairLinks(sg, r)
-		}
-		var final []topology.LinkID
-		if landing != dg {
-			if dst.Spec.NVLinkBps(landing, dg) > 0 {
-				final = dst.NVLinkPairLinks(landing, dg)
-			} else {
-				final = dst.PCIeP2PLinks(landing, dg)
-			}
-		}
+		var buf [16]topology.LinkID
 		nic := src.Spec.GPUNIC[r]
-		*slot = joinLinks(hop, src.GPUToNICLinks(r, nic), dst.NICToGPULinks(nic, landing), final)
+		links := buf[:0]
+		if r != sg {
+			links = appendHop(links, src, sg, r)
+		}
+		links = src.AppendGPUToNICLinks(links, r, nic)
+		links = dst.AppendNICToGPULinks(links, nic, landing)
+		if landing != dg {
+			links = appendHop(links, dst, landing, dg)
+		}
+		*slot = exact(links)
 	}
 	return *slot
-}
-
-// directNICPath is the single-NIC GDR path used by every system's base case.
-func directNICPath(src *topology.Node, sg int, dst *topology.Node, dg int) []topology.LinkID {
-	nic := src.Spec.GPUNIC[sg]
-	rnic := nic
-	if rnic >= dst.Spec.NICCount {
-		rnic = dst.Spec.NICCount - 1
-	}
-	return joinLinks(src.GPUToNICLinks(sg, nic), dst.NICToGPULinks(rnic, dg))
 }
 
 // Options builds the rate-control constraints for a transfer with the given

@@ -53,14 +53,14 @@ func TestGPUToHostTopoAwareRules(t *testing.T) {
 	}
 	for id, c := range seen {
 		if c > 1 {
-			t.Errorf("switch uplink %s used by %d paths", id, c)
+			t.Errorf("switch uplink %d used by %d paths", id, c)
 		}
 	}
 	// Route GPUs must be NVLink neighbors of 0 ({1,2,3,4} minus switch rules).
 	for _, p := range paths[1:] {
 		first := p[0]
 		if first != n.NVLinkTo(0, 2) && first != n.NVLinkTo(0, 3) && first != n.NVLinkTo(0, 4) {
-			t.Errorf("route path starts with %s, not an NVLink hop from 0", first)
+			t.Errorf("route path starts with %d, not an NVLink hop from 0", first)
 		}
 	}
 }
@@ -97,7 +97,7 @@ func TestHostToGPUMirrors(t *testing.T) {
 		last := p[len(p)-1]
 		if last != n.PCIeGPUDown(2) && last != n.NVLinkTo(0, 2) && last != n.NVLinkTo(1, 2) &&
 			last != n.NVLinkTo(3, 2) && last != n.NVLinkTo(6, 2) {
-			t.Errorf("down path ends with %s", last)
+			t.Errorf("down path ends with %d", last)
 		}
 	}
 }
@@ -107,7 +107,7 @@ func TestBusyLinksExcluded(t *testing.T) {
 	defer e.Close()
 	cl := topology.NewCluster(topology.DGXV100(), 1)
 	n := cl.Node(0)
-	net := netsim.New(e, cl.Links())
+	net := netsim.New(e, cl)
 	rt := NewRoutes(cl)
 	free := rt.GPUToHostPaths(nil, 0, 0, ModeTopoAware, net)
 	// Saturate GPU 2's switch uplink (switch 1).
@@ -141,7 +141,7 @@ func TestCrossNodeSingleVsMultiNIC(t *testing.T) {
 			for k := 0; k < 4; k++ {
 				if id == a.NICTx(k) {
 					if seen[id] {
-						t.Errorf("NIC %s reused", id)
+						t.Errorf("NIC %d reused", id)
 					}
 					seen[id] = true
 				}
@@ -194,100 +194,171 @@ func TestPriorityMonotone(t *testing.T) {
 	}
 }
 
-// refGPUToHostPaths is the uncached builder Routes.GPUToHostPaths replaced:
-// it enumerates and joins every candidate route again on each call. It is
-// the reference the route oracle compares against.
-func refGPUToHostPaths(node *topology.Node, g int, mode Mode, net *netsim.Network) [][]topology.LinkID {
-	if mode == ModeOff {
-		return [][]topology.LinkID{node.GPUToHostLinks(g)}
+// refRoutes builds routes the way the route table's uncached predecessor
+// did, from link names formatted as the topology named links before they
+// had handles. It is the reference the route oracle compares against; the
+// idle filter resolves each name it asks about.
+type refRoutes struct {
+	spec   *topology.Spec
+	byName map[string]topology.LinkID
+	net    *netsim.Network
+}
+
+func newRefRoutes(cl *topology.Cluster) *refRoutes {
+	r := &refRoutes{spec: cl.Spec, byName: map[string]topology.LinkID{}}
+	for id := topology.LinkID(0); int(id) < cl.NumLinks(); id++ {
+		r.byName[cl.LinkName(id)] = id
 	}
-	spec := node.Spec
-	paths := make([][]topology.LinkID, 1, spec.NumGPUs)
-	paths[0] = node.GPUToHostLinks(g)
+	return r
+}
+
+func (r *refRoutes) idle(name string) bool {
+	id, ok := r.byName[name]
+	if !ok {
+		panic("reference route names unknown link " + name)
+	}
+	return idleIn(r.net, id)
+}
+
+func name(n int, format string, a ...any) string {
+	return fmt.Sprintf("n%d.", n) + fmt.Sprintf(format, a...)
+}
+
+func (r *refRoutes) gpuToHost(n, g int) []string {
+	return []string{name(n, "pcie.g%d.up", g), name(n, "pcie.sw%d.up", r.spec.PCIeGroup[g])}
+}
+
+func (r *refRoutes) hostToGPU(n, g int) []string {
+	return []string{name(n, "pcie.sw%d.down", r.spec.PCIeGroup[g]), name(n, "pcie.g%d.down", g)}
+}
+
+func (r *refRoutes) p2p(n, i, j int) []string {
+	si, sj := r.spec.PCIeGroup[i], r.spec.PCIeGroup[j]
+	if si == sj {
+		return []string{name(n, "pcie.g%d.up", i), name(n, "pcie.g%d.down", j)}
+	}
+	return []string{name(n, "pcie.g%d.up", i), name(n, "pcie.sw%d.up", si), name(n, "pcie.sw%d.down", sj), name(n, "pcie.g%d.down", j)}
+}
+
+func (r *refRoutes) nvPair(n, a, b int) []string {
+	if r.spec.Switched {
+		return []string{name(n, "nvsw.g%d.out", a), name(n, "nvsw.g%d.in", b)}
+	}
+	return []string{name(n, "nv.%d>%d", a, b)}
+}
+
+func (r *refRoutes) gpuToNIC(n, g, k int) []string {
+	sg, sk := r.spec.PCIeGroup[g], r.spec.NICGroup[k]
+	if sg == sk {
+		return []string{name(n, "pcie.g%d.up", g), name(n, "nic%d.tx", k)}
+	}
+	return []string{name(n, "pcie.g%d.up", g), name(n, "pcie.sw%d.up", sg), name(n, "pcie.sw%d.down", sk), name(n, "nic%d.tx", k)}
+}
+
+func (r *refRoutes) nicToGPU(n, k, g int) []string {
+	sk, sg := r.spec.NICGroup[k], r.spec.PCIeGroup[g]
+	if sk == sg {
+		return []string{name(n, "nic%d.rx", k), name(n, "pcie.g%d.down", g)}
+	}
+	return []string{name(n, "nic%d.rx", k), name(n, "pcie.sw%d.up", sk), name(n, "pcie.sw%d.down", sg), name(n, "pcie.g%d.down", g)}
+}
+
+func join(segs ...[]string) []string {
+	var out []string
+	for _, s := range segs {
+		out = append(out, s...)
+	}
+	return out
+}
+
+// gpuToHostPaths is the uncached reference for Routes.GPUToHostPaths.
+func (r *refRoutes) gpuToHostPaths(n, g int, mode Mode) [][]string {
+	if mode == ModeOff {
+		return [][]string{r.gpuToHost(n, g)}
+	}
+	spec := r.spec
+	paths := [][]string{r.gpuToHost(n, g)}
 	var usedSwitch switchSet
 	usedSwitch.add(spec.PCIeGroup[g])
-	for r := 0; r < spec.NumGPUs; r++ {
-		if r == g {
+	for rt := 0; rt < spec.NumGPUs; rt++ {
+		if rt == g {
 			continue
 		}
-		linked := spec.NVLinkBps(g, r) > 0
+		linked := spec.NVLinkBps(g, rt) > 0
 		switch mode {
 		case ModeTopoAware:
 			if !linked {
 				continue // no NVLink: borrowing would double-cross g's PCIe
 			}
-			if usedSwitch.has(spec.PCIeGroup[r]) {
+			if usedSwitch.has(spec.PCIeGroup[rt]) {
 				continue // switch already contributes one uplink
 			}
-			uplink := node.PCIeSwitchUp(spec.PCIeGroup[r])
-			if !idleIn(net, uplink) || !idleIn(net, node.PCIeGPUUp(r)) {
+			if !r.idle(name(n, "pcie.sw%d.up", spec.PCIeGroup[rt])) || !r.idle(name(n, "pcie.g%d.up", rt)) {
 				continue
 			}
-			usedSwitch.add(spec.PCIeGroup[r])
-			paths = append(paths, joinLinks(node.NVLinkPairLinks(g, r), node.GPUToHostLinks(r)))
+			usedSwitch.add(spec.PCIeGroup[rt])
+			paths = append(paths, join(r.nvPair(n, g, rt), r.gpuToHost(n, rt)))
 		case ModeNaive:
 			// DeepPlan-style: any peer, reached over NVLink when present and
 			// over PCIe peer-to-peer when not (congesting g's own link).
-			var path []topology.LinkID
 			if linked {
-				path = joinLinks(node.NVLinkPairLinks(g, r), node.GPUToHostLinks(r))
+				paths = append(paths, join(r.nvPair(n, g, rt), r.gpuToHost(n, rt)))
 			} else {
-				path = joinLinks(node.PCIeP2PLinks(g, r), node.GPUToHostLinks(r))
+				paths = append(paths, join(r.p2p(n, g, rt), r.gpuToHost(n, rt)))
 			}
-			paths = append(paths, path)
 		}
 	}
 	return paths
 }
 
-// refHostToGPUPaths is the uncached reference for Routes.HostToGPUPaths.
-func refHostToGPUPaths(node *topology.Node, g int, mode Mode, net *netsim.Network) [][]topology.LinkID {
+// hostToGPUPaths is the uncached reference for Routes.HostToGPUPaths.
+func (r *refRoutes) hostToGPUPaths(n, g int, mode Mode) [][]string {
 	if mode == ModeOff {
-		return [][]topology.LinkID{node.HostToGPULinks(g)}
+		return [][]string{r.hostToGPU(n, g)}
 	}
-	spec := node.Spec
-	paths := make([][]topology.LinkID, 1, spec.NumGPUs)
-	paths[0] = node.HostToGPULinks(g)
+	spec := r.spec
+	paths := [][]string{r.hostToGPU(n, g)}
 	var usedSwitch switchSet
 	usedSwitch.add(spec.PCIeGroup[g])
-	for r := 0; r < spec.NumGPUs; r++ {
-		if r == g {
+	for rt := 0; rt < spec.NumGPUs; rt++ {
+		if rt == g {
 			continue
 		}
-		linked := spec.NVLinkBps(r, g) > 0
+		linked := spec.NVLinkBps(rt, g) > 0
 		switch mode {
 		case ModeTopoAware:
-			if !linked || usedSwitch.has(spec.PCIeGroup[r]) {
+			if !linked || usedSwitch.has(spec.PCIeGroup[rt]) {
 				continue
 			}
-			downlink := node.PCIeSwitchDown(spec.PCIeGroup[r])
-			if !idleIn(net, downlink) || !idleIn(net, node.PCIeGPUDown(r)) {
+			if !r.idle(name(n, "pcie.sw%d.down", spec.PCIeGroup[rt])) || !r.idle(name(n, "pcie.g%d.down", rt)) {
 				continue
 			}
-			usedSwitch.add(spec.PCIeGroup[r])
-			paths = append(paths, joinLinks(node.HostToGPULinks(r), node.NVLinkPairLinks(r, g)))
+			usedSwitch.add(spec.PCIeGroup[rt])
+			paths = append(paths, join(r.hostToGPU(n, rt), r.nvPair(n, rt, g)))
 		case ModeNaive:
-			var path []topology.LinkID
 			if linked {
-				path = joinLinks(node.HostToGPULinks(r), node.NVLinkPairLinks(r, g))
+				paths = append(paths, join(r.hostToGPU(n, rt), r.nvPair(n, rt, g)))
 			} else {
-				path = joinLinks(node.HostToGPULinks(r), node.PCIeP2PLinks(r, g))
+				paths = append(paths, join(r.hostToGPU(n, rt), r.p2p(n, rt, g)))
 			}
-			paths = append(paths, path)
 		}
 	}
 	return paths
 }
 
-// refCrossNodePaths is the uncached reference for Routes.CrossNodePaths.
-func refCrossNodePaths(src *topology.Node, sg int, dst *topology.Node, dg int, mode Mode, net *netsim.Network) [][]topology.LinkID {
-	spec := src.Spec
-	own := directNICPath(src, sg, dst, dg)
-	if mode == ModeOff {
-		return [][]topology.LinkID{own}
+// crossNodePaths is the uncached reference for Routes.CrossNodePaths.
+func (r *refRoutes) crossNodePaths(src, sg, dst, dg int, mode Mode) [][]string {
+	spec := r.spec
+	nic := spec.GPUNIC[sg]
+	rnic := nic
+	if rnic >= spec.NICCount {
+		rnic = spec.NICCount - 1
 	}
-	paths := make([][]topology.LinkID, 1, spec.NumGPUs)
-	paths[0] = own
+	own := join(r.gpuToNIC(src, sg, nic), r.nicToGPU(dst, rnic, dg))
+	if mode == ModeOff {
+		return [][]string{own}
+	}
+	paths := [][]string{own}
 	var usedNIC switchSet
 	usedNIC.add(spec.GPUNIC[sg])
 	// Landing GPUs receive a chunk stream through their own PCIe x16 and
@@ -296,20 +367,20 @@ func refCrossNodePaths(src *topology.Node, sg int, dst *topology.Node, dg int, m
 	// destination GPU via NVLink" from distinct peers).
 	var usedLanding switchSet
 	usedLanding.add(dg)
-	for r := 0; r < spec.NumGPUs; r++ {
-		if r == sg {
+	for rt := 0; rt < spec.NumGPUs; rt++ {
+		if rt == sg {
 			continue
 		}
-		nic := spec.GPUNIC[r]
+		nic := spec.GPUNIC[rt]
 		if usedNIC.has(nic) {
 			continue
 		}
-		linked := spec.NVLinkBps(sg, r) > 0
+		linked := spec.NVLinkBps(sg, rt) > 0
 		if mode == ModeTopoAware {
 			if !linked {
 				continue
 			}
-			if !idleIn(net, src.NICTx(nic)) {
+			if !r.idle(name(src, "nic%d.tx", nic)) {
 				continue
 			}
 		}
@@ -317,39 +388,37 @@ func refCrossNodePaths(src *topology.Node, sg int, dst *topology.Node, dg int, m
 		// the NIC) when it has NVLink to dg, otherwise any unused NVLink
 		// neighbor of dg.
 		landing := -1
-		if r < dst.Spec.NumGPUs && !usedLanding.has(r) &&
-			(r == dg || dst.Spec.NVLinkBps(r, dg) > 0) {
-			landing = r
+		if rt < spec.NumGPUs && !usedLanding.has(rt) &&
+			(rt == dg || spec.NVLinkBps(rt, dg) > 0) {
+			landing = rt
 		} else if mode == ModeTopoAware {
-			for _, cand := range dst.Spec.NVNeighbors(dg) {
+			for _, cand := range spec.NVNeighbors(dg) {
 				if !usedLanding.has(cand) {
 					landing = cand
 					break
 				}
 			}
-		} else if r < dst.Spec.NumGPUs {
-			landing = r // naive mode lands same-index regardless
+		} else if rt < spec.NumGPUs {
+			landing = rt // naive mode lands same-index regardless
 		}
 		if landing < 0 {
 			continue
 		}
 		usedNIC.add(nic)
 		usedLanding.add(landing)
-		var hop []topology.LinkID
+		hop := r.p2p(src, sg, rt)
 		if linked {
-			hop = src.NVLinkPairLinks(sg, r)
-		} else {
-			hop = src.PCIeP2PLinks(sg, r)
+			hop = r.nvPair(src, sg, rt)
 		}
-		var final []topology.LinkID
+		var final []string
 		if landing != dg {
-			if dst.Spec.NVLinkBps(landing, dg) > 0 {
-				final = dst.NVLinkPairLinks(landing, dg)
+			if spec.NVLinkBps(landing, dg) > 0 {
+				final = r.nvPair(dst, landing, dg)
 			} else {
-				final = dst.PCIeP2PLinks(landing, dg)
+				final = r.p2p(dst, landing, dg)
 			}
 		}
-		paths = append(paths, joinLinks(hop, src.GPUToNICLinks(r, nic), dst.NICToGPULinks(nic, landing), final))
+		paths = append(paths, join(hop, r.gpuToNIC(src, rt, nic), r.nicToGPU(dst, nic, landing), final))
 	}
 	return paths
 }
@@ -377,21 +446,22 @@ func gatingLinks(cl *topology.Cluster) []topology.LinkID {
 
 // TestRoutesMatchReference is the route oracle: on every builtin topology,
 // in every mode, for every (source, destination) GPU pair between every
-// ordered pair of three nodes, the shared route table returns exactly what
-// the uncached reference builders return. Each seed loads a random set of gating links with real
-// flows — some past the 80% idle threshold, some below it — so the idle
-// filter's verdicts vary while the memo stays warm across seeds.
+// ordered pair of three nodes, the shared route table returns, by name,
+// exactly what the uncached reference builders return. Each seed loads a
+// random set of gating links with real flows — some past the 80% idle
+// threshold, some below it — so the idle filter's verdicts vary while the
+// memo stays warm across seeds.
 func TestRoutesMatchReference(t *testing.T) {
-	for _, name := range []string{"dgx-v100", "dgx-a100", "h800x8", "quad-a10"} {
-		spec := topology.SpecByName(name)
+	for _, spec := range []*topology.Spec{topology.DGXV100(), topology.DGXA100(), topology.H800x8(), topology.QuadA10()} {
 		cl := topology.NewCluster(spec, 3)
 		rt := NewRoutes(cl)
+		ref := newRefRoutes(cl)
 		gating := gatingLinks(cl)
 		var buf [][]topology.LinkID
 		for seed := int64(0); seed < 12; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			e := sim.NewEngine()
-			net := netsim.New(e, cl.Links())
+			net := netsim.New(e, cl)
 			for _, id := range gating {
 				if rng.Intn(3) == 0 {
 					frac := 0.5 + 0.5*rng.Float64()
@@ -406,25 +476,33 @@ func TestRoutesMatchReference(t *testing.T) {
 				}
 			}
 			if seed > 0 && busy == 0 {
-				t.Fatalf("%s seed %d: no gating link loaded past 80%%", name, seed)
+				t.Fatalf("%s seed %d: no gating link loaded past 80%%", spec.Name, seed)
 			}
 			if seed == 0 {
 				net = nil // the unfiltered case
 			}
-			check := func(what string, got, want [][]topology.LinkID) {
+			ref.net = net
+			check := func(what string, got [][]topology.LinkID, want [][]string) {
 				t.Helper()
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s seed %d %s:\n got %v\nwant %v", name, seed, what, got, want)
+				var names [][]string
+				for _, p := range got {
+					var path []string
+					for _, id := range p {
+						path = append(path, cl.LinkName(id))
+					}
+					names = append(names, path)
+				}
+				if !reflect.DeepEqual(names, want) {
+					t.Fatalf("%s seed %d %s:\n got %v\nwant %v", spec.Name, seed, what, names, want)
 				}
 			}
 			for _, mode := range []Mode{ModeOff, ModeNaive, ModeTopoAware} {
 				for n := range cl.Nodes {
-					node := cl.Node(n)
 					for g := 0; g < spec.NumGPUs; g++ {
 						buf = rt.GPUToHostPaths(buf, n, g, mode, net)
-						check(fmt.Sprintf("up n%d g%d mode %d", n, g, mode), buf, refGPUToHostPaths(node, g, mode, net))
+						check(fmt.Sprintf("up n%d g%d mode %d", n, g, mode), buf, ref.gpuToHostPaths(n, g, mode))
 						buf = rt.HostToGPUPaths(buf, n, g, mode, net)
-						check(fmt.Sprintf("down n%d g%d mode %d", n, g, mode), buf, refHostToGPUPaths(node, g, mode, net))
+						check(fmt.Sprintf("down n%d g%d mode %d", n, g, mode), buf, ref.hostToGPUPaths(n, g, mode))
 					}
 				}
 				for src := range cl.Nodes {
@@ -435,7 +513,7 @@ func TestRoutesMatchReference(t *testing.T) {
 						for sg := 0; sg < spec.NumGPUs; sg++ {
 							for dg := 0; dg < spec.NumGPUs; dg++ {
 								buf = rt.CrossNodePaths(buf, src, sg, dst, dg, mode, net)
-								want := refCrossNodePaths(cl.Node(src), sg, cl.Node(dst), dg, mode, net)
+								want := ref.crossNodePaths(src, sg, dst, dg, mode)
 								check(fmt.Sprintf("cross n%d.g%d→n%d.g%d mode %d", src, sg, dst, dg, mode), buf, want)
 							}
 						}
@@ -454,7 +532,7 @@ func TestRoutesSteadyStateAllocFree(t *testing.T) {
 	rt := NewRoutes(cl)
 	e := sim.NewEngine()
 	defer e.Close()
-	net := netsim.New(e, cl.Links())
+	net := netsim.New(e, cl)
 	buf := make([][]topology.LinkID, 0, 8)
 	call := func() {
 		buf = rt.GPUToHostPaths(buf, 0, 3, ModeTopoAware, net)

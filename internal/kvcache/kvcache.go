@@ -91,7 +91,7 @@ func (c *Cluster) TransferKV(p *sim.Proc, sys System, llm *models.LLM, tokens, t
 		for g := 0; g < tp; g++ {
 			reqs = append(reqs, xfer.Request{
 				Label: "kv-d2h", Bytes: shard,
-				Paths: []xfer.Path{xfer.PathOf(c.F.Net, srcT.GPUToHostLinks(g))},
+				Paths: []xfer.Path{xfer.PathOf(c.F.Net, srcT.AppendGPUToHostLinks(nil, g))},
 				Opt:   netsim.Options{MaxRate: pageableBps},
 			})
 		}
@@ -106,7 +106,7 @@ func (c *Cluster) TransferKV(p *sim.Proc, sys System, llm *models.LLM, tokens, t
 		for g := 0; g < tp; g++ {
 			reqs = append(reqs, xfer.Request{
 				Label: "kv-h2d", Bytes: shard,
-				Paths: []xfer.Path{xfer.PathOf(c.F.Net, dstT.HostToGPULinks(g))},
+				Paths: []xfer.Path{xfer.PathOf(c.F.Net, dstT.AppendHostToGPULinks(nil, g))},
 				Opt:   netsim.Options{MaxRate: pageableBps},
 			})
 		}
@@ -119,9 +119,8 @@ func (c *Cluster) TransferKV(p *sim.Proc, sys System, llm *models.LLM, tokens, t
 		for g := 0; g < tp; g++ {
 			store := relay(g)
 			nic := srcT.Spec.GPUNIC[g]
-			var links []topology.LinkID
-			links = append(links, srcT.GPUToNICLinks(g, nic)...)
-			links = append(links, dstT.NICToGPULinks(nic, store)...)
+			links := srcT.AppendGPUToNICLinks(nil, g, nic)
+			links = dstT.AppendNICToGPULinks(links, nic, store)
 			reqs = append(reqs, xfer.Request{
 				Label: "kv-gdr", Bytes: shard,
 				Paths: []xfer.Path{xfer.PathOf(c.F.Net, links)},
@@ -133,7 +132,7 @@ func (c *Cluster) TransferKV(p *sim.Proc, sys System, llm *models.LLM, tokens, t
 		for g := 0; g < tp; g++ {
 			reqs = append(reqs, xfer.Request{
 				Label: "kv-store-copy", Bytes: shard,
-				Paths: []xfer.Path{xfer.PathOf(c.F.Net, dstT.NVLinkPathLinks([]int{relay(g), g}))},
+				Paths: []xfer.Path{xfer.PathOf(c.F.Net, dstT.AppendNVLinkPathLinks(nil, []int{relay(g), g}))},
 			})
 		}
 		c.transferAll(p, reqs)
@@ -154,12 +153,12 @@ func (c *Cluster) TransferKV(p *sim.Proc, sys System, llm *models.LLM, tokens, t
 				nic := srcT.Spec.GPUNIC[route]
 				var links []topology.LinkID
 				if route != g {
-					links = append(links, srcT.NVLinkPathLinks([]int{g, route})...)
+					links = srcT.AppendNVLinkPathLinks(links, []int{g, route})
 				}
-				links = append(links, srcT.GPUToNICLinks(route, nic)...)
-				links = append(links, dstT.NICToGPULinks(nic, route)...)
+				links = srcT.AppendGPUToNICLinks(links, route, nic)
+				links = dstT.AppendNICToGPULinks(links, nic, route)
 				if route != g {
-					links = append(links, dstT.NVLinkPathLinks([]int{route, g})...)
+					links = dstT.AppendNVLinkPathLinks(links, []int{route, g})
 				}
 				paths = append(paths, xfer.PathOf(c.F.Net, links))
 			}

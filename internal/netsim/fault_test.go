@@ -11,17 +11,17 @@ import (
 
 func TestFailLinkKillsMidFlightFlow(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	var f *Flow
 	var at time.Duration
 	e.Go("xfer", func(p *sim.Proc) {
-		f = n.Start("doomed", []topology.LinkID{"l1"}, 1000, Options{})
+		f = n.Start("doomed", []topology.LinkID{0}, 1000, Options{})
 		f.Done().Wait(p)
 		at = p.Now()
 	})
 	e.Go("fault", func(p *sim.Proc) {
 		p.Sleep(4 * time.Second)
-		n.FailLink("l1")
+		n.FailLink(0)
 	})
 	run(t, e)
 	if !f.Failed() {
@@ -45,21 +45,21 @@ func TestFailLinkKillsMidFlightFlow(t *testing.T) {
 
 func TestFailLinkReratesSurvivors(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"a": 1000, "b": 100})
+	n := testNet(e, 1000, 100)
 	var victim, survivor *Flow
 	var dSurvivor time.Duration
 	e.Go("victim", func(p *sim.Proc) {
-		victim = n.Start("victim", []topology.LinkID{"a", "b"}, 1000, Options{})
+		victim = n.Start("victim", []topology.LinkID{0, 1}, 1000, Options{})
 		victim.Done().Wait(p)
 	})
 	e.Go("survivor", func(p *sim.Proc) {
-		survivor = n.Start("survivor", []topology.LinkID{"b"}, 1000, Options{})
+		survivor = n.Start("survivor", []topology.LinkID{1}, 1000, Options{})
 		survivor.Done().Wait(p)
 		dSurvivor = p.Now()
 	})
 	e.Go("fault", func(p *sim.Proc) {
 		p.Sleep(4 * time.Second)
-		n.FailLink("a")
+		n.FailLink(0)
 	})
 	run(t, e)
 	if !victim.Failed() {
@@ -75,11 +75,11 @@ func TestFailLinkReratesSurvivors(t *testing.T) {
 
 func TestStartOnDownPathFailsImmediately(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"up": 100, "down": 100})
+	n := testNet(e, 100, 100)
 	var f *Flow
 	e.Go("xfer", func(p *sim.Proc) {
-		n.FailLink("down")
-		f = n.Start("dead-on-arrival", []topology.LinkID{"up", "down"}, 500, Options{})
+		n.FailLink(1)
+		f = n.Start("dead-on-arrival", []topology.LinkID{0, 1}, 500, Options{})
 		f.Done().Wait(p)
 		if p.Now() != 0 {
 			t.Errorf("down-path start failed at %v, want the same instant", p.Now())
@@ -99,22 +99,22 @@ func TestStartOnDownPathFailsImmediately(t *testing.T) {
 
 func TestRestoreLinkAllowsNewFlows(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	var d time.Duration
 	e.Go("xfer", func(p *sim.Proc) {
-		n.FailLink("l1")
-		if n.LinkUp("l1") {
+		n.FailLink(0)
+		if n.LinkUp(0) {
 			t.Error("LinkUp true for a failed link")
 		}
-		if n.PathUp([]topology.LinkID{"l1"}) {
+		if n.PathUp([]topology.LinkID{0}) {
 			t.Error("PathUp true for a path crossing a failed link")
 		}
 		p.Sleep(time.Second)
-		n.RestoreLink("l1")
-		if !n.LinkUp("l1") {
+		n.RestoreLink(0)
+		if !n.LinkUp(0) {
 			t.Error("LinkUp false after restore")
 		}
-		f := n.Start("retry", []topology.LinkID{"l1"}, 1000, Options{})
+		f := n.Start("retry", []topology.LinkID{0}, 1000, Options{})
 		f.Done().Wait(p)
 		d = p.Now()
 	})
@@ -125,17 +125,17 @@ func TestRestoreLinkAllowsNewFlows(t *testing.T) {
 
 func TestSetLinkBpsReratesMidFlight(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	var d time.Duration
 	e.Go("xfer", func(p *sim.Proc) {
-		f := n.Start("degraded", []topology.LinkID{"l1"}, 1000, Options{})
+		f := n.Start("degraded", []topology.LinkID{0}, 1000, Options{})
 		f.Done().Wait(p)
 		d = p.Now()
 	})
 	e.Go("fault", func(p *sim.Proc) {
 		p.Sleep(5 * time.Second)
-		n.SetLinkBps("l1", 50)
-		if got := n.Capacity("l1"); got != 50 {
+		n.SetLinkBps(0, 50)
+		if got := n.Capacity(0); got != 50 {
 			t.Errorf("Capacity after degrade = %f, want 50", got)
 		}
 	})
@@ -146,16 +146,16 @@ func TestSetLinkBpsReratesMidFlight(t *testing.T) {
 
 func TestSetLinkBpsRestoreSpeedsUp(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 50})
+	n := testNet(e, 50)
 	var d time.Duration
 	e.Go("xfer", func(p *sim.Proc) {
-		f := n.Start("boosted", []topology.LinkID{"l1"}, 1000, Options{})
+		f := n.Start("boosted", []topology.LinkID{0}, 1000, Options{})
 		f.Done().Wait(p)
 		d = p.Now()
 	})
 	e.Go("fault", func(p *sim.Proc) {
 		p.Sleep(10 * time.Second)
-		n.SetLinkBps("l1", 100)
+		n.SetLinkBps(0, 100)
 	})
 	run(t, e)
 	// 500 B at 50 B/s, then 500 B at 100 B/s → 10 + 5 = 15s.
@@ -165,32 +165,32 @@ func TestSetLinkBpsRestoreSpeedsUp(t *testing.T) {
 func TestPathUpEdgeCases(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	n := testNet(e, map[topology.LinkID]float64{"a": 100, "b": 100})
+	n := testNet(e, 100, 100)
 	if n.PathUp(nil) {
 		t.Error("PathUp(nil) = true, want false")
 	}
-	if !n.PathUp([]topology.LinkID{"a", "b"}) {
+	if !n.PathUp([]topology.LinkID{0, 1}) {
 		t.Error("PathUp for healthy path = false")
 	}
-	n.FailLink("b")
-	if n.PathUp([]topology.LinkID{"a", "b"}) {
+	n.FailLink(1)
+	if n.PathUp([]topology.LinkID{0, 1}) {
 		t.Error("PathUp true with one hop down")
 	}
-	if !n.PathUp([]topology.LinkID{"a"}) {
+	if !n.PathUp([]topology.LinkID{0}) {
 		t.Error("PathUp false for a path avoiding the down link")
 	}
 }
 
 func TestFailLinkIdempotentRestorePairs(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	var d time.Duration
 	e.Go("xfer", func(p *sim.Proc) {
-		n.FailLink("l1")
-		n.FailLink("l1") // double fail is a no-op
-		n.RestoreLink("l1")
-		n.RestoreLink("l1") // double restore is a no-op
-		f := n.Start("after", []topology.LinkID{"l1"}, 100, Options{})
+		n.FailLink(0)
+		n.FailLink(0) // double fail is a no-op
+		n.RestoreLink(0)
+		n.RestoreLink(0) // double restore is a no-op
+		f := n.Start("after", []topology.LinkID{0}, 100, Options{})
 		f.Done().Wait(p)
 		d = p.Now()
 	})
@@ -201,11 +201,11 @@ func TestFailLinkIdempotentRestorePairs(t *testing.T) {
 func TestSetLinkBpsValidation(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	for name, fn := range map[string]func(){
-		"unknown link": func() { n.SetLinkBps("nope", 10) },
-		"zero bps":     func() { n.SetLinkBps("l1", 0) },
-		"negative bps": func() { n.SetLinkBps("l1", -5) },
+		"unknown link": func() { n.SetLinkBps(1, 10) },
+		"zero bps":     func() { n.SetLinkBps(0, 0) },
+		"negative bps": func() { n.SetLinkBps(0, -5) },
 	} {
 		func() {
 			defer func() {
@@ -223,10 +223,9 @@ func TestSetLinkBpsValidation(t *testing.T) {
 // equal to its payload, failed or not.
 func TestFailureByteConservationUnderChurn(t *testing.T) {
 	e := sim.NewEngine()
-	caps := map[topology.LinkID]float64{"a": 100, "b": 50, "c": 200}
-	n := testNet(e, caps)
+	n := testNet(e, 100, 50, 200)
 	paths := [][]topology.LinkID{
-		{"a"}, {"b"}, {"c"}, {"a", "b"}, {"b", "c"}, {"a", "b", "c"},
+		{0}, {1}, {2}, {0, 1}, {1, 2}, {0, 1, 2},
 	}
 	var flows []*Flow
 	var totals []float64
@@ -245,12 +244,12 @@ func TestFailureByteConservationUnderChurn(t *testing.T) {
 		down bool
 		id   topology.LinkID
 	}{
-		{500 * time.Millisecond, true, "b"},
-		{900 * time.Millisecond, false, "b"},
-		{1300 * time.Millisecond, true, "a"},
-		{2100 * time.Millisecond, false, "a"},
-		{2500 * time.Millisecond, true, "c"},
-		{3300 * time.Millisecond, false, "c"},
+		{500 * time.Millisecond, true, 1},
+		{900 * time.Millisecond, false, 1},
+		{1300 * time.Millisecond, true, 0},
+		{2100 * time.Millisecond, false, 0},
+		{2500 * time.Millisecond, true, 2},
+		{3300 * time.Millisecond, false, 2},
 	}
 	for _, fa := range faults {
 		fa := fa

@@ -38,7 +38,7 @@ func FuzzFaultSchedule(f *testing.F) {
 		e := sim.NewEngine()
 		defer e.Close()
 		links := diffTopology(rng)
-		net := New(e, links)
+		net := testNet(e, links...)
 
 		type started struct {
 			flow     *Flow
@@ -107,7 +107,7 @@ func FuzzFaultSchedule(f *testing.F) {
 			}
 		}
 		downSet := map[topology.LinkID]bool{}
-		randLink := func() topology.LinkID { return links[rng.Intn(len(links))].ID }
+		randLink := func() topology.LinkID { return topology.LinkID(rng.Intn(len(links))) }
 
 		nEvents := 40 + rng.Intn(40)
 		var horizon time.Duration
@@ -122,7 +122,7 @@ func FuzzFaultSchedule(f *testing.F) {
 				case op < 8 || len(live) == 0:
 					// Paths may legitimately cross down links: such flows must
 					// fail at this instant with zero bytes moved.
-					path := diffPath(rng, links)
+					path := diffPath(rng, len(links))
 					fl := net.Start("fz", path, float64(100+rng.Intn(300000)), diffOptions(rng))
 					if recycled[fl] {
 						delete(recycled, fl)
@@ -177,8 +177,8 @@ func FuzzFaultSchedule(f *testing.F) {
 		// Heal the fabric after the last event so surviving flows can drain
 		// and Run(0) terminates.
 		e.Schedule(horizon+time.Millisecond, func() {
-			for _, l := range links {
-				net.RestoreLink(l.ID)
+			for id := range links {
+				net.RestoreLink(topology.LinkID(id))
 			}
 		})
 		e.Run(0)

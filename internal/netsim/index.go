@@ -6,15 +6,11 @@ import (
 	"grouter/internal/topology"
 )
 
-// linkState is one registered link in the dense link table. Scratch fields
-// are epoch/stamp-guarded so recomputes never clear them between passes.
+// linkState is one link in the dense link table, at the index of its
+// handle. Scratch fields are epoch/stamp-guarded so recomputes never clear
+// them between passes.
 type linkState struct {
-	id       topology.LinkID
 	capacity float64
-	// down marks a failed link: no active flow ever crosses a down link
-	// (FailLink kills the crossing flows, Start fails new ones immediately),
-	// so the allocator never needs to special-case it.
-	down bool
 	// alloc is the maintained total rate of active flows crossing the link;
 	// it makes AllocatedOn/FreeOn O(1) and Utilization O(links).
 	alloc float64
@@ -24,8 +20,12 @@ type linkState struct {
 
 	visited  int64   // == Network.epoch when in the current component
 	free     float64 // water-fill scratch: residual capacity
-	cnt      int32   // water-fill scratch: unfrozen flows this iteration
 	cntStamp int64   // == Network.stamp when cnt is current
+	cnt      int32   // water-fill scratch: unfrozen flows this iteration
+	// down marks a failed link: no active flow ever crosses a down link
+	// (FailLink kills the crossing flows, Start fails new ones immediately),
+	// so the allocator never needs to special-case it.
+	down bool
 }
 
 // flowSlot is one link's reference to a crossing flow; slot is the index of
@@ -272,21 +272,22 @@ func (n *Network) heapSwap(i, j int) {
 func (n *Network) checkIntegrity() error {
 	for i := range n.links {
 		l := &n.links[i]
+		name := n.name(topology.LinkID(i))
 		sum := 0.0
 		for pos, s := range l.flows {
 			if !s.f.active {
-				return fmt.Errorf("link %s lists inactive flow %q", l.id, s.f.label)
+				return fmt.Errorf("link %s lists inactive flow %q", name, s.f.label)
 			}
 			if s.f.pathIdx[s.slot] != int32(i) || s.f.linkPos[s.slot] != int32(pos) {
-				return fmt.Errorf("link %s slot %d back-pointer mismatch for %q", l.id, pos, s.f.label)
+				return fmt.Errorf("link %s slot %d back-pointer mismatch for %q", name, pos, s.f.label)
 			}
 			sum += s.f.rate
 		}
 		if diff := l.alloc - sum; diff > 1e-6 || diff < -1e-6 {
-			return fmt.Errorf("link %s alloc drift: maintained %f vs summed %f", l.id, l.alloc, sum)
+			return fmt.Errorf("link %s alloc drift: maintained %f vs summed %f", name, l.alloc, sum)
 		}
 		if l.alloc > l.capacity*(1+1e-9)+1e-6 {
-			return fmt.Errorf("link %s over capacity: %f > %f", l.id, l.alloc, l.capacity)
+			return fmt.Errorf("link %s over capacity: %f > %f", name, l.alloc, l.capacity)
 		}
 	}
 	for i, f := range n.completions {

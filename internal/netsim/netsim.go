@@ -19,7 +19,7 @@
 // keep their rates and completion schedules, which is exact for max-min
 // fairness because disjoint components impose no constraints on each other
 // (see alloc.go for the allocator and the retained reference oracle, and
-// index.go for the dense link index backing it).
+// index.go for the dense link table backing it).
 package netsim
 
 import (
@@ -57,9 +57,10 @@ type Network struct {
 	// in sharded runs (-1 = unsharded, no tag emitted).
 	shard int32
 
-	// Dense link table; see index.go.
-	linkIndex map[topology.LinkID]int
-	links     []linkState
+	// links is the dense link table, indexed by link handle (see index.go);
+	// name formats a handle for messages and Utilization.
+	links []linkState
+	name  func(topology.LinkID) string
 
 	// order holds the active flows sorted by (priority desc, seq asc) — the
 	// allocation order — and is maintained incrementally so recomputes never
@@ -146,16 +147,23 @@ type Options struct {
 	Priority int
 }
 
-// New builds a network over the given links.
-func New(e *sim.Engine, links []topology.Link) *Network {
-	n := &Network{
-		engine:    e,
-		shard:     -1,
-		linkIndex: make(map[topology.LinkID]int, len(links)),
-	}
+// New builds a network over every link of c. The link table is indexed by
+// link handle, so a path's handles address it directly, and it is built
+// once, at its exact size.
+func New(e *sim.Engine, c *topology.Cluster) *Network {
+	return newNetwork(e, c.NumLinks(), c.LinkBps, c.LinkName)
+}
+
+// newNetwork builds a network over links handles 0..links-1, each at the
+// capacity bps gives it. It panics on a non-positive capacity.
+func newNetwork(e *sim.Engine, links int, bps func(topology.LinkID) float64, name func(topology.LinkID) string) *Network {
+	n := &Network{engine: e, shard: -1, links: make([]linkState, links), name: name}
 	n.timerFn = n.fireTimer
-	for _, l := range links {
-		n.AddLink(l)
+	for i := range n.links {
+		id := topology.LinkID(i)
+		if n.links[i].capacity = bps(id); n.links[i].capacity <= 0 {
+			panic(fmt.Sprintf("netsim: link %s has non-positive capacity", name(id)))
+		}
 	}
 	return n
 }
@@ -165,42 +173,15 @@ func New(e *sim.Engine, links []topology.Link) *Network {
 // construction; unsharded simulations leave the network untagged.
 func (n *Network) SetShard(shard int32) { n.shard = shard }
 
-// AddLink registers a link, assigning it a dense index. Re-adding an
-// existing ID replaces its capacity.
-func (n *Network) AddLink(l topology.Link) {
-	if l.Bps <= 0 {
-		panic(fmt.Sprintf("netsim: link %s has non-positive capacity", l.ID))
-	}
-	if i, ok := n.linkIndex[l.ID]; ok {
-		n.links[i].capacity = l.Bps
-		return
-	}
-	n.linkIndex[l.ID] = len(n.links)
-	n.links = append(n.links, linkState{id: l.ID, capacity: l.Bps})
-}
-
-// HasLink reports whether id is registered.
-func (n *Network) HasLink(id topology.LinkID) bool {
-	_, ok := n.linkIndex[id]
-	return ok
-}
-
 // Capacity returns a link's capacity in bytes/s.
-func (n *Network) Capacity(id topology.LinkID) float64 {
-	i, ok := n.linkIndex[id]
-	if !ok {
-		return 0
-	}
-	return n.links[i].capacity
-}
+func (n *Network) Capacity(id topology.LinkID) float64 { return n.links[id].capacity }
 
 // PathBps returns the bottleneck capacity over a link path, or 0 if the path
-// is empty or crosses an unknown link.
+// is empty.
 func (n *Network) PathBps(links []topology.LinkID) float64 {
 	min := 0.0
 	for i, id := range links {
-		c := n.Capacity(id)
-		if i == 0 || c < min {
+		if c := n.links[id].capacity; i == 0 || c < min {
 			min = c
 		}
 	}
@@ -215,12 +196,12 @@ func (n *Network) NetStats() *metrics.AllocatorStats { return &n.stats }
 func (n *Network) Faults() *metrics.FaultStats { return &n.faults }
 
 // Start launches a flow of the given byte size over path. A zero-byte flow
-// completes at the current instant. Start panics on an unknown link, which
-// indicates a path-construction bug.
+// completes at the current instant. Start panics on a handle outside the
+// network, which indicates a path-construction bug.
 func (n *Network) Start(label string, path []topology.LinkID, bytes float64, opt Options) *Flow {
 	for _, id := range path {
-		if _, ok := n.linkIndex[id]; !ok {
-			panic(fmt.Sprintf("netsim: flow %q uses unknown link %s", label, id))
+		if uint(id) >= uint(len(n.links)) {
+			panic(fmt.Sprintf("netsim: flow %q uses unknown link %d", label, id))
 		}
 	}
 	if bytes < 0 {
@@ -249,7 +230,7 @@ func (n *Network) Start(label string, path []topology.LinkID, bytes float64, opt
 		return f
 	}
 	for _, id := range path {
-		if n.links[n.linkIndex[id]].down {
+		if n.links[id].down {
 			// The path crosses a failed link: the flow fails at the current
 			// instant without moving a byte. Callers observe Failed() after
 			// the done signal and retry or re-plan.
@@ -270,7 +251,7 @@ func (n *Network) Start(label string, path []topology.LinkID, bytes float64, opt
 	f.pathIdx = slab[:len(path):len(path)]
 	f.linkPos = slab[len(path):]
 	for i, id := range path {
-		f.pathIdx[i] = int32(n.linkIndex[id])
+		f.pathIdx[i] = int32(id)
 	}
 	n.insertFlow(f)
 	n.markDirty(f)
@@ -418,19 +399,16 @@ func (f *Flow) advance(now time.Duration) {
 
 // --- fault operations (driven by internal/faults) ---
 
-// LinkUp reports whether id is registered and not failed.
-func (n *Network) LinkUp(id topology.LinkID) bool {
-	i, ok := n.linkIndex[id]
-	return ok && !n.links[i].down
-}
+// LinkUp reports whether a link is not failed.
+func (n *Network) LinkUp(id topology.LinkID) bool { return !n.links[id].down }
 
-// PathUp reports whether every link of the path is registered and up.
+// PathUp reports whether the path is non-empty and every link of it is up.
 func (n *Network) PathUp(links []topology.LinkID) bool {
 	if len(links) == 0 {
 		return false
 	}
 	for _, id := range links {
-		if !n.LinkUp(id) {
+		if n.links[id].down {
 			return false
 		}
 	}
@@ -439,21 +417,18 @@ func (n *Network) PathUp(links []topology.LinkID) bool {
 
 // SetLinkBps changes a link's capacity at the current instant (degradation or
 // recovery). Crossing flows keep their lazily-advanced progress and are
-// re-rated by the recompute this schedules. Panics on an unknown link or
-// non-positive capacity, like AddLink.
+// re-rated by the recompute this schedules. Panics on a non-positive
+// capacity, like New.
 func (n *Network) SetLinkBps(id topology.LinkID, bps float64) {
-	i, ok := n.linkIndex[id]
-	if !ok {
-		panic(fmt.Sprintf("netsim: SetLinkBps on unknown link %s", id))
-	}
 	if bps <= 0 {
-		panic(fmt.Sprintf("netsim: link %s capacity %f (use FailLink for outages)", id, bps))
+		panic(fmt.Sprintf("netsim: link %s capacity %f (use FailLink for outages)", n.name(id), bps))
 	}
-	if n.links[i].capacity == bps {
+	l := &n.links[id]
+	if l.capacity == bps {
 		return
 	}
-	n.links[i].capacity = bps
-	n.dirtyLinks = append(n.dirtyLinks, i)
+	l.capacity = bps
+	n.dirtyLinks = append(n.dirtyLinks, int(id))
 	n.requestEvent(n.engine.Now())
 }
 
@@ -462,11 +437,7 @@ func (n *Network) SetLinkBps(id topology.LinkID, bps float64) {
 // new flows whose path crosses the link fail immediately until RestoreLink.
 // Failing an already-down link is a no-op.
 func (n *Network) FailLink(id topology.LinkID) {
-	i, ok := n.linkIndex[id]
-	if !ok {
-		panic(fmt.Sprintf("netsim: FailLink on unknown link %s", id))
-	}
-	l := &n.links[i]
+	l := &n.links[id]
 	if l.down {
 		return
 	}
@@ -482,19 +453,13 @@ func (n *Network) FailLink(id topology.LinkID) {
 	for _, f := range victims {
 		n.failFlow(f, now)
 	}
-	n.dirtyLinks = append(n.dirtyLinks, i)
+	n.dirtyLinks = append(n.dirtyLinks, int(id))
 	n.requestEvent(now)
 }
 
 // RestoreLink brings a failed link back at its current capacity. Flows killed
 // by the outage stay failed; only new Starts see the restored link.
-func (n *Network) RestoreLink(id topology.LinkID) {
-	i, ok := n.linkIndex[id]
-	if !ok {
-		panic(fmt.Sprintf("netsim: RestoreLink on unknown link %s", id))
-	}
-	n.links[i].down = false
-}
+func (n *Network) RestoreLink(id topology.LinkID) { n.links[id].down = false }
 
 // failFlow terminates one flow at a link failure: progress is advanced to the
 // failure instant and frozen, peers sharing any of its links are queued for
@@ -540,35 +505,22 @@ func (n *Network) ActiveFlows() int { return len(n.order) }
 
 // AllocatedOn returns the total rate currently allocated on a link, from
 // maintained per-link totals (O(1)).
-func (n *Network) AllocatedOn(id topology.LinkID) float64 {
-	i, ok := n.linkIndex[id]
-	if !ok {
-		return 0
-	}
-	return n.links[i].alloc
-}
+func (n *Network) AllocatedOn(id topology.LinkID) float64 { return n.links[id].alloc }
 
-// Utilization snapshots every link's allocated fraction (0..1). Useful for
-// debugging contention in experiments.
-func (n *Network) Utilization() map[topology.LinkID]float64 {
-	out := make(map[topology.LinkID]float64, len(n.links))
+// Utilization snapshots every link's allocated fraction (0..1), keyed by
+// link name. Useful for debugging contention in experiments.
+func (n *Network) Utilization() map[string]float64 {
+	out := make(map[string]float64, len(n.links))
 	for i := range n.links {
 		l := &n.links[i]
-		out[l.id] = 0
-		if l.capacity > 0 {
-			out[l.id] = l.alloc / l.capacity
-		}
+		out[n.name(topology.LinkID(i))] = l.alloc / l.capacity
 	}
 	return out
 }
 
 // FreeOn returns a link's unallocated capacity (O(1)).
 func (n *Network) FreeOn(id topology.LinkID) float64 {
-	i, ok := n.linkIndex[id]
-	if !ok {
-		return 0
-	}
-	free := n.links[i].capacity - n.links[i].alloc
+	free := n.links[id].capacity - n.links[id].alloc
 	if free < 0 {
 		return 0
 	}

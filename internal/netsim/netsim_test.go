@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -9,13 +10,13 @@ import (
 	"grouter/internal/topology"
 )
 
-func testNet(e *sim.Engine, caps map[topology.LinkID]float64) *Network {
-	var links []topology.Link
-	for id, bps := range caps {
-		links = append(links, topology.Link{ID: id, Kind: topology.KindNVLink, Bps: bps})
-	}
-	return New(e, links)
+// testNet builds a network whose link i has capacity caps[i] and is named
+// "l<i>".
+func testNet(e *sim.Engine, caps ...float64) *Network {
+	return newNetwork(e, len(caps), func(id topology.LinkID) float64 { return caps[id] }, testLinkName)
 }
+
+func testLinkName(id topology.LinkID) string { return fmt.Sprintf("l%d", id) }
 
 // run runs the engine to completion and returns the final time.
 func run(t *testing.T, e *sim.Engine) time.Duration {
@@ -41,10 +42,10 @@ func approx(t *testing.T, got, want time.Duration, tol float64, msg string) {
 
 func TestSingleFlowCompletionTime(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	var done time.Duration
 	e.Go("xfer", func(p *sim.Proc) {
-		f := n.Start("f", []topology.LinkID{"l1"}, 1000, Options{})
+		f := n.Start("f", []topology.LinkID{0}, 1000, Options{})
 		f.Done().Wait(p)
 		done = p.Now()
 	})
@@ -54,15 +55,15 @@ func TestSingleFlowCompletionTime(t *testing.T) {
 
 func TestTwoFlowsShareLinkFairly(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	var d1, d2 time.Duration
 	e.Go("a", func(p *sim.Proc) {
-		f := n.Start("a", []topology.LinkID{"l1"}, 500, Options{})
+		f := n.Start("a", []topology.LinkID{0}, 500, Options{})
 		f.Done().Wait(p)
 		d1 = p.Now()
 	})
 	e.Go("b", func(p *sim.Proc) {
-		f := n.Start("b", []topology.LinkID{"l1"}, 500, Options{})
+		f := n.Start("b", []topology.LinkID{0}, 500, Options{})
 		f.Done().Wait(p)
 		d2 = p.Now()
 	})
@@ -74,15 +75,15 @@ func TestTwoFlowsShareLinkFairly(t *testing.T) {
 
 func TestShortFlowReleasesBandwidth(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	var dLong time.Duration
 	e.Go("long", func(p *sim.Proc) {
-		f := n.Start("long", []topology.LinkID{"l1"}, 1000, Options{})
+		f := n.Start("long", []topology.LinkID{0}, 1000, Options{})
 		f.Done().Wait(p)
 		dLong = p.Now()
 	})
 	e.Go("short", func(p *sim.Proc) {
-		f := n.Start("short", []topology.LinkID{"l1"}, 100, Options{})
+		f := n.Start("short", []topology.LinkID{0}, 100, Options{})
 		f.Done().Wait(p)
 	})
 	run(t, e)
@@ -93,15 +94,15 @@ func TestShortFlowReleasesBandwidth(t *testing.T) {
 
 func TestDisjointPathsDoNotContend(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100, "l2": 100})
+	n := testNet(e, 100, 100)
 	var d1, d2 time.Duration
 	e.Go("a", func(p *sim.Proc) {
-		f := n.Start("a", []topology.LinkID{"l1"}, 1000, Options{})
+		f := n.Start("a", []topology.LinkID{0}, 1000, Options{})
 		f.Done().Wait(p)
 		d1 = p.Now()
 	})
 	e.Go("b", func(p *sim.Proc) {
-		f := n.Start("b", []topology.LinkID{"l2"}, 1000, Options{})
+		f := n.Start("b", []topology.LinkID{1}, 1000, Options{})
 		f.Done().Wait(p)
 		d2 = p.Now()
 	})
@@ -112,10 +113,10 @@ func TestDisjointPathsDoNotContend(t *testing.T) {
 
 func TestMultiHopBottleneck(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"fast": 1000, "slow": 10})
+	n := testNet(e, 1000, 10)
 	var d time.Duration
 	e.Go("a", func(p *sim.Proc) {
-		f := n.Start("a", []topology.LinkID{"fast", "slow"}, 100, Options{})
+		f := n.Start("a", []topology.LinkID{0, 1}, 100, Options{})
 		f.Done().Wait(p)
 		d = p.Now()
 	})
@@ -125,10 +126,10 @@ func TestMultiHopBottleneck(t *testing.T) {
 
 func TestMaxRateCap(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	var d time.Duration
 	e.Go("a", func(p *sim.Proc) {
-		f := n.Start("a", []topology.LinkID{"l1"}, 100, Options{MaxRate: 10})
+		f := n.Start("a", []topology.LinkID{0}, 100, Options{MaxRate: 10})
 		f.Done().Wait(p)
 		d = p.Now()
 	})
@@ -138,13 +139,13 @@ func TestMaxRateCap(t *testing.T) {
 
 func TestCapFreesBandwidthForOthers(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	var dFree time.Duration
 	e.Go("capped", func(p *sim.Proc) {
-		n.Start("capped", []topology.LinkID{"l1"}, 1e9, Options{MaxRate: 20})
+		n.Start("capped", []topology.LinkID{0}, 1e9, Options{MaxRate: 20})
 	})
 	e.Go("free", func(p *sim.Proc) {
-		f := n.Start("free", []topology.LinkID{"l1"}, 800, Options{})
+		f := n.Start("free", []topology.LinkID{0}, 800, Options{})
 		f.Done().Wait(p)
 		dFree = p.Now()
 	})
@@ -156,18 +157,18 @@ func TestCapFreesBandwidthForOthers(t *testing.T) {
 
 func TestMinRateReservationSurvivesContention(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	var dReserved time.Duration
 	// 8 background flows + 1 reserved flow. Without the reservation the
 	// reserved flow would get 100/9 ≈ 11 B/s; with MinRate 60 it must finish
 	// 600 bytes in ~10s.
 	for i := 0; i < 8; i++ {
 		e.Go("bg", func(p *sim.Proc) {
-			n.Start("bg", []topology.LinkID{"l1"}, 1e9, Options{})
+			n.Start("bg", []topology.LinkID{0}, 1e9, Options{})
 		})
 	}
 	e.Go("res", func(p *sim.Proc) {
-		f := n.Start("res", []topology.LinkID{"l1"}, 600, Options{MinRate: 60})
+		f := n.Start("res", []topology.LinkID{0}, 600, Options{MinRate: 60})
 		f.Done().Wait(p)
 		dReserved = p.Now()
 	})
@@ -185,15 +186,15 @@ func TestMinRateReservationSurvivesContention(t *testing.T) {
 
 func TestPriorityTierFillsFirst(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	var dHigh, dLow time.Duration
 	e.Go("low", func(p *sim.Proc) {
-		f := n.Start("low", []topology.LinkID{"l1"}, 1000, Options{Priority: 0})
+		f := n.Start("low", []topology.LinkID{0}, 1000, Options{Priority: 0})
 		f.Done().Wait(p)
 		dLow = p.Now()
 	})
 	e.Go("high", func(p *sim.Proc) {
-		f := n.Start("high", []topology.LinkID{"l1"}, 1000, Options{Priority: 1})
+		f := n.Start("high", []topology.LinkID{0}, 1000, Options{Priority: 1})
 		f.Done().Wait(p)
 		dHigh = p.Now()
 	})
@@ -205,10 +206,10 @@ func TestPriorityTierFillsFirst(t *testing.T) {
 
 func TestZeroByteFlowCompletesImmediately(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	var d time.Duration = -1
 	e.Go("z", func(p *sim.Proc) {
-		f := n.Start("z", []topology.LinkID{"l1"}, 0, Options{})
+		f := n.Start("z", []topology.LinkID{0}, 0, Options{})
 		f.Done().Wait(p)
 		d = p.Now()
 	})
@@ -220,10 +221,10 @@ func TestZeroByteFlowCompletesImmediately(t *testing.T) {
 
 func TestCancelStopsFlow(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	var f *Flow
 	e.Go("starter", func(p *sim.Proc) {
-		f = n.Start("doomed", []topology.LinkID{"l1"}, 1000, Options{})
+		f = n.Start("doomed", []topology.LinkID{0}, 1000, Options{})
 		p.Sleep(time.Second)
 		n.Cancel(f)
 	})
@@ -238,10 +239,10 @@ func TestCancelStopsFlow(t *testing.T) {
 
 func TestSetOptionsRepartitions(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	var d time.Duration
 	e.Go("a", func(p *sim.Proc) {
-		f := n.Start("a", []topology.LinkID{"l1"}, 1000, Options{MaxRate: 50})
+		f := n.Start("a", []topology.LinkID{0}, 1000, Options{MaxRate: 50})
 		p.Sleep(10 * time.Second) // 500 bytes done
 		f.SetOptions(Options{})   // uncap
 		f.Done().Wait(p)
@@ -254,9 +255,9 @@ func TestSetOptionsRepartitions(t *testing.T) {
 
 func TestRemainingAndRateObservers(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	e.Go("a", func(p *sim.Proc) {
-		f := n.Start("a", []topology.LinkID{"l1"}, 1000, Options{})
+		f := n.Start("a", []topology.LinkID{0}, 1000, Options{})
 		p.Sleep(4 * time.Second)
 		if r := f.Remaining(); math.Abs(r-600) > 1 {
 			t.Errorf("Remaining at 4s = %f, want 600", r)
@@ -264,10 +265,10 @@ func TestRemainingAndRateObservers(t *testing.T) {
 		if f.Rate() != 100 {
 			t.Errorf("Rate = %f, want 100", f.Rate())
 		}
-		if got := n.AllocatedOn("l1"); got != 100 {
+		if got := n.AllocatedOn(0); got != 100 {
 			t.Errorf("AllocatedOn = %f, want 100", got)
 		}
-		if got := n.FreeOn("l1"); got != 0 {
+		if got := n.FreeOn(0); got != 0 {
 			t.Errorf("FreeOn = %f, want 0", got)
 		}
 		f.Done().Wait(p)
@@ -278,23 +279,23 @@ func TestRemainingAndRateObservers(t *testing.T) {
 func TestUnknownLinkPanics(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100})
+	n := testNet(e, 100)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on unknown link")
 		}
 	}()
-	n.Start("bad", []topology.LinkID{"nope"}, 10, Options{})
+	n.Start("bad", []topology.LinkID{1}, 10, Options{})
 }
 
 // TestConservation checks a randomized scenario for capacity conservation:
 // at no recompute instant may a link carry more than its capacity.
 func TestConservationUnderChurn(t *testing.T) {
 	e := sim.NewEngine()
-	caps := map[topology.LinkID]float64{"a": 100, "b": 50, "c": 200}
-	n := testNet(e, caps)
+	caps := []float64{100, 50, 200}
+	n := testNet(e, caps...)
 	paths := [][]topology.LinkID{
-		{"a"}, {"b"}, {"c"}, {"a", "b"}, {"b", "c"}, {"a", "b", "c"},
+		{0}, {1}, {2}, {0, 1}, {1, 2}, {0, 1, 2},
 	}
 	for i := 0; i < 30; i++ {
 		i := i
@@ -315,8 +316,8 @@ func TestConservationUnderChurn(t *testing.T) {
 			p.Sleep(time.Duration(i%7) * 100 * time.Millisecond)
 			// Check conservation on every link at this instant.
 			for id, cap := range caps {
-				if got := n.AllocatedOn(id); got > cap*1.0001 {
-					t.Errorf("link %s over capacity: %f > %f", id, got, cap)
+				if got := n.AllocatedOn(topology.LinkID(id)); got > cap*1.0001 {
+					t.Errorf("link %d over capacity: %f > %f", id, got, cap)
 				}
 			}
 			f.Done().Wait(p)
@@ -330,16 +331,16 @@ func TestConservationUnderChurn(t *testing.T) {
 
 func TestUtilizationSnapshot(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100, "l2": 50})
+	n := testNet(e, 100, 50)
 	e.Go("a", func(p *sim.Proc) {
-		n.Start("a", []topology.LinkID{"l1"}, 500, Options{MaxRate: 60})
+		n.Start("a", []topology.LinkID{0}, 500, Options{MaxRate: 60})
 		p.Sleep(time.Second)
 		u := n.Utilization()
-		if math.Abs(u["l1"]-0.6) > 0.01 {
-			t.Errorf("l1 utilization = %.2f, want 0.60", u["l1"])
+		if math.Abs(u["l0"]-0.6) > 0.01 {
+			t.Errorf("l0 utilization = %.2f, want 0.60", u["l0"])
 		}
-		if u["l2"] != 0 {
-			t.Errorf("l2 utilization = %.2f, want 0", u["l2"])
+		if u["l1"] != 0 {
+			t.Errorf("l1 utilization = %.2f, want 0", u["l1"])
 		}
 	})
 	run(t, e)

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,15 +22,11 @@ func TestPropertyConservationAndCompletion(t *testing.T) {
 		e := sim.NewEngine()
 		defer e.Close()
 
-		links := make([]topology.Link, 0, 4)
-		caps := map[topology.LinkID]float64{}
+		caps := make([]float64, 0, 4)
 		for i := 0; i < 2+rng.Intn(3); i++ {
-			id := topology.LinkID(string(rune('a' + i)))
-			c := float64(10 + rng.Intn(1000))
-			links = append(links, topology.Link{ID: id, Bps: c})
-			caps[id] = c
+			caps = append(caps, float64(10+rng.Intn(1000)))
 		}
-		net := New(e, links)
+		net := testNet(e, caps...)
 
 		type flowInfo struct {
 			flow   *Flow
@@ -46,11 +41,11 @@ func TestPropertyConservationAndCompletion(t *testing.T) {
 			// Random subpath of the links.
 			var path []topology.LinkID
 			minCap := math.Inf(1)
-			for _, l := range links {
+			for id, c := range caps {
 				if rng.Intn(2) == 0 || len(path) == 0 {
-					path = append(path, l.ID)
-					if caps[l.ID] < minCap {
-						minCap = caps[l.ID]
+					path = append(path, topology.LinkID(id))
+					if c < minCap {
+						minCap = c
 					}
 				}
 			}
@@ -71,7 +66,7 @@ func TestPropertyConservationAndCompletion(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				p.Sleep(100 * time.Millisecond)
 				for id, c := range caps {
-					if net.AllocatedOn(id) > c*1.001 {
+					if net.AllocatedOn(topology.LinkID(id)) > c*1.001 {
 						ok = false
 					}
 				}
@@ -100,35 +95,31 @@ func TestPropertyConservationAndCompletion(t *testing.T) {
 // diffTopology builds a randomized link set exercising the allocator's
 // component structure: several disjoint islands of links (so incremental
 // recomputes rarely span the whole graph) plus a few shared "backbone" links
-// that random paths can cross to merge islands into one component.
-func diffTopology(rng *rand.Rand) []topology.Link {
-	var links []topology.Link
+// that random paths can cross to merge islands into one component. It
+// returns the capacities by handle: islands first, then the backbone.
+func diffTopology(rng *rand.Rand) []float64 {
+	var caps []float64
 	islands := 2 + rng.Intn(3)
 	for i := 0; i < islands; i++ {
 		for j := 0; j < 2+rng.Intn(3); j++ {
-			links = append(links, topology.Link{
-				ID:  topology.LinkID(fmt.Sprintf("i%d-l%d", i, j)),
-				Bps: float64(50 + rng.Intn(2000)),
-			})
+			caps = append(caps, float64(50+rng.Intn(2000)))
 		}
 	}
 	for b := 0; b < rng.Intn(3); b++ {
-		links = append(links, topology.Link{
-			ID:  topology.LinkID(fmt.Sprintf("bb%d", b)),
-			Bps: float64(100 + rng.Intn(1000)),
-		})
+		caps = append(caps, float64(100+rng.Intn(1000)))
 	}
-	return links
+	return caps
 }
 
-// diffPath picks a random path: usually within one island (keeping
-// components disjoint), sometimes crossing a backbone link (merging them).
-func diffPath(rng *rand.Rand, links []topology.Link) []topology.LinkID {
+// diffPath picks a random path over links handles: usually within one island
+// (keeping components disjoint), sometimes crossing a backbone link (merging
+// them).
+func diffPath(rng *rand.Rand, links int) []topology.LinkID {
 	var path []topology.LinkID
 	seen := map[topology.LinkID]bool{}
 	n := 1 + rng.Intn(3)
 	for len(path) < n {
-		id := links[rng.Intn(len(links))].ID
+		id := topology.LinkID(rng.Intn(links))
 		if !seen[id] {
 			seen[id] = true
 			path = append(path, id)
@@ -164,7 +155,7 @@ func TestDifferentialIncrementalVsReference(t *testing.T) {
 		e := sim.NewEngine()
 		defer e.Close()
 		links := diffTopology(rng)
-		net := New(e, links)
+		net := testNet(e, links...)
 
 		var live []*Flow
 		failed := false
@@ -176,7 +167,7 @@ func TestDifferentialIncrementalVsReference(t *testing.T) {
 			e.Schedule(at, func() {
 				switch {
 				case op < 6 || len(live) == 0:
-					f := net.Start("df", diffPath(rng, links),
+					f := net.Start("df", diffPath(rng, len(links)),
 						float64(100+rng.Intn(500000)), diffOptions(rng))
 					live = append(live, f)
 				case op < 8:
@@ -228,7 +219,7 @@ func TestFuzzInterleavedMutations(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	links := diffTopology(rng)
-	net := New(e, links)
+	net := testNet(e, links...)
 
 	var live []*Flow
 	for i := 0; i < 400; i++ {
@@ -237,7 +228,7 @@ func TestFuzzInterleavedMutations(t *testing.T) {
 		e.Schedule(at, func() {
 			switch {
 			case op < 5 || len(live) == 0:
-				live = append(live, net.Start("fz", diffPath(rng, links),
+				live = append(live, net.Start("fz", diffPath(rng, len(links)),
 					float64(50+rng.Intn(200000)), diffOptions(rng)))
 			case op < 8:
 				live[rng.Intn(len(live))].SetOptions(diffOptions(rng))
@@ -273,11 +264,11 @@ func TestFuzzInterleavedMutations(t *testing.T) {
 func TestStartBurstSchedulesOneEvent(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	net := New(e, []topology.Link{{ID: "l1", Bps: 1000}})
+	net := testNet(e, 1000)
 	before := net.NetStats().EventsScheduled.Load()
 	const burst = 100
 	for i := 0; i < burst; i++ {
-		net.Start("b", []topology.LinkID{"l1"}, 1000, Options{})
+		net.Start("b", []topology.LinkID{0}, 1000, Options{})
 	}
 	if got := net.NetStats().EventsScheduled.Load() - before; got != 1 {
 		t.Errorf("burst of %d Starts scheduled %d events, want 1", burst, got)
@@ -301,12 +292,12 @@ func TestStartBurstSchedulesOneEvent(t *testing.T) {
 func TestStaggeredBurstCoalescesWithCompletionTimer(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	net := New(e, []topology.Link{{ID: "l1", Bps: 100}})
-	net.Start("long", []topology.LinkID{"l1"}, 1e6, Options{})
+	net := testNet(e, 100)
+	net.Start("long", []topology.LinkID{0}, 1e6, Options{})
 	const arrivals = 50
 	for i := 0; i < arrivals; i++ {
 		e.Schedule(time.Duration(i+1)*time.Millisecond, func() {
-			net.Start("s", []topology.LinkID{"l1"}, 10, Options{})
+			net.Start("s", []topology.LinkID{0}, 10, Options{})
 		})
 	}
 	e.Run(0)

@@ -13,13 +13,13 @@ import (
 // to the new transfer, not to the one it finished.
 func TestReleasedFlowReusedFresh(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"a": 100, "b": 100, "c": 100})
+	n := testNet(e, 100, 100, 100)
 	e.Go("xfer", func(p *sim.Proc) {
 		// The first incarnation fails mid-flight, leaving Failed set and a
 		// frozen residue behind.
-		old := n.Start("old", []topology.LinkID{"a", "b"}, 1000, Options{})
+		old := n.Start("old", []topology.LinkID{0, 1}, 1000, Options{})
 		p.Sleep(2 * time.Second)
-		n.FailLink("b")
+		n.FailLink(1)
 		old.Done().Wait(p)
 		if !old.Failed() || old.Remaining() < 700 {
 			t.Fatalf("setup: failed=%v remaining=%v", old.Failed(), old.Remaining())
@@ -27,9 +27,9 @@ func TestReleasedFlowReusedFresh(t *testing.T) {
 		if !n.Release(old) {
 			t.Fatal("Release refused a failed, finished flow")
 		}
-		n.RestoreLink("b")
+		n.RestoreLink(1)
 
-		f := n.Start("new", []topology.LinkID{"c", "a", "b"}, 500, Options{})
+		f := n.Start("new", []topology.LinkID{2, 0, 1}, 500, Options{})
 		if f != old {
 			t.Fatal("Start did not reuse the released flow")
 		}
@@ -58,20 +58,20 @@ func TestReleasedFlowReusedFresh(t *testing.T) {
 // in the simulation still refers to.
 func TestReleaseRefusesAttachedFlows(t *testing.T) {
 	e := sim.NewEngine()
-	n := testNet(e, map[topology.LinkID]float64{"up": 100, "down": 100})
-	n.FailLink("down")
+	n := testNet(e, 100, 100)
+	n.FailLink(1)
 	var active, canceled, doa, empty, dirty *Flow
 	e.Schedule(0, func() {
-		active = n.Start("active", []topology.LinkID{"up"}, 1000, Options{})
-		canceled = n.Start("canceled", []topology.LinkID{"up"}, 1000, Options{})
+		active = n.Start("active", []topology.LinkID{0}, 1000, Options{})
+		canceled = n.Start("canceled", []topology.LinkID{0}, 1000, Options{})
 		n.Cancel(canceled)
-		doa = n.Start("doa", []topology.LinkID{"up", "down"}, 1000, Options{})
-		empty = n.Start("empty", []topology.LinkID{"up"}, 0, Options{})
+		doa = n.Start("doa", []topology.LinkID{0, 1}, 1000, Options{})
+		empty = n.Start("empty", []topology.LinkID{0}, 0, Options{})
 		// Killed by a failure at the instant it started: its done signal
 		// fires while it is still queued as a recompute seed.
-		n.RestoreLink("down")
-		dirty = n.Start("dirty", []topology.LinkID{"down"}, 1000, Options{})
-		n.FailLink("down")
+		n.RestoreLink(1)
+		dirty = n.Start("dirty", []topology.LinkID{1}, 1000, Options{})
+		n.FailLink(1)
 		for name, f := range map[string]*Flow{"active": active, "canceled": canceled, "dead on arrival": doa, "zero-byte": empty, "seed": dirty} {
 			if n.Release(f) {
 				t.Errorf("Release recycled the %s flow before its done signal settled", name)

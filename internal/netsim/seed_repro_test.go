@@ -20,7 +20,7 @@ func TestWaterFillTierStarvationSeed(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	links := diffTopology(rng)
-	net := New(e, links)
+	net := testNet(e, links...)
 
 	var live []*Flow
 	nEvents := 10 + rng.Intn(40)
@@ -30,7 +30,7 @@ func TestWaterFillTierStarvationSeed(t *testing.T) {
 		e.Schedule(at, func() {
 			switch {
 			case op < 6 || len(live) == 0:
-				f := net.Start("df", diffPath(rng, links),
+				f := net.Start("df", diffPath(rng, len(links)),
 					float64(100+rng.Intn(500000)), diffOptions(rng))
 				live = append(live, f)
 			case op < 8:

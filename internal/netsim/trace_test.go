@@ -18,26 +18,26 @@ import (
 func TestTracedFlowLifecycles(t *testing.T) {
 	e := sim.NewEngine()
 	tr := obs.Attach(e)
-	n := testNet(e, map[topology.LinkID]float64{"l1": 100, "l2": 100})
+	n := testNet(e, 100, 100)
 	e.Go("driver", func(p *sim.Proc) {
-		a := n.Start("flow-a", []topology.LinkID{"l1"}, 1000, Options{})
+		a := n.Start("flow-a", []topology.LinkID{0}, 1000, Options{})
 		p.Sleep(2 * time.Second)
 		// Contends with a on l1: both get re-rated.
-		b := n.Start("flow-b", []topology.LinkID{"l1"}, 500, Options{})
+		b := n.Start("flow-b", []topology.LinkID{0}, 500, Options{})
 		a.Done().Wait(p)
 		b.Done().Wait(p)
 
-		c := n.Start("flow-c", []topology.LinkID{"l2"}, 800, Options{})
+		c := n.Start("flow-c", []topology.LinkID{1}, 800, Options{})
 		p.Sleep(time.Second)
 		n.Cancel(c)
 
-		d := n.Start("flow-d", []topology.LinkID{"l2"}, 800, Options{})
+		d := n.Start("flow-d", []topology.LinkID{1}, 800, Options{})
 		p.Sleep(time.Second)
-		n.FailLink("l2") // kills d mid-flight
+		n.FailLink(1) // kills d mid-flight
 		d.Done().Wait(p)
 
 		// l2 is still down: a new flow over it dies at birth.
-		n.Start("flow-dead", []topology.LinkID{"l2"}, 100, Options{})
+		n.Start("flow-dead", []topology.LinkID{1}, 100, Options{})
 	})
 	run(t, e)
 

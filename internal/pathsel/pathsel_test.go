@@ -176,7 +176,7 @@ func TestLinksConversion(t *testing.T) {
 		if len(set) != len(a.Paths[i])-1 {
 			t.Errorf("path %v produced %d links", a.Paths[i], len(set))
 		}
-		if want := s.node.NVLinkPathLinks(a.Paths[i]); fmt.Sprint(set) != fmt.Sprint(want) {
+		if want := s.node.AppendNVLinkPathLinks(nil, a.Paths[i]); fmt.Sprint(set) != fmt.Sprint(want) {
 			t.Errorf("path %v: links %v, want %v", a.Paths[i], set, want)
 		}
 	}

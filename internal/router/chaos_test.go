@@ -36,7 +36,7 @@ func chaosReplay(t *testing.T, mutate func(*router.Config)) replayResult {
 	}
 	rt := router.New(app, cfg)
 
-	in := faults.NewInjector(e, c.Fabric.Net)
+	in := faults.NewInjector(c.Fabric)
 	rt.WatchFaults(in)
 	crasher, ok := c.Plane.(faults.Crasher)
 	if !ok {
@@ -46,15 +46,17 @@ func chaosReplay(t *testing.T, mutate func(*router.Config)) replayResult {
 	in.CrashGPUAt(300*time.Millisecond, crasher, 0, 0)
 	in.CrashGPUAt(900*time.Millisecond, crasher, 1, 1)
 	topo := c.Fabric.Topo(0)
-	var links []topology.LinkID
+	var links []string
 	for i := 0; i < topo.Spec.NumGPUs; i++ {
 		for j := 0; j < topo.Spec.NumGPUs; j++ {
 			if topo.Spec.NVLinkBps(i, j) > 0 {
-				links = append(links, topo.NVLinkTo(i, j))
+				links = append(links, c.Fabric.Cluster.LinkName(topo.NVLinkTo(i, j)))
 			}
 		}
 	}
-	in.RandomLinkFaults(42, links, 2*time.Second, 400*time.Millisecond, 20*time.Millisecond)
+	if err := in.RandomLinkFaults(42, links, 2*time.Second, 400*time.Millisecond, 20*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 
 	// Sessioned QoS mix: inert under the default config (affinity weight 0)
 	// but lets SLO variants pin sessions and lose pins to the crashes.

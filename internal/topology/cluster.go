@@ -1,19 +1,25 @@
 package topology
 
-import "sort"
+import (
+	"bytes"
+	"slices"
+	"sort"
+	"strconv"
+)
 
-// Node is one server instance inside a cluster. It owns a namespace of link
-// IDs derived from its node index.
+// Node is one server instance inside a cluster. Its links' handles are one
+// contiguous block, from base.
 type Node struct {
 	ID   int
 	Spec *Spec
+
+	base LinkID
+	lay  *layout
 
 	// pathCache memoizes NVLinkPaths results: path selection runs on every
 	// transfer, and the paper's <10µs selection budget (§4.3.3) assumes the
 	// loop-free search is amortized.
 	pathCache map[pathKey][][]int
-	// ln caches link IDs and canonical link paths (see names.go).
-	ln *linkNames
 }
 
 type pathKey struct{ src, dst, maxHops int }
@@ -22,17 +28,33 @@ type pathKey struct{ src, dst, maxHops int }
 type Cluster struct {
 	Spec  *Spec
 	Nodes []*Node
+
+	lay    *layout
+	ranked []*Node // nodes in handle order
 }
 
-// NewCluster builds a cluster of n nodes of the given spec. It panics on an
-// invalid spec, which is always a programming error.
+// NewCluster builds a cluster of n nodes of the given spec and numbers its
+// links. It panics on an invalid spec, which is always a programming error.
 func NewCluster(spec *Spec, n int) *Cluster {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cluster{Spec: spec}
-	for i := 0; i < n; i++ {
-		c.Nodes = append(c.Nodes, &Node{ID: i, Spec: spec})
+	c := &Cluster{Spec: spec, lay: newLayout(spec), Nodes: make([]*Node, n)}
+	nodes := make([]Node, n)
+	for i := range nodes {
+		nodes[i] = Node{ID: i, Spec: spec, lay: c.lay}
+		c.Nodes[i] = &nodes[i]
+	}
+	// Each node's handles are one block. A name starts with "n<node>.", and
+	// '.' sorts before every digit, so the blocks follow the string order of
+	// the nodes' decimal IDs: n10.* comes before n2.*.
+	c.ranked = slices.Clone(c.Nodes)
+	slices.SortFunc(c.ranked, func(a, b *Node) int {
+		var ba, bb [20]byte
+		return bytes.Compare(strconv.AppendInt(ba[:0], int64(a.ID), 10), strconv.AppendInt(bb[:0], int64(b.ID), 10))
+	})
+	for r, nd := range c.ranked {
+		nd.base = LinkID(r * len(c.lay.links))
 	}
 	return c
 }
@@ -40,123 +62,65 @@ func NewCluster(spec *Spec, n int) *Cluster {
 // Node returns node i.
 func (c *Cluster) Node(i int) *Node { return c.Nodes[i] }
 
-// Links enumerates every directed link in the cluster, sorted by ID for
-// determinism.
-func (c *Cluster) Links() []Link {
-	var out []Link
-	for _, nd := range c.Nodes {
-		out = append(out, nd.Links()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// --- link handles ---
 
-// --- link naming ---
+// NVLinkTo is the directed NVLink link GPU i → GPU j on this node. It
+// panics unless the node is a mesh with a direct i → j connection.
+func (n *Node) NVLinkTo(i, j int) LinkID { return n.link(formNVLink, i*n.Spec.NumGPUs+j) }
 
-// NVLinkTo names the directed NVLink link GPU i → GPU j on this node.
-// Valid only for mesh topologies with a direct connection.
-func (n *Node) NVLinkTo(i, j int) LinkID { return n.names().nvTo[i][j] }
+// NVPortOut is GPU g's NVSwitch injection port.
+func (n *Node) NVPortOut(g int) LinkID { return n.link(formNVPortOut, g) }
 
-// NVPortOut and NVPortIn name a GPU's NVSwitch injection/ejection ports.
-func (n *Node) NVPortOut(g int) LinkID { return n.names().nvPortOut[g] }
+// NVPortIn is GPU g's NVSwitch ejection port.
+func (n *Node) NVPortIn(g int) LinkID { return n.link(formNVPortIn, g) }
 
-// NVPortIn names GPU g's NVSwitch ejection port.
-func (n *Node) NVPortIn(g int) LinkID { return n.names().nvPortIn[g] }
+// PCIeGPUUp is GPU g's own x16 link toward its switch.
+func (n *Node) PCIeGPUUp(g int) LinkID { return n.link(formPCIeGPUUp, g) }
 
-// PCIeGPUUp and PCIeGPUDown name GPU g's own x16 link (toward/from switch).
-func (n *Node) PCIeGPUUp(g int) LinkID { return n.names().pcieUp[g] }
+// PCIeGPUDown is GPU g's x16 link in the host→GPU direction.
+func (n *Node) PCIeGPUDown(g int) LinkID { return n.link(formPCIeGPUDown, g) }
 
-// PCIeGPUDown names GPU g's x16 link in the host→GPU direction.
-func (n *Node) PCIeGPUDown(g int) LinkID { return n.names().pcieDown[g] }
+// PCIeSwitchUp is switch s's host uplink in the switch→host direction.
+func (n *Node) PCIeSwitchUp(s int) LinkID { return n.link(formSwitchUp, s) }
 
-// PCIeSwitchUp and PCIeSwitchDown name switch s's host uplink.
-func (n *Node) PCIeSwitchUp(s int) LinkID { return n.names().swUp[s] }
+// PCIeSwitchDown is switch s's uplink in the host→switch direction.
+func (n *Node) PCIeSwitchDown(s int) LinkID { return n.link(formSwitchDown, s) }
 
-// PCIeSwitchDown names switch s's uplink in the host→switch direction.
-func (n *Node) PCIeSwitchDown(s int) LinkID { return n.names().swDown[s] }
+// NICTx is NIC k's transmit side.
+func (n *Node) NICTx(k int) LinkID { return n.link(formNICTx, k) }
 
-// NICTx and NICRx name NIC k's transmit/receive sides.
-func (n *Node) NICTx(k int) LinkID { return n.names().nicTx[k] }
-
-// NICRx names NIC k's receive side.
-func (n *Node) NICRx(k int) LinkID { return n.names().nicRx[k] }
-
-// Links enumerates all directed links on this node.
-func (n *Node) Links() []Link {
-	s := n.Spec
-	var out []Link
-	if s.Switched {
-		for g := 0; g < s.NumGPUs; g++ {
-			out = append(out,
-				Link{n.NVPortOut(g), KindNVSwitchPort, s.SwitchPortBps},
-				Link{n.NVPortIn(g), KindNVSwitchPort, s.SwitchPortBps},
-			)
-		}
-	} else {
-		for i := 0; i < s.NumGPUs; i++ {
-			for j := 0; j < s.NumGPUs; j++ {
-				if i != j && s.NVAdj[i][j] > 0 {
-					out = append(out, Link{n.NVLinkTo(i, j), KindNVLink, s.NVAdj[i][j]})
-				}
-			}
-		}
-	}
-	for g := 0; g < s.NumGPUs; g++ {
-		out = append(out,
-			Link{n.PCIeGPUUp(g), KindPCIeGPU, s.PCIeBps},
-			Link{n.PCIeGPUDown(g), KindPCIeGPU, s.PCIeBps},
-		)
-	}
-	switches := map[int]bool{}
-	for _, g := range s.PCIeGroup {
-		switches[g] = true
-	}
-	var sws []int
-	for sw := range switches {
-		sws = append(sws, sw)
-	}
-	sort.Ints(sws)
-	for _, sw := range sws {
-		out = append(out,
-			Link{n.PCIeSwitchUp(sw), KindPCIeSwitch, s.PCIeBps},
-			Link{n.PCIeSwitchDown(sw), KindPCIeSwitch, s.PCIeBps},
-		)
-	}
-	for k := 0; k < s.NICCount; k++ {
-		out = append(out,
-			Link{n.NICTx(k), KindNIC, s.NICBps},
-			Link{n.NICRx(k), KindNIC, s.NICBps},
-		)
-	}
-	return out
-}
+// NICRx is NIC k's receive side.
+func (n *Node) NICRx(k int) LinkID { return n.link(formNICRx, k) }
 
 // --- path construction ---
+//
+// Each Append*Links function appends a canonical link path to dst and
+// returns the extended slice; it allocates only when dst lacks room.
 
-// GPUToHostLinks returns the link path for staging data from GPU g to host
+// AppendGPUToHostLinks appends the path for staging data from GPU g to host
 // memory: the GPU's own x16 link, then its switch's shared host uplink.
-func (n *Node) GPUToHostLinks(g int) []LinkID { return n.names().gpuToHost[g] }
-
-// HostToGPULinks is the reverse of GPUToHostLinks.
-func (n *Node) HostToGPULinks(g int) []LinkID { return n.names().hostToGPU[g] }
-
-// PCIeP2PLinks returns the PCIe peer-to-peer path GPU i → GPU j. Under the
-// same switch, traffic stays below the switch (both x16 links only); across
-// switches it additionally crosses both host uplinks.
-func (n *Node) PCIeP2PLinks(i, j int) []LinkID { return n.names().p2p[i][j] }
-
-// NVLinkPathLinks converts a GPU-hop sequence (e.g. [4 6 7 1]) into link IDs.
-// On switched fabrics only direct two-GPU sequences are valid. A two-GPU
-// sequence returns the node's cached list, which callers must not modify.
-func (n *Node) NVLinkPathLinks(gpus []int) []LinkID {
-	if len(gpus) == 2 {
-		return n.names().nvPair[gpus[0]][gpus[1]]
-	}
-	return n.AppendNVLinkPathLinks(nil, gpus)
+func (n *Node) AppendGPUToHostLinks(dst []LinkID, g int) []LinkID {
+	return append(dst, n.PCIeGPUUp(g), n.PCIeSwitchUp(n.Spec.PCIeGroup[g]))
 }
 
-// AppendNVLinkPathLinks appends the link IDs of a GPU-hop sequence to dst and
-// returns the extended slice; it allocates only when dst lacks room.
+// AppendHostToGPULinks appends the reverse of AppendGPUToHostLinks.
+func (n *Node) AppendHostToGPULinks(dst []LinkID, g int) []LinkID {
+	return append(dst, n.PCIeSwitchDown(n.Spec.PCIeGroup[g]), n.PCIeGPUDown(g))
+}
+
+// AppendPCIeP2PLinks appends the PCIe peer-to-peer path GPU i → GPU j.
+// Under the same switch, traffic stays below the switch (both x16 links
+// only); across switches it additionally crosses both host uplinks.
+func (n *Node) AppendPCIeP2PLinks(dst []LinkID, i, j int) []LinkID {
+	si, sj := n.Spec.PCIeGroup[i], n.Spec.PCIeGroup[j]
+	if si == sj {
+		return append(dst, n.PCIeGPUUp(i), n.PCIeGPUDown(j))
+	}
+	return append(dst, n.PCIeGPUUp(i), n.PCIeSwitchUp(si), n.PCIeSwitchDown(sj), n.PCIeGPUDown(j))
+}
+
+// AppendNVLinkPathLinks appends the links of a GPU-hop sequence (e.g.
+// [4 6 7 1]). On switched fabrics only direct two-GPU sequences are valid.
 func (n *Node) AppendNVLinkPathLinks(dst []LinkID, gpus []int) []LinkID {
 	if len(gpus) < 2 {
 		return dst
@@ -165,7 +129,7 @@ func (n *Node) AppendNVLinkPathLinks(dst []LinkID, gpus []int) []LinkID {
 		if len(gpus) != 2 {
 			panic("topology: multi-hop NVLink path on a switched fabric")
 		}
-		return append(dst, n.names().nvPair[gpus[0]][gpus[1]]...)
+		return append(dst, n.NVPortOut(gpus[0]), n.NVPortIn(gpus[1]))
 	}
 	for i := 0; i+1 < len(gpus); i++ {
 		dst = append(dst, n.NVLinkTo(gpus[i], gpus[i+1]))
@@ -173,17 +137,26 @@ func (n *Node) AppendNVLinkPathLinks(dst []LinkID, gpus []int) []LinkID {
 	return dst
 }
 
-// NVLinkPairLinks is the single-hop NVLink path a → b, served from the
-// node's path cache without allocating.
-func (n *Node) NVLinkPairLinks(a, b int) []LinkID { return n.names().nvPair[a][b] }
+// AppendGPUToNICLinks appends the GPUDirect path from GPU g out through NIC
+// k. A NIC under g's own PCIe switch is reached peer-to-peer over g's x16
+// link; a NIC under another switch additionally crosses both host uplinks.
+func (n *Node) AppendGPUToNICLinks(dst []LinkID, g, k int) []LinkID {
+	sg, sk := n.Spec.PCIeGroup[g], n.Spec.NICGroup[k]
+	if sg == sk {
+		return append(dst, n.PCIeGPUUp(g), n.NICTx(k))
+	}
+	return append(dst, n.PCIeGPUUp(g), n.PCIeSwitchUp(sg), n.PCIeSwitchDown(sk), n.NICTx(k))
+}
 
-// GPUToNICLinks returns the GPUDirect path from GPU g out through NIC k. A
-// NIC under g's own PCIe switch is reached peer-to-peer over g's x16 link; a
-// NIC under another switch additionally crosses both host uplinks.
-func (n *Node) GPUToNICLinks(g, k int) []LinkID { return n.names().gpuToNIC[g][k] }
-
-// NICToGPULinks is the receive-side mirror of GPUToNICLinks.
-func (n *Node) NICToGPULinks(k, g int) []LinkID { return n.names().nicToGPU[k][g] }
+// AppendNICToGPULinks appends the receive-side mirror of
+// AppendGPUToNICLinks.
+func (n *Node) AppendNICToGPULinks(dst []LinkID, k, g int) []LinkID {
+	sk, sg := n.Spec.NICGroup[k], n.Spec.PCIeGroup[g]
+	if sk == sg {
+		return append(dst, n.NICRx(k), n.PCIeGPUDown(g))
+	}
+	return append(dst, n.NICRx(k), n.PCIeSwitchUp(sk), n.PCIeSwitchDown(sg), n.PCIeGPUDown(g))
+}
 
 // NVLinkPaths enumerates simple NVLink paths from src to dst with at most
 // maxHops hops (maxHops=1 yields only the direct path). Paths are returned

@@ -3,10 +3,11 @@
 // NICs, with per-direction link bandwidths.
 //
 // A topology is a directed graph of capacity-annotated links. Higher layers
-// (netsim, xfer) treat a transfer as a flow over an ordered list of LinkIDs;
-// this package owns the naming of those links and the enumeration of paths
-// between endpoints (GPU↔GPU over NVLink, GPU↔host over PCIe, GPU↔NIC for
-// GPUDirect-RDMA-style cross-node transfers).
+// (netsim, xfer) treat a transfer as a flow over an ordered list of LinkIDs,
+// the dense integer handles this package gives every link of a cluster. It
+// also owns the links' names and the enumeration of paths between endpoints
+// (GPU↔GPU over NVLink, GPU↔host over PCIe, GPU↔NIC for GPUDirect-RDMA-style
+// cross-node transfers).
 package topology
 
 import (
@@ -22,50 +23,6 @@ func GBps(x float64) float64 { return x * 1e9 }
 
 // Gbps converts Gb/s (network convention) to bytes per second.
 func Gbps(x float64) float64 { return x * 1e9 / 8 }
-
-// LinkID names one directed link in the cluster graph.
-type LinkID string
-
-// Kind classifies a link.
-type Kind int
-
-const (
-	// KindNVLink is a direct GPU-to-GPU NVLink connection (mesh topologies).
-	KindNVLink Kind = iota
-	// KindNVSwitchPort is a GPU's injection/ejection port into an NVSwitch
-	// fabric (switched topologies).
-	KindNVSwitchPort
-	// KindPCIeGPU is a GPU's own PCIe x16 link to its PCIe switch.
-	KindPCIeGPU
-	// KindPCIeSwitch is a PCIe switch's uplink to the host root complex;
-	// GPUs sharing a switch share this link.
-	KindPCIeSwitch
-	// KindNIC is a network interface's tx or rx side.
-	KindNIC
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindNVLink:
-		return "nvlink"
-	case KindNVSwitchPort:
-		return "nvswitch-port"
-	case KindPCIeGPU:
-		return "pcie-gpu"
-	case KindPCIeSwitch:
-		return "pcie-switch"
-	case KindNIC:
-		return "nic"
-	}
-	return "unknown"
-}
-
-// Link is one directed, capacity-annotated edge.
-type Link struct {
-	ID   LinkID
-	Kind Kind
-	Bps  float64 // capacity in bytes per second
-}
 
 // Spec describes one GPU server model.
 type Spec struct {

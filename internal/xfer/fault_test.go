@@ -19,7 +19,7 @@ func TestRequestValidationTypedErrors(t *testing.T) {
 	f := v100Fabric(e, 1)
 	m := NewManager(f)
 	n := f.Topo(0)
-	path := PathOf(f.Net, n.NVLinkPathLinks([]int{0, 1}))
+	path := PathOf(f.Net, n.AppendNVLinkPathLinks(nil, []int{0, 1}))
 	e.Go("t", func(p *sim.Proc) {
 		if _, err := m.Transfer(p, Request{Label: "empty", Bytes: MB}); !errors.Is(err, ErrNoPaths) {
 			t.Errorf("no paths: err = %v, want ErrNoPaths", err)
@@ -54,7 +54,7 @@ func TestRetryAfterLinkFlap(t *testing.T) {
 		elapsed, err = m.Transfer(p, Request{
 			Label: "flap",
 			Bytes: 48 * MB,
-			Paths: []Path{PathOf(f.Net, n.NVLinkPathLinks([]int{0, 3}))},
+			Paths: []Path{PathOf(f.Net, n.AppendNVLinkPathLinks(nil, []int{0, 3}))},
 		})
 	})
 	e.Go("fault", func(p *sim.Proc) {
@@ -102,10 +102,10 @@ func TestReplanFallsBackToPCIe(t *testing.T) {
 		_, err = m.Transfer(p, Request{
 			Label: "replan",
 			Bytes: 48 * MB,
-			Paths: []Path{PathOf(f.Net, n.NVLinkPathLinks([]int{0, 3}))},
+			Paths: []Path{PathOf(f.Net, n.AppendNVLinkPathLinks(nil, []int{0, 3}))},
 			Replan: func(attempt int) []Path {
 				replanned++
-				return []Path{PathOf(f.Net, n.PCIeP2PLinks(0, 3))}
+				return []Path{PathOf(f.Net, n.AppendPCIeP2PLinks(nil, 0, 3))}
 			},
 		})
 	})
@@ -144,7 +144,7 @@ func TestAllPathsDownExhaustsRetries(t *testing.T) {
 		_, err = m.Transfer(p, Request{
 			Label: "doomed",
 			Bytes: MB,
-			Paths: []Path{PathOf(f.Net, n.NVLinkPathLinks([]int{0, 3}))},
+			Paths: []Path{PathOf(f.Net, n.AppendNVLinkPathLinks(nil, []int{0, 3}))},
 		})
 	})
 	e.Run(0)
@@ -180,7 +180,7 @@ func TestMidFlightLossOnEveryAttemptIsPathsDown(t *testing.T) {
 		_, err = m.Transfer(p, Request{
 			Label: "cursed",
 			Bytes: 48 * MB,
-			Paths: []Path{PathOf(f.Net, n.NVLinkPathLinks([]int{0, 3}))},
+			Paths: []Path{PathOf(f.Net, n.AppendNVLinkPathLinks(nil, []int{0, 3}))},
 			Replan: func(int) []Path {
 				f.Net.RestoreLink(link)
 				killSoon()
@@ -227,7 +227,7 @@ func TestRetryPreservesMinRateScaling(t *testing.T) {
 	defer e.Close()
 	f := v100Fabric(e, 1)
 	m := NewManager(f)
-	flows := m.startFlows(nil, "resend", 12*MB, []Path{PathOf(f.Net, f.Topo(0).NVLinkPathLinks([]int{0, 1}))},
+	flows := m.startFlows(nil, "resend", 12*MB, []Path{PathOf(f.Net, f.Topo(0).AppendNVLinkPathLinks(nil, []int{0, 1}))},
 		netsim.Options{MinRate: topology.GBps(24)}, 48*MB)
 	if len(flows) != 1 {
 		t.Fatalf("got %d flows", len(flows))
@@ -263,7 +263,7 @@ func TestFinishedAttemptReleasesFlows(t *testing.T) {
 	f := v100Fabric(e, 1)
 	m := NewManager(f)
 	n := f.Topo(0)
-	fast, slow := n.NVLinkPairLinks(0, 3), n.PCIeP2PLinks(0, 5)
+	fast, slow := n.AppendNVLinkPathLinks(nil, []int{0, 3}), n.AppendPCIeP2PLinks(nil, 0, 5)
 	// A hog halves the PCIe path's share, so its flow (~8.4 ms) finishes
 	// well after the NVLink flow (~4.2 ms).
 	f.Net.Start("hog", slow[:1], 1e15, netsim.Options{})

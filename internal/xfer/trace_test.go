@@ -20,8 +20,8 @@ func TestTracedTransferRetryAndReplan(t *testing.T) {
 	f := v100Fabric(e, 1)
 	m := NewManager(f)
 	n := f.Topo(0)
-	direct := PathOf(f.Net, n.NVLinkPathLinks([]int{0, 3}))
-	pcie := PathOf(f.Net, n.PCIeP2PLinks(0, 3))
+	direct := PathOf(f.Net, n.AppendNVLinkPathLinks(nil, []int{0, 3}))
+	pcie := PathOf(f.Net, n.AppendPCIeP2PLinks(nil, 0, 3))
 	// ~1ms transfer at 48 GB/s; the outage lands inside it.
 	e.Schedule(500*time.Microsecond, func() {
 		for _, id := range direct.Links {

@@ -69,7 +69,7 @@ func TestSinglePathTransferLatency(t *testing.T) {
 		elapsed, _ = m.Transfer(p, Request{
 			Label: "t",
 			Bytes: 48 * MB,
-			Paths: []Path{PathOf(f.Net, n.NVLinkPathLinks([]int{0, 3}))},
+			Paths: []Path{PathOf(f.Net, n.AppendNVLinkPathLinks(nil, []int{0, 3}))},
 		})
 	})
 	e.Run(0)
@@ -83,8 +83,8 @@ func TestParallelPathsAggregateBandwidth(t *testing.T) {
 	f := v100Fabric(e, 1)
 	m := NewManager(f)
 	n := f.Topo(0)
-	direct := PathOf(f.Net, n.NVLinkPathLinks([]int{0, 3}))      // 48 GB/s
-	indirect := PathOf(f.Net, n.NVLinkPathLinks([]int{0, 1, 3})) // 24 GB/s
+	direct := PathOf(f.Net, n.AppendNVLinkPathLinks(nil, []int{0, 3}))      // 48 GB/s
+	indirect := PathOf(f.Net, n.AppendNVLinkPathLinks(nil, []int{0, 1, 3})) // 24 GB/s
 	var one, both time.Duration
 	e.Go("single", func(p *sim.Proc) {
 		one, _ = m.Transfer(p, Request{Label: "s", Bytes: 288 * MB, Paths: []Path{direct}})
@@ -129,7 +129,7 @@ func TestPinnedGateSerializesHugeTransfers(t *testing.T) {
 			m.Transfer(p, Request{
 				Label:  label,
 				Bytes:  fabric.DefaultPinnedBufferBytes, // fills the gate
-				Paths:  []Path{PathOf(f.Net, n.GPUToHostLinks(0))},
+				Paths:  []Path{PathOf(f.Net, n.AppendGPUToHostLinks(nil, 0))},
 				Pinned: gate,
 			})
 			*out = p.Now()
@@ -149,7 +149,7 @@ func TestRateControlledTransferMeetsFloor(t *testing.T) {
 	f := v100Fabric(e, 1)
 	m := NewManager(f)
 	n := f.Topo(0)
-	hostPath := PathOf(f.Net, n.GPUToHostLinks(0)) // 12 GB/s PCIe
+	hostPath := PathOf(f.Net, n.AppendGPUToHostLinks(nil, 0)) // 12 GB/s PCIe
 	// Background hog without reservation.
 	e.Go("hog", func(p *sim.Proc) {
 		m.Transfer(p, Request{Label: "hog", Bytes: 1200 * MB, Paths: []Path{hostPath}})
