@@ -27,12 +27,13 @@ const distBits = 10
 // never exceeds the exact fraction and falls short of it by at most the
 // share of the one bucket that holds the bound. A Dist allocates nothing
 // until its first Add, and an Add after the fold allocates only when its
-// sample lands outside the buckets seen so far. Its exact phase keeps
-// Latency's chunks, which stop at exactly DistCap samples with no
-// regrowth: 128 KiB when every sample is below 2^32 ns (about 4.29 s), and
-// at most 272 KiB; a folded Dist over samples between 1 µs and 10 s holds
-// about 100 KiB, and over any samples at most 216 KiB. A bucket counts at
-// most 2^32-1 samples; one more panics.
+// sample lands outside the buckets seen so far. Its exact phase is a
+// Latency, which at DistCap samples holds 15 sealed chunks and a full open
+// one: about 94 KB over samples near 20 ms, at most about 155 KiB when
+// every sample is below 2^32 ns (about 4.29 s), and at most about 286 KiB;
+// a folded Dist over samples between 1 µs and 10 s holds about 100 KiB,
+// and over any samples at most 216 KiB. A bucket counts at most 2^32-1
+// samples; one more panics.
 type Dist struct {
 	exact Latency // every sample, until the fold
 

@@ -5,121 +5,165 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
 )
 
-// chunkLen is the number of samples a full chunk holds: 16 KiB of uint32
-// samples, 32 KiB of time.Duration ones.
-const chunkLen = 1 << 12
+// A Latency seals its samples chunkLen at a time, and each sealed chunk
+// keeps every indexStride-th sample's key whole in its index.
+const (
+	chunkLen    = 1 << 11
+	indexStride = 64
+	indexLen    = chunkLen / indexStride // index entries per sealed chunk
+	entryLen    = 8 + 2                  // an entry's key and uint16 offset
+)
+
+// Every byte offset in a sealed chunk fits an entry's uint16, however wide
+// its deltas: this constant overflows, and the build fails, if it does not.
+const _ = uint16(indexLen*entryLen + (chunkLen-indexLen)*binary.MaxVarintLen64)
 
 // Latency records duration samples and answers exact percentile queries.
-// It keeps 4 B per sample in [0, 2^32) ns (under about 4.29 s) and 8 B per
-// any other sample, the price of exact percentiles; a recorder read only
-// through Mean() is a Mean instead, which keeps constant-size state.
-//
-// Samples in [0, 2^32) go into a list of uint32 chunks and every other
-// sample into a list of time.Duration chunks; neither list is ever widened
-// or copied into the other, and every query counts both. In each list the
-// first chunk doubles from 64 samples up to chunkLen and every later one
-// is allocated full, so only the first chunk's samples are ever copied, at
-// most one chunk per list is partly filled, and recording allocates about
-// the bytes it keeps. A query sorts in place only the chunks an Add
-// touched since the last query, and allocates nothing.
+// Samples go into a raw open chunk, which doubles from 64 samples up to
+// chunkLen and is sorted in place by the first query after an Add. The Add
+// that finds it full seals it: sorts it and encodes it into one allocation
+// (chunk), after which the open chunk is reused. A sealed chunk of request
+// latencies keeps 2 to 2.5 B per sample; one whose samples all lie in
+// [0, 2^32) ns keeps at most about 4.1 B, and any at most about 8.2 B, and
+// the allocator rounds each chunk up by at most 1/8. That is the price of
+// exact percentiles; a recorder read only through Mean() is a Mean
+// instead, which keeps constant-size state. Queries allocate nothing.
 type Latency struct {
-	narrow chunks[uint32]        // samples in [0, 2^32)
-	wide   chunks[time.Duration] // every other sample
+	sealed []chunk         // each holds chunkLen samples
+	open   []time.Duration // the samples since the last seal
+	sorted bool            // open is sorted since its last Add
 }
 
-// chunks is one list of a Latency's samples.
-type chunks[E uint32 | time.Duration] struct {
-	cs     [][]E // all but the last hold chunkLen samples
-	n      int
-	sorted int // leading chunks sorted since their last add
+// chunk is a sealed chunk: chunkLen samples, sorted by their order keys
+// (key), as indexLen entries and then a stream of deltas. Entry b holds the
+// key of sample b·indexStride and the byte offset of the next sample's
+// delta; each of the block's other indexStride-1 samples follows as the
+// LEB128 delta of its key from the key before.
+type chunk []byte
+
+// key maps a sample to its order key: keys order as the samples do, over
+// all of int64, so one sorted stream holds negative samples too.
+func key(v time.Duration) uint64 { return uint64(v) ^ 1<<63 }
+
+// entry returns entry b's key and offset.
+func (c chunk) entry(b int) (k uint64, off int) {
+	e := c[b*entryLen:]
+	return binary.LittleEndian.Uint64(e), int(binary.LittleEndian.Uint16(e[8:]))
 }
 
-// add records one sample.
-func (c *chunks[E]) add(v E) {
-	k := len(c.cs) - 1
-	switch {
-	case k < 0:
-		c.cs, k = append(c.cs, make([]E, 0, 64)), 0
-	case len(c.cs[k]) < cap(c.cs[k]): // room in the last chunk
-	case k == 0 && cap(c.cs[0]) < chunkLen:
-		c.cs[0] = append(make([]E, 0, 2*cap(c.cs[0])), c.cs[0]...)
-	default:
-		c.cs, k = append(c.cs, make([]E, 0, chunkLen)), k+1
+// seal sorts the full open chunk, appends its encoding to the sealed list
+// and empties it. It sizes the encoding first, so a chunk is one exact
+// allocation.
+func (l *Latency) seal() {
+	l.sort()
+	size := indexLen * entryLen
+	for i := 1; i < chunkLen; i++ {
+		if i%indexStride != 0 { // the delta's LEB128 length
+			size += (bits.Len64(key(l.open[i])-key(l.open[i-1])|1) + 6) / 7
+		}
 	}
-	c.cs[k] = append(c.cs[k], v)
-	c.n++
-	c.sorted = min(c.sorted, k)
-}
-
-// sort sorts, in place, every chunk an add touched since the last query.
-func (c *chunks[E]) sort() {
-	for ; c.sorted < len(c.cs); c.sorted++ {
-		slices.Sort(c.cs[c.sorted])
+	c := make(chunk, indexLen*entryLen, size)
+	for i, v := range l.open {
+		if i%indexStride != 0 {
+			c = binary.AppendUvarint(c, key(v)-key(l.open[i-1]))
+			continue
+		}
+		e := c[i/indexStride*entryLen:]
+		binary.LittleEndian.PutUint64(e, key(v))
+		binary.LittleEndian.PutUint16(e[8:], uint16(len(c)))
 	}
+	l.sealed = append(l.sealed, c)
+	l.open = l.open[:0]
 }
 
-// atOrBelow counts the samples at or below v, a binary search per chunk.
-// Every chunk must be sorted.
-func (c *chunks[E]) atOrBelow(v E) int {
-	n := 0
-	for _, ch := range c.cs {
-		n += sort.Search(len(ch), func(i int) bool { return ch[i] > v })
+// atOrBelow counts the samples whose key is at or below k: a binary search
+// for the last block starting at or below k, then at most indexStride-1
+// decodes within it.
+func (c chunk) atOrBelow(k uint64) int {
+	b := sort.Search(indexLen, func(b int) bool { first, _ := c.entry(b); return first > k }) - 1
+	if b < 0 {
+		return 0
+	}
+	x, off := c.entry(b)
+	n := b*indexStride + 1
+	for ; n < (b+1)*indexStride; n++ {
+		d, w := binary.Uvarint(c[off:])
+		if x += d; x > k {
+			break
+		}
+		off += w
 	}
 	return n
 }
 
-// each calls f on every sample, in no particular order.
-func (c *chunks[E]) each(f func(time.Duration)) {
-	for _, ch := range c.cs {
-		for _, v := range ch {
-			f(time.Duration(v))
+// each calls f on every sample, in ascending order.
+func (c chunk) each(f func(time.Duration)) {
+	for b := 0; b < indexLen; b++ {
+		x, off := c.entry(b)
+		f(time.Duration(x ^ 1<<63))
+		for i := 1; i < indexStride; i++ {
+			d, w := binary.Uvarint(c[off:])
+			x += d
+			off += w
+			f(time.Duration(x ^ 1<<63))
 		}
 	}
 }
 
 // Add records one sample.
 func (l *Latency) Add(d time.Duration) {
-	if uint64(d) < 1<<32 { // a negative d converts to at least 2^63
-		l.narrow.add(uint32(d))
-	} else {
-		l.wide.add(d)
+	if len(l.open) == cap(l.open) {
+		if cap(l.open) < chunkLen {
+			l.open = append(make([]time.Duration, 0, max(64, 2*cap(l.open))), l.open...)
+		} else {
+			l.seal()
+		}
+	}
+	l.open = append(l.open, d)
+	l.sorted = false
+}
+
+// sort sorts the open chunk in place, if an Add touched it since the last
+// query.
+func (l *Latency) sort() {
+	if !l.sorted {
+		slices.Sort(l.open)
+		l.sorted = true
 	}
 }
 
-// sort sorts, in place, every chunk an Add touched since the last query.
-func (l *Latency) sort() {
-	l.narrow.sort()
-	l.wide.sort()
-}
-
-// atOrBelow counts the samples at or below v. Every chunk must be sorted.
+// atOrBelow counts the samples at or below v. The open chunk must be
+// sorted.
 func (l *Latency) atOrBelow(v time.Duration) int {
-	n := l.wide.atOrBelow(v)
-	switch {
-	case v >= 1<<32:
-		n += l.narrow.n
-	case v >= 0:
-		n += l.narrow.atOrBelow(uint32(v))
+	n := sort.Search(len(l.open), func(i int) bool { return l.open[i] > v })
+	for _, c := range l.sealed {
+		n += c.atOrBelow(key(v))
 	}
 	return n
 }
 
 // each calls f on every sample, in no particular order.
 func (l *Latency) each(f func(time.Duration)) {
-	l.narrow.each(f)
-	l.wide.each(f)
+	for _, c := range l.sealed {
+		c.each(f)
+	}
+	for _, v := range l.open {
+		f(v)
+	}
 }
 
 // Count returns the sample count.
-func (l *Latency) Count() int { return l.narrow.n + l.wide.n }
+func (l *Latency) Count() int { return len(l.sealed)*chunkLen + len(l.open) }
 
 // Mean returns the arithmetic mean, or 0 with no samples.
 func (l *Latency) Mean() time.Duration {
@@ -135,7 +179,8 @@ func (l *Latency) Mean() time.Duration {
 // P returns the q-quantile (q in [0,1]) using nearest-rank, or 0 with no
 // samples: the smallest sample v with at least rank = ⌈q·n⌉ samples at or
 // below it, rank clamped to [1, n]. It binary-searches the value range:
-// 64 probes, each at most one binary search per chunk.
+// 64 probes, each a binary search of the open chunk and of every sealed
+// chunk's index, and at most indexStride-1 decodes per sealed chunk.
 func (l *Latency) P(q float64) time.Duration {
 	n := l.Count()
 	if n == 0 {

@@ -83,8 +83,9 @@ func TestPercentileWithinSamplesProperty(t *testing.T) {
 		got := l.P(q)
 		return got >= min && got <= max
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("quick.Check seed %d: %v", seed, err)
 	}
 }
 
@@ -475,23 +476,27 @@ func checkLatency(t *testing.T, name string, l *Latency, ref *sliceLatency, boun
 }
 
 // latencyStreams draw signed samples with duplicates and the int64
-// extremes, which the binary search over the value range must reach.
+// extremes, which the binary search over the value range must reach. Each
+// draws sample i from rng.
 var latencyStreams = []struct {
 	name string
-	gen  func(rng *rand.Rand) time.Duration
+	gen  func(rng *rand.Rand, i int) time.Duration
 }{
-	{"few-values", func(rng *rand.Rand) time.Duration { return time.Duration(rng.Intn(9) - 4) }},
-	{"signed-wide", func(rng *rand.Rand) time.Duration { return time.Duration(rng.Int63() - rng.Int63()) }},
-	{"extremes", func(rng *rand.Rand) time.Duration {
+	{"few-values", func(rng *rand.Rand, _ int) time.Duration { return time.Duration(rng.Intn(9) - 4) }},
+	// Every sealed chunk is one value: every delta is 0.
+	{"all-equal", func(*rand.Rand, int) time.Duration { return 7_777_777 }},
+	{"signed-wide", func(rng *rand.Rand, _ int) time.Duration { return time.Duration(rng.Int63() - rng.Int63()) }},
+	// Both int64 extremes in every sealed chunk: its keys span the whole
+	// order.
+	{"extremes", func(rng *rand.Rand, _ int) time.Duration {
 		if rng.Intn(2) == 0 {
 			return time.Duration(rng.Int63() - rng.Int63())
 		}
 		return []time.Duration{math.MinInt64, math.MinInt64 + 1, -1, 0, math.MaxInt64 - 1, math.MaxInt64}[rng.Intn(6)]
 	}},
-	{"heavy-tailed", func(rng *rand.Rand) time.Duration { return time.Duration(math.Exp(16 + 3*rng.NormFloat64())) }},
-	// Both sides of the narrow list's range [0, 2^32), so both lists fill
-	// and consecutive samples switch lists mid-chunk.
-	{"width-boundary", func(rng *rand.Rand) time.Duration {
+	{"heavy-tailed", func(rng *rand.Rand, _ int) time.Duration { return time.Duration(math.Exp(16 + 3*rng.NormFloat64())) }},
+	// Both sides of 0, where the order key's top bit flips, and of 2^32.
+	{"width-boundary", func(rng *rand.Rand, _ int) time.Duration {
 		switch rng.Intn(3) {
 		case 0:
 			return []time.Duration{-1, 0, 1, 1<<32 - 2, 1<<32 - 1, 1 << 32, 1<<32 + 1}[rng.Intn(7)]
@@ -501,50 +506,138 @@ var latencyStreams = []struct {
 			return 1<<32 + time.Duration(rng.Int63n(1<<20))
 		}
 	}},
+	// Sorted input in runs of three equal samples, and reverse-sorted input.
+	{"ascending", func(_ *rand.Rand, i int) time.Duration { return time.Duration(i/3) * 1_000_003 }},
+	{"descending", func(_ *rand.Rand, i int) time.Duration { return -time.Duration(i) << 33 }},
+}
+
+// blockProbes returns FractionUnder bounds at the block boundaries of every
+// chunk a Latency fed added, in that order, has sealed: the samples on both
+// sides of every indexStride-th rank of each chunk, and 1 ns either side.
+func blockProbes(added []time.Duration) []time.Duration {
+	var bs []time.Duration
+	for c := 1; c*chunkLen < len(added); c++ {
+		ch := slices.Clone(added[(c-1)*chunkLen : c*chunkLen])
+		slices.Sort(ch)
+		for r := indexStride; r < chunkLen; r += indexStride {
+			for _, v := range ch[r-1 : r+1] {
+				bs = append(bs, v-1, v, v+1)
+			}
+		}
+	}
+	return bs
 }
 
 // TestLatencyMatchesReference drives a Latency and the contiguous reference
-// with the same streams, at sizes on both sides of the first chunk's start
-// and of every chunk boundary, and requires equal answers at two random
-// points mid-stream, after which both keep adding, and at the end.
+// with the same streams, at sizes on both sides of the open chunk's
+// doublings, of the index stride and of every seal, and requires equal
+// answers at two random points mid-stream, after which both keep adding,
+// and at the end. Up to four chunks it also probes every sealed chunk's
+// block boundaries.
 func TestLatencyMatchesReference(t *testing.T) {
 	for _, s := range latencyStreams {
-		for _, n := range []int{0, 1, 63, 64, 65, chunkLen - 1, chunkLen, chunkLen + 1, 3*chunkLen + 1, 123_457} {
+		for _, n := range []int{0, 1, 63, 64, 65, chunkLen - 1, chunkLen, chunkLen + 1,
+			chunkLen + indexStride - 1, chunkLen + indexStride, chunkLen + indexStride + 1, 3*chunkLen + 1, 123_457} {
 			rng := rand.New(rand.NewSource(int64(n) + 1))
 			var l Latency
 			var ref sliceLatency
+			var added []time.Duration
 			stops := []int{rng.Intn(n + 1), rng.Intn(n + 1), n}
 			slices.Sort(stops)
 			for i := 0; i <= n; i++ {
 				for len(stops) > 0 && stops[0] == i {
 					stops = stops[1:]
-					checkLatency(t, fmt.Sprintf("%s n=%d after %d", s.name, n, i), &l, &ref, probes(ref.Samples()), true)
+					bounds := probes(ref.Samples())
+					if n <= 4*chunkLen {
+						bounds = append(bounds, blockProbes(added)...)
+					}
+					checkLatency(t, fmt.Sprintf("%s n=%d after %d", s.name, n, i), &l, &ref, bounds, true)
 				}
 				if i < n {
-					v := s.gen(rng)
+					v := s.gen(rng, i)
 					l.Add(v)
 					ref.Add(v)
+					added = append(added, v)
 				}
 			}
 		}
 	}
 }
 
-// TestLatencyRecordAllocation: recording 10^5 samples below 2^32 ns
-// allocates 4 B per sample, with the last chunk allocated whole, plus the
-// first chunk's doubling from 64 to 2,048 samples, the chunk list, whose
-// doubling allocates less than 4 headers per chunk, and 4 KiB for what the
-// runtime allocates meanwhile. That is 432 KB; 8-byte chunks allocated
-// 853 KB and the contiguous recorder 4.1 MB.
+// sealedBytes returns the bytes of l's sealed chunks.
+func sealedBytes(l *Latency) int {
+	n := 0
+	for _, c := range l.sealed {
+		n += len(c)
+	}
+	return n
+}
+
+// TestLatencyBytesPerSample bounds what a recorder keeps per sample once it
+// has sealed 512 chunks: the bytes its sealed chunks encode, and the heap
+// it holds. The heap adds the allocator's rounding of each chunk up to its
+// size class, at most 1/8 above 1 KiB, and the open chunk (16 KiB) and the
+// list of chunks, which stay the same size however many samples come.
+// Samples near 20 ms keep under 3 B; the widest equal deltas that fit a
+// chunk inside [0, 2^32) ns keep 4 B each, and the widest over all of
+// int64, outside [0, 2^32), 8 B each; each index adds 10 B per 64 samples.
+func TestLatencyBytesPerSample(t *testing.T) {
+	const n = 512 * chunkLen
+	// steps returns chunks whose keys run from key(from) in equal steps.
+	steps := func(from time.Duration, step uint64) []time.Duration {
+		xs := make([]time.Duration, n)
+		for i := range xs {
+			xs[i] = time.Duration((key(from) + uint64(i%chunkLen)*step) ^ 1<<63)
+		}
+		return xs
+	}
+	for _, c := range []struct {
+		name         string
+		xs           []time.Duration
+		sealed, heap float64 // at most, per sample
+	}{
+		{"log-normal around 20 ms", benchSamples(n), 3, 3},
+		{"widest equal deltas in [0, 2^32)", steps(0, (1<<32-1)/(chunkLen-1)), 4.25, 4.25 * 9 / 8},
+		{"widest equal deltas over int64", steps(math.MinInt64, math.MaxUint64/(chunkLen-1)), 8.25, 8.25 * 9 / 8},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		l := new(Latency)
+		for _, x := range c.xs {
+			l.Add(x)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		fixed := 8*cap(l.open) + 24*cap(l.sealed)
+		t.Logf("%s: sealed %.3f B, heap %.3f B per sample beside %d B of open chunk and list",
+			c.name, float64(sealedBytes(l))/n, float64(held-int64(fixed))/n, fixed)
+		if got := float64(sealedBytes(l)) / n; got > c.sealed {
+			t.Errorf("%s: sealed chunks keep %.3f B per sample, want at most %v", c.name, got, c.sealed)
+		}
+		if limit := int64(c.heap*n) + int64(fixed); held > limit {
+			t.Errorf("%s: recorder holds %d B, want at most %d", c.name, held, limit)
+		}
+		runtime.KeepAlive(l)
+	}
+}
+
+// TestLatencyRecordAllocation: recording 10^5 log-normal samples around
+// 20 ms (benchSamples) allocates under 2.75 B per sample, plus the open
+// chunk's doubling from 64 to 2,048 samples (31.5 KiB), the chunk list's
+// doubling and 4 KiB for what the runtime allocates meanwhile: at most
+// 313.7 KB. It measured 293,736 B; uint32 chunks allocated 427,368 B and
+// the contiguous recorder 4.1 MB.
 func TestLatencyRecordAllocation(t *testing.T) {
 	const n = 100_000
-	chunks := (n + chunkLen - 1) / chunkLen
-	limit := uint64(4*chunks*chunkLen + 4*(chunkLen-64) + 4*24*chunks + 4<<10)
+	xs := benchSamples(n)
+	limit := uint64(11*n/4 + 8*(2*chunkLen-64) + 24*2*n/chunkLen + 4<<10)
 	var l Latency
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		l.Add(time.Duration(i))
+	for _, x := range xs {
+		l.Add(x)
 	}
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
@@ -554,10 +647,10 @@ func TestLatencyRecordAllocation(t *testing.T) {
 }
 
 // TestLatencyQueriesDoNotAllocate: on a recorder of 10^5 samples, half of
-// them below 2^32 ns, an Add followed by a query re-sorts the last chunk of
-// a list in place, and neither that nor Mean allocates. The 10^5 samples
-// leave over 3,200 free slots in each list's last chunk, more than the
-// runs below add.
+// them below 2^32 ns, an Add followed by a query re-sorts the open chunk in
+// place, and neither that nor Mean allocates. The 10^5 samples leave 352
+// free slots in the open chunk, more than the 202 samples the runs below
+// add, so no Add seals.
 func TestLatencyQueriesDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	sample := func() time.Duration { return time.Duration(rng.Int63() >> (31 * rng.Intn(2))) }
@@ -587,14 +680,36 @@ func fuzzWord(raw []byte, i int) uint64 {
 // latencyWord reads the i-th sample of FuzzLatency's stream from
 // fuzzWord's w. Bit 0 picks the sample's range: clear, the sample is w
 // itself, any signed value; set, it is w's top 33 bits less 2^31, a value
-// in [-2^31, 3·2^31) that straddles both ends of the narrow list's range
-// [0, 2^32), so both lists fill all along the stream.
+// in [-2^31, 3·2^31) that straddles both 0, where the order key's top bit
+// flips, and 2^32.
 func latencyWord(raw []byte, i int) time.Duration {
 	w := fuzzWord(raw, i)
 	if w&1 == 0 {
 		return time.Duration(w)
 	}
 	return time.Duration(w>>31) - 1<<31
+}
+
+// latencyStream returns FuzzLatency's n samples: latencyWord's, arranged
+// by shape's low two bits as drawn, sorted ascending, sorted descending,
+// or in runs of 2^(shape>>2) equal samples, one value from 2^14 on.
+func latencyStream(raw []byte, n int, shape uint8) []time.Duration {
+	run := 1
+	if shape&3 == 3 {
+		run <<= min(shape>>2, 14)
+	}
+	xs := make([]time.Duration, n)
+	for i := range xs {
+		xs[i] = latencyWord(raw, i/run)
+	}
+	switch shape & 3 {
+	case 1:
+		slices.Sort(xs)
+	case 2:
+		slices.Sort(xs)
+		slices.Reverse(xs)
+	}
+	return xs
 }
 
 // fuzzSeed encodes words as a fuzzer byte stream, one little-endian 8-byte
@@ -608,19 +723,25 @@ func fuzzSeed(words ...uint64) []byte {
 }
 
 // FuzzLatency drives a Latency and the contiguous reference with the same
-// fuzzer-shaped stream of signed samples (latencyWord), n of them, and
+// fuzzer-shaped stream of signed samples (latencyStream), n of them, and
 // queries both after every gap+1 samples (at least every n/16), so queries
-// interleave with Adds into sorted and unsorted chunks of both lists.
-// Every answer must be equal.
+// interleave with Adds, doublings and seals. Every answer must be equal.
 func FuzzLatency(f *testing.F) {
-	f.Add(uint16(100), uint16(6), []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(uint16(chunkLen+1), uint16(63), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
-	f.Add(uint16(3*chunkLen+1), uint16(999), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0, 0, 0, 0, 0xff})
-	// The narrow range's ends: -2, 0, 2^32-2, 2^32 and 2^32+2 as they are,
-	// and -1, 2^32-1 and 2^32+1 through the odd words' range.
+	f.Add(uint16(100), uint16(6), uint8(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint16(chunkLen+1), uint16(63), uint8(0), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add(uint16(3*chunkLen+1), uint16(999), uint8(0), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0, 0, 0, 0, 0xff})
+	// -2, 0, 2^32-2, 2^32 and 2^32+2 as they are, and -1, 2^32-1 and
+	// 2^32+1 through the odd words' range.
 	near := func(v int64) uint64 { return uint64(v+1<<31)<<31 | 1 }
-	f.Add(uint16(2*chunkLen+7), uint16(40), fuzzSeed(math.MaxUint64-1, 0, 1<<32-2, 1<<32, 1<<32+2, near(-1), near(1<<32-1), near(1<<32+1)))
-	f.Fuzz(func(t *testing.T, n, gap uint16, raw []byte) {
+	f.Add(uint16(2*chunkLen+7), uint16(40), uint8(0), fuzzSeed(math.MaxUint64-1, 0, 1<<32-2, 1<<32, 1<<32+2, near(-1), near(1<<32-1), near(1<<32+1)))
+	// One past an index stride beyond the seal; sorted input from MinInt64
+	// to MaxInt64-1; reverse-sorted input; every sample equal; runs of 64.
+	f.Add(uint16(chunkLen+indexStride+1), uint16(64), uint8(0), []byte{3, 1, 4, 1, 5, 9, 2, 6})
+	f.Add(uint16(2*chunkLen+1), uint16(511), uint8(1), fuzzSeed(1<<63, 1<<63-2, 12345678))
+	f.Add(uint16(3*chunkLen+1), uint16(700), uint8(2), fuzzSeed(1<<63, 1<<63-2, 1<<40))
+	f.Add(uint16(2*chunkLen+1), uint16(300), uint8(3|14<<2), []byte{2, 7, 1, 8, 2, 8, 1, 8})
+	f.Add(uint16(2*chunkLen+1), uint16(300), uint8(3|6<<2), []byte{2, 7, 1, 8, 2, 8, 1, 8})
+	f.Fuzz(func(t *testing.T, n, gap uint16, shape uint8, raw []byte) {
 		if len(raw) < 8 {
 			return
 		}
@@ -628,8 +749,7 @@ func FuzzLatency(f *testing.F) {
 		gap = max(gap, n/16)
 		var l Latency
 		var ref sliceLatency
-		for i := 0; i < int(n); i++ {
-			v := latencyWord(raw, i)
+		for i, v := range latencyStream(raw, int(n), shape) {
 			l.Add(v)
 			ref.Add(v)
 			if i%(int(gap)+1) == 0 {
@@ -653,7 +773,8 @@ func benchSamples(n int) []time.Duration {
 
 var sinkLatency *Latency
 
-// BenchmarkLatencyRecord records 600k samples into a new recorder per op.
+// BenchmarkLatencyRecord records 600k samples into a new recorder per op,
+// sealing (sorting and encoding) each full chunk.
 func BenchmarkLatencyRecord(b *testing.B) {
 	xs := benchSamples(600_000)
 	b.ReportAllocs()
@@ -668,7 +789,8 @@ func BenchmarkLatencyRecord(b *testing.B) {
 }
 
 // BenchmarkLatencyQuery reads P(0.5), P(0.99) and P(0.999) from a recorder
-// freshly filled with 600k samples, so the first query sorts every chunk.
+// freshly filled with 600k samples, so the first query sorts the open
+// chunk; Add sorted every sealed one.
 // It reports no allocations: the runtime counts a small object's bytes
 // when its span is refilled, so the untimed fill would leak into them.
 // TestLatencyQueriesDoNotAllocate pins the queries at 0.

@@ -81,13 +81,15 @@ func New(node *topology.Node) *Selector {
 	return &Selector{node: node, spec: node.Spec, used: used}
 }
 
-// residual returns free bandwidth on directed edge i→j (0 when the edge is
-// failed).
+// residual returns free bandwidth on directed edge i→j (0 when there is no
+// such NVLink or the edge is failed). A pair without NVLink returns before
+// Avail is asked.
 func (s *Selector) residual(i, j int) float64 {
-	if s.Avail != nil && !s.Avail(i, j) {
+	bps := s.spec.NVLinkBps(i, j)
+	if bps == 0 || s.Avail != nil && !s.Avail(i, j) {
 		return 0
 	}
-	r := s.spec.NVLinkBps(i, j) - s.used[i][j]
+	r := bps - s.used[i][j]
 	if r < 0 {
 		return 0
 	}

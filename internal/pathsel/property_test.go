@@ -52,8 +52,9 @@ func TestPropertyReserveReleaseBalances(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("quick.Check seed %d: %v", seed, err)
 	}
 }
 
@@ -87,7 +88,8 @@ func TestPropertyAssignmentsAreValidPaths(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("quick.Check seed %d: %v", seed, err)
 	}
 }
