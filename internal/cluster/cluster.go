@@ -51,7 +51,9 @@ type RouteInfo struct {
 // it returns an index into pool and true, or false to fall back to the
 // default round-robin (seq mod pool size). The front-door router installs
 // its scored pick here; the hook runs in event context and must be
-// deterministic in virtual time.
+// deterministic in virtual time. pool is the stage's routable view itself,
+// valid only until the next membership change refills it in place: the
+// router's route keeps none of it, and a hook that keeps it must copy it.
 type RouteFn func(si scheduler.StageInst, req RouteInfo, pool []fabric.Location) (int, bool)
 
 // Cluster couples a fabric, a data plane, compute resources, and a placer.
@@ -210,7 +212,10 @@ type App struct {
 	// OnPoolChange, when non-nil, observes every routable-pool membership
 	// change (scale-out completion, cordon, crash blacklist, recovery) in
 	// event context. The front-door router refreshes its worker snapshot
-	// from it; the hook must not start simulation activity.
+	// from it; the hook must not start simulation activity. pool aliases
+	// the stage's routable view and is valid only until the next membership
+	// change: the router's poolChanged keeps none of it, and a hook that
+	// keeps it must copy it.
 	OnPoolChange func(si scheduler.StageInst, pool []fabric.Location)
 
 	// Route, when non-nil, overrides the round-robin pool-member selection

@@ -517,3 +517,140 @@ func TestElasticStepAllocFreeAfterChurn(t *testing.T) {
 		t.Errorf("idle steps scaled: %+v", ep.Stats)
 	}
 }
+
+// TestElasticScaleCycleAllocFree: once the pools have warmed, a scale-out,
+// a scale-in that cordons the new member while a pick still holds it, and
+// the retirement of that pick, which drains and tears the member down,
+// allocate nothing. The member comes off the pool's free list, the routable
+// view is refilled in place, and with Prewarm the provisioning timer is a
+// recycled one.
+func TestElasticScaleCycleAllocFree(t *testing.T) {
+	for _, prewarm := range []bool{false, true} {
+		t.Run(fmt.Sprintf("prewarm=%v", prewarm), func(t *testing.T) {
+			e := sim.NewEngine()
+			defer e.Close()
+			c := New(e, topology.DGXV100(), 1, grouterPlane)
+			app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
+			const delay = 10 * time.Millisecond
+			ep := app.EnableElastic(ElasticConfig{
+				Scaler:         autoscale.Fixed{},
+				Min:            1,
+				Max:            4,
+				Interval:       time.Hour, // controller never steps; the test drives directly
+				Prewarm:        prewarm,
+				ProvisionDelay: delay,
+			})
+			ps := app.pool(scheduler.StageInst{Stage: "segmentation", Replica: 0})
+			cycle := func() {
+				ep.scaleOut(ps, e.Now())
+				e.Run(e.Now() + delay) // a Prewarm member turns routable
+				m := app.instanceFor(ps, RouteInfo{Seq: 1})
+				if m.id != ps.nextID-1 || m.phase != memberActive {
+					t.Fatalf("pick landed on member %d (phase %d), want the new member %d", m.id, m.phase, ps.nextID-1)
+				}
+				ep.scaleIn(ps, 1, e.Now())
+				if m.phase != memberDraining {
+					t.Fatalf("scale-in left the picked member in phase %d", m.phase)
+				}
+				app.poolDone(ps, m)
+			}
+			cycle()
+			if n := testing.AllocsPerRun(100, cycle); n != 0 {
+				t.Errorf("%v allocations per scale cycle, want 0", n)
+			}
+			if ep.Stats.ScaleOuts != 102 || ep.Stats.Drained != 102 || len(ps.members) != 1 || len(ps.slots) != 1 {
+				t.Fatalf("after 102 cycles: %+v, %d members, %d routable", ep.Stats, len(ps.members), len(ps.slots))
+			}
+			if len(ep.free) != 1 {
+				t.Errorf("%d members on the free list, want the one every cycle reuses", len(ep.free))
+			}
+		})
+	}
+}
+
+// TestPrewarmTimerOutlivesMember: a Prewarm member torn down while it
+// provisions leaves its provisioning timer armed. When scale-out reuses the
+// member, the old timer must not make the new incarnation routable early,
+// though its phase is provisioning again. No controller path tears down a
+// provisioning member today, so the test calls finalize itself.
+func TestPrewarmTimerOutlivesMember(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	c := New(e, topology.DGXV100(), 1, grouterPlane)
+	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
+	ep := app.EnableElastic(ElasticConfig{
+		Scaler:         autoscale.Fixed{},
+		Min:            1,
+		Max:            4,
+		Interval:       time.Hour, // controller never steps; the test drives directly
+		Prewarm:        true,
+		ProvisionDelay: 100 * time.Millisecond,
+	})
+	ps := app.pool(scheduler.StageInst{Stage: "segmentation", Replica: 0})
+	ep.scaleOut(ps, e.Now()) // routable at 100ms
+	m := ps.members[1]
+	e.Run(40 * time.Millisecond)
+	ep.finalize(ps, m, e.Now())
+	ep.scaleOut(ps, e.Now()) // routable at 140ms
+	if len(ps.members) != 2 || ps.members[1] != m {
+		t.Fatal("scale-out did not reuse the torn-down member")
+	}
+	e.Run(120 * time.Millisecond) // the first timer fired at 100ms
+	if m.phase != memberProvisioning || len(ps.slots) != 1 {
+		t.Fatalf("at 120ms: member phase %d, %d routable; the first incarnation's timer ended the second's provisioning",
+			m.phase, len(ps.slots))
+	}
+	e.Run(150 * time.Millisecond)
+	if m.phase != memberActive || !m.warm || len(ps.slots) != 2 {
+		t.Fatalf("at 150ms: member phase %d, warm %v, %d routable; want active, warm, 2", m.phase, m.warm, len(ps.slots))
+	}
+}
+
+// TestRecoveryTimerOutlivesMember: a crashed member is cordoned and torn
+// down before RecoverAfter elapses, scale-out reuses it, and its new
+// incarnation crashes too. The first crash's recovery timer must leave the
+// new incarnation blacklisted until its own timer fires.
+func TestRecoveryTimerOutlivesMember(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	var pl *core.Plane
+	c := New(e, topology.DGXV100(), 1, func(f *fabric.Fabric) dataplane.Plane {
+		pl = core.New(f, core.FullConfig())
+		return pl
+	})
+	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
+	ep := app.EnableElastic(ElasticConfig{
+		Scaler:       autoscale.Fixed{},
+		Min:          1,
+		Max:          4,
+		Interval:     time.Hour, // controller never steps; the test drives directly
+		RecoverAfter: 300 * time.Millisecond,
+	})
+	in := faults.NewInjector(c.Fabric)
+	ep.WatchFaults(in)
+	ps := app.pool(scheduler.StageInst{Stage: "segmentation", Replica: 0})
+	ep.scaleOut(ps, e.Now())
+	m := ps.members[1]
+	in.CrashGPUAt(10*time.Millisecond, pl, m.loc.Node, m.loc.GPU) // recovers at 310ms
+	e.Run(20 * time.Millisecond)
+	if m.healthy {
+		t.Fatal("member still healthy after its GPU crashed")
+	}
+	ep.scaleIn(ps, 1, e.Now()) // the unhealthy member goes first and drains at once
+	ep.scaleOut(ps, e.Now())
+	if ep.Stats.Drained != 1 || len(ps.members) != 2 || ps.members[1] != m || !m.healthy {
+		t.Fatalf("drained %d, %d members: scale-out did not reuse the torn-down member as a healthy one",
+			ep.Stats.Drained, len(ps.members))
+	}
+	in.CrashGPUAt(100*time.Millisecond, pl, m.loc.Node, m.loc.GPU) // recovers at 400ms
+	e.Run(350 * time.Millisecond)
+	if m.healthy || ep.Stats.Recoveries != 0 || len(ps.slots) != 1 {
+		t.Fatalf("at 350ms: healthy %v, %d recoveries, %d routable; the first crash's timer recovered the second incarnation",
+			m.healthy, ep.Stats.Recoveries, len(ps.slots))
+	}
+	e.Run(450 * time.Millisecond)
+	if !m.healthy || ep.Stats.Recoveries != 1 || len(ps.slots) != 2 {
+		t.Fatalf("at 450ms: healthy %v, %d recoveries, %d routable; want the second crash recovered", m.healthy,
+			ep.Stats.Recoveries, len(ps.slots))
+	}
+}

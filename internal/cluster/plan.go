@@ -155,7 +155,8 @@ type outSlot struct {
 type activation struct {
 	st  *reqState
 	idx int
-	// member is the pool member serving the activation.
+	// member is the pool member serving the activation, from its pick until
+	// poolDone retires it.
 	member *poolMember
 	ctx    dataplane.FnCtx
 	ictx   dataplane.FnCtx
@@ -433,8 +434,11 @@ func (ac *activation) Run(p *sim.Proc) {
 		}
 	}
 	// Retire the pool pick (in-flight accounting for cordon/drain) whether
-	// the activation ran or was probabilistically skipped.
+	// the activation ran or was probabilistically skipped. The retirement may
+	// tear the member down and free it for reuse, so the pooled activation
+	// lets go of it.
 	a.poolDone(pi.pool, ac.member)
+	ac.member = nil
 	// Release inputs whether consumed or skipped.
 	for k := range pi.inputs {
 		sl := &st.slots[pi.inputs[k].prod]

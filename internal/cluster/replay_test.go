@@ -90,6 +90,55 @@ func TestReplayPastCapRetainsNoPerRequestState(t *testing.T) {
 	}
 }
 
+// TestElasticReplayAllocFlatInRunLength replays a churning elastic app at
+// two lengths on fresh apps, both past metrics.DistCap so no recorder keeps
+// a sample per request, and requires the extra requests of the longer
+// replay to allocate under 1.5 B each, fewer than one object per hundred.
+// The longer replay scales out and in about twice as often, so a scale
+// event that allocated (a member, a routable view) would show: those cost
+// 2.3 B and 0.05 objects per extra request. The 0.7 B left is the folded
+// histogram reaching new buckets (one 24 KB regrowth) and request states
+// tracking peak concurrency.
+func TestElasticReplayAllocFlatInRunLength(t *testing.T) {
+	wf := &workflow.Workflow{Name: "one-stage", Batch: 8, SLOScale: 1.5,
+		Stages: []*workflow.Stage{{Name: "segmentation", Model: models.MustLookup("segmentation")}}}
+	replay := func(requests int) (bytes, objects uint64, n int, cycles int64) {
+		arrivals := trace.Generate(trace.Spec{
+			Pattern:  trace.Sporadic,
+			Duration: time.Duration(requests) * time.Second / 60,
+			MeanRPS:  60,
+			Seed:     5,
+		})
+		e := sim.NewEngine()
+		defer e.Close()
+		app := New(e, topology.DGXV100(), 1, grouterPlane).Deploy(wf, 0, scheduler.Options{Node: 0})
+		ep := app.EnableElastic(DefaultElastic())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := app.Replay(arrivals, ReplaySpec{Quantum: 10 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if app.Completed != len(arrivals) {
+			t.Fatalf("completed %d of %d", app.Completed, len(arrivals))
+		}
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, len(arrivals), ep.Stats.ScaleIns
+	}
+	bs, os, ns, cs := replay(34_000)
+	bl, ol, nl, cl := replay(68_000)
+	extra := float64(nl - ns)
+	perReq := (float64(bl) - float64(bs)) / extra
+	objPerReq := (float64(ol) - float64(os)) / extra
+	t.Logf("%d B, %d objects, %d scale-ins at %d requests; %d B, %d objects, %d scale-ins at %d: %.2f B and %.4f objects per extra request",
+		bs, os, cs, ns, bl, ol, cl, nl, perReq, objPerReq)
+	if cs < 300 || cl < 2*cs*9/10 {
+		t.Fatalf("%d and %d scale-ins: the replays do not churn the pool in proportion to their length", cs, cl)
+	}
+	if perReq >= 1.5 || objPerReq >= 0.01 {
+		t.Errorf("each extra request allocates %.2f B and %.4f objects, want under 1.5 B and 0.01", perReq, objPerReq)
+	}
+}
+
 // TestReplayPercentilesCoverOwnCompletions replays two different traces back
 // to back on one app and one LLM service, with a counting completion hook of
 // the caller's installed before each: each replay's P50/P99 must be the

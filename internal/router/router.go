@@ -2,6 +2,7 @@ package router
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"grouter/internal/cluster"
@@ -328,7 +329,8 @@ func (r *Router) admit(req cluster.Request, waited time.Duration) (cluster.Admit
 
 // stageGroups returns (rebuilding lazily after pool changes) the snapshot
 // indices of every current routable stage pool's GPU workers, in the app's
-// stage order.
+// stage order. A rebuild refills the groups in place, reusing each one's
+// array from the rebuild before.
 func (r *Router) stageGroups() [][]int {
 	if !r.poolStagesValid {
 		r.poolStages = r.poolStages[:0]
@@ -340,7 +342,9 @@ func (r *Router) stageGroups() [][]int {
 			// Pools are visited one after another, so a new stage instance
 			// starts a new group.
 			if len(r.poolStages) == 0 || si != cur {
-				r.poolStages = append(r.poolStages, nil)
+				g := len(r.poolStages)
+				r.poolStages = slices.Grow(r.poolStages, 1)[:g+1]
+				r.poolStages[g] = r.poolStages[g][:0]
 				cur = si
 			}
 			g := len(r.poolStages) - 1

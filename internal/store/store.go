@@ -142,7 +142,8 @@ type Manager struct {
 	pools []*memsim.Pool
 	items map[dataplane.DataID]*Item
 	funcs map[string]*funcStats
-	// reservations hold pre-warmed pool bytes per function until expiry.
+	// reservations hold pre-warmed pool bytes per function until expiry;
+	// reserve and reclaimLoop drop the expired ones (dropExpired).
 	reservations []reservation
 	nextID       dataplane.DataID
 
@@ -711,7 +712,11 @@ func (m *Manager) recordArrival(fn string, now time.Duration, bytes int64) {
 	fs.concurrency.add(float64(fs.live))
 }
 
-// reserve records a pre-warmed reservation R_size·R_con for R_window.
+// reserve records a pre-warmed reservation R_size·R_con for R_window. Before
+// the list would grow it drops the expired reservations in place, and it
+// grows only when that freed less than half of it, so the list tracks the
+// live reservations, not the Frees since the last reclaim sweep, and each
+// reservation is swept a bounded number of times.
 func (m *Manager) reserve(fn string, gpu int) {
 	fs := m.funcs[fn]
 	if fs == nil {
@@ -725,9 +730,28 @@ func (m *Manager) reserve(fn string, gpu int) {
 	if bytes <= 0 {
 		return
 	}
+	now := m.eng.Now()
+	if len(m.reservations) == cap(m.reservations) {
+		m.dropExpired(now)
+		if n := len(m.reservations); n > cap(m.reservations)/2 {
+			m.reservations = slices.Grow(m.reservations, n)
+		}
+	}
 	m.reservations = append(m.reservations, reservation{
-		fn: fn, gpu: gpu, bytes: bytes, expires: m.eng.Now() + window,
+		fn: fn, gpu: gpu, bytes: bytes, expires: now + window,
 	})
+}
+
+// dropExpired removes the reservations expired by now, keeping the others in
+// order. target counts only unexpired reservations, so no target changes.
+func (m *Manager) dropExpired(now time.Duration) {
+	live := m.reservations[:0]
+	for _, r := range m.reservations {
+		if r.expires > now {
+			live = append(live, r)
+		}
+	}
+	m.reservations = live
 }
 
 // target returns the elastic pool-size target for GPU g: live usage plus
@@ -754,13 +778,7 @@ func (m *Manager) reclaimLoop(p *sim.Proc) {
 	for {
 		p.Sleep(m.cfg.ReclaimInterval)
 		now := p.Now()
-		live := m.reservations[:0]
-		for _, r := range m.reservations {
-			if r.expires > now {
-				live = append(live, r)
-			}
-		}
-		m.reservations = live
+		m.dropExpired(now)
 		for g, pool := range m.pools {
 			if over := pool.Reserved() - m.target(g); over > 0 {
 				pool.Shrink(over)

@@ -361,3 +361,59 @@ func TestQuantileMatchesSortOracle(t *testing.T) {
 		t.Errorf("empty window p(0.99) = %v, want 0", got)
 	}
 }
+
+// putFreeLoop Puts and Frees one 10 MB item of one function every gap until
+// the given instant. As a sim.Runner it spawns on a recycled process shell
+// without allocating.
+type putFreeLoop struct {
+	m     *Manager
+	ctx   *dataplane.FnCtx
+	gap   time.Duration
+	until time.Duration
+	err   error
+}
+
+func (l *putFreeLoop) Run(p *sim.Proc) {
+	for p.Now() < l.until {
+		it, err := l.m.Put(p, l.ctx, 0, 10*MB)
+		if err != nil {
+			l.err = err
+			return
+		}
+		l.m.Free(it)
+		p.Sleep(l.gap)
+	}
+}
+
+// TestPutFreeLoopAllocFree: an elastic manager's Put+Free loop allocates
+// nothing once warmed, across reclaim sweeps, though each run frees twice
+// as often as the run before. Every Free reserves pool bytes for the p99 gap
+// between the function's Puts, so only a reservation or two is unexpired at
+// a time, and reserve drops the expired ones before its list would grow.
+// A list that kept every reservation since the last sweep grew with the
+// Free rate.
+func TestPutFreeLoopAllocFree(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	m, _ := testManager(e, Config{Elastic: true, Policy: PolicyRQ})
+	l := &putFreeLoop{m: m, ctx: ctxFor("f", 1), gap: 4 * time.Millisecond}
+	run := func() {
+		l.gap /= 2
+		l.until = e.Now() + 2500*time.Millisecond // two or three sweeps
+		e.GoRun("put-free", l)
+		e.Run(0)
+	}
+	run()
+	if n := testing.AllocsPerRun(3, run); n != 0 {
+		t.Errorf("%v allocations per Put+Free run, want 0", n)
+	}
+	if l.err != nil {
+		t.Fatal(l.err)
+	}
+	if n := cap(m.reservations); n > 8 {
+		t.Errorf("the reservation list holds room for %d, want a few: it grew with the Free rate", n)
+	}
+	if m.TotalUsed() != 0 || len(m.items) != 0 {
+		t.Errorf("after the loop: %d bytes used, %d items", m.TotalUsed(), len(m.items))
+	}
+}
