@@ -25,16 +25,6 @@ type ColdStartPolicy struct {
 	Prewarm bool
 }
 
-// DefaultColdStart returns a realistic cold-start model for GPU functions.
-func DefaultColdStart() ColdStartPolicy {
-	return ColdStartPolicy{
-		Enabled:          true,
-		ContainerLatency: 800 * time.Millisecond,
-		KeepAlive:        30 * time.Second,
-		Prewarm:          false,
-	}
-}
-
 // SetColdStart configures the app's provisioning model; call before the
 // first request. It resets every pool member's warmth; with p.Prewarm every
 // routable replica starts warm.

@@ -50,7 +50,7 @@ func TestFailedModelLoadNeverWarms(t *testing.T) {
 	defer e.Close()
 	c := New(e, topology.DGXV100(), 1, grouterPlane)
 	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
-	app.SetColdStart(DefaultColdStart())
+	app.SetColdStart(ColdStartPolicy{Enabled: true, ContainerLatency: 800 * time.Millisecond, KeepAlive: 30 * time.Second})
 	var ps *poolState
 	for _, cand := range app.pools {
 		if cand.stage.IsGPU() {
@@ -127,13 +127,6 @@ func TestDefaultIsAlwaysWarm(t *testing.T) {
 	}
 }
 
-func TestDefaultColdStartValues(t *testing.T) {
-	p := DefaultColdStart()
-	if !p.Enabled || p.ContainerLatency <= 0 || p.KeepAlive <= 0 || p.Prewarm {
-		t.Errorf("unexpected defaults: %+v", p)
-	}
-}
-
 func TestAutoscaledReplicaChargedColdStart(t *testing.T) {
 	// Satellite pin: the first request routed to a freshly scaled replica is
 	// actually charged the ColdStartPolicy latency, even when the deployed
@@ -175,33 +168,44 @@ func TestAutoscaledReplicaChargedColdStart(t *testing.T) {
 
 func TestElasticPrewarmProvisioning(t *testing.T) {
 	// Prewarm + autoscaler: a scaled replica provisions in the background —
-	// not routable until ProvisionDelay elapses, and then already warm, so
-	// no request is ever charged its cold start.
+	// not routable until the cold-start policy's container launch latency
+	// has elapsed since its scale-out, and then already warm, so no request
+	// is ever charged its cold start.
 	e := sim.NewEngine()
 	defer e.Close()
 	c := New(e, topology.DGXV100(), 1, grouterPlane)
 	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
-	app.SetColdStart(ColdStartPolicy{Enabled: true, ContainerLatency: 200 * time.Millisecond,
+	const lat, interval = 300 * time.Millisecond, 50 * time.Millisecond
+	app.SetColdStart(ColdStartPolicy{Enabled: true, ContainerLatency: lat,
 		KeepAlive: time.Minute, Prewarm: true})
 	ep := app.EnableElastic(ElasticConfig{
-		Scaler:         autoscale.Fixed{Replicas: 2},
-		Min:            1,
-		Max:            2,
-		Interval:       50 * time.Millisecond,
-		Prewarm:        true,
-		ProvisionDelay: 300 * time.Millisecond,
+		Scaler:   autoscale.Fixed{Replicas: 2},
+		Min:      1,
+		Max:      2,
+		Interval: interval,
+		Prewarm:  true,
 	})
-	e.Run(60 * time.Millisecond) // scale-out ordered, still provisioning
+	e.Run(60 * time.Millisecond) // scale-out ordered at the first step, still provisioning
 	si := scheduler.StageInst{Stage: "segmentation", Replica: 0}
+	if ep.Stats.ScaleOuts != 3 {
+		t.Fatalf("%d scale-outs by 60ms, want one per GPU stage at %v", ep.Stats.ScaleOuts, interval)
+	}
 	if active, prov, _ := ep.Replicas("segmentation", 0); active != 1 || prov != 1 {
 		t.Fatalf("active/prov = %d/%d during provisioning, want 1/1", active, prov)
 	}
 	if got := len(app.pool(si).locs); got != 1 {
 		t.Fatalf("provisioning member already routable: pool size %d", got)
 	}
-	e.Run(500 * time.Millisecond) // provisioning delay elapsed
+	e.Run(interval + lat - time.Nanosecond)
+	if got := len(app.pool(si).locs); got != 1 {
+		t.Fatalf("member routable one nanosecond before its provisioning ended: pool size %d", got)
+	}
+	e.Run(interval + lat) // provisioning delay elapsed
 	if active, prov, _ := ep.Replicas("segmentation", 0); active != 2 || prov != 0 {
 		t.Fatalf("active/prov = %d/%d after provisioning, want 2/0", active, prov)
+	}
+	if got := len(app.pool(si).locs); got != 2 {
+		t.Fatalf("provisioned member not routable: pool size %d", got)
 	}
 	mustSubmit(app, Request{})
 	mustSubmit(app, Request{})
@@ -211,5 +215,21 @@ func TestElasticPrewarmProvisioning(t *testing.T) {
 	}
 	if got := app.ColdStarts(); got != 0 {
 		t.Errorf("cold starts = %d, want 0 — pre-warmed provisioning must absorb them", got)
+	}
+
+	// With cold starts off there is no container to launch, whatever
+	// latency the policy names: a Prewarm member is routable and warm the
+	// instant it scales out.
+	e2 := sim.NewEngine()
+	defer e2.Close()
+	app2 := New(e2, topology.DGXV100(), 1, grouterPlane).Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
+	app2.SetColdStart(ColdStartPolicy{ContainerLatency: lat})
+	ep2 := app2.EnableElastic(ElasticConfig{Scaler: autoscale.Fixed{}, Min: 1, Max: 2,
+		Interval: time.Hour, Prewarm: true}) // the test drives the scale-out
+	ps := app2.pool(si)
+	ep2.scaleOut(ps, e2.Now())
+	if m := ps.members[1]; m.phase != memberActive || !m.warm || len(ps.slots) != 2 {
+		t.Errorf("cold starts off: new member phase %d, warm %v, %d routable; want active, warm, 2",
+			m.phase, m.warm, len(ps.slots))
 	}
 }

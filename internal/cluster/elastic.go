@@ -136,20 +136,20 @@ type ElasticConfig struct {
 	// scale event (so freshly ordered capacity is not immediately shed).
 	// Zero, the default, lets every interval act.
 	ScaleInCooldown time.Duration
-	// Prewarm provisions scaled-out replicas in the background: the new
-	// member becomes routable only after ProvisionDelay, already warm, so no
-	// request is charged its cold start. False (the default) makes the new
-	// member routable immediately and the first routed request pays the
-	// ColdStartPolicy latency.
+	// Prewarm provisions scaled-out replicas in the background: with cold
+	// starts enabled, the new member becomes routable only after the app's
+	// ColdStartPolicy.ContainerLatency, already warm, so no request is
+	// charged its cold start; with them disabled it is routable at once.
+	// False (the default) makes the new member routable immediately and the
+	// first routed request pays the ColdStartPolicy latency.
 	Prewarm bool
-	// ProvisionDelay is the scale-out provisioning latency; zero defaults to
-	// the app's ColdStartPolicy.ContainerLatency when cold starts are
-	// enabled, else zero (instant).
-	ProvisionDelay time.Duration
-	// RecoverAfter is how long a crashed member stays out of the routable
-	// set after a WatchFaults GPU-crash signal (default 500ms).
-	RecoverAfter time.Duration
 }
+
+// RecoverAfter is how long a crashed GPU stays out of routing after a fault
+// injector's crash signal: elastic pool members leave the routable set for
+// this long (ElasticPools.WatchFaults), and the router blacklists the
+// worker for as long.
+const RecoverAfter = 500 * time.Millisecond
 
 // DefaultElastic returns a responsive, scale-in-capable configuration.
 func DefaultElastic() ElasticConfig {
@@ -265,9 +265,6 @@ func (a *App) EnableElastic(cfg ElasticConfig) *ElasticPools {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 250 * time.Millisecond
 	}
-	if cfg.RecoverAfter <= 0 {
-		cfg.RecoverAfter = 500 * time.Millisecond
-	}
 	ep := &ElasticPools{app: a, cfg: cfg}
 	now := a.C.Engine.Now()
 	for _, ps := range a.pools {
@@ -289,11 +286,9 @@ func (a *App) EnableElastic(cfg ElasticConfig) *ElasticPools {
 	return ep
 }
 
-// provisionDelay is the scale-out latency a new member pays before serving.
+// provisionDelay is the scale-out latency a Prewarm member pays before
+// serving: the container launch of a cold start, or nothing without them.
 func (ep *ElasticPools) provisionDelay() time.Duration {
-	if ep.cfg.ProvisionDelay > 0 {
-		return ep.cfg.ProvisionDelay
-	}
 	if ep.app.Cold.Enabled {
 		return ep.app.Cold.ContainerLatency
 	}
@@ -519,7 +514,7 @@ func (ep *ElasticPools) WatchFaults(in *faults.Injector) {
 				m.healthy = false
 				ep.Stats.Crashes++
 				changed = true
-				ep.arm(ep.cfg.RecoverAfter, ps, m, true)
+				ep.arm(RecoverAfter, ps, m, true)
 			}
 			if changed {
 				ep.app.rebuild(ps)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -257,11 +258,10 @@ func TestElasticCrashRecovery(t *testing.T) {
 	})
 	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
 	ep := app.EnableElastic(ElasticConfig{
-		Scaler:       autoscale.Fixed{},
-		Min:          2,
-		Max:          2,
-		Interval:     50 * time.Millisecond,
-		RecoverAfter: 300 * time.Millisecond,
+		Scaler:   autoscale.Fixed{},
+		Min:      2,
+		Max:      2,
+		Interval: 50 * time.Millisecond,
 	})
 	in := faults.NewInjector(c.Fabric)
 	ep.WatchFaults(in)
@@ -271,7 +271,8 @@ func TestElasticCrashRecovery(t *testing.T) {
 		t.Fatalf("pool at %d members before crash, want 2", len(ps.slots))
 	}
 	victim := ps.members[1]
-	in.CrashGPUAt(210*time.Millisecond, pl, victim.loc.Node, victim.loc.GPU)
+	const crashAt = 210 * time.Millisecond
+	in.CrashGPUAt(crashAt, pl, victim.loc.Node, victim.loc.GPU)
 	e.Run(250 * time.Millisecond)
 	if victim.healthy {
 		t.Fatal("member still healthy after its GPU crashed")
@@ -284,14 +285,21 @@ func TestElasticCrashRecovery(t *testing.T) {
 			t.Fatal("crashed member still routable")
 		}
 	}
+	e.Run(crashAt + RecoverAfter - time.Nanosecond)
+	if victim.healthy || slices.Contains(ps.slots, victim) {
+		t.Fatal("member back in the pool before RecoverAfter elapsed")
+	}
 	// RecoverAfter elapses → back in the pool.
-	e.Run(600 * time.Millisecond)
-	if !victim.healthy {
-		t.Fatal("member never recovered")
+	e.Run(crashAt + RecoverAfter)
+	if !victim.healthy || !slices.Contains(ps.slots, victim) {
+		t.Fatal("member not back in the pool once RecoverAfter elapsed")
 	}
 	if ep.Stats.Recoveries == 0 {
 		t.Fatal("recovery not counted")
 	}
+	// The next controller steps shed the replacement ordered during the
+	// outage.
+	e.Run(crashAt + RecoverAfter + 100*time.Millisecond)
 	if len(ps.slots) != 2 {
 		t.Fatalf("pool at %d members after recovery, want 2", len(ps.slots))
 	}
@@ -532,17 +540,24 @@ func TestElasticScaleCycleAllocFree(t *testing.T) {
 			c := New(e, topology.DGXV100(), 1, grouterPlane)
 			app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
 			const delay = 10 * time.Millisecond
+			if prewarm {
+				// A Prewarm member provisions for the container launch of a
+				// cold start, so with cold starts on the timer is armed.
+				app.SetColdStart(ColdStartPolicy{Enabled: true, ContainerLatency: delay})
+			}
 			ep := app.EnableElastic(ElasticConfig{
-				Scaler:         autoscale.Fixed{},
-				Min:            1,
-				Max:            4,
-				Interval:       time.Hour, // controller never steps; the test drives directly
-				Prewarm:        prewarm,
-				ProvisionDelay: delay,
+				Scaler:   autoscale.Fixed{},
+				Min:      1,
+				Max:      4,
+				Interval: time.Hour, // controller never steps; the test drives directly
+				Prewarm:  prewarm,
 			})
 			ps := app.pool(scheduler.StageInst{Stage: "segmentation", Replica: 0})
 			cycle := func() {
 				ep.scaleOut(ps, e.Now())
+				if prewarm && len(ps.slots) != 1 {
+					t.Fatalf("a Prewarm member is routable before its provisioning timer fired: %d routable", len(ps.slots))
+				}
 				e.Run(e.Now() + delay) // a Prewarm member turns routable
 				m := app.instanceFor(ps, RouteInfo{Seq: 1})
 				if m.id != ps.nextID-1 || m.phase != memberActive {
@@ -578,13 +593,13 @@ func TestPrewarmTimerOutlivesMember(t *testing.T) {
 	defer e.Close()
 	c := New(e, topology.DGXV100(), 1, grouterPlane)
 	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
+	app.SetColdStart(ColdStartPolicy{Enabled: true, ContainerLatency: 100 * time.Millisecond})
 	ep := app.EnableElastic(ElasticConfig{
-		Scaler:         autoscale.Fixed{},
-		Min:            1,
-		Max:            4,
-		Interval:       time.Hour, // controller never steps; the test drives directly
-		Prewarm:        true,
-		ProvisionDelay: 100 * time.Millisecond,
+		Scaler:   autoscale.Fixed{},
+		Min:      1,
+		Max:      4,
+		Interval: time.Hour, // controller never steps; the test drives directly
+		Prewarm:  true,
 	})
 	ps := app.pool(scheduler.StageInst{Stage: "segmentation", Replica: 0})
 	ep.scaleOut(ps, e.Now()) // routable at 100ms
@@ -620,18 +635,17 @@ func TestRecoveryTimerOutlivesMember(t *testing.T) {
 	})
 	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
 	ep := app.EnableElastic(ElasticConfig{
-		Scaler:       autoscale.Fixed{},
-		Min:          1,
-		Max:          4,
-		Interval:     time.Hour, // controller never steps; the test drives directly
-		RecoverAfter: 300 * time.Millisecond,
+		Scaler:   autoscale.Fixed{},
+		Min:      1,
+		Max:      4,
+		Interval: time.Hour, // controller never steps; the test drives directly
 	})
 	in := faults.NewInjector(c.Fabric)
 	ep.WatchFaults(in)
 	ps := app.pool(scheduler.StageInst{Stage: "segmentation", Replica: 0})
 	ep.scaleOut(ps, e.Now())
 	m := ps.members[1]
-	in.CrashGPUAt(10*time.Millisecond, pl, m.loc.Node, m.loc.GPU) // recovers at 310ms
+	in.CrashGPUAt(10*time.Millisecond, pl, m.loc.Node, m.loc.GPU) // recovers at 510ms
 	e.Run(20 * time.Millisecond)
 	if m.healthy {
 		t.Fatal("member still healthy after its GPU crashed")
@@ -642,15 +656,15 @@ func TestRecoveryTimerOutlivesMember(t *testing.T) {
 		t.Fatalf("drained %d, %d members: scale-out did not reuse the torn-down member as a healthy one",
 			ep.Stats.Drained, len(ps.members))
 	}
-	in.CrashGPUAt(100*time.Millisecond, pl, m.loc.Node, m.loc.GPU) // recovers at 400ms
-	e.Run(350 * time.Millisecond)
+	in.CrashGPUAt(100*time.Millisecond, pl, m.loc.Node, m.loc.GPU) // recovers at 600ms
+	e.Run(550 * time.Millisecond)
 	if m.healthy || ep.Stats.Recoveries != 0 || len(ps.slots) != 1 {
-		t.Fatalf("at 350ms: healthy %v, %d recoveries, %d routable; the first crash's timer recovered the second incarnation",
+		t.Fatalf("at 550ms: healthy %v, %d recoveries, %d routable; the first crash's timer recovered the second incarnation",
 			m.healthy, ep.Stats.Recoveries, len(ps.slots))
 	}
-	e.Run(450 * time.Millisecond)
+	e.Run(650 * time.Millisecond)
 	if !m.healthy || ep.Stats.Recoveries != 1 || len(ps.slots) != 2 {
-		t.Fatalf("at 450ms: healthy %v, %d recoveries, %d routable; want the second crash recovered", m.healthy,
+		t.Fatalf("at 650ms: healthy %v, %d recoveries, %d routable; want the second crash recovered", m.healthy,
 			ep.Stats.Recoveries, len(ps.slots))
 	}
 }

@@ -77,8 +77,8 @@ type Network struct {
 	eventAt        time.Duration
 	timerFn        func()
 
-	// Seeds for the next recompute: flows that arrived or changed options,
-	// and links whose flow set shrank (cancellations).
+	// Seeds for the next recompute: flows that arrived, and links whose flow
+	// set shrank (failures) or whose capacity changed.
 	dirtyFlows []*Flow
 	dirtyLinks []int
 
@@ -118,7 +118,6 @@ type Flow struct {
 	remaining  float64
 	lastUpdate time.Duration
 	done       sim.Signal
-	canceled   bool
 	failed     bool
 	active     bool
 	net        *Network
@@ -285,9 +284,8 @@ func (n *Network) newFlow() *Flow {
 //
 // Release refuses, and reports false, when the flow is still attached to
 // the simulation: active, queued as a recompute seed, in the completion
-// heap, or with a done signal that has not fired. A canceled flow never
-// fires its done signal, so it is never recycled; nor is a flow that is dead
-// on arrival until its done event has run.
+// heap, or with a done signal that has not fired. A flow that is dead on
+// arrival is not recycled until its done event has run.
 func (n *Network) Release(f *Flow) bool {
 	if f.net != n || f.active || f.dirty || f.heapIdx >= 0 || !f.done.Fired() {
 		return false
@@ -313,13 +311,12 @@ func (f *Flow) Failed() bool { return f.failed }
 
 // Remaining returns the bytes left to transfer as of the current instant.
 // For a failed flow this is the undelivered byte count frozen at the failure
-// instant (the amount a retry must re-send); for a completed or canceled
-// flow it is 0.
+// instant (the amount a retry must re-send); for a completed flow it is 0.
 func (f *Flow) Remaining() float64 {
 	if f.failed {
 		return f.remaining
 	}
-	if f.done.Fired() || f.canceled {
+	if f.done.Fired() {
 		return 0
 	}
 	elapsed := (f.net.engine.Now() - f.lastUpdate).Seconds()
@@ -330,9 +327,9 @@ func (f *Flow) Remaining() float64 {
 	return rem
 }
 
-// Transferred returns the bytes delivered so far. Failure and cancellation
-// freeze progress at the terminating instant, so for every flow
-// Transferred + undelivered bytes == the size it was started with.
+// Transferred returns the bytes delivered so far. A failure freezes progress
+// at the failing instant, so for every flow Transferred + undelivered bytes
+// == the size it was started with.
 func (f *Flow) Transferred() float64 {
 	if f.active {
 		return f.total - f.Remaining()
@@ -341,47 +338,6 @@ func (f *Flow) Transferred() float64 {
 		return f.total
 	}
 	return f.total - f.remaining
-}
-
-// SetOptions updates the flow's constraints and triggers a rate
-// recomputation of the flow's component.
-func (f *Flow) SetOptions(opt Options) {
-	if f.done.Fired() || f.canceled {
-		return
-	}
-	if f.active && opt.Priority != f.priority {
-		// Priority determines the flow's slot in the allocation order.
-		f.net.removeFromOrder(f)
-		f.priority = opt.Priority
-		f.net.insertIntoOrder(f)
-	} else {
-		f.priority = opt.Priority
-	}
-	f.minRate = opt.MinRate
-	f.maxRate = opt.MaxRate
-	if f.active {
-		f.net.markDirty(f)
-		f.net.requestEvent(f.net.engine.Now())
-	}
-}
-
-// Cancel aborts the flow without firing its done signal.
-func (n *Network) Cancel(f *Flow) {
-	if !f.active {
-		return
-	}
-	f.canceled = true
-	f.advance(n.engine.Now())
-	// The canceled flow's own progress no longer matters; its peers keep
-	// their rates until the recompute this schedules (same instant), so
-	// their lazily-advanced progress is unaffected.
-	n.removeFlow(f)
-	f.rate = 0
-	n.endFlowSpan(f, "canceled")
-	for _, li := range f.pathIdx {
-		n.dirtyLinks = append(n.dirtyLinks, int(li))
-	}
-	n.requestEvent(n.engine.Now())
 }
 
 // advance moves the flow's lazily-tracked progress to now at its current

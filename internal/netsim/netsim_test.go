@@ -219,40 +219,6 @@ func TestZeroByteFlowCompletesImmediately(t *testing.T) {
 	}
 }
 
-func TestCancelStopsFlow(t *testing.T) {
-	e := sim.NewEngine()
-	n := testNet(e, 100)
-	var f *Flow
-	e.Go("starter", func(p *sim.Proc) {
-		f = n.Start("doomed", []topology.LinkID{0}, 1000, Options{})
-		p.Sleep(time.Second)
-		n.Cancel(f)
-	})
-	run(t, e)
-	if f.Done().Fired() {
-		t.Error("canceled flow fired done")
-	}
-	if n.ActiveFlows() != 0 {
-		t.Errorf("active flows = %d, want 0", n.ActiveFlows())
-	}
-}
-
-func TestSetOptionsRepartitions(t *testing.T) {
-	e := sim.NewEngine()
-	n := testNet(e, 100)
-	var d time.Duration
-	e.Go("a", func(p *sim.Proc) {
-		f := n.Start("a", []topology.LinkID{0}, 1000, Options{MaxRate: 50})
-		p.Sleep(10 * time.Second) // 500 bytes done
-		f.SetOptions(Options{})   // uncap
-		f.Done().Wait(p)
-		d = p.Now()
-	})
-	run(t, e)
-	// 500B at 50B/s, then 500B at 100B/s → 10 + 5 = 15s.
-	approx(t, d, 15*time.Second, 1e-6, "uncapped mid-flight")
-}
-
 func TestRemainingAndRateObservers(t *testing.T) {
 	e := sim.NewEngine()
 	n := testNet(e, 100)

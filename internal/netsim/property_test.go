@@ -129,6 +129,11 @@ func diffPath(rng *rand.Rand, links int) []topology.LinkID {
 	return path
 }
 
+// randLink picks one of links handles.
+func randLink(rng *rand.Rand, links int) topology.LinkID {
+	return topology.LinkID(rng.Intn(links))
+}
+
 func diffOptions(rng *rand.Rand) Options {
 	var opt Options
 	switch rng.Intn(4) {
@@ -144,12 +149,12 @@ func diffOptions(rng *rand.Rand) Options {
 	return opt
 }
 
-// TestDifferentialIncrementalVsReference interleaves randomized
-// Start/Cancel/SetOptions events over randomized multi-component topologies
-// and, at every settled instant, asserts that the incremental
-// component-scoped allocator left every active flow at exactly the rate the
-// retained from-scratch reference allocator computes (within 1 byte/s, the
-// water-fill resolution).
+// TestDifferentialIncrementalVsReference interleaves randomized flow starts
+// with link failures, restores and capacity changes over randomized
+// multi-component topologies and, at every settled instant, asserts that the
+// incremental component-scoped allocator left every active flow at exactly
+// the rate the retained from-scratch reference allocator computes (within 1
+// byte/s, the water-fill resolution).
 func TestDifferentialIncrementalVsReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -158,7 +163,6 @@ func TestDifferentialIncrementalVsReference(t *testing.T) {
 		links := diffTopology(rng)
 		net := testNet(e, links...)
 
-		var live []*Flow
 		failed := false
 		compared := 0
 		nEvents := 10 + rng.Intn(40)
@@ -167,14 +171,15 @@ func TestDifferentialIncrementalVsReference(t *testing.T) {
 			op := rng.Intn(10)
 			e.Schedule(at, func() {
 				switch {
-				case op < 6 || len(live) == 0:
-					f := net.Start("df", diffPath(rng, len(links)),
+				case op < 6:
+					net.Start("df", diffPath(rng, len(links)),
 						float64(100+rng.Intn(500000)), diffOptions(rng))
-					live = append(live, f)
+				case op < 7:
+					net.FailLink(randLink(rng, len(links)))
 				case op < 8:
-					live[rng.Intn(len(live))].SetOptions(diffOptions(rng))
+					net.RestoreLink(randLink(rng, len(links)))
 				default:
-					net.Cancel(live[rng.Intn(len(live))])
+					net.SetLinkBps(randLink(rng, len(links)), float64(20+rng.Intn(2000)))
 				}
 			})
 			// Compare incremental vs reference 1ns after the mutation
@@ -213,7 +218,7 @@ func TestDifferentialIncrementalVsReference(t *testing.T) {
 }
 
 // TestFuzzInterleavedMutations hammers one network with a long randomized
-// interleaving of Start/Cancel/SetOptions and asserts the maintained-index
+// interleaving of flow starts and link faults and asserts the maintained-index
 // invariants (per-link allocated <= capacity, alloc totals match member
 // rates, back-pointers consistent, order sorted) after every event.
 func TestFuzzInterleavedMutations(t *testing.T) {
@@ -223,19 +228,26 @@ func TestFuzzInterleavedMutations(t *testing.T) {
 	links := diffTopology(rng)
 	net := testNet(e, links...)
 
-	var live []*Flow
 	for i := 0; i < 400; i++ {
 		at := time.Duration(i) * 3 * time.Millisecond
 		op := rng.Intn(10)
 		e.Schedule(at, func() {
 			switch {
-			case op < 5 || len(live) == 0:
-				live = append(live, net.Start("fz", diffPath(rng, len(links)),
-					float64(50+rng.Intn(200000)), diffOptions(rng)))
+			case op < 5:
+				net.Start("fz", diffPath(rng, len(links)),
+					float64(50+rng.Intn(200000)), diffOptions(rng))
+			case op < 7:
+				// A cut re-rates the link's flows only at the recompute it
+				// schedules, so a cut below the link's allocation would
+				// trip the unsettled check below. The differential harness
+				// and FuzzFaultSchedule, which check settled instants, cut
+				// below it.
+				id := randLink(rng, len(links))
+				net.SetLinkBps(id, math.Max(float64(20+rng.Intn(2000)), net.AllocatedOn(id)))
 			case op < 8:
-				live[rng.Intn(len(live))].SetOptions(diffOptions(rng))
+				net.FailLink(randLink(rng, len(links)))
 			default:
-				net.Cancel(live[rng.Intn(len(live))])
+				net.RestoreLink(randLink(rng, len(links)))
 			}
 		})
 		// Integrity must hold both mid-mutation (same instant, before the

@@ -30,7 +30,6 @@ func chaosReplay(t *testing.T, mutate func(*router.Config)) replayResult {
 	app := c.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
 	app.EnableElastic(scaleOutOnly())
 	cfg := router.DefaultConfig()
-	cfg.RecoverAfter = 200 * time.Millisecond
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -19,9 +19,11 @@ import (
 // session ID each, never reused, through a DefaultConfig router weighing
 // session affinity. No pin is ever looked up again, so only the expiry sweep
 // at snapshot refresh can drop them: the map must hold only pins that
-// survived the last sweep (younger than AffinityTTL at the last refresh),
+// survived the last sweep (younger than affinityTTL at the last refresh),
 // stay within a few hundred entries instead of growing with the replay,
-// and count every dropped pin as an affinity invalidation.
+// and count every dropped pin as an affinity invalidation. The log of pin
+// writes the sweep walks must hold no more than twice the most writes it
+// ever held at once.
 func TestExpiredPinsDroppedWithoutLookup(t *testing.T) {
 	const requests = 20000
 	arrivals := trace.Generate(trace.Spec{
@@ -37,6 +39,15 @@ func TestExpiredPinsDroppedWithoutLookup(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Weights.Session = 2
 	r := New(app, cfg)
+	// Every pick that writes a pin goes through the route hook, so the log
+	// is at its fullest right after one.
+	peakLog := 0
+	route := app.Route
+	app.Route = func(si scheduler.StageInst, ri cluster.RouteInfo, pool []fabric.Location) (int, bool) {
+		idx, ok := route(si, ri, pool)
+		peakLog = max(peakLog, r.pinLog.n)
+		return idx, ok
+	}
 
 	peak, samples := 0, 0
 	var sample func()
@@ -46,7 +57,7 @@ func TestExpiredPinsDroppedWithoutLookup(t *testing.T) {
 			peak = n
 		}
 		for k, pin := range r.sessions {
-			if r.snapAt-pin.at >= r.cfg.AffinityTTL {
+			if r.snapAt-pin.at >= affinityTTL {
 				t.Fatalf("at %v: pin %+v written at %v outlived the sweep at %v", e.Now(), k, pin.at, r.snapAt)
 			}
 		}
@@ -76,5 +87,9 @@ func TestExpiredPinsDroppedWithoutLookup(t *testing.T) {
 	}
 	if r.Stats.AffinityHits != 0 {
 		t.Errorf("AffinityHits = %d with no session ever repeated", r.Stats.AffinityHits)
+	}
+	t.Logf("pin log: peak %d writes, room for %d", peakLog, cap(r.pinLog.buf))
+	if c := cap(r.pinLog.buf); c > 2*peakLog {
+		t.Errorf("the pin log holds room for %d writes, more than twice its peak of %d", c, peakLog)
 	}
 }

@@ -30,29 +30,26 @@ type Config struct {
 	// GPU queues: a waiting request's effective QoS class rises one level
 	// per period, so QoSHigh load cannot starve QoSLow requests.
 	AgingAfter time.Duration
-	// RecoverAfter is how long a crashed worker stays blacklisted.
-	RecoverAfter time.Duration
 	// SLO configures per-class admission control; the zero value disables
 	// it (no AdmitFn is installed — the launch path stays byte-identical to
 	// the admission-free router).
 	SLO SLOConfig
-	// AffinityTTL is the staleness horizon of session-affinity pins: a
-	// pin's bias decays linearly from 1 to 0 over the TTL and the pin is
-	// dropped once fully decayed (default 500ms). Used only with a positive
-	// Weights.Session.
-	AffinityTTL time.Duration
 }
+
+// affinityTTL is the staleness horizon of session-affinity pins: a pin's
+// bias decays linearly from 1 to 0 over the TTL and the pin is dropped once
+// fully decayed. Pins exist only with a positive Weights.Session.
+const affinityTTL = 500 * time.Millisecond
 
 // DefaultConfig returns the scored production configuration: queue depth
 // dominates (it is the freshest congestion signal), latency EWMA second,
 // free memory and utilization as slow-moving tie-breakers.
 func DefaultConfig() Config {
 	return Config{
-		Weights:      Weights{FreeMem: 1, Queue: 4, Latency: 2, Util: 1},
-		TopK:         3,
-		Refresh:      2 * time.Millisecond,
-		AgingAfter:   20 * time.Millisecond,
-		RecoverAfter: 500 * time.Millisecond,
+		Weights:    Weights{FreeMem: 1, Queue: 4, Latency: 2, Util: 1},
+		TopK:       3,
+		Refresh:    2 * time.Millisecond,
+		AgingAfter: 20 * time.Millisecond,
 	}
 }
 
@@ -133,11 +130,10 @@ type Router struct {
 
 	// sessions holds per-(session, stage) affinity pins; nil until the
 	// first pinned pick (sessionless traffic allocates nothing). pinLog
-	// lists every pin write in time order (from pinHead on), so a snapshot
-	// refresh drops expired pins without scanning the map.
+	// lists the pin writes the expiry sweep has not reached, in time order,
+	// so a snapshot refresh drops expired pins without scanning the map.
 	sessions map[sessionKey]sessionPin
-	pinLog   []pinWrite
-	pinHead  int
+	pinLog   pinRing
 
 	// poolStages holds, per current routable stage pool, the snapshot
 	// indices of its GPU workers — the per-stage worker sets admission
@@ -176,22 +172,49 @@ type pinWrite struct {
 	at time.Duration
 }
 
+// pinRing is a FIFO ring of pin writes. It grows only when every slot holds
+// a write, to twice its size, so its array stays within twice the most
+// writes it ever held at once (or its 16-slot minimum).
+type pinRing struct {
+	buf  []pinWrite
+	head int // index of the oldest write
+	n    int // writes held
+}
+
+func (q *pinRing) push(w pinWrite) {
+	if q.n == len(q.buf) {
+		grown := make([]pinWrite, max(2*q.n, 16))
+		copy(grown, q.buf[q.head:])
+		copy(grown[len(q.buf)-q.head:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = w
+	q.n++
+}
+
+// pop drops the oldest write.
+func (q *pinRing) pop() {
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+}
+
+// attainWindow is how many recent admission decisions of one class the
+// predicted-attainment feedback to the autoscaler averages over.
+const attainWindow = 64
+
 // attainRing is a fixed-window ring of admission outcomes: true samples were
 // predicted to meet their class budget. Its mean is the predicted SLO
 // attainment fed back to the autoscaler; an empty ring reads 1 (no evidence
 // of misses).
 type attainRing struct {
-	meets []bool
+	meets [attainWindow]bool
 	idx   int
 	n     int
 	hits  int
 }
 
 func (r *attainRing) push(meet bool) {
-	if len(r.meets) == 0 {
-		return
-	}
-	if r.n < len(r.meets) {
+	if r.n < attainWindow {
 		r.n++
 	} else if r.meets[r.idx] {
 		r.hits--
@@ -200,7 +223,7 @@ func (r *attainRing) push(meet bool) {
 	if meet {
 		r.hits++
 	}
-	r.idx = (r.idx + 1) % len(r.meets)
+	r.idx = (r.idx + 1) % attainWindow
 }
 
 func (r *attainRing) value() float64 {
@@ -215,15 +238,6 @@ func (r *attainRing) value() float64 {
 // positive AgingAfter it also enables priority aging on the cluster's GPU
 // queues. One router per cluster.
 func New(app *cluster.App, cfg Config) *Router {
-	if cfg.RecoverAfter <= 0 {
-		cfg.RecoverAfter = 500 * time.Millisecond
-	}
-	if cfg.AffinityTTL <= 0 {
-		cfg.AffinityTTL = 500 * time.Millisecond
-	}
-	if cfg.SLO.Window <= 0 {
-		cfg.SLO.Window = 64
-	}
 	c := app.C
 	n := c.Fabric.NumNodes() * c.Spec().NumGPUs
 	r := &Router{
@@ -247,8 +261,6 @@ func New(app *cluster.App, cfg Config) *Router {
 	app.Route = r.route
 	app.OnPoolChange = r.poolChanged
 	if cfg.SLO.Enabled() {
-		r.attain[0] = attainRing{meets: make([]bool, cfg.SLO.Window)}
-		r.attain[1] = attainRing{meets: make([]bool, cfg.SLO.Window)}
 		app.Admit = r.admit
 		app.SLOAttainment = r.attainment
 	}
@@ -256,9 +268,9 @@ func New(app *cluster.App, cfg Config) *Router {
 }
 
 // Attainment returns the router's predicted SLO attainment for one QoS
-// class: the fraction of the last SLO.Window admission attempts of that
-// class predicted to meet their budget (1 with no samples, or without an
-// SLO configuration).
+// class: the fraction of the last attainWindow (64) admission attempts of
+// that class predicted to meet their budget (1 with no samples, or without
+// an SLO configuration).
 func (r *Router) Attainment(q cluster.QoS) float64 {
 	if q == cluster.QoSHigh {
 		return r.attain[1].value()
@@ -355,9 +367,6 @@ func (r *Router) stageGroups() [][]int {
 	return r.poolStages
 }
 
-// Config returns the router's (defaulted) configuration.
-func (r *Router) Config() Config { return r.cfg }
-
 // widx flattens a worker location.
 func (r *Router) widx(node, gpu int) int { return node*r.numGPUs + gpu }
 
@@ -376,13 +385,13 @@ func (r *Router) onService(node, gpu int, held time.Duration) {
 	r.busy[i] += held
 }
 
-// MarkDown blacklists a worker until RecoverAfter elapses (the fault
+// MarkDown blacklists a worker until cluster.RecoverAfter elapses (the fault
 // injector's crash signal lands here via WatchFaults). Session pins on the
 // crashed worker are invalidated: its KV/replica state is gone, so steering
 // the session back to it after recovery would be affinity to nothing.
 func (r *Router) MarkDown(node, gpu int) {
 	w := r.widx(node, gpu)
-	r.downUntil[w] = r.c.Engine.Now() + r.cfg.RecoverAfter
+	r.downUntil[w] = r.c.Engine.Now() + cluster.RecoverAfter
 	// Health must be visible to the next pick even inside a refresh window.
 	r.fresh = false
 	for k, pin := range r.sessions {
@@ -507,25 +516,19 @@ func (r *Router) Snapshot() []WorkerState {
 // invalidation. pinLog is in time order, so the sweep stops at the first
 // entry still within the TTL.
 func (r *Router) dropExpiredPins(now time.Duration) {
-	for r.pinHead < len(r.pinLog) {
-		w := r.pinLog[r.pinHead]
-		if now-w.at < r.cfg.AffinityTTL {
+	q := &r.pinLog
+	for q.n > 0 {
+		w := q.buf[q.head]
+		if now-w.at < affinityTTL {
 			break
 		}
-		r.pinHead++
+		q.pop()
 		// A later write for the same key superseded this one, or an
 		// invalidation removed the pin already.
 		if pin, ok := r.sessions[w.k]; ok && pin.at == w.at {
 			delete(r.sessions, w.k)
 			r.Stats.AffinityInvalidations++
 		}
-	}
-	if r.pinHead == len(r.pinLog) {
-		r.pinLog, r.pinHead = r.pinLog[:0], 0
-	} else if r.pinHead > len(r.pinLog)/2 {
-		// Compact in place before append would grow the array.
-		n := copy(r.pinLog, r.pinLog[r.pinHead:])
-		r.pinLog, r.pinHead = r.pinLog[:n], 0
 	}
 }
 
@@ -589,7 +592,7 @@ func (r *Router) route(si scheduler.StageInst, ri cluster.RouteInfo, pool []fabr
 		}
 		k, now := sessionKey{ri.Session, si}, r.c.Engine.Now()
 		r.sessions[k] = sessionPin{w: picked, at: now}
-		r.pinLog = append(r.pinLog, pinWrite{k: k, at: now})
+		r.pinLog.push(pinWrite{k: k, at: now})
 	}
 	if r.tr != nil {
 		ev := r.tr.InstantOn(obs.TrackSched, obs.CatPlace, "route:"+si.Stage)
@@ -602,7 +605,7 @@ func (r *Router) route(si scheduler.StageInst, ri cluster.RouteInfo, pool []fabr
 }
 
 // sessionBias resolves one session pin: the pinned worker index and its
-// staleness-decayed affinity (1 just after use, linear to 0 at AffinityTTL).
+// staleness-decayed affinity (1 just after use, linear to 0 at affinityTTL).
 // Fully decayed and crash-blacklisted pins are dropped; absent pins return
 // (-1, 0).
 func (r *Router) sessionBias(k sessionKey) (int, float64) {
@@ -617,10 +620,10 @@ func (r *Router) sessionBias(k sessionKey) (int, float64) {
 		return -1, 0
 	}
 	age := now - pin.at
-	if age >= r.cfg.AffinityTTL {
+	if age >= affinityTTL {
 		delete(r.sessions, k)
 		r.Stats.AffinityInvalidations++
 		return -1, 0
 	}
-	return pin.w, 1 - float64(age)/float64(r.cfg.AffinityTTL)
+	return pin.w, 1 - float64(age)/float64(affinityTTL)
 }

@@ -152,7 +152,6 @@ func TestScoredRoutingDeterministic(t *testing.T) {
 // completes every request.
 func TestFailoverSkipsDownWorker(t *testing.T) {
 	cfg := router.DefaultConfig()
-	cfg.RecoverAfter = time.Hour // stays down for the whole replay
 	res := replayOnce(t, trace.Sporadic, 800, &cfg, 0, func(rt *router.Router) {
 		rt.MarkDown(0, 0)
 		for _, ws := range rt.Snapshot() {
@@ -179,7 +178,6 @@ func TestFailoverSkipsDownWorker(t *testing.T) {
 // round-robin — requests must still complete, counted as fallbacks.
 func TestAllWorkersDownFallsBack(t *testing.T) {
 	cfg := router.DefaultConfig()
-	cfg.RecoverAfter = time.Hour
 	res := replayOnce(t, trace.Sporadic, 300, &cfg, 0, func(rt *router.Router) {
 		spec := topology.DGXV100()
 		for node := 0; node < 2; node++ {

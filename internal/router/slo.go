@@ -35,15 +35,12 @@ type SLOClass struct {
 type SLOConfig struct {
 	// Low and High configure the QoSLow and QoSHigh classes.
 	Low, High SLOClass
-	// Recheck is the delay-queue re-admission period (default 1ms): a
-	// deferred request re-runs admission every Recheck until it is admitted
-	// or its class MaxDelay is spent.
-	Recheck time.Duration
-	// Window is the per-class attainment ring size — how many recent
-	// admission decisions the predicted-attainment feedback to the
-	// autoscaler averages over (default 64).
-	Window int
 }
+
+// recheck is the delay-queue re-admission period: a deferred request re-runs
+// admission every recheck until it is admitted or its class MaxDelay is
+// spent.
+const recheck = time.Millisecond
 
 // Enabled reports whether any class carries a budget.
 func (c SLOConfig) Enabled() bool { return c.Low.Budget > 0 || c.High.Budget > 0 }
@@ -55,14 +52,6 @@ func (c SLOConfig) Class(q cluster.QoS) SLOClass {
 		return c.High
 	}
 	return c.Low
-}
-
-// recheck returns the sanitized delay-queue period.
-func (c SLOConfig) recheck() time.Duration {
-	if c.Recheck <= 0 {
-		return time.Millisecond
-	}
-	return c.Recheck
 }
 
 // maxDuration caps predicted completion estimates so arithmetic on
@@ -153,8 +142,8 @@ func pipelineIdle(stages [][]WorkerState) bool {
 //     pins this: Admit never sheds when any worker is idle);
 //  3. a request predicted to complete within its remaining budget
 //     (Budget − waited) runs;
-//  4. a predicted miss defers by Recheck while cumulative wait stays inside
-//     the class MaxDelay, and is shed once the bound is spent.
+//  4. a predicted miss defers by recheck (1ms) while cumulative wait stays
+//     inside the class MaxDelay, and is shed once the bound is spent.
 //
 // The decision is deterministic and never panics on adversarial
 // configurations or snapshots — that is FuzzAdmission's contract.
@@ -181,9 +170,8 @@ func AdmitPipeline(stages [][]WorkerState, cfg SLOConfig, q cluster.QoS, waited 
 	if PredictPipeline(stages) <= remaining {
 		return cluster.AdmitRun, 0
 	}
-	step := cfg.recheck()
-	if cls.MaxDelay > 0 && waited+step <= cls.MaxDelay {
-		return cluster.AdmitDefer, step
+	if cls.MaxDelay > 0 && waited+recheck <= cls.MaxDelay {
+		return cluster.AdmitDefer, recheck
 	}
 	return cluster.AdmitShed, 0
 }

@@ -70,9 +70,9 @@ func replaySLO(t *testing.T, pattern trace.Pattern, requests int, cfg router.Con
 	}
 }
 
-// TestSLOInertConfigMatchesBaseline is the PR's differential oracle: a
-// configuration that carries every new knob in its disabled form — SLO window
-// and recheck set but no class budget, an affinity TTL but zero session
+// TestSLOInertConfigMatchesBaseline is the differential oracle for SLO
+// admission and session affinity: a configuration that carries both in their
+// disabled form — class delay bounds but no class budget, and zero session
 // weight — must replay byte-identically to the plain scored router on every
 // trace pattern. No AdmitFn may be installed (no admission counters), and the
 // score stream must not shift (identical per-request samples), proving the
@@ -83,9 +83,8 @@ func TestSLOInertConfigMatchesBaseline(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			base := router.DefaultConfig()
 			inert := router.DefaultConfig()
-			inert.SLO.Window = 32
-			inert.SLO.Recheck = 2 * time.Millisecond
-			inert.AffinityTTL = 123 * time.Millisecond
+			inert.SLO.High.MaxDelay = 4 * time.Millisecond
+			inert.SLO.Low.MaxDelay = 20 * time.Millisecond
 			inert.Weights.Session = 0
 			a := replayOnce(t, p, 1200, &base, 5, nil)
 			b := replayOnce(t, p, 1200, &inert, 5, nil)
@@ -248,14 +247,13 @@ func TestAdmitNeverShedsWhenIdle(t *testing.T) {
 }
 
 // TestAdmitDeferThenShed pins the delay-queue state machine on a saturated
-// snapshot: predicted misses defer by Recheck while cumulative wait stays
-// inside MaxDelay, then shed; a class without MaxDelay sheds immediately; a
-// class without a budget always runs.
+// snapshot: predicted misses defer by the 1ms recheck while cumulative wait
+// stays inside MaxDelay, then shed; a class without MaxDelay sheds
+// immediately; a class without a budget always runs.
 func TestAdmitDeferThenShed(t *testing.T) {
 	sat := []router.WorkerState{{Healthy: true, QueueDepth: 100, EWMALatency: 10 * time.Millisecond}}
 	cfg := router.SLOConfig{
-		High:    router.SLOClass{Budget: 20 * time.Millisecond, MaxDelay: 3 * time.Millisecond},
-		Recheck: time.Millisecond,
+		High: router.SLOClass{Budget: 20 * time.Millisecond, MaxDelay: 3 * time.Millisecond},
 	}
 	if a, d := router.Admit(sat, cfg, cluster.QoSHigh, 0); a != cluster.AdmitDefer || d != time.Millisecond {
 		t.Errorf("waited 0: got (%d, %v), want defer by 1ms", a, d)
@@ -317,7 +315,7 @@ func TestAffinityPinInvalidation(t *testing.T) {
 	defer e.Close()
 	c := cluster.New(e, topology.DGXV100(), 1, grouterPlane)
 	app := c.Deploy(workflow.Driving(), 1, scheduler.Options{Node: 0})
-	cfg := router.Config{Weights: router.Weights{Session: 1}, TopK: 1, AffinityTTL: 500 * time.Millisecond}
+	cfg := router.Config{Weights: router.Weights{Session: 1}, TopK: 1}
 	rt := router.New(app, cfg)
 	si := scheduler.StageInst{Stage: "segmentation"}
 	pool := []fabric.Location{{Node: 0, GPU: 0}, {Node: 0, GPU: 1}, {Node: 0, GPU: 2}}
@@ -387,16 +385,15 @@ func TestAffinityPinInvalidation(t *testing.T) {
 // fuzz: never panic, always return a defined action, only defer with a
 // positive delay, and never shed while any healthy worker is idle.
 func FuzzAdmission(f *testing.F) {
-	f.Add(int64(25e6), int64(4e6), int64(150e6), int64(20e6), int64(1e6), int64(0), uint8(1), 30, int64(5e6), true)
-	f.Add(int64(0), int64(0), int64(0), int64(0), int64(0), int64(0), uint8(0), 0, int64(0), false)
-	f.Add(int64(-1), int64(-1), int64(-1), int64(-1), int64(-1), int64(-1), uint8(3), -5, int64(-1), true)
-	f.Add(int64(1<<62), int64(1<<62), int64(1), int64(1<<62), int64(1<<62), int64(1<<62), uint8(1), 1000000, int64(1<<62), false)
-	f.Add(int64(1), int64(0), int64(1), int64(0), int64(7), int64(3), uint8(0), 0, int64(1<<62), true)
-	f.Fuzz(func(t *testing.T, hiBudget, hiDelay, loBudget, loDelay, recheck, waited int64, qos uint8, qdepth int, ewma int64, idle bool) {
+	f.Add(int64(25e6), int64(4e6), int64(150e6), int64(20e6), int64(0), uint8(1), 30, int64(5e6), true)
+	f.Add(int64(0), int64(0), int64(0), int64(0), int64(0), uint8(0), 0, int64(0), false)
+	f.Add(int64(-1), int64(-1), int64(-1), int64(-1), int64(-1), uint8(3), -5, int64(-1), true)
+	f.Add(int64(1<<62), int64(1<<62), int64(1), int64(1<<62), int64(1<<62), uint8(1), 1000000, int64(1<<62), false)
+	f.Add(int64(1), int64(0), int64(1), int64(0), int64(3), uint8(0), 0, int64(1<<62), true)
+	f.Fuzz(func(t *testing.T, hiBudget, hiDelay, loBudget, loDelay, waited int64, qos uint8, qdepth int, ewma int64, idle bool) {
 		cfg := router.SLOConfig{
-			High:    router.SLOClass{Budget: time.Duration(hiBudget), MaxDelay: time.Duration(hiDelay)},
-			Low:     router.SLOClass{Budget: time.Duration(loBudget), MaxDelay: time.Duration(loDelay)},
-			Recheck: time.Duration(recheck),
+			High: router.SLOClass{Budget: time.Duration(hiBudget), MaxDelay: time.Duration(hiDelay)},
+			Low:  router.SLOClass{Budget: time.Duration(loBudget), MaxDelay: time.Duration(loDelay)},
 		}
 		states := []router.WorkerState{
 			{Healthy: true, QueueDepth: qdepth, EWMALatency: time.Duration(ewma)},

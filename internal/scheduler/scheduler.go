@@ -147,12 +147,6 @@ func (p *Placer) Place(wf *workflow.Workflow, opt Options) Placement {
 	return out
 }
 
-// PlaceSingle provisions one additional GPU instance on node n, on the
-// least-loaded GPU (used by the cluster autoscaler).
-func (p *Placer) PlaceSingle(n int) fabric.Location {
-	return p.PlaceSingleFit(n, 0, nil)
-}
-
 // PlaceSingleFit provisions one additional GPU instance, preferring the home
 // node: the least-loaded GPU there whose reported free memory covers need.
 // When no home GPU fits, other nodes are scanned in ascending-load order
@@ -160,7 +154,7 @@ func (p *Placer) PlaceSingle(n int) fabric.Location {
 // under saturation), and when no GPU anywhere fits it falls back to the home
 // node's least-loaded GPU — provisioning never fails outright, it just lands
 // on the least-bad device. A nil free func (or need <= 0) skips the memory
-// check entirely, reproducing PlaceSingle.
+// check entirely: the pick is the home node's least-loaded GPU.
 func (p *Placer) PlaceSingleFit(home int, need int64, free func(fabric.Location) int64) fabric.Location {
 	pick := func(n int) (int, bool) {
 		best, ok := -1, false

@@ -167,32 +167,20 @@ func TestPlaceSingleFitNoFitFallsBackHome(t *testing.T) {
 	}
 }
 
-func TestPlaceSingleDelegatesToFit(t *testing.T) {
-	// PlaceSingle must keep its legacy behavior: identical pick sequence to
-	// the memory-blind PlaceSingleFit.
-	a := NewPlacer(topology.NewCluster(topology.DGXV100(), 1))
-	b := NewPlacer(topology.NewCluster(topology.DGXV100(), 1))
-	for i := 0; i < 12; i++ {
-		if got, want := a.PlaceSingle(0), b.PlaceSingleFit(0, 0, nil); got != want {
-			t.Fatalf("pick %d: PlaceSingle %+v != PlaceSingleFit %+v", i, got, want)
-		}
-	}
-}
-
 func TestUnplaceReleasesLoad(t *testing.T) {
 	p := NewPlacer(topology.NewCluster(topology.DGXV100(), 1))
-	first := p.PlaceSingle(0)
-	p.PlaceSingle(0)
+	first := p.PlaceSingleFit(0, 0, nil)
+	p.PlaceSingleFit(0, 0, nil)
 	p.Unplace(first)
 	// The released GPU is the least-loaded again and is reused next.
-	if got := p.PlaceSingle(0); got != first {
+	if got := p.PlaceSingleFit(0, 0, nil); got != first {
 		t.Fatalf("after Unplace, next placement = %+v, want reuse of %+v", got, first)
 	}
 	// Host unplace is a no-op; double-unplace must not go negative.
 	p.Unplace(fabric.Location{Node: 0, GPU: fabric.HostGPU})
 	p.Unplace(first)
 	p.Unplace(first)
-	if got := p.PlaceSingle(0); got != first {
+	if got := p.PlaceSingleFit(0, 0, nil); got != first {
 		t.Fatalf("negative load skewed placement: got %+v", got)
 	}
 }

@@ -41,7 +41,7 @@ func (f *failMigrator) ToGPU(p *sim.Proc, gpu int, bytes int64) error {
 func TestDropReleasesGPUMemory(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	m, _ := testManager(e, Config{Elastic: true, MinPool: 1})
+	m, _ := testManager(e, Config{Elastic: true})
 	e.Go("p", func(p *sim.Proc) {
 		it, err := m.Put(p, ctxFor("f", 1), 0, 10*MB)
 		if err != nil {
@@ -71,7 +71,7 @@ func TestDropReleasesGPUMemory(t *testing.T) {
 func TestDropHostResidentItem(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	m, _ := testManager(e, Config{Elastic: true, MinPool: 1})
+	m, _ := testManager(e, Config{Elastic: true})
 	squeeze(t, m, 0, 40*MB) // limit = 20MB → 30MB item spills to host
 	e.Go("p", func(p *sim.Proc) {
 		it, err := m.Put(p, ctxFor("big", 1), 0, 30*MB)
@@ -97,7 +97,7 @@ func TestEvictionAbortsWhenMigrationFails(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	mig := &failMigrator{failToHost: true}
-	m := NewManager(e, newTestNode(e), mig, Config{Elastic: true, MinPool: 1, Policy: PolicyLRU})
+	m := NewManager(e, newTestNode(e), mig, Config{Elastic: true, Policy: PolicyLRU})
 	squeeze(t, m, 0, 100*MB) // limit = 50MB
 	e.Go("p", func(p *sim.Proc) {
 		a, _ := m.Put(p, ctxFor("a", 1), 0, 30*MB)
@@ -128,7 +128,7 @@ func TestRestoreAbortsWhenMigrationFails(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	mig := &failMigrator{}
-	m := NewManager(e, newTestNode(e), mig, Config{Elastic: true, MinPool: 1, Policy: PolicyRQ})
+	m := NewManager(e, newTestNode(e), mig, Config{Elastic: true, Policy: PolicyRQ})
 	squeeze(t, m, 0, 100*MB)
 	e.Go("p", func(p *sim.Proc) {
 		a, _ := m.Put(p, ctxFor("a", 1), 0, 30*MB)
@@ -173,7 +173,7 @@ func TestDropDuringEviction(t *testing.T) {
 	var m *Manager
 	var victim *Item
 	mig := &hookMigrator{}
-	m = NewManager(e, newTestNode(e), mig, Config{Elastic: true, MinPool: 1, Policy: PolicyLRU})
+	m = NewManager(e, newTestNode(e), mig, Config{Elastic: true, Policy: PolicyLRU})
 	mig.onToHost = func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
 		if victim != nil {

@@ -101,13 +101,6 @@ func (r *Registry) Remove(id dataplane.DataID, loc fabric.Location) {
 	}
 }
 
-// DropID removes every copy of id (object freed).
-func (r *Registry) DropID(id dataplane.DataID) {
-	if ls, ok := r.locs[id]; ok {
-		r.drop(id, ls)
-	}
-}
-
 // DropGPU removes every copy resident on the given GPU (crash invalidation)
 // and returns the affected object IDs in ascending order.
 func (r *Registry) DropGPU(node, gpu int) []dataplane.DataID {
@@ -127,7 +120,7 @@ func (r *Registry) DropGPU(node, gpu int) []dataplane.DataID {
 
 // Locations returns id's registered copies in deterministic (node, GPU)
 // order. The returned slice is shared and valid until the next Add, Remove
-// or Drop; callers must not mutate it.
+// or DropGPU; callers must not mutate it.
 func (r *Registry) Locations(id dataplane.DataID) []fabric.Location {
 	return r.locs[id]
 }

@@ -58,16 +58,6 @@ func TestRegistryDropGPU(t *testing.T) {
 	}
 }
 
-func TestRegistryDropID(t *testing.T) {
-	r := NewRegistry()
-	r.Add(9, loc(0, 0))
-	r.Add(9, loc(1, 5))
-	r.DropID(9)
-	if r.Count(9) != 0 || r.Len() != 0 {
-		t.Fatal("DropID left copies behind")
-	}
-}
-
 // TestPutCacheBestEffort checks that replica caches never displace primary
 // items: with the static pool full of primaries, PutCache returns nil; with
 // room, it succeeds and the item is marked Cache.

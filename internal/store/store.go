@@ -67,28 +67,18 @@ type Config struct {
 	// Symmetric mimics NVSHMEM symmetric allocation: every pool grow is
 	// mirrored on all GPUs of the node.
 	Symmetric bool
-	// MinPool is the idle-period floor (§4.4.1; default 300 MB).
-	MinPool int64
-	// ReclaimInterval is the sweep period for expired reservations.
-	ReclaimInterval time.Duration
 }
 
 // A manager stores at most freeFraction of a GPU's free memory (§4.4.2), and
-// its percentile trackers keep the last histWindow samples.
+// its percentile trackers keep the last histWindow samples. An elastic pool
+// keeps minPool reserved through idle periods (§4.4.1), and reclaimInterval
+// is the period of the sweep that drops expired reservations.
 const (
-	freeFraction = 0.5
-	histWindow   = 64
+	freeFraction    = 0.5
+	histWindow      = 64
+	minPool         = 300 << 20
+	reclaimInterval = time.Second
 )
-
-func (c Config) withDefaults() Config {
-	if c.MinPool == 0 {
-		c.MinPool = 300 << 20
-	}
-	if c.ReclaimInterval == 0 {
-		c.ReclaimInterval = time.Second
-	}
-	return c
-}
 
 // Migrator moves item bytes between a GPU and host memory on behalf of the
 // manager. Implementations block the calling process for the transfer time
@@ -204,7 +194,6 @@ type funcStats struct {
 // NewManager builds a manager over node's GPUs. When cfg.Elastic is false,
 // pools are grown to StaticReserve immediately (static pre-reservation).
 func NewManager(e *sim.Engine, node *fabric.NodeFabric, mig Migrator, cfg Config) *Manager {
-	cfg = cfg.withDefaults()
 	m := &Manager{
 		cfg:   cfg,
 		node:  node,
@@ -237,7 +226,7 @@ func NewManager(e *sim.Engine, node *fabric.NodeFabric, mig Migrator, cfg Config
 		// The minimum pool exists from the start (§4.4.1), so first-touch
 		// allocations are warm.
 		for _, p := range m.pools {
-			_ = p.Grow(min64(cfg.MinPool, p.Device().Free()/2))
+			_ = p.Grow(min64(minPool, p.Device().Free()/2))
 		}
 	}
 	if cfg.Elastic {
@@ -724,7 +713,7 @@ func (m *Manager) reserve(fn string, gpu int) {
 	}
 	window := time.Duration(fs.intervals.p(0.99) * float64(time.Second))
 	if window <= 0 {
-		window = m.cfg.ReclaimInterval
+		window = reclaimInterval
 	}
 	bytes := int64(fs.sizes.p(0.99) * fs.concurrency.p(0.99))
 	if bytes <= 0 {
@@ -755,7 +744,7 @@ func (m *Manager) dropExpired(now time.Duration) {
 }
 
 // target returns the elastic pool-size target for GPU g: live usage plus
-// unexpired reservations, floored at MinPool (when memory is plentiful).
+// unexpired reservations, floored at minPool (when memory is plentiful).
 func (m *Manager) target(g int) int64 {
 	t := m.pools[g].Used()
 	for _, r := range m.reservations {
@@ -763,8 +752,8 @@ func (m *Manager) target(g int) int64 {
 			t += r.bytes
 		}
 	}
-	if t < m.cfg.MinPool && m.node.GPUs[g].Free() > m.cfg.MinPool {
-		t = m.cfg.MinPool
+	if t < minPool && m.node.GPUs[g].Free() > minPool {
+		t = minPool
 	}
 	if lim := m.limit(g); t > lim {
 		t = lim
@@ -776,7 +765,7 @@ func (m *Manager) target(g int) int64 {
 // reservations.
 func (m *Manager) reclaimLoop(p *sim.Proc) {
 	for {
-		p.Sleep(m.cfg.ReclaimInterval)
+		p.Sleep(reclaimInterval)
 		now := p.Now()
 		m.dropExpired(now)
 		for g, pool := range m.pools {
@@ -792,7 +781,7 @@ func (m *Manager) reclaimLoop(p *sim.Proc) {
 // when GPU memory frees up (§4.4.2).
 func (m *Manager) restoreLoop(p *sim.Proc) {
 	for {
-		p.Sleep(m.cfg.ReclaimInterval / 2)
+		p.Sleep(reclaimInterval / 2)
 		cands := m.restoreCands[:0]
 		for _, it := range m.onHost {
 			if !it.migrating {

@@ -83,14 +83,19 @@ func TestDoubleFreeIsNoop(t *testing.T) {
 	e.Run(0)
 }
 
+// TestElasticReservationThenReclaim: objects larger than the idle floor
+// grow the pool past it, the frees keep their bytes reserved while the
+// function is hot, and once the reservations expire the reclaim sweeps
+// shrink the pool back to the floor.
 func TestElasticReservationThenReclaim(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	m, _ := testManager(e, Config{Elastic: true, MinPool: 1, ReclaimInterval: 100 * time.Millisecond})
+	m, _ := testManager(e, Config{Elastic: true})
+	const size = 400 * MB
 	e.Go("p", func(p *sim.Proc) {
 		// Repeated arrivals at 50ms intervals establish a short R_window.
 		for i := 0; i < 10; i++ {
-			it, err := m.Put(p, ctxFor("f", int64(i)), 0, 10*MB)
+			it, err := m.Put(p, ctxFor("f", int64(i)), 0, size)
 			if err != nil {
 				t.Errorf("Put: %v", err)
 				return
@@ -98,14 +103,17 @@ func TestElasticReservationThenReclaim(t *testing.T) {
 			p.Sleep(50 * time.Millisecond)
 			m.Free(it)
 		}
-		// While hot, the pool keeps a reservation.
-		if m.Pool(0).Reserved() == 0 {
-			t.Error("expected warm reservation after frees")
+		// While hot, the pool keeps a reservation above the floor.
+		if got := m.target(0); got < size {
+			t.Errorf("pool target after the frees = %d, want a warm reservation of at least %d", got, size)
 		}
-		// After the window plus reclaim sweeps, the pool shrinks to ~MinPool.
+		if got := m.Pool(0).Reserved(); got < size {
+			t.Errorf("pool reserved after the frees = %d, want at least %d", got, size)
+		}
+		// After the window plus reclaim sweeps, the pool shrinks to the floor.
 		p.Sleep(3 * time.Second)
-		if got := m.Pool(0).Reserved(); got > 10*MB {
-			t.Errorf("idle pool reserved = %d, want reclaimed", got)
+		if got := m.Pool(0).Reserved(); got != minPool {
+			t.Errorf("idle pool reserved = %d, want reclaimed to the %d floor", got, int64(minPool))
 		}
 	})
 	e.Run(0)
@@ -129,18 +137,21 @@ func TestStaticPoolDoesNotShrink(t *testing.T) {
 	e.Run(0)
 }
 
+// TestSymmetricGrowMirrorsAllGPUs: an object larger than the idle floor
+// grows GPU 0's pool, and the grow is mirrored on every other GPU.
 func TestSymmetricGrowMirrorsAllGPUs(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	m, _ := testManager(e, Config{Elastic: true, MinPool: 1, Symmetric: true})
+	m, _ := testManager(e, Config{Elastic: true, Symmetric: true})
+	const size = 400 * MB
 	e.Go("p", func(p *sim.Proc) {
-		_, err := m.Put(p, ctxFor("f", 1), 0, 64*MB)
+		_, err := m.Put(p, ctxFor("f", 1), 0, size)
 		if err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 		for g := 1; g < 8; g++ {
-			if m.Pool(g).Reserved() < 64*MB {
-				t.Errorf("GPU %d pool = %d, want mirrored >= %d", g, m.Pool(g).Reserved(), 64*MB)
+			if m.Pool(g).Reserved() < size {
+				t.Errorf("GPU %d pool = %d, want mirrored >= %d", g, m.Pool(g).Reserved(), size)
 			}
 		}
 	})
@@ -148,9 +159,11 @@ func TestSymmetricGrowMirrorsAllGPUs(t *testing.T) {
 }
 
 // squeeze fills a GPU with non-storage allocations so the storage limit
-// becomes small.
+// becomes small: half of leave. It first hands the pool's idle reservation,
+// the elastic floor, back to the device, so the limit counts only leave.
 func squeeze(t *testing.T, m *Manager, g int, leave int64) {
 	t.Helper()
+	m.pools[g].Shrink(m.pools[g].Idle())
 	dev := m.node.GPUs[g]
 	if _, err := dev.Alloc(dev.Free() - leave); err != nil {
 		t.Fatal(err)
@@ -160,7 +173,7 @@ func squeeze(t *testing.T, m *Manager, g int, leave int64) {
 func TestEvictionUnderPressureLRU(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	m, mig := testManager(e, Config{Elastic: true, MinPool: 1, Policy: PolicyLRU})
+	m, mig := testManager(e, Config{Elastic: true, Policy: PolicyLRU})
 	squeeze(t, m, 0, 100*MB) // storage limit = 50MB
 	e.Go("p", func(p *sim.Proc) {
 		a, _ := m.Put(p, ctxFor("a", 10), 0, 25*MB)
@@ -189,7 +202,7 @@ func TestEvictionUnderPressureLRU(t *testing.T) {
 func TestEvictionQueueAware(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	m, _ := testManager(e, Config{Elastic: true, MinPool: 1, Policy: PolicyRQ})
+	m, _ := testManager(e, Config{Elastic: true, Policy: PolicyRQ})
 	squeeze(t, m, 0, 100*MB)
 	e.Go("p", func(p *sim.Proc) {
 		// a1's consumer is early in the queue (seq 1), a2's is late (seq 9).
@@ -212,10 +225,7 @@ func TestEvictionQueueAware(t *testing.T) {
 func TestProactiveRestore(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	m, mig := testManager(e, Config{
-		Elastic: true, MinPool: 1, Policy: PolicyRQProactive,
-		ReclaimInterval: 50 * time.Millisecond,
-	})
+	m, mig := testManager(e, Config{Elastic: true, Policy: PolicyRQProactive})
 	squeeze(t, m, 0, 100*MB)
 	var evicted *Item
 	e.Go("p", func(p *sim.Proc) {
@@ -248,7 +258,7 @@ func TestProactiveRestore(t *testing.T) {
 func TestSpillWhenItemExceedsLimit(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	m, _ := testManager(e, Config{Elastic: true, MinPool: 1})
+	m, _ := testManager(e, Config{Elastic: true})
 	squeeze(t, m, 0, 40*MB) // limit = 20MB
 	e.Go("p", func(p *sim.Proc) {
 		it, err := m.Put(p, ctxFor("big", 1), 0, 30*MB)
@@ -269,7 +279,7 @@ func TestSpillWhenItemExceedsLimit(t *testing.T) {
 func TestRestoreExplicit(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	m, _ := testManager(e, Config{Elastic: true, MinPool: 1, Policy: PolicyRQ})
+	m, _ := testManager(e, Config{Elastic: true, Policy: PolicyRQ})
 	squeeze(t, m, 0, 100*MB)
 	e.Go("p", func(p *sim.Proc) {
 		a, _ := m.Put(p, ctxFor("a", 1), 0, 30*MB)
@@ -292,7 +302,7 @@ func TestRestoreExplicit(t *testing.T) {
 func TestUsageTimelineSampled(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	m, _ := testManager(e, Config{Elastic: true, MinPool: 1})
+	m, _ := testManager(e, Config{Elastic: true})
 	e.Go("p", func(p *sim.Proc) {
 		it, _ := m.Put(p, ctxFor("f", 1), 0, 10*MB)
 		p.Sleep(time.Second)

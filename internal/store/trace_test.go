@@ -17,7 +17,7 @@ func TestTracedStorageLifecycle(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	tr := obs.Attach(e)
-	m, _ := testManager(e, Config{Elastic: true, MinPool: 1, Policy: PolicyLRU})
+	m, _ := testManager(e, Config{Elastic: true, Policy: PolicyLRU})
 	squeeze(t, m, 0, 100*MB) // storage limit = 50MB
 	e.Go("p", func(p *sim.Proc) {
 		a, _ := m.Put(p, ctxFor("a", 10), 0, 30*MB)
