@@ -22,8 +22,10 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden report fixtures")
 
 // goldenConfigs are the pinned runs: the checked-in arrival trace through two
-// data planes. Changing simulator timing on purpose requires regenerating the
-// fixtures with -update-golden and reviewing the diff.
+// data planes, and -pd serving on a generated bursty trace that saturates
+// the prefill/decode pair of a quad-A10 box. Changing simulator timing on
+// purpose requires regenerating the fixtures with -update-golden and
+// reviewing the diff.
 func goldenConfigs(t *testing.T) map[string]simConfig {
 	t.Helper()
 	arrivals, err := loadTrace(filepath.Join("testdata", "arrivals.txt"))
@@ -48,7 +50,13 @@ func goldenConfigs(t *testing.T) map[string]simConfig {
 	g.system = "grouter"
 	n := base
 	n.system = "nvshmem+"
-	return map[string]simConfig{"grouter.golden": g, "nvshmem.golden": n}
+	pd := simConfig{
+		system: "grouter", spec: topology.SpecByName("quad-a10"),
+		nodes: 1, slots: 1,
+		pattern: trace.Bursty, rps: 3, dur: time.Minute, seed: 1,
+		pdModel: "llama-7b",
+	}
+	return map[string]simConfig{"grouter.golden": g, "nvshmem.golden": n, "pd.golden": pd}
 }
 
 // TestGoldenReport locks the full grouter-sim report for the checked-in
@@ -58,8 +66,8 @@ func TestGoldenReport(t *testing.T) {
 	for name, cfg := range goldenConfigs(t) {
 		t.Run(name, func(t *testing.T) {
 			var out bytes.Buffer
-			if err := runSim(cfg, &out); err != nil {
-				t.Fatalf("runSim: %v", err)
+			if err := report(cfg, &out); err != nil {
+				t.Fatalf("report: %v", err)
 			}
 			path := filepath.Join("testdata", name)
 			if *updateGolden {
@@ -131,6 +139,20 @@ func TestTraceGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("trace export drifted from %s (%d bytes got, %d want); regenerate with -update-golden and review",
 			path, buf.Len(), len(want))
+	}
+}
+
+// TestPDNeedsThreeGPUs: -pd carves one prefill, one decode and at least one
+// mixed worker, so a cluster of fewer than 3 GPUs is refused before any
+// simulation starts.
+func TestPDNeedsThreeGPUs(t *testing.T) {
+	cfg := goldenConfigs(t)["pd.golden"]
+	spec := *cfg.spec
+	spec.NumGPUs = 2
+	cfg.spec = &spec
+	err := report(cfg, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-pd needs at least 3 GPUs") {
+		t.Errorf("report on a 2-GPU cluster: err = %v, want the 3-GPU minimum", err)
 	}
 }
 
