@@ -1,9 +1,9 @@
 // LLM prefill/decode disaggregation over the data plane. An 8×H800 node
 // serves llama-7b with one prefill worker, one decode worker, and six mixed
-// workers: the PD router splits long-prompt requests across the
-// prefill/decode pair — shipping the prompt's KV cache between the two GPUs
-// through the GROUTER data plane — while short interactive requests run
-// colocated on the mixed pool. The program replays the same interactive
+// workers: the service's placement policy splits long-prompt requests
+// across the prefill/decode pair — shipping the prompt's KV cache between
+// the two GPUs through the GROUTER data plane — while short interactive
+// requests run colocated on the mixed pool. The program replays the same interactive
 // trace (rare 8k-token prompts mixed into short requests) against a
 // colocated-only service and the disaggregated one, showing how fencing
 // prefill off protects the short-request tail. Everything goes through the
@@ -43,7 +43,6 @@ func serve(arrivals []time.Duration, disaggregated bool) (grouter.ReplayStats, g
 	if err != nil {
 		panic(err)
 	}
-	s.NewPDRouter(svc)
 	st, err := svc.Replay(arrivals, grouter.ReplaySpec{Quantum: 10 * time.Millisecond, RequestAt: func(i int) grouter.Request {
 		if i%longEvery == 0 {
 			return grouter.NewRequest(

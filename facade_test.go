@@ -156,7 +156,6 @@ func TestFacadeAutoscale(t *testing.T) {
 			Max:             3,
 			Interval:        100 * time.Millisecond,
 			ScaleInCooldown: 300 * time.Millisecond,
-			Prewarm:         true,
 		})
 		arrivals := GenerateTrace(TraceSpec{
 			Pattern: Periodic, Duration: 2 * time.Second, MeanRPS: 400, Seed: 7,
@@ -219,23 +218,23 @@ func TestFacadeReplayScaleOut(t *testing.T) {
 }
 
 // TestFacadePDServing drives the LLM prefill/decode surface entirely through
-// the façade: DeployLLM on a Runtime, Sim.NewPDRouter with an explicit
-// policy, typed requests built with NewRequest options, and the re-exported
+// the façade: DeployLLM on a Runtime with an explicit placement policy,
+// typed requests built with NewRequest options, and the re-exported
 // ErrBadRequest sentinel.
 func TestFacadePDServing(t *testing.T) {
 	s := MustNewSim("h800x8")
 	defer s.Close()
 	c := s.NewCluster(func(s *Sim) Plane { return s.NewGRouter() })
+	// SaturationDepth is high so the burst of simultaneous long submissions
+	// below disaggregates instead of overflowing to the mixed pool.
 	svc, err := c.DeployLLM(PDConfig{
 		LLM:            MustLookupLLM("llama-7b"),
 		PrefillWorkers: 1, DecodeWorkers: 1, MixedWorkers: 6,
+		LongPromptTokens: 512, SaturationDepth: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// SaturationDepth is high so the burst of simultaneous long submissions
-	// below disaggregates instead of overflowing to the mixed pool.
-	rt := s.NewPDRouter(svc, PDPolicyConfig{LongPromptTokens: 512, SaturationDepth: 64})
 	var sigs []*Signal
 	submit := func(opts ...RequestOption) {
 		done, err := svc.Submit(NewRequest(opts...))
@@ -262,8 +261,8 @@ func TestFacadePDServing(t *testing.T) {
 		t.Errorf("disaggregated=%d kv-transfers=%d, want 8/8 (policy threshold not applied?)",
 			svc.Stats.Disaggregated, svc.Stats.KVTransfers)
 	}
-	if rt.Stats.Long != 8 || rt.Stats.Short != 8 {
-		t.Errorf("router long/short = %d/%d, want 8/8", rt.Stats.Long, rt.Stats.Short)
+	if svc.Stats.Long != 8 || svc.Stats.Short != 8 {
+		t.Errorf("long/short = %d/%d, want 8/8", svc.Stats.Long, svc.Stats.Short)
 	}
 	if _, err := svc.Submit(NewRequest(ReqPrompt(-1))); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("invalid request error = %v, want ErrBadRequest", err)
@@ -271,16 +270,23 @@ func TestFacadePDServing(t *testing.T) {
 	if _, err := svc.Submit(NewRequest(ReqModel("no-such-model"))); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("wrong-model error = %v, want ErrBadRequest", err)
 	}
-	// An explicit policy overrides DefaultPDPolicy's 1024-token split:
-	// threshold 4096 keeps the same 2048-token prompt colocated.
-	rt2 := s.NewPDRouter(svc, PDPolicyConfig{LongPromptTokens: 4096})
-	done, err := svc.Submit(NewRequest(ReqPrompt(2048)))
+	// A threshold above the default 1024-token split keeps the same
+	// 2048-token prompt colocated.
+	svc2, err := c.DeployLLM(PDConfig{
+		LLM:            MustLookupLLM("llama-7b"),
+		PrefillWorkers: 1, DecodeWorkers: 1, MixedWorkers: 6,
+		LongPromptTokens: 4096,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := svc2.Submit(NewRequest(ReqPrompt(2048)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Go("wait2", func(p *Proc) { done.Wait(p) })
 	s.Run()
-	if rt2.Stats.Long != 0 || rt2.Stats.Short != 1 {
-		t.Errorf("override policy long/short = %d/%d, want 0/1", rt2.Stats.Long, rt2.Stats.Short)
+	if svc2.Stats.Long != 0 || svc2.Stats.Short != 1 {
+		t.Errorf("4096-token threshold long/short = %d/%d, want 0/1", svc2.Stats.Long, svc2.Stats.Short)
 	}
 }

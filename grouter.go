@@ -126,7 +126,7 @@ type (
 	// attach one with Sim.Autoscale.
 	Elastic = cluster.ElasticPools
 	// ElasticConfig tunes elastic pools (strategy, replica bounds, controller
-	// interval, scale-in cooldown, pre-warmed provisioning).
+	// interval, scale-in cooldown).
 	ElasticConfig = cluster.ElasticConfig
 	// ElasticStats counts an Elastic's scale-outs, scale-ins, drains,
 	// crashes, and recoveries.
@@ -152,23 +152,24 @@ type (
 	// through ReplaySpec.RequestAt.
 	QoS = cluster.QoS
 	// LLMService is a deployed prefill/decode LLM serving app; build one
-	// with Runtime.DeployLLM and route it with Sim.NewPDRouter.
+	// with Runtime.DeployLLM. It places each request itself: long-prompt
+	// requests split across prefill/decode worker pairs with the KV cache
+	// handed off over the data plane, short ones run colocated, and
+	// saturated PD capacity overflows back to colocated execution:
+	//
+	//	svc, err := c.DeployLLM(grouter.PDConfig{
+	//	    LLM:            grouter.MustLookupLLM("llama-7b"),
+	//	    PrefillWorkers: 1, DecodeWorkers: 1, MixedWorkers: 6,
+	//	})
+	//	done, err := svc.Submit(grouter.NewRequest(
+	//	    grouter.ReqPrompt(8192), grouter.ReqSession(7)))
 	LLMService = cluster.LLMService
-	// PDConfig sizes a DeployLLM service: served model, prefill/decode/mixed
-	// worker partition, default output length, SLO scale.
+	// PDConfig sizes a DeployLLM service and tunes its placement: served
+	// model, prefill/decode/mixed worker partition, default output length,
+	// long-prompt threshold and saturation depth.
 	PDConfig = cluster.PDConfig
 	// PDStats counts an LLMService's placement and KV-handoff activity.
 	PDStats = cluster.PDStats
-	// PDDecision is one PD routing decision (mode plus chosen workers).
-	PDDecision = cluster.PDDecision
-	// PDRouter is the prefill/decode routing policy attached to an
-	// LLMService by Sim.NewPDRouter.
-	PDRouter = router.PDRouter
-	// PDPolicyConfig tunes a PDRouter (long-prompt threshold, saturation
-	// depth, in-flight KV bound, session affinity).
-	PDPolicyConfig = router.PDPolicyConfig
-	// PDRouterStats counts a PDRouter's decisions, splits, and overflows.
-	PDRouterStats = router.PDRouterStats
 	// TraceSpec parameterizes synthetic arrival-trace generation.
 	TraceSpec = trace.Spec
 	// TracePattern selects the arrival process shape.
@@ -362,35 +363,9 @@ func (s *Sim) NewRouter(app *App, cfg ...RouterConfig) *Router {
 	return r
 }
 
-// DefaultPDPolicy returns the production prefill/decode routing policy:
-// split at 1024 prompt tokens, overflow above depth 4 or 8 in-flight KV
-// handoffs, session affinity on.
-func DefaultPDPolicy() PDPolicyConfig { return router.DefaultPDPolicy() }
-
-// NewPDRouter attaches a prefill/decode routing policy to a deployed LLM
-// service: long-prompt requests split across prefill/decode worker pairs
-// with the KV cache handed off over the data plane, short ones run
-// colocated, and saturated PD capacity overflows back to colocated
-// execution. It runs the explicit policy, if one is given, or
-// DefaultPDPolicy:
-//
-//	svc, err := c.DeployLLM(grouter.PDConfig{
-//	    LLM:            grouter.MustLookupLLM("llama-7b"),
-//	    PrefillWorkers: 1, DecodeWorkers: 1, MixedWorkers: 6,
-//	})
-//	rt := s.NewPDRouter(svc)
-//	done, err := svc.Submit(grouter.NewRequest(
-//	    grouter.ReqPrompt(8192), grouter.ReqSession(7)))
-func (s *Sim) NewPDRouter(svc *LLMService, cfg ...PDPolicyConfig) *PDRouter {
-	c := router.DefaultPDPolicy()
-	if len(cfg) > 0 {
-		c = cfg[0]
-	}
-	return router.NewPD(svc, c)
-}
-
 // DefaultElasticConfig returns the reactive production elastic-pool
-// configuration (queue-depth reactive scaler, pre-warmed provisioning).
+// configuration (queue-depth reactive scaler, 1 to 4 replicas per stage,
+// 250 ms controller interval, 500 ms scale-in cooldown).
 func DefaultElasticConfig() ElasticConfig { return cluster.DefaultElastic() }
 
 // Autoscale enables elastic per-stage instance pools on a deployed app:
@@ -403,7 +378,7 @@ func DefaultElasticConfig() ElasticConfig { return cluster.DefaultElastic() }
 //	app := c.Deploy(grouter.DrivingWorkflow(), 0, grouter.PlaceOptions{Node: 0})
 //	ep := s.Autoscale(app, grouter.ElasticConfig{
 //	    Scaler: grouter.ReactiveScaler{ScaleOutDepth: 2, ScaleIn: true},
-//	    Min:    1, Max: 4, Prewarm: true,
+//	    Min:    1, Max: 4,
 //	})
 //	app.Replay(arrivals, grouter.ReplaySpec{})
 //	fmt.Println(ep.GPUSeconds(), ep.Stats)

@@ -128,16 +128,17 @@ func TestDefaultIsAlwaysWarm(t *testing.T) {
 }
 
 func TestAutoscaledReplicaChargedColdStart(t *testing.T) {
-	// Satellite pin: the first request routed to a freshly scaled replica is
-	// actually charged the ColdStartPolicy latency, even when the deployed
-	// base instances are pre-warmed.
+	// A scaled-out replica provisions warm, so its first request pays no
+	// cold start, but its warmth then expires like any instance's: once it
+	// idles past KeepAlive, the next request routed to it is charged the
+	// ColdStartPolicy latency again.
 	e := sim.NewEngine()
 	defer e.Close()
 	c := New(e, topology.DGXV100(), 1, grouterPlane)
 	app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
-	const lat = 200 * time.Millisecond
+	const lat, keepAlive = 200 * time.Millisecond, time.Second
 	app.SetColdStart(ColdStartPolicy{Enabled: true, ContainerLatency: lat,
-		KeepAlive: time.Minute, Prewarm: true})
+		KeepAlive: keepAlive, Prewarm: true})
 	e2e := map[int64]time.Duration{}
 	app.OnComplete = func(seq int64, _, d time.Duration) { e2e[seq] = d }
 	app.EnableElastic(ElasticConfig{
@@ -146,31 +147,35 @@ func TestAutoscaledReplicaChargedColdStart(t *testing.T) {
 		Max:      2,
 		Interval: 50 * time.Millisecond,
 	})
-	e.Run(100 * time.Millisecond) // one controller step: every pool at 2
-	if app.ColdStarts() != 0 {
-		t.Fatalf("scale-out alone paid %d cold starts without Prewarm provisioning", app.ColdStarts())
-	}
-	// Round-robin over a 2-pool: seq 1 → member id 1 (the cold autoscaled
-	// replica, for all 3 GPU stages), seq 2 → member id 0 (pre-warmed base).
+	e.Run(300 * time.Millisecond) // scaled out at 50ms, routable and warm at 250ms
+	// Round-robin over a 2-pool: odd seqs go to member id 1 (the autoscaled
+	// replica, for all 3 GPU stages), even seqs to member id 0 (the base).
 	mustSubmit(app, Request{})
 	mustSubmit(app, Request{})
 	e.Run(0)
-	if got := app.ColdStarts(); got != 3 {
-		t.Fatalf("cold starts = %d, want 3 (one per stage of the cold-replica request)", got)
+	if got := app.ColdStarts(); got != 0 {
+		t.Fatalf("cold starts = %d after provisioning, want 0", got)
 	}
-	if e2e[1] < 3*lat {
-		t.Errorf("cold-replica request e2e %v should pay 3 serial container latencies (>= %v)", e2e[1], 3*lat)
+	if e2e[1] >= lat {
+		t.Errorf("first request on the provisioned replica took %v, want below one container latency %v", e2e[1], lat)
 	}
-	if e2e[2] >= lat {
-		t.Errorf("pre-warmed-path request e2e %v should stay below one container latency %v", e2e[2], lat)
+	e.Run(e.Now() + 2*keepAlive) // every replica idles past its keep-alive
+	mustSubmit(app, Request{})
+	mustSubmit(app, Request{})
+	e.Run(0)
+	if got := app.ColdStarts(); got != 6 {
+		t.Fatalf("cold starts = %d, want 6 (3 stages × 2 expired replicas)", got)
+	}
+	if e2e[3] < 3*lat {
+		t.Errorf("expired autoscaled replica's request e2e %v should pay 3 serial container latencies (>= %v)", e2e[3], 3*lat)
 	}
 }
 
 func TestElasticPrewarmProvisioning(t *testing.T) {
-	// Prewarm + autoscaler: a scaled replica provisions in the background —
-	// not routable until the cold-start policy's container launch latency
-	// has elapsed since its scale-out, and then already warm, so no request
-	// is ever charged its cold start.
+	// Autoscaler with cold starts on: a scaled replica provisions in the
+	// background — not routable until the cold-start policy's container
+	// launch latency has elapsed since its scale-out, and then already warm,
+	// so no request is ever charged its cold start.
 	e := sim.NewEngine()
 	defer e.Close()
 	c := New(e, topology.DGXV100(), 1, grouterPlane)
@@ -183,7 +188,6 @@ func TestElasticPrewarmProvisioning(t *testing.T) {
 		Min:      1,
 		Max:      2,
 		Interval: interval,
-		Prewarm:  true,
 	})
 	e.Run(60 * time.Millisecond) // scale-out ordered at the first step, still provisioning
 	si := scheduler.StageInst{Stage: "segmentation", Replica: 0}
@@ -218,14 +222,14 @@ func TestElasticPrewarmProvisioning(t *testing.T) {
 	}
 
 	// With cold starts off there is no container to launch, whatever
-	// latency the policy names: a Prewarm member is routable and warm the
+	// latency the policy names: a new member is routable and warm the
 	// instant it scales out.
 	e2 := sim.NewEngine()
 	defer e2.Close()
 	app2 := New(e2, topology.DGXV100(), 1, grouterPlane).Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
 	app2.SetColdStart(ColdStartPolicy{ContainerLatency: lat})
 	ep2 := app2.EnableElastic(ElasticConfig{Scaler: autoscale.Fixed{}, Min: 1, Max: 2,
-		Interval: time.Hour, Prewarm: true}) // the test drives the scale-out
+		Interval: time.Hour}) // the test drives the scale-out
 	ps := app2.pool(si)
 	ep2.scaleOut(ps, e2.Now())
 	if m := ps.members[1]; m.phase != memberActive || !m.warm || len(ps.slots) != 2 {

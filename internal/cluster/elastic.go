@@ -136,13 +136,6 @@ type ElasticConfig struct {
 	// scale event (so freshly ordered capacity is not immediately shed).
 	// Zero, the default, lets every interval act.
 	ScaleInCooldown time.Duration
-	// Prewarm provisions scaled-out replicas in the background: with cold
-	// starts enabled, the new member becomes routable only after the app's
-	// ColdStartPolicy.ContainerLatency, already warm, so no request is
-	// charged its cold start; with them disabled it is routable at once.
-	// False (the default) makes the new member routable immediately and the
-	// first routed request pays the ColdStartPolicy latency.
-	Prewarm bool
 }
 
 // RecoverAfter is how long a crashed GPU stays out of routing after a fault
@@ -208,7 +201,7 @@ type memberTimer struct {
 
 // arm schedules a timer for member m of pool ps, d from now: a recovery
 // timer returns the crash-blacklisted member to the routable set, any other
-// ends the member's Prewarm provisioning.
+// ends the member's provisioning.
 func (ep *ElasticPools) arm(d time.Duration, ps *poolState, m *poolMember, recovery bool) {
 	var t *memberTimer
 	if n := len(ep.timers); n > 0 {
@@ -286,7 +279,7 @@ func (a *App) EnableElastic(cfg ElasticConfig) *ElasticPools {
 	return ep
 }
 
-// provisionDelay is the scale-out latency a Prewarm member pays before
+// provisionDelay is the scale-out latency a new member pays before
 // serving: the container launch of a cold start, or nothing without them.
 func (ep *ElasticPools) provisionDelay() time.Duration {
 	if ep.app.Cold.Enabled {
@@ -374,7 +367,10 @@ func (ep *ElasticPools) step() {
 	}
 }
 
-// scaleOut provisions one new member for the pool.
+// scaleOut provisions one new member for the pool. The member pays the
+// provisioning delay in the background and turns routable already warm, so
+// no request is charged its cold start; without cold starts it is routable
+// at once.
 func (ep *ElasticPools) scaleOut(ps *poolState, now time.Duration) {
 	a := ep.app
 	loc := a.C.Placer.PlaceSingleFit(ps.home, ps.need, func(l fabric.Location) int64 {
@@ -385,19 +381,14 @@ func (ep *ElasticPools) scaleOut(ps *poolState, now time.Duration) {
 	ps.nextID++
 	ps.members = append(ps.members, m)
 	ep.Stats.ScaleOuts++
-	delay := ep.provisionDelay()
-	if ep.cfg.Prewarm && delay > 0 {
+	if delay := ep.provisionDelay(); delay > 0 {
 		// Background provisioning: routable after the delay, already warm.
 		m.phase = memberProvisioning
 		ep.arm(delay, ps, m, false)
 		return
 	}
 	m.phase = memberActive
-	if ep.cfg.Prewarm {
-		ep.markWarm(m)
-	}
-	// Without Prewarm the member is routable now and its first routed
-	// request pays the cold start (a new member starts cold).
+	ep.markWarm(m)
 	a.rebuild(ps)
 }
 

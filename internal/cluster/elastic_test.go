@@ -355,7 +355,6 @@ func TestElasticDoubleRunDeterminism(t *testing.T) {
 			Max:             4,
 			Interval:        100 * time.Millisecond,
 			ScaleInCooldown: 300 * time.Millisecond,
-			Prewarm:         true,
 		})
 		burst(e, app, trace.Spec{Pattern: trace.Bursty, Duration: 4 * time.Second, MeanRPS: 80, Seed: 11})
 		e.Run(8 * time.Second)
@@ -529,19 +528,19 @@ func TestElasticStepAllocFreeAfterChurn(t *testing.T) {
 // TestElasticScaleCycleAllocFree: once the pools have warmed, a scale-out,
 // a scale-in that cordons the new member while a pick still holds it, and
 // the retirement of that pick, which drains and tears the member down,
-// allocate nothing. The member comes off the pool's free list, the routable
-// view is refilled in place, and with Prewarm the provisioning timer is a
-// recycled one.
+// allocate nothing. The member comes off the pool's free list and the
+// routable view is refilled in place. Without cold starts the member is
+// routable at once; with them its provisioning timer is a recycled one.
 func TestElasticScaleCycleAllocFree(t *testing.T) {
-	for _, prewarm := range []bool{false, true} {
-		t.Run(fmt.Sprintf("prewarm=%v", prewarm), func(t *testing.T) {
+	for _, cold := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cold=%v", cold), func(t *testing.T) {
 			e := sim.NewEngine()
 			defer e.Close()
 			c := New(e, topology.DGXV100(), 1, grouterPlane)
 			app := c.Deploy(workflow.Driving(), 0, scheduler.Options{Node: 0})
 			const delay = 10 * time.Millisecond
-			if prewarm {
-				// A Prewarm member provisions for the container launch of a
+			if cold {
+				// A new member provisions for the container launch of a
 				// cold start, so with cold starts on the timer is armed.
 				app.SetColdStart(ColdStartPolicy{Enabled: true, ContainerLatency: delay})
 			}
@@ -550,18 +549,22 @@ func TestElasticScaleCycleAllocFree(t *testing.T) {
 				Min:      1,
 				Max:      4,
 				Interval: time.Hour, // controller never steps; the test drives directly
-				Prewarm:  prewarm,
 			})
 			ps := app.pool(scheduler.StageInst{Stage: "segmentation", Replica: 0})
 			cycle := func() {
 				ep.scaleOut(ps, e.Now())
-				if prewarm && len(ps.slots) != 1 {
-					t.Fatalf("a Prewarm member is routable before its provisioning timer fired: %d routable", len(ps.slots))
+				routable := 2 // without cold starts the new member is routable at once
+				if cold {
+					routable = 1 // a provisioning member takes no pick before its timer fires
 				}
-				e.Run(e.Now() + delay) // a Prewarm member turns routable
+				if len(ps.slots) != routable {
+					t.Fatalf("%d routable after scale-out, want %d", len(ps.slots), routable)
+				}
+				e.Run(e.Now() + delay) // a provisioning member turns routable
 				m := app.instanceFor(ps, RouteInfo{Seq: 1})
-				if m.id != ps.nextID-1 || m.phase != memberActive {
-					t.Fatalf("pick landed on member %d (phase %d), want the new member %d", m.id, m.phase, ps.nextID-1)
+				if m.id != ps.nextID-1 || m.phase != memberActive || !m.warm {
+					t.Fatalf("pick landed on member %d (phase %d, warm %v), want the new warm member %d",
+						m.id, m.phase, m.warm, ps.nextID-1)
 				}
 				ep.scaleIn(ps, 1, e.Now())
 				if m.phase != memberDraining {
@@ -583,8 +586,8 @@ func TestElasticScaleCycleAllocFree(t *testing.T) {
 	}
 }
 
-// TestPrewarmTimerOutlivesMember: a Prewarm member torn down while it
-// provisions leaves its provisioning timer armed. When scale-out reuses the
+// TestPrewarmTimerOutlivesMember: a member torn down while it provisions
+// leaves its provisioning timer armed. When scale-out reuses the
 // member, the old timer must not make the new incarnation routable early,
 // though its phase is provisioning again. No controller path tears down a
 // provisioning member today, so the test calls finalize itself.
@@ -599,7 +602,6 @@ func TestPrewarmTimerOutlivesMember(t *testing.T) {
 		Min:      1,
 		Max:      4,
 		Interval: time.Hour, // controller never steps; the test drives directly
-		Prewarm:  true,
 	})
 	ps := app.pool(scheduler.StageInst{Stage: "segmentation", Replica: 0})
 	ep.scaleOut(ps, e.Now()) // routable at 100ms

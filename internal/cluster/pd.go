@@ -19,34 +19,19 @@ import (
 // prefill on one GPU, the prompt's KV cache shipped to the decode GPU through
 // the cluster's data plane (so coalescing, retry/replan, crash
 // re-materialization, and obs spans all apply to the handoff), then decode.
-// When a disaggregated decision lands both phases on the same GPU the
-// executor collapses to the colocated path: the handoff would cost zero, so
-// the two plans are byte-identical by construction (the differential oracle
-// in pd_test.go pins this).
+//
+// The service's own policy (decide) places every request: long-prompt
+// requests go to prefill/decode worker pairs (prefill dominates their cost,
+// and isolating it stops head-of-line blocking of short interactive
+// requests), short ones to the mixed pool, with overflow fallback to
+// colocated execution when PD capacity or the KV transfer path is
+// saturated. All signals are virtual-time deterministic, so runs replay
+// byte-identically.
 
-// PDDecision is one routing decision: the placement mode plus the chosen
-// prefill and decode workers. Colocated runs entirely on Decode.
-type PDDecision struct {
-	Mode    PDMode
-	Prefill fabric.Location
-	Decode  fabric.Location
-	// Overflow marks a decision the policy downgraded to colocated because
-	// PD capacity or the transfer path was saturated.
-	Overflow bool
-}
-
-// PDRouteFn decides one request's placement; seq is the service-local
-// admission sequence number. It runs in event context and must be
-// deterministic in virtual time. The PD router (internal/router) installs
-// its policy here; without one the service round-robins.
-type PDRouteFn func(req *Request, seq int64) PDDecision
-
-// PDConfig sizes a DeployLLM service.
+// PDConfig sizes a DeployLLM service and tunes its placement policy.
 type PDConfig struct {
 	// LLM is the served model (required).
 	LLM *models.LLM
-	// TP is the tensor-parallel degree per phase (0/1 = single GPU).
-	TP int
 	// PrefillWorkers/DecodeWorkers/MixedWorkers partition the cluster's GPUs
 	// node-major: prefill pool first, then decode, then mixed (colocated)
 	// workers. Prefill and decode counts must be both zero (pure colocated
@@ -57,28 +42,48 @@ type PDConfig struct {
 	// DefaultOutTokens replaces a zero Request output length (default 32);
 	// a zero prompt length becomes 512 tokens.
 	DefaultOutTokens int
-	// SLOScale sets a request's latency objective as a multiple of its
-	// unloaded colocated service time (default 2); the KV handoff inherits
-	// the remaining budget as its transfer rate floor.
-	SLOScale float64
 	// ZeroKV skips the data-plane handoff entirely (the KV cache ships for
 	// free). It isolates transfer cost in experiments and drives the
 	// zero-cost-transfer differential oracle.
 	ZeroKV bool
+	// LongPromptTokens is the disaggregation threshold: a PDAuto request at
+	// or above it is split across a prefill/decode pair (default 1024).
+	LongPromptTokens int
+	// SaturationDepth is the per-worker load (compute-slot queue plus holds
+	// plus placed requests not yet holding it) above which a pool counts as
+	// saturated: PDAuto requests overflow to colocated execution instead of
+	// queueing on a saturated pair, and a session's decode pin is abandoned
+	// for the least-loaded decode worker (default 4).
+	SaturationDepth int
 }
 
-// defaultPromptTokens is the prompt length of a Request that sets none.
-const defaultPromptTokens = 512
+const (
+	// defaultPromptTokens is the prompt length of a Request that sets none.
+	defaultPromptTokens = 512
+	// maxInflightKV bounds concurrent KV handoffs on the data plane; at the
+	// bound PDAuto requests overflow to colocated execution.
+	maxInflightKV = 8
+	// pdSLOScale sets a request's latency objective as a multiple of its
+	// unloaded colocated service time; the KV handoff inherits the budget
+	// as its transfer rate floor.
+	pdSLOScale = 2
+)
 
-// PDStats counts an LLMService's placement and handoff activity.
+// PDStats counts an LLMService's placement and handoff activity. Every
+// request is counted once in Colocated or Disaggregated, by the plan it ran.
 type PDStats struct {
-	// Colocated/Disaggregated count requests by executed plan; Collapsed
-	// counts disaggregated decisions that landed both phases on one GPU and
-	// ran the colocated plan. Collapsed requests are also in Colocated.
 	Colocated     int64
 	Disaggregated int64
-	Collapsed     int64
-	Overflows     int64
+	// Long/Short split the PDAuto requests by the LongPromptTokens
+	// threshold; requests with an explicit mode are in neither.
+	Long  int64
+	Short int64
+	// Overflows counts PDAuto long-prompt requests downgraded to colocated
+	// because the PD pools or the transfer path were saturated.
+	Overflows int64
+	// Affinity counts disaggregated requests whose decode phase ran on
+	// their session's pinned decode worker.
+	Affinity int64
 	// Recomputes counts KV handoffs that failed (evicted, crashed, lost) and
 	// fell back to recomputing prefill on the decode GPU.
 	Recomputes int64
@@ -100,10 +105,6 @@ type LLMService struct {
 	DecodePool  []fabric.Location
 	MixedPool   []fabric.Location
 
-	// Route, when non-nil, decides every request's placement (the PD router
-	// installs itself here).
-	Route PDRouteFn
-
 	// E2E records request latencies and TTFT time to first output token,
 	// over every request the service ever completed, in bounded
 	// distributions: exact up to metrics.DistCap samples, within 2^-10
@@ -122,8 +123,10 @@ type LLMService struct {
 	// e2e) in event context; it must not start simulation activity.
 	OnComplete func(seq int64, at, e2e time.Duration)
 
-	seq        int64
-	pending    map[fabric.Location]int
+	seq     int64
+	pending map[fabric.Location]int
+	// inflightKV counts the KV handoffs in flight on the data plane, the
+	// placement policy's transfer-path saturation signal.
 	inflightKV int
 }
 
@@ -153,13 +156,16 @@ func (c *Cluster) DeployLLM(cfg PDConfig) (*LLMService, error) {
 	if cfg.DefaultOutTokens <= 0 {
 		cfg.DefaultOutTokens = 32
 	}
-	if cfg.SLOScale <= 0 {
-		cfg.SLOScale = 2
+	if cfg.LongPromptTokens <= 0 {
+		cfg.LongPromptTokens = 1024
+	}
+	if cfg.SaturationDepth <= 0 {
+		cfg.SaturationDepth = 4
 	}
 	s := &LLMService{
 		C:       c,
 		Cfg:     cfg,
-		Model:   models.Serve{LLM: cfg.LLM, Class: c.Class, TP: cfg.TP},
+		Model:   models.Serve{LLM: cfg.LLM, Class: c.Class},
 		Name:    "llm/" + cfg.LLM.Name,
 		pending: map[fabric.Location]int{},
 	}
@@ -176,45 +182,88 @@ func (c *Cluster) DeployLLM(cfg PDConfig) (*LLMService, error) {
 	return s, nil
 }
 
-// SLO is the request's latency objective: SLOScale × its unloaded colocated
+// SLO is the request's latency objective: twice its unloaded colocated
 // service time.
 func (s *LLMService) SLO(promptTokens, outTokens int) time.Duration {
 	unloaded := s.Model.Prefill(promptTokens) + s.Model.Decode(outTokens)
-	return time.Duration(s.Cfg.SLOScale * float64(unloaded))
+	return time.Duration(pdSLOScale * float64(unloaded))
 }
 
-// Load reports one worker's admission load: compute-slot queue plus holds
-// plus decided-but-not-yet-acquired picks. It is the PD routing policy's
+// load reports one worker's admission load: compute-slot queue plus holds
+// plus decided-but-not-yet-acquired picks. It is the placement policy's
 // least-loaded signal.
-func (s *LLMService) Load(loc fabric.Location) int {
+func (s *LLMService) load(loc fabric.Location) int {
 	waiting, held := s.C.GPULoad(loc.Node, loc.GPU)
 	return waiting + held + s.pending[loc]
 }
 
-// InflightKV reports how many KV handoffs are currently in flight on the
-// data plane — the routing policy's transfer-path saturation signal.
-func (s *LLMService) InflightKV() int { return s.inflightKV }
+// placement is one request's placement: the mode plus the chosen prefill
+// and decode workers. A colocated request runs entirely on decode.
+type placement struct {
+	mode    PDMode
+	prefill fabric.Location
+	decode  fabric.Location
+}
 
-// defaultRoute is the policy used when no router is installed: mixed-pool
-// round-robin for auto/colocated, pool round-robin for disaggregated, and
-// the opposite pool when the requested one does not exist.
-func (s *LLMService) defaultRoute(req *Request, seq int64) PDDecision {
-	rr := func(pool []fabric.Location) fabric.Location {
-		return pool[int(seq%int64(len(pool)))]
+// leastLoaded picks the pool's lowest-load worker (lowest index on ties —
+// the deterministic tie-break) and returns it with its load.
+func (s *LLMService) leastLoaded(pool []fabric.Location) (fabric.Location, int) {
+	best, bestLoad := pool[0], s.load(pool[0])
+	for _, loc := range pool[1:] {
+		if l := s.load(loc); l < bestLoad {
+			best, bestLoad = loc, l
+		}
 	}
+	return best, bestLoad
+}
+
+// decide places one request and counts the decision in Stats. A PDAuto
+// request splits on the LongPromptTokens threshold and an explicit mode is
+// honored. A disaggregated request takes the least-loaded prefill worker
+// and its session's pinned decode worker (session id mod pool) while that
+// worker is within SaturationDepth, else the least-loaded one. A PDAuto
+// request overflows to the mixed pool instead of queueing on a saturated
+// pair or transfer path. Colocated requests run on the least-loaded mixed
+// worker, or on a prefill worker when the service has no mixed pool. It
+// runs in event context.
+func (s *LLMService) decide(req *Request) placement {
 	wantPD := req.PD == PDDisaggregated
 	if req.PD == PDAuto {
-		wantPD = len(s.MixedPool) == 0
+		if req.PromptTokens >= s.Cfg.LongPromptTokens {
+			s.Stats.Long++
+			wantPD = true
+		} else {
+			s.Stats.Short++
+		}
 	}
+	depth := s.Cfg.SaturationDepth
 	if wantPD && len(s.PrefillPool) > 0 {
-		return PDDecision{Mode: PDDisaggregated, Prefill: rr(s.PrefillPool), Decode: rr(s.DecodePool)}
+		prefill, pLoad := s.leastLoaded(s.PrefillPool)
+		decode, dLoad := s.leastLoaded(s.DecodePool)
+		pinned := false
+		if req.Session > 0 {
+			loc := s.DecodePool[int(req.Session%int64(len(s.DecodePool)))]
+			if l := s.load(loc); l <= depth {
+				decode, dLoad, pinned = loc, l, true
+			}
+		}
+		saturated := pLoad > depth || dLoad > depth || s.inflightKV >= maxInflightKV
+		if req.PD != PDAuto || !saturated || len(s.MixedPool) == 0 {
+			s.Stats.Disaggregated++
+			if pinned {
+				s.Stats.Affinity++
+			}
+			return placement{mode: PDDisaggregated, prefill: prefill, decode: decode}
+		}
+		s.Stats.Overflows++
 	}
-	if len(s.MixedPool) > 0 {
-		return PDDecision{Mode: PDColocated, Decode: rr(s.MixedPool)}
+	pool := s.MixedPool
+	if len(pool) == 0 {
+		pool = s.PrefillPool
 	}
-	// Colocated request on a PD-only service: run both phases on a prefill
-	// worker.
-	return PDDecision{Mode: PDColocated, Decode: rr(s.PrefillPool)}
+	loc, _ := s.leastLoaded(pool)
+	s.Stats.Colocated++
+	return placement{mode: PDColocated, decode: loc}
 }
 
 // Submit starts one typed request and returns a signal fired at completion.
@@ -236,7 +285,7 @@ type pdReq struct {
 	svc    *LLMService
 	req    Request
 	seq    int64
-	dec    PDDecision
+	at     placement
 	start  time.Duration
 	done   *sim.Signal
 	kv     int64
@@ -247,8 +296,9 @@ type pdReq struct {
 }
 
 // startReq decides the request's placement and spawns its execution process.
-// Runs in event context; the descriptor is trusted (Submit validates).
-func (s *LLMService) startReq(req Request, done *sim.Signal) {
+// Runs in event context; the descriptor is trusted (Submit validates). It
+// returns false: an LLMService sheds nothing.
+func (s *LLMService) startReq(req Request, done *sim.Signal) bool {
 	if req.PromptTokens <= 0 {
 		req.PromptTokens = defaultPromptTokens
 	}
@@ -268,28 +318,13 @@ func (s *LLMService) startReq(req Request, done *sim.Signal) {
 		perTok: s.Model.DecodePerToken(),
 		decode: s.Model.Decode(req.OutTokens),
 	}
-	if s.Route != nil {
-		r.dec = s.Route(&r.req, r.seq)
-	} else {
-		r.dec = s.defaultRoute(&r.req, r.seq)
-	}
-	if r.dec.Overflow {
-		s.Stats.Overflows++
-	}
-	// Same-GPU disaggregated decisions collapse: the handoff costs zero, so
-	// the colocated plan is the same plan without the no-op transfer.
-	if r.dec.Mode == PDDisaggregated && r.dec.Prefill == r.dec.Decode {
-		r.dec.Mode = PDColocated
-		s.Stats.Collapsed++
-	}
-	s.pending[r.dec.Decode]++
-	if r.dec.Mode == PDDisaggregated {
-		s.pending[r.dec.Prefill]++
-		s.Stats.Disaggregated++
-	} else {
-		s.Stats.Colocated++
+	r.at = s.decide(&r.req)
+	s.pending[r.at.decode]++
+	if r.at.mode == PDDisaggregated {
+		s.pending[r.at.prefill]++
 	}
 	s.C.Engine.GoRun("llm-req", r)
+	return false
 }
 
 // Run executes the request: one GPU hold for colocated, or
@@ -301,9 +336,9 @@ func (r *pdReq) Run(p *sim.Proc) {
 	span := tr.BeginOn(obs.ReqTrack(r.seq), obs.CatRequest, s.Name)
 	tr.SetAttrInt(span, "seq", r.seq)
 	tr.SetAttrInt(span, "prompt", int64(r.req.PromptTokens))
-	tr.SetAttrStr(span, "pd", r.dec.Mode.String())
+	tr.SetAttrStr(span, "pd", r.at.mode.String())
 
-	if r.dec.Mode == PDDisaggregated {
+	if r.at.mode == PDDisaggregated {
 		r.runDisaggregated(p, tr)
 	} else {
 		r.runColocated(p, tr)
@@ -338,9 +373,9 @@ func (r *pdReq) releaseGPU(res *sim.Resource, loc fabric.Location, heldAt, now t
 	}
 }
 
-// runColocated executes both phases in one hold on dec.Decode.
+// runColocated executes both phases in one hold on the decode worker.
 func (r *pdReq) runColocated(p *sim.Proc, tr *obs.Tracer) {
-	loc := r.dec.Decode
+	loc := r.at.decode
 	res, heldAt := r.holdGPU(p, loc)
 	cs := tr.BeginOn(obs.ReqTrack(r.seq), obs.CatCompute, "prefill")
 	p.Sleep(r.prefil)
@@ -353,18 +388,19 @@ func (r *pdReq) runColocated(p *sim.Proc, tr *obs.Tracer) {
 	r.releaseGPU(res, loc, heldAt, p.Now())
 }
 
-// runDisaggregated executes prefill on dec.Prefill, ships the KV cache to
-// dec.Decode through the data plane, then decodes. The handoff rides the
-// full data-plane path — Put on the prefill GPU inside its hold (transfers
-// run within a function's execution turn), Get on the decode GPU inside its
-// hold — so coalescing, retry/replan, and spans apply. A failed handoff
-// (evicted, crashed) falls back to recomputing prefill on the decode GPU.
+// runDisaggregated executes prefill on the prefill worker, ships the KV
+// cache to the decode worker through the data plane, then decodes. The
+// handoff rides the full data-plane path — Put on the prefill GPU inside its
+// hold (transfers run within a function's execution turn), Get on the decode
+// GPU inside its hold — so coalescing, retry/replan, and spans apply. A
+// failed handoff (evicted, crashed) falls back to recomputing prefill on the
+// decode GPU.
 func (r *pdReq) runDisaggregated(p *sim.Proc, tr *obs.Tracer) {
 	s := r.svc
 	c := s.C
 
 	// Prefill phase.
-	res, heldAt := r.holdGPU(p, r.dec.Prefill)
+	res, heldAt := r.holdGPU(p, r.at.prefill)
 	cs := tr.BeginOn(obs.ReqTrack(r.seq), obs.CatCompute, "prefill")
 	p.Sleep(r.prefil)
 	tr.End(cs)
@@ -373,23 +409,23 @@ func (r *pdReq) runDisaggregated(p *sim.Proc, tr *obs.Tracer) {
 	if !s.Cfg.ZeroKV {
 		pctx := dataplane.FnCtx{
 			Fn: s.Name + "/prefill", Workflow: s.Name,
-			Loc: r.dec.Prefill, SLO: r.slo, InferLatency: r.prefil + r.decode,
+			Loc: r.at.prefill, SLO: r.slo, InferLatency: r.prefil + r.decode,
 			ConsumerSeq: r.seq,
 		}
 		s.inflightKV++
 		ref, putErr = c.Plane.Put(p, &pctx, r.kv)
 	}
-	r.releaseGPU(res, r.dec.Prefill, heldAt, p.Now())
+	r.releaseGPU(res, r.at.prefill, heldAt, p.Now())
 
 	// Decode phase: pull the KV cache at the decode GPU, recomputing the
 	// prompt locally if the handoff cannot deliver it.
-	res, heldAt = r.holdGPU(p, r.dec.Decode)
+	res, heldAt = r.holdGPU(p, r.at.decode)
 	if !s.Cfg.ZeroKV {
 		recompute := putErr != nil
 		if putErr == nil {
 			dctx := dataplane.FnCtx{
 				Fn: s.Name + "/decode", Workflow: s.Name,
-				Loc: r.dec.Decode, SLO: r.slo, InferLatency: r.prefil + r.decode,
+				Loc: r.at.decode, SLO: r.slo, InferLatency: r.prefil + r.decode,
 				ConsumerSeq: r.seq,
 			}
 			t0 := p.Now()
@@ -415,45 +451,29 @@ func (r *pdReq) runDisaggregated(p *sim.Proc, tr *obs.Tracer) {
 	cs = tr.BeginOn(obs.ReqTrack(r.seq), obs.CatCompute, "decode")
 	p.Sleep(r.decode - r.perTok)
 	tr.End(cs)
-	r.releaseGPU(res, r.dec.Decode, heldAt, p.Now())
+	r.releaseGPU(res, r.at.decode, heldAt, p.Now())
 }
 
 // Replay admits one typed request per arrival (offsets relative to now,
 // sorted ascending; spec.RequestAt describes each) and runs the engine until
-// it drains, with the same admission shapes, validation and per-replay
-// percentiles as App.Replay: it records into an empty E2E and merges the
-// earlier samples back in when it is done.
+// it drains, on the same replay driver as App.Replay: the same admission
+// shapes, validation and per-replay percentiles. It records into an empty
+// E2E and merges the earlier samples back in when it is done.
 func (s *LLMService) Replay(arrivals []time.Duration, spec ReplaySpec) (ReplayStats, error) {
-	if arrivals == nil {
-		return ReplayStats{}, ErrNilTrace
-	}
-	if spec.Quantum < 0 {
-		return ReplayStats{}, ErrNegativeQuantum
-	}
-	e := s.C.Engine
-	base := e.Now()
-	before := s.Completed
+	return replay(s.C.Engine, s, arrivals, spec)
+}
+
+// served reports the service's completions; an LLMService sheds nothing.
+func (s *LLMService) served() (completed, shed int) { return s.Completed, 0 }
+
+// isolate swaps an empty E2E in for one replay; the function it returns
+// reads the replay's P50 and P99, then merges the earlier samples back in.
+func (s *LLMService) isolate() func() (p50, p99 time.Duration) {
 	earlier := s.E2E
 	s.E2E = metrics.Dist{}
-	reqAt := spec.RequestAt
-	admitTrace(e, base, arrivals, spec.Quantum, func(i int) {
-		var req Request
-		if reqAt != nil {
-			req = reqAt(i)
-		}
-		s.startReq(req, nil)
-	})
-	e.Run(0)
-	st := ReplayStats{
-		Requests:  len(arrivals),
-		Completed: s.Completed - before,
-		Duration:  e.Now() - base,
-		P50:       s.E2E.P(0.5),
-		P99:       s.E2E.P(0.99),
+	return func() (p50, p99 time.Duration) {
+		p50, p99 = s.E2E.P(0.5), s.E2E.P(0.99)
+		s.E2E.Merge(&earlier)
+		return p50, p99
 	}
-	s.E2E.Merge(&earlier)
-	if st.Duration > 0 {
-		st.Throughput = float64(st.Completed) / st.Duration.Seconds()
-	}
-	return st, nil
 }

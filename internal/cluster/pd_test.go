@@ -62,33 +62,6 @@ func pdArrivals(n int, gap time.Duration) []time.Duration {
 	return out
 }
 
-// TestPDCollapseOracle is the zero-cost-transfer differential oracle: a
-// disaggregated decision whose prefill and decode land on the same GPU ships
-// nothing, so it must execute byte-identically to an explicit colocated
-// decision on that GPU — under contention (arrivals faster than service).
-func TestPDCollapseOracle(t *testing.T) {
-	gpu0 := fabric.Location{Node: 0, GPU: 0}
-	run := func(mode PDMode) pdOutcome {
-		e, _, svc := newLLMService(t, PDConfig{MixedWorkers: 1})
-		defer e.Close()
-		svc.Route = func(req *Request, seq int64) PDDecision {
-			return PDDecision{Mode: mode, Prefill: gpu0, Decode: gpu0}
-		}
-		return drivePD(e, svc, pdArrivals(60, 2*time.Millisecond), func(i int) Request {
-			return Request{PromptTokens: 256 + 64*(i%5), OutTokens: 8}
-		})
-	}
-	collapsed := run(PDDisaggregated)
-	colocated := run(PDColocated)
-	if collapsed.stats.Collapsed != 60 || collapsed.stats.Colocated != 60 {
-		t.Fatalf("collapse stats = %+v, want 60 collapsed colocated runs", collapsed.stats)
-	}
-	collapsed.stats.Collapsed = colocated.stats.Collapsed
-	if !reflect.DeepEqual(collapsed, colocated) {
-		t.Errorf("same-GPU disaggregation diverged from colocated:\n%+v\n%+v", collapsed, colocated)
-	}
-}
-
 // TestPDZeroKVSequentialOracle: with a free KV handoff (ZeroKV) and no
 // queueing (closed-loop sequential drive), the disaggregated plan costs
 // exactly prefill + decode — byte-identical latencies to colocated even

@@ -4,14 +4,14 @@ package cluster
 type PDMode int
 
 const (
-	// PDAuto lets the routing policy pick per request (the zero value).
+	// PDAuto lets the service's placement policy pick per request (the
+	// zero value).
 	PDAuto PDMode = iota
 	// PDColocated runs both phases back to back on one GPU; no KV handoff.
 	PDColocated
-	// PDDisaggregated runs prefill and decode on the pools the routing
-	// decision names, shipping the prompt's KV cache between them over the
-	// data plane. When the decision lands both phases on the same GPU the
-	// executor collapses to the colocated path.
+	// PDDisaggregated runs prefill and decode on a prefill and a decode
+	// worker, shipping the prompt's KV cache between them over the data
+	// plane.
 	PDDisaggregated
 )
 

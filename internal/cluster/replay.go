@@ -43,21 +43,50 @@ type ReplayStats struct {
 	P50, P99 time.Duration
 }
 
-// admitTrace schedules one admission callback per arrival (offsets relative
-// to base, sorted ascending). With quantum <= 0 every arrival is scheduled at
-// its exact offset; otherwise a single feeder process admits each fixed
+// replayTarget is what a trace replays into: an App or an LLMService.
+type replayTarget interface {
+	// startReq admits one typed request in event context and reports
+	// whether admission shed it at once.
+	startReq(req Request, done *sim.Signal) (shed bool)
+	// served reports how many requests completed and were shed so far.
+	served() (completed, shed int)
+	// isolate swaps in empty latency recorders for one replay; the function
+	// it returns reads the replay's own P50 and P99, then merges the earlier
+	// samples back in.
+	isolate() func() (p50, p99 time.Duration)
+}
+
+// replay is the trace replay App.Replay and LLMService.Replay share. It
+// rejects a nil trace and a negative quantum, admits one typed request per
+// arrival (offsets relative to now, sorted ascending) and runs the engine
+// until it drains. With a zero quantum every arrival is scheduled at its
+// exact offset; otherwise a single feeder process admits each fixed
 // window's arrivals together at the window's closing edge, in trace order.
-// Both shapes are shared verbatim by every replay entry point so they stay
-// byte-identical.
-func admitTrace(e *sim.Engine, base time.Duration, arrivals []time.Duration, quantum time.Duration, admit func(i int)) {
-	if quantum <= 0 {
+func replay(e *sim.Engine, t replayTarget, arrivals []time.Duration, spec ReplaySpec) (ReplayStats, error) {
+	if arrivals == nil {
+		return ReplayStats{}, ErrNilTrace
+	}
+	if spec.Quantum < 0 {
+		return ReplayStats{}, ErrNegativeQuantum
+	}
+	base := e.Now()
+	completed, shed := t.served()
+	own := t.isolate()
+	reqAt := spec.RequestAt
+	admit := func(i int) {
+		var req Request
+		if reqAt != nil {
+			req = reqAt(i)
+		}
+		t.startReq(req, nil)
+	}
+	if q := spec.Quantum; q == 0 {
 		e.Reserve(len(arrivals) + 64)
 		for i := range arrivals {
 			i := i
 			e.Schedule(arrivals[i], func() { admit(i) })
 		}
 	} else if len(arrivals) > 0 {
-		q := quantum
 		e.Go("replay-feeder", func(p *sim.Proc) {
 			i := 0
 			for i < len(arrivals) {
@@ -73,6 +102,15 @@ func admitTrace(e *sim.Engine, base time.Duration, arrivals []time.Duration, qua
 			}
 		})
 	}
+	e.Run(0)
+	st := ReplayStats{Requests: len(arrivals), Duration: e.Now() - base}
+	nowCompleted, nowShed := t.served()
+	st.Completed, st.Shed = nowCompleted-completed, nowShed-shed
+	st.P50, st.P99 = own()
+	if st.Duration > 0 {
+		st.Throughput = float64(st.Completed) / st.Duration.Seconds()
+	}
+	return st, nil
 }
 
 // Replay submits every arrival (offsets relative to now, sorted ascending)
@@ -84,41 +122,24 @@ func admitTrace(e *sim.Engine, base time.Duration, arrivals []time.Duration, qua
 // replay's completions only: it records them into empty E2EClass
 // distributions and merges the earlier samples back in when it is done.
 func (a *App) Replay(arrivals []time.Duration, spec ReplaySpec) (ReplayStats, error) {
-	if arrivals == nil {
-		return ReplayStats{}, ErrNilTrace
-	}
-	if spec.Quantum < 0 {
-		return ReplayStats{}, ErrNegativeQuantum
-	}
-	e := a.C.Engine
-	base := e.Now()
-	before := a.Completed
-	shedBefore := a.Shed
+	return replay(a.C.Engine, a, arrivals, spec)
+}
+
+// served reports the app's completed and shed requests.
+func (a *App) served() (completed, shed int) { return a.Completed, a.Shed }
+
+// isolate swaps empty E2EClass distributions in for one replay; the
+// function it returns reads the replay's P50 and P99 over both classes,
+// then merges the earlier samples back in.
+func (a *App) isolate() func() (p50, p99 time.Duration) {
 	earlier := a.E2EClass
 	a.E2EClass = [2]metrics.Dist{}
-	reqAt := spec.RequestAt
-	admitTrace(e, base, arrivals, spec.Quantum, func(i int) {
-		var req Request
-		if reqAt != nil {
-			req = reqAt(i)
+	return func() (p50, p99 time.Duration) {
+		own := a.E2E()
+		p50, p99 = own.P(0.5), own.P(0.99)
+		for i := range earlier {
+			a.E2EClass[i].Merge(&earlier[i])
 		}
-		a.startReq(req, nil)
-	})
-	e.Run(0)
-	own := a.E2E()
-	st := ReplayStats{
-		Requests:  len(arrivals),
-		Completed: a.Completed - before,
-		Shed:      a.Shed - shedBefore,
-		Duration:  e.Now() - base,
-		P50:       own.P(0.5),
-		P99:       own.P(0.99),
+		return p50, p99
 	}
-	for i := range earlier {
-		a.E2EClass[i].Merge(&earlier[i])
-	}
-	if st.Duration > 0 {
-		st.Throughput = float64(st.Completed) / st.Duration.Seconds()
-	}
-	return st, nil
 }

@@ -38,18 +38,18 @@ type Request struct {
 	// acquisition of the request.
 	QoS QoS
 	// PromptTokens is the LLM prompt length; it drives prefill time, KV-cache
-	// size, and the PD routing policy's long-prompt split. 0 uses the
-	// service default.
+	// size, and the LLM service's long-prompt split. 0 uses the service
+	// default.
 	PromptTokens int
 	// OutTokens is the LLM output length (decode tokens). 0 uses the service
 	// default.
 	OutTokens int
-	// Session groups requests of one conversation: the PD routing policy
-	// pins a session's decode phases to one worker so its KV state stays
-	// put. 0 means no session.
+	// Session groups requests of one conversation: an LLM service pins a
+	// session's decode phases to one worker so its KV state stays put. 0
+	// means no session.
 	Session int64
 	// PD selects the prefill/decode placement mode; PDAuto (the zero value)
-	// lets the routing policy decide.
+	// lets the service's placement policy decide.
 	PD PDMode
 	// Model names the target LLM for model-checked services; empty means the
 	// service's deployed model. Workflow apps ignore it.

@@ -32,22 +32,21 @@ func elasticStrategies() []elasticStrategy {
 		{"fixed", cluster.ElasticConfig{
 			Scaler: autoscale.Fixed{Replicas: maxReplicas},
 			Min:    maxReplicas, Max: maxReplicas, Interval: interval,
-			Prewarm: true,
 		}},
 		{"reactive", cluster.ElasticConfig{
 			Scaler: autoscale.Reactive{ScaleOutDepth: 2, ScaleIn: true},
 			Min:    1, Max: maxReplicas, Interval: interval,
-			ScaleInCooldown: inCooldown, Prewarm: true,
+			ScaleInCooldown: inCooldown,
 		}},
 		{"target-util", cluster.ElasticConfig{
 			Scaler: autoscale.TargetUtilization{PerInstance: 1.5},
 			Min:    1, Max: maxReplicas, Interval: interval,
-			ScaleInCooldown: inCooldown, Prewarm: true,
+			ScaleInCooldown: inCooldown,
 		}},
 		{"predictive", cluster.ElasticConfig{
 			Scaler: autoscale.Predictive{PerInstance: 1.5, Lead: 2},
 			Min:    1, Max: maxReplicas, Interval: interval,
-			ScaleInCooldown: inCooldown, Prewarm: true,
+			ScaleInCooldown: inCooldown,
 		}},
 	}
 }

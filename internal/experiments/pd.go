@@ -9,7 +9,6 @@ import (
 	"grouter/internal/dataplane"
 	"grouter/internal/fabric"
 	"grouter/internal/models"
-	"grouter/internal/router"
 	"grouter/internal/sim"
 	"grouter/internal/topology"
 	"grouter/internal/trace"
@@ -29,7 +28,9 @@ type pdScenario struct {
 	meanRPS          float64
 	// prefill/decode/mixed partition the node's GPUs for the PD systems.
 	prefill, decode, mixed int
-	policy                 router.PDPolicyConfig
+	// longPromptTokens and saturationDepth tune the service's placement
+	// policy (PDConfig).
+	longPromptTokens, saturationDepth int
 }
 
 // pdScenarios returns the two workload/topology cells of the comparison.
@@ -54,19 +55,13 @@ func pdScenarios() []pdScenario {
 			name: "h800 x1", spec: topology.H800x8, llm: "llama-7b",
 			long: 8192, short: 256, out: 8, longEvery: 128, meanRPS: 90,
 			prefill: 1, decode: 1, mixed: 6,
-			policy: router.PDPolicyConfig{
-				LongPromptTokens: 1024, SaturationDepth: 6,
-				MaxInflightKV: 8, SessionAffinity: true,
-			},
+			longPromptTokens: 1024, saturationDepth: 6,
 		},
 		{
 			name: "quad-a10 x1", spec: topology.QuadA10, llm: "llama-7b",
 			long: 1024, short: 128, out: 8, longEvery: 4, meanRPS: 3,
 			prefill: 1, decode: 1, mixed: 2,
-			policy: router.PDPolicyConfig{
-				LongPromptTokens: 512, SaturationDepth: 6,
-				MaxInflightKV: 8, SessionAffinity: true,
-			},
+			longPromptTokens: 512, saturationDepth: 6,
 		},
 	}
 }
@@ -82,7 +77,7 @@ type pdSystem struct {
 // pdSystems returns the three compared arrangements: colocated (every GPU a
 // mixed worker, least-loaded routing), PD over the base data plane, and PD
 // with fan-out-aware transfer coalescing on the handoff path. All three use
-// the same router policy so the only variables are the partition and the
+// the same placement policy so the only variables are the partition and the
 // plane.
 func pdSystems() []pdSystem {
 	grouter := func(f *fabric.Fabric) dataplane.Plane { return core.New(f, core.FullConfig()) }
@@ -138,6 +133,8 @@ func pdReplay(sc pdScenario, sys pdSystem, pattern trace.Pattern, requests int) 
 	cfg := cluster.PDConfig{
 		LLM:              models.MustLookupLLM(sc.llm),
 		DefaultOutTokens: sc.out,
+		LongPromptTokens: sc.longPromptTokens,
+		SaturationDepth:  sc.saturationDepth,
 	}
 	if sys.disaggregated {
 		cfg.PrefillWorkers = sc.prefill
@@ -150,7 +147,6 @@ func pdReplay(sc pdScenario, sys pdSystem, pattern trace.Pattern, requests int) 
 	if err != nil {
 		panic(err)
 	}
-	router.NewPD(svc, sc.policy)
 	st, err := svc.Replay(arrivals, cluster.ReplaySpec{Quantum: ScaleQuantum, RequestAt: pdMix(sc)})
 	if err != nil {
 		panic(err)

@@ -17,13 +17,11 @@ import (
 )
 
 // Allocation latencies observed on real CUDA stacks and used by the paper's
-// argument for pooling (§4.4.1): native cudaMalloc/cudaFree are
-// millisecond-level, pool suballocation is microsecond-level.
+// argument for pooling (§4.4.1): a native cudaMalloc is millisecond-level,
+// pool suballocation is microsecond-level.
 const (
 	// RawAllocLatency is the cost of a native device allocation.
 	RawAllocLatency = 1 * time.Millisecond
-	// RawFreeLatency is the cost of a native device free.
-	RawFreeLatency = 500 * time.Microsecond
 	// PoolAllocLatency is the cost of suballocating from a warm pool.
 	PoolAllocLatency = 10 * time.Microsecond
 )

@@ -24,26 +24,12 @@ var hbmBps = map[Class]float64{
 // sizing.
 const bytesPerParam = 2
 
-// tpEfficiency is the scaling efficiency applied when tensor parallelism
-// spreads a phase over more than one GPU (matches PrefillLatency).
-const tpEfficiency = 0.85
-
-// Serve binds an LLM to one serving deployment — a device class and a
-// tensor-parallel degree — and derives the request-level phase costs the
-// prefill/decode execution plan consumes.
+// Serve binds an LLM to one serving deployment on a device class, one GPU
+// per phase, and derives the request-level phase costs the prefill/decode
+// execution plan consumes.
 type Serve struct {
 	LLM   *LLM
 	Class Class
-	// TP is the tensor-parallel degree per phase (0 and 1 both mean 1).
-	TP int
-}
-
-// tp returns the effective tensor-parallel degree.
-func (s Serve) tp() int {
-	if s.TP < 1 {
-		return 1
-	}
-	return s.TP
 }
 
 // WeightsBytes is the model's full FP16 parameter footprint.
@@ -57,7 +43,7 @@ func (s Serve) Prefill(promptTokens int) time.Duration {
 	if promptTokens < 1 {
 		promptTokens = 1
 	}
-	return s.LLM.PrefillLatency(s.Class, promptTokens, s.tp())
+	return s.LLM.PrefillLatency(s.Class, promptTokens, 1)
 }
 
 // DecodePerToken returns the per-output-token decode latency: the phase is
@@ -67,11 +53,7 @@ func (s Serve) DecodePerToken() time.Duration {
 	if bw == 0 {
 		bw = hbmBps[ClassV100]
 	}
-	agg := bw * float64(s.tp())
-	if s.tp() > 1 {
-		agg *= tpEfficiency
-	}
-	return time.Duration(float64(s.WeightsBytes()) / agg * float64(time.Second))
+	return time.Duration(float64(s.WeightsBytes()) / bw * float64(time.Second))
 }
 
 // Decode returns the decode-phase latency for an output of the given length.

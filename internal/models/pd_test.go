@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-func serveUnderTest(tp int) Serve {
-	return Serve{LLM: MustLookupLLM("llama-7b"), Class: ClassH800, TP: tp}
+func serveUnderTest() Serve {
+	return Serve{LLM: MustLookupLLM("llama-7b"), Class: ClassH800}
 }
 
 // TestKVBytesMonotoneInPromptTokens is the property the PD handoff relies
@@ -34,7 +34,7 @@ func TestKVBytesMonotoneInPromptTokens(t *testing.T) {
 }
 
 func TestKVBytesNegativeClamps(t *testing.T) {
-	s := serveUnderTest(1)
+	s := serveUnderTest()
 	if got := s.KVBytes(-5); got != 0 {
 		t.Fatalf("KVBytes(-5) = %d, want 0", got)
 	}
@@ -42,7 +42,7 @@ func TestKVBytesNegativeClamps(t *testing.T) {
 
 // TestPrefillMonotone pins the prompt-length scaling of the prefill phase.
 func TestPrefillMonotone(t *testing.T) {
-	s := serveUnderTest(1)
+	s := serveUnderTest()
 	prev := time.Duration(0)
 	for tokens := 1; tokens <= 1<<14; tokens *= 2 {
 		d := s.Prefill(tokens)
@@ -55,7 +55,7 @@ func TestPrefillMonotone(t *testing.T) {
 
 // TestDecodeLinearInOutputTokens pins the per-token decode model.
 func TestDecodeLinearInOutputTokens(t *testing.T) {
-	s := serveUnderTest(1)
+	s := serveUnderTest()
 	per := s.DecodePerToken()
 	if per <= 0 {
 		t.Fatalf("DecodePerToken = %v, want > 0", per)
@@ -85,24 +85,8 @@ func TestDecodeFasterOnFasterHBM(t *testing.T) {
 	}
 }
 
-// TestTPSpeedsPhases: tensor parallelism speeds both phases (at 85%
-// efficiency), and TP<=0 clamps to 1.
-func TestTPSpeedsPhases(t *testing.T) {
-	s1, s2 := serveUnderTest(1), serveUnderTest(2)
-	if !(s2.Prefill(4096) < s1.Prefill(4096)) {
-		t.Fatal("TP=2 prefill not faster than TP=1")
-	}
-	if !(s2.DecodePerToken() < s1.DecodePerToken()) {
-		t.Fatal("TP=2 decode not faster than TP=1")
-	}
-	s0 := serveUnderTest(0)
-	if s0.Prefill(1024) != s1.Prefill(1024) || s0.DecodePerToken() != s1.DecodePerToken() {
-		t.Fatal("TP=0 does not clamp to TP=1")
-	}
-}
-
 func TestWeightsBytes(t *testing.T) {
-	s := serveUnderTest(1)
+	s := serveUnderTest()
 	if got, want := s.WeightsBytes(), int64(14e9); got != want {
 		t.Fatalf("WeightsBytes = %d, want %d (7B params, FP16)", got, want)
 	}

@@ -32,6 +32,9 @@ func testSLO() router.SLOConfig {
 type sloReplayResult struct {
 	replayResult
 	loCompleted, hiCompleted int
+	// attain is Router.Attainment per class at drain, and fed what the
+	// router's App.SLOAttainment hook hands the autoscaler.
+	attain, fed [2]float64
 }
 
 // replaySLO is replayOnce with an SLO-enabled scored router and a trace
@@ -63,11 +66,14 @@ func replaySLO(t *testing.T, pattern trace.Pattern, requests int, cfg router.Con
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	return sloReplayResult{
+	res := sloReplayResult{
 		replayResult: replayResult{st: st, samples: app.E2E().Samples(), rs: rt.Stats},
 		loCompleted:  app.E2EClass[cluster.QoSLow].Count(),
 		hiCompleted:  app.E2EClass[cluster.QoSHigh].Count(),
+		attain:       [2]float64{rt.Attainment(cluster.QoSLow), rt.Attainment(cluster.QoSHigh)},
 	}
+	res.fed[0], res.fed[1] = app.SLOAttainment()
+	return res
 }
 
 // TestSLOInertConfigMatchesBaseline is the differential oracle for SLO
@@ -108,7 +114,8 @@ func TestSLOInertConfigMatchesBaseline(t *testing.T) {
 // admission controller must actually shed, and every drop must be accounted
 // for — Requests == Completed + Shed, the per-class shed counters sum to the
 // replay's shed count, and the low class keeps completing (shed, never
-// silently starved).
+// silently starved). Router.Attainment, which grouter-sim's admission line
+// prints, must read what the autoscaler is fed.
 func TestSLOAdmissionShedsAndAccounts(t *testing.T) {
 	cfg := router.DefaultConfig()
 	cfg.SLO = testSLO()
@@ -135,6 +142,16 @@ func TestSLOAdmissionShedsAndAccounts(t *testing.T) {
 	}
 	if res.rs.Admits == 0 || res.rs.Defers == 0 {
 		t.Errorf("admission pipeline unexercised: admits=%d defers=%d", res.rs.Admits, res.rs.Defers)
+	}
+	// The last admissions of each class still predict misses, and the
+	// attainment the router reports is the one the autoscaler is fed.
+	if res.attain != res.fed {
+		t.Errorf("Attainment reads low/high %v, the autoscaler is fed %v", res.attain, res.fed)
+	}
+	for q, a := range res.attain {
+		if !(a >= 0 && a < 1) {
+			t.Errorf("class %d attainment %v at drain, want a predicted miss rate in [0, 1)", q, a)
+		}
 	}
 }
 

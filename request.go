@@ -19,7 +19,8 @@ type (
 
 // Prefill/decode placement modes for Request.PD.
 const (
-	// PDAuto lets the routing policy pick per request (the default).
+	// PDAuto lets the LLM service's placement policy pick per request (the
+	// default).
 	PDAuto = cluster.PDAuto
 	// PDColocated runs both phases back to back on one GPU.
 	PDColocated = cluster.PDColocated
@@ -59,8 +60,8 @@ func ReqOutput(tokens int) RequestOption {
 	return func(r *Request) { r.OutTokens = tokens }
 }
 
-// ReqSession tags the request with a conversation session; the PD routing
-// policy pins a session's decode phases to one worker.
+// ReqSession tags the request with a conversation session; an LLM service
+// pins a session's decode phases to one worker.
 func ReqSession(id int64) RequestOption {
 	return func(r *Request) { r.Session = id }
 }
