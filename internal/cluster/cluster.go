@@ -7,7 +7,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"grouter/internal/dataplane"
@@ -74,7 +73,6 @@ type Cluster struct {
 	hosts []*sim.Resource
 	xm    *xfer.Manager
 	seq   int64
-	rng   *rand.Rand
 }
 
 // New builds a cluster of n nodes with the data plane returned by mkPlane.
@@ -108,7 +106,6 @@ func NewOnFabric(f *fabric.Fabric, slots int, mkPlane func(*fabric.Fabric) datap
 		Placer: scheduler.NewPlacer(f.Cluster),
 		Class:  models.ClassOf(f.Spec()),
 		xm:     xfer.NewManager(f),
-		rng:    rand.New(rand.NewSource(97)),
 	}
 	for node := 0; node < len(f.Nodes); node++ {
 		var row []*sim.Resource

@@ -6,6 +6,7 @@ import (
 
 	"grouter/internal/dataplane"
 	"grouter/internal/fabric"
+	"grouter/internal/harvest"
 	"grouter/internal/metrics"
 	"grouter/internal/models"
 	"grouter/internal/obs"
@@ -289,7 +290,7 @@ type pdReq struct {
 	start  time.Duration
 	done   *sim.Signal
 	kv     int64
-	slo    time.Duration
+	slack  time.Duration // the KV handoff's FnCtx.Slack
 	prefil time.Duration
 	perTok time.Duration
 	decode time.Duration
@@ -313,11 +314,11 @@ func (s *LLMService) startReq(req Request, done *sim.Signal) bool {
 		start:  s.C.Engine.Now(),
 		done:   done,
 		kv:     s.Model.KVBytes(req.PromptTokens),
-		slo:    s.SLO(req.PromptTokens, req.OutTokens),
 		prefil: s.Model.Prefill(req.PromptTokens),
 		perTok: s.Model.DecodePerToken(),
 		decode: s.Model.Decode(req.OutTokens),
 	}
+	r.slack = harvest.Slack(s.SLO(req.PromptTokens, req.OutTokens), r.prefil+r.decode)
 	r.at = s.decide(&r.req)
 	s.pending[r.at.decode]++
 	if r.at.mode == PDDisaggregated {
@@ -409,7 +410,7 @@ func (r *pdReq) runDisaggregated(p *sim.Proc, tr *obs.Tracer) {
 	if !s.Cfg.ZeroKV {
 		pctx := dataplane.FnCtx{
 			Fn: s.Name + "/prefill", Workflow: s.Name,
-			Loc: r.at.prefill, SLO: r.slo, InferLatency: r.prefil + r.decode,
+			Loc: r.at.prefill, Slack: r.slack,
 			ConsumerSeq: r.seq,
 		}
 		s.inflightKV++
@@ -425,7 +426,7 @@ func (r *pdReq) runDisaggregated(p *sim.Proc, tr *obs.Tracer) {
 		if putErr == nil {
 			dctx := dataplane.FnCtx{
 				Fn: s.Name + "/decode", Workflow: s.Name,
-				Loc: r.at.decode, SLO: r.slo, InferLatency: r.prefil + r.decode,
+				Loc: r.at.decode, Slack: r.slack,
 				ConsumerSeq: r.seq,
 			}
 			t0 := p.Now()

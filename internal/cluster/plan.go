@@ -6,6 +6,7 @@ import (
 
 	"grouter/internal/dataplane"
 	"grouter/internal/fabric"
+	"grouter/internal/harvest"
 	"grouter/internal/obs"
 	"grouter/internal/scheduler"
 	"grouter/internal/sim"
@@ -58,7 +59,7 @@ type planInst struct {
 // instCost caches the per-batch model costs of one instance.
 type instCost struct {
 	lat      time.Duration
-	slo      time.Duration
+	slack    time.Duration // FnCtx.Slack: the stage's SLO less lat
 	inBytes  int64
 	outBytes int64
 }
@@ -129,9 +130,10 @@ func (pl *invokePlan) costsFor(a *App, batch int) []instCost {
 	c := make([]instCost, len(pl.insts))
 	for i := range pl.insts {
 		s := pl.insts[i].stage
+		lat := s.Model.Latency(a.C.Class, batch)
 		c[i] = instCost{
-			lat:      s.Model.Latency(a.C.Class, batch),
-			slo:      a.WF.StageSLO(s, a.C.Class, batch),
+			lat:      lat,
+			slack:    harvest.Slack(a.WF.StageSLO(s, a.C.Class, batch), lat),
 			inBytes:  s.Model.InBytes(batch),
 			outBytes: s.Model.OutBytes(batch),
 		}
@@ -175,7 +177,10 @@ type reqState struct {
 	remaining int
 	// done fires at request completion; nil when the submitter doesn't wait
 	// (trace replays), eliding the per-request signal.
-	done    *sim.Signal
+	done *sim.Signal
+	// rng draws the probabilistic stages' skips. It is built on the state's
+	// first launch and reseeded at every later one; it stays nil when the
+	// workflow has no probabilistic stage.
 	rng     *rand.Rand
 	reqSpan obs.SpanID
 	costs   []instCost
@@ -223,7 +228,6 @@ func (a *App) releaseReqState(st *reqState) {
 		st.slots[i].val = dataplane.DataRef{}
 	}
 	st.done = nil
-	st.rng = nil
 	st.costs = nil
 	st.qos = QoSLow
 	st.deferWait = 0
@@ -272,7 +276,11 @@ func (a *App) launchReq(req Request, done *sim.Signal, t0, waited time.Duration)
 	st.remaining = len(pl.insts)
 	st.costs = pl.costsFor(a, batch)
 	if pl.hasProb {
-		st.rng = rand.New(rand.NewSource(a.seedBase + seq))
+		if st.rng == nil {
+			st.rng = rand.New(rand.NewSource(a.seedBase + seq))
+		} else {
+			st.rng.Seed(a.seedBase + seq)
+		}
 	}
 
 	tr := obs.TracerOf(c.Engine)
@@ -341,7 +349,7 @@ func (ac *activation) Run(p *sim.Proc) {
 		obs.UseBuckets(p, it.buckets)
 	}
 	skipped := false
-	if st.rng != nil {
+	if pl.hasProb {
 		skipped = st.rng.Float64() >= s.ProbOrOne()
 	}
 
@@ -361,12 +369,11 @@ func (ac *activation) Run(p *sim.Proc) {
 		ingress = ref
 	}
 	ac.ctx = dataplane.FnCtx{
-		Fn:           pi.fn,
-		Workflow:     a.WF.Name,
-		Loc:          ac.member.loc,
-		SLO:          cost.slo,
-		InferLatency: cost.lat,
-		ConsumerSeq:  st.seq,
+		Fn:          pi.fn,
+		Workflow:    a.WF.Name,
+		Loc:         ac.member.loc,
+		Slack:       cost.slack,
+		ConsumerSeq: st.seq,
 	}
 
 	// A function instance occupies its compute slot for its whole

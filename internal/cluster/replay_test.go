@@ -139,6 +139,40 @@ func TestElasticReplayAllocFlatInRunLength(t *testing.T) {
 	}
 }
 
+// TestTrafficReplayAllocPerRequest pins the random source of a workflow
+// with probabilistic stages: each pooled request state reseeds its own
+// source at launch instead of building one (5,376 B per request), so a
+// warmed replay of Traffic allocates under 200 B per request.
+func TestTrafficReplayAllocPerRequest(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	app := New(e, topology.DGXV100(), 2, grouterPlane).
+		Deploy(workflow.Traffic(), 1, scheduler.Options{Node: 0, SplitAcrossNodes: true})
+	arrivals := trace.Generate(trace.Spec{Pattern: trace.Sporadic, Duration: 20 * time.Second, MeanRPS: 100, Seed: 42})
+	replay := func() {
+		t.Helper()
+		before := app.Completed
+		if _, err := app.Replay(arrivals, ReplaySpec{Quantum: 10 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		if got := app.Completed - before; got != len(arrivals) {
+			t.Fatalf("completed %d of %d", got, len(arrivals))
+		}
+	}
+	replay() // warm the request states, process shells and routes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	replay()
+	runtime.ReadMemStats(&after)
+	n := float64(len(arrivals))
+	perReq := float64(after.TotalAlloc-before.TotalAlloc) / n
+	objPerReq := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("warmed replay of %d Traffic requests: %.0f B and %.2f objects per request", len(arrivals), perReq, objPerReq)
+	if perReq >= 200 {
+		t.Errorf("a Traffic request allocates %.0f B, want under 200", perReq)
+	}
+}
+
 // TestReplayPercentilesCoverOwnCompletions replays two different traces back
 // to back on one app and one LLM service, with a counting completion hook of
 // the caller's installed before each: each replay's P50/P99 must be the

@@ -116,7 +116,9 @@ type Plane struct {
 
 	recs   map[dataplane.DataID]*rec
 	nextID dataplane.DataID
-	rng    *rand.Rand
+	// rng draws the store GPU of the placement-agnostic ablation (no
+	// UnifiedFramework); it is nil when storage follows the producer.
+	rng *rand.Rand
 	// freeRecs holds the table entries of freed objects for reuse by later
 	// Puts. A Get holding a rec across a yield re-checks that recs still maps
 	// its ID to it before using the rec again (see Get).
@@ -152,7 +154,9 @@ func New(f *fabric.Fabric, cfg Config) *Plane {
 		x:    xfer.NewManager(f),
 		cfg:  cfg,
 		recs: make(map[dataplane.DataID]*rec),
-		rng:  rand.New(rand.NewSource(cfg.Seed + 1)),
+	}
+	if !cfg.UnifiedFramework {
+		pl.rng = rand.New(rand.NewSource(cfg.Seed + 1))
 	}
 	scfg := pl.storeConfig()
 	for n := range f.Nodes {
@@ -500,7 +504,7 @@ func (pl *Plane) rateOpts(ctx *dataplane.FnCtx, bytes int64) netsim.Options {
 	if !pl.cfg.BandwidthHarvest || pl.cfg.NoRateControl || ctx == nil {
 		return netsim.Options{}
 	}
-	return harvest.Options(bytes, ctx.SLO, ctx.InferLatency)
+	return harvest.Options(bytes, ctx.Slack)
 }
 
 // move executes one logical copy between locations using the configured

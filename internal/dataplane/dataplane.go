@@ -33,11 +33,13 @@ type FnCtx struct {
 	// Loc is the physical location of the function instance (GPU for gFns,
 	// host for cFns).
 	Loc fabric.Location
-	// SLO is the function's latency objective and InferLatency its expected
-	// compute time; together they define the minimum transfer rate
-	// Rate_least = bytes/(SLO − InferLatency) of §4.3.2 (harvest.Options).
-	SLO          time.Duration
-	InferLatency time.Duration
+	// Slack is the transfer budget the function's latency objective leaves
+	// once its expected compute time is spent, as harvest.Slack computes
+	// it: zero when the function has no objective, else the objective less
+	// the compute time, or 1 ms when compute spends the whole objective. It
+	// sets the minimum transfer rate Rate_least = bytes/Slack of §4.3.2
+	// (harvest.Options).
+	Slack time.Duration
 	// ConsumerSeq orders the downstream invocation that will consume this
 	// function's output in the global request queue; the queue-aware
 	// eviction policy of §4.4.2 uses it.

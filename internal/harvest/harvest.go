@@ -287,20 +287,31 @@ func (rt *Routes) viaCross(cr [][]topology.LinkID, src *topology.Node, sg int, d
 	return *slot
 }
 
-// Options builds the rate-control constraints for a transfer with the given
-// SLO slack: a Rate_least floor and a priority tier so idle bandwidth goes
-// to the tightest SLO first (§4.3.2).
-func Options(bytes int64, slo, inferLatency time.Duration) netsim.Options {
+// Slack returns the transfer budget a function's latency objective leaves
+// after its expected compute time: zero when there is no objective (slo <=
+// 0), slo − infer otherwise, and 1 ms when compute already spends the whole
+// objective.
+func Slack(slo, infer time.Duration) time.Duration {
 	if slo <= 0 {
+		return 0
+	}
+	if budget := slo - infer; budget > 0 {
+		return budget
+	}
+	return time.Millisecond
+}
+
+// Options builds the rate-control constraints for a transfer of bytes with
+// the given slack (see Slack): the floor Rate_least = bytes/slack and a
+// priority tier so idle bandwidth goes to the tightest SLO first (§4.3.2).
+// A zero slack means no objective and no constraint.
+func Options(bytes int64, slack time.Duration) netsim.Options {
+	if slack <= 0 {
 		return netsim.Options{}
 	}
-	budget := slo - inferLatency
-	if budget <= 0 {
-		budget = time.Millisecond
-	}
 	return netsim.Options{
-		MinRate:  float64(bytes) / budget.Seconds(),
-		Priority: Priority(budget),
+		MinRate:  float64(bytes) / slack.Seconds(),
+		Priority: Priority(slack),
 	}
 }
 

@@ -159,7 +159,7 @@ func TestCrossNodeH800UsesEightNICs(t *testing.T) {
 }
 
 func TestOptionsRateFloor(t *testing.T) {
-	opt := Options(100<<20, 100*time.Millisecond, 60*time.Millisecond)
+	opt := Options(100<<20, Slack(100*time.Millisecond, 60*time.Millisecond))
 	// 100 MiB over 40ms slack → ≥ 2.6 GB/s.
 	want := float64(100<<20) / 0.04
 	if opt.MinRate < want*0.99 || opt.MinRate > want*1.01 {
@@ -168,14 +168,32 @@ func TestOptionsRateFloor(t *testing.T) {
 	if opt.Priority <= 0 {
 		t.Errorf("Priority = %d, want > 0 for 40ms slack", opt.Priority)
 	}
-	if got := Options(100, 0, 0); got.MinRate != 0 || got.Priority != 0 {
+	if got := Options(100, Slack(0, 0)); got.MinRate != 0 || got.Priority != 0 {
 		t.Errorf("no-SLO options = %+v, want zero", got)
 	}
 	// Compute already spent the SLO: the budget clamps to 1 ms, asking for
 	// the payload within a millisecond.
-	exhausted := Options(1<<20, 10*time.Millisecond, 20*time.Millisecond)
+	exhausted := Options(1<<20, Slack(10*time.Millisecond, 20*time.Millisecond))
 	if want := float64(1<<20) / 0.001; exhausted.MinRate < want*0.99 || exhausted.MinRate > want*1.01 {
 		t.Errorf("exhausted-budget MinRate = %.0f, want %.0f", exhausted.MinRate, want)
+	}
+}
+
+func TestSlack(t *testing.T) {
+	ms := time.Millisecond
+	for _, c := range []struct{ slo, infer, want time.Duration }{
+		{0, 0, 0},
+		{0, 5 * ms, 0}, // no objective, whatever the compute
+		{-ms, 0, 0},    // a negative objective is no objective
+		{100 * ms, 60 * ms, 40 * ms},
+		{100 * ms, 0, 100 * ms},
+		{10 * ms, 10 * ms, ms}, // compute spends the objective exactly
+		{10 * ms, 20 * ms, ms}, // compute overruns it
+		{ms + 500*time.Microsecond, ms, 500 * time.Microsecond}, // a positive budget is kept, even below 1 ms
+	} {
+		if got := Slack(c.slo, c.infer); got != c.want {
+			t.Errorf("Slack(%v, %v) = %v, want %v", c.slo, c.infer, got, c.want)
+		}
 	}
 }
 

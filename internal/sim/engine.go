@@ -340,7 +340,9 @@ func (e *Engine) GoRun(name string, r Runner) *Proc {
 }
 
 // newProc returns a process shell ready to receive a body: recycled from the
-// free list when possible, otherwise freshly spawned with a parked goroutine.
+// free list when possible, otherwise freshly spawned with a goroutine that
+// parks in block. The spawn does not wait for the goroutine to get there:
+// the shell's first wake is a send on resume, which blocks until it has.
 func (e *Engine) newProc(name string) *Proc {
 	if n := len(e.free); n > 0 {
 		p := e.free[n-1]
@@ -351,7 +353,6 @@ func (e *Engine) newProc(name string) *Proc {
 	}
 	p := &Proc{Name: name, engine: e, resume: make(chan struct{})}
 	e.wg.Add(1)
-	started := make(chan struct{})
 	go func() {
 		defer e.wg.Done()
 		defer func() {
@@ -362,7 +363,6 @@ func (e *Engine) newProc(name string) *Proc {
 				panic(fmt.Sprintf("sim: process %q panicked: %v", p.Name, r))
 			}
 		}()
-		close(started)
 		for {
 			p.block()
 			if p.body != nil {
@@ -374,7 +374,6 @@ func (e *Engine) newProc(name string) *Proc {
 			e.yield <- struct{}{}
 		}
 	}()
-	<-started
 	return p
 }
 

@@ -4,27 +4,35 @@ import "time"
 
 // Signal is a one-shot broadcast event. Processes that Wait before Fire are
 // suspended; Fire wakes all of them (in wait order) and any later Wait
-// returns immediately. The zero Signal is not usable; use NewSignal.
+// returns immediately.
+//
+// The first waiter sits inline and the others in a list behind a pointer,
+// allocated on the second Wait and kept across Reset, so a signal with one
+// waiter allocates nothing past itself. Each waiter is woken on its own
+// process's engine.
 type Signal struct {
-	engine  *Engine
-	fired   bool
-	waiters []*Proc
+	first *Proc
+	more  *[]*Proc
+	fired bool
 }
 
-// NewSignal returns an unfired signal bound to e.
-func NewSignal(e *Engine) *Signal { return &Signal{engine: e} }
+// NewSignal returns an unfired signal for processes of e.
+func NewSignal(_ *Engine) *Signal { return &Signal{} }
 
-// MakeSignal returns an unfired signal value bound to e. Embedding the value
-// in a pooled struct (and rearming it with Reset) avoids the per-use
-// allocation of NewSignal on hot paths.
-func MakeSignal(e *Engine) Signal { return Signal{engine: e} }
+// MakeSignal returns an unfired signal value for processes of e. Embedding
+// the value in a pooled struct (and rearming it with Reset) avoids the
+// per-use allocation of NewSignal on hot paths.
+func MakeSignal(_ *Engine) Signal { return Signal{} }
 
 // Reset rearms the signal for reuse. It must only be called once every
 // waiter woken by the previous Fire has resumed — i.e. when the owner knows
 // the signal's last cycle is fully drained.
 func (s *Signal) Reset() {
 	s.fired = false
-	s.waiters = s.waiters[:0]
+	s.first = nil
+	if s.more != nil {
+		*s.more = (*s.more)[:0]
+	}
 }
 
 // Fired reports whether the signal has fired.
@@ -36,34 +44,51 @@ func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, p)
+	if s.first == nil {
+		s.first = p
+	} else {
+		if s.more == nil {
+			s.more = new([]*Proc)
+		}
+		*s.more = append(*s.more, p)
+	}
 	p.suspend()
 }
 
 // Fire marks the signal fired and schedules all waiters to resume at the
-// current instant. Firing an already-fired signal is a no-op.
+// current instant, first waiter first. Firing an already-fired signal is a
+// no-op.
 func (s *Signal) Fire() {
 	if s.fired {
 		return
 	}
 	s.fired = true
-	for i, p := range s.waiters {
-		s.engine.ScheduleWake(p)
-		s.waiters[i] = nil
+	if s.first == nil {
+		return
+	}
+	s.first.engine.ScheduleWake(s.first)
+	s.first = nil
+	if s.more == nil {
+		return
+	}
+	more := *s.more
+	for i, p := range more {
+		p.engine.ScheduleWake(p)
+		more[i] = nil
 	}
 	// Keep the backing array: pooled signals (Reset) re-fill it on the next
 	// cycle without reallocating.
-	s.waiters = s.waiters[:0]
+	*s.more = more[:0]
 }
 
 // Future is a Signal that carries a value of type T.
 type Future[T any] struct {
-	sig *Signal
+	sig Signal
 	val T
 }
 
-// NewFuture returns an unresolved future bound to e.
-func NewFuture[T any](e *Engine) *Future[T] { return &Future[T]{sig: NewSignal(e)} }
+// NewFuture returns an unresolved future for processes of e.
+func NewFuture[T any](_ *Engine) *Future[T] { return &Future[T]{} }
 
 // Resolve sets the value and fires the underlying signal. Resolving twice is
 // a no-op (the first value wins).
