@@ -1,14 +1,20 @@
 // Smoke coverage for the example programs: each example must build, run to
-// completion, print something, and — because every simulation seed is fixed
-// — print exactly the same thing on a second run.
+// completion, print exactly what examples/testdata/<name>.golden holds, and
+// — because every simulation seed is fixed — print exactly the same thing on
+// a second run. Changing an example's output on purpose requires
+// regenerating the fixtures with -update-golden and reviewing the diff.
 package examples
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden example outputs under testdata")
 
 var programs = []string{
 	"quickstart",
@@ -54,6 +60,20 @@ func TestExamples(t *testing.T) {
 			second := runExample(t, bin)
 			if !bytes.Equal(first, second) {
 				t.Errorf("%s output differs between runs:\n--- first\n%s\n--- second\n%s", name, first, second)
+			}
+			path := filepath.Join("testdata", name+".golden")
+			if *updateGolden {
+				if err := os.WriteFile(path, first, 0o644); err != nil {
+					t.Fatalf("write golden: %v", err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read golden (run with -update-golden to create): %v", err)
+			}
+			if !bytes.Equal(first, want) {
+				t.Errorf("%s drifted from %s:\n--- got ---\n%s--- want ---\n%s", name, path, first, want)
 			}
 		})
 	}
