@@ -110,10 +110,10 @@ func NewOnFabric(f *fabric.Fabric, slots int, mkPlane func(*fabric.Fabric) datap
 	for node := 0; node < len(f.Nodes); node++ {
 		var row []*sim.Resource
 		for g := 0; g < f.Spec().NumGPUs; g++ {
-			row = append(row, sim.NewResource(e, slots))
+			row = append(row, sim.NewResource(slots))
 		}
 		c.gpus = append(c.gpus, row)
-		c.hosts = append(c.hosts, sim.NewResource(e, HostSlots))
+		c.hosts = append(c.hosts, sim.NewResource(HostSlots))
 	}
 	return c
 }
@@ -268,7 +268,6 @@ func (c *Cluster) Deploy(wf *workflow.Workflow, batch int, opt scheduler.Options
 
 // instIn describes one input a stage instance pulls.
 type instIn struct {
-	fut  *sim.Future[dataplane.DataRef]
 	prod scheduler.StageInst
 	kind EdgeKind
 }

@@ -209,9 +209,6 @@ func (a *App) takeReqState() *reqState {
 		acts:   make([]activation, len(pl.insts)),
 		inRefs: make([]dataplane.DataRef, pl.inTotal),
 	}
-	for i := range st.slots {
-		st.slots[i].sig = sim.MakeSignal(a.C.Engine)
-	}
 	for i := range st.acts {
 		st.acts[i].st = st
 		st.acts[i].idx = i

@@ -66,7 +66,7 @@ func TestSteadyStateGetAllocFree(t *testing.T) {
 			var op sim.Runner
 			var opErr func() error
 			if c.exchange {
-				x := newExchange(pl, e, c.src, c.cons, 64*MB)
+				x := newExchange(pl, c.src, c.cons, 64*MB)
 				op, opErr = x, func() error { return x.err }
 			} else {
 				g := &getRunner{pl: pl, ctx: &dataplane.FnCtx{Fn: "down", Workflow: "wf", Loc: c.cons[0]}}
@@ -133,11 +133,10 @@ type fanoutGet struct {
 	ref dataplane.DataRef
 }
 
-func newExchange(pl *Plane, e *sim.Engine, prod fabric.Location, cons []fabric.Location, bytes int64) *exchangeRunner {
+func newExchange(pl *Plane, prod fabric.Location, cons []fabric.Location, bytes int64) *exchangeRunner {
 	x := &exchangeRunner{
 		pl:    pl,
 		prod:  dataplane.FnCtx{Fn: "up", Workflow: "wf", Loc: prod},
-		done:  sim.MakeSignal(e),
 		bytes: bytes,
 	}
 	for _, loc := range cons {

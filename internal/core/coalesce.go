@@ -74,7 +74,7 @@ func (pl *Plane) startFlight(id dataplane.DataID, dst fabric.Location) *flight {
 		pl.freeFlights[n-1] = nil
 		pl.freeFlights = pl.freeFlights[:n-1]
 	} else {
-		fl = &flight{done: sim.MakeSignal(pl.f.Engine)}
+		fl = &flight{}
 	}
 	fl.dst = dst
 	tail := pl.flights[id]

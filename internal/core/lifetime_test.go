@@ -220,7 +220,8 @@ func runLifetimes(t *testing.T, cfg Config, ops []lifetimeOp) string {
 				get(i, ref, lifetimeLoc(op.b))
 				if op.kind%6 == 3 {
 					begin()
-					e.GoAfter(time.Duration(op.b>>5)*5*time.Microsecond, "free", func(*sim.Proc) {
+					e.Go("free", func(p *sim.Proc) {
+						p.Sleep(time.Duration(op.b>>5) * 5 * time.Microsecond)
 						defer end()
 						free(ref)
 					})

@@ -59,7 +59,7 @@ func runFanout(spec *topology.Spec, nodes, fanout, rounds int, bytes int64, coal
 			if err != nil {
 				panic(err)
 			}
-			done := sim.NewFuture[int](e)
+			done := sim.NewSignal(e)
 			finished := 0
 			for i, loc := range locs {
 				i, loc := i, loc
@@ -72,7 +72,7 @@ func runFanout(spec *topology.Spec, nodes, fanout, rounds int, bytes int64, coal
 					}
 					res.lat.Add(cp.Now() - start)
 					if finished++; finished == len(locs) {
-						done.Resolve(round)
+						done.Fire()
 					}
 				})
 			}

@@ -76,7 +76,7 @@ func New(e *sim.Engine, spec *topology.Spec, n int) *Fabric {
 		nf := &NodeFabric{
 			Node:   nd,
 			Host:   memsim.NewDevice(fmt.Sprintf("n%d.host", nd.ID), spec.HostMemBytes),
-			Pinned: memsim.NewByteGate(e, DefaultPinnedBufferBytes),
+			Pinned: memsim.NewByteGate(DefaultPinnedBufferBytes),
 		}
 		for g := 0; g < spec.NumGPUs; g++ {
 			nf.GPUs = append(nf.GPUs, memsim.NewDevice(fmt.Sprintf("n%d.gpu%d", nd.ID, g), spec.GPUMemBytes))

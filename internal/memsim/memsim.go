@@ -205,23 +205,23 @@ func (p *Pool) Release(size int64) {
 // pinned staging buffer shared by concurrent transfers: acquiring more bytes
 // than are free blocks the caller until earlier users release.
 type ByteGate struct {
-	engine   *sim.Engine
 	capacity int64
 	inUse    int64
 	waiters  []*gateWaiter
 }
 
+// gateWaiter is one blocked acquirer, parked on ready until its bytes fit.
 type gateWaiter struct {
-	p    *sim.Proc
-	want int64
+	ready sim.Signal
+	want  int64
 }
 
 // NewByteGate returns a gate with the given byte capacity.
-func NewByteGate(e *sim.Engine, capacity int64) *ByteGate {
+func NewByteGate(capacity int64) *ByteGate {
 	if capacity <= 0 {
 		panic("memsim: byte gate capacity must be positive")
 	}
-	return &ByteGate{engine: e, capacity: capacity}
+	return &ByteGate{capacity: capacity}
 }
 
 // Capacity returns the gate's total bytes.
@@ -246,9 +246,9 @@ func (g *ByteGate) Acquire(p *sim.Proc, want int64) int64 {
 		g.inUse += want
 		return want
 	}
-	w := &gateWaiter{p: p, want: want}
+	w := &gateWaiter{want: want}
 	g.waiters = append(g.waiters, w)
-	p.Suspend()
+	w.ready.Wait(p)
 	return want
 }
 
@@ -266,7 +266,6 @@ func (g *ByteGate) Release(bytes int64) {
 		}
 		g.inUse += w.want
 		g.waiters = g.waiters[1:]
-		proc := w.p
-		g.engine.ScheduleWake(proc)
+		w.ready.Fire()
 	}
 }

@@ -174,14 +174,15 @@ func TestPoolInvariantProperty(t *testing.T) {
 func TestByteGateBlocksUntilRelease(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	g := NewByteGate(e, 100)
+	g := NewByteGate(100)
 	var acquiredAt time.Duration
 	e.Go("holder", func(p *sim.Proc) {
 		g.Acquire(p, 80)
 		p.Sleep(5 * time.Second)
 		g.Release(80)
 	})
-	e.GoAfter(time.Second, "waiter", func(p *sim.Proc) {
+	e.Go("waiter", func(p *sim.Proc) {
+		p.Sleep(time.Second)
 		g.Acquire(p, 50)
 		acquiredAt = p.Now()
 		g.Release(50)
@@ -195,7 +196,7 @@ func TestByteGateBlocksUntilRelease(t *testing.T) {
 func TestByteGateFIFO(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	g := NewByteGate(e, 100)
+	g := NewByteGate(100)
 	var order []string
 	e.Go("holder", func(p *sim.Proc) {
 		g.Acquire(p, 100)
@@ -204,13 +205,15 @@ func TestByteGateFIFO(t *testing.T) {
 	})
 	// big arrives first and must be served before small, even though small
 	// would fit earlier.
-	e.GoAfter(10*time.Millisecond, "big", func(p *sim.Proc) {
+	e.Go("big", func(p *sim.Proc) {
+		p.Sleep(10 * time.Millisecond)
 		g.Acquire(p, 90)
 		order = append(order, "big")
 		p.Sleep(time.Second)
 		g.Release(90)
 	})
-	e.GoAfter(20*time.Millisecond, "small", func(p *sim.Proc) {
+	e.Go("small", func(p *sim.Proc) {
+		p.Sleep(20 * time.Millisecond)
 		g.Acquire(p, 10)
 		order = append(order, "small")
 		g.Release(10)
@@ -224,7 +227,7 @@ func TestByteGateFIFO(t *testing.T) {
 func TestByteGateClampsOversizedRequest(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	g := NewByteGate(e, 100)
+	g := NewByteGate(100)
 	var got int64
 	e.Go("p", func(p *sim.Proc) {
 		got = g.Acquire(p, 500)

@@ -231,7 +231,8 @@ func TestFailureByteConservationUnderChurn(t *testing.T) {
 	var totals []float64
 	for i := 0; i < 24; i++ {
 		i := i
-		e.GoAfter(time.Duration(i*137)*time.Millisecond, "churn", func(p *sim.Proc) {
+		e.Go("churn", func(p *sim.Proc) {
+			p.Sleep(time.Duration(i*137) * time.Millisecond)
 			total := float64(50 + i*13)
 			f := n.Start("f", paths[i%len(paths)], total, Options{})
 			flows = append(flows, f)
@@ -253,7 +254,8 @@ func TestFailureByteConservationUnderChurn(t *testing.T) {
 	}
 	for _, fa := range faults {
 		fa := fa
-		e.GoAfter(fa.at, "fault", func(p *sim.Proc) {
+		e.Go("fault", func(p *sim.Proc) {
+			p.Sleep(fa.at)
 			if fa.down {
 				n.FailLink(fa.id)
 			} else {

@@ -274,7 +274,7 @@ func (n *Network) newFlow() *Flow {
 		n.free = n.free[:k-1]
 		return f
 	}
-	return &Flow{done: sim.MakeSignal(n.engine)}
+	return &Flow{}
 }
 
 // Release hands a finished flow back to the network, so a later Start

@@ -266,7 +266,8 @@ func TestConservationUnderChurn(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		i := i
 		delay := time.Duration(i*137) * time.Millisecond
-		e.GoAfter(delay, "churn", func(p *sim.Proc) {
+		e.Go("churn", func(p *sim.Proc) {
+			p.Sleep(delay)
 			path := paths[i%len(paths)]
 			opt := Options{}
 			if i%4 == 0 {

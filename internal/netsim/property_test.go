@@ -52,7 +52,8 @@ func TestPropertyConservationAndCompletion(t *testing.T) {
 			bytes := float64(1 + rng.Intn(100000))
 			fi := &flowInfo{bytes: bytes, minCap: minCap}
 			delay := time.Duration(rng.Intn(1000)) * time.Millisecond
-			e.GoAfter(delay, "flow", func(p *sim.Proc) {
+			e.Go("flow", func(p *sim.Proc) {
+				p.Sleep(delay)
 				fi.start = p.Now()
 				fi.flow = net.Start("f", path, bytes, Options{})
 				fi.flow.Done().Wait(p)
@@ -62,7 +63,7 @@ func TestPropertyConservationAndCompletion(t *testing.T) {
 		}
 		// Observer checks conservation periodically.
 		ok := true
-		e.GoAfter(0, "observer", func(p *sim.Proc) {
+		e.Go("observer", func(p *sim.Proc) {
 			for i := 0; i < 50; i++ {
 				p.Sleep(100 * time.Millisecond)
 				for id, c := range caps {

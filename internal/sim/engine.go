@@ -4,10 +4,12 @@
 // The engine maintains a virtual clock and an event heap ordered by
 // (time, sequence number). Processes are goroutines that run strictly one at
 // a time: the engine wakes a process, the process runs until it blocks on a
-// primitive (Sleep, Signal.Wait, Resource.Acquire, ...), and control returns
-// to the engine. Because only one goroutine is ever runnable and ties are
-// broken by monotonically increasing sequence numbers, a simulation is fully
-// deterministic: the same inputs produce bit-identical schedules.
+// primitive (Sleep, Signal.Wait, Resource.AcquirePri), and control returns
+// to the engine. Only this package parks and wakes processes; code built on
+// it waits on those primitives. Because only one goroutine is ever runnable
+// and ties are broken by monotonically increasing sequence numbers, a
+// simulation is fully deterministic: the same inputs produce bit-identical
+// schedules.
 //
 // The engine is built for scale replays (10^5..10^6 requests): the event heap
 // is a concrete-typed binary heap (no container/heap interface boxing),
@@ -195,17 +197,10 @@ func (e *Engine) scheduleWake(delay time.Duration, p *Proc) {
 		delay = 0
 	}
 	e.seq++
-	if !p.Daemon {
+	if !p.daemon {
 		e.nonDaemon++
 	}
-	e.events.push(event{at: e.now + delay, seq: e.seq, daemon: p.Daemon, wake: p, gen: p.gen})
-}
-
-// ScheduleWake schedules p to resume at the current instant, inheriting p's
-// daemon status. External synchronization primitives use it to hand a slot
-// or value to a parked process.
-func (e *Engine) ScheduleWake(p *Proc) {
-	e.scheduleWake(0, p)
+	e.events.push(event{at: e.now + delay, seq: e.seq, daemon: p.daemon, wake: p, gen: p.gen})
 }
 
 // Run executes events until only daemon events remain, the heap is empty, or
@@ -268,21 +263,22 @@ func (e *Engine) Close() {
 // engine shuts down while the process is blocked.
 type procKilled struct{}
 
-// Runner is a process body carried by a value the caller already owns.
-// Engine.GoRun uses it to start a process without allocating a closure —
-// pooled per-request state implements Runner and is handed to the engine
-// directly.
+// Runner is a process body. Go and GoDaemon wrap a closure in one; GoRun
+// takes a value the caller already owns, so pooled per-request state that
+// implements Runner is handed to the engine without allocating a closure.
 type Runner interface {
 	Run(p *Proc)
 }
+
+// runFunc is a closure body as a Runner.
+type runFunc func(p *Proc)
+
+func (f runFunc) Run(p *Proc) { f(p) }
 
 // Proc is a cooperative simulation process. All Proc methods must be called
 // from within the process's own body function.
 type Proc struct {
 	Name string
-	// Daemon marks a background-maintenance process whose timer events do
-	// not keep Run(0) alive.
-	Daemon bool
 	// Acct is an opaque per-process accounting slot. Higher layers
 	// (internal/obs) attach latency-bucket accumulators here; a nil slot
 	// means accounting is disabled and costs only a nil check at call sites.
@@ -295,8 +291,10 @@ type Proc struct {
 	// they were scheduled against, so a wake crossing a recycle boundary is
 	// detected instead of resuming the wrong process.
 	gen    uint64
-	body   func(p *Proc)
 	runner Runner
+	// daemon marks a background-maintenance process whose timer events do
+	// not keep Run(0) alive.
+	daemon bool
 }
 
 // Engine returns the engine this process runs on.
@@ -308,33 +306,28 @@ func (p *Proc) Now() time.Duration { return p.engine.now }
 // Go spawns a new process whose body starts at the current virtual time
 // (after already-pending events at this time).
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	return e.GoAfter(0, name, body)
+	return e.spawn(name, runFunc(body), false)
 }
 
 // GoDaemon spawns a daemon process: its sleeps and wakeups never keep
 // Run(0) alive. Use it for periodic maintenance loops.
 func (e *Engine) GoDaemon(name string, body func(p *Proc)) *Proc {
-	p := e.newProc(name)
-	p.body = body
-	p.Daemon = true
-	e.scheduleWake(0, p)
-	return p
-}
-
-// GoAfter spawns a new process whose body starts after delay.
-func (e *Engine) GoAfter(delay time.Duration, name string, body func(p *Proc)) *Proc {
-	p := e.newProc(name)
-	p.body = body
-	e.scheduleWake(delay, p)
-	return p
+	return e.spawn(name, runFunc(body), true)
 }
 
 // GoRun spawns a process that executes r.Run, starting at the current
 // virtual time. Unlike Go it takes a caller-owned value rather than a
 // closure, so repeated spawns of pooled work items allocate nothing.
 func (e *Engine) GoRun(name string, r Runner) *Proc {
+	return e.spawn(name, r, false)
+}
+
+// spawn gives r a process shell and schedules its first wake at the current
+// instant.
+func (e *Engine) spawn(name string, r Runner, daemon bool) *Proc {
 	p := e.newProc(name)
 	p.runner = r
+	p.daemon = daemon
 	e.scheduleWake(0, p)
 	return p
 }
@@ -365,11 +358,7 @@ func (e *Engine) newProc(name string) *Proc {
 		}()
 		for {
 			p.block()
-			if p.body != nil {
-				p.body(p)
-			} else {
-				p.runner.Run(p)
-			}
+			p.runner.Run(p)
 			p.retire()
 			e.yield <- struct{}{}
 		}
@@ -383,9 +372,8 @@ func (e *Engine) newProc(name string) *Proc {
 // free-list append is ordered with all engine-side accesses.
 func (p *Proc) retire() {
 	p.gen++
-	p.body = nil
 	p.runner = nil
-	p.Daemon = false
+	p.daemon = false
 	p.Acct = nil
 	e := p.engine
 	e.free = append(e.free, p)
@@ -415,11 +403,6 @@ func (p *Proc) suspend() {
 	p.engine.yield <- struct{}{}
 	p.block()
 }
-
-// Suspend parks the process until some other event wakes it via
-// Engine.ScheduleWake. It is the extension point for synchronization
-// primitives built outside this package.
-func (p *Proc) Suspend() { p.suspend() }
 
 // Sleep suspends the process for d of virtual time. A daemon process's
 // sleep does not keep Run(0) alive.

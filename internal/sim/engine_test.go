@@ -178,31 +178,15 @@ func TestSignalBroadcast(t *testing.T) {
 	}
 }
 
-func TestFutureCarriesValue(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
-	f := NewFuture[int](e)
-	var got int
-	e.Go("consumer", func(p *Proc) { got = f.Wait(p) })
-	e.Go("producer", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		f.Resolve(42)
-		f.Resolve(99) // ignored: first value wins
-	})
-	e.Run(0)
-	if got != 42 {
-		t.Fatalf("future value = %d, want 42", got)
-	}
-}
-
 func TestResourceFIFO(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	r := NewResource(e, 1)
+	r := NewResource(1)
 	var order []string
 	hold := func(name string, start, dur time.Duration) {
-		e.GoAfter(start, name, func(p *Proc) {
-			r.Acquire(p)
+		e.Go(name, func(p *Proc) {
+			p.Sleep(start)
+			r.AcquirePri(p, 0)
 			order = append(order, name+"+")
 			p.Sleep(dur)
 			order = append(order, name+"-")
@@ -224,11 +208,11 @@ func TestResourceFIFO(t *testing.T) {
 func TestResourceCapacityTwo(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	r := NewResource(e, 2)
+	r := NewResource(2)
 	maxInUse := 0
 	for i := 0; i < 5; i++ {
 		e.Go("worker", func(p *Proc) {
-			r.Acquire(p)
+			r.AcquirePri(p, 0)
 			if r.InUse() > maxInUse {
 				maxInUse = r.InUse()
 			}

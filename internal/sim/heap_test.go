@@ -84,21 +84,22 @@ func TestEventHeapMatchesReference(t *testing.T) {
 func TestRecycledProcReceivesNoStaleWake(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	victim := e.Go("victim", func(p *Proc) { p.Suspend() })
+	victim := e.Go("victim", func(p *Proc) { p.suspend() })
 	thiefResumed := false
 	var thief *Proc
 	e.Schedule(0, func() {
-		e.ScheduleWake(victim) // resumes the victim; its body returns and the shell retires
-		e.Schedule(0, func() { // runs after the retire, before the stale wake below
+		e.scheduleWake(0, victim) // resumes the victim; its body returns and the shell retires
+		// This runs after the retire, before the stale wake below.
+		e.Schedule(0, func() {
 			thief = e.Go("thief", func(p *Proc) {
-				p.Suspend()
+				p.suspend()
 				thiefResumed = true
 			})
 			if thief != victim {
 				t.Error("thief did not claim the recycled shell (regression target gone)")
 			}
 		})
-		e.ScheduleWake(victim) // stale: fires with the thief holding the shell
+		e.scheduleWake(0, victim) // stale: fires with the thief holding the shell
 	})
 	defer func() {
 		r := recover()
@@ -125,7 +126,7 @@ func TestRecycledProcRunsNewBody(t *testing.T) {
 	e.Run(0)
 	ran := false
 	second := e.Go("second", func(p *Proc) {
-		p.Suspend()
+		p.suspend()
 		ran = true
 	})
 	if second != first {
@@ -134,7 +135,7 @@ func TestRecycledProcRunsNewBody(t *testing.T) {
 	if second.gen == 0 {
 		t.Fatal("recycled shell did not bump its generation")
 	}
-	e.Schedule(time.Millisecond, func() { e.ScheduleWake(second) })
+	e.Schedule(time.Millisecond, func() { e.scheduleWake(0, second) })
 	e.Run(0)
 	if !ran {
 		t.Fatal("recycled shell's new body never resumed")

@@ -10,7 +10,7 @@ import (
 // grabAndHold occupies the resource's only slot for dur.
 func grabAndHold(e *Engine, r *Resource, dur time.Duration) {
 	e.Go("holder", func(p *Proc) {
-		r.Acquire(p)
+		r.AcquirePri(p, 0)
 		p.Sleep(dur)
 		r.Release()
 	})
@@ -26,7 +26,7 @@ func acquireOrder(t *testing.T, aging time.Duration, holdFor time.Duration, reqs
 	t.Helper()
 	e := NewEngine()
 	defer e.Close()
-	r := NewResource(e, 1)
+	r := NewResource(1)
 	r.SetAging(aging)
 	grabAndHold(e, r, holdFor)
 	var order []string
@@ -123,7 +123,7 @@ func TestAcquirePriAgedLowIsNotSkipped(t *testing.T) {
 func TestAcquirePriUncontendedIsImmediate(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	r := NewResource(e, 2)
+	r := NewResource(2)
 	got := 0
 	e.Go("a", func(p *Proc) {
 		r.AcquirePri(p, 1)
@@ -146,12 +146,12 @@ func TestAcquirePriUncontendedIsImmediate(t *testing.T) {
 func TestResourceQueueReusesArray(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	r := NewResource(e, 1)
+	r := NewResource(1)
 	grants := 0
 	for i := 0; i < 3; i++ {
 		e.Go("cycler", func(p *Proc) {
 			for {
-				r.Acquire(p)
+				r.AcquirePri(p, 0)
 				grants++
 				p.Sleep(time.Microsecond)
 				r.Release()
@@ -208,7 +208,7 @@ func (r *refResource) Release() {
 	if len(r.waiters) > 0 {
 		next := r.waiters[0].p
 		r.waiters = r.waiters[1:]
-		r.engine.ScheduleWake(next)
+		r.engine.scheduleWake(0, next)
 		return
 	}
 	r.inUse--
@@ -234,7 +234,8 @@ func TestResourceGrantOrderMatchesReference(t *testing.T) {
 			i, pri := i, int32(rng.Intn(4))
 			at := time.Duration(rng.Intn(40)) * time.Millisecond
 			hold := time.Duration(1+rng.Intn(300)) * time.Microsecond
-			e.GoAfter(at, "acq", func(p *Proc) {
+			e.Go("acq", func(p *Proc) {
+				p.Sleep(at)
 				r.AcquirePri(p, pri)
 				order = append(order, i)
 				p.Sleep(hold)
@@ -247,7 +248,7 @@ func TestResourceGrantOrderMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		for _, aging := range []time.Duration{0, 500 * time.Microsecond} {
 			got := run(seed, aging, func(e *Engine) slot {
-				r := NewResource(e, 1)
+				r := NewResource(1)
 				r.SetAging(aging)
 				return r
 			})

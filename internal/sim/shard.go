@@ -14,10 +14,11 @@
 //
 //  1. finds t, the earliest pending event or undelivered message across the
 //     group, and sets the window end E = t + lookahead;
-//  2. delivers every queued message with delivery time <= E, in
-//     (time, destination shard, mailbox, send sequence) order, by moving it
-//     to its mailbox's inbox and scheduling the mailbox's pop on the
-//     destination engine;
+//  2. delivers every queued message with delivery time <= E, mailbox by
+//     mailbox in ID order and each queue in send order, by moving it to its
+//     mailbox's inbox and scheduling the mailbox's pop on the destination
+//     engine, so same-instant messages to one shard run in (mailbox, send
+//     sequence) order;
 //  3. steps every shard's engine to exactly E — concurrently in parallel
 //     mode, in shard-ID order in sequential mode — and barriers.
 //
@@ -40,10 +41,8 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 )
@@ -105,7 +104,6 @@ func (u ShardUtil) String() string {
 // envelope is one queued cross-shard message.
 type envelope struct {
 	at      time.Duration // delivery time: send time + mailbox latency
-	seq     int64         // per-mailbox send sequence
 	payload any
 }
 
@@ -114,6 +112,7 @@ type envelope struct {
 // (i.e. while its engine is executing an event); the handler runs in event
 // context on the destination shard at exactly send time + latency.
 type Mailbox struct {
+	// id is the mailbox's index in wiring order, the order deliver walks.
 	id       int
 	from, to *Shard
 	latency  time.Duration
@@ -124,7 +123,6 @@ type Mailbox struct {
 	inbox  []any
 	head   int
 	pop    func()
-	seq    int64
 	closed bool
 }
 
@@ -147,14 +145,7 @@ func (m *Mailbox) Send(payload any) {
 	if m.closed {
 		panic(fmt.Sprintf("sim: send on closed mailbox %d->%d", m.from.id, m.to.id))
 	}
-	m.seq++
-	m.queue = append(m.queue, envelope{at: m.from.engine.now + m.latency, seq: m.seq, payload: payload})
-}
-
-// delivery pairs an envelope with its mailbox for the global merge sort.
-type delivery struct {
-	env envelope
-	box *Mailbox
+	m.queue = append(m.queue, envelope{at: m.from.engine.now + m.latency, payload: payload})
 }
 
 // ShardGroup coordinates a set of shards under the conservative lookahead
@@ -170,8 +161,7 @@ type ShardGroup struct {
 	done    chan struct{}
 	wg      sync.WaitGroup
 
-	wall    time.Duration
-	scratch []delivery
+	wall time.Duration
 }
 
 // NewShardGroup builds a group of n shards, each with a fresh engine.
@@ -294,18 +284,26 @@ func (g *ShardGroup) run(parallel bool) {
 
 // deliver injects every queued message with delivery time at or before the
 // window end (all of them for a drain window) into its destination engine,
-// in (time, destination shard, mailbox, send sequence) order. Injection
-// happens at the barrier, before any shard enters the window, so a
-// destination engine always receives the event before its clock can pass
-// the delivery time. A steady-state window allocates nothing: the queues
-// compact in place and each delivery schedules its mailbox's bound pop.
+// mailbox by mailbox in ID order and each queue in send order. An engine
+// runs same-instant events in scheduling order, so each destination runs
+// its same-instant deliveries in (mailbox, send sequence) order; no sort is
+// needed. Injection happens at the barrier, before any shard enters the
+// window, so a destination engine always receives the event before its
+// clock can pass the delivery time. A steady-state window allocates
+// nothing: the queues compact in place and each delivery schedules its
+// mailbox's bound pop.
 func (g *ShardGroup) deliver(until time.Duration) {
-	due := g.scratch[:0]
 	for _, m := range g.mail {
+		eng := m.to.engine
 		n := 0
-		for n < len(m.queue) && (until == drainWindow || m.queue[n].at <= until) {
-			due = append(due, delivery{env: m.queue[n], box: m})
-			n++
+		for ; n < len(m.queue) && (until == drainWindow || m.queue[n].at <= until); n++ {
+			env := m.queue[n]
+			if env.at < eng.now {
+				panic(fmt.Sprintf("sim: lookahead violated: delivery at %v behind shard %d clock %v",
+					env.at, m.to.id, eng.now))
+			}
+			m.inbox = append(m.inbox, env.payload)
+			eng.Schedule(env.at-eng.now, m.pop)
 		}
 		if n > 0 {
 			left := copy(m.queue, m.queue[n:])
@@ -313,22 +311,6 @@ func (g *ShardGroup) deliver(until time.Duration) {
 			m.queue = m.queue[:left]
 		}
 	}
-	slices.SortFunc(due, func(a, b delivery) int {
-		return cmp.Or(cmp.Compare(a.env.at, b.env.at), cmp.Compare(a.box.to.id, b.box.to.id),
-			cmp.Compare(a.box.id, b.box.id), cmp.Compare(a.env.seq, b.env.seq))
-	})
-	for i := range due {
-		d := &due[i]
-		eng := d.box.to.engine
-		if d.env.at < eng.now {
-			panic(fmt.Sprintf("sim: lookahead violated: delivery at %v behind shard %d clock %v",
-				d.env.at, d.box.to.id, eng.now))
-		}
-		d.box.inbox = append(d.box.inbox, d.env.payload)
-		eng.Schedule(d.env.at-eng.now, d.box.pop)
-	}
-	clear(due)
-	g.scratch = due[:0]
 }
 
 // step advances the shard's engine through one window: to exactly `until`,

@@ -16,13 +16,10 @@ type Signal struct {
 	fired bool
 }
 
-// NewSignal returns an unfired signal for processes of e.
+// NewSignal returns an unfired signal for processes of e. The zero Signal
+// is unfired too: embedding one in a pooled struct, and rearming it with
+// Reset, avoids the allocation of NewSignal on hot paths.
 func NewSignal(_ *Engine) *Signal { return &Signal{} }
-
-// MakeSignal returns an unfired signal value for processes of e. Embedding
-// the value in a pooled struct (and rearming it with Reset) avoids the
-// per-use allocation of NewSignal on hot paths.
-func MakeSignal(_ *Engine) Signal { return Signal{} }
 
 // Reset rearms the signal for reuse. It must only be called once every
 // waiter woken by the previous Fire has resumed — i.e. when the owner knows
@@ -66,44 +63,19 @@ func (s *Signal) Fire() {
 	if s.first == nil {
 		return
 	}
-	s.first.engine.ScheduleWake(s.first)
+	s.first.engine.scheduleWake(0, s.first)
 	s.first = nil
 	if s.more == nil {
 		return
 	}
 	more := *s.more
 	for i, p := range more {
-		p.engine.ScheduleWake(p)
+		p.engine.scheduleWake(0, p)
 		more[i] = nil
 	}
 	// Keep the backing array: pooled signals (Reset) re-fill it on the next
 	// cycle without reallocating.
 	*s.more = more[:0]
-}
-
-// Future is a Signal that carries a value of type T.
-type Future[T any] struct {
-	sig Signal
-	val T
-}
-
-// NewFuture returns an unresolved future for processes of e.
-func NewFuture[T any](_ *Engine) *Future[T] { return &Future[T]{} }
-
-// Resolve sets the value and fires the underlying signal. Resolving twice is
-// a no-op (the first value wins).
-func (f *Future[T]) Resolve(v T) {
-	if f.sig.fired {
-		return
-	}
-	f.val = v
-	f.sig.Fire()
-}
-
-// Wait blocks p until the future resolves and returns its value.
-func (f *Future[T]) Wait(p *Proc) T {
-	f.sig.Wait(p)
-	return f.val
 }
 
 // resWaiter is one queued acquirer: the process plus its priority class and
@@ -114,16 +86,16 @@ type resWaiter struct {
 	at  time.Duration
 }
 
-// Resource is a FIFO counting resource (e.g. a GPU compute slot). Acquire
-// blocks when capacity is exhausted; Release hands the slot to the oldest
-// waiter. AcquirePri adds QoS classes: higher-priority waiters are granted
-// slots before lower-priority ones, with optional aging (SetAging) so a
-// sustained high-priority stream cannot starve low-priority work.
+// Resource is a counting resource (e.g. a GPU compute slot) with QoS
+// classes. AcquirePri blocks when capacity is exhausted; Release hands the
+// slot to the frontmost waiter: higher-priority waiters are granted slots
+// before lower-priority ones, equal priorities in FIFO order, with optional
+// aging (SetAging) so a sustained high-priority stream cannot starve
+// low-priority work. Each waiter is woken on its own process's engine.
 type Resource struct {
-	engine *Engine
-	cap    int
-	inUse  int
-	aging  time.Duration
+	cap   int
+	inUse int
+	aging time.Duration
 	// waiters[head:] is the queue, front first. Release advances head
 	// instead of re-slicing, and AcquirePri compacts the queue to the front
 	// of the array before appending would grow it, so a steady queue reuses
@@ -133,11 +105,11 @@ type Resource struct {
 }
 
 // NewResource returns a resource with the given capacity (must be >= 1).
-func NewResource(e *Engine, capacity int) *Resource {
+func NewResource(capacity int) *Resource {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
-	return &Resource{engine: e, cap: capacity}
+	return &Resource{cap: capacity}
 }
 
 // InUse returns the number of held slots.
@@ -162,15 +134,11 @@ func (r *Resource) effectivePri(w *resWaiter, now time.Duration) int32 {
 	return w.pri + int32((now-w.at)/r.aging)
 }
 
-// Acquire obtains a slot at the default (lowest) priority, suspending p
-// until one is available.
-func (r *Resource) Acquire(p *Proc) { r.AcquirePri(p, 0) }
-
-// AcquirePri obtains a slot at the given priority. When capacity is
-// exhausted, the waiter is inserted behind every queued waiter whose
-// effective (aged) priority is at least its own and ahead of the rest —
-// equal priorities keep FIFO order, so a fleet of priority-0 acquirers
-// behaves exactly like Acquire.
+// AcquirePri obtains a slot at the given priority, suspending p until one
+// is available. When capacity is exhausted, the waiter is inserted behind
+// every queued waiter whose effective (aged) priority is at least its own
+// and ahead of the rest — equal priorities keep FIFO order, so a fleet of
+// priority-0 acquirers queues first come, first served.
 func (r *Resource) AcquirePri(p *Proc, pri int32) {
 	if r.inUse < r.cap {
 		r.inUse++
@@ -182,7 +150,7 @@ func (r *Resource) AcquirePri(p *Proc, pri int32) {
 		r.waiters = r.waiters[:n]
 		r.head = 0
 	}
-	now := r.engine.Now()
+	now := p.Now()
 	idx := len(r.waiters)
 	for idx > r.head && r.effectivePri(&r.waiters[idx-1], now) < pri {
 		idx--
@@ -200,11 +168,11 @@ func (r *Resource) Release() {
 		next := r.waiters[r.head].p
 		r.waiters[r.head] = resWaiter{}
 		r.head++
-		r.engine.ScheduleWake(next)
+		next.engine.scheduleWake(0, next)
 		return
 	}
 	if r.inUse <= 0 {
-		panic("sim: Release without matching Acquire")
+		panic("sim: Release without matching AcquirePri")
 	}
 	r.inUse--
 }

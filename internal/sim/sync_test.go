@@ -25,7 +25,7 @@ func TestSignalOneWaiterAllocs(t *testing.T) {
 	var cur *Signal
 	firer := e.Go("firer", func(p *Proc) {
 		for {
-			p.Suspend()
+			p.suspend()
 			cur.Fire()
 		}
 	})
@@ -35,7 +35,7 @@ func TestSignalOneWaiterAllocs(t *testing.T) {
 		p.Sleep(time.Microsecond) // let the firer park first
 		allocs = testing.AllocsPerRun(100, func() {
 			cur = NewSignal(e)
-			e.ScheduleWake(firer)
+			e.scheduleWake(0, firer)
 			cur.Wait(p)
 			cycles++
 		})
@@ -59,7 +59,7 @@ func TestSignalWakeOrderAcrossReset(t *testing.T) {
 		t.Run(fmt.Sprintf("waiters=%d", n), func(t *testing.T) {
 			e := NewEngine()
 			defer e.Close()
-			s := MakeSignal(e)
+			var s Signal
 			var woke []int
 			// cycle spawns waiters 0..n-1 in order; waiter i waits after
 			// delay(i) and records its index when it wakes. The firer fires
@@ -68,12 +68,14 @@ func TestSignalWakeOrderAcrossReset(t *testing.T) {
 				woke = woke[:0]
 				for i := 0; i < n; i++ {
 					i := i
-					e.GoAfter(delay(i), fmt.Sprint("waiter-", i), func(p *Proc) {
+					e.Go(fmt.Sprint("waiter-", i), func(p *Proc) {
+						p.Sleep(delay(i))
 						s.Wait(p)
 						woke = append(woke, i)
 					})
 				}
-				e.GoAfter(time.Duration(n+1)*time.Millisecond, "firer", func(*Proc) {
+				e.Go("firer", func(p *Proc) {
+					p.Sleep(time.Duration(n+1) * time.Millisecond)
 					if s.Fired() {
 						t.Error("signal fired before Fire")
 					}
