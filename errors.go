@@ -5,7 +5,6 @@ import (
 	"grouter/internal/core"
 	"grouter/internal/dataplane"
 	"grouter/internal/faults"
-	"grouter/internal/router"
 	"grouter/internal/xfer"
 )
 
@@ -27,11 +26,6 @@ var (
 	ErrPathsDown = xfer.ErrPathsDown
 	// ErrAccessDenied: a function read data belonging to another workflow.
 	ErrAccessDenied = core.ErrAccessDenied
-	// ErrNoWorker: routing found no healthy placement (zero workers or
-	// every candidate crashed); integrated routing falls back to
-	// round-robin instead of surfacing it, so it is seen directly only by
-	// router.RouteRequest callers.
-	ErrNoWorker = router.ErrNoWorker
 	// ErrSLOShed: SLO admission control dropped the request — no worker was
 	// predicted to finish it inside its class latency budget and the
 	// deferral bound was spent. Returned by App.Submit on an immediate

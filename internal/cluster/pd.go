@@ -126,6 +126,9 @@ type LLMService struct {
 
 	seq     int64
 	pending map[fabric.Location]int
+	// prefillFn and decodeFn name the two ends of the KV handoff (Name
+	// plus "/prefill" and "/decode"), built once so a handoff builds none.
+	prefillFn, decodeFn string
 	// inflightKV counts the KV handoffs in flight on the data plane, the
 	// placement policy's transfer-path saturation signal.
 	inflightKV int
@@ -163,12 +166,15 @@ func (c *Cluster) DeployLLM(cfg PDConfig) (*LLMService, error) {
 	if cfg.SaturationDepth <= 0 {
 		cfg.SaturationDepth = 4
 	}
+	name := "llm/" + cfg.LLM.Name
 	s := &LLMService{
-		C:       c,
-		Cfg:     cfg,
-		Model:   models.Serve{LLM: cfg.LLM, Class: c.Class},
-		Name:    "llm/" + cfg.LLM.Name,
-		pending: map[fabric.Location]int{},
+		C:         c,
+		Cfg:       cfg,
+		Model:     models.Serve{LLM: cfg.LLM, Class: c.Class},
+		Name:      name,
+		pending:   map[fabric.Location]int{},
+		prefillFn: name + "/prefill",
+		decodeFn:  name + "/decode",
 	}
 	// Node-major carve: prefill pool first, then decode, then mixed.
 	locs := make([]fabric.Location, 0, total)
@@ -409,7 +415,7 @@ func (r *pdReq) runDisaggregated(p *sim.Proc, tr *obs.Tracer) {
 	var putErr error
 	if !s.Cfg.ZeroKV {
 		pctx := dataplane.FnCtx{
-			Fn: s.Name + "/prefill", Workflow: s.Name,
+			Fn: s.prefillFn, Workflow: s.Name,
 			Loc: r.at.prefill, Slack: r.slack,
 			ConsumerSeq: r.seq,
 		}
@@ -425,7 +431,7 @@ func (r *pdReq) runDisaggregated(p *sim.Proc, tr *obs.Tracer) {
 		recompute := putErr != nil
 		if putErr == nil {
 			dctx := dataplane.FnCtx{
-				Fn: s.Name + "/decode", Workflow: s.Name,
+				Fn: s.decodeFn, Workflow: s.Name,
 				Loc: r.at.decode, Slack: r.slack,
 				ConsumerSeq: r.seq,
 			}

@@ -173,6 +173,41 @@ func TestTrafficReplayAllocPerRequest(t *testing.T) {
 	}
 }
 
+// TestPDDisaggregatedReplayAllocPerRequest pins the KV handoff's names: an
+// LLMService builds its prefill and decode function names once, so a warmed
+// disaggregated request allocates its pdReq and the two handoff FnCtx
+// values, about 3 objects, where building both names per handoff made 5.
+func TestPDDisaggregatedReplayAllocPerRequest(t *testing.T) {
+	e, _, svc := newLLMService(t, PDConfig{PrefillWorkers: 2, DecodeWorkers: 2, MixedWorkers: 4})
+	defer e.Close()
+	arrivals := pdArrivals(2_000, 20*time.Millisecond)
+	spec := ReplaySpec{Quantum: 10 * time.Millisecond, RequestAt: func(int) Request {
+		return Request{PD: PDDisaggregated, PromptTokens: 2048}
+	}}
+	replay := func() {
+		t.Helper()
+		before := svc.Stats.Disaggregated
+		if _, err := svc.Replay(arrivals, spec); err != nil {
+			t.Fatal(err)
+		}
+		if got := svc.Stats.Disaggregated - before; got != int64(len(arrivals)) {
+			t.Fatalf("%d of %d requests disaggregated", got, len(arrivals))
+		}
+	}
+	replay() // warm the process shells, queues and the plane's tables
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	replay()
+	runtime.ReadMemStats(&after)
+	n := float64(len(arrivals))
+	perReq := float64(after.TotalAlloc-before.TotalAlloc) / n
+	objPerReq := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("warmed replay of %d disaggregated requests: %.1f B and %.2f objects per request", len(arrivals), perReq, objPerReq)
+	if objPerReq > 3.1 {
+		t.Errorf("a disaggregated request allocates %.2f objects, want at most 3.1", objPerReq)
+	}
+}
+
 // TestReplayPercentilesCoverOwnCompletions replays two different traces back
 // to back on one app and one LLM service, with a counting completion hook of
 // the caller's installed before each: each replay's P50/P99 must be the

@@ -9,11 +9,11 @@ import (
 
 // SLO-aware admission control. The router installs an AdmitFn on its app
 // when the configuration carries at least one class budget; every submission
-// then passes through Admit below before launching. The predictor estimates
-// the completion time a request admitted now would see from the same cached
-// worker snapshot the scorer picks from (queue depth with the pending-pick
-// discount folded in, times the worker's EWMA service latency), and a
-// request predicted to bust its class budget is parked in a bounded
+// then passes through AdmitPipeline below before launching. The predictor
+// estimates the completion time a request admitted now would see from the
+// same cached worker snapshot the scorer picks from (queue depth with the
+// pending-pick discount folded in, times the worker's EWMA service latency),
+// and a request predicted to bust its class budget is parked in a bounded
 // virtual-time delay queue — or shed once the bound is spent. The functions
 // here are pure (no engine, no cluster state) so the property and fuzz
 // harnesses can pin their behavior directly.
@@ -132,29 +132,24 @@ func pipelineIdle(stages [][]WorkerState) bool {
 	return true
 }
 
-// Admit is the pure admission decision for one attempt: a request of class q
-// that has already waited `waited` in the delay queue, against the given
-// worker snapshot (one stage pool). The rules, in order:
+// AdmitPipeline is the pure admission decision for one attempt: a request of
+// class q that has already waited `waited` in the delay queue, against a
+// worker snapshot of each stage pool of its pipeline (one for a single-stage
+// pool). The rules, in order:
 //
 //  1. a class without a budget always runs;
-//  2. a snapshot with an idle healthy worker always runs — shedding while
-//     capacity sits free can never improve attainment (the fuzz harness
-//     pins this: Admit never sheds when any worker is idle);
-//  3. a request predicted to complete within its remaining budget
-//     (Budget − waited) runs;
+//  2. a pipeline with an idle healthy worker at every stage always runs —
+//     shedding while capacity sits free can never improve attainment (the
+//     fuzz harness pins this: admission never sheds when a single-stage
+//     pool has an idle worker). Idle capacity in one pool does not absorb a
+//     queue in another;
+//  3. a request predicted (PredictPipeline's per-stage sum) to complete
+//     within its remaining budget (Budget − waited) runs;
 //  4. a predicted miss defers by recheck (1ms) while cumulative wait stays
 //     inside the class MaxDelay, and is shed once the bound is spent.
 //
 // The decision is deterministic and never panics on adversarial
 // configurations or snapshots — that is FuzzAdmission's contract.
-func Admit(states []WorkerState, cfg SLOConfig, q cluster.QoS, waited time.Duration) (cluster.AdmitAction, time.Duration) {
-	return AdmitPipeline([][]WorkerState{states}, cfg, q, waited)
-}
-
-// AdmitPipeline is Admit over a multi-stage pipeline: the prediction is
-// PredictPipeline's per-stage sum, and the idle short-circuit requires free
-// capacity at every stage (idle capacity in one pool does not absorb a queue
-// in another). Admit is exactly the single-stage special case.
 func AdmitPipeline(stages [][]WorkerState, cfg SLOConfig, q cluster.QoS, waited time.Duration) (cluster.AdmitAction, time.Duration) {
 	cls := cfg.Class(q)
 	if cls.Budget <= 0 {

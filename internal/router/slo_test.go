@@ -240,8 +240,9 @@ func TestPredictPipelineMonotone(t *testing.T) {
 }
 
 // TestAdmitNeverShedsWhenIdle: for any configuration and any waited value,
-// Admit must run (not defer, not shed) whenever some healthy worker is idle —
-// shedding with free capacity can never improve attainment.
+// single-stage admission must run (not defer, not shed) whenever some
+// healthy worker is idle — shedding with free capacity can never improve
+// attainment.
 func TestAdmitNeverShedsWhenIdle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	cfgs := []router.SLOConfig{
@@ -257,7 +258,7 @@ func TestAdmitNeverShedsWhenIdle(t *testing.T) {
 		cfg := cfgs[rng.Intn(len(cfgs))]
 		q := cluster.QoS(rng.Intn(2))
 		waited := time.Duration(rng.Int63n(int64(time.Second)))
-		if action, _ := router.Admit(states, cfg, q, waited); action != cluster.AdmitRun {
+		if action, _ := router.AdmitPipeline([][]router.WorkerState{states}, cfg, q, waited); action != cluster.AdmitRun {
 			t.Fatalf("trial %d: action %d with an idle healthy worker, want run", trial, action)
 		}
 	}
@@ -272,27 +273,27 @@ func TestAdmitDeferThenShed(t *testing.T) {
 	cfg := router.SLOConfig{
 		High: router.SLOClass{Budget: 20 * time.Millisecond, MaxDelay: 3 * time.Millisecond},
 	}
-	if a, d := router.Admit(sat, cfg, cluster.QoSHigh, 0); a != cluster.AdmitDefer || d != time.Millisecond {
+	if a, d := router.AdmitPipeline([][]router.WorkerState{sat}, cfg, cluster.QoSHigh, 0); a != cluster.AdmitDefer || d != time.Millisecond {
 		t.Errorf("waited 0: got (%d, %v), want defer by 1ms", a, d)
 	}
-	if a, _ := router.Admit(sat, cfg, cluster.QoSHigh, 2*time.Millisecond); a != cluster.AdmitDefer {
+	if a, _ := router.AdmitPipeline([][]router.WorkerState{sat}, cfg, cluster.QoSHigh, 2*time.Millisecond); a != cluster.AdmitDefer {
 		t.Errorf("waited 2ms of 3ms: got %d, want defer", a)
 	}
-	if a, _ := router.Admit(sat, cfg, cluster.QoSHigh, 3*time.Millisecond); a != cluster.AdmitShed {
+	if a, _ := router.AdmitPipeline([][]router.WorkerState{sat}, cfg, cluster.QoSHigh, 3*time.Millisecond); a != cluster.AdmitShed {
 		t.Errorf("waited 3ms of 3ms: got %d, want shed (next recheck would overshoot)", a)
 	}
 	// Zero MaxDelay sheds a predicted miss immediately.
 	nodefer := router.SLOConfig{High: router.SLOClass{Budget: 20 * time.Millisecond}}
-	if a, _ := router.Admit(sat, nodefer, cluster.QoSHigh, 0); a != cluster.AdmitShed {
+	if a, _ := router.AdmitPipeline([][]router.WorkerState{sat}, nodefer, cluster.QoSHigh, 0); a != cluster.AdmitShed {
 		t.Errorf("zero MaxDelay: got %d, want immediate shed", a)
 	}
 	// The un-budgeted low class always runs, even saturated.
-	if a, _ := router.Admit(sat, cfg, cluster.QoSLow, time.Hour); a != cluster.AdmitRun {
+	if a, _ := router.AdmitPipeline([][]router.WorkerState{sat}, cfg, cluster.QoSLow, time.Hour); a != cluster.AdmitRun {
 		t.Errorf("budget-less class: got %d, want run", a)
 	}
 	// An idle worker overrides the predicted miss.
 	idle := append([]router.WorkerState{{Healthy: true}}, sat...)
-	if a, _ := router.Admit(idle, cfg, cluster.QoSHigh, 0); a != cluster.AdmitRun {
+	if a, _ := router.AdmitPipeline([][]router.WorkerState{idle}, cfg, cluster.QoSHigh, 0); a != cluster.AdmitRun {
 		t.Errorf("idle worker present: got %d, want run", a)
 	}
 }
@@ -418,7 +419,7 @@ func FuzzAdmission(f *testing.F) {
 			{Healthy: idle, QueueDepth: 0},
 		}
 		q := cluster.QoS(qos % 2)
-		action, delay := router.Admit(states, cfg, q, time.Duration(waited))
+		action, delay := router.AdmitPipeline([][]router.WorkerState{states}, cfg, q, time.Duration(waited))
 		switch action {
 		case cluster.AdmitRun, cluster.AdmitShed:
 			if delay != 0 {
@@ -434,8 +435,8 @@ func FuzzAdmission(f *testing.F) {
 		if idle && action == cluster.AdmitShed {
 			t.Fatal("shed despite an idle healthy worker")
 		}
-		// The pipeline form must satisfy the same contract on a split of the
-		// same workers.
+		// A two-stage split of the same workers must satisfy the same
+		// contract.
 		pa, pd := router.AdmitPipeline([][]router.WorkerState{states[:1], states[1:]}, cfg, q, time.Duration(waited))
 		if pa == cluster.AdmitDefer && pd <= 0 {
 			t.Fatalf("pipeline defer with non-positive delay %v", pd)
