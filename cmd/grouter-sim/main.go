@@ -330,8 +330,9 @@ func arrivalsOf(cfg simConfig) ([]time.Duration, string) {
 // loadTrace reads arrival offsets from a file: one Go duration per line,
 // blank lines and '#' comments skipped. A file without arrivals is an error:
 // an empty trace must not fall back to a generated one silently. So is a
-// negative offset, which the replay would otherwise admit at time 0. Offsets
-// may come in any order: each request is scheduled at its own offset.
+// negative offset, which the replay would otherwise admit at time 0, and an
+// offset below the one before it, which the replay rejects as unsorted: the
+// error names the file and line.
 func loadTrace(path string) ([]time.Duration, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -353,6 +354,9 @@ func loadTrace(path string) ([]time.Duration, error) {
 		}
 		if d < 0 {
 			return nil, fmt.Errorf("%s:%d: negative arrival offset %v", path, line, d)
+		}
+		if n := len(out); n > 0 && d < out[n-1] {
+			return nil, fmt.Errorf("%s:%d: arrival offset %v comes before the previous offset %v; offsets must not decrease", path, line, d, out[n-1])
 		}
 		out = append(out, d)
 	}

@@ -173,13 +173,13 @@ func TestLoadTraceRejectsNoArrivals(t *testing.T) {
 
 // TestLoadTraceRejectsNegativeOffset: a negative offset used to load and
 // replay as an arrival at time 0. It must fail naming the file and line,
-// and grouter-sim must exit with status 2; offsets out of order still load
-// in file order.
+// and grouter-sim must exit with status 2; offsets in order load in file
+// order, equal ones included.
 func TestLoadTraceRejectsNegativeOffset(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "negative.txt")
-	ok := filepath.Join(dir, "unordered.txt")
-	for path, body := range map[string]string{bad: "-5ms\n10ms\n", ok: "10ms\n# comment\n5ms\n"} {
+	ok := filepath.Join(dir, "ordered.txt")
+	for path, body := range map[string]string{bad: "-5ms\n10ms\n", ok: "5ms\n# comment\n5ms\n10ms\n"} {
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -191,8 +191,25 @@ func TestLoadTraceRejectsNegativeOffset(t *testing.T) {
 		t.Errorf("-trace-file %s: exit %d, stderr %q; want exit 2 naming the file and line", bad, code, stderr)
 	}
 	got, err := loadTrace(ok)
-	if want := []time.Duration{10 * time.Millisecond, 5 * time.Millisecond}; err != nil || !slices.Equal(got, want) {
+	if want := []time.Duration{5 * time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond}; err != nil || !slices.Equal(got, want) {
 		t.Errorf("loadTrace(%s) = %v, %v; want %v", ok, got, err, want)
+	}
+}
+
+// TestLoadTraceRejectsOutOfOrderOffset: offsets out of order used to load
+// and replay, admitted late under a quantum. A replay rejects such a trace,
+// so the file fails at its first out-of-order line, and grouter-sim exits
+// with status 2.
+func TestLoadTraceRejectsOutOfOrderOffset(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "unordered.txt")
+	if err := os.WriteFile(bad, []byte("5ms\n10ms\n# comment\n7ms\n1ms\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadTrace(bad); err == nil || !strings.Contains(err.Error(), bad+":4:") {
+		t.Errorf("loadTrace error = %v, want one naming %s:4", err, bad)
+	}
+	if code, stderr := run(t, "-trace-file", bad); code != 2 || !strings.Contains(stderr, bad+":4:") {
+		t.Errorf("-trace-file %s: exit %d, stderr %q; want exit 2 naming the file and line", bad, code, stderr)
 	}
 }
 

@@ -38,6 +38,8 @@ var (
 	// ErrNilTrace: Replay of a nil arrival trace (an empty non-nil trace is
 	// a valid no-op).
 	ErrNilTrace = cluster.ErrNilTrace
+	// ErrUnsortedTrace: Replay of an arrival trace whose offsets decrease.
+	ErrUnsortedTrace = cluster.ErrUnsortedTrace
 	// ErrNegativeQuantum: a ReplaySpec admission quantum below zero.
 	ErrNegativeQuantum = cluster.ErrNegativeQuantum
 	// ErrUnknownLink: a FaultInjector call named a link the fabric lacks.

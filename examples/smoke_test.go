@@ -3,14 +3,22 @@
 // — because every simulation seed is fixed — print exactly the same thing on
 // a second run. Changing an example's output on purpose requires
 // regenerating the fixtures with -update-golden and reviewing the diff.
+//
+// The examples are built by a go build subprocess, which Go's test cache
+// does not see, so TestExamples opens every source file they build from:
+// the cache records the files a test opens and reruns it when one changes.
+// Importing the library would not do: the cache keys on the linked test
+// binary, from which the linker drops whatever the test does not call.
 package examples
 
 import (
 	"bytes"
 	"flag"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -22,6 +30,43 @@ var programs = []string{
 	"llm-pd",
 	"multi-tenant",
 	"traffic-pipeline",
+}
+
+// openSources opens the module's go.mod and every non-test Go file the
+// examples build from: the grouter package, internal/ and each example's
+// own directory.
+func openSources(t *testing.T) {
+	t.Helper()
+	dirs := []string{"../internal"}
+	for _, name := range programs {
+		dirs = append(dirs, name)
+	}
+	files, err := filepath.Glob("../*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, "../go.mod")
+	for _, dir := range dirs {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+				files = append(files, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
 }
 
 func buildExample(t *testing.T, name string) string {
@@ -48,6 +93,7 @@ func runExample(t *testing.T, bin string) []byte {
 }
 
 func TestExamples(t *testing.T) {
+	openSources(t)
 	for _, name := range programs {
 		name := name
 		t.Run(name, func(t *testing.T) {

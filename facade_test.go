@@ -97,6 +97,9 @@ func TestFacadeCluster(t *testing.T) {
 	if app.Completed == 0 {
 		t.Fatal("no requests completed through the façade cluster")
 	}
+	if _, err := app.Replay([]time.Duration{time.Second, 0}, ReplaySpec{}); !errors.Is(err, ErrUnsortedTrace) {
+		t.Errorf("Replay of a decreasing trace = %v, want ErrUnsortedTrace", err)
+	}
 	if s.Tracer().Len() == 0 {
 		t.Error("tracer attached but recorded no spans")
 	}

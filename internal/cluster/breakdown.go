@@ -43,9 +43,10 @@ func (a *App) EnableBreakdown() *Breakdown {
 // Instances are identified by their index in the app's execution plan, so a
 // traced request allocates no per-request maps.
 type instTrace struct {
-	buckets *obs.Buckets
-	readyAt time.Duration // all input futures resolved
-	doneAt  time.Duration // output resolved
+	buckets  *obs.Buckets
+	readyAt  time.Duration // all input futures resolved
+	queuedAt time.Duration // queued for the compute slot
+	doneAt   time.Duration // output resolved
 	// crit is the plan index of the input producer whose completion gated
 	// readyAt (the instance's critical predecessor); hasCrit is false for
 	// source stages.

@@ -268,4 +268,7 @@ func TestDeployLLMValidation(t *testing.T) {
 	if _, err := svc.Replay([]time.Duration{}, ReplaySpec{Quantum: -1}); !errors.Is(err, ErrNegativeQuantum) {
 		t.Errorf("negative quantum: err = %v, want ErrNegativeQuantum", err)
 	}
+	if _, err := svc.Replay([]time.Duration{2, 1}, ReplaySpec{}); !errors.Is(err, ErrUnsortedTrace) {
+		t.Errorf("unsorted trace: err = %v, want ErrUnsortedTrace", err)
+	}
 }

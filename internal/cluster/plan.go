@@ -156,7 +156,11 @@ type outSlot struct {
 // recycles them only after every process of the request has finished).
 type activation struct {
 	st  *reqState
-	idx int
+	idx int32
+	// queued marks an activation parked at the top waiting for its compute
+	// slot: the wake that runs it again hands it the slot, so Run goes
+	// straight to serve.
+	queued bool
 	// member is the pool member serving the activation, from its pick until
 	// poolDone retires it.
 	member *poolMember
@@ -211,7 +215,7 @@ func (a *App) takeReqState() *reqState {
 	}
 	for i := range st.acts {
 		st.acts[i].st = st
-		st.acts[i].idx = i
+		st.acts[i].idx = int32(i)
 	}
 	return st
 }
@@ -309,26 +313,43 @@ func (a *App) launchReq(req Request, done *sim.Signal, t0, waited time.Duration)
 	}
 }
 
-// Run executes one stage instance for one request. It is the body the old
-// per-request closure ran, operating on plan indices and pooled
-// state instead of per-request maps; the sequence of engine interactions is
-// unchanged.
+// Run executes one stage instance for one request. It parks at the top
+// while it waits for an input (Signal.Await) or for its compute slot
+// (Resource.TryAcquirePri), so a waiting instance holds no goroutine, and
+// each wake runs it again from the top: begin re-reads the inputs that have
+// already resolved, and a queued activation goes straight to serve. Every
+// engine interaction happens at the same (time, seq) as when the instance
+// held its goroutine through both waits.
 func (ac *activation) Run(p *sim.Proc) {
+	if ac.queued {
+		ac.queued = false
+	} else if !ac.begin(p) {
+		return
+	}
+	ac.finish(p, ac.serve(p))
+}
+
+// begin runs the instance up to its compute slot: it waits for every input,
+// draws the skip, publishes the ingress payload and queues for the slot. It
+// reports whether the instance holds the slot; false means it parked at the
+// top or was skipped and has finished.
+func (ac *activation) begin(p *sim.Proc) bool {
 	st := ac.st
 	a := st.app
 	c := a.C
 	pl := a.reqPlan
 	pi := &pl.insts[ac.idx]
 	s := pi.stage
-	cost := &st.costs[ac.idx]
-	tr := obs.TracerOf(c.Engine)
 
 	// Wait for every input future; the resolved refs land in this
-	// instance's window of the flat scratch buffer.
+	// instance's window of the flat scratch buffer. After a wake the inputs
+	// before the one it waited on have fired, so their Awaits return true.
 	inputs := st.inRefs[pi.inOff : pi.inOff+len(pi.inputs)]
 	for k := range pi.inputs {
 		sl := &st.slots[pi.inputs[k].prod]
-		sl.sig.Wait(p)
+		if !sl.sig.Await(p) {
+			return false
+		}
 		inputs[k] = sl.val
 	}
 	var it *instTrace
@@ -352,25 +373,31 @@ func (ac *activation) Run(p *sim.Proc) {
 
 	// GPU source stages fetch their request payload from host memory (I/O
 	// lands in the host-side store): the gFn-host ingress pattern of §2.2.
-	var ingress dataplane.DataRef
+	// An ingress instance has no inputs, and its consumers read its output
+	// slot only once it fires, so until then the slot holds the payload's
+	// ref for serve.
 	if pi.ingress && !skipped {
 		ac.ictx = dataplane.FnCtx{
 			Fn: pl.ingressFn, Workflow: a.WF.Name,
 			Loc:         fabric.Location{Node: ac.member.loc.Node, GPU: fabric.HostGPU},
 			ConsumerSeq: st.seq,
 		}
-		ref, err := c.Plane.Put(p, &ac.ictx, cost.inBytes)
+		ref, err := c.Plane.Put(p, &ac.ictx, st.costs[ac.idx].inBytes)
 		if err != nil {
 			panic(err)
 		}
-		ingress = ref
+		st.slots[ac.idx].val = ref
 	}
 	ac.ctx = dataplane.FnCtx{
 		Fn:          pi.fn,
 		Workflow:    a.WF.Name,
 		Loc:         ac.member.loc,
-		Slack:       cost.slack,
+		Slack:       st.costs[ac.idx].slack,
 		ConsumerSeq: st.seq,
+	}
+	if skipped {
+		ac.finish(p, dataplane.DataRef{})
+		return false
 	}
 
 	// A function instance occupies its compute slot for its whole
@@ -378,65 +405,93 @@ func (ac *activation) Run(p *sim.Proc) {
 	// matching time-multiplexed serverless GPU sharing, where a container's
 	// transfers run within its execution turn. Input futures are awaited
 	// *before* acquisition, so there is no hold-and-wait cycle.
-	out := dataplane.DataRef{}
-	if !skipped {
-		res := c.resourceAt(ac.member.loc)
-		qStart := p.Now()
-		res.AcquirePri(p, int32(st.qos))
-		heldAt := p.Now()
-		obs.Account(p, obs.CatQueue, heldAt-qStart)
-		wStart := p.Now()
-		a.ensureWarm(p, pi.si, ac.member, s.Model.WeightsBytes)
-		obs.Account(p, obs.CatSetup, p.Now()-wStart)
-		if ingress.Bytes > 0 {
-			t0 := p.Now()
-			if err := c.Plane.Get(p, &ac.ctx, ingress); err != nil {
-				panic(err)
-			}
-			st.xferHost += p.Now() - t0
-			c.Plane.Free(ingress)
+	if it != nil {
+		it.queuedAt = p.Now()
+	}
+	if !c.resourceAt(ac.member.loc).TryAcquirePri(p, int32(st.qos)) {
+		ac.queued = true
+		return false
+	}
+	return true
+}
+
+// serve runs the instance on its compute slot: it pulls the ingress payload
+// and the inputs, computes, publishes the output, releases the slot and
+// returns the output's ref.
+func (ac *activation) serve(p *sim.Proc) dataplane.DataRef {
+	st := ac.st
+	a := st.app
+	c := a.C
+	pi := &a.reqPlan.insts[ac.idx]
+	cost := &st.costs[ac.idx]
+	heldAt := p.Now()
+	if st.insts != nil {
+		obs.Account(p, obs.CatQueue, heldAt-st.insts[ac.idx].queuedAt)
+	}
+	a.ensureWarm(p, pi.si, ac.member, pi.stage.Model.WeightsBytes)
+	obs.Account(p, obs.CatSetup, p.Now()-heldAt)
+	if ingress := st.slots[ac.idx].val; ingress.Bytes > 0 {
+		t0 := p.Now()
+		if err := c.Plane.Get(p, &ac.ctx, ingress); err != nil {
+			panic(err)
 		}
-		for k := range pi.inputs {
-			if inputs[k].Bytes == 0 {
-				continue
-			}
-			t0 := p.Now()
-			if err := c.Plane.Get(p, &ac.ctx, inputs[k]); err != nil {
-				panic(err)
-			}
-			dt := p.Now() - t0
-			switch pi.inputs[k].kind {
-			case EdgeGPUGPU:
-				st.xferGPU += dt
-			case EdgeGPUHost:
-				st.xferHost += dt
-			}
+		st.xferHost += p.Now() - t0
+		c.Plane.Free(ingress)
+	}
+	inputs := st.inRefs[pi.inOff : pi.inOff+len(pi.inputs)]
+	for k := range pi.inputs {
+		if inputs[k].Bytes == 0 {
+			continue
 		}
-		cs := tr.BeginOn(obs.ReqTrack(st.seq), obs.CatCompute, s.Name)
-		p.Sleep(cost.lat)
-		tr.End(cs)
-		obs.Account(p, obs.CatCompute, cost.lat)
-		st.compute += cost.lat
-		if pi.hasOut {
-			t0 := p.Now()
-			ref, err := c.Plane.Put(p, &ac.ctx, cost.outBytes)
-			if err != nil {
-				panic(err)
-			}
-			dt := p.Now() - t0
-			switch pi.putKind {
-			case EdgeGPUGPU:
-				st.xferGPU += dt
-			case EdgeGPUHost:
-				st.xferHost += dt
-			}
-			out = ref
+		t0 := p.Now()
+		if err := c.Plane.Get(p, &ac.ctx, inputs[k]); err != nil {
+			panic(err)
 		}
-		res.Release()
-		if loc := ac.member.loc; c.OnGPUService != nil && !loc.IsHost() {
-			c.OnGPUService(loc.Node, loc.GPU, p.Now()-heldAt)
+		dt := p.Now() - t0
+		switch pi.inputs[k].kind {
+		case EdgeGPUGPU:
+			st.xferGPU += dt
+		case EdgeGPUHost:
+			st.xferHost += dt
 		}
 	}
+	tr := obs.TracerOf(c.Engine)
+	cs := tr.BeginOn(obs.ReqTrack(st.seq), obs.CatCompute, pi.stage.Name)
+	p.Sleep(cost.lat)
+	tr.End(cs)
+	obs.Account(p, obs.CatCompute, cost.lat)
+	st.compute += cost.lat
+	out := dataplane.DataRef{}
+	if pi.hasOut {
+		t0 := p.Now()
+		ref, err := c.Plane.Put(p, &ac.ctx, cost.outBytes)
+		if err != nil {
+			panic(err)
+		}
+		dt := p.Now() - t0
+		switch pi.putKind {
+		case EdgeGPUGPU:
+			st.xferGPU += dt
+		case EdgeGPUHost:
+			st.xferHost += dt
+		}
+		out = ref
+	}
+	c.resourceAt(ac.member.loc).Release()
+	if loc := ac.member.loc; c.OnGPUService != nil && !loc.IsHost() {
+		c.OnGPUService(loc.Node, loc.GPU, p.Now()-heldAt)
+	}
+	return out
+}
+
+// finish retires the instance, served or skipped: it lets go of its pool
+// member and its inputs, resolves its output future with out and, as the
+// request's last instance, records the request and recycles its state.
+func (ac *activation) finish(p *sim.Proc, out dataplane.DataRef) {
+	st := ac.st
+	a := st.app
+	c := a.C
+	pi := &a.reqPlan.insts[ac.idx]
 	// Retire the pool pick (in-flight accounting for cordon/drain) whether
 	// the activation ran or was probabilistically skipped. The retirement may
 	// tear the member down and free it for reuse, so the pooled activation
@@ -444,6 +499,7 @@ func (ac *activation) Run(p *sim.Proc) {
 	a.poolDone(pi.pool, ac.member)
 	ac.member = nil
 	// Release inputs whether consumed or skipped.
+	inputs := st.inRefs[pi.inOff : pi.inOff+len(pi.inputs)]
 	for k := range pi.inputs {
 		sl := &st.slots[pi.inputs[k].prod]
 		sl.refs--
@@ -451,10 +507,10 @@ func (ac *activation) Run(p *sim.Proc) {
 			c.Plane.Free(inputs[k])
 		}
 	}
-	if it != nil {
+	if st.insts != nil {
 		// doneAt must be final before the future resolves: a consumer woken
 		// by the fire reads it when picking its critical predecessor.
-		it.doneAt = p.Now()
+		st.insts[ac.idx].doneAt = p.Now()
 		obs.UseBuckets(p, nil)
 	}
 	sl := &st.slots[ac.idx]
@@ -471,9 +527,9 @@ func (ac *activation) Run(p *sim.Proc) {
 		if a.OnComplete != nil {
 			a.OnComplete(st.seq, end, end-st.start)
 		}
-		tr.End(st.reqSpan)
+		obs.TracerOf(c.Engine).End(st.reqSpan)
 		if st.insts != nil {
-			a.Breakdown.record(st, ac.idx, end)
+			a.Breakdown.record(st, int(ac.idx), end)
 		}
 		if st.done != nil {
 			st.done.Fire()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"time"
 
 	"grouter/internal/metrics"
@@ -57,14 +58,18 @@ type replayTarget interface {
 }
 
 // replay is the trace replay App.Replay and LLMService.Replay share. It
-// rejects a nil trace and a negative quantum, admits one typed request per
-// arrival (offsets relative to now, sorted ascending) and runs the engine
-// until it drains. With a zero quantum every arrival is scheduled at its
-// exact offset; otherwise a single feeder process admits each fixed
-// window's arrivals together at the window's closing edge, in trace order.
+// rejects a nil trace, a trace whose offsets decrease and a negative
+// quantum, admits one typed request per arrival (offsets relative to now)
+// and runs the engine until it drains. With a zero quantum every arrival is
+// scheduled at its exact offset; otherwise a single feeder process admits
+// each fixed window's arrivals together at the window's closing edge, in
+// trace order.
 func replay(e *sim.Engine, t replayTarget, arrivals []time.Duration, spec ReplaySpec) (ReplayStats, error) {
 	if arrivals == nil {
 		return ReplayStats{}, ErrNilTrace
+	}
+	if !slices.IsSorted(arrivals) {
+		return ReplayStats{}, ErrUnsortedTrace
 	}
 	if spec.Quantum < 0 {
 		return ReplayStats{}, ErrNegativeQuantum
@@ -73,18 +78,22 @@ func replay(e *sim.Engine, t replayTarget, arrivals []time.Duration, spec Replay
 	completed, shed := t.served()
 	own := t.isolate()
 	reqAt := spec.RequestAt
-	admit := func(i int) {
+	admitted := 0
+	admitNext := func() {
 		var req Request
 		if reqAt != nil {
-			req = reqAt(i)
+			req = reqAt(admitted)
 		}
+		admitted++
 		t.startReq(req, nil)
 	}
 	if q := spec.Quantum; q == 0 {
+		// Events fire in (time, seq) order and the offsets do not decrease,
+		// so the k-th admission event to fire is arrival k's: one callback
+		// serves every arrival.
 		e.Reserve(len(arrivals) + 64)
-		for i := range arrivals {
-			i := i
-			e.Schedule(arrivals[i], func() { admit(i) })
+		for _, at := range arrivals {
+			e.Schedule(at, admitNext)
 		}
 	} else if len(arrivals) > 0 {
 		e.Go("replay-feeder", func(p *sim.Proc) {
@@ -96,7 +105,7 @@ func replay(e *sim.Engine, t replayTarget, arrivals []time.Duration, spec Replay
 					p.Sleep(wait)
 				}
 				for i < len(arrivals) && arrivals[i] < win {
-					admit(i)
+					admitNext()
 					i++
 				}
 			}
@@ -115,9 +124,10 @@ func replay(e *sim.Engine, t replayTarget, arrivals []time.Duration, spec Replay
 
 // Replay submits every arrival (offsets relative to now, sorted ascending)
 // as the typed request spec.RequestAt describes and runs the engine until it
-// drains, returning summary stats. A nil trace and a negative quantum are
-// rejected with ErrNilTrace / ErrNegativeQuantum (an empty non-nil trace is
-// a valid no-op replay). Admission order within a quantum window follows
+// drains, returning summary stats. A nil trace, a trace whose offsets
+// decrease and a negative quantum are rejected with ErrNilTrace,
+// ErrUnsortedTrace and ErrNegativeQuantum (an empty non-nil trace is a
+// valid no-op replay). Admission order within a quantum window follows
 // trace order, so the replay stays deterministic. The percentiles cover this
 // replay's completions only: it records them into empty E2EClass
 // distributions and merges the earlier samples back in when it is done.

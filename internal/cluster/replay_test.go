@@ -173,6 +173,50 @@ func TestTrafficReplayAllocPerRequest(t *testing.T) {
 	}
 }
 
+// TestZeroQuantumReplayAllocPerRequest pins the shared admission callback:
+// a zero-quantum replay schedules one callback for every arrival instead of
+// a closure each, so a warmed replay of the one-stage workflow allocates
+// under 0.05 objects per request, where a closure per arrival made 1.
+func TestZeroQuantumReplayAllocPerRequest(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	app := New(e, topology.DGXV100(), 1, grouterPlane).Deploy(oneStage(), 1, scheduler.Options{Node: 0})
+	arrivals := trace.Generate(trace.Spec{Pattern: trace.Sporadic, Duration: 20 * time.Second, MeanRPS: 100, Seed: 42})
+	var seqs []int
+	spec := ReplaySpec{RequestAt: func(i int) Request {
+		seqs = append(seqs, i)
+		return Request{}
+	}}
+	replay := func() {
+		t.Helper()
+		before := app.Completed
+		if _, err := app.Replay(arrivals, spec); err != nil {
+			t.Fatal(err)
+		}
+		if got := app.Completed - before; got != len(arrivals) {
+			t.Fatalf("completed %d of %d", got, len(arrivals))
+		}
+	}
+	seqs = make([]int, 0, 2*len(arrivals))
+	replay() // warm the request states, process shells and routes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	replay()
+	runtime.ReadMemStats(&after)
+	for k, i := range seqs {
+		if i != k%len(arrivals) {
+			t.Fatalf("admission %d asked RequestAt for arrival %d, want %d", k, i, k%len(arrivals))
+		}
+	}
+	n := float64(len(arrivals))
+	objPerReq := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("warmed zero-quantum replay of %d requests: %.0f B and %.3f objects per request",
+		len(arrivals), float64(after.TotalAlloc-before.TotalAlloc)/n, objPerReq)
+	if objPerReq >= 0.05 {
+		t.Errorf("a zero-quantum request allocates %.3f objects, want under 0.05", objPerReq)
+	}
+}
+
 // TestPDDisaggregatedReplayAllocPerRequest pins the KV handoff's names: an
 // LLMService builds its prefill and decode function names once, so a warmed
 // disaggregated request allocates its pdReq and the two handoff FnCtx

@@ -23,6 +23,10 @@ var (
 	// ErrNilTrace: a replay was handed a nil arrival trace (an empty non-nil
 	// trace is a valid no-op replay).
 	ErrNilTrace = errors.New("cluster: nil arrival trace")
+	// ErrUnsortedTrace: a replay's arrival offsets decrease somewhere. A
+	// quantum replay would admit the early offset in a later window, and a
+	// zero-quantum replay admits arrivals in trace order.
+	ErrUnsortedTrace = errors.New("cluster: arrival offsets must not decrease")
 )
 
 // Request is the typed descriptor of one submitted request — the single

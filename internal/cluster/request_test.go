@@ -58,6 +58,17 @@ func TestReplayValidation(t *testing.T) {
 	if _, err := app.Replay([]time.Duration{}, ReplaySpec{Quantum: -time.Second}); !errors.Is(err, ErrNegativeQuantum) {
 		t.Errorf("Replay negative quantum = %v, want ErrNegativeQuantum", err)
 	}
+	// An early offset after a later one: the quantum path used to admit it
+	// in the later window, silently.
+	unsorted := []time.Duration{time.Millisecond, 25 * time.Millisecond, 5 * time.Millisecond}
+	for _, q := range []time.Duration{0, 10 * time.Millisecond} {
+		if _, err := app.Replay(unsorted, ReplaySpec{Quantum: q}); !errors.Is(err, ErrUnsortedTrace) {
+			t.Errorf("Replay unsorted trace at quantum %v = %v, want ErrUnsortedTrace", q, err)
+		}
+	}
+	if app.Completed != 0 || e.Now() != 0 {
+		t.Errorf("a rejected replay ran: %d completed, clock %v", app.Completed, e.Now())
+	}
 	st, err := app.Replay([]time.Duration{}, ReplaySpec{})
 	if err != nil || st.Requests != 0 {
 		t.Errorf("empty trace: st=%+v err=%v, want valid no-op", st, err)

@@ -2,20 +2,25 @@
 // SimPy-style cooperative processes.
 //
 // The engine maintains a virtual clock and an event heap ordered by
-// (time, sequence number). Processes are goroutines that run strictly one at
-// a time: the engine wakes a process, the process runs until it blocks on a
-// primitive (Sleep, Signal.Wait, Resource.AcquirePri), and control returns
-// to the engine. Only this package parks and wakes processes; code built on
-// it waits on those primitives. Because only one goroutine is ever runnable
-// and ties are broken by monotonically increasing sequence numbers, a
-// simulation is fully deterministic: the same inputs produce bit-identical
-// schedules.
+// (time, sequence number). A process (Proc) is an identity with a body: the
+// engine wakes it, its body runs on a carrier goroutine until it parks on a
+// primitive, and control returns to the engine. Sleep, Signal.Wait and
+// Resource.AcquirePri park mid-body and keep the carrier until the wake;
+// Signal.Await and Resource.TryAcquirePri park at the top: they register the
+// process exactly where Wait and AcquirePri would, the body returns, and the
+// carrier goes back to the engine's pool, so a process waiting there holds
+// no goroutine and its wake runs the body again from the top. Only this
+// package parks and wakes processes; code built on it waits on those
+// primitives. Because only one goroutine is ever runnable and ties are
+// broken by monotonically increasing sequence numbers, a simulation is fully
+// deterministic: the same inputs produce bit-identical schedules.
 //
 // The engine is built for scale replays (10^5..10^6 requests): the event heap
 // is a concrete-typed binary heap (no container/heap interface boxing),
 // process wake-ups are value events carrying the target process instead of a
-// fresh closure, and finished process goroutines park in a free list so a new
-// Go reuses a warm goroutine instead of spawning one.
+// fresh closure, finished process shells park in a free list, and idle
+// carrier goroutines park in a pool, so a new Go reuses a shell and a warm
+// goroutine instead of allocating and spawning them.
 package sim
 
 import (
@@ -31,11 +36,11 @@ type Engine struct {
 	seq    int64
 	events eventHeap
 
-	// yield is the handshake channel on which the currently running process
-	// signals that it has blocked (or finished) and the engine may proceed.
+	// yield is the handshake channel on which the running carrier signals
+	// that its process has parked (or returned) and the engine may proceed.
 	yield chan struct{}
-	// kill is closed by Close to terminate processes that are still blocked
-	// when the simulation ends.
+	// kill is closed by Close to terminate carriers, idle or holding a
+	// process parked mid-body, when the simulation ends.
 	kill   chan struct{}
 	closed bool
 	wg     sync.WaitGroup
@@ -45,11 +50,13 @@ type Engine struct {
 	// executed counts executed events (ShardUtil reporting).
 	executed int64
 
-	// free holds retired process shells whose goroutines are parked awaiting
-	// reuse. Access follows the same single-runner discipline as the event
-	// heap: a process only touches it while it holds the conceptual run lock
-	// (between being resumed and yielding), so no mutex is needed.
-	free []*Proc
+	// free holds retired process shells, and carriers the idle carrier
+	// goroutines, each parked on its own channel. Access follows the same
+	// single-runner discipline as the event heap: a carrier only touches
+	// them while it holds the conceptual run lock (between being resumed and
+	// yielding), so no mutex is needed.
+	free     []*Proc
+	carriers []chan *Proc
 
 	// Obs is an opaque observability slot. Higher layers (internal/obs)
 	// attach a tracer here without the engine depending on them; a nil slot
@@ -247,9 +254,11 @@ func (e *Engine) Run(until time.Duration) time.Duration {
 	return e.now
 }
 
-// Close terminates any processes still blocked on simulation primitives and
-// waits for their goroutines to exit. It must only be called when Run has
-// returned (no process is mid-step). Close is idempotent.
+// Close terminates the engine's carrier goroutines, idle ones and those
+// holding a process parked mid-body, and waits for them to exit. A process
+// parked at the top holds no goroutine and needs nothing. Close must only be
+// called when Run has returned (no process is mid-step). Close is
+// idempotent.
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -259,13 +268,17 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 }
 
-// procKilled is the panic value used to unwind a process goroutine when the
-// engine shuts down while the process is blocked.
+// procKilled is the panic value used to unwind a carrier goroutine when the
+// engine shuts down while the carrier is idle or its process is parked.
 type procKilled struct{}
 
 // Runner is a process body. Go and GoDaemon wrap a closure in one; GoRun
 // takes a value the caller already owns, so pooled per-request state that
 // implements Runner is handed to the engine without allocating a closure.
+//
+// A body that parks at the top (Signal.Await or Resource.TryAcquirePri
+// returned false) must return at once; its wake calls Run again, so such a
+// body keeps in its own state how far it got.
 type Runner interface {
 	Run(p *Proc)
 }
@@ -275,16 +288,22 @@ type runFunc func(p *Proc)
 
 func (f runFunc) Run(p *Proc) { f(p) }
 
-// Proc is a cooperative simulation process. All Proc methods must be called
-// from within the process's own body function.
+// Proc is a cooperative simulation process: an identity, a place in at most
+// one wait list, and a body. A carrier goroutine runs the body from a wake
+// until it parks at the top or returns. All Proc methods must be called from
+// within the process's own body function.
 type Proc struct {
 	Name string
 	// Acct is an opaque per-process accounting slot. Higher layers
 	// (internal/obs) attach latency-bucket accumulators here; a nil slot
 	// means accounting is disabled and costs only a nil check at call sites.
+	// It survives a park at the top.
 	Acct   any
 	engine *Engine
-	resume chan struct{}
+	// c is the channel of the carrier running the body. A wake sets it
+	// (taking a carrier from the pool) when it is nil; parking at the top
+	// and retiring clear it.
+	c chan *Proc
 
 	// gen counts incarnations of this shell. It bumps when a body finishes
 	// and the shell parks in the free list; pending wake events carry the gen
@@ -322,91 +341,130 @@ func (e *Engine) GoRun(name string, r Runner) *Proc {
 	return e.spawn(name, r, false)
 }
 
-// spawn gives r a process shell and schedules its first wake at the current
-// instant.
+// spawn gives r a process shell, recycled from the free list when possible,
+// and schedules its first wake at the current instant. The shell has no
+// carrier until that wake.
 func (e *Engine) spawn(name string, r Runner, daemon bool) *Proc {
-	p := e.newProc(name)
+	var p *Proc
+	if n := len(e.free); n > 0 {
+		p = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		p.Name = name
+	} else {
+		p = &Proc{Name: name, engine: e}
+	}
 	p.runner = r
 	p.daemon = daemon
 	e.scheduleWake(0, p)
 	return p
 }
 
-// newProc returns a process shell ready to receive a body: recycled from the
-// free list when possible, otherwise freshly spawned with a goroutine that
-// parks in block. The spawn does not wait for the goroutine to get there:
-// the shell's first wake is a send on resume, which blocks until it has.
-func (e *Engine) newProc(name string) *Proc {
-	if n := len(e.free); n > 0 {
-		p := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		p.Name = name
-		return p
+// carrier returns an idle carrier's channel, spawning a carrier goroutine
+// when the pool is empty. The spawn does not wait for the goroutine to
+// start: the first wake is a send on the channel, which blocks until it has.
+func (e *Engine) carrier() chan *Proc {
+	if n := len(e.carriers); n > 0 {
+		c := e.carriers[n-1]
+		e.carriers = e.carriers[:n-1]
+		return c
 	}
-	p := &Proc{Name: name, engine: e, resume: make(chan struct{})}
+	c := make(chan *Proc)
 	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(procKilled); ok {
-					return
-				}
-				panic(fmt.Sprintf("sim: process %q panicked: %v", p.Name, r))
+	go e.carry(c)
+	return c
+}
+
+// carry is a carrier goroutine's loop: receive a process on c, run its body
+// from the top, retire the shell if the body finished rather than parked at
+// the top, and return to the pool.
+func (e *Engine) carry(c chan *Proc) {
+	defer e.wg.Done()
+	var p *Proc
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(procKilled); ok {
+				return
 			}
-		}()
-		for {
-			p.block()
-			p.runner.Run(p)
-			p.retire()
-			e.yield <- struct{}{}
+			panic(fmt.Sprintf("sim: process %q panicked: %v", p.Name, r))
 		}
 	}()
-	return p
+	for {
+		p = e.receive(c)
+		p.runner.Run(p)
+		if p.c != nil {
+			p.retire()
+		}
+		e.carriers = append(e.carriers, c)
+		e.yield <- struct{}{}
+	}
 }
 
 // retire resets the shell after its body returns and parks it in the free
-// list. It runs on the process goroutine, but only in the window where the
-// process still holds the run lock (the engine is blocked on yield), so the
+// list. It runs on the carrier, but only in the window where the carrier
+// still holds the run lock (the engine is blocked on yield), so the
 // free-list append is ordered with all engine-side accesses.
 func (p *Proc) retire() {
 	p.gen++
 	p.runner = nil
 	p.daemon = false
 	p.Acct = nil
+	p.c = nil
 	e := p.engine
 	e.free = append(e.free, p)
 }
 
-// wake resumes p and waits for it to block again or finish. It must only be
-// called from event context (i.e. while the engine loop is executing an
-// event), never from another process.
+// wake resumes p — on the carrier holding it, or from the top on one from
+// the pool — and waits for it to park or finish. It must only be called
+// from event context (i.e. while the engine loop is executing an event),
+// never from another process.
 func (e *Engine) wake(p *Proc) {
-	p.resume <- struct{}{}
+	c := p.c
+	if c == nil {
+		c = e.carrier()
+		p.c = c
+	}
+	c <- p
 	<-e.yield
 }
 
-// block parks the calling goroutine until the engine wakes it. Unlike
-// suspend, it does not notify the engine first; it is used only for process
-// startup, where the engine is not yet waiting on the yield channel.
-func (p *Proc) block() {
+// receive parks the calling carrier until the engine sends it a process on
+// c, or unwinds it when the engine closes.
+func (e *Engine) receive(c chan *Proc) *Proc {
 	select {
-	case <-p.resume:
-	case <-p.engine.kill:
+	case p := <-c:
+		return p
+	case <-e.kill:
 		panic(procKilled{})
 	}
 }
 
-// suspend yields control to the engine and parks until woken.
+// suspend yields control to the engine and parks mid-body, holding the
+// carrier, until woken.
 func (p *Proc) suspend() {
+	c := p.c
 	p.engine.yield <- struct{}{}
-	p.block()
+	p.engine.receive(c)
+}
+
+// mustRun panics unless p's body is running on a carrier. Every primitive
+// that parks calls it before registering p anywhere, so a body that keeps
+// running after Await or TryAcquirePri parked it fails at its next park
+// instead of corrupting a wait list.
+func (p *Proc) mustRun() {
+	if p.c == nil {
+		p.strayPark()
+	}
+}
+
+func (p *Proc) strayPark() {
+	panic(fmt.Sprintf("sim: process %q parked again after it parked at the top; its body must return once Await or TryAcquirePri reports false", p.Name))
 }
 
 // Sleep suspends the process for d of virtual time. A daemon process's
 // sleep does not keep Run(0) alive.
 func (p *Proc) Sleep(d time.Duration) {
+	p.mustRun()
 	p.engine.scheduleWake(d, p)
 	p.suspend()
 }

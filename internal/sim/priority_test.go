@@ -218,7 +218,9 @@ func (r *refResource) Release() {
 // prioritized acquirers, with and without aging, against Resource and the
 // re-slicing reference, and requires the same grant order: priority, then
 // aging, then FIFO within a class. The bursts drain and refill the queue,
-// so it is compacted with waiters of several classes queued.
+// so it is compacted with waiters of several classes queued. On Resource
+// the odd acquirers park at the top (TryAcquirePri) and the even ones hold
+// their carrier (AcquirePri): both share one queue and one grant order.
 func TestResourceGrantOrderMatchesReference(t *testing.T) {
 	type slot interface {
 		AcquirePri(p *Proc, pri int32)
@@ -234,9 +236,19 @@ func TestResourceGrantOrderMatchesReference(t *testing.T) {
 			i, pri := i, int32(rng.Intn(4))
 			at := time.Duration(rng.Intn(40)) * time.Millisecond
 			hold := time.Duration(1+rng.Intn(300)) * time.Microsecond
+			queued := false
 			e.Go("acq", func(p *Proc) {
-				p.Sleep(at)
-				r.AcquirePri(p, pri)
+				if !queued {
+					p.Sleep(at)
+					if res, ok := r.(*Resource); ok && i%2 == 1 {
+						if !res.TryAcquirePri(p, pri) {
+							queued = true
+							return
+						}
+					} else {
+						r.AcquirePri(p, pri)
+					}
+				}
 				order = append(order, i)
 				p.Sleep(hold)
 				r.Release()

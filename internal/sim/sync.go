@@ -2,12 +2,12 @@ package sim
 
 import "time"
 
-// Signal is a one-shot broadcast event. Processes that Wait before Fire are
-// suspended; Fire wakes all of them (in wait order) and any later Wait
-// returns immediately.
+// Signal is a one-shot broadcast event. Processes that Wait or Await before
+// Fire are queued; Fire wakes all of them (in wait order) and any later Wait
+// or Await returns immediately.
 //
 // The first waiter sits inline and the others in a list behind a pointer,
-// allocated on the second Wait and kept across Reset, so a signal with one
+// allocated on the second waiter and kept across Reset, so a signal with one
 // waiter allocates nothing past itself. Each waiter is woken on its own
 // process's engine.
 type Signal struct {
@@ -35,21 +35,42 @@ func (s *Signal) Reset() {
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
 
-// Wait suspends p until the signal fires. If it has already fired, Wait
-// returns immediately.
+// Wait suspends p until the signal fires, holding its carrier. If it has
+// already fired, Wait returns immediately.
 func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
+	p.mustRun()
+	s.add(p)
+	p.suspend()
+}
+
+// Await is Wait that parks p at the top. If the signal has fired it returns
+// true and p runs on. Otherwise it queues p exactly where Wait would and
+// returns false: p's body must then return, its carrier goes back to the
+// pool, and the wake Fire schedules runs the body again from the top, where
+// an Await of the same signal returns true.
+func (s *Signal) Await(p *Proc) bool {
+	if s.fired {
+		return true
+	}
+	p.mustRun()
+	s.add(p)
+	p.c = nil
+	return false
+}
+
+// add queues p behind the signal's earlier waiters.
+func (s *Signal) add(p *Proc) {
 	if s.first == nil {
 		s.first = p
-	} else {
-		if s.more == nil {
-			s.more = new([]*Proc)
-		}
-		*s.more = append(*s.more, p)
+		return
 	}
-	p.suspend()
+	if s.more == nil {
+		s.more = new([]*Proc)
+	}
+	*s.more = append(*s.more, p)
 }
 
 // Fire marks the signal fired and schedules all waiters to resume at the
@@ -87,11 +108,12 @@ type resWaiter struct {
 }
 
 // Resource is a counting resource (e.g. a GPU compute slot) with QoS
-// classes. AcquirePri blocks when capacity is exhausted; Release hands the
-// slot to the frontmost waiter: higher-priority waiters are granted slots
-// before lower-priority ones, equal priorities in FIFO order, with optional
-// aging (SetAging) so a sustained high-priority stream cannot starve
-// low-priority work. Each waiter is woken on its own process's engine.
+// classes. AcquirePri and TryAcquirePri queue the caller when capacity is
+// exhausted, in one queue; Release hands the slot to the frontmost waiter:
+// higher-priority waiters are granted slots before lower-priority ones,
+// equal priorities in FIFO order, with optional aging (SetAging) so a
+// sustained high-priority stream cannot starve low-priority work. Each
+// waiter is woken on its own process's engine.
 type Resource struct {
 	cap   int
 	inUse int
@@ -134,16 +156,39 @@ func (r *Resource) effectivePri(w *resWaiter, now time.Duration) int32 {
 	return w.pri + int32((now-w.at)/r.aging)
 }
 
-// AcquirePri obtains a slot at the given priority, suspending p until one
-// is available. When capacity is exhausted, the waiter is inserted behind
-// every queued waiter whose effective (aged) priority is at least its own
-// and ahead of the rest — equal priorities keep FIFO order, so a fleet of
-// priority-0 acquirers queues first come, first served.
+// AcquirePri obtains a slot at the given priority, suspending p (holding its
+// carrier) until one is available. When capacity is exhausted, the waiter is
+// inserted behind every queued waiter whose effective (aged) priority is at
+// least its own and ahead of the rest — equal priorities keep FIFO order, so
+// a fleet of priority-0 acquirers queues first come, first served.
 func (r *Resource) AcquirePri(p *Proc, pri int32) {
 	if r.inUse < r.cap {
 		r.inUse++
 		return
 	}
+	p.mustRun()
+	r.enqueue(p, pri)
+	p.suspend()
+}
+
+// TryAcquirePri is AcquirePri that parks p at the top. With a slot free it
+// takes it and returns true. Otherwise it queues p exactly where AcquirePri
+// would and returns false: p's body must then return, and the wake Release
+// schedules when it hands p the slot runs the body again from the top,
+// already holding the slot.
+func (r *Resource) TryAcquirePri(p *Proc, pri int32) bool {
+	if r.inUse < r.cap {
+		r.inUse++
+		return true
+	}
+	p.mustRun()
+	r.enqueue(p, pri)
+	p.c = nil
+	return false
+}
+
+// enqueue inserts p into the wait queue at its priority.
+func (r *Resource) enqueue(p *Proc, pri int32) {
 	if r.head > 0 && len(r.waiters) == cap(r.waiters) {
 		n := copy(r.waiters, r.waiters[r.head:])
 		clear(r.waiters[n:])
@@ -158,7 +203,6 @@ func (r *Resource) AcquirePri(p *Proc, pri int32) {
 	r.waiters = append(r.waiters, resWaiter{})
 	copy(r.waiters[idx+1:], r.waiters[idx:])
 	r.waiters[idx] = resWaiter{p: p, pri: pri, at: now}
-	p.suspend()
 }
 
 // Release returns a slot. If processes are waiting, the slot transfers to
