@@ -34,7 +34,8 @@ const peakPeriod = 10 * time.Millisecond
 // stack memory, sampled from a daemon event every peakPeriod of virtual
 // time. Stack memory is runtime/metrics' /memory/classes/heap/stacks:bytes:
 // MemStats.StackInuse plus the OS threads' stacks, read in about a
-// microsecond without stopping the world (ReadMemStats takes about 26 µs).
+// microsecond without stopping the world (ReadMemStats took about 26 µs on
+// a 2-vCPU VM).
 type peakSampler struct {
 	goroutines int
 	stack      uint64
@@ -54,7 +55,7 @@ func (ps *peakSampler) attach(e *sim.Engine) {
 	e.ScheduleDaemon(0, tick)
 }
 
-// report publishes the highest peaks of samplers as benchmark metrics.
+// reportPeaks publishes the highest peaks of samplers as benchmark metrics.
 func reportPeaks(b *testing.B, samplers ...*peakSampler) {
 	var g int
 	var stack uint64
