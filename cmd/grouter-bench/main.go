@@ -38,8 +38,8 @@ func main() {
 			sized = true
 		}
 	})
-	if *requests < 0 {
-		fmt.Fprintf(os.Stderr, "grouter-bench: -requests must be >= 0, got %d\n", *requests)
+	if sized && *requests < 1 {
+		fmt.Fprintf(os.Stderr, "grouter-bench: -requests must be at least 1, got %d\n", *requests)
 		os.Exit(2)
 	}
 

@@ -81,6 +81,11 @@ func main() {
 	dot := flag.Bool("dot", false, "print the workflow DAG as Graphviz and exit")
 	flag.Parse()
 
+	pat, err := trace.ParsePattern(*pattern)
+	if err != nil {
+		fail("%v", err)
+	}
+	draws := trace.Spec{Pattern: pat, Duration: *dur, MeanRPS: *rps}.Draws()
 	switch {
 	case *rps < 0 || math.IsNaN(*rps) || math.IsInf(*rps, 0):
 		fail("-rps must be a finite, non-negative rate, got %v", *rps)
@@ -92,6 +97,9 @@ func main() {
 		fail("-batch must be non-negative (0 = workflow default), got %d", *batch)
 	case *dur < 0:
 		fail("-dur must be non-negative, got %v", *dur)
+	case draws > trace.MaxDraws:
+		fail("-rps × -dur must draw at most %d arrivals on average, got about %.3g (-rps %v, -dur %v)",
+			trace.MaxDraws, draws, *rps, *dur)
 	case *sloHigh < 0:
 		fail("-slo-high must be non-negative (0 = off), got %v", *sloHigh)
 	case *sloLow < 0:
@@ -116,10 +124,6 @@ func main() {
 	spec := topology.SpecByName(*specName)
 	if spec == nil {
 		fail("unknown topology %q", *specName)
-	}
-	pat, err := trace.ParsePattern(*pattern)
-	if err != nil {
-		fail("%v", err)
 	}
 	cfg := simConfig{
 		wf: wf, system: *system, spec: spec,

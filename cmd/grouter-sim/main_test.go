@@ -262,16 +262,21 @@ func run(t *testing.T, args ...string) (int, string) {
 
 // TestRejectsBadRate: flag.Float64 parses NaN and Inf, and generating a
 // trace at either never ends, so the command must refuse a non-finite or
-// negative -rps with exit status 2, naming the flag. -dot makes an accepted
-// rate exit at once.
+// negative -rps with exit status 2, naming the flag. A finite -rps whose
+// trace over -dur would draw more than trace.MaxDraws arrivals (1e300 over
+// 1 ms once ran until killed) must fail the same way, naming both flags.
+// -dot makes an accepted rate exit at once.
 func TestRejectsBadRate(t *testing.T) {
 	for _, tc := range []struct {
-		rps  string
-		code int
-	}{{"NaN", 2}, {"Inf", 2}, {"-Inf", 2}, {"-1", 2}, {"0", 0}, {"8", 0}} {
-		code, stderr := run(t, "-rps", tc.rps, "-dot")
+		rps, dur string
+		code     int
+	}{{"NaN", "1s", 2}, {"Inf", "1s", 2}, {"-Inf", "1s", 2}, {"-1", "1s", 2}, {"1e300", "1ms", 2}, {"0", "1s", 0}, {"8", "1s", 0}} {
+		code, stderr := run(t, "-rps", tc.rps, "-dur", tc.dur, "-dot")
 		if code != tc.code || (code == 2 && !strings.Contains(stderr, "-rps")) {
 			t.Errorf("-rps %s: exit %d, stderr %q; want exit %d", tc.rps, code, stderr, tc.code)
+		}
+		if tc.rps == "1e300" && !strings.Contains(stderr, "-dur") {
+			t.Errorf("-rps %s -dur %s: stderr %q does not name -dur", tc.rps, tc.dur, stderr)
 		}
 	}
 }

@@ -37,7 +37,12 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	arrivals := trace.Generate(trace.Spec{Pattern: p, Duration: *dur, MeanRPS: *rps, Seed: *seed})
+	spec := trace.Spec{Pattern: p, Duration: *dur, MeanRPS: *rps, Seed: *seed}
+	if spec.Draws() > trace.MaxDraws {
+		fail("-rps × -dur must draw at most %d arrivals on average, got about %.3g (-rps %v, -dur %v)",
+			trace.MaxDraws, spec.Draws(), *rps, *dur)
+	}
+	arrivals := trace.Generate(spec)
 	st := trace.Summarize(arrivals, *dur)
 	// One write call per buffer, not per line: -emit prints every arrival.
 	out := bufio.NewWriter(os.Stdout)

@@ -76,11 +76,19 @@ func TestEmitPrintsEveryArrival(t *testing.T) {
 
 // TestRejectsBadRate: flag.Float64 parses NaN and Inf, and generating at
 // either never ends, so the command must refuse a non-finite or negative
-// -rps with exit status 2, naming the flag.
+// -rps with exit status 2, naming the flag. A finite -rps whose trace over
+// -dur would draw more than trace.MaxDraws arrivals (1e300 over 1 ms once
+// ran until killed) must fail the same way, naming both flags.
 func TestRejectsBadRate(t *testing.T) {
 	for _, rps := range []string{"NaN", "Inf", "-Inf", "-1"} {
 		if code, stderr := run(t, "-rps", rps, "-dur", "1s"); code != 2 || !strings.Contains(stderr, "-rps") {
 			t.Errorf("-rps %s: exit %d, stderr %q; want exit 2 naming -rps", rps, code, stderr)
+		}
+	}
+	for _, pattern := range []string{"sporadic", "periodic", "bursty"} {
+		code, stderr := run(t, "-pattern", pattern, "-rps", "1e300", "-dur", "1ms")
+		if code != 2 || !strings.Contains(stderr, "-rps") || !strings.Contains(stderr, "-dur") {
+			t.Errorf("%s -rps 1e300 -dur 1ms: exit %d, stderr %q; want exit 2 naming -rps and -dur", pattern, code, stderr)
 		}
 	}
 	for _, rps := range []string{"0", "5"} {

@@ -28,12 +28,12 @@ const distBits = 10
 // share of the one bucket that holds the bound. A Dist allocates nothing
 // until its first Add, and an Add after the fold allocates only when its
 // sample lands outside the buckets seen so far. Its exact phase is a
-// Latency, which at DistCap samples holds 15 sealed chunks and a full open
-// one: about 94 KB over samples near 20 ms, at most about 155 KiB when
-// every sample is below 2^32 ns (about 4.29 s), and at most about 286 KiB;
-// a folded Dist over samples between 1 µs and 10 s holds about 100 KiB,
-// and over any samples at most 216 KiB. A bucket counts at most 2^32-1
-// samples; one more panics.
+// Latency, which at DistCap samples holds its sealed chunks and an open
+// chunk of 16 KiB: about 82 KB over samples near 20 ms, at most about
+// 123 KiB when every sample is below 2^32 ns (about 4.29 s), and at most
+// about 248 KiB; a folded Dist over samples between 1 µs and 10 s holds
+// about 100 KiB, and over any samples at most 216 KiB. A bucket counts at
+// most 2^32-1 samples; one more panics.
 type Dist struct {
 	exact Latency // every sample, until the fold
 

@@ -270,11 +270,11 @@ func TestDistFoldedFootprint(t *testing.T) {
 }
 
 // TestDistExactPhaseAllocation: a Dist fed DistCap log-normal samples
-// around 20 ms (benchSamples) allocates at most 120 KiB. It measured
-// 113,640 B: 15 sealed chunks (77.6 KB of encoding, rounded up to size
-// classes), the open chunk's doubling up to 2,048 samples (31.5 KiB) and
-// the chunk list; the margin is 8%. Uint32 chunks allocated 147,560 B, and
-// a buffer doubled up to DistCap about 512 KiB.
+// around 20 ms (benchSamples) allocates at most 88 KiB. It measured
+// 83,424 B: 16 sealed chunks (65.5 KB of encoding, most in 4 KiB blocks),
+// the open chunk's two sizes (64 and 2,048 samples, 16.5 KiB) and the chunk
+// list; the margin is 8%. LEB128 chunks allocated 113,640 B, uint32 chunks
+// 147,560 B, and a buffer doubled up to DistCap about 512 KiB.
 func TestDistExactPhaseAllocation(t *testing.T) {
 	xs := benchSamples(DistCap)
 	var d Dist
@@ -284,8 +284,8 @@ func TestDistExactPhaseAllocation(t *testing.T) {
 		d.Add(x)
 	}
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 120<<10 {
-		t.Errorf("a Dist fed %d samples allocated %d B, want at most %d", DistCap, got, 120<<10)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 88<<10 {
+		t.Errorf("a Dist fed %d samples allocated %d B, want at most %d", DistCap, got, 88<<10)
 	}
 	runtime.KeepAlive(&d)
 }

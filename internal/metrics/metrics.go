@@ -15,106 +15,225 @@ import (
 	"time"
 )
 
-// A Latency seals its samples chunkLen at a time, and each sealed chunk
-// keeps every indexStride-th sample's key whole in its index.
+// A Latency keeps up to chunkLen samples open, and the Add that finds them
+// full seals a sorted run of them into a chunk of at most blockBytes, one
+// index entry per indexStride samples.
 const (
+	firstLen    = 64 // the open chunk's first capacity
 	chunkLen    = 1 << 11
 	indexStride = 64
-	indexLen    = chunkLen / indexStride // index entries per sealed chunk
-	entryLen    = 8 + 2                  // an entry's key and uint16 offset
+	entryLen    = 8 + 2 + 1 // an entry's key, uint16 bit offset and Rice parameter
+	blockBytes  = 4096      // a size class: no sealed chunk is longer
+	escape      = 32        // a quotient this long or longer is escaped
 )
 
-// Every byte offset in a sealed chunk fits an entry's uint16, however wide
-// its deltas: this constant overflows, and the build fails, if it does not.
-const _ = uint16(indexLen*entryLen + (chunkLen-indexLen)*binary.MaxVarintLen64)
+// Every bit offset in a sealed chunk fits an entry's uint16: this constant
+// overflows, and the build fails, if it does not.
+const _ = uint16(8 * blockBytes)
 
 // Latency records duration samples and answers exact percentile queries.
-// Samples go into a raw open chunk, which doubles from 64 samples up to
-// chunkLen and is sorted in place by the first query after an Add. The Add
-// that finds it full seals it: sorts it and encodes it into one allocation
-// (chunk), after which the open chunk is reused. A sealed chunk of request
-// latencies keeps 2 to 2.5 B per sample; one whose samples all lie in
-// [0, 2^32) ns keeps at most about 4.1 B, and any at most about 8.2 B, and
-// the allocator rounds each chunk up by at most 1/8. That is the price of
-// exact percentiles; a recorder read only through Mean() is a Mean
-// instead, which keeps constant-size state. Queries allocate nothing.
+// Samples go into a raw open chunk of 64 and then chunkLen samples, sorted
+// in place by the first query after an Add. The Add that finds it full sorts
+// it and seals the longest prefix whose encoding fits blockBytes (4 KiB, a
+// size class of its own) into one allocation, or all of it at its exact size
+// when that fits; the rest stays open. A sealed chunk of request latencies
+// keeps about 1.7 to 2.1 B per sample, allocator rounding included; one
+// whose samples all lie in [0, 2^32) ns keeps at most about 3.3 B, and any
+// at most about 7.2 B. That is the price of exact percentiles; a recorder
+// read only through Mean() is a Mean instead, which keeps constant-size
+// state. Queries allocate nothing.
 type Latency struct {
-	sealed []chunk         // each holds chunkLen samples
-	open   []time.Duration // the samples since the last seal
+	sealed []chunk
+	n      int             // samples in sealed
+	open   []time.Duration // the samples not sealed yet
 	sorted bool            // open is sorted since its last Add
 }
 
-// chunk is a sealed chunk: chunkLen samples, sorted by their order keys
-// (key), as indexLen entries and then a stream of deltas. Entry b holds the
-// key of sample b·indexStride and the byte offset of the next sample's
-// delta; each of the block's other indexStride-1 samples follows as the
-// LEB128 delta of its key from the key before.
-type chunk []byte
+// chunk is a sealed chunk: n samples, sorted by their order keys (key), as
+// an index of one entry per block of indexStride samples and then a stream
+// of Rice-coded deltas. Entry b holds the key of sample b·indexStride, the
+// bit offset of the next sample's delta and the block's Rice parameter k;
+// each of the block's other samples follows as the delta of its key from
+// the key before (see bitWriter.rice).
+type chunk struct {
+	b []byte
+	n int
+}
 
 // key maps a sample to its order key: keys order as the samples do, over
 // all of int64, so one sorted stream holds negative samples too.
 func key(v time.Duration) uint64 { return uint64(v) ^ 1<<63 }
 
-// entry returns entry b's key and offset.
-func (c chunk) entry(b int) (k uint64, off int) {
-	e := c[b*entryLen:]
-	return binary.LittleEndian.Uint64(e), int(binary.LittleEndian.Uint16(e[8:]))
+// riceK returns the Rice parameter of a block of indexStride keys whose
+// span is span: the floor of log2 of their mean delta.
+func riceK(span uint64) uint8 {
+	return uint8(max(bits.Len64(span/(indexStride-1)), 1) - 1)
 }
 
-// seal sorts the full open chunk, appends its encoding to the sealed list
-// and empties it. It sizes the encoding first, so a chunk is one exact
-// allocation.
+// riceLen returns the bits of d's Rice code with parameter k.
+func riceLen(d uint64, k uint8) int {
+	if q := d >> k; q < escape {
+		return int(q) + 1 + int(k)
+	}
+	return escape + 64
+}
+
+// bitWriter writes bits into b, least significant first, from bit off on.
+type bitWriter struct {
+	b   []byte
+	off int
+}
+
+// put writes the n low bits of v, which has no bits above them.
+func (w *bitWriter) put(v uint64, n int) {
+	if n > 56 {
+		w.put(v&(1<<32-1), 32)
+		v, n = v>>32, n-32
+	}
+	i, s := w.off>>3, w.off&7
+	if i+8 <= len(w.b) {
+		binary.LittleEndian.PutUint64(w.b[i:], binary.LittleEndian.Uint64(w.b[i:])|v<<s)
+	} else {
+		for v <<= s; v != 0; i, v = i+1, v>>8 {
+			w.b[i] |= byte(v)
+		}
+	}
+	w.off += n
+}
+
+// rice writes d's Rice code with parameter k: the quotient d>>k in unary,
+// as that many 1 bits and a 0, then the remainder's k bits. A quotient of
+// escape or more is instead escape 1 bits and all 64 bits of d.
+func (w *bitWriter) rice(d uint64, k uint8) {
+	q := d >> k
+	if q >= escape {
+		w.put(1<<escape-1, escape)
+		w.put(d, 64)
+		return
+	}
+	w.put(1<<q-1, int(q)+1)
+	w.put(d&(1<<k-1), int(k))
+}
+
+// bits returns c's 64 bits from bit off on, least significant first, zero
+// past its end.
+func (c chunk) bits(off int) uint64 {
+	i, s := off>>3, off&7
+	var v uint64
+	if i+8 <= len(c.b) {
+		v = binary.LittleEndian.Uint64(c.b[i:])
+	} else {
+		for j := len(c.b) - 1; j >= i; j-- {
+			v = v<<8 | uint64(c.b[j])
+		}
+	}
+	v >>= s
+	if s != 0 && i+8 < len(c.b) {
+		v |= uint64(c.b[i+8]) << (64 - s)
+	}
+	return v
+}
+
+// next decodes the delta at bit off, coded with parameter k, and returns it
+// and the bit offset after it.
+func (c chunk) next(off int, k uint8) (uint64, int) {
+	v := c.bits(off)
+	q := bits.TrailingZeros64(^v)
+	if q >= escape {
+		return c.bits(off + escape), off + escape + 64
+	}
+	off += q + 1
+	if q+1+int(k) <= 64 {
+		v >>= q + 1
+	} else {
+		v = c.bits(off)
+	}
+	return uint64(q)<<k | v&(1<<k-1), off + int(k)
+}
+
+// entry returns entry b's key, bit offset and Rice parameter.
+func (c chunk) entry(b int) (x uint64, off int, k uint8) {
+	e := c.b[b*entryLen:]
+	return binary.LittleEndian.Uint64(e), int(binary.LittleEndian.Uint16(e[8:])), e[10]
+}
+
+// blocks returns the number of index entries.
+func (c chunk) blocks() int { return (c.n + indexStride - 1) / indexStride }
+
+// seal sorts the full open chunk and seals its longest prefix whose
+// encoding fits blockBytes, or all of it at its exact size when that fits;
+// the rest stays open, sorted. It sizes the encoding first, so a chunk is
+// one exact allocation. Each block's k comes from the mean delta of its
+// indexStride open samples, sealed or not.
 func (l *Latency) seal() {
 	l.sort()
-	size := indexLen * entryLen
-	for i := 1; i < chunkLen; i++ {
-		if i%indexStride != 0 { // the delta's LEB128 length
-			size += (bits.Len64(key(l.open[i])-key(l.open[i-1])|1) + 6) / 7
+	o := l.open
+	var ks [chunkLen / indexStride]uint8
+	fits := func(entries, nbits int) bool { return entries*entryLen+(nbits+7)/8 <= blockBytes }
+	m, size := 0, 0 // samples that fit, and their deltas' bits
+scan:
+	for b := 0; b*indexStride < len(o) && fits(b+1, size); b++ {
+		blk := o[b*indexStride : (b+1)*indexStride]
+		ks[b] = riceK(key(blk[indexStride-1]) - key(blk[0]))
+		m++
+		for i := 1; i < indexStride; i++ {
+			w := riceLen(key(blk[i])-key(blk[i-1]), ks[b])
+			if !fits(b+1, size+w) {
+				break scan
+			}
+			size += w
+			m++
 		}
 	}
-	c := make(chunk, indexLen*entryLen, size)
-	for i, v := range l.open {
+	c := chunk{n: m}
+	entries := c.blocks()
+	c.b = make([]byte, entries*entryLen+(size+7)/8)
+	w := bitWriter{b: c.b, off: 8 * entries * entryLen}
+	for i, v := range o[:m] {
+		b := i / indexStride
 		if i%indexStride != 0 {
-			c = binary.AppendUvarint(c, key(v)-key(l.open[i-1]))
+			w.rice(key(v)-key(o[i-1]), ks[b])
 			continue
 		}
-		e := c[i/indexStride*entryLen:]
+		e := c.b[b*entryLen:]
 		binary.LittleEndian.PutUint64(e, key(v))
-		binary.LittleEndian.PutUint16(e[8:], uint16(len(c)))
+		binary.LittleEndian.PutUint16(e[8:], uint16(w.off))
+		e[10] = ks[b]
 	}
 	l.sealed = append(l.sealed, c)
-	l.open = l.open[:0]
+	l.n += m
+	l.open = o[:copy(o, o[m:])]
 }
 
-// atOrBelow counts the samples whose key is at or below k: a binary search
-// for the last block starting at or below k, then at most indexStride-1
+// atOrBelow counts the samples whose key is at or below x: a binary search
+// for the last block starting at or below x, then at most indexStride-1
 // decodes within it.
-func (c chunk) atOrBelow(k uint64) int {
-	b := sort.Search(indexLen, func(b int) bool { first, _ := c.entry(b); return first > k }) - 1
+func (c chunk) atOrBelow(x uint64) int {
+	b := sort.Search(c.blocks(), func(b int) bool { first, _, _ := c.entry(b); return first > x }) - 1
 	if b < 0 {
 		return 0
 	}
-	x, off := c.entry(b)
-	n := b*indexStride + 1
-	for ; n < (b+1)*indexStride; n++ {
-		d, w := binary.Uvarint(c[off:])
-		if x += d; x > k {
+	v, off, k := c.entry(b)
+	n, end := b*indexStride+1, min(c.n, (b+1)*indexStride)
+	for ; n < end; n++ {
+		d, next := c.next(off, k)
+		if v += d; v > x {
 			break
 		}
-		off += w
+		off = next
 	}
 	return n
 }
 
 // each calls f on every sample, in ascending order.
 func (c chunk) each(f func(time.Duration)) {
-	for b := 0; b < indexLen; b++ {
-		x, off := c.entry(b)
+	for b := 0; b < c.blocks(); b++ {
+		x, off, k := c.entry(b)
 		f(time.Duration(x ^ 1<<63))
-		for i := 1; i < indexStride; i++ {
-			d, w := binary.Uvarint(c[off:])
+		for i := b*indexStride + 1; i < min(c.n, (b+1)*indexStride); i++ {
+			var d uint64
+			d, off = c.next(off, k)
 			x += d
-			off += w
 			f(time.Duration(x ^ 1<<63))
 		}
 	}
@@ -123,9 +242,12 @@ func (c chunk) each(f func(time.Duration)) {
 // Add records one sample.
 func (l *Latency) Add(d time.Duration) {
 	if len(l.open) == cap(l.open) {
-		if cap(l.open) < chunkLen {
-			l.open = append(make([]time.Duration, 0, max(64, 2*cap(l.open))), l.open...)
-		} else {
+		switch cap(l.open) {
+		case 0:
+			l.open = make([]time.Duration, 0, firstLen)
+		case firstLen:
+			l.open = append(make([]time.Duration, 0, chunkLen), l.open...)
+		default:
 			l.seal()
 		}
 	}
@@ -163,7 +285,7 @@ func (l *Latency) each(f func(time.Duration)) {
 }
 
 // Count returns the sample count.
-func (l *Latency) Count() int { return len(l.sealed)*chunkLen + len(l.open) }
+func (l *Latency) Count() int { return l.n + len(l.open) }
 
 // Mean returns the arithmetic mean, or 0 with no samples.
 func (l *Latency) Mean() time.Duration {
@@ -179,11 +301,12 @@ func (l *Latency) Mean() time.Duration {
 // last returns the chunk's largest sample's key: its last block's first key
 // plus the block's deltas.
 func (c chunk) last() uint64 {
-	x, off := c.entry(indexLen - 1)
-	for i := 1; i < indexStride; i++ {
-		d, w := binary.Uvarint(c[off:])
+	b := c.blocks() - 1
+	x, off, k := c.entry(b)
+	for i := b*indexStride + 1; i < c.n; i++ {
+		var d uint64
+		d, off = c.next(off, k)
 		x += d
-		off += w
 	}
 	return x
 }
@@ -196,7 +319,7 @@ func (l *Latency) bounds() (lo, hi time.Duration) {
 		kl, kh = key(l.open[0]), key(l.open[n-1])
 	}
 	for _, c := range l.sealed {
-		first, _ := c.entry(0)
+		first, _, _ := c.entry(0)
 		kl, kh = min(kl, first), max(kh, c.last())
 	}
 	return time.Duration(kl ^ 1<<63), time.Duration(kh ^ 1<<63)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestLatencyPercentiles(t *testing.T) {
@@ -509,31 +510,51 @@ var latencyStreams = []struct {
 	// Sorted input in runs of three equal samples, and reverse-sorted input.
 	{"ascending", func(_ *rand.Rand, i int) time.Duration { return time.Duration(i/3) * 1_000_003 }},
 	{"descending", func(_ *rand.Rand, i int) time.Duration { return -time.Duration(i) << 33 }},
+	// Sorted input whose every run of indexStride samples climbs in 1 ns
+	// steps but for one jump, of 100 ns or 2^40 ns, at a place that moves
+	// from run to run; runs lie 2^44 ns apart. Every jump, and every gap
+	// between runs that a block spans, needs the escape.
+	{"escapes", func(_ *rand.Rand, i int) time.Duration {
+		run, r := i/indexStride, i%indexStride
+		v := time.Duration(run)<<44 + time.Duration(r)
+		if r > run%(indexStride-1) {
+			v += []time.Duration{100, 1 << 40}[run%2]
+		}
+		return v
+	}},
+	// Samples on a grid of chunkLen points over all of int64, as drawn:
+	// deltas of 2^53 ns and more, so a seal fills its block with a few
+	// hundred samples and leaves the rest open.
+	{"int64-grid", func(rng *rand.Rand, _ int) time.Duration {
+		return time.Duration(uint64(rng.Intn(chunkLen))*(math.MaxUint64/(chunkLen-1)) ^ 1<<63)
+	}},
 }
 
-// blockProbes returns FractionUnder bounds at the block boundaries of every
-// chunk a Latency fed added, in that order, has sealed: the samples on both
-// sides of every indexStride-th rank of each chunk, and 1 ns either side.
-func blockProbes(added []time.Duration) []time.Duration {
+// blockProbes returns FractionUnder bounds at the block boundaries of l's
+// sealed chunks: the samples on both sides of every indexStride-th rank of
+// each chunk, and its last sample, each also 1 ns either side.
+func blockProbes(l *Latency) []time.Duration {
 	var bs []time.Duration
-	for c := 1; c*chunkLen < len(added); c++ {
-		ch := slices.Clone(added[(c-1)*chunkLen : c*chunkLen])
-		slices.Sort(ch)
-		for r := indexStride; r < chunkLen; r += indexStride {
+	for _, c := range l.sealed {
+		var ch []time.Duration
+		c.each(func(v time.Duration) { ch = append(ch, v) })
+		for r := indexStride; r < len(ch); r += indexStride {
 			for _, v := range ch[r-1 : r+1] {
 				bs = append(bs, v-1, v, v+1)
 			}
 		}
+		v := ch[len(ch)-1]
+		bs = append(bs, v-1, v, v+1)
 	}
 	return bs
 }
 
 // TestLatencyMatchesReference drives a Latency and the contiguous reference
-// with the same streams, at sizes on both sides of the open chunk's
-// doublings, of the index stride and of every seal, and requires equal
-// answers at two random points mid-stream, after which both keep adding,
-// and at the end. Up to four chunks it also probes every sealed chunk's
-// block boundaries.
+// with the same streams, at sizes on both sides of the open chunk's growth,
+// of the index stride and of the first seal, and requires equal answers at
+// two random points mid-stream, after which both keep adding, and at the
+// end. Up to four chunks' worth it also checks after every seal, full or
+// partial, and probes every sealed chunk's block boundaries.
 func TestLatencyMatchesReference(t *testing.T) {
 	for _, s := range latencyStreams {
 		for _, n := range []int{0, 1, 63, 64, 65, chunkLen - 1, chunkLen, chunkLen + 1,
@@ -541,26 +562,80 @@ func TestLatencyMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(n) + 1))
 			var l Latency
 			var ref sliceLatency
-			var added []time.Duration
+			check := func(name string) {
+				bounds := probes(ref.Samples())
+				if n <= 4*chunkLen {
+					bounds = append(bounds, blockProbes(&l)...)
+				}
+				checkLatency(t, fmt.Sprintf("%s n=%d %s", s.name, n, name), &l, &ref, bounds, true)
+			}
 			stops := []int{rng.Intn(n + 1), rng.Intn(n + 1), n}
 			slices.Sort(stops)
 			for i := 0; i <= n; i++ {
 				for len(stops) > 0 && stops[0] == i {
 					stops = stops[1:]
-					bounds := probes(ref.Samples())
-					if n <= 4*chunkLen {
-						bounds = append(bounds, blockProbes(added)...)
-					}
-					checkLatency(t, fmt.Sprintf("%s n=%d after %d", s.name, n, i), &l, &ref, bounds, true)
+					check(fmt.Sprintf("after %d", i))
 				}
 				if i < n {
 					v := s.gen(rng, i)
+					sealed := len(l.sealed)
 					l.Add(v)
 					ref.Add(v)
-					added = append(added, v)
+					if len(l.sealed) > sealed && n <= 4*chunkLen {
+						check(fmt.Sprintf("after %d, seal %d with %d open", i+1, len(l.sealed), len(l.open)))
+					}
 				}
 			}
 		}
+	}
+}
+
+// escaped counts the deltas of l's sealed chunks that their blocks' Rice
+// parameter codes with the escape.
+func escaped(l *Latency) int {
+	n := 0
+	for _, c := range l.sealed {
+		for b := 0; b < c.blocks(); b++ {
+			_, off, k := c.entry(b)
+			for i := b*indexStride + 1; i < min(c.n, (b+1)*indexStride); i++ {
+				var d uint64
+				if d, off = c.next(off, k); d>>k >= escape {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestLatencyStreamsReachTheirCases: the escapes stream codes deltas with
+// the escape, and every seal of the int64-grid stream fills its block with
+// a few hundred samples and leaves the rest open.
+func TestLatencyStreamsReachTheirCases(t *testing.T) {
+	feed := func(name string) *Latency {
+		l := new(Latency)
+		for _, s := range latencyStreams {
+			if s.name == name {
+				rng := rand.New(rand.NewSource(1))
+				for i := 0; i < 3*chunkLen+1; i++ {
+					l.Add(s.gen(rng, i))
+				}
+			}
+		}
+		return l
+	}
+	l := feed("escapes")
+	if n := escaped(l); n == 0 {
+		t.Errorf("escapes: %d sealed chunks hold no escaped delta", len(l.sealed))
+	}
+	l = feed("int64-grid")
+	for _, c := range l.sealed {
+		if c.n < 256 || c.n >= chunkLen/2 {
+			t.Errorf("int64-grid: a sealed chunk holds %d samples, want a few hundred", c.n)
+		}
+	}
+	if len(l.sealed) < 4 || len(l.open) == 0 {
+		t.Errorf("int64-grid: %d seals leave %d samples open, want partial seals", len(l.sealed), len(l.open))
 	}
 }
 
@@ -568,19 +643,22 @@ func TestLatencyMatchesReference(t *testing.T) {
 func sealedBytes(l *Latency) int {
 	n := 0
 	for _, c := range l.sealed {
-		n += len(c)
+		n += len(c.b)
 	}
 	return n
 }
 
 // TestLatencyBytesPerSample bounds what a recorder keeps per sample once it
-// has sealed 512 chunks: the bytes its sealed chunks encode, and the heap
-// it holds. The heap adds the allocator's rounding of each chunk up to its
-// size class, at most 1/8 above 1 KiB, and the open chunk (16 KiB) and the
-// list of chunks, which stay the same size however many samples come.
-// Samples near 20 ms keep under 3 B; the widest equal deltas that fit a
-// chunk inside [0, 2^32) ns keep 4 B each, and the widest over all of
-// int64, outside [0, 2^32), 8 B each; each index adds 10 B per 64 samples.
+// has recorded 512 chunks' worth: the bytes its sealed chunks encode, and
+// the heap it holds. A sealed chunk fills one 4 KiB block, a size class of
+// its own, unless all of a full open chunk fits in less, so the heap adds
+// little past the encoding: the allocator's rounding of those smaller
+// chunks, at most 1/8, and the open chunk (16 KiB) and the list of chunks,
+// which stay the same size however many samples come. Log-normal samples
+// around 20 ms keep under 2.2 B, where the LEB128 chunks kept 2.517 B and
+// held 2.620 B; the widest equal deltas that fit a chunk inside [0, 2^32)
+// ns keep about 3 B each (4.09 B with LEB128), and the widest over all of
+// int64 about 7 B (8.02 B). Each index adds 11 B per 64 samples.
 func TestLatencyBytesPerSample(t *testing.T) {
 	const n = 512 * chunkLen
 	// steps returns chunks whose keys run from key(from) in equal steps.
@@ -596,9 +674,9 @@ func TestLatencyBytesPerSample(t *testing.T) {
 		xs           []time.Duration
 		sealed, heap float64 // at most, per sample
 	}{
-		{"log-normal around 20 ms", benchSamples(n), 3, 3},
-		{"widest equal deltas in [0, 2^32)", steps(0, (1<<32-1)/(chunkLen-1)), 4.25, 4.25 * 9 / 8},
-		{"widest equal deltas over int64", steps(math.MinInt64, math.MaxUint64/(chunkLen-1)), 8.25, 8.25 * 9 / 8},
+		{"log-normal around 20 ms", benchSamples(n), 2.2, 2.2},
+		{"widest equal deltas in [0, 2^32)", steps(0, (1<<32-1)/(chunkLen-1)), 3.05, 3.05},
+		{"widest equal deltas over int64", steps(math.MinInt64, math.MaxUint64/(chunkLen-1)), 7, 7},
 	} {
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -610,7 +688,7 @@ func TestLatencyBytesPerSample(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-		fixed := 8*cap(l.open) + 24*cap(l.sealed)
+		fixed := 8*cap(l.open) + int(unsafe.Sizeof(chunk{}))*cap(l.sealed)
 		t.Logf("%s: sealed %.3f B, heap %.3f B per sample beside %d B of open chunk and list",
 			c.name, float64(sealedBytes(l))/n, float64(held-int64(fixed))/n, fixed)
 		if got := float64(sealedBytes(l)) / n; got > c.sealed {
@@ -624,15 +702,16 @@ func TestLatencyBytesPerSample(t *testing.T) {
 }
 
 // TestLatencyRecordAllocation: recording 10^5 log-normal samples around
-// 20 ms (benchSamples) allocates under 2.75 B per sample, plus the open
-// chunk's doubling from 64 to 2,048 samples (31.5 KiB), the chunk list's
-// doubling and 4 KiB for what the runtime allocates meanwhile: at most
-// 313.7 KB. It measured 293,736 B; uint32 chunks allocated 427,368 B and
-// the contiguous recorder 4.1 MB.
+// 20 ms (benchSamples) allocates under 2.2 B per sample, plus the open
+// chunk's two sizes (64 and 2,048 samples, 16.5 KiB), the chunk list's
+// doubling (at most two 32 B headers per 1,024 samples) and 4 KiB for what
+// the runtime allocates meanwhile: at most 247.2 KB. It measured 230,240 B;
+// LEB128 chunks allocated 293,736 B, uint32 chunks 427,368 B and the
+// contiguous recorder 4.1 MB.
 func TestLatencyRecordAllocation(t *testing.T) {
 	const n = 100_000
 	xs := benchSamples(n)
-	limit := uint64(11*n/4 + 8*(2*chunkLen-64) + 24*2*n/chunkLen + 4<<10)
+	limit := uint64(11*n/5 + 8*(firstLen+chunkLen) + int(unsafe.Sizeof(chunk{}))*2*n/1024 + 4<<10)
 	var l Latency
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -646,17 +725,24 @@ func TestLatencyRecordAllocation(t *testing.T) {
 	runtime.KeepAlive(&l)
 }
 
-// TestLatencyQueriesDoNotAllocate: on a recorder of 10^5 samples, half of
-// them below 2^32 ns, an Add followed by a query re-sorts the open chunk in
-// place, and neither that nor Mean allocates. The 10^5 samples leave 352
-// free slots in the open chunk, more than the 202 samples the runs below
-// add, so no Add seals.
+// TestLatencyQueriesDoNotAllocate: on a recorder of about 10^5 samples,
+// half of them below 2^32 ns, an Add followed by a query re-sorts the open
+// chunk in place, and neither that nor Mean allocates. A seal seals only
+// the prefix that fits its block, so the setup adds samples up to the
+// first seal past 10^5 and requires the free slots it leaves to hold the
+// 202 samples the runs below add, so no Add seals.
 func TestLatencyQueriesDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	sample := func() time.Duration { return time.Duration(rng.Int63() >> (31 * rng.Intn(2))) }
 	var l Latency
 	for i := 0; i < 100_000; i++ {
 		l.Add(sample())
+	}
+	for sealed := len(l.sealed); len(l.sealed) == sealed; {
+		l.Add(sample())
+	}
+	if free := chunkLen - len(l.open); free < 2*101 {
+		t.Fatalf("the last seal left %d free slots, want at least %d", free, 2*101)
 	}
 	for name, f := range map[string]func(){
 		"Add, P(0.99)":       func() { l.Add(sample()); l.P(0.99) },
@@ -725,7 +811,8 @@ func fuzzSeed(words ...uint64) []byte {
 // FuzzLatency drives a Latency and the contiguous reference with the same
 // fuzzer-shaped stream of signed samples (latencyStream), n of them, and
 // queries both after every gap+1 samples (at least every n/16), so queries
-// interleave with Adds, doublings and seals. Every answer must be equal.
+// interleave with Adds, the open chunk's growth and seals, full or partial.
+// Every answer must be equal.
 func FuzzLatency(f *testing.F) {
 	f.Add(uint16(100), uint16(6), uint8(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint16(chunkLen+1), uint16(63), uint8(0), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
@@ -741,6 +828,15 @@ func FuzzLatency(f *testing.F) {
 	f.Add(uint16(3*chunkLen+1), uint16(700), uint8(2), fuzzSeed(1<<63, 1<<63-2, 1<<40))
 	f.Add(uint16(2*chunkLen+1), uint16(300), uint8(3|14<<2), []byte{2, 7, 1, 8, 2, 8, 1, 8})
 	f.Add(uint16(2*chunkLen+1), uint16(300), uint8(3|6<<2), []byte{2, 7, 1, 8, 2, 8, 1, 8})
+	// Runs of 63 equal samples and one 2^40 above them (2^9 through the odd
+	// words' range): every jump needs the escape.
+	f.Add(uint16(2*chunkLen+1), uint16(100), uint8(0), fuzzSeed(append(make([]uint64, indexStride-1), 1<<40)...))
+	// Sorted input over all of int64: each seal fills its block with a few
+	// hundred samples and leaves the rest open.
+	f.Add(uint16(4*chunkLen), uint16(0), uint8(1), fuzzSeed(1<<63))
+	// Wide samples as drawn, queried every 385 samples: between partial
+	// seals.
+	f.Add(uint16(3*chunkLen+1), uint16(0), uint8(0), fuzzSeed(0x0123456789abcdee, 0xfedcba9876543210, 1<<62, 3<<62))
 	f.Fuzz(func(t *testing.T, n, gap uint16, shape uint8, raw []byte) {
 		if len(raw) < 8 {
 			return

@@ -58,10 +58,12 @@ type Spec struct {
 	Seed    int64
 }
 
-// Pattern shapes: Periodic modulates its rate over periodicPeriod; Bursty
-// bursts at burstFactor times the mean rate for burstLen on average.
+// Pattern shapes: Periodic modulates its rate over periodicPeriod up to
+// periodicPeak times the mean; Bursty bursts at burstFactor times the mean
+// rate for burstLen on average.
 const (
 	periodicPeriod = time.Minute
+	periodicPeak   = 1.8
 	burstFactor    = 4
 	burstLen       = 5 * time.Second
 )
@@ -103,7 +105,7 @@ const (
 // threshold.
 var periodicBounds = func() (b [periodicCells]struct{ lo, hi float64 }) {
 	edge := func(k int) float64 {
-		return (1 + 0.8*math.Sin(2*math.Pi*float64(k)/periodicCells)) / 1.8
+		return (1 + 0.8*math.Sin(2*math.Pi*float64(k)/periodicCells)) / periodicPeak
 	}
 	for k := range b {
 		x, y := edge(k), edge(k+1)
@@ -111,6 +113,23 @@ var periodicBounds = func() (b [periodicCells]struct{ lo, hi float64 }) {
 	}
 	return b
 }()
+
+// MaxDraws bounds the expected count of arrivals Generate draws for a spec
+// (Spec.Draws): 2^30, about a hundred times the 10^7-request replays the
+// simulator aims at, whose offsets alone would fill 8 GiB. A spec past it
+// would exhaust memory, or draw for practically ever, so Generate refuses it.
+const MaxDraws = 1 << 30
+
+// Draws returns the expected count of arrivals Generate draws for s: the
+// mean rate times the duration, and for Periodic the candidates it thins,
+// drawn at the peak rate.
+func (s Spec) Draws() float64 {
+	n := s.MeanRPS * s.Duration.Seconds()
+	if s.Pattern == Periodic {
+		n *= periodicPeak
+	}
+	return n
+}
 
 // maxPresize caps an output's pre-size, so a huge rate allocates no more up
 // front and grows by append past it.
@@ -123,12 +142,13 @@ func presize(mu float64) int {
 }
 
 // Generate returns sorted arrival offsets in [0, Duration), or nil for a
-// non-positive duration or a rate that is not finite and positive. Every
+// non-positive duration, a rate that is not finite and positive, or a spec
+// that draws more than MaxDraws arrivals on average (Spec.Draws). Every
 // pattern draws its arrivals in order, so no sort is needed, and the
 // result's spare capacity is at most 4√len+64, since callers keep it for a
 // whole replay.
 func Generate(s Spec) []time.Duration {
-	if s.Duration <= 0 || s.MeanRPS <= 0 || math.IsNaN(s.MeanRPS) || math.IsInf(s.MeanRPS, 1) {
+	if s.Duration <= 0 || s.MeanRPS <= 0 || math.IsNaN(s.MeanRPS) || math.IsInf(s.MeanRPS, 1) || s.Draws() > MaxDraws {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
@@ -143,7 +163,7 @@ func Generate(s Spec) []time.Duration {
 		// uniform, in order, and its cell's bounds decide it; only a uniform
 		// between the bounds, or a candidate from periodicExactFrom on,
 		// computes the sine.
-		peak := s.MeanRPS * 1.8
+		peak := s.MeanRPS * periodicPeak
 		cand := poissonWindow(rng, peak, 0, secs, make([]time.Duration, 0, presize(peak*secs)))
 		out = cand[:0]
 		for _, t := range cand {

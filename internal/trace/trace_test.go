@@ -394,6 +394,36 @@ func TestGenerateRejectsNonFiniteRates(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsTooManyDraws: a finite rate whose expected draws pass
+// MaxDraws (1e300 req/s for 1 ms once made Generate pre-size 2^24 offsets
+// and then append about 10^297 more) gets nil before Generate allocates or
+// draws. A periodic spec counts its candidates at the peak rate, so a mean
+// rate just inside the bound is refused there too.
+func TestGenerateRejectsTooManyDraws(t *testing.T) {
+	for _, p := range []Pattern{Sporadic, Periodic, Bursty} {
+		for _, s := range []Spec{
+			{Pattern: p, Duration: time.Millisecond, MeanRPS: 1e300},
+			{Pattern: p, Duration: time.Second, MeanRPS: MaxDraws * 1.0000001},
+			{Pattern: p, Duration: time.Duration(math.MaxInt64), MeanRPS: 1},
+		} {
+			if s.Draws() <= MaxDraws {
+				t.Fatalf("%+v draws %g, not past MaxDraws", s, s.Draws())
+			}
+			var got []time.Duration
+			if n := testing.AllocsPerRun(10, func() { got = Generate(s) }); got != nil || n != 0 {
+				t.Errorf("%+v: %d arrivals, %v allocations; want nil and none", s, len(got), n)
+			}
+		}
+	}
+	s := Spec{Pattern: Periodic, Duration: time.Second, MeanRPS: MaxDraws / 1.5}
+	if s.Draws() <= MaxDraws || Generate(s) != nil {
+		t.Errorf("periodic at %g req/s for 1 s draws %g candidates; want nil past MaxDraws", s.MeanRPS, s.Draws())
+	}
+	if s.Pattern = Sporadic; s.Draws() > MaxDraws {
+		t.Errorf("sporadic at %g req/s for 1 s draws %g, want at most MaxDraws", s.MeanRPS, s.Draws())
+	}
+}
+
 // TestPresizeClamped: the pre-size of a huge finite rate (or one whose
 // expected count overflows to +Inf) is clamped, so make never panics and the
 // output grows by append past the clamp.
